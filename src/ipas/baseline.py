@@ -4,23 +4,29 @@ Every iteration evaluates the full weighted gradient, projects exactly,
 and backtracks with the same nonmonotone Armijo rule as the adaptive
 solver.  The exact solve is charged as (m + 4) * m scalar products, the
 worst case of a CG solve on the same system, so budgets are comparable.
+
+Unlike the adaptive solver's full-sample branch, the step takes no
+descent check.  The exact direction passes it in exact arithmetic, but
+once ||d|| reaches roundoff level the computed g.d can miss the margin,
+and rejecting those steps would stall the reference method.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constraints import ConstraintSet, exact_project, feasibility_gap
 from .errors import ConfigInvalid
-from .objective import BudgetMeter, FiniteSumObjective, full_grad, full_value
+from .objective import FiniteSumObjective, full_grad, full_value
 from .solver import (
-    STATUS_MAX_ITERATIONS,
     STATUS_STATIONARY,
     IterationRecord,
     RunResult,
+    SolverState,
+    _bound_problems,
+    _drive,
     _guarded,
     eta,
     line_search_full,
@@ -45,31 +51,13 @@ class BaselineConfig:
 
 
 def validate_baseline_config(cfg: BaselineConfig) -> None:
-    problems = []
-    if not (0.0 < cfg.beta < 1.0):
-        problems.append(f"beta={cfg.beta!r} must lie in (0, 1)")
-    if not (0.0 < cfg.c1 < 1.0):
-        problems.append(f"c1={cfg.c1!r} must lie in (0, 1)")
-    if not cfg.s_exp > 0.5:
-        problems.append(f"s_exp={cfg.s_exp!r} must exceed 0.5")
-    if cfg.k_max < 0:
-        problems.append(f"k_max={cfg.k_max} must be >= 0")
-    if cfg.tol_d < 0 or cfg.tol_e < 0:
-        problems.append("tolerances must be >= 0")
+    problems = _bound_problems(cfg, ("beta", "c1"))
     if problems:
         raise ConfigInvalid("; ".join(problems))
 
 
-@dataclass
-class BaselineState:
-    x: np.ndarray
-    k: int
-    meter: BudgetMeter
-    done: str | None = None
-
-
 def baseline_step(
-    state: BaselineState, cs: ConstraintSet, obj: FiniteSumObjective, cfg: BaselineConfig
+    state: SolverState, cs: ConstraintSet, obj: FiniteSumObjective, cfg: BaselineConfig
 ) -> IterationRecord:
     """One full-gradient iteration with an exact projection."""
     x = state.x
@@ -111,26 +99,6 @@ def baseline_step(
     return record
 
 
-def _terminal_record(
-    state: BaselineState, cs: ConstraintSet, obj: FiniteSumObjective
-) -> IterationRecord:
-    g = full_grad(obj, state.x, None)
-    d = exact_project(cs, state.x - g) - state.x
-    return IterationRecord(
-        k=state.k,
-        Nk=obj.n_components,
-        t=0.0,
-        norm_p=0.0,
-        norm_d_true=float(np.linalg.norm(d)),
-        e_x=feasibility_gap(cs, state.x),
-        f_true=full_value(obj, state.x, None),
-        scalar_products=state.meter.scalar_products,
-        accepted=False,
-        unsuccessful=False,
-        cg_iters=0,
-    )
-
-
 def run_baseline(
     cs: ConstraintSet,
     obj: FiniteSumObjective,
@@ -143,28 +111,6 @@ def run_baseline(
     full-sample accepted step.
     """
     validate_baseline_config(cfg)
-    if obj.dim != cs.n:
-        raise ConfigInvalid(
-            f"objective dimension {obj.dim} does not match the constraint width {cs.n}"
-        )
-    if x0 is None:
-        x0 = exact_project(cs, np.zeros(cs.n))
-    else:
-        x0 = np.asarray(x0, dtype=float)
-
-    state = BaselineState(x=x0, k=0, meter=BudgetMeter())
-    records: list[IterationRecord] = []
-    status = STATUS_MAX_ITERATIONS
-    while state.k < cfg.k_max:
-        records.append(baseline_step(state, cs, obj, cfg))
-        if state.done is not None:
-            status = state.done
-            break
-    records.append(_terminal_record(state, cs, obj))
-    return RunResult(
-        records=records,
-        status=status,
-        x=state.x,
-        meter=state.meter,
-        seed=0,
+    return _drive(
+        cs, obj, cfg, x0, baseline_step, Nk=obj.n_components, seed=0, oracle_metrics=True
     )

@@ -32,7 +32,15 @@ from .problems import (
     min_norm_feasible,
     noisy_quadratic_objective,
 )
-from .solver import IterationRecord, SolverConfig, read_trace, run, write_trace
+from .solver import (
+    IterationRecord,
+    SolverConfig,
+    _read_csv,
+    _write_csv,
+    read_trace,
+    run,
+    write_trace,
+)
 
 MANIFEST_NAME = "runs.csv"
 SUMMARY_NAME = "summary.csv"
@@ -43,36 +51,38 @@ REACH_THRESHOLDS = (1e-1, 1e-2, 1e-3)
 # Number of points on the common budget grid for the mean curves.
 CURVE_POINTS = 50
 
-_PROBLEM_KEYS = {
+# [problem] keys of each kind besides "kind": key -> (type, default), where
+# a default of None marks a required key.
+_PROBLEM_FIELDS = {
     "noisy_quadratic": {
-        "kind",
-        "n",
-        "components",
-        "sigma",
-        "base_seed",
-        "base_curvature",
-        "q_scale",
-        "m_fraction",
-        "constraint_seed",
+        "n": (int, None),
+        "components": (int, None),
+        "sigma": (float, 1.0),
+        "base_seed": (int, 0),
+        "base_curvature": (float, 1.0),
+        "q_scale": (float, 1.0),
+        "m_fraction": (float, 0.5),
+        "constraint_seed": (int, 0),
     },
-    "logistic": {"kind", "dataset", "m_fraction", "constraint_seed"},
+    "logistic": {"dataset": (str, None), "m_fraction": (float, 0.5), "constraint_seed": (int, 0)},
 }
 
-_SOLVER_KEYS = {
-    "beta",
-    "c",
-    "c1",
-    "t_min",
-    "c_accept",
-    "n0",
-    "n0_fraction",
-    "dn",
-    "s",
-    "d",
-    "k_max",
-    "tol_d",
-    "tol_e",
-}
+# [solver] keys that map onto SolverConfig fields: (key, field, type).
+_SOLVER_FIELDS = (
+    ("beta", "beta", float),
+    ("c", "c", float),
+    ("c1", "c1", float),
+    ("t_min", "t_min", float),
+    ("c_accept", "C_accept", float),
+    ("n0", "N0", int),
+    ("dn", "dN", int),
+    ("s", "s_exp", float),
+    ("d", "D_size", int),
+    ("k_max", "k_max", int),
+    ("tol_d", "tol_d", float),
+    ("tol_e", "tol_e", float),
+)
+_SOLVER_KEYS = {key for key, _, _ in _SOLVER_FIELDS} | {"n0_fraction"}
 
 _SWEEP_KEYS = {"s", "dn", "sigma"}
 _RUN_KEYS = {"seeds", "output_dir"}
@@ -105,6 +115,16 @@ class SummaryRow:
     budget_median: float
     e_final_median: float
     reached: tuple[float, ...]  # fractions, aligned with REACH_THRESHOLDS
+
+
+MANIFEST_COLUMNS = (
+    "config_id", "config_hash", "s_exp", "dN", "sigma", "seed", "status", "trace_file", "error"
+)
+# SummaryRow's fields in order, with reached spread over one column per threshold.
+SUMMARY_COLUMNS = tuple(f.name for f in dataclasses.fields(SummaryRow))[:-1] + tuple(
+    f"reached_{t:g}" for t in REACH_THRESHOLDS
+)
+CURVE_COLUMNS = ("budget", "log10_d_mean", "log10_d_se", "d_geomean", "d_lo", "d_hi")
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -150,7 +170,7 @@ def parse_experiment_config(path) -> ExperimentConfig:
             raise ConfigInvalid(f"unknown keys in [run]: {sorted(unknown)}")
         if "seeds" not in run_sec:
             raise ConfigInvalid("[run] needs a seeds list")
-        seeds = tuple(_parse_ints(run_sec["seeds"]))
+        seeds = _distinct("seeds", _parse_ints(run_sec["seeds"]), str)
         if not seeds:
             raise ConfigInvalid("[run] seeds list is empty")
         output_dir = run_sec.get("output_dir", "runs")
@@ -171,31 +191,16 @@ def parse_experiment_config(path) -> ExperimentConfig:
 
 def _parse_problem(sec: dict) -> dict:
     kind = sec.get("kind")
-    if kind not in _PROBLEM_KEYS:
-        raise ConfigInvalid(f"problem kind must be one of {sorted(_PROBLEM_KEYS)}, got {kind!r}")
-    unknown = set(sec) - _PROBLEM_KEYS[kind]
+    if kind not in _PROBLEM_FIELDS:
+        raise ConfigInvalid(f"problem kind must be one of {sorted(_PROBLEM_FIELDS)}, got {kind!r}")
+    fields = _PROBLEM_FIELDS[kind]
+    unknown = set(sec) - set(fields) - {"kind"}
     if unknown:
         raise ConfigInvalid(f"unknown keys in [problem] for kind={kind}: {sorted(unknown)}")
-    if kind == "noisy_quadratic":
-        return {
-            "kind": kind,
-            "n": int(sec["n"]),
-            "components": int(sec["components"]),
-            "sigma": float(sec.get("sigma", 1.0)),
-            "base_seed": int(sec.get("base_seed", 0)),
-            "base_curvature": float(sec.get("base_curvature", 1.0)),
-            "q_scale": float(sec.get("q_scale", 1.0)),
-            "m_fraction": float(sec.get("m_fraction", 0.5)),
-            "constraint_seed": int(sec.get("constraint_seed", 0)),
-        }
-    if "dataset" not in sec:
-        raise ConfigInvalid("logistic problems need a dataset path")
-    return {
-        "kind": kind,
-        "dataset": sec["dataset"],
-        "m_fraction": float(sec.get("m_fraction", 0.5)),
-        "constraint_seed": int(sec.get("constraint_seed", 0)),
-    }
+    missing = [key for key, (_, default) in fields.items() if default is None and key not in sec]
+    if missing:
+        raise ConfigInvalid(f"{kind} problems need {', '.join(missing)} in [problem]")
+    return {"kind": kind, **{key: conv(sec.get(key, d)) for key, (conv, d) in fields.items()}}
 
 
 def _parse_solver(sec: dict) -> tuple[SolverConfig, float | None]:
@@ -204,23 +209,7 @@ def _parse_solver(sec: dict) -> tuple[SolverConfig, float | None]:
         raise ConfigInvalid(f"unknown keys in [solver]: {sorted(unknown)}")
     if "n0" in sec and "n0_fraction" in sec:
         raise ConfigInvalid("give either n0 or n0_fraction, not both")
-    kwargs = {}
-    for key, attr, conv in (
-        ("beta", "beta", float),
-        ("c", "c", float),
-        ("c1", "c1", float),
-        ("t_min", "t_min", float),
-        ("c_accept", "C_accept", float),
-        ("n0", "N0", int),
-        ("dn", "dN", int),
-        ("s", "s_exp", float),
-        ("d", "D_size", int),
-        ("k_max", "k_max", int),
-        ("tol_d", "tol_d", float),
-        ("tol_e", "tol_e", float),
-    ):
-        if key in sec:
-            kwargs[attr] = conv(sec[key])
+    kwargs = {attr: conv(sec[key]) for key, attr, conv in _SOLVER_FIELDS if key in sec}
     n0_fraction = float(sec["n0_fraction"]) if "n0_fraction" in sec else None
     return SolverConfig(**kwargs), n0_fraction
 
@@ -231,12 +220,12 @@ def _parse_sweep(
     unknown = set(sec) - _SWEEP_KEYS
     if unknown:
         raise ConfigInvalid(f"unknown keys in [sweep]: {sorted(unknown)}")
-    sweep_s = tuple(_parse_floats(sec["s"])) if "s" in sec else (solver.s_exp,)
-    sweep_dN = tuple(_parse_ints(sec["dn"])) if "dn" in sec else (solver.dN,)
+    sweep_s = _distinct("s", _parse_floats(sec["s"]), _format_g) if "s" in sec else (solver.s_exp,)
+    sweep_dN = _distinct("dn", _parse_ints(sec["dn"]), str) if "dn" in sec else (solver.dN,)
     if "sigma" in sec:
         if problem["kind"] != "noisy_quadratic":
             raise ConfigInvalid("a sigma sweep only applies to noisy_quadratic problems")
-        sweep_sigma = tuple(_parse_floats(sec["sigma"]))
+        sweep_sigma = _distinct("sigma", _parse_floats(sec["sigma"]), _format_g)
     elif problem["kind"] == "noisy_quadratic":
         sweep_sigma = (problem["sigma"],)
     else:
@@ -246,6 +235,22 @@ def _parse_sweep(
 
 def _format_g(v: float) -> str:
     return f"{v:g}"
+
+
+def _distinct(key: str, values: list, label) -> tuple:
+    """Reject values whose labels in run ids coincide.
+
+    Two such values would write the same trace file and merge into one
+    summary group, so the sweep could not keep their results apart.
+    """
+    labels = [label(v) for v in values]
+    clashes = sorted({lab for lab in labels if labels.count(lab) > 1})
+    if clashes:
+        raise ConfigInvalid(
+            f"{key} values {values} collide in run ids ({', '.join(clashes)}); "
+            "floats are labelled by their %g form"
+        )
+    return tuple(values)
 
 
 def plan_runs(cfg: ExperimentConfig, output_dir: str | None = None) -> list[dict]:
@@ -332,17 +337,8 @@ def execute_run(payload: dict) -> dict:
     Returns a result row for the manifest; failures are reported in the
     row rather than raised, so one bad run cannot take down a sweep.
     """
-    result = {
-        "config_id": payload["config_id"],
-        "config_hash": payload["config_hash"],
-        "s_exp": payload["s_exp"],
-        "dN": payload["dN"],
-        "sigma": payload["sigma"],
-        "seed": payload["seed"],
-        "trace_file": payload["trace_file"],
-        "status": "",
-        "error": "",
-    }
+    # The payload carries every manifest column except status and error.
+    result = {col: payload.get(col, "") for col in MANIFEST_COLUMNS}
     try:
         cs, obj, x0 = build_problem(payload["problem"])
         fields = dict(payload["solver"])
@@ -358,33 +354,12 @@ def execute_run(payload: dict) -> dict:
     return result
 
 
-def _write_manifest(rows: list[dict], path: str) -> None:
-    cols = ("config_id", "config_hash", "s_exp", "dN", "sigma", "seed", "status", "trace_file", "error")
-    lines = [",".join(cols)]
-    for r in rows:
-        cells = []
-        for c in cols:
-            v = r[c]
-            if v is None:
-                cells.append("")
-            elif isinstance(v, float):
-                cells.append(repr(v))
-            else:
-                cells.append(str(v).replace(",", ";").replace("\n", " "))
-        lines.append(",".join(cells))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def read_manifest(path: str) -> list[dict]:
-    with open(path) as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
-    if not lines:
+    cols, lines = _read_csv(path)
+    if not cols:
         raise ParseError(f"{path}: empty manifest")
-    cols = lines[0].split(",")
     rows = []
-    for line in lines[1:]:
-        cells = line.split(",")
+    for cells in lines:
         row = dict(zip(cols, cells))
         row["s_exp"] = float(row["s_exp"])
         row["dN"] = int(row["dN"])
@@ -407,6 +382,32 @@ def reach_budget(records: list[IterationRecord], threshold: float) -> float:
         if r.norm_d_true <= threshold:
             return float(r.scalar_products)
     return math.inf
+
+
+def _summary_row(rows: list[dict], **stats) -> SummaryRow:
+    """A group's row: identity columns from its first run, failure counts, stats."""
+    head = rows[0]
+    return SummaryRow(
+        config_id=head["config_id"],
+        config_hash=head["config_hash"],
+        s_exp=head["s_exp"],
+        dN=head["dN"],
+        sigma=head["sigma"],
+        n_runs=len(rows),
+        n_failed=sum(1 for r in rows if r["status"] == "failed"),
+        **stats,
+    )
+
+
+# Statistics of a group whose runs all failed.
+_FAILED_STATS = dict(
+    d_final_median=math.nan,
+    d_final_q25=math.nan,
+    d_final_q75=math.nan,
+    budget_median=math.nan,
+    e_final_median=math.nan,
+    reached=tuple(0.0 for _ in REACH_THRESHOLDS),
+)
 
 
 def summarize_group(
@@ -436,15 +437,8 @@ def summarize_group(
         float(np.mean([1.0 if reach_budget(t, thr) < math.inf else 0.0 for t in traces]))
         for thr in REACH_THRESHOLDS
     )
-    head = rows[0]
-    return SummaryRow(
-        config_id=head["config_id"],
-        config_hash=head["config_hash"],
-        s_exp=head["s_exp"],
-        dN=head["dN"],
-        sigma=head["sigma"],
-        n_runs=len(rows),
-        n_failed=len(rows) - len(completed),
+    return _summary_row(
+        rows,
         d_final_median=float(np.quantile(finals, 0.5)),
         d_final_q25=float(np.quantile(finals, 0.25)),
         d_final_q75=float(np.quantile(finals, 0.75)),
@@ -498,55 +492,6 @@ def budget_curve(
     return grid, mean, se
 
 
-def _write_summary(rows: list[SummaryRow], path: str) -> None:
-    cols = [
-        "config_id",
-        "config_hash",
-        "s_exp",
-        "dN",
-        "sigma",
-        "n_runs",
-        "n_failed",
-        "d_final_median",
-        "d_final_q25",
-        "d_final_q75",
-        "budget_median",
-        "e_final_median",
-    ] + [f"reached_{_format_g(t)}" for t in REACH_THRESHOLDS]
-    lines = [",".join(cols)]
-    for r in rows:
-        cells = [
-            r.config_id,
-            r.config_hash,
-            repr(float(r.s_exp)),
-            str(r.dN),
-            "" if r.sigma is None else repr(float(r.sigma)),
-            str(r.n_runs),
-            str(r.n_failed),
-            repr(r.d_final_median),
-            repr(r.d_final_q25),
-            repr(r.d_final_q75),
-            repr(r.budget_median),
-            repr(r.e_final_median),
-        ] + [repr(v) for v in r.reached]
-        lines.append(",".join(cells))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _write_curve(path: str, grid: np.ndarray, mean: np.ndarray, se: np.ndarray, n_runs: int) -> None:
-    lines = ["budget,log10_d_mean,log10_d_se,d_geomean,d_lo,d_hi"]
-    for b, m, s in zip(grid, mean, se):
-        d_geo = 10.0**m
-        d_lo = 10.0 ** (m - 1.96 * s)
-        d_hi = 10.0 ** (m + 1.96 * s)
-        lines.append(
-            ",".join(repr(float(v)) for v in (b, m, s, d_geo, d_lo, d_hi))
-        )
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def summarize_dir(trace_dir: str) -> list[SummaryRow]:
     """Rebuild summary.csv and the curve files from a manifest directory."""
     manifest_path = os.path.join(trace_dir, MANIFEST_NAME)
@@ -571,30 +516,22 @@ def summarize_dir(trace_dir: str) -> list[SummaryRow]:
         if traces:
             summary_rows.append(summarize_group(group, traces))
             grid, mean, se = budget_curve(traces)
-            _write_curve(
-                os.path.join(trace_dir, f"curve_{config_id}.csv"), grid, mean, se, len(traces)
+            _write_csv(
+                os.path.join(trace_dir, f"curve_{config_id}.csv"),
+                CURVE_COLUMNS,
+                (
+                    (b, m, s, 10.0**m, 10.0 ** (m - 1.96 * s), 10.0 ** (m + 1.96 * s))
+                    for b, m, s in zip(grid, mean, se)
+                ),
             )
         else:
             # Keep fully-failed groups visible instead of dropping them.
-            head = group[0]
-            summary_rows.append(
-                SummaryRow(
-                    config_id=config_id,
-                    config_hash=head["config_hash"],
-                    s_exp=head["s_exp"],
-                    dN=head["dN"],
-                    sigma=head["sigma"],
-                    n_runs=len(group),
-                    n_failed=len(group),
-                    d_final_median=math.nan,
-                    d_final_q25=math.nan,
-                    d_final_q75=math.nan,
-                    budget_median=math.nan,
-                    e_final_median=math.nan,
-                    reached=tuple(0.0 for _ in REACH_THRESHOLDS),
-                )
-            )
-    _write_summary(summary_rows, os.path.join(trace_dir, SUMMARY_NAME))
+            summary_rows.append(_summary_row(group, **_FAILED_STATS))
+    _write_csv(
+        os.path.join(trace_dir, SUMMARY_NAME),
+        SUMMARY_COLUMNS,
+        ((*dataclasses.astuple(r)[:-1], *r.reached) for r in summary_rows),
+    )
     return summary_rows
 
 
@@ -631,7 +568,11 @@ def run_experiment(
             results = list(pool.map(execute_run, payloads, chunksize=1))
 
     results.sort(key=lambda r: (r["config_id"], r["seed"]))
-    _write_manifest(results, os.path.join(out_dir, MANIFEST_NAME))
+    _write_csv(
+        os.path.join(out_dir, MANIFEST_NAME),
+        MANIFEST_COLUMNS,
+        ([r[c] for c in MANIFEST_COLUMNS] for r in results),
+    )
     summary = summarize_dir(out_dir)
     n_failed = sum(1 for r in results if r["status"] == "failed")
     return ExperimentOutcome(

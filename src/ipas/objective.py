@@ -26,10 +26,6 @@ class ComponentKernel(Protocol):
     return the same values, and nothing here may mutate shared state.
     """
 
-    def component(self, i: int, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """Value and gradient of the single component f_i."""
-        ...
-
     def values(self, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Component values f_i(x) for each index in idx (duplicates allowed)."""
         ...
@@ -58,9 +54,6 @@ class CallableKernel:
     def __init__(self, fn: Callable[[int, np.ndarray], tuple[float, np.ndarray]], n_components: int):
         self._fn = fn
         self.n_components = n_components
-
-    def component(self, i, x):
-        return self._fn(int(i), x)
 
     def values(self, idx, x):
         return np.array([self._fn(int(i), x)[0] for i in idx], dtype=float)

@@ -73,9 +73,6 @@ class LogisticKernel:
     def __init__(self, ds: LogisticDataset):
         self.ds = ds
 
-    def component(self, i, x):
-        return logistic_component(self.ds, int(i), x)
-
     def values(self, idx, x):
         margins = -self.ds.y[idx] * (self.ds.Z[idx] @ x)
         return np.logaddexp(0.0, margins)
@@ -272,9 +269,6 @@ class NoisyQuadraticKernel:
     def __init__(self, spec: NoisyQuadraticSpec):
         self.spec = spec
         self._eps_sq = spec.eps**2
-
-    def component(self, i, x):
-        return noisy_quadratic_component(self.spec, int(i), x)
 
     def _base(self, x):
         Qx = self.spec.base_Q @ x

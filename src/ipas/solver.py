@@ -12,7 +12,8 @@ slack and the acceptance test lean on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Callable, Iterable
 
 import numpy as np
@@ -25,7 +26,7 @@ from .constraints import (
     inexact_project,
     projected_direction,
 )
-from .errors import ConfigInvalid, InvariantViolation, MaxBacktracks, NonFiniteValue
+from .errors import ConfigInvalid, InvariantViolation, MaxBacktracks, NonFiniteValue, ParseError
 from .objective import (
     BudgetMeter,
     FiniteSumObjective,
@@ -154,6 +155,25 @@ def eta(k: int, s_exp: float) -> float:
     return float((k + 1) ** (-s_exp))
 
 
+def _bound_problems(cfg, unit_fields: tuple[str, ...]) -> list[str]:
+    """Violations of the bounds that SolverConfig and BaselineConfig share.
+
+    unit_fields names the parameters that must lie in (0, 1).
+    """
+    problems = []
+    for name in unit_fields:
+        v = getattr(cfg, name)
+        if not (0.0 < v < 1.0):
+            problems.append(f"{name}={v!r} must lie in (0, 1)")
+    if not cfg.s_exp > 0.5:
+        problems.append(f"s_exp={cfg.s_exp!r} must exceed 0.5 for summable squared tolerances")
+    if cfg.k_max < 0:
+        problems.append(f"k_max={cfg.k_max} must be >= 0")
+    if cfg.tol_d < 0 or cfg.tol_e < 0:
+        problems.append("tolerances tol_d and tol_e must be >= 0")
+    return problems
+
+
 def validate_config(
     cfg: SolverConfig,
     L_estimate: float | None = None,
@@ -164,25 +184,15 @@ def validate_config(
     With an L_estimate, warns when t_min is too large for the backtracking
     floor guarantee t_min < min(1, 2*beta*c*(1-c1)/L).
     """
-    problems = []
-    for name in ("beta", "c", "c1", "t_min"):
-        v = getattr(cfg, name)
-        if not (0.0 < v < 1.0):
-            problems.append(f"{name}={v!r} must lie in (0, 1)")
+    problems = _bound_problems(cfg, ("beta", "c", "c1", "t_min"))
     if not cfg.C_accept > 0:
         problems.append(f"C_accept={cfg.C_accept!r} must be positive")
-    if not cfg.s_exp > 0.5:
-        problems.append(f"s_exp={cfg.s_exp!r} must exceed 0.5 for summable squared tolerances")
     if cfg.N0 < 1:
         problems.append(f"N0={cfg.N0} must be >= 1")
     if cfg.dN < 1:
         problems.append(f"dN={cfg.dN} must be >= 1")
     if cfg.D_size < 1:
         problems.append(f"D_size={cfg.D_size} must be >= 1")
-    if cfg.k_max < 0:
-        problems.append(f"k_max={cfg.k_max} must be >= 0")
-    if cfg.tol_d < 0 or cfg.tol_e < 0:
-        problems.append("tolerances tol_d and tol_e must be >= 0")
     if n_components is not None:
         if cfg.N0 > n_components:
             problems.append(f"N0={cfg.N0} exceeds the component count {n_components}")
@@ -463,13 +473,13 @@ def ipas_step(
 
 
 def _state_record(
-    state: SolverState, cs: ConstraintSet, obj: FiniteSumObjective, cfg: SolverConfig
+    state: SolverState, cs: ConstraintSet, obj: FiniteSumObjective, oracle_metrics: bool
 ) -> IterationRecord:
     """Terminal trace row: the final iterate's metrics with no step fields."""
     e_x = state.e_x if state.e_x is not None else feasibility_gap(cs, state.x)
     f_true = math.nan
     norm_d_true = math.nan
-    if cfg.oracle_metrics:
+    if oracle_metrics:
         f_true = full_value(obj, state.x, None)
         norm_d_true = float(
             np.linalg.norm(projected_direction(cs, state.x, full_grad(obj, state.x, None)))
@@ -489,6 +499,52 @@ def _state_record(
     )
 
 
+def _drive(
+    cs: ConstraintSet,
+    obj: FiniteSumObjective,
+    cfg,
+    x0: np.ndarray | None,
+    step: Callable[..., IterationRecord],
+    Nk: int,
+    seed: int,
+    oracle_metrics: bool,
+) -> RunResult:
+    """Run loop shared by the adaptive solver and the baseline.
+
+    Starts from x0 (default: minimum-norm feasible point) with a batch of
+    Nk and calls step(state, cs, obj, cfg), where cfg is a SolverConfig or
+    a BaselineConfig, until cfg.k_max iterations or until the step marks
+    the state done.  The trace ends with a terminal row for the final
+    iterate, whose oracle columns are NaN unless oracle_metrics is set.
+    """
+    if obj.dim != cs.n:
+        raise ConfigInvalid(
+            f"objective dimension {obj.dim} does not match the constraint width {cs.n}"
+        )
+    if x0 is None:
+        x0 = exact_project(cs, np.zeros(cs.n))
+    else:
+        x0 = np.asarray(x0, dtype=float)
+
+    state = SolverState(x=x0, k=0, Nk=Nk, rng=np.random.default_rng(seed), meter=BudgetMeter())
+    records: list[IterationRecord] = []
+    status = STATUS_MAX_ITERATIONS
+    while state.k < cfg.k_max:
+        records.append(step(state, cs, obj, cfg))
+        if state.done is not None:
+            status = state.done
+            break
+    records.append(_state_record(state, cs, obj, oracle_metrics))
+    return RunResult(
+        records=records,
+        status=status,
+        x=state.x,
+        meter=state.meter,
+        seed=seed,
+        projections_checked=state.projections_checked,
+    )
+
+
 def run(
     cs: ConstraintSet,
     obj: FiniteSumObjective,
@@ -503,46 +559,49 @@ def run(
     so a run with k_max = 0 yields exactly the initial state row.
     """
     validate_config(cfg, n_components=obj.n_components)
-    if obj.dim != cs.n:
-        raise ConfigInvalid(
-            f"objective dimension {obj.dim} does not match the constraint width {cs.n}"
-        )
-    if x0 is None:
-        x0 = exact_project(cs, np.zeros(cs.n))
-    else:
-        x0 = np.asarray(x0, dtype=float)
-
-    state = SolverState(
-        x=x0,
-        k=0,
-        Nk=min(cfg.N0, obj.n_components),
-        rng=np.random.default_rng(cfg.seed),
-        meter=BudgetMeter(),
-    )
-    records: list[IterationRecord] = []
-    status = STATUS_MAX_ITERATIONS
-    while state.k < cfg.k_max:
-        records.append(ipas_step(state, cs, obj, cfg))
-        if state.done is not None:
-            status = state.done
-            break
-    records.append(_state_record(state, cs, obj, cfg))
-    return RunResult(
-        records=records,
-        status=status,
-        x=state.x,
-        meter=state.meter,
-        seed=cfg.seed,
-        projections_checked=state.projections_checked,
+    Nk = min(cfg.N0, obj.n_components)
+    return _drive(
+        cs, obj, cfg, x0, ipas_step, Nk=Nk, seed=cfg.seed, oracle_metrics=cfg.oracle_metrics
     )
 
 
-def _format_cell(v) -> str:
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+def _write_csv(path, columns: Iterable[str], rows: Iterable[Iterable]) -> None:
+    """Write a header and one line per row, deterministic byte for byte.
+
+    Floats, numpy scalars included, are written as the repr of the Python
+    float, booleans as 1/0 and None as an empty cell.  Other values go through str with commas and newlines replaced,
+    so every line keeps the header's cell count.
+    """
+    lines = [",".join(columns)]
+    for row in rows:
+        cells = []
+        for v in row:
+            if v is None:
+                cells.append("")
+            elif isinstance(v, bool):
+                cells.append("1" if v else "0")
+            elif isinstance(v, float):
+                cells.append(repr(float(v)))
+            else:
+                cells.append(str(v).replace(",", ";").replace("\n", " "))
+        lines.append(",".join(cells))
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _read_csv(path) -> tuple[list[str], list[list[str]]]:
+    """Header and string cells of a file written by _write_csv; blank lines are skipped."""
+    with open(path) as fh:
+        lines = [line.rstrip("\n") for line in fh if line.strip()]
+    if not lines:
+        return [], []
+    return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+# IterationRecord fields in TRACE_COLUMNS order, and the converter of each
+# cell back to its field; flags are written as 1/0.
+_record_cells = attrgetter(*(f.name for f in fields(IterationRecord)))
+_TRACE_TYPES = (int, int, float, float, float, float, float, int, "1".__eq__, "1".__eq__, int)
 
 
 def write_trace(records: Iterable[IterationRecord], path) -> None:
@@ -551,56 +610,17 @@ def write_trace(records: Iterable[IterationRecord], path) -> None:
     The format is deterministic byte for byte: identical records always
     produce identical files.
     """
-    lines = [",".join(TRACE_COLUMNS)]
-    for r in records:
-        lines.append(
-            ",".join(
-                _format_cell(v)
-                for v in (
-                    r.k,
-                    r.Nk,
-                    r.t,
-                    r.norm_p,
-                    r.norm_d_true,
-                    r.e_x,
-                    r.f_true,
-                    r.scalar_products,
-                    r.accepted,
-                    r.unsuccessful,
-                    r.cg_iters,
-                )
-            )
-        )
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(path, TRACE_COLUMNS, map(_record_cells, records))
 
 
 def read_trace(path) -> list[IterationRecord]:
     """Parse a trace CSV written by write_trace."""
-    from .errors import ParseError
-
-    with open(path) as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
-    if not lines or lines[0] != ",".join(TRACE_COLUMNS):
+    header, rows = _read_csv(path)
+    if tuple(header) != TRACE_COLUMNS:
         raise ParseError(f"{path}: missing or unexpected trace header")
     records = []
-    for line in lines[1:]:
-        parts = line.split(",")
+    for parts in rows:
         if len(parts) != len(TRACE_COLUMNS):
             raise ParseError(f"{path}: expected {len(TRACE_COLUMNS)} cells, got {len(parts)}")
-        records.append(
-            IterationRecord(
-                k=int(parts[0]),
-                Nk=int(parts[1]),
-                t=float(parts[2]),
-                norm_p=float(parts[3]),
-                norm_d_true=float(parts[4]),
-                e_x=float(parts[5]),
-                f_true=float(parts[6]),
-                scalar_products=int(parts[7]),
-                accepted=parts[8] == "1",
-                unsuccessful=parts[9] == "1",
-                cg_iters=int(parts[10]),
-            )
-        )
+        records.append(IterationRecord(*(conv(v) for conv, v in zip(_TRACE_TYPES, parts))))
     return records

@@ -80,6 +80,46 @@ class TestValidate:
         assert main(["validate", str(path)]) == EXIT_OK
 
 
+def colliding_config(tmp_path):
+    # s = 1 and 1.0 share the id s1; 0.7500001 and 0.75 share s0.75.
+    path = tmp_path / "collide.ini"
+    path.write_text(
+        textwrap.dedent(
+            """
+            [problem]
+            kind = noisy_quadratic
+            n = 5
+            components = 6
+
+            [solver]
+            n0 = 2
+            d = 2
+            k_max = 4
+
+            [sweep]
+            s = 1 1.0 0.7500001 0.75
+
+            [run]
+            seeds = 0
+            """
+        )
+    )
+    return path
+
+
+class TestCollidingRunIds:
+    def test_validate_exits_two(self, tmp_path, capsys):
+        assert main(["validate", str(colliding_config(tmp_path))]) == EXIT_CONFIG_ERROR
+        assert "collide" in capsys.readouterr().err
+
+    def test_run_exits_two_and_writes_nothing(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        code = main(["run", str(colliding_config(tmp_path)), "--out", str(out_dir)])
+        assert code == EXIT_CONFIG_ERROR
+        assert not out_dir.exists()
+        assert "collide" in capsys.readouterr().err
+
+
 class TestRun:
     def test_run_writes_outputs(self, config_path, tmp_path, capsys):
         out_dir = tmp_path / "cli_out"

@@ -156,6 +156,7 @@ class TestConfigParsing:
             ("seeds = 0, 1", "seeds ="),  # empty seeds
             ("seeds = 0, 1", "other = 1"),  # missing seeds
             ("seeds = 0, 1", "seeds = 0.5"),  # non-integer seed
+            ("n = 6", ""),  # missing required problem key
         ],
     )
     def test_invalid_configs_rejected(self, tmp_path, mutation):
@@ -164,6 +165,25 @@ class TestConfigParsing:
         path.write_text(text)
         with pytest.raises(ConfigInvalid):
             parse_experiment_config(path)
+
+    @pytest.mark.parametrize(
+        "mutation",
+        [
+            ("s = 1.0 2.0", "s = 1 1.0 0.7500001 0.75"),  # ids s1 and s0.75 twice each
+            ("dn = 1", "dn = 1 2 1"),
+            ("dn = 1", "dn = 1\n    sigma = 0.1 0.1000001"),
+            ("seeds = 0, 1", "seeds = 0, 1, 0"),
+        ],
+    )
+    def test_colliding_run_ids_rejected(self, tmp_path, mutation):
+        path = write_config(tmp_path, QUAD_CONFIG.replace(*mutation))
+        with pytest.raises(ConfigInvalid, match="collide"):
+            parse_experiment_config(path)
+
+    def test_close_but_distinct_values_accepted(self, tmp_path):
+        path = write_config(tmp_path, QUAD_CONFIG.replace("s = 1.0 2.0", "s = 0.75 0.7501"))
+        payloads = plan_runs(parse_experiment_config(path))
+        assert len({p["trace_file"] for p in payloads}) == len(payloads) == 4
 
     def test_sigma_sweep_requires_quadratic(self, tmp_path):
         with pytest.raises(ConfigInvalid, match="sigma"):
