@@ -17,9 +17,7 @@ from .constraints import (
     exact_project,
     feasibility_gap,
     inexact_project,
-    load_constraints,
     projected_direction,
-    save_constraints,
 )
 from .errors import (
     CgStalled,
@@ -56,7 +54,6 @@ from .objective import (
     BudgetMeter,
     CallableKernel,
     FiniteSumObjective,
-    SampleIndexSet,
     draw_sample,
     full_grad,
     full_value,
@@ -94,7 +91,6 @@ from .solver import (
     line_search_minibatch,
     read_trace,
     run,
-    search_direction,
     validate_config,
     write_trace,
 )

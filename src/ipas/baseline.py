@@ -70,7 +70,6 @@ def baseline_step(
     # Exact solve priced at CG's worst case on the m-dimensional system.
     meter.charge_cg(cs.m, cs.m)
     norm_d = float(np.linalg.norm(d))
-    e_x = feasibility_gap(cs, x)
 
     f0 = full_value(obj, x, meter)
     slope = float(g @ d)
@@ -83,7 +82,7 @@ def baseline_step(
         t=float(t),
         norm_p=norm_d,
         norm_d_true=norm_d,
-        e_x=float(e_x),
+        e_x=state.e_x,
         f_true=f0,
         scalar_products=meter.scalar_products,
         accepted=True,
@@ -91,10 +90,11 @@ def baseline_step(
         cg_iters=cs.m,
     )
 
-    if norm_d <= cfg.tol_d and e_x <= cfg.tol_e:
+    if norm_d <= cfg.tol_d and state.e_x <= cfg.tol_e:
         state.done = STATUS_STATIONARY
 
     state.x = x + t * d
+    state.e_x = feasibility_gap(cs, state.x)
     state.k = k + 1
     return record
 

@@ -13,14 +13,13 @@ import argparse
 import os
 import sys
 
-from .errors import ConfigInvalid, EmptyGroup, IpasError
+from .errors import EmptyGroup, IpasError
 from .experiment import (
     parse_experiment_config,
     plan_runs,
     run_experiment,
     summarize_dir,
 )
-from .solver import validate_config
 
 OUTPUT_DIR_ENV = "IPAS_OUT_DIR"
 
@@ -67,8 +66,7 @@ def _resolve_out_dir(cli_out: str | None, config_out: str) -> str:
 def _cmd_run(args) -> int:
     try:
         cfg = parse_experiment_config(args.config)
-        validate_config(cfg.solver)
-    except (ConfigInvalid, IpasError) as exc:
+    except IpasError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     out_dir = _resolve_out_dir(args.out, cfg.output_dir)
@@ -102,14 +100,11 @@ def _cmd_summarize(args) -> int:
 def _cmd_validate(args) -> int:
     try:
         cfg = parse_experiment_config(args.config)
-        warnings = validate_config(cfg.solver)
-    except (ConfigInvalid, IpasError) as exc:
+    except IpasError as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     n_runs = len(plan_runs(cfg))
     print(f"ok: {n_runs} runs planned across {len(cfg.seeds)} seeds")
-    for w in warnings:
-        print(f"warning: {w}")
     return EXIT_OK
 
 

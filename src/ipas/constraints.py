@@ -222,42 +222,3 @@ def projected_direction(cs: ConstraintSet, x: np.ndarray, g: np.ndarray) -> np.n
         raise DimensionMismatch(f"g must have shape ({cs.n},), got {g.shape}")
     return exact_project(cs, x - g) - x
 
-
-def save_constraints(cs: ConstraintSet, path) -> None:
-    """Write a constraint set as text: 'm n', the m rows of A, then b."""
-    lines = [f"{cs.m} {cs.n}"]
-    for row in cs.A:
-        lines.append(" ".join(repr(float(v)) for v in row))
-    lines.append(" ".join(repr(float(v)) for v in cs.b))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_constraints(path) -> ConstraintSet:
-    """Inverse of save_constraints; revalidates through build_constraint_set."""
-    from .errors import ParseError
-
-    try:
-        with open(path) as fh:
-            tokens = [line.split() for line in fh if line.strip()]
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    if not tokens:
-        raise ParseError(f"{path}: empty constraint file")
-    try:
-        m, n = (int(t) for t in tokens[0])
-        if len(tokens) != m + 2:
-            raise ValueError(f"expected {m + 2} lines, found {len(tokens)}")
-        rows = tokens[1 : m + 1]
-        for i, row in enumerate(rows):
-            if len(row) != n:
-                raise ValueError(f"row {i + 1} has {len(row)} entries, expected {n}")
-        if len(tokens[m + 1]) != m:
-            raise ValueError(
-                f"b has {len(tokens[m + 1])} entries, expected {m}"
-            )
-        A = np.array([[float(v) for v in row] for row in rows])
-        b = np.array([float(v) for v in tokens[m + 1]])
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    return build_constraint_set(A, b)

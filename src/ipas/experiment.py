@@ -39,6 +39,7 @@ from .solver import (
     _write_csv,
     read_trace,
     run,
+    validate_config,
     write_trace,
 )
 
@@ -142,7 +143,10 @@ def _parse_ints(text: str) -> list[int]:
 
 
 def parse_experiment_config(path) -> ExperimentConfig:
-    """Read a key-value config file with [problem]/[solver]/[sweep]/[run] sections."""
+    """Read a key-value config file with [problem]/[solver]/[sweep]/[run] sections.
+
+    Raises ConfigInvalid when any (s, dN) grid point breaks a solver bound.
+    """
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
         with open(path) as fh:
@@ -230,6 +234,13 @@ def _parse_sweep(
         sweep_sigma = (problem["sigma"],)
     else:
         sweep_sigma = None
+    # Check every grid point now, so that no run fails on these bounds later.
+    for s_exp in sweep_s:
+        for dN in sweep_dN:
+            try:
+                validate_config(dataclasses.replace(solver, s_exp=s_exp, dN=dN))
+            except ConfigInvalid as exc:
+                raise ConfigInvalid(f"grid point s={_format_g(s_exp)}, dN={dN}: {exc}") from None
     return sweep_s, sweep_dN, sweep_sigma
 
 

@@ -8,7 +8,7 @@ keeps the estimators unbiased for f.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Protocol
 
 import numpy as np
@@ -72,17 +72,6 @@ class CallableKernel:
         for i in range(self.n_components):
             total += w[i] * self._fn(i, x)[1]
         return total
-
-
-@dataclass(frozen=True)
-class SampleIndexSet:
-    """A multiset of component indices drawn for one estimator."""
-
-    indices: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return int(self.indices.size)
 
 
 @dataclass
@@ -151,8 +140,10 @@ def uniform_weights(n: int) -> np.ndarray:
     return np.full(n, 1.0 / n)
 
 
-def draw_sample(weights: np.ndarray, size: int, rng: np.random.Generator) -> SampleIndexSet:
-    """Draw `size` indices i.i.d. with replacement, P(i) = weights[i].
+def draw_sample(weights: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw `size` int64 indices i.i.d. with replacement, P(i) = weights[i].
+
+    Indices may repeat; the estimators below average over the multiset.
 
     The draw consumes exactly one block of the generator stream, so a
     fixed seed reproduces the full sequence of samples across a run.
@@ -164,7 +155,7 @@ def draw_sample(weights: np.ndarray, size: int, rng: np.random.Generator) -> Sam
     # only guards against <=1e-8 float drift that rng.choice would reject.
     p = weights / weights.sum()
     idx = rng.choice(weights.size, size=size, replace=True, p=p)
-    return SampleIndexSet(indices=np.asarray(idx, dtype=np.int64))
+    return np.asarray(idx, dtype=np.int64)
 
 
 def _check_finite_scalar(v: float, what: str) -> float:
@@ -181,12 +172,12 @@ def _check_finite_vector(v: np.ndarray, what: str) -> np.ndarray:
 
 def subsample_value(
     obj: FiniteSumObjective,
-    s: SampleIndexSet,
+    s: np.ndarray,
     x: np.ndarray,
     meter: BudgetMeter | None,
 ) -> float:
     """Unweighted average of the sampled component values at x."""
-    vals = obj.kernel.values(s.indices, x)
+    vals = obj.kernel.values(s, x)
     if meter is not None:
         meter.charge_values(s.size, obj.value_cost)
     return _check_finite_scalar(float(vals.mean()), "subsampled objective value")
@@ -194,12 +185,12 @@ def subsample_value(
 
 def subsample_grad(
     obj: FiniteSumObjective,
-    s: SampleIndexSet,
+    s: np.ndarray,
     x: np.ndarray,
     meter: BudgetMeter | None,
 ) -> np.ndarray:
     """Unweighted average of the sampled component gradients at x."""
-    g = obj.kernel.grad_mean(s.indices, x)
+    g = obj.kernel.grad_mean(s, x)
     if meter is not None:
         meter.charge_grads(s.size, obj.grad_cost)
     return _check_finite_vector(g, "subsampled gradient")

@@ -97,7 +97,7 @@ class SolverState:
     Nk: int
     rng: np.random.Generator
     meter: BudgetMeter
-    e_x: float | None = None
+    e_x: float
     done: str | None = None
     projections_checked: int = 0
 
@@ -130,7 +130,6 @@ class AdditionalSampleResult:
 
     accepted: bool
     s_norm: float
-    cg_iterations: int
     projection: ProjectionResult
 
 
@@ -174,16 +173,8 @@ def _bound_problems(cfg, unit_fields: tuple[str, ...]) -> list[str]:
     return problems
 
 
-def validate_config(
-    cfg: SolverConfig,
-    L_estimate: float | None = None,
-    n_components: int | None = None,
-) -> list[str]:
-    """Raise ConfigInvalid on hard violations; return soft warnings.
-
-    With an L_estimate, warns when t_min is too large for the backtracking
-    floor guarantee t_min < min(1, 2*beta*c*(1-c1)/L).
-    """
+def validate_config(cfg: SolverConfig, n_components: int | None = None) -> None:
+    """Raise ConfigInvalid when cfg violates a hard bound."""
     problems = _bound_problems(cfg, ("beta", "c", "c1", "t_min"))
     if not cfg.C_accept > 0:
         problems.append(f"C_accept={cfg.C_accept!r} must be positive")
@@ -205,25 +196,6 @@ def validate_config(
             )
     if problems:
         raise ConfigInvalid("; ".join(problems))
-
-    warnings = []
-    if L_estimate is not None and L_estimate > 0:
-        floor_bound = min(1.0, 2.0 * cfg.beta * cfg.c * (1.0 - cfg.c1) / L_estimate)
-        if cfg.t_min >= floor_bound:
-            warnings.append(
-                f"t_min={cfg.t_min!r} is not below the backtracking floor bound "
-                f"{floor_bound:.3e} for L~{L_estimate:.3e}; the step-size floor "
-                "guarantee does not apply"
-            )
-    return warnings
-
-
-def search_direction(
-    cs: ConstraintSet, grad_est: np.ndarray, x: np.ndarray, eta_k: float
-) -> tuple[np.ndarray, ProjectionResult]:
-    """Inexactly projected gradient direction p = proj(x - grad_est) - x."""
-    proj = inexact_project(cs, x - grad_est, eta_k)
-    return proj.point - x, proj
 
 
 def descent_check(grad_full: np.ndarray, p: np.ndarray, c: float) -> bool:
@@ -308,18 +280,11 @@ def additional_sampling_test(
         f_trial = math.inf
     s_sq = float(s @ s)
     accepted = f_trial <= f_x - cfg.c * s_sq + cfg.C_accept * eta_k * eta_k
-    return AdditionalSampleResult(
-        accepted=accepted,
-        s_norm=float(np.sqrt(s_sq)),
-        cg_iterations=proj.cg_iterations,
-        projection=proj,
-    )
+    return AdditionalSampleResult(accepted=accepted, s_norm=float(np.sqrt(s_sq)), projection=proj)
 
 
-def _verify_projection(
-    cs: ConstraintSet, proj: ProjectionResult, eta_k: float, state: SolverState
-) -> None:
-    """Check the residual contract on every inexact projection the solver makes.
+def _account(state: SolverState, cs: ConstraintSet, proj: ProjectionResult, eta_k: float) -> int:
+    """Check, charge and count one inexact projection; return its CG iterations.
 
     The feasibility gap of the projected point must equal the reported
     residual norm up to roundoff, and both must respect the tolerance.
@@ -334,7 +299,16 @@ def _verify_projection(
             f"feasibility gap {gap:.6e} of the projected point disagrees with the "
             f"reported residual {proj.residual_norm:.6e}"
         )
+    state.meter.charge_cg(proj.cg_iterations, cs.m)
     state.projections_checked += 1
+    return proj.cg_iterations
+
+
+def _oracle(cs, obj, x, g=None, f=None) -> tuple[float, float]:
+    """Unmetered (norm_d_true, f_true) at x, reusing the full gradient g or value f if given."""
+    g = full_grad(obj, x, None) if g is None else g
+    f = full_value(obj, x, None) if f is None else f
+    return float(np.linalg.norm(projected_direction(cs, x, g))), f
 
 
 def _guarded(fn: Callable[[], float]) -> float:
@@ -358,95 +332,75 @@ def ipas_step(
     """
     x = state.x
     k = state.k
+    e_x = state.e_x
     N = obj.n_components
     meter = state.meter
     eta_k = eta(k, cfg.s_exp)
     is_full = state.Nk >= N
 
     if is_full:
-        sample = None
         grad_est = full_grad(obj, x, meter)
     else:
         sample = draw_sample(obj.weights, state.Nk, state.rng)
         grad_est = subsample_grad(obj, sample, x, meter)
 
-    p, proj = search_direction(cs, grad_est, x, eta_k)
-    _verify_projection(cs, proj, eta_k, state)
-    meter.charge_cg(proj.cg_iterations, cs.m)
-    cg_total = proj.cg_iterations
+    proj = inexact_project(cs, x - grad_est, eta_k)
+    cg_total = _account(state, cs, proj, eta_k)
+    p = proj.point - x
     norm_p = float(np.linalg.norm(p))
-
-    e_x = state.e_x if state.e_x is not None else feasibility_gap(cs, x)
-
-    # Oracle metrics: exact projection of the true gradient, never metered.
-    f_true = math.nan
-    norm_d_true = math.nan
-    if cfg.oracle_metrics:
-        true_grad = grad_est if is_full else full_grad(obj, x, None)
-        norm_d_true = float(np.linalg.norm(projected_direction(cs, x, true_grad)))
+    slope = float(grad_est @ p)
 
     accepted = False
     unsuccessful = False
     t = 0.0
+    f_full = None  # metered full value at x, reused by the oracle
+    Nk_next = state.Nk
     if is_full:
         if descent_check(grad_est, p, cfg.c):
-            f0 = full_value(obj, x, meter)
-            slope = float(grad_est @ p)
+            f_full = full_value(obj, x, meter)
             phi = lambda t_: _guarded(lambda: full_value(obj, x + t_ * p, meter))
-            t = line_search_full(phi, f0, slope, eta_k, cfg.beta, cfg.c1)
+            t = line_search_full(phi, f_full, slope, eta_k, cfg.beta, cfg.c1)
             x_next = x + t * p
             accepted = True
-            if cfg.oracle_metrics:
-                f_true = f0
         else:
+            # No sufficient descent: stay at x and only restore feasibility.
             reproj = inexact_project(cs, x, eta_k)
-            _verify_projection(cs, reproj, eta_k, state)
-            meter.charge_cg(reproj.cg_iterations, cs.m)
-            cg_total += reproj.cg_iterations
+            cg_total += _account(state, cs, reproj, eta_k)
             x_next = reproj.point
             unsuccessful = True
-            if cfg.oracle_metrics:
-                f_true = full_value(obj, x, None)
-        Nk_next = state.Nk
     else:
         f0 = subsample_value(obj, sample, x, meter)
-        slope = float(grad_est @ p)
         phi = lambda t_: _guarded(lambda: subsample_value(obj, sample, x + t_ * p, meter))
         t = line_search_minibatch(phi, f0, slope, eta_k, cfg.beta, cfg.c1, cfg.t_min)
         x_trial = x + t * p
         control = additional_sampling_test(cs, obj, x, x_trial, eta_k, cfg, state.rng, meter)
-        _verify_projection(cs, control.projection, eta_k, state)
-        meter.charge_cg(control.cg_iterations, cs.m)
-        cg_total += control.cg_iterations
+        cg_total += _account(state, cs, control.projection, eta_k)
         if control.accepted:
             x_next = x_trial
-            Nk_next = state.Nk
             accepted = True
         else:
             x_next = x  # rejected: the iterate is kept bitwise unchanged
             Nk_next = min(N, state.Nk + cfg.dN)
-        if cfg.oracle_metrics:
-            f_true = full_value(obj, x, None)
+
+    f_true = norm_d_true = math.nan
+    if cfg.oracle_metrics:
+        norm_d_true, f_true = _oracle(cs, obj, x, grad_est if is_full else None, f_full)
 
     # Feasibility bookkeeping: accepted steps must contract the gap up to
     # the projection tolerance; re-projections must land within it.
-    if accepted:
+    e_next = e_x
+    if accepted or unsuccessful:
         e_next = feasibility_gap(cs, x_next)
-        bound = (1.0 - t) * e_x + eta_k + _FEAS_CHECK_ATOL
+        if accepted:
+            bound = (1.0 - t) * e_x + eta_k + _FEAS_CHECK_ATOL
+        else:
+            bound = eta_k + _FEAS_CHECK_ATOL
         if e_next > bound:
+            step = "accepted step" if accepted else "re-projection"
             raise InvariantViolation(
-                f"feasibility gap {e_next:.6e} after the accepted step exceeds "
-                f"(1 - t)*e + eta = {bound:.6e} at iteration {k}"
+                f"feasibility gap {e_next:.6e} after the {step} exceeds {bound:.6e} "
+                f"at iteration {k}"
             )
-    elif unsuccessful:
-        e_next = feasibility_gap(cs, x_next)
-        if e_next > eta_k + _FEAS_CHECK_ATOL:
-            raise InvariantViolation(
-                f"feasibility gap {e_next:.6e} after re-projection exceeds "
-                f"eta = {eta_k:.6e} at iteration {k}"
-            )
-    else:
-        e_next = e_x
 
     record = IterationRecord(
         k=k,
@@ -454,7 +408,7 @@ def ipas_step(
         t=float(t),
         norm_p=norm_p,
         norm_d_true=norm_d_true,
-        e_x=float(e_x),
+        e_x=e_x,
         f_true=f_true,
         scalar_products=meter.scalar_products,
         accepted=accepted,
@@ -466,7 +420,7 @@ def ipas_step(
         state.done = STATUS_STATIONARY
 
     state.x = x_next
-    state.e_x = float(e_next)
+    state.e_x = e_next
     state.Nk = Nk_next
     state.k = k + 1
     return record
@@ -476,21 +430,16 @@ def _state_record(
     state: SolverState, cs: ConstraintSet, obj: FiniteSumObjective, oracle_metrics: bool
 ) -> IterationRecord:
     """Terminal trace row: the final iterate's metrics with no step fields."""
-    e_x = state.e_x if state.e_x is not None else feasibility_gap(cs, state.x)
-    f_true = math.nan
-    norm_d_true = math.nan
+    f_true = norm_d_true = math.nan
     if oracle_metrics:
-        f_true = full_value(obj, state.x, None)
-        norm_d_true = float(
-            np.linalg.norm(projected_direction(cs, state.x, full_grad(obj, state.x, None)))
-        )
+        norm_d_true, f_true = _oracle(cs, obj, state.x)
     return IterationRecord(
         k=state.k,
         Nk=state.Nk,
         t=0.0,
         norm_p=0.0,
         norm_d_true=norm_d_true,
-        e_x=float(e_x),
+        e_x=state.e_x,
         f_true=f_true,
         scalar_products=state.meter.scalar_products,
         accepted=False,
@@ -526,7 +475,8 @@ def _drive(
     else:
         x0 = np.asarray(x0, dtype=float)
 
-    state = SolverState(x=x0, k=0, Nk=Nk, rng=np.random.default_rng(seed), meter=BudgetMeter())
+    rng = np.random.default_rng(seed)
+    state = SolverState(x=x0, k=0, Nk=Nk, rng=rng, meter=BudgetMeter(), e_x=feasibility_gap(cs, x0))
     records: list[IterationRecord] = []
     status = STATUS_MAX_ITERATIONS
     while state.k < cfg.k_max:

@@ -8,6 +8,7 @@ from ipas import (
     STATUS_STATIONARY,
     eta,
     exact_project,
+    feasibility_gap,
     generate_constraints,
     make_noisy_quadratic,
     noisy_quadratic_objective,
@@ -96,6 +97,15 @@ class TestBaselineRun:
         assert len(res.records) == 1
         assert res.status == STATUS_MAX_ITERATIONS
         assert res.records[0].scalar_products == 0
+
+    @pytest.mark.parametrize("k_max", [0, 30])
+    def test_cg_accounting_and_gap(self, k_max):
+        cs, obj = problem()
+        x0 = exact_project(cs, np.zeros(10)) + 0.1  # infeasible start
+        res = run_baseline(cs, obj, BaselineConfig(k_max=k_max), x0=x0)
+        assert sum(r.cg_iters for r in res.records) * (cs.m + 4) == res.meter.cg_scalar_products
+        assert res.records[0].e_x == feasibility_gap(cs, x0)
+        assert res.final_record.e_x == feasibility_gap(cs, res.x)
 
     def test_deterministic(self):
         cs, obj = problem()

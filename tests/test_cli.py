@@ -62,8 +62,8 @@ class TestValidate:
         )
         assert main(["validate", str(path)]) == EXIT_CONFIG_ERROR
 
-    def test_warning_is_printed_but_valid(self, tmp_path, capsys):
-        path = tmp_path / "warn.ini"
+    def test_default_solver_config_is_valid(self, tmp_path, capsys):
+        path = tmp_path / "defaults.ini"
         path.write_text(
             textwrap.dedent(
                 """
@@ -118,6 +118,48 @@ class TestCollidingRunIds:
         assert code == EXIT_CONFIG_ERROR
         assert not out_dir.exists()
         assert "collide" in capsys.readouterr().err
+
+
+def bad_grid_config(tmp_path):
+    # The base [solver] values are valid, but three of the four grid
+    # points break the s_exp or dN bounds.
+    path = tmp_path / "bad_grid.ini"
+    path.write_text(
+        textwrap.dedent(
+            """
+            [problem]
+            kind = noisy_quadratic
+            n = 5
+            components = 6
+
+            [solver]
+            n0 = 2
+            d = 2
+            k_max = 4
+
+            [sweep]
+            s = 1 0.4
+            dn = 0 1
+
+            [run]
+            seeds = 0
+            """
+        )
+    )
+    return path
+
+
+class TestInvalidGridPoint:
+    def test_validate_exits_two(self, tmp_path, capsys):
+        assert main(["validate", str(bad_grid_config(tmp_path))]) == EXIT_CONFIG_ERROR
+        assert "grid point s=1, dN=0" in capsys.readouterr().err
+
+    def test_run_exits_two_and_writes_nothing(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        code = main(["run", str(bad_grid_config(tmp_path)), "--out", str(out_dir)])
+        assert code == EXIT_CONFIG_ERROR
+        assert not out_dir.exists()
+        assert "grid point s=1, dN=0" in capsys.readouterr().err
 
 
 class TestRun:

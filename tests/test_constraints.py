@@ -6,16 +6,13 @@ from conftest import kkt_project, random_system
 from ipas import (
     CgStalled,
     DimensionMismatch,
-    ParseError,
     RankDeficient,
     build_constraint_set,
     cg_solve,
     exact_project,
     feasibility_gap,
     inexact_project,
-    load_constraints,
     projected_direction,
-    save_constraints,
 )
 
 
@@ -375,44 +372,3 @@ class TestProjectedDirection:
             d = projected_direction(cs, x, g)
             assert float(g @ d) <= -float(d @ d) + 1e-10
 
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        cs = random_system(4, 13, seed=70)
-        path = tmp_path / "system.txt"
-        save_constraints(cs, path)
-        loaded = load_constraints(path)
-        np.testing.assert_array_equal(loaded.A, cs.A)
-        np.testing.assert_array_equal(loaded.b, cs.b)
-        assert loaded.m == cs.m
-        assert loaded.n == cs.n
-
-    def test_round_trip_preserves_projection(self, tmp_path):
-        cs = random_system(3, 8, seed=71)
-        path = tmp_path / "system.txt"
-        save_constraints(cs, path)
-        loaded = load_constraints(path)
-        y = np.arange(8.0)
-        np.testing.assert_array_equal(exact_project(loaded, y), exact_project(cs, y))
-
-    def test_missing_file_raises(self, tmp_path):
-        with pytest.raises(ParseError):
-            load_constraints(tmp_path / "nope.txt")
-
-    def test_malformed_header(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("3\n1 2 3\n")
-        with pytest.raises(ParseError):
-            load_constraints(path)
-
-    def test_wrong_row_width(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("1 3\n1.0 2.0\n0.0\n")
-        with pytest.raises(ParseError):
-            load_constraints(path)
-
-    def test_non_numeric_entry(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("1 2\n1.0 x\n0.0\n")
-        with pytest.raises(ParseError):
-            load_constraints(path)

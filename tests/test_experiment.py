@@ -157,6 +157,8 @@ class TestConfigParsing:
             ("seeds = 0, 1", "other = 1"),  # missing seeds
             ("seeds = 0, 1", "seeds = 0.5"),  # non-integer seed
             ("n = 6", ""),  # missing required problem key
+            ("s = 1.0 2.0", "s = 1 0.4"),  # a grid point breaks the s_exp bound
+            ("dn = 1", "dn = 0 1"),  # a grid point breaks the dN bound
         ],
     )
     def test_invalid_configs_rejected(self, tmp_path, mutation):

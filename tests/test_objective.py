@@ -8,7 +8,6 @@ from ipas import (
     CallableKernel,
     FiniteSumObjective,
     NonFiniteValue,
-    SampleIndexSet,
     WeightError,
     draw_sample,
     full_grad,
@@ -92,26 +91,27 @@ class TestWeights:
 class TestDrawSample:
     def test_deterministic_for_fixed_seed(self):
         w = uniform_weights(50)
-        a = draw_sample(w, 20, np.random.default_rng(5)).indices
-        b = draw_sample(w, 20, np.random.default_rng(5)).indices
+        a = draw_sample(w, 20, np.random.default_rng(5))
+        b = draw_sample(w, 20, np.random.default_rng(5))
         np.testing.assert_array_equal(a, b)
 
     def test_size_and_range(self):
         s = draw_sample(uniform_weights(10), 33, np.random.default_rng(0))
         assert s.size == 33
-        assert s.indices.shape == (33,)
-        assert s.indices.min() >= 0
-        assert s.indices.max() < 10
+        assert s.shape == (33,)
+        assert s.dtype == np.int64
+        assert s.min() >= 0
+        assert s.max() < 10
 
     def test_sampling_with_replacement_possible(self):
         # With 2 components and 64 draws, a repeat is certain.
         s = draw_sample(uniform_weights(2), 64, np.random.default_rng(1))
-        assert len(np.unique(s.indices)) <= 2
+        assert len(np.unique(s)) <= 2
 
     def test_zero_weight_component_never_drawn(self):
         w = np.array([0.5, 0.5, 0.0])
         s = draw_sample(w, 5000, np.random.default_rng(2))
-        assert not np.any(s.indices == 2)
+        assert not np.any(s == 2)
 
     def test_frequencies_match_weights(self):
         # Law of large numbers: empirical frequency within 4 standard errors.
@@ -119,7 +119,7 @@ class TestDrawSample:
         draws = 20000
         s = draw_sample(w, draws, np.random.default_rng(3))
         for i, p in enumerate(w):
-            freq = np.mean(s.indices == i)
+            freq = np.mean(s == i)
             se = np.sqrt(p * (1 - p) / draws)
             assert abs(freq - p) <= 4 * se
 
@@ -133,9 +133,8 @@ class TestSubsampleEvaluations:
         obj = make_objective(6)
         x = np.array([0.5, -1.0, 2.0])
         idx = np.array([0, 2, 2, 5])
-        s = SampleIndexSet(indices=idx)
         expected = np.mean([scaled_quadratic(i, x)[0] for i in idx])
-        assert subsample_value(obj, s, x, meter=None) == pytest.approx(
+        assert subsample_value(obj, idx, x, meter=None) == pytest.approx(
             expected, rel=1e-14
         )
 
@@ -143,18 +142,17 @@ class TestSubsampleEvaluations:
         obj = make_objective(6)
         x = np.array([1.0, 0.25, -0.5])
         idx = np.array([1, 1, 4])
-        s = SampleIndexSet(indices=idx)
         expected = np.mean([scaled_quadratic(i, x)[1] for i in idx], axis=0)
         np.testing.assert_allclose(
-            subsample_grad(obj, s, x, meter=None), expected, rtol=1e-14
+            subsample_grad(obj, idx, x, meter=None), expected, rtol=1e-14
         )
 
     def test_repeated_index_counts_twice(self):
         # Multiset semantics: duplicates shift the average.
         obj = make_objective(3)
         x = np.ones(DIM)
-        once = subsample_value(obj, SampleIndexSet(np.array([0, 2])), x, None)
-        twice = subsample_value(obj, SampleIndexSet(np.array([0, 2, 2])), x, None)
+        once = subsample_value(obj, np.array([0, 2]), x, None)
+        twice = subsample_value(obj, np.array([0, 2, 2]), x, None)
         assert once != pytest.approx(twice)
 
     def test_subsample_ignores_weights(self):
@@ -162,7 +160,7 @@ class TestSubsampleEvaluations:
         w = np.array([0.9, 0.05, 0.05])
         obj = make_objective(3, weights=w)
         x = np.array([1.0, 1.0, 1.0])
-        s = SampleIndexSet(np.array([0, 1, 2]))
+        s = np.array([0, 1, 2])
         expected = np.mean([scaled_quadratic(i, x)[0] for i in range(3)])
         assert subsample_value(obj, s, x, None) == pytest.approx(expected, rel=1e-14)
 
@@ -189,7 +187,7 @@ class TestSubsampleEvaluations:
         obj = FiniteSumObjective(
             weights=uniform_weights(2), dim=DIM, kernel=CallableKernel(bad, 2)
         )
-        s = SampleIndexSet(np.array([0]))
+        s = np.array([0])
         with pytest.raises(NonFiniteValue):
             subsample_value(obj, s, np.zeros(DIM), None)
 
@@ -200,7 +198,7 @@ class TestSubsampleEvaluations:
         obj = FiniteSumObjective(
             weights=uniform_weights(2), dim=DIM, kernel=CallableKernel(bad, 2)
         )
-        s = SampleIndexSet(np.array([1]))
+        s = np.array([1])
         with pytest.raises(NonFiniteValue):
             subsample_grad(obj, s, np.zeros(DIM), None)
 
@@ -243,7 +241,7 @@ class TestBudgetMeter:
     def test_subsample_charges_sample_size(self):
         obj = make_objective(10)
         meter = BudgetMeter()
-        s = SampleIndexSet(np.array([0, 1, 1, 3, 9]))
+        s = np.array([0, 1, 1, 3, 9])
         subsample_value(obj, s, np.zeros(DIM), meter)
         assert meter.component_value_evals == 5
         assert meter.scalar_products == 5
@@ -278,4 +276,4 @@ class TestBudgetMeter:
         obj = make_objective(4)
         # Must simply not raise; nothing to observe.
         full_value(obj, np.zeros(DIM), None)
-        subsample_grad(obj, SampleIndexSet(np.array([2])), np.zeros(DIM), None)
+        subsample_grad(obj, np.array([2]), np.zeros(DIM), None)

@@ -22,13 +22,13 @@ from ipas import (
     exact_project,
     feasibility_gap,
     generate_constraints,
+    inexact_project,
     line_search_full,
     line_search_minibatch,
     make_noisy_quadratic,
     noisy_quadratic_objective,
     read_trace,
     run,
-    search_direction,
     uniform_weights,
     validate_config,
     write_trace,
@@ -83,7 +83,7 @@ class TestEta:
 
 class TestValidateConfig:
     def test_default_config_is_valid(self):
-        assert validate_config(SolverConfig()) == []
+        validate_config(SolverConfig())
 
     @pytest.mark.parametrize(
         "field,value",
@@ -124,16 +124,6 @@ class TestValidateConfig:
     def test_single_component_skips_control_bound(self):
         # N = 1 never reaches the mini-batch phase, so D_size is moot.
         validate_config(SolverConfig(N0=1, D_size=1), n_components=1)
-
-    def test_step_floor_warning(self):
-        cfg = SolverConfig(t_min=0.5)
-        warnings = validate_config(cfg, L_estimate=100.0)
-        assert len(warnings) == 1
-        assert "t_min" in warnings[0]
-
-    def test_no_warning_for_small_floor(self):
-        cfg = SolverConfig(t_min=1e-8)
-        assert validate_config(cfg, L_estimate=100.0) == []
 
 
 class TestDescentCheck:
@@ -310,17 +300,6 @@ class TestAdditionalSamplingTest:
         assert not out.accepted
 
 
-class TestSearchDirection:
-    def test_direction_consistent_with_projection(self):
-        cs = orthonormal_system(3, 9, seed=5)
-        rng = np.random.default_rng(6)
-        x = exact_project(cs, rng.standard_normal(9))
-        g = rng.standard_normal(9)
-        p, proj = search_direction(cs, g, x, eta_k=1e-8)
-        np.testing.assert_array_equal(p, proj.point - x)
-        assert proj.residual_norm <= 1e-8
-
-
 class TestRunBehaviour:
     def test_zero_iterations_yields_single_state_row(self):
         cs = orthonormal_system(2, 5, seed=7)
@@ -428,6 +407,30 @@ class TestRunBehaviour:
                 assert r.t == 0.0
                 assert not r.accepted
                 assert nxt.e_x <= eta(r.k, cfg.s_exp) + 1e-10
+
+    def test_cg_accounting_and_gap_over_every_branch(self, monkeypatch):
+        # Rejected mini-batch steps, accepted full-sample steps and
+        # re-projections all occur in this run.
+        cs = generate_constraints(8, 3, seed=100)
+        obj = noisy_quadratic_objective(
+            make_noisy_quadratic(8, 6, sigma=0.0, seed=200, q_scale=3.0)
+        )
+        cfg = SolverConfig(N0=2, dN=1, D_size=2, k_max=120, seed=0, s_exp=0.8, c=0.9)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return inexact_project(*args, **kwargs)
+
+        monkeypatch.setattr("ipas.solver.inexact_project", counted)
+        res = run(cs, obj, cfg)
+        rows = res.records[:-1]
+        assert any(r.Nk < 6 and not r.accepted for r in rows)
+        assert any(r.Nk == 6 and r.accepted for r in rows)
+        assert any(r.unsuccessful for r in rows)
+        assert sum(r.cg_iters for r in res.records) * (cs.m + 4) == res.meter.cg_scalar_products
+        assert res.projections_checked == len(calls)
+        assert res.final_record.e_x == feasibility_gap(cs, res.x)
 
     def test_infeasible_start_contracts_the_gap(self):
         cs = orthonormal_system(3, 8, seed=10, shift=1.0)
