@@ -55,10 +55,10 @@ from .objective import (
     CallableKernel,
     FiniteSumObjective,
     draw_sample,
-    full_grad,
     full_value,
-    subsample_grad,
+    full_value_grad,
     subsample_value,
+    subsample_value_grad,
     uniform_weights,
 )
 from .problems import (

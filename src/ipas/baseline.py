@@ -19,7 +19,7 @@ import numpy as np
 
 from .constraints import ConstraintSet, exact_project, feasibility_gap
 from .errors import ConfigInvalid
-from .objective import FiniteSumObjective, full_grad, full_value
+from .objective import FiniteSumObjective, full_value, full_value_grad
 from .solver import (
     STATUS_STATIONARY,
     IterationRecord,
@@ -65,13 +65,14 @@ def baseline_step(
     meter = state.meter
     eta_k = eta(k, cfg.s_exp)
 
-    g = full_grad(obj, x, meter)
+    full = full_value_grad(obj, x, meter)
+    g = full.grad
     d = exact_project(cs, x - g) - x
     # Exact solve priced at CG's worst case on the m-dimensional system.
     meter.charge_cg(cs.m, cs.m)
     norm_d = float(np.linalg.norm(d))
 
-    f0 = full_value(obj, x, meter)
+    f0 = full.value(meter)
     slope = float(g @ d)
     phi = lambda t_: _guarded(lambda: full_value(obj, x + t_ * d, meter))
     t = line_search_full(phi, f0, slope, eta_k, cfg.beta, cfg.c1)

@@ -166,7 +166,7 @@ def parse_experiment_config(path) -> ExperimentConfig:
         problem = _parse_problem(dict(cp["problem"]))
         solver, n0_fraction = _parse_solver(dict(cp["solver"]) if cp.has_section("solver") else {})
         sweep_s, sweep_dN, sweep_sigma = _parse_sweep(
-            dict(cp["sweep"]) if cp.has_section("sweep") else {}, problem, solver
+            dict(cp["sweep"]) if cp.has_section("sweep") else {}, problem, solver, n0_fraction
         )
         run_sec = dict(cp["run"])
         unknown = set(run_sec) - _RUN_KEYS
@@ -204,7 +204,10 @@ def _parse_problem(sec: dict) -> dict:
     missing = [key for key, (_, default) in fields.items() if default is None and key not in sec]
     if missing:
         raise ConfigInvalid(f"{kind} problems need {', '.join(missing)} in [problem]")
-    return {"kind": kind, **{key: conv(sec.get(key, d)) for key, (conv, d) in fields.items()}}
+    problem = {"kind": kind, **{key: conv(sec.get(key, d)) for key, (conv, d) in fields.items()}}
+    if problem.get("components", 1) < 1:
+        raise ConfigInvalid(f"components={problem['components']} must be >= 1")
+    return problem
 
 
 def _parse_solver(sec: dict) -> tuple[SolverConfig, float | None]:
@@ -219,7 +222,7 @@ def _parse_solver(sec: dict) -> tuple[SolverConfig, float | None]:
 
 
 def _parse_sweep(
-    sec: dict, problem: dict, solver: SolverConfig
+    sec: dict, problem: dict, solver: SolverConfig, n0_fraction: float | None
 ) -> tuple[tuple[float, ...], tuple[int, ...], tuple[float, ...] | None]:
     unknown = set(sec) - _SWEEP_KEYS
     if unknown:
@@ -235,10 +238,21 @@ def _parse_sweep(
     else:
         sweep_sigma = None
     # Check every grid point now, so that no run fails on these bounds later.
+    # A noisy quadratic states its component count, so the bounds that need
+    # it are checked too, with N0 resolved as execute_run resolves it; a
+    # logistic dataset's row count is known only once a run loads it.
+    n_components = None
+    if problem["kind"] == "noisy_quadratic":
+        n_components = problem["components"]
+        solver = dataclasses.replace(
+            solver, N0=_resolve_n0(n0_fraction, solver.N0, n_components)
+        )
     for s_exp in sweep_s:
         for dN in sweep_dN:
             try:
-                validate_config(dataclasses.replace(solver, s_exp=s_exp, dN=dN))
+                validate_config(
+                    dataclasses.replace(solver, s_exp=s_exp, dN=dN), n_components=n_components
+                )
             except ConfigInvalid as exc:
                 raise ConfigInvalid(f"grid point s={_format_g(s_exp)}, dN={dN}: {exc}") from None
     return sweep_s, sweep_dN, sweep_sigma

@@ -8,8 +8,8 @@ keeps the estimators unbiased for f.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Protocol
+from dataclasses import dataclass, field
+from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -19,27 +19,35 @@ from .errors import NonFiniteValue, WeightError
 _WEIGHT_SUM_ATOL = 1e-8
 
 
+@runtime_checkable
 class ComponentKernel(Protocol):
     """Vectorised evaluation backend for the components of a finite sum.
 
     Implementations must be pure: repeated calls with the same arguments
     return the same values, and nothing here may mutate shared state.
+
+    A method that returns both values and a gradient must compute them in
+    one pass over the data, sharing the work the two have in common (the
+    margins Z x of logistic regression, the product Q x of a quadratic).
+    Its values must equal those of the value-only method at the same point
+    bit for bit, so that a caller may use either.
     """
 
     def values(self, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Component values f_i(x) for each index in idx (duplicates allowed)."""
         ...
 
-    def grad_mean(self, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Unweighted mean of the component gradients over idx."""
+    def value_grad_mean(self, idx: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Component values over idx, as values() returns them, and the unweighted
+        mean of their gradients."""
         ...
 
     def weighted_value(self, w: np.ndarray, x: np.ndarray) -> float:
         """sum_i w_i f_i(x) over all components."""
         ...
 
-    def weighted_grad(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """sum_i w_i grad f_i(x) over all components."""
+    def weighted_value_grad(self, w: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """sum_i w_i f_i(x), as weighted_value() returns it, and sum_i w_i grad f_i(x)."""
         ...
 
 
@@ -58,20 +66,25 @@ class CallableKernel:
     def values(self, idx, x):
         return np.array([self._fn(int(i), x)[0] for i in idx], dtype=float)
 
-    def grad_mean(self, idx, x):
+    def value_grad_mean(self, idx, x):
+        vals = np.empty(len(idx))
         total = np.zeros_like(np.asarray(x, dtype=float))
-        for i in idx:
-            total += self._fn(int(i), x)[1]
-        return total / len(idx)
+        for j, i in enumerate(idx):
+            vals[j], g = self._fn(int(i), x)
+            total += g
+        return vals, total / len(idx)
 
     def weighted_value(self, w, x):
         return float(sum(w[i] * self._fn(i, x)[0] for i in range(self.n_components)))
 
-    def weighted_grad(self, w, x):
+    def weighted_value_grad(self, w, x):
+        value = 0
         total = np.zeros_like(np.asarray(x, dtype=float))
         for i in range(self.n_components):
-            total += w[i] * self._fn(i, x)[1]
-        return total
+            v, g = self._fn(i, x)
+            value += w[i] * v
+            total += w[i] * g
+        return float(value), total
 
 
 @dataclass
@@ -109,7 +122,8 @@ class FiniteSumObjective:
 
     value_cost and grad_cost are the scalar products charged per component
     value and gradient evaluation; they are declared by the problem that
-    builds the objective.
+    builds the objective.  cdf is the cumulative sampling distribution that
+    draw_sample searches, built once from the weights.
     """
 
     weights: np.ndarray
@@ -117,6 +131,7 @@ class FiniteSumObjective:
     kernel: ComponentKernel
     value_cost: int = 1
     grad_cost: int = 1
+    cdf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = np.array(self.weights, dtype=float)
@@ -129,6 +144,12 @@ class FiniteSumObjective:
             raise WeightError(f"weights must sum to 1 (got {total!r}); no silent renormalisation")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
+        # The same CDF Generator.choice(p=w / w.sum()) builds on every call.
+        # Renormalising guards only against the <=1e-8 drift allowed above.
+        cdf = (w / w.sum()).cumsum()
+        cdf /= cdf[-1]
+        cdf.setflags(write=False)
+        object.__setattr__(self, "cdf", cdf)
 
     @property
     def n_components(self) -> int:
@@ -140,21 +161,19 @@ def uniform_weights(n: int) -> np.ndarray:
     return np.full(n, 1.0 / n)
 
 
-def draw_sample(weights: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw `size` int64 indices i.i.d. with replacement, P(i) = weights[i].
+def draw_sample(obj: FiniteSumObjective, size: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw `size` int64 indices i.i.d. with replacement, P(i) = obj.weights[i].
 
     Indices may repeat; the estimators below average over the multiset.
 
     The draw consumes exactly one block of the generator stream, so a
-    fixed seed reproduces the full sequence of samples across a run.
+    fixed seed reproduces the full sequence of samples across a run.  It
+    returns the indices rng.choice(N, size, p=weights) would return and
+    leaves rng in the same state, without rebuilding the CDF per call.
     """
-    weights = np.asarray(weights, dtype=float)
     if size < 1:
         raise ValueError(f"sample size must be >= 1, got {size}")
-    # Weights were validated at objective construction; renormalising here
-    # only guards against <=1e-8 float drift that rng.choice would reject.
-    p = weights / weights.sum()
-    idx = rng.choice(weights.size, size=size, replace=True, p=p)
+    idx = obj.cdf.searchsorted(rng.random(size), side="right")
     return np.asarray(idx, dtype=np.int64)
 
 
@@ -170,6 +189,29 @@ def _check_finite_vector(v: np.ndarray, what: str) -> np.ndarray:
     return v
 
 
+@dataclass(frozen=True)
+class ValueGrad:
+    """Objective value and gradient at one point, from one kernel pass.
+
+    The gradient was charged and checked when it was computed.  The value
+    is charged and checked only when a caller takes it with value(), so a
+    step that discards it, such as an unsuccessful full-sample step, pays
+    nothing for it.
+    """
+
+    grad: np.ndarray
+    raw_value: float
+    count: int
+    unit_cost: int
+    what: str
+
+    def value(self, meter: BudgetMeter | None) -> float:
+        """The checked value; charges `count` component values unless meter is None."""
+        if meter is not None:
+            meter.charge_values(self.count, self.unit_cost)
+        return _check_finite_scalar(self.raw_value, self.what)
+
+
 def subsample_value(
     obj: FiniteSumObjective,
     s: np.ndarray,
@@ -183,17 +225,21 @@ def subsample_value(
     return _check_finite_scalar(float(vals.mean()), "subsampled objective value")
 
 
-def subsample_grad(
+def subsample_value_grad(
     obj: FiniteSumObjective,
     s: np.ndarray,
     x: np.ndarray,
     meter: BudgetMeter | None,
-) -> np.ndarray:
-    """Unweighted average of the sampled component gradients at x."""
-    g = obj.kernel.grad_mean(s, x)
+) -> ValueGrad:
+    """Unweighted averages of the sampled component values and gradients at x.
+
+    Charges and checks the gradient now; the value waits for ValueGrad.value.
+    """
+    vals, g = obj.kernel.value_grad_mean(s, x)
     if meter is not None:
         meter.charge_grads(s.size, obj.grad_cost)
-    return _check_finite_vector(g, "subsampled gradient")
+    g = _check_finite_vector(g, "subsampled gradient")
+    return ValueGrad(g, float(vals.mean()), s.size, obj.value_cost, "subsampled objective value")
 
 
 def full_value(obj: FiniteSumObjective, x: np.ndarray, meter: BudgetMeter | None) -> float:
@@ -204,9 +250,14 @@ def full_value(obj: FiniteSumObjective, x: np.ndarray, meter: BudgetMeter | None
     return _check_finite_scalar(float(v), "objective value")
 
 
-def full_grad(obj: FiniteSumObjective, x: np.ndarray, meter: BudgetMeter | None) -> np.ndarray:
-    """The true weighted gradient sum_i w_i grad f_i(x); charges all N components."""
-    g = obj.kernel.weighted_grad(obj.weights, x)
+def full_value_grad(obj: FiniteSumObjective, x: np.ndarray, meter: BudgetMeter | None) -> ValueGrad:
+    """The true weighted objective and gradient at x from one kernel pass.
+
+    Charges all N component gradients and checks the gradient now; the
+    value waits for ValueGrad.value.
+    """
+    v, g = obj.kernel.weighted_value_grad(obj.weights, x)
     if meter is not None:
         meter.charge_grads(obj.n_components, obj.grad_cost)
-    return _check_finite_vector(g, "objective gradient")
+    g = _check_finite_vector(g, "objective gradient")
+    return ValueGrad(g, float(v), obj.n_components, obj.value_cost, "objective value")

@@ -77,19 +77,20 @@ class LogisticKernel:
         margins = -self.ds.y[idx] * (self.ds.Z[idx] @ x)
         return np.logaddexp(0.0, margins)
 
-    def grad_mean(self, idx, x):
-        margins = -self.ds.y[idx] * (self.ds.Z[idx] @ x)
-        coef = -self.ds.y[idx] * expit(margins)
-        return (self.ds.Z[idx].T @ coef) / len(idx)
+    def value_grad_mean(self, idx, x):
+        Z, y = self.ds.Z[idx], self.ds.y[idx]
+        margins = -y * (Z @ x)
+        coef = -y * expit(margins)
+        return np.logaddexp(0.0, margins), (Z.T @ coef) / len(idx)
 
     def weighted_value(self, w, x):
         margins = -self.ds.y * (self.ds.Z @ x)
         return float(w @ np.logaddexp(0.0, margins))
 
-    def weighted_grad(self, w, x):
+    def weighted_value_grad(self, w, x):
         margins = -self.ds.y * (self.ds.Z @ x)
         coef = w * (-self.ds.y * expit(margins))
-        return self.ds.Z.T @ coef
+        return float(w @ np.logaddexp(0.0, margins)), self.ds.Z.T @ coef
 
 
 def logistic_objective(ds: LogisticDataset, weights: np.ndarray | None = None) -> FiniteSumObjective:
@@ -278,20 +279,22 @@ class NoisyQuadraticKernel:
         base_value, _ = self._base(x)
         return base_value + (self.spec.n_components * float(x @ x)) * self._eps_sq[idx]
 
-    def grad_mean(self, idx, x):
-        Qx = self.spec.base_Q @ x
-        ridge_mean = self.spec.n_components * float(self._eps_sq[idx].mean())
-        return Qx + self.spec.base_q + (2.0 * ridge_mean) * x
+    def value_grad_mean(self, idx, x):
+        base_value, Qx = self._base(x)
+        eps_sq = self._eps_sq[idx]
+        vals = base_value + (self.spec.n_components * float(x @ x)) * eps_sq
+        ridge_mean = self.spec.n_components * float(eps_sq.mean())
+        return vals, Qx + self.spec.base_q + (2.0 * ridge_mean) * x
 
     def weighted_value(self, w, x):
         base_value, _ = self._base(x)
         ridge = self.spec.n_components * float(w @ self._eps_sq)
         return base_value + ridge * float(x @ x)
 
-    def weighted_grad(self, w, x):
-        Qx = self.spec.base_Q @ x
+    def weighted_value_grad(self, w, x):
+        base_value, Qx = self._base(x)
         ridge = self.spec.n_components * float(w @ self._eps_sq)
-        return Qx + self.spec.base_q + (2.0 * ridge) * x
+        return base_value + ridge * float(x @ x), Qx + self.spec.base_q + (2.0 * ridge) * x
 
 
 def noisy_quadratic_objective(

@@ -30,11 +30,12 @@ from .errors import ConfigInvalid, InvariantViolation, MaxBacktracks, NonFiniteV
 from .objective import (
     BudgetMeter,
     FiniteSumObjective,
+    ValueGrad,
     draw_sample,
-    full_grad,
     full_value,
-    subsample_grad,
+    full_value_grad,
     subsample_value,
+    subsample_value_grad,
 )
 
 # Hard cap on Armijo backtracks in the full-sample search.
@@ -269,11 +270,11 @@ def additional_sampling_test(
     trial point improves on x by at least c*||s||^2 - C_accept*eta_k^2.
     All evaluations are charged whether or not the step is accepted.
     """
-    d_set = draw_sample(obj.weights, cfg.D_size, rng)
-    g_d = subsample_grad(obj, d_set, x, meter)
-    proj = inexact_project(cs, x - g_d, eta_k)
+    d_set = draw_sample(obj, cfg.D_size, rng)
+    control = subsample_value_grad(obj, d_set, x, meter)
+    proj = inexact_project(cs, x - control.grad, eta_k)
     s = proj.point - x
-    f_x = subsample_value(obj, d_set, x, meter)
+    f_x = control.value(meter)
     try:
         f_trial = subsample_value(obj, d_set, x_trial, meter)
     except NonFiniteValue:
@@ -304,11 +305,10 @@ def _account(state: SolverState, cs: ConstraintSet, proj: ProjectionResult, eta_
     return proj.cg_iterations
 
 
-def _oracle(cs, obj, x, g=None, f=None) -> tuple[float, float]:
-    """Unmetered (norm_d_true, f_true) at x, reusing the full gradient g or value f if given."""
-    g = full_grad(obj, x, None) if g is None else g
-    f = full_value(obj, x, None) if f is None else f
-    return float(np.linalg.norm(projected_direction(cs, x, g))), f
+def _oracle(cs: ConstraintSet, x: np.ndarray, full: ValueGrad) -> tuple[float, float]:
+    """Unmetered (norm_d_true, f_true) at x from a full-sum evaluation there."""
+    f = full.value(None)
+    return float(np.linalg.norm(projected_direction(cs, x, full.grad))), f
 
 
 def _guarded(fn: Callable[[], float]) -> float:
@@ -339,10 +339,11 @@ def ipas_step(
     is_full = state.Nk >= N
 
     if is_full:
-        grad_est = full_grad(obj, x, meter)
+        est = full_value_grad(obj, x, meter)
     else:
-        sample = draw_sample(obj.weights, state.Nk, state.rng)
-        grad_est = subsample_grad(obj, sample, x, meter)
+        sample = draw_sample(obj, state.Nk, state.rng)
+        est = subsample_value_grad(obj, sample, x, meter)
+    grad_est = est.grad
 
     proj = inexact_project(cs, x - grad_est, eta_k)
     cg_total = _account(state, cs, proj, eta_k)
@@ -353,11 +354,10 @@ def ipas_step(
     accepted = False
     unsuccessful = False
     t = 0.0
-    f_full = None  # metered full value at x, reused by the oracle
     Nk_next = state.Nk
     if is_full:
         if descent_check(grad_est, p, cfg.c):
-            f_full = full_value(obj, x, meter)
+            f_full = est.value(meter)
             phi = lambda t_: _guarded(lambda: full_value(obj, x + t_ * p, meter))
             t = line_search_full(phi, f_full, slope, eta_k, cfg.beta, cfg.c1)
             x_next = x + t * p
@@ -369,7 +369,7 @@ def ipas_step(
             x_next = reproj.point
             unsuccessful = True
     else:
-        f0 = subsample_value(obj, sample, x, meter)
+        f0 = est.value(meter)
         phi = lambda t_: _guarded(lambda: subsample_value(obj, sample, x + t_ * p, meter))
         t = line_search_minibatch(phi, f0, slope, eta_k, cfg.beta, cfg.c1, cfg.t_min)
         x_trial = x + t * p
@@ -384,7 +384,8 @@ def ipas_step(
 
     f_true = norm_d_true = math.nan
     if cfg.oracle_metrics:
-        norm_d_true, f_true = _oracle(cs, obj, x, grad_est if is_full else None, f_full)
+        # A full-sample step already evaluated the full sum at x.
+        norm_d_true, f_true = _oracle(cs, x, est if is_full else full_value_grad(obj, x, None))
 
     # Feasibility bookkeeping: accepted steps must contract the gap up to
     # the projection tolerance; re-projections must land within it.
@@ -432,7 +433,7 @@ def _state_record(
     """Terminal trace row: the final iterate's metrics with no step fields."""
     f_true = norm_d_true = math.nan
     if oracle_metrics:
-        norm_d_true, f_true = _oracle(cs, obj, state.x)
+        norm_d_true, f_true = _oracle(cs, state.x, full_value_grad(obj, state.x, None))
     return IterationRecord(
         k=state.k,
         Nk=state.Nk,

@@ -33,7 +33,7 @@ from ipas import (
     build_constraint_set,
     eta,
     exact_project,
-    full_grad,
+    full_value_grad,
     generate_constraints,
     inexact_project,
     load_libsvm,
@@ -120,7 +120,7 @@ def logistic_batch(tmp_path_factory):
     obj = logistic_objective(ds)
     cs = generate_constraints(LOGI_DIM, LOGI_M, seed=7)
     x0 = min_norm_feasible(cs)
-    d0 = float(np.linalg.norm(projected_direction(cs, x0, full_grad(obj, x0, None))))
+    d0 = float(np.linalg.norm(projected_direction(cs, x0, full_value_grad(obj, x0, None).grad)))
     cases = []
     for seed in range(10):
         cfg = SolverConfig(

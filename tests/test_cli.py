@@ -162,6 +162,41 @@ class TestInvalidGridPoint:
         assert "grid point s=1, dN=0" in capsys.readouterr().err
 
 
+class TestImpossibleControlSample:
+    # D_size must stay below the component count the config itself states.
+    def config(self, tmp_path):
+        path = tmp_path / "big_d.ini"
+        path.write_text(
+            textwrap.dedent(
+                """
+                [problem]
+                kind = noisy_quadratic
+                n = 5
+                components = 6
+
+                [solver]
+                d = 6
+                k_max = 4
+
+                [run]
+                seeds = 0
+                """
+            )
+        )
+        return path
+
+    def test_validate_exits_two(self, tmp_path, capsys):
+        assert main(["validate", str(self.config(tmp_path))]) == EXIT_CONFIG_ERROR
+        assert "D_size=6 must be <= N-1 = 5" in capsys.readouterr().err
+
+    def test_run_exits_two_and_writes_nothing(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        code = main(["run", str(self.config(tmp_path)), "--out", str(out_dir)])
+        assert code == EXIT_CONFIG_ERROR
+        assert not out_dir.exists()
+        assert "D_size=6 must be <= N-1 = 5" in capsys.readouterr().err
+
+
 class TestRun:
     def test_run_writes_outputs(self, config_path, tmp_path, capsys):
         out_dir = tmp_path / "cli_out"

@@ -159,6 +159,8 @@ class TestConfigParsing:
             ("n = 6", ""),  # missing required problem key
             ("s = 1.0 2.0", "s = 1 0.4"),  # a grid point breaks the s_exp bound
             ("dn = 1", "dn = 0 1"),  # a grid point breaks the dN bound
+            ("d = 2", "d = 8"),  # D_size above N-1 = 7 components
+            ("components = 8", "components = 0"),
         ],
     )
     def test_invalid_configs_rejected(self, tmp_path, mutation):

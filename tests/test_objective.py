@@ -10,10 +10,10 @@ from ipas import (
     NonFiniteValue,
     WeightError,
     draw_sample,
-    full_grad,
     full_value,
-    subsample_grad,
+    full_value_grad,
     subsample_value,
+    subsample_value_grad,
     uniform_weights,
 )
 
@@ -90,13 +90,35 @@ class TestWeights:
 
 class TestDrawSample:
     def test_deterministic_for_fixed_seed(self):
-        w = uniform_weights(50)
-        a = draw_sample(w, 20, np.random.default_rng(5))
-        b = draw_sample(w, 20, np.random.default_rng(5))
+        obj = make_objective(50)
+        a = draw_sample(obj, 20, np.random.default_rng(5))
+        b = draw_sample(obj, 20, np.random.default_rng(5))
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("n", [1, 7, 768, 1000, 100000])
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_matches_generator_choice(self, n, uniform):
+        # Same indices as Generator.choice(p=...), and the generator ends in
+        # the same state, so every later draw of a run is unchanged too.
+        if uniform:
+            w = uniform_weights(n)
+        else:
+            w = np.random.default_rng(n).random(n) ** 3
+            if n > 1:
+                w[0] = 0.0  # a component that is never drawn
+            w /= w.sum()
+        obj = make_objective(n, weights=w)
+        for seed in range(10):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for size in (1, 2, 5, 64, 1000):
+                got = draw_sample(obj, size, rng)
+                want = ref.choice(n, size=size, replace=True, p=obj.weights / obj.weights.sum())
+                np.testing.assert_array_equal(got, want)
+                assert got.dtype == np.int64
+                assert rng.bit_generator.state == ref.bit_generator.state
+
     def test_size_and_range(self):
-        s = draw_sample(uniform_weights(10), 33, np.random.default_rng(0))
+        s = draw_sample(make_objective(10), 33, np.random.default_rng(0))
         assert s.size == 33
         assert s.shape == (33,)
         assert s.dtype == np.int64
@@ -105,19 +127,19 @@ class TestDrawSample:
 
     def test_sampling_with_replacement_possible(self):
         # With 2 components and 64 draws, a repeat is certain.
-        s = draw_sample(uniform_weights(2), 64, np.random.default_rng(1))
+        s = draw_sample(make_objective(2), 64, np.random.default_rng(1))
         assert len(np.unique(s)) <= 2
 
     def test_zero_weight_component_never_drawn(self):
-        w = np.array([0.5, 0.5, 0.0])
-        s = draw_sample(w, 5000, np.random.default_rng(2))
+        obj = make_objective(3, weights=np.array([0.5, 0.5, 0.0]))
+        s = draw_sample(obj, 5000, np.random.default_rng(2))
         assert not np.any(s == 2)
 
     def test_frequencies_match_weights(self):
         # Law of large numbers: empirical frequency within 4 standard errors.
         w = np.array([0.5, 0.3, 0.2])
         draws = 20000
-        s = draw_sample(w, draws, np.random.default_rng(3))
+        s = draw_sample(make_objective(3, weights=w), draws, np.random.default_rng(3))
         for i, p in enumerate(w):
             freq = np.mean(s == i)
             se = np.sqrt(p * (1 - p) / draws)
@@ -125,7 +147,7 @@ class TestDrawSample:
 
     def test_invalid_size_rejected(self):
         with pytest.raises(ValueError):
-            draw_sample(uniform_weights(3), 0, np.random.default_rng(0))
+            draw_sample(make_objective(3), 0, np.random.default_rng(0))
 
 
 class TestSubsampleEvaluations:
@@ -144,8 +166,17 @@ class TestSubsampleEvaluations:
         idx = np.array([1, 1, 4])
         expected = np.mean([scaled_quadratic(i, x)[1] for i in idx], axis=0)
         np.testing.assert_allclose(
-            subsample_grad(obj, idx, x, meter=None), expected, rtol=1e-14
+            subsample_value_grad(obj, idx, x, meter=None).grad, expected, rtol=1e-14
         )
+
+    def test_fused_value_equals_value_only_evaluation(self):
+        obj = make_objective(6, weights=np.array([0.3, 0.1, 0.1, 0.2, 0.2, 0.1]))
+        x = np.array([1.0, 0.25, -0.5])
+        idx = np.array([1, 1, 4, 5])
+        assert subsample_value_grad(obj, idx, x, None).value(None) == subsample_value(
+            obj, idx, x, None
+        )
+        assert full_value_grad(obj, x, None).value(None) == full_value(obj, x, None)
 
     def test_repeated_index_counts_twice(self):
         # Multiset semantics: duplicates shift the average.
@@ -167,13 +198,13 @@ class TestSubsampleEvaluations:
     def test_grad_estimator_unbiased_for_uniform_weights(self):
         obj = make_objective(8)
         x = np.array([0.3, -0.7, 1.1])
-        target = full_grad(obj, x, None)
+        target = full_value_grad(obj, x, None).grad
         rng = np.random.default_rng(11)
         reps, batch = 4000, 4
         acc = np.zeros(DIM)
         for _ in range(reps):
-            s = draw_sample(obj.weights, batch, rng)
-            acc += subsample_grad(obj, s, x, None)
+            s = draw_sample(obj, batch, rng)
+            acc += subsample_value_grad(obj, s, x, None).grad
         est = acc / reps
         # Componentwise spread of single-sample gradients bounds the SE.
         singles = np.array([scaled_quadratic(i, x)[1] for i in range(8)])
@@ -190,6 +221,13 @@ class TestSubsampleEvaluations:
         s = np.array([0])
         with pytest.raises(NonFiniteValue):
             subsample_value(obj, s, np.zeros(DIM), None)
+        # A one-pass evaluation checks the value only when it is taken.
+        for fused in (
+            subsample_value_grad(obj, s, np.zeros(DIM), None),
+            full_value_grad(obj, np.zeros(DIM), None),
+        ):
+            with pytest.raises(NonFiniteValue):
+                fused.value(None)
 
     def test_nonfinite_grad_raises(self):
         def bad(i, x):
@@ -200,7 +238,9 @@ class TestSubsampleEvaluations:
         )
         s = np.array([1])
         with pytest.raises(NonFiniteValue):
-            subsample_grad(obj, s, np.zeros(DIM), None)
+            subsample_value_grad(obj, s, np.zeros(DIM), None)
+        with pytest.raises(NonFiniteValue):
+            full_value_grad(obj, np.zeros(DIM), None)
 
 
 class TestFullEvaluations:
@@ -216,12 +256,12 @@ class TestFullEvaluations:
         obj = make_objective(3, weights=w)
         x = np.array([-0.2, 0.9, 1.5])
         expected = sum(w[i] * scaled_quadratic(i, x)[1] for i in range(3))
-        np.testing.assert_allclose(full_grad(obj, x, None), expected, rtol=1e-14)
+        np.testing.assert_allclose(full_value_grad(obj, x, None).grad, expected, rtol=1e-14)
 
     def test_full_grad_matches_finite_differences(self):
         obj = make_objective(5)
         x = np.array([0.4, -0.3, 0.8])
-        g = full_grad(obj, x, None)
+        g = full_value_grad(obj, x, None).grad
         h = 1e-6
         for j in range(DIM):
             e = np.zeros(DIM)
@@ -245,18 +285,27 @@ class TestBudgetMeter:
         subsample_value(obj, s, np.zeros(DIM), meter)
         assert meter.component_value_evals == 5
         assert meter.scalar_products == 5
-        subsample_grad(obj, s, np.zeros(DIM), meter)
+        fused = subsample_value_grad(obj, s, np.zeros(DIM), meter)
         assert meter.component_grad_evals == 5
         assert meter.scalar_products == 10
+        assert meter.component_value_evals == 5  # the value is charged when taken
+        fused.value(meter)
+        assert meter.component_value_evals == 10
+        assert meter.scalar_products == 15
 
     def test_full_eval_charges_all_components(self):
         obj = make_objective(7)
         meter = BudgetMeter()
         full_value(obj, np.zeros(DIM), meter)
-        full_grad(obj, np.zeros(DIM), meter)
+        fused = full_value_grad(obj, np.zeros(DIM), meter)
         assert meter.component_value_evals == 7
         assert meter.component_grad_evals == 7
         assert meter.scalar_products == 14
+        fused.value(None)  # an unmetered look at the value costs nothing
+        assert meter.scalar_products == 14
+        fused.value(meter)
+        assert meter.component_value_evals == 14
+        assert meter.scalar_products == 21
 
     def test_cg_charge_is_m_plus_4_per_iteration(self):
         meter = BudgetMeter()
@@ -276,4 +325,4 @@ class TestBudgetMeter:
         obj = make_objective(4)
         # Must simply not raise; nothing to observe.
         full_value(obj, np.zeros(DIM), None)
-        subsample_grad(obj, np.array([2]), np.zeros(DIM), None)
+        subsample_value_grad(obj, np.array([2]), np.zeros(DIM), None).value(None)

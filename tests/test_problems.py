@@ -11,8 +11,9 @@ from ipas import (
     ParseError,
     exact_project,
     feasibility_gap,
-    full_grad,
+    CallableKernel,
     full_value,
+    full_value_grad,
     generate_constraints,
     load_libsvm,
     logistic_component,
@@ -24,6 +25,8 @@ from ipas import (
     noisy_quadratic_objective,
     save_libsvm,
 )
+
+from ipas.objective import ComponentKernel
 
 DATA = Path(__file__).parent / "data"
 
@@ -93,7 +96,14 @@ class TestLogisticComponents:
         loop_vals = np.array([logistic_component(ds, i, x)[0] for i in idx])
         np.testing.assert_allclose(kernel.values(idx, x), loop_vals, rtol=1e-14)
         loop_grad = np.mean([logistic_component(ds, i, x)[1] for i in idx], axis=0)
-        np.testing.assert_allclose(kernel.grad_mean(idx, x), loop_grad, rtol=1e-13)
+        vals, grad = kernel.value_grad_mean(idx, x)
+        np.testing.assert_array_equal(vals, kernel.values(idx, x))
+        np.testing.assert_allclose(grad, loop_grad, rtol=1e-13)
+        w = np.array([0.1, 0.2, 0.3, 0.4])
+        value, grad = kernel.weighted_value_grad(w, x)
+        assert value == kernel.weighted_value(w, x)
+        loop_grad = sum(w[i] * logistic_component(ds, i, x)[1] for i in range(4))
+        np.testing.assert_allclose(grad, loop_grad, rtol=1e-13)
 
     def test_uniform_objective_is_plain_average(self):
         ds = small_dataset()
@@ -103,7 +113,7 @@ class TestLogisticComponents:
         mean_value = np.mean([logistic_component(ds, i, x)[0] for i in range(4)])
         assert full_value(obj, x, None) == pytest.approx(mean_value, rel=1e-14)
         mean_grad = np.mean([logistic_component(ds, i, x)[1] for i in range(4)], axis=0)
-        np.testing.assert_allclose(full_grad(obj, x, None), mean_grad, rtol=1e-13)
+        np.testing.assert_allclose(full_value_grad(obj, x, None).grad, mean_grad, rtol=1e-13)
 
     def test_dataset_validation(self):
         with pytest.raises(ValueError):
@@ -289,7 +299,14 @@ class TestNoisyQuadratic:
         loop_grad = np.mean(
             [noisy_quadratic_component(spec, i, x)[1] for i in idx], axis=0
         )
-        np.testing.assert_allclose(obj.kernel.grad_mean(idx, x), loop_grad, rtol=1e-12)
+        vals, grad = obj.kernel.value_grad_mean(idx, x)
+        np.testing.assert_array_equal(vals, obj.kernel.values(idx, x))
+        np.testing.assert_allclose(grad, loop_grad, rtol=1e-12)
+        w = np.arange(1.0, 8.0) / 28.0
+        value, grad = obj.kernel.weighted_value_grad(w, x)
+        assert value == obj.kernel.weighted_value(w, x)
+        loop_grad = sum(w[i] * noisy_quadratic_component(spec, i, x)[1] for i in range(7))
+        np.testing.assert_allclose(grad, loop_grad, rtol=1e-12)
 
     def test_spec_validation(self):
         good = make_noisy_quadratic(3, 4, sigma=0.5, seed=19)
@@ -331,6 +348,16 @@ class TestNoisyQuadratic:
         b = make_noisy_quadratic(3, 4, sigma=0.0, seed=21, base_curvature=2.0)
         np.testing.assert_allclose(b.base_Q, 2.0 * a.base_Q, rtol=1e-15)
         np.testing.assert_array_equal(b.base_q, a.base_q)
+
+
+def test_every_kernel_implements_the_protocol():
+    kernels = (
+        logistic_objective(small_dataset()).kernel,
+        noisy_quadratic_objective(make_noisy_quadratic(3, 4, sigma=0.5, seed=1)).kernel,
+        CallableKernel(lambda i, x: (0.0, np.zeros_like(x)), 2),
+    )
+    for kernel in kernels:
+        assert isinstance(kernel, ComponentKernel), type(kernel).__name__
 
 
 class TestConstraintGeneration:

@@ -431,6 +431,30 @@ class TestRunBehaviour:
         assert sum(r.cg_iters for r in res.records) * (cs.m + 4) == res.meter.cg_scalar_products
         assert res.projections_checked == len(calls)
         assert res.final_record.e_x == feasibility_gap(cs, res.x)
+        # An unsuccessful step pays for the full gradient and its projections
+        # only; the value its one-pass evaluation also computed is not charged.
+        for k, r in enumerate(rows):
+            if r.unsuccessful:
+                spent = r.scalar_products - (rows[k - 1].scalar_products if k else 0)
+                assert spent == obj.n_components * obj.grad_cost + r.cg_iters * (cs.m + 4)
+
+    def test_unsuccessful_step_neither_charges_nor_checks_the_value(self):
+        # With a zero gradient the direction from an infeasible start only
+        # restores feasibility, so the descent check fails and the step is
+        # unsuccessful.  The NaN value that the one-pass evaluation also
+        # computed is never used, so it must not be charged or raise.
+        cs = orthonormal_system(2, 5, seed=14, shift=1.0)
+        obj = FiniteSumObjective(
+            weights=uniform_weights(3),
+            dim=5,
+            kernel=CallableKernel(lambda i, x: (math.nan, np.zeros_like(x)), 3),
+        )
+        cfg = SolverConfig(N0=3, D_size=1, k_max=1, oracle_metrics=False)
+        res = run(cs, obj, cfg, x0=np.zeros(5))
+        (row,) = res.records[:-1]
+        assert row.unsuccessful
+        assert res.meter.component_value_evals == 0
+        assert row.scalar_products == 3 * obj.grad_cost + row.cg_iters * (cs.m + 4)
 
     def test_infeasible_start_contracts_the_gap(self):
         cs = orthonormal_system(3, 8, seed=10, shift=1.0)
