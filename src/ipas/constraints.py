@@ -10,6 +10,7 @@ the solver; the exact one doubles as its oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -56,15 +57,13 @@ class ProjectionResult:
     """Outcome of an inexact projection.
 
     ``residual_norm`` is the feasibility gap ||A point - b|| of the returned
-    point, which equals the normal-system residual at the returned
-    multiplier.  It is computed from the point itself so that downstream
-    feasibility checks reproduce it exactly.
+    point, computed by the same expression as feasibility_gap, so the two
+    agree bit for bit and callers need not recompute it.
     """
 
     point: np.ndarray
     residual_norm: float
     cg_iterations: int
-    multiplier: np.ndarray
 
 
 def build_constraint_set(A: np.ndarray, b: np.ndarray) -> ConstraintSet:
@@ -109,6 +108,11 @@ def feasibility_gap(cs: ConstraintSet, x: np.ndarray) -> float:
     x = np.asarray(x, dtype=float)
     if x.shape != (cs.n,):
         raise DimensionMismatch(f"x must have shape ({cs.n},), got {x.shape}")
+    return _gap(cs, x)
+
+
+def _gap(cs: ConstraintSet, x: np.ndarray) -> float:
+    """||A x - b|| for a validated float x; the one expression of the gap."""
     return float(np.linalg.norm(cs.A @ x - cs.b))
 
 
@@ -136,7 +140,7 @@ def cg_solve(
     """
     x = np.zeros_like(rhs, dtype=float)
     r = np.array(rhs, dtype=float)
-    rnorm = float(np.linalg.norm(r))
+    rnorm = math.sqrt(float(r @ r))
     if rnorm <= tol_abs:
         return x, rnorm, 0
 
@@ -146,7 +150,7 @@ def cg_solve(
     for it in range(1, max_iter + 1):
         Ap = apply(p)
         pAp = float(p @ Ap)
-        if not np.isfinite(pAp) or pAp <= 0.0:
+        if not math.isfinite(pAp) or pAp <= 0.0:
             raise CgStalled(
                 f"CG curvature p^T A p = {pAp:.3e} is not positive; operator is not SPD",
                 residual_norm=best_norm,
@@ -156,10 +160,10 @@ def cg_solve(
         x += alpha * p
         r -= alpha * Ap
         rs_new = float(r @ r)
-        if np.sqrt(rs_new) <= tol_abs:
+        if math.sqrt(rs_new) <= tol_abs:
             # Recurrence residuals drift from the truth; confirm before exiting.
             true_r = rhs - apply(x)
-            true_norm = float(np.linalg.norm(true_r))
+            true_norm = math.sqrt(float(true_r @ true_r))
             if true_norm <= tol_abs:
                 return x, true_norm, it
             r = true_r
@@ -171,7 +175,7 @@ def cg_solve(
         beta = rs_new / rs
         p = r + beta * p
         rs = rs_new
-        best_norm = min(best_norm, float(np.sqrt(rs_new)))
+        best_norm = min(best_norm, math.sqrt(rs_new))
 
     raise CgStalled(
         f"CG did not reach tolerance {tol_abs:.3e} in {max_iter} iterations "
@@ -185,8 +189,8 @@ def inexact_project(cs: ConstraintSet, y: np.ndarray, eta: float) -> ProjectionR
     """Approximate projection of y with normal-system residual at most eta.
 
     Solves A A^T lam = A y - b by CG (cold start, absolute tolerance eta,
-    at most 10*m iterations) and returns y - A^T lam.  The feasibility gap
-    of the returned point equals the reported residual norm up to roundoff.
+    at most 10*m iterations) and returns y - A^T lam.  The reported
+    residual norm is the feasibility gap of the returned point.
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (cs.n,):
@@ -195,16 +199,13 @@ def inexact_project(cs: ConstraintSet, y: np.ndarray, eta: float) -> ProjectionR
         raise ValueError(f"eta must be positive, got {eta}")
     rhs = cs.A @ y - cs.b
     lam, _, iters = cg_solve(
-        lambda v: cs.AAt @ v, rhs, tol_abs=eta, max_iter=_CG_MAX_ITER_FACTOR * cs.m
+        cs.AAt.__matmul__, rhs, tol_abs=eta, max_iter=_CG_MAX_ITER_FACTOR * cs.m
     )
     point = y - cs.A.T @ lam
-    # Report the residual in the same association the feasibility gap uses,
-    # so the two agree bit for bit; CG certified the recurrence form <= eta
-    # and the reassociation shifts it only at the roundoff scale of ||y||.
-    res_norm = float(np.linalg.norm(cs.A @ point - cs.b))
-    return ProjectionResult(
-        point=point, residual_norm=res_norm, cg_iterations=iters, multiplier=lam
-    )
+    # Report the feasibility gap itself rather than the CG residual: CG
+    # certified the normal-system form <= eta, and the two differ only at
+    # the roundoff scale of ||y||.
+    return ProjectionResult(point=point, residual_norm=_gap(cs, point), cg_iterations=iters)
 
 
 def projected_direction(cs: ConstraintSet, x: np.ndarray, g: np.ndarray) -> np.ndarray:

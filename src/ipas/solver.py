@@ -91,7 +91,14 @@ class SolverConfig:
 
 @dataclass
 class SolverState:
-    """Mutable per-run state threaded through the iterations."""
+    """Mutable per-run state threaded through the iterations.
+
+    x is replaced by a new array whenever the iterate moves and is never
+    mutated in place; a rejected step keeps the very same object.
+    oracle_memo holds (x, norm_d_true, f_true) for the last iterate the
+    oracle evaluated, the array itself so that an identity test against
+    state.x is sound.
+    """
 
     x: np.ndarray
     k: int
@@ -101,6 +108,7 @@ class SolverState:
     e_x: float
     done: str | None = None
     projections_checked: int = 0
+    oracle_memo: tuple[np.ndarray, float, float] | None = None
 
 
 @dataclass(frozen=True)
@@ -287,28 +295,38 @@ def additional_sampling_test(
 def _account(state: SolverState, cs: ConstraintSet, proj: ProjectionResult, eta_k: float) -> int:
     """Check, charge and count one inexact projection; return its CG iterations.
 
-    The feasibility gap of the projected point must equal the reported
-    residual norm up to roundoff, and both must respect the tolerance.
+    The reported residual norm is the feasibility gap of the projected
+    point by construction, so only the tolerance needs checking.
     """
-    gap = feasibility_gap(cs, proj.point)
     if proj.residual_norm > eta_k:
         raise InvariantViolation(
             f"projection residual {proj.residual_norm:.3e} exceeds its tolerance {eta_k:.3e}"
-        )
-    if abs(gap - proj.residual_norm) > _FEAS_CHECK_ATOL:
-        raise InvariantViolation(
-            f"feasibility gap {gap:.6e} of the projected point disagrees with the "
-            f"reported residual {proj.residual_norm:.6e}"
         )
     state.meter.charge_cg(proj.cg_iterations, cs.m)
     state.projections_checked += 1
     return proj.cg_iterations
 
 
-def _oracle(cs: ConstraintSet, x: np.ndarray, full: ValueGrad) -> tuple[float, float]:
-    """Unmetered (norm_d_true, f_true) at x from a full-sum evaluation there."""
+def _oracle(
+    state: SolverState, cs: ConstraintSet, obj: FiniteSumObjective, full: ValueGrad | None = None
+) -> tuple[float, float]:
+    """Unmetered (norm_d_true, f_true) at state.x, evaluated once per distinct iterate.
+
+    Returns the memo when state.x is the array it was computed at, as after
+    a rejected step.  Otherwise evaluates from full, a full-sum evaluation
+    at state.x the caller already has, or from one unmetered
+    full_value_grad, and memoises the pair.
+    """
+    x = state.x
+    memo = state.oracle_memo
+    if memo is not None and memo[0] is x:
+        return memo[1], memo[2]
+    if full is None:
+        full = full_value_grad(obj, x, None)
     f = full.value(None)
-    return float(np.linalg.norm(projected_direction(cs, x, full.grad))), f
+    norm_d = float(np.linalg.norm(projected_direction(cs, x, full.grad)))
+    state.oracle_memo = (x, norm_d, f)
+    return norm_d, f
 
 
 def _guarded(fn: Callable[[], float]) -> float:
@@ -385,16 +403,17 @@ def ipas_step(
     f_true = norm_d_true = math.nan
     if cfg.oracle_metrics:
         # A full-sample step already evaluated the full sum at x.
-        norm_d_true, f_true = _oracle(cs, x, est if is_full else full_value_grad(obj, x, None))
+        norm_d_true, f_true = _oracle(state, cs, obj, est if is_full else None)
 
     # Feasibility bookkeeping: accepted steps must contract the gap up to
     # the projection tolerance; re-projections must land within it.
     e_next = e_x
     if accepted or unsuccessful:
-        e_next = feasibility_gap(cs, x_next)
         if accepted:
+            e_next = feasibility_gap(cs, x_next)
             bound = (1.0 - t) * e_x + eta_k + _FEAS_CHECK_ATOL
         else:
+            e_next = reproj.residual_norm
             bound = eta_k + _FEAS_CHECK_ATOL
         if e_next > bound:
             step = "accepted step" if accepted else "re-projection"
@@ -433,7 +452,7 @@ def _state_record(
     """Terminal trace row: the final iterate's metrics with no step fields."""
     f_true = norm_d_true = math.nan
     if oracle_metrics:
-        norm_d_true, f_true = _oracle(cs, state.x, full_value_grad(obj, state.x, None))
+        norm_d_true, f_true = _oracle(state, cs, obj)
     return IterationRecord(
         k=state.k,
         Nk=state.Nk,

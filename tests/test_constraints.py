@@ -263,16 +263,27 @@ class TestInexactProject:
             assert result.residual_norm <= 1e-12
 
     def test_residual_equals_feasibility_gap(self):
-        # The defining identity: the CG residual on the multiplier system
-        # equals the constraint violation of the returned point.
+        # The reported residual is the feasibility gap of the returned point
+        # bit for bit, which is why the solver never recomputes it.
         for eta in (1e-2, 1e-5, 1e-9):
             cs = random_system(6, 25, seed=33)
             rng = np.random.default_rng(34)
             y = rng.standard_normal(25) * 3
             result = inexact_project(cs, y, eta=eta)
-            gap = feasibility_gap(cs, result.point)
-            assert abs(gap - result.residual_norm) <= 1e-10
+            assert result.residual_norm == feasibility_gap(cs, result.point)
             assert result.residual_norm <= eta
+
+    @pytest.mark.parametrize("a_scale", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+    @pytest.mark.parametrize("y_scale", [1e-6, 1.0, 1e6])
+    def test_residual_equals_feasibility_gap_ill_scaled(self, a_scale, y_scale):
+        rng = np.random.default_rng(35)
+        A = rng.standard_normal((6, 25)) * (a_scale * 10.0 ** rng.uniform(-1, 1, size=(6, 1)))
+        cs = build_constraint_set(A, A @ rng.standard_normal(25))
+        y = rng.standard_normal(25) * y_scale
+        rhs_norm = feasibility_gap(cs, y)
+        for rel in (1e-2, 1e-6):
+            result = inexact_project(cs, y, eta=rel * rhs_norm)
+            assert result.residual_norm == feasibility_gap(cs, result.point)
 
     def test_feasible_input_costs_nothing(self):
         cs = random_system(4, 10, seed=35)
@@ -290,15 +301,6 @@ class TestInexactProject:
         assert loose.cg_iterations < tight.cg_iterations
         assert loose.residual_norm <= 1e-1
         assert tight.residual_norm <= 1e-10
-
-    def test_multiplier_reconstructs_point(self):
-        cs = random_system(5, 16, seed=38)
-        rng = np.random.default_rng(39)
-        y = rng.standard_normal(16)
-        result = inexact_project(cs, y, eta=1e-7)
-        np.testing.assert_allclose(
-            result.point, y - cs.A.T @ result.multiplier, rtol=0, atol=1e-12
-        )
 
     def test_error_bounded_by_conditioning(self):
         # || exact - inexact || <= ||A^T (A A^T)^{-1}||_2 * residual, with the

@@ -21,12 +21,15 @@ from ipas import (
     eta,
     exact_project,
     feasibility_gap,
+    full_value,
+    full_value_grad,
     generate_constraints,
     inexact_project,
     line_search_full,
     line_search_minibatch,
     make_noisy_quadratic,
     noisy_quadratic_objective,
+    projected_direction,
     read_trace,
     run,
     uniform_weights,
@@ -34,6 +37,7 @@ from ipas import (
     write_trace,
 )
 from ipas.objective import BudgetMeter
+from ipas.solver import _oracle, ipas_step
 
 
 def orthonormal_system(m: int, n: int, seed: int, shift: float = 0.0):
@@ -514,6 +518,93 @@ class TestRunBehaviour:
         assert all(math.isnan(r.f_true) for r in without.records)
         assert all(math.isnan(r.norm_d_true) for r in without.records)
         assert all(math.isfinite(r.f_true) for r in with_oracle.records)
+
+
+class TestOracleMemo:
+    """The unmetered oracle runs once per distinct iterate."""
+
+    def mixed_run(self):
+        # Rejected mini-batch steps (one of them growing the batch to the
+        # full sample), accepted full-sample steps and re-projections.
+        cs = generate_constraints(8, 3, seed=100)
+        obj = noisy_quadratic_objective(
+            make_noisy_quadratic(8, 6, sigma=0.0, seed=200, q_scale=3.0)
+        )
+        cfg = SolverConfig(N0=2, dN=1, D_size=2, k_max=120, seed=0, s_exp=0.8, c=0.9)
+        return cs, obj, cfg
+
+    def test_one_unmetered_evaluation_per_distinct_iterate(self, monkeypatch):
+        cs, obj, cfg = self.mixed_run()
+        unmetered = []
+
+        def counted(obj_, x, meter):
+            if meter is None:
+                unmetered.append(x)
+            return full_value_grad(obj_, x, meter)
+
+        monkeypatch.setattr("ipas.solver.full_value_grad", counted)
+        res = run(cs, obj, cfg)
+        N = obj.n_components
+        rows = res.records
+        # Mini-batch rows and the terminal row have no full-sum evaluation
+        # of their own; full-sample rows reuse the step's.  A row that
+        # starts where a rejected mini-batch step left the iterate reuses
+        # the previous row's oracle instead.
+        needs_own = [r.Nk < N for r in rows[:-1]] + [True]
+        after_rejection = [False] + [r.Nk < N and not r.accepted for r in rows[:-1]]
+        expected = sum(own and not rej for own, rej in zip(needs_own, after_rejection))
+        assert len(unmetered) == expected
+        assert expected < sum(needs_own)
+        assert any(rej and r.Nk == N for r, rej in zip(rows, after_rejection))
+        assert any(r.accepted and r.Nk == N for r in rows)
+        assert any(r.unsuccessful for r in rows)
+
+    def test_oracle_never_sees_a_mutated_array(self, monkeypatch):
+        cs, obj, cfg = self.mixed_run()
+        seen = []
+
+        def watched(state, cs_, obj_, full=None):
+            seen.append((state.x, state.x.copy()))
+            if full is not None:
+                seen.append((full.grad, full.grad.copy()))
+            return _oracle(state, cs_, obj_, full)
+
+        monkeypatch.setattr("ipas.solver._oracle", watched)
+        res = run(cs, obj, cfg)
+        assert len(seen) > len(res.records)
+        for arr, snapshot in seen:
+            assert arr.tobytes() == snapshot.tobytes()
+
+    def test_no_reuse_across_runs(self):
+        cs = generate_constraints(8, 3, seed=100)
+        x0 = exact_project(cs, np.zeros(8))
+        objs = [
+            noisy_quadratic_objective(make_noisy_quadratic(8, 6, sigma=1.0, seed=seed))
+            for seed in (200, 201)
+        ]
+        # With k_max = 0 the first run's only oracle evaluation is at x0.
+        first = run(cs, objs[0], SolverConfig(N0=2, D_size=2, k_max=0), x0=x0)
+        second = run(cs, objs[1], SolverConfig(N0=2, D_size=2, k_max=5), x0=x0)
+        assert first.records[0].f_true == full_value(objs[0], x0, None)
+        assert second.records[0].f_true == full_value(objs[1], x0, None)
+        assert second.records[0].f_true != first.records[0].f_true
+
+    def test_columns_equal_a_fresh_evaluation_at_every_row(self, monkeypatch):
+        cs, obj, cfg = self.mixed_run()
+        iterates = []
+
+        def recorded(state, *args):
+            iterates.append(state.x)
+            return ipas_step(state, *args)
+
+        monkeypatch.setattr("ipas.solver.ipas_step", recorded)
+        res = run(cs, obj, cfg)
+        iterates.append(res.x)
+        assert len(iterates) == len(res.records)
+        for r, x in zip(res.records, iterates):
+            g = full_value_grad(obj, x, None).grad
+            assert r.f_true == full_value(obj, x, None)
+            assert r.norm_d_true == float(np.linalg.norm(projected_direction(cs, x, g)))
 
 
 class TestTraceIO:
