@@ -117,11 +117,15 @@ def _gap(cs: ConstraintSet, x: np.ndarray) -> float:
 
 
 def exact_project(cs: ConstraintSet, y: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of y onto {x : A x = b} via the cached factorisation."""
+    """Orthogonal projection of y onto {x : A x = b} via the cached factorisation.
+
+    y is one point of shape (n,) or K points as the columns of an (n, K)
+    array, which share one solve with K right-hand sides.
+    """
     y = np.asarray(y, dtype=float)
-    if y.shape != (cs.n,):
-        raise DimensionMismatch(f"y must have shape ({cs.n},), got {y.shape}")
-    lam = scipy.linalg.cho_solve(cs.chol, cs.A @ y - cs.b)
+    if y.shape[:1] != (cs.n,) or y.ndim > 2:
+        raise DimensionMismatch(f"y must have shape ({cs.n},) or ({cs.n}, K), got {y.shape}")
+    lam = scipy.linalg.cho_solve(cs.chol, cs.A @ y - (cs.b if y.ndim == 1 else cs.b[:, None]))
     return y - cs.A.T @ lam
 
 
@@ -216,10 +220,14 @@ def projected_direction(cs: ConstraintSet, x: np.ndarray, g: np.ndarray) -> np.n
     direction certifies first-order stationarity of x for any objective
     with gradient g.  This uses the exact projection and serves as the
     reference metric; the solver's own steps use the inexact variant.
+    x and g may also hold K points and their gradients as the columns of
+    (n, K) arrays; the result then has one direction per column.
     """
     x = np.asarray(x, dtype=float)
     g = np.asarray(g, dtype=float)
-    if g.shape != (cs.n,):
-        raise DimensionMismatch(f"g must have shape ({cs.n},), got {g.shape}")
+    if g.shape != x.shape or g.shape[:1] != (cs.n,):
+        raise DimensionMismatch(
+            f"g must have the shape of x, ({cs.n},) or ({cs.n}, K), got {g.shape}"
+        )
     return exact_project(cs, x - g) - x
 

@@ -31,6 +31,10 @@ class ComponentKernel(Protocol):
     margins Z x of logistic regression, the product Q x of a quadratic).
     Its values must equal those of the value-only method at the same point
     bit for bit, so that a caller may use either.
+
+    weighted_value_grad_many evaluates many points in one pass, for the
+    unmetered oracle; it may sum in another order than the single-point
+    method, so its results agree with it to rounding, not bit for bit.
     """
 
     def values(self, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -48,6 +52,12 @@ class ComponentKernel(Protocol):
 
     def weighted_value_grad(self, w: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray]:
         """sum_i w_i f_i(x), as weighted_value() returns it, and sum_i w_i grad f_i(x)."""
+        ...
+
+    def weighted_value_grad_many(
+        self, w: np.ndarray, X: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """weighted_value_grad at every column of X (n, K): values (K,) and gradients (n, K)."""
         ...
 
 
@@ -85,6 +95,10 @@ class CallableKernel:
             value += w[i] * v
             total += w[i] * g
         return float(value), total
+
+    def weighted_value_grad_many(self, w, X):
+        pairs = [self.weighted_value_grad(w, x) for x in X.T]
+        return np.array([v for v, _ in pairs]), np.column_stack([g for _, g in pairs])
 
 
 @dataclass

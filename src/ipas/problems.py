@@ -22,6 +22,11 @@ from .objective import FiniteSumObjective, uniform_weights
 # ---------------------------------------------------------------------------
 # logistic regression
 
+# Rows of Z per block of LogisticKernel.weighted_value_grad_many: for the
+# oracle's batches of up to 64 points each (rows, points) temporary stays
+# near 2 MB.
+_ROW_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class LogisticDataset:
@@ -91,6 +96,23 @@ class LogisticKernel:
         margins = -self.ds.y * (self.ds.Z @ x)
         coef = w * (-self.ds.y * expit(margins))
         return float(w @ np.logaddexp(0.0, margins)), self.ds.Z.T @ coef
+
+    def weighted_value_grad_many(self, w, X):
+        # One GEMM pair per block of rows: each block of Z is read once for
+        # all K points and again, while it is still cached, for the gradient.
+        Z, y = self.ds.Z, self.ds.y
+        values = np.zeros(X.shape[1])
+        grads = np.zeros(X.shape)
+        for lo in range(0, len(y), _ROW_BLOCK):
+            rows = slice(lo, lo + _ROW_BLOCK)
+            Zb, wb = Z[rows], w[rows]
+            margins = Zb @ X
+            margins *= -y[rows, None]
+            values += wb @ np.logaddexp(0.0, margins)
+            coef = expit(margins, out=margins)
+            coef *= (-wb * y[rows])[:, None]
+            grads += Zb.T @ coef
+        return values, grads
 
 
 def logistic_objective(ds: LogisticDataset, weights: np.ndarray | None = None) -> FiniteSumObjective:
@@ -295,6 +317,12 @@ class NoisyQuadraticKernel:
         base_value, Qx = self._base(x)
         ridge = self.spec.n_components * float(w @ self._eps_sq)
         return base_value + ridge * float(x @ x), Qx + self.spec.base_q + (2.0 * ridge) * x
+
+    def weighted_value_grad_many(self, w, X):
+        QX = self.spec.base_Q @ X
+        ridge = self.spec.n_components * float(w @ self._eps_sq)
+        quad = np.einsum("ik,ik->k", X, 0.5 * QX + ridge * X)
+        return quad + self.spec.base_q @ X, QX + self.spec.base_q[:, None] + (2.0 * ridge) * X
 
 
 def noisy_quadratic_objective(

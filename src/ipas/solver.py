@@ -12,7 +12,7 @@ slack and the acceptance test lean on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 from typing import Callable, Iterable
 
@@ -30,7 +30,6 @@ from .errors import ConfigInvalid, InvariantViolation, MaxBacktracks, NonFiniteV
 from .objective import (
     BudgetMeter,
     FiniteSumObjective,
-    ValueGrad,
     draw_sample,
     full_value,
     full_value_grad,
@@ -43,6 +42,10 @@ _MAX_BACKTRACKS = 200
 
 # Slack for runtime feasibility checks; covers float roundoff only.
 _FEAS_CHECK_ATOL = 1e-10
+
+# Distinct iterates per batched oracle evaluation in _drive; bounds the
+# iterates held and the batch's temporaries.
+_ORACLE_BATCH = 64
 
 TRACE_COLUMNS = (
     "k",
@@ -94,10 +97,9 @@ class SolverState:
     """Mutable per-run state threaded through the iterations.
 
     x is replaced by a new array whenever the iterate moves and is never
-    mutated in place; a rejected step keeps the very same object.
-    oracle_memo holds (x, norm_d_true, f_true) for the last iterate the
-    oracle evaluated, the array itself so that an identity test against
-    state.x is sound.
+    mutated in place; a rejected step keeps the very same object.  The run
+    driver relies on both: it holds iterates until their deferred oracle
+    columns are evaluated and tells them apart by identity.
     """
 
     x: np.ndarray
@@ -108,7 +110,6 @@ class SolverState:
     e_x: float
     done: str | None = None
     projections_checked: int = 0
-    oracle_memo: tuple[np.ndarray, float, float] | None = None
 
 
 @dataclass(frozen=True)
@@ -117,6 +118,7 @@ class IterationRecord:
 
     norm_d_true and f_true are oracle metrics computed with the exact
     projection and the full weighted sums; they never touch the budget.
+    The adaptive step leaves them NaN and the run driver fills them.
     scalar_products is the meter total after the iteration finished.
     """
 
@@ -307,26 +309,26 @@ def _account(state: SolverState, cs: ConstraintSet, proj: ProjectionResult, eta_
     return proj.cg_iterations
 
 
-def _oracle(
-    state: SolverState, cs: ConstraintSet, obj: FiniteSumObjective, full: ValueGrad | None = None
-) -> tuple[float, float]:
-    """Unmetered (norm_d_true, f_true) at state.x, evaluated once per distinct iterate.
+def _oracle_batch(
+    cs: ConstraintSet, obj: FiniteSumObjective, xs: list[np.ndarray], ks: list[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unmetered (norm_d_true, f_true) at each iterate in xs, from one batched pass.
 
-    Returns the memo when state.x is the array it was computed at, as after
-    a rejected step.  Otherwise evaluates from full, a full-sum evaluation
-    at state.x the caller already has, or from one unmetered
-    full_value_grad, and memoises the pair.
+    One weighted_value_grad_many call and one exact projection with
+    len(xs) right-hand sides.  ks[j] is the first trace row at xs[j]; a
+    non-finite value or gradient raises NonFiniteValue naming the first
+    such row.
     """
-    x = state.x
-    memo = state.oracle_memo
-    if memo is not None and memo[0] is x:
-        return memo[1], memo[2]
-    if full is None:
-        full = full_value_grad(obj, x, None)
-    f = full.value(None)
-    norm_d = float(np.linalg.norm(projected_direction(cs, x, full.grad)))
-    state.oracle_memo = (x, norm_d, f)
-    return norm_d, f
+    X = np.column_stack(xs)
+    values, G = obj.kernel.weighted_value_grad_many(obj.weights, X)
+    bad = ~(np.isfinite(G).all(axis=0) & np.isfinite(values))
+    if bad.any():
+        j = int(bad.argmax())
+        raise NonFiniteValue(
+            f"oracle at row k={ks[j]}: objective value {values[j]!r} or its gradient is not finite"
+        )
+    norm_d = np.linalg.norm(projected_direction(cs, X, G), axis=0)
+    return norm_d, values
 
 
 def _guarded(fn: Callable[[], float]) -> float:
@@ -346,7 +348,8 @@ def ipas_step(
     the iterate is merely re-projected (an unsuccessful step).  Mini-batch
     iterations always take their trial step to the acceptance test; on
     rejection the iterate is kept bitwise unchanged and the batch grows by
-    dN, capped at the component count.
+    dN, capped at the component count.  The record's oracle columns
+    (norm_d_true, f_true) are NaN; _drive fills them in batches.
     """
     x = state.x
     k = state.k
@@ -373,6 +376,7 @@ def ipas_step(
     unsuccessful = False
     t = 0.0
     Nk_next = state.Nk
+    e_next = e_x
     if is_full:
         if descent_check(grad_est, p, cfg.c):
             f_full = est.value(meter)
@@ -385,6 +389,7 @@ def ipas_step(
             reproj = inexact_project(cs, x, eta_k)
             cg_total += _account(state, cs, reproj, eta_k)
             x_next = reproj.point
+            e_next = reproj.residual_norm  # within eta_k, as _account checked
             unsuccessful = True
     else:
         f0 = est.value(meter)
@@ -400,25 +405,14 @@ def ipas_step(
             x_next = x  # rejected: the iterate is kept bitwise unchanged
             Nk_next = min(N, state.Nk + cfg.dN)
 
-    f_true = norm_d_true = math.nan
-    if cfg.oracle_metrics:
-        # A full-sample step already evaluated the full sum at x.
-        norm_d_true, f_true = _oracle(state, cs, obj, est if is_full else None)
-
     # Feasibility bookkeeping: accepted steps must contract the gap up to
-    # the projection tolerance; re-projections must land within it.
-    e_next = e_x
-    if accepted or unsuccessful:
-        if accepted:
-            e_next = feasibility_gap(cs, x_next)
-            bound = (1.0 - t) * e_x + eta_k + _FEAS_CHECK_ATOL
-        else:
-            e_next = reproj.residual_norm
-            bound = eta_k + _FEAS_CHECK_ATOL
+    # the projection tolerance.
+    if accepted:
+        e_next = feasibility_gap(cs, x_next)
+        bound = (1.0 - t) * e_x + eta_k + _FEAS_CHECK_ATOL
         if e_next > bound:
-            step = "accepted step" if accepted else "re-projection"
             raise InvariantViolation(
-                f"feasibility gap {e_next:.6e} after the {step} exceeds {bound:.6e} "
+                f"feasibility gap {e_next:.6e} after the accepted step exceeds {bound:.6e} "
                 f"at iteration {k}"
             )
 
@@ -427,9 +421,9 @@ def ipas_step(
         Nk=state.Nk,
         t=float(t),
         norm_p=norm_p,
-        norm_d_true=norm_d_true,
+        norm_d_true=math.nan,
         e_x=e_x,
-        f_true=f_true,
+        f_true=math.nan,
         scalar_products=meter.scalar_products,
         accepted=accepted,
         unsuccessful=unsuccessful,
@@ -446,21 +440,19 @@ def ipas_step(
     return record
 
 
-def _state_record(
-    state: SolverState, cs: ConstraintSet, obj: FiniteSumObjective, oracle_metrics: bool
-) -> IterationRecord:
-    """Terminal trace row: the final iterate's metrics with no step fields."""
-    f_true = norm_d_true = math.nan
-    if oracle_metrics:
-        norm_d_true, f_true = _oracle(state, cs, obj)
+def _state_record(state: SolverState) -> IterationRecord:
+    """Terminal trace row: the final iterate's state with no step fields.
+
+    Its oracle columns are NaN, for _drive to fill.
+    """
     return IterationRecord(
         k=state.k,
         Nk=state.Nk,
         t=0.0,
         norm_p=0.0,
-        norm_d_true=norm_d_true,
+        norm_d_true=math.nan,
         e_x=state.e_x,
-        f_true=f_true,
+        f_true=math.nan,
         scalar_products=state.meter.scalar_products,
         accepted=False,
         unsuccessful=False,
@@ -484,7 +476,15 @@ def _drive(
     Nk and calls step(state, cs, obj, cfg), where cfg is a SolverConfig or
     a BaselineConfig, until cfg.k_max iterations or until the step marks
     the state done.  The trace ends with a terminal row for the final
-    iterate, whose oracle columns are NaN unless oracle_metrics is set.
+    iterate.
+
+    With oracle_metrics set, every row whose oracle columns the step left
+    NaN (every adaptive row and the terminal row) is filled here, after the
+    fact, since nothing in the trajectory reads them.  Each distinct
+    iterate is evaluated once: consecutive rows at the same array, as after
+    a rejected step, share one column of a batched evaluation
+    (_oracle_batch), which runs every _ORACLE_BATCH distinct iterates and
+    once at the end.  Otherwise those columns stay NaN.
     """
     if obj.dim != cs.n:
         raise ConfigInvalid(
@@ -498,13 +498,41 @@ def _drive(
     rng = np.random.default_rng(seed)
     state = SolverState(x=x0, k=0, Nk=Nk, rng=rng, meter=BudgetMeter(), e_x=feasibility_gap(cs, x0))
     records: list[IterationRecord] = []
+    # Distinct iterates awaiting the oracle, the k of the first row at each,
+    # and (row index, iterate index) for every row to fill.
+    xs: list[np.ndarray] = []
+    ks: list[int] = []
+    pending: list[tuple[int, int]] = []
+
+    def flush() -> None:
+        if xs:
+            norm_d, f = _oracle_batch(cs, obj, xs, ks)
+            for i, j in pending:
+                records[i] = replace(records[i], norm_d_true=float(norm_d[j]), f_true=float(f[j]))
+        xs.clear()
+        ks.clear()
+        pending.clear()
+
+    def append(record: IterationRecord, x: np.ndarray) -> None:
+        records.append(record)
+        if not (oracle_metrics and math.isnan(record.f_true)):
+            return
+        if not xs or xs[-1] is not x:
+            if len(xs) == _ORACLE_BATCH:
+                flush()
+            xs.append(x)
+            ks.append(record.k)
+        pending.append((len(records) - 1, len(xs) - 1))
+
     status = STATUS_MAX_ITERATIONS
     while state.k < cfg.k_max:
-        records.append(step(state, cs, obj, cfg))
+        x = state.x
+        append(step(state, cs, obj, cfg), x)
         if state.done is not None:
             status = state.done
             break
-    records.append(_state_record(state, cs, obj, oracle_metrics))
+    append(_state_record(state), state.x)
+    flush()
     return RunResult(
         records=records,
         status=status,

@@ -364,6 +364,24 @@ class TestProjectedDirection:
         d = projected_direction(cs, x, g)
         assert np.linalg.norm(cs.A @ d) <= 1e-10
 
+    def test_columns_match_one_point_at_a_time(self):
+        # K points as columns share one solve; it sums in another order
+        # than the one-point path, so the two agree to rounding.
+        cs = random_system(4, 11, seed=54)
+        rng = np.random.default_rng(55)
+        X = rng.standard_normal((11, 5))
+        G = rng.standard_normal((11, 5))
+        D = projected_direction(cs, X, G)
+        assert D.shape == (11, 5)
+        for j in range(5):
+            np.testing.assert_allclose(
+                D[:, j], projected_direction(cs, X[:, j], G[:, j]), rtol=0, atol=1e-12
+            )
+        with pytest.raises(DimensionMismatch):
+            projected_direction(cs, X, G[:, :4])
+        with pytest.raises(DimensionMismatch):
+            exact_project(cs, X[:, :, None])
+
     def test_descent_inequality(self):
         # g . d <= -||d||^2 holds for projections onto affine sets.
         rng = np.random.default_rng(53)

@@ -12,6 +12,7 @@ from ipas import (
     exact_project,
     feasibility_gap,
     CallableKernel,
+    FiniteSumObjective,
     full_value,
     full_value_grad,
     generate_constraints,
@@ -24,11 +25,27 @@ from ipas import (
     noisy_quadratic_component,
     noisy_quadratic_objective,
     save_libsvm,
+    uniform_weights,
 )
 
 from ipas.objective import ComponentKernel
+from ipas.problems import _ROW_BLOCK
 
 DATA = Path(__file__).parent / "data"
+
+
+def assert_batch_matches_columns(kernel, w, X, rtol):
+    """weighted_value_grad_many at X against weighted_value_grad per column.
+
+    The batch sums in another order, so the two agree to rtol, not bitwise.
+    """
+    values, grads = kernel.weighted_value_grad_many(w, X)
+    assert values.shape == (X.shape[1],)
+    assert grads.shape == X.shape
+    for j in range(X.shape[1]):
+        value, grad = kernel.weighted_value_grad(w, X[:, j])
+        np.testing.assert_allclose(values[j], value, rtol=rtol)
+        np.testing.assert_allclose(grads[:, j], grad, rtol=rtol)
 
 
 def small_dataset() -> LogisticDataset:
@@ -104,6 +121,17 @@ class TestLogisticComponents:
         assert value == kernel.weighted_value(w, x)
         loop_grad = sum(w[i] * logistic_component(ds, i, x)[1] for i in range(4))
         np.testing.assert_allclose(grad, loop_grad, rtol=1e-13)
+        assert_batch_matches_columns(kernel, w, rng.standard_normal((2, 3)), rtol=1e-13)
+
+    def test_batched_kernel_covers_both_block_edges(self):
+        # N is not a multiple of the row block, so the last block is short,
+        # and K exceeds the solver's 64-iterate batches.
+        ds = make_synthetic_logistic(2 * _ROW_BLOCK + 123, 5, seed=4)
+        rng = np.random.default_rng(5)
+        w = rng.random(ds.n_samples)
+        w /= w.sum()
+        kernel = logistic_objective(ds, w).kernel
+        assert_batch_matches_columns(kernel, w, rng.standard_normal((5, 70)), rtol=1e-13)
 
     def test_uniform_objective_is_plain_average(self):
         ds = small_dataset()
@@ -307,6 +335,7 @@ class TestNoisyQuadratic:
         assert value == obj.kernel.weighted_value(w, x)
         loop_grad = sum(w[i] * noisy_quadratic_component(spec, i, x)[1] for i in range(7))
         np.testing.assert_allclose(grad, loop_grad, rtol=1e-12)
+        assert_batch_matches_columns(obj.kernel, w, rng.standard_normal((3, 3)), rtol=1e-12)
 
     def test_spec_validation(self):
         good = make_noisy_quadratic(3, 4, sigma=0.5, seed=19)
@@ -351,13 +380,20 @@ class TestNoisyQuadratic:
 
 
 def test_every_kernel_implements_the_protocol():
-    kernels = (
-        logistic_objective(small_dataset()).kernel,
-        noisy_quadratic_objective(make_noisy_quadratic(3, 4, sigma=0.5, seed=1)).kernel,
-        CallableKernel(lambda i, x: (0.0, np.zeros_like(x)), 2),
+    objectives = (
+        logistic_objective(small_dataset()),
+        noisy_quadratic_objective(make_noisy_quadratic(3, 4, sigma=0.5, seed=1)),
+        FiniteSumObjective(
+            weights=uniform_weights(2),
+            dim=2,
+            kernel=CallableKernel(lambda i, x: (float(x @ x) + i, (2.0 + i) * x), 2),
+        ),
     )
-    for kernel in kernels:
+    X = np.random.default_rng(6).standard_normal((3, 4))
+    for obj in objectives:
+        kernel = obj.kernel
         assert isinstance(kernel, ComponentKernel), type(kernel).__name__
+        assert_batch_matches_columns(kernel, obj.weights, X[: obj.dim], rtol=1e-12)
 
 
 class TestConstraintGeneration:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from ipas import (
     CallableKernel,
     ConfigInvalid,
     FiniteSumObjective,
+    InvariantViolation,
     MaxBacktracks,
+    NonFiniteValue,
     ParseError,
     STATUS_MAX_ITERATIONS,
     STATUS_STATIONARY,
@@ -27,7 +30,9 @@ from ipas import (
     inexact_project,
     line_search_full,
     line_search_minibatch,
+    logistic_objective,
     make_noisy_quadratic,
+    make_synthetic_logistic,
     noisy_quadratic_objective,
     projected_direction,
     read_trace,
@@ -36,8 +41,9 @@ from ipas import (
     validate_config,
     write_trace,
 )
+from ipas.constraints import ProjectionResult
 from ipas.objective import BudgetMeter
-from ipas.solver import _oracle, ipas_step
+from ipas.solver import _ORACLE_BATCH, _oracle_batch, ipas_step
 
 
 def orthonormal_system(m: int, n: int, seed: int, shift: float = 0.0):
@@ -514,14 +520,79 @@ class TestRunBehaviour:
         with_oracle = run(cs, obj, SolverConfig(**base, oracle_metrics=True))
         without = run(cs, obj, SolverConfig(**base, oracle_metrics=False))
         np.testing.assert_array_equal(with_oracle.x, without.x)
-        assert with_oracle.meter.scalar_products == without.meter.scalar_products
+        assert with_oracle.meter == without.meter
         assert all(math.isnan(r.f_true) for r in without.records)
         assert all(math.isnan(r.norm_d_true) for r in without.records)
         assert all(math.isfinite(r.f_true) for r in with_oracle.records)
+        assert all(math.isfinite(r.norm_d_true) for r in with_oracle.records)
+        # Every other field of every record is equal: the oracle never feeds back.
+        blank = dict(norm_d_true=0.0, f_true=0.0)
+        assert [replace(r, **blank) for r in with_oracle.records] == [
+            replace(r, **blank) for r in without.records
+        ]
+
+
+class TestInvariantChecks:
+    """The runtime checks raise InvariantViolation when a projection misreports."""
+
+    def unsuccessful_first_step(self):
+        # Zero gradient from an infeasible start: the step projection only
+        # restores feasibility, the descent check fails and step 0 re-projects.
+        cs = orthonormal_system(2, 5, seed=14, shift=1.0)
+        obj = FiniteSumObjective(
+            weights=uniform_weights(3),
+            dim=5,
+            kernel=CallableKernel(lambda i, x: (0.0, np.zeros_like(x)), 3),
+        )
+        return cs, obj, SolverConfig(N0=3, D_size=1, k_max=1)
+
+    def patch_projection(self, monkeypatch, corrupt_call, corrupt):
+        calls = []
+
+        def patched(cs_, y, eta_):
+            proj = inexact_project(cs_, y, eta_)
+            calls.append(proj)
+            return corrupt(proj, eta_) if len(calls) == corrupt_call else proj
+
+        monkeypatch.setattr("ipas.solver.inexact_project", patched)
+        return calls
+
+    def test_over_tolerance_step_projection_raises(self, monkeypatch):
+        cs, obj, cfg = self.unsuccessful_first_step()
+        over = lambda proj, eta_: replace(proj, residual_norm=2.0 * eta_)
+        calls = self.patch_projection(monkeypatch, 1, over)
+        with pytest.raises(InvariantViolation, match="projection residual .* exceeds"):
+            run(cs, obj, cfg, x0=np.zeros(5))
+        assert len(calls) == 1
+
+    def test_over_tolerance_reprojection_raises(self, monkeypatch):
+        cs, obj, cfg = self.unsuccessful_first_step()
+        res = run(cs, obj, cfg, x0=np.zeros(5))
+        assert res.records[0].unsuccessful
+        over = lambda proj, eta_: replace(proj, residual_norm=2.0 * eta_)
+        calls = self.patch_projection(monkeypatch, 2, over)
+        with pytest.raises(InvariantViolation, match="projection residual .* exceeds"):
+            run(cs, obj, cfg, x0=np.zeros(5))
+        assert len(calls) == 2
+
+    def test_violated_accepted_step_contraction_raises(self, monkeypatch):
+        # A projection that reports its true residual but returns a point
+        # moved off the constraints by 100 along a row of A: the residual
+        # check passes, the accepted full-sample step does not contract the gap.
+        cs = orthonormal_system(2, 6, seed=8)
+        x_star = exact_project(cs, np.random.default_rng(9).standard_normal(6))
+        obj = pinned_target_objective(x_star + 1e3, n_components=3)
+        cfg = SolverConfig(N0=3, k_max=1)
+        shift = lambda proj, eta_: ProjectionResult(
+            proj.point + 100.0 * cs.A[0], proj.residual_norm, proj.cg_iterations
+        )
+        self.patch_projection(monkeypatch, 1, shift)
+        with pytest.raises(InvariantViolation, match="after the accepted step exceeds"):
+            run(cs, obj, cfg, x0=x_star)
 
 
 class TestOracleMemo:
-    """The unmetered oracle runs once per distinct iterate."""
+    """The unmetered oracle runs deferred and batched, once per distinct iterate."""
 
     def mixed_run(self):
         # Rejected mini-batch steps (one of them growing the batch to the
@@ -533,47 +604,84 @@ class TestOracleMemo:
         cfg = SolverConfig(N0=2, dN=1, D_size=2, k_max=120, seed=0, s_exp=0.8, c=0.9)
         return cs, obj, cfg
 
+    def logistic_run(self):
+        # Enough distinct iterates for two batches.
+        cs = generate_constraints(10, 4, seed=101)
+        obj = logistic_objective(make_synthetic_logistic(300, 10, seed=201))
+        cfg = SolverConfig(N0=30, dN=30, D_size=4, k_max=90, seed=1)
+        return cs, obj, cfg
+
+    def record_iterates(self, monkeypatch):
+        """Collect the iterate each step starts from; the caller appends res.x."""
+        iterates = []
+
+        def recorded(state, *args):
+            iterates.append(state.x)
+            return ipas_step(state, *args)
+
+        monkeypatch.setattr("ipas.solver.ipas_step", recorded)
+        return iterates
+
     def test_one_unmetered_evaluation_per_distinct_iterate(self, monkeypatch):
-        cs, obj, cfg = self.mixed_run()
-        unmetered = []
+        # Also with batches of one iterate, so that every rejection falls on
+        # a batch boundary.
+        for stride in (_ORACLE_BATCH, 1):
+            cs, obj, cfg = self.mixed_run()
+            batches = []
 
-        def counted(obj_, x, meter):
-            if meter is None:
-                unmetered.append(x)
-            return full_value_grad(obj_, x, meter)
+            def counted(cs_, obj_, xs, ks):
+                batches.append(list(xs))
+                return _oracle_batch(cs_, obj_, xs, ks)
 
-        monkeypatch.setattr("ipas.solver.full_value_grad", counted)
-        res = run(cs, obj, cfg)
-        N = obj.n_components
-        rows = res.records
-        # Mini-batch rows and the terminal row have no full-sum evaluation
-        # of their own; full-sample rows reuse the step's.  A row that
-        # starts where a rejected mini-batch step left the iterate reuses
-        # the previous row's oracle instead.
-        needs_own = [r.Nk < N for r in rows[:-1]] + [True]
-        after_rejection = [False] + [r.Nk < N and not r.accepted for r in rows[:-1]]
-        expected = sum(own and not rej for own, rej in zip(needs_own, after_rejection))
-        assert len(unmetered) == expected
-        assert expected < sum(needs_own)
-        assert any(rej and r.Nk == N for r, rej in zip(rows, after_rejection))
-        assert any(r.accepted and r.Nk == N for r in rows)
-        assert any(r.unsuccessful for r in rows)
+            monkeypatch.setattr("ipas.solver._ORACLE_BATCH", stride)
+            monkeypatch.setattr("ipas.solver._oracle_batch", counted)
+            iterates = self.record_iterates(monkeypatch)
+            res = run(cs, obj, cfg)
+            iterates.append(res.x)
+            rows = res.records
+            N = obj.n_components
+            # The iterate stays the same object exactly after a rejected mini-batch step.
+            same = [b is a for a, b in zip(iterates, iterates[1:])]
+            assert same == [r.Nk < N and not r.accepted for r in rows[:-1]]
+            distinct = [x for x, s in zip(iterates, [False] + same) if not s]
+            columns = [x for batch in batches for x in batch]
+            assert len(columns) == len(distinct) < len(rows)
+            assert all(a is b for a, b in zip(columns, distinct))
+            assert len(batches) >= 2
+            assert all(len(b) == stride for b in batches[:-1])
+            # Rows at one iterate carry identical bits, a full-sample row
+            # after a rejection included.
+            shared = [(a, b) for a, b, s in zip(rows, rows[1:], same) if s]
+            for a, b in shared:
+                assert repr((a.f_true, a.norm_d_true)) == repr((b.f_true, b.norm_d_true))
+            assert any(b.Nk == N for _, b in shared)
+            assert any(r.accepted and r.Nk == N for r in rows)
+            assert any(r.unsuccessful for r in rows)
 
     def test_oracle_never_sees_a_mutated_array(self, monkeypatch):
         cs, obj, cfg = self.mixed_run()
-        seen = []
+        snapshots = []
 
-        def watched(state, cs_, obj_, full=None):
-            seen.append((state.x, state.x.copy()))
-            if full is not None:
-                seen.append((full.grad, full.grad.copy()))
-            return _oracle(state, cs_, obj_, full)
+        def snapshotted(state, *args):
+            snapshots.append((state.x, state.x.tobytes()))
+            record = ipas_step(state, *args)
+            snapshots.append((state.x, state.x.tobytes()))
+            return record
 
-        monkeypatch.setattr("ipas.solver._oracle", watched)
+        checked = []
+
+        def compared(cs_, obj_, xs, ks):
+            for x in xs:
+                (snapshot,) = {b for a, b in snapshots if a is x}
+                assert x.tobytes() == snapshot
+                checked.append(x)
+            return _oracle_batch(cs_, obj_, xs, ks)
+
+        monkeypatch.setattr("ipas.solver.ipas_step", snapshotted)
+        monkeypatch.setattr("ipas.solver._oracle_batch", compared)
         res = run(cs, obj, cfg)
-        assert len(seen) > len(res.records)
-        for arr, snapshot in seen:
-            assert arr.tobytes() == snapshot.tobytes()
+        assert len(checked) > _ORACLE_BATCH
+        assert checked[-1] is res.x
 
     def test_no_reuse_across_runs(self):
         cs = generate_constraints(8, 3, seed=100)
@@ -585,26 +693,54 @@ class TestOracleMemo:
         # With k_max = 0 the first run's only oracle evaluation is at x0.
         first = run(cs, objs[0], SolverConfig(N0=2, D_size=2, k_max=0), x0=x0)
         second = run(cs, objs[1], SolverConfig(N0=2, D_size=2, k_max=5), x0=x0)
-        assert first.records[0].f_true == full_value(objs[0], x0, None)
-        assert second.records[0].f_true == full_value(objs[1], x0, None)
+        for res, obj in zip((first, second), objs):
+            f = full_value(obj, x0, None)
+            assert abs(res.records[0].f_true - f) <= 1e-12 * max(1.0, abs(f))
         assert second.records[0].f_true != first.records[0].f_true
 
     def test_columns_equal_a_fresh_evaluation_at_every_row(self, monkeypatch):
-        cs, obj, cfg = self.mixed_run()
-        iterates = []
+        # The batch sums in another order than one full_value_grad per
+        # iterate, so the columns equal a fresh evaluation to a tolerance
+        # fixed from float64 rounding, not bit for bit.
+        for problem in (self.mixed_run, self.logistic_run):
+            cs, obj, cfg = problem()
+            iterates = self.record_iterates(monkeypatch)
+            res = run(cs, obj, cfg)
+            iterates.append(res.x)
+            assert len(iterates) == len(res.records) > _ORACLE_BATCH
+            for r, x in zip(res.records, iterates):
+                full = full_value_grad(obj, x, None)
+                f = full.value(None)
+                norm_d = float(np.linalg.norm(projected_direction(cs, x, full.grad)))
+                scale = max(1.0, float(np.linalg.norm(x)), float(np.linalg.norm(full.grad)))
+                assert abs(r.f_true - f) <= 1e-12 * max(1.0, abs(f))
+                assert abs(r.norm_d_true - norm_d) <= 1e-12 * scale
 
-        def recorded(state, *args):
-            iterates.append(state.x)
-            return ipas_step(state, *args)
+    @pytest.mark.parametrize("bad", ["value", "gradient"])
+    def test_nonfinite_column_names_the_first_offending_row(self, bad):
+        # Component 0 has weight zero, so no sample ever draws it, but the
+        # full weighted sum still propagates its NaN once x leaves x0.
+        # Identical components accept every step, so every row from k = 1
+        # on is at a new, offending iterate.
+        cs = orthonormal_system(2, 6, seed=8)
+        x0 = exact_project(cs, np.zeros(6))
+        x_star = exact_project(cs, np.random.default_rng(9).standard_normal(6))
 
-        monkeypatch.setattr("ipas.solver.ipas_step", recorded)
-        res = run(cs, obj, cfg)
-        iterates.append(res.x)
-        assert len(iterates) == len(res.records)
-        for r, x in zip(res.records, iterates):
-            g = full_value_grad(obj, x, None).grad
-            assert r.f_true == full_value(obj, x, None)
-            assert r.norm_d_true == float(np.linalg.norm(projected_direction(cs, x, g)))
+        def fn(i, x):
+            d = x - x_star
+            value, grad = 0.5 * float(d @ d), d
+            if i == 0 and not np.array_equal(x, x0):
+                if bad == "value":
+                    value = math.nan
+                else:
+                    grad = np.full_like(d, math.nan)
+            return value, grad
+
+        obj = FiniteSumObjective(
+            weights=np.array([0.0, 0.5, 0.5]), dim=6, kernel=CallableKernel(fn, 3)
+        )
+        with pytest.raises(NonFiniteValue, match=r"oracle at row k=1:"):
+            run(cs, obj, SolverConfig(N0=1, D_size=2, k_max=5), x0=x0)
 
 
 class TestTraceIO:
