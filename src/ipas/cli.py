@@ -70,6 +70,11 @@ def _cmd_run(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     out_dir = _resolve_out_dir(args.out, cfg.output_dir)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        print(f"config error: cannot create output directory {out_dir}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
     outcome = run_experiment(cfg, workers=args.workers, output_dir=out_dir)
     print(
         f"{outcome.n_runs} runs ({outcome.n_failed} failed) -> {outcome.output_dir}"

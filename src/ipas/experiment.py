@@ -25,12 +25,13 @@ import numpy as np
 from .errors import ConfigInvalid, EmptyGroup, IpasError, ParseError
 from .objective import FiniteSumObjective
 from .problems import (
+    LogisticDataset,
     generate_constraints,
-    load_libsvm,
     logistic_objective,
     make_noisy_quadratic,
     min_norm_feasible,
     noisy_quadratic_objective,
+    parse_libsvm,
 )
 from .solver import (
     IterationRecord,
@@ -325,6 +326,22 @@ def plan_runs(cfg: ExperimentConfig, output_dir: str | None = None) -> list[dict
     return payloads
 
 
+# The last LIBSVM dataset this process parsed, keyed by (path, sha256 of the
+# file's bytes): the runs of a sweep that one worker executes share it, and
+# a file rewritten at the same path is parsed afresh.
+_dataset_cache: tuple[tuple[str, str], LogisticDataset] | None = None
+
+
+def _load_dataset(path: str) -> LogisticDataset:
+    global _dataset_cache
+    with open(path, "rb") as fh:
+        data = fh.read()
+    key = (path, hashlib.sha256(data).hexdigest())
+    if _dataset_cache is None or _dataset_cache[0] != key:
+        _dataset_cache = (key, parse_libsvm(data, path))
+    return _dataset_cache[1]
+
+
 def build_problem(problem: dict):
     """Construct (constraints, objective, x0) from a problem payload."""
     kind = problem["kind"]
@@ -340,7 +357,7 @@ def build_problem(problem: dict):
         obj = noisy_quadratic_objective(spec)
         n = spec.dim
     elif kind == "logistic":
-        ds = load_libsvm(problem["dataset"])
+        ds = _load_dataset(problem["dataset"])
         obj = logistic_objective(ds)
         n = ds.dim
     else:

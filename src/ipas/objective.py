@@ -34,7 +34,8 @@ class ComponentKernel(Protocol):
 
     weighted_value_grad_many evaluates many points in one pass, for the
     unmetered oracle; it may sum in another order than the single-point
-    method, so its results agree with it to rounding, not bit for bit.
+    method and use other, equivalent elementwise formulas, so its results
+    agree with it to rounding, not bit for bit.
     """
 
     def values(self, idx: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -246,6 +246,31 @@ class TestRun:
         assert "1 failed" in capsys.readouterr().out
 
 
+class TestUnusableOutputDir:
+    # An output path under a regular file (NotADirectoryError) or at one
+    # (FileExistsError), given by the flag or by the environment.
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    @pytest.mark.parametrize("where", ["under_a_file", "at_a_file"])
+    def test_exits_two_before_any_run(
+        self, config_path, tmp_path, monkeypatch, capsys, where, via
+    ):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("keep\n")
+        out_dir = blocker / "out" if where == "under_a_file" else blocker
+        argv = ["run", str(config_path), "--workers", "1"]
+        if via == "flag":
+            argv += ["--out", str(out_dir)]
+        else:
+            monkeypatch.setenv(OUTPUT_DIR_ENV, str(out_dir))
+        assert main(argv) == EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert f"config error: cannot create output directory {out_dir}: " in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert blocker.read_text() == "keep\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "exp.ini"]
+
+
 class TestSummarize:
     def test_rebuild_after_run(self, config_path, tmp_path, capsys):
         out_dir = tmp_path / "out"

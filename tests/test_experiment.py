@@ -9,19 +9,24 @@ from ipas import (
     ConfigInvalid,
     EmptyGroup,
     IterationRecord,
+    LogisticDataset,
     build_problem,
     budget_curve,
     execute_run,
     final_norm_d,
     interpolate_log_d,
+    load_libsvm,
+    make_synthetic_logistic,
     parse_experiment_config,
     plan_runs,
     reach_budget,
     read_manifest,
     run_experiment,
+    save_libsvm,
     summarize_dir,
     summarize_group,
 )
+from ipas import experiment
 from ipas.experiment import MANIFEST_NAME, REACH_THRESHOLDS, SUMMARY_NAME, _resolve_n0
 
 DATA = Path(__file__).parent / "data"
@@ -314,6 +319,80 @@ class TestBuildProblem:
         assert obj.n_components == 10
         assert cs.n == 5
         assert cs.m == 2
+
+
+def logistic_payload(path) -> dict:
+    return {"kind": "logistic", "dataset": str(path), "m_fraction": 0.4, "constraint_seed": 0}
+
+
+class TestDatasetCache:
+    def test_repeated_build_reuses_the_parsed_dataset(self, tmp_path, monkeypatch):
+        path = tmp_path / "data.libsvm"
+        path.write_bytes((DATA / "tiny.libsvm").read_bytes())
+        parsed = []
+        real = experiment.parse_libsvm
+        monkeypatch.setattr(
+            experiment, "parse_libsvm", lambda data, p: parsed.append(p) or real(data, p)
+        )
+        _, first, _ = build_problem(logistic_payload(path))
+        _, second, _ = build_problem(logistic_payload(path))
+        assert parsed == [str(path)]
+        assert second.kernel.ds is first.kernel.ds
+        assert not first.kernel.ds.Z.flags.writeable
+        assert not first.kernel.ds.y.flags.writeable
+
+    def test_rewritten_file_yields_the_new_data(self, tmp_path):
+        # Same path and same shape, so only the bytes tell the files apart.
+        path = tmp_path / "data.libsvm"
+        for seed in (1, 2):
+            ds = make_synthetic_logistic(12, 3, seed=seed)
+            save_libsvm(ds, path)
+            _, obj, _ = build_problem(logistic_payload(path))
+            np.testing.assert_array_equal(obj.kernel.ds.Z, load_libsvm(path).Z)
+            np.testing.assert_array_equal(obj.kernel.ds.y, ds.y)
+
+    def test_dataset_views_leave_the_callers_arrays_alone(self):
+        Z = np.arange(6.0).reshape(3, 2)
+        y = np.array([1.0, -1.0, 1.0])
+        ds = LogisticDataset(Z=Z, y=y)
+        assert np.shares_memory(ds.Z, Z) and np.shares_memory(ds.y, y)
+        assert Z.flags.writeable and y.flags.writeable
+        with pytest.raises(ValueError):
+            ds.Z[0, 0] = 1.0
+
+    def test_cached_sweep_matches_an_uncached_one(self, tmp_path, monkeypatch):
+        path = tmp_path / "data.libsvm"
+        save_libsvm(make_synthetic_logistic(60, 4, seed=3), path)
+        config = write_config(
+            tmp_path,
+            f"""
+            [problem]
+            kind = logistic
+            dataset = {path}
+            m_fraction = 0.5
+
+            [solver]
+            n0 = 3
+            d = 2
+            k_max = 25
+
+            [sweep]
+            s = 0.75 1
+
+            [run]
+            seeds = 0 1 2
+            """,
+        )
+        cfg = parse_experiment_config(config)
+        cached, uncached = tmp_path / "cached", tmp_path / "uncached"
+        run_experiment(cfg, workers=2, output_dir=str(cached))
+        monkeypatch.setattr(experiment, "_load_dataset", load_libsvm)
+        run_experiment(cfg, workers=1, output_dir=str(uncached))
+        names = sorted(p.name for p in cached.iterdir())
+        assert names == sorted(p.name for p in uncached.iterdir())
+        assert len(names) == 6 + 4
+        for name in names:
+            assert (cached / name).read_bytes() == (uncached / name).read_bytes(), name
 
 
 class TestResolveN0:

@@ -7,9 +7,12 @@ a change to the output is intended, regenerate the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and review the diff before committing it.
+and review the diff before committing it.  The script prints, for each
+file, "unchanged" or the columns whose cells changed, with the number of
+rows and the worst relative change in each.
 """
 
+import math
 import shutil
 import tempfile
 import textwrap
@@ -141,17 +144,61 @@ def test_failed_sweep_has_no_curves(tmp_path):
     assert not list(out.glob("curve_*.csv"))
 
 
+def _relative_change(old: str, new: str) -> float:
+    """|new - old| / max(|old|, |new|) between two numeric cells; inf for text."""
+    try:
+        a, b = float(old), float(new)
+    except ValueError:
+        return math.inf
+    if a == b:
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def change_report(old: bytes | None, new: bytes) -> str:
+    """One line saying how a regenerated golden file differs from its old bytes."""
+    if old == new:
+        return "unchanged"
+    if old is None:
+        return "new file"
+    old_lines, new_lines = old.decode().splitlines(), new.decode().splitlines()
+    header = new_lines[0].split(",")
+    if old_lines[0] != new_lines[0] or len(old_lines) != len(new_lines):
+        return f"rewritten: header or row count changed ({len(old_lines)} -> {len(new_lines)} lines)"
+    rows: set[int] = set()
+    columns: dict[str, list] = {}  # column -> [rows changed, worst relative change]
+    for r, (a, b) in enumerate(zip(old_lines[1:], new_lines[1:])):
+        for col, x, y in zip(header, a.split(","), b.split(",")):
+            if x != y:
+                rows.add(r)
+                stats = columns.setdefault(col, [0, 0.0])
+                stats[0] += 1
+                stats[1] = max(stats[1], _relative_change(x, y))
+    parts = ", ".join(
+        f"{col} ({n} rows, worst relative {worst:.1e})" for col, (n, worst) in columns.items()
+    )
+    return f"{len(rows)} of {len(new_lines) - 1} rows changed: {parts}"
+
+
+def _rewrite(path: Path, data: bytes) -> None:
+    old = path.read_bytes() if path.exists() else None
+    print(f"{path.relative_to(GOLDEN)}: {change_report(old, data)}")
+    path.write_bytes(data)
+
+
 def _regenerate() -> None:
     GOLDEN.mkdir(parents=True, exist_ok=True)
     tmp = Path(tempfile.mkdtemp())
     try:
         for name in TRACES:
-            (GOLDEN / name).write_bytes(trace_bytes(name, tmp))
+            _rewrite(GOLDEN / name, trace_bytes(name, tmp))
         for name, (_, files) in SWEEPS.items():
             out = sweep_dir(name, tmp)
             (GOLDEN / name).mkdir(exist_ok=True)
             for fname in files:
-                shutil.copyfile(out / fname, GOLDEN / name / fname)
+                _rewrite(GOLDEN / name / fname, (out / fname).read_bytes())
     finally:
         shutil.rmtree(tmp)
 

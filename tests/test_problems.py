@@ -7,6 +7,7 @@ import pytest
 from ipas import (
     LabelError,
     LogisticDataset,
+    NonFiniteValue,
     NoisyQuadraticSpec,
     ParseError,
     exact_project,
@@ -30,6 +31,7 @@ from ipas import (
 
 from ipas.objective import ComponentKernel
 from ipas.problems import _ROW_BLOCK
+from ipas.solver import _oracle_batch
 
 DATA = Path(__file__).parent / "data"
 
@@ -132,6 +134,42 @@ class TestLogisticComponents:
         w /= w.sum()
         kernel = logistic_objective(ds, w).kernel
         assert_batch_matches_columns(kernel, w, rng.standard_normal((5, 70)), rtol=1e-13)
+
+    # Margins m = -y <z, x> at the edges of the shared exp(-|m|): zero, tiny
+    # normal numbers, the linear and the underflowing tails, and 1e300, whose
+    # exp(+|m|) would overflow.
+    EXTREME_MARGINS = (0.0, 1e-300, -1e-300, 40.0, -40.0, 800.0, -800.0, 1e300, -1e300)
+
+    @pytest.mark.parametrize("label", [1.0, -1.0])
+    def test_batched_kernel_at_extreme_margins(self, label):
+        # One component with z = 1, so each column's value is w * loss(m) and
+        # its gradient w * (-y) * sigmoid(m): every margin is checked on its own.
+        kernel = logistic_objective(LogisticDataset(Z=np.ones((1, 1)), y=np.array([label]))).kernel
+        w = np.array([0.7])
+        X = -label * np.array([self.EXTREME_MARGINS])
+        assert_batch_matches_columns(kernel, w, X, rtol=1e-13)
+
+    def test_batched_kernel_raises_no_floating_point_error(self):
+        ds = make_synthetic_logistic(3 * len(self.EXTREME_MARGINS), 1, seed=3)
+        Z = np.vstack([ds.Z, np.ones((len(self.EXTREME_MARGINS), 1))])
+        kernel = logistic_objective(
+            LogisticDataset(Z=Z, y=np.concatenate([ds.y, -np.ones(len(self.EXTREME_MARGINS))]))
+        ).kernel
+        w = uniform_weights(Z.shape[0])
+        with np.errstate(over="raise", invalid="raise"):
+            values, grads = kernel.weighted_value_grad_many(w, np.array([self.EXTREME_MARGINS]))
+        assert np.isfinite(values).all() and np.isfinite(grads).all()
+
+    @pytest.mark.parametrize("first_bad", [math.inf, math.nan])
+    def test_nonfinite_column_names_the_first_offending_row(self, first_bad):
+        # x = (inf, 0) gives some component a margin of +inf, hence an
+        # infinite loss; x = (nan, 0) gives NaN everywhere.
+        obj = logistic_objective(small_dataset())
+        cs = generate_constraints(2, 1, seed=0)
+        other = math.nan if math.isinf(first_bad) else math.inf
+        xs = [np.zeros(2), np.array([first_bad, 0.0]), np.array([other, 0.0])]
+        with pytest.raises(NonFiniteValue, match=r"oracle at row k=4:"):
+            _oracle_batch(cs, obj, xs, [0, 4, 9])
 
     def test_uniform_objective_is_plain_average(self):
         ds = small_dataset()
