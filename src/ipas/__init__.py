@@ -29,6 +29,7 @@ from .errors import (
     LabelError,
     MaxBacktracks,
     NonFiniteValue,
+    OutputExists,
     ParseError,
     RankDeficient,
     WeightError,

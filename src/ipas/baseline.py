@@ -94,6 +94,8 @@ def baseline_step(
     if norm_d <= cfg.tol_d and state.e_x <= cfg.tol_e:
         state.done = STATUS_STATIONARY
 
+    # The very expression phi evaluated at t, so the next full_value_grad
+    # sees the same bytes and the kernel can reuse that evaluation.
     state.x = x + t * d
     state.e_x = feasibility_gap(cs, state.x)
     state.k = k + 1

@@ -3,7 +3,8 @@
 Subcommands: run a config file, rebuild summaries from a trace directory,
 or validate a config without running anything.  Exit codes: 0 on success,
 1 when runs fail or a summary cannot be built, 2 for configuration
-errors.  The IPAS_OUT_DIR environment variable overrides the config's
+errors, among them an output directory that already holds sweep results.
+The IPAS_OUT_DIR environment variable overrides the config's
 output directory; the --out flag overrides both.
 """
 
@@ -13,7 +14,7 @@ import argparse
 import os
 import sys
 
-from .errors import EmptyGroup, IpasError
+from .errors import EmptyGroup, IpasError, OutputExists
 from .experiment import (
     parse_experiment_config,
     plan_runs,
@@ -75,7 +76,11 @@ def _cmd_run(args) -> int:
     except OSError as exc:
         print(f"config error: cannot create output directory {out_dir}: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    outcome = run_experiment(cfg, workers=args.workers, output_dir=out_dir)
+    try:
+        outcome = run_experiment(cfg, workers=args.workers, output_dir=out_dir)
+    except OutputExists as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
     print(
         f"{outcome.n_runs} runs ({outcome.n_failed} failed) -> {outcome.output_dir}"
     )

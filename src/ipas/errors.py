@@ -41,6 +41,10 @@ class ConfigInvalid(IpasError):
     """A solver or experiment configuration violates a hard constraint."""
 
 
+class OutputExists(IpasError):
+    """An output directory already holds the results of a sweep."""
+
+
 class InvariantViolation(IpasError):
     """A runtime feasibility check failed; the computed iterates are not trustworthy."""
 

@@ -14,15 +14,18 @@ from __future__ import annotations
 import concurrent.futures
 import configparser
 import dataclasses
+import fnmatch
 import hashlib
 import json
 import math
 import os
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigInvalid, EmptyGroup, IpasError, ParseError
+from .errors import ConfigInvalid, EmptyGroup, IpasError, OutputExists, ParseError
 from .objective import FiniteSumObjective
 from .problems import (
     LogisticDataset,
@@ -46,6 +49,10 @@ from .solver import (
 
 MANIFEST_NAME = "runs.csv"
 SUMMARY_NAME = "summary.csv"
+
+# Names of the files a sweep writes; a directory holding any of them already
+# holds results, which a new sweep would overwrite or merge with its own.
+_OUTPUT_PATTERNS = (MANIFEST_NAME, SUMMARY_NAME, "trace_*.csv", "curve_*.csv")
 
 # Stationarity levels reported as "fraction of runs that reached" columns.
 REACH_THRESHOLDS = (1e-1, 1e-2, 1e-3)
@@ -377,7 +384,9 @@ def execute_run(payload: dict) -> dict:
     """Run one grid point / seed combination and write its trace.
 
     Returns a result row for the manifest; failures are reported in the
-    row rather than raised, so one bad run cannot take down a sweep.
+    row rather than raised, so one bad run cannot take down a sweep.  A
+    completed run's row also carries, under "trace_columns", the columns
+    of its trace that the summary and the curves read.
     """
     # The payload carries every manifest column except status and error.
     result = {col: payload.get(col, "") for col in MANIFEST_COLUMNS}
@@ -390,6 +399,7 @@ def execute_run(payload: dict) -> dict:
         out = run(cs, obj, cfg, x0=x0)
         write_trace(out.records, os.path.join(payload["output_dir"], payload["trace_file"]))
         result["status"] = out.status
+        result["trace_columns"] = _columns(out.records)
     except (IpasError, OSError, ValueError) as exc:
         result["status"] = "failed"
         result["error"] = str(exc)
@@ -411,6 +421,25 @@ def read_manifest(path: str) -> list[dict]:
     return rows
 
 
+class _TraceColumns(NamedTuple):
+    """What a summary reads of one trace: each row's budget and norm_d_true, the final e_x."""
+
+    budget: np.ndarray
+    norm_d: np.ndarray
+    e_final: float
+
+
+def _columns(trace) -> _TraceColumns:
+    """The _TraceColumns of a trace given as its records; columns pass through."""
+    if isinstance(trace, _TraceColumns):
+        return trace
+    return _TraceColumns(
+        np.array([r.scalar_products for r in trace], dtype=float),
+        np.array([r.norm_d_true for r in trace], dtype=float),
+        trace[-1].e_x,
+    )
+
+
 def final_norm_d(records: list[IterationRecord]) -> float:
     return records[-1].norm_d_true
 
@@ -418,12 +447,12 @@ def final_norm_d(records: list[IterationRecord]) -> float:
 def reach_budget(records: list[IterationRecord], threshold: float) -> float:
     """Scalar products spent until norm_d_true first drops to the threshold.
 
-    Returns +inf when the run never reached it.
+    Returns +inf when the run never reached it.  records may also be the
+    trace's columns as execute_run returns them.
     """
-    for r in records:
-        if r.norm_d_true <= threshold:
-            return float(r.scalar_products)
-    return math.inf
+    cols = _columns(records)
+    hits = np.flatnonzero(cols.norm_d <= threshold)
+    return float(cols.budget[hits[0]]) if hits.size else math.inf
 
 
 def _summary_row(rows: list[dict], **stats) -> SummaryRow:
@@ -458,8 +487,9 @@ def summarize_group(
     """Aggregate one grid point over its seeds.
 
     rows holds the manifest entries (completed and failed); traces holds
-    the parsed trace of each completed run, aligned with the completed
-    subset of rows in order.
+    the parsed trace of each completed run (its records, or its columns as
+    execute_run returns them), aligned with the completed subset of rows in
+    order.
     """
     if not rows:
         raise EmptyGroup("cannot summarise an empty run group")
@@ -472,9 +502,10 @@ def summarize_group(
     if len(completed) != len(traces):
         raise ValueError("trace list does not match the completed runs")
 
-    finals = np.array([final_norm_d(t) for t in traces])
-    budgets = np.array([t[-1].scalar_products for t in traces], dtype=float)
-    e_finals = np.array([t[-1].e_x for t in traces])
+    traces = [_columns(t) for t in traces]
+    finals = np.array([t.norm_d[-1] for t in traces])
+    budgets = np.array([t.budget[-1] for t in traces])
+    e_finals = np.array([t.e_final for t in traces])
     reached = tuple(
         float(np.mean([1.0 if reach_budget(t, thr) < math.inf else 0.0 for t in traces]))
         for thr in REACH_THRESHOLDS
@@ -494,19 +525,14 @@ def interpolate_log_d(records: list[IterationRecord], budgets: np.ndarray) -> np
     """Per-run interpolant of log10 norm_d_true, linear in the budget axis.
 
     Rows sharing a budget value collapse to the latest one, and direction
-    norms are floored at 1e-16 before the log.
+    norms are floored at 1e-16 before the log.  records may also be the
+    trace's columns as execute_run returns them.
     """
-    xs = np.array([r.scalar_products for r in records], dtype=float)
-    ys = np.log10(np.maximum([r.norm_d_true for r in records], 1e-16))
-    keep_x: list[float] = []
-    keep_y: list[float] = []
-    for x, y in zip(xs, ys):
-        if keep_x and x == keep_x[-1]:
-            keep_y[-1] = y
-        else:
-            keep_x.append(float(x))
-            keep_y.append(float(y))
-    return np.interp(budgets, keep_x, keep_y)
+    cols = _columns(records)
+    ys = np.log10(np.maximum(cols.norm_d, 1e-16))
+    # The last row of each run of equal budgets.
+    last = np.append(cols.budget[1:] != cols.budget[:-1], True)
+    return np.interp(budgets, cols.budget[last], ys[last])
 
 
 def budget_curve(
@@ -520,8 +546,9 @@ def budget_curve(
     """
     if not traces:
         raise EmptyGroup("no traces to build a curve from")
-    lo = max(t[0].scalar_products for t in traces)
-    hi = min(t[-1].scalar_products for t in traces)
+    traces = [_columns(t) for t in traces]
+    lo = max(t.budget[0] for t in traces)
+    hi = min(t.budget[-1] for t in traces)
     if hi < lo:
         lo = hi
     grid = np.linspace(lo, hi, n_points) if hi > lo else np.array([float(lo)])
@@ -542,7 +569,19 @@ def summarize_dir(trace_dir: str) -> list[SummaryRow]:
     rows = read_manifest(manifest_path)
     if not rows:
         raise EmptyGroup(f"manifest in {trace_dir} lists no runs")
+    return _write_summary(
+        trace_dir, rows, lambda r: _columns(read_trace(os.path.join(trace_dir, r["trace_file"])))
+    )
 
+
+def _write_summary(
+    out_dir: str, rows: list[dict], columns_of: Callable[[dict], _TraceColumns]
+) -> list[SummaryRow]:
+    """Write summary.csv and one curve file per group with a completed run.
+
+    rows are manifest rows; columns_of(row) gives a completed run's trace
+    columns.
+    """
     groups: dict[str, list[dict]] = {}
     for row in rows:
         groups.setdefault(row["config_id"], []).append(row)
@@ -550,16 +589,12 @@ def summarize_dir(trace_dir: str) -> list[SummaryRow]:
     summary_rows = []
     for config_id in sorted(groups):
         group = sorted(groups[config_id], key=lambda r: r["seed"])
-        traces = [
-            read_trace(os.path.join(trace_dir, r["trace_file"]))
-            for r in group
-            if r["status"] != "failed"
-        ]
+        traces = [columns_of(r) for r in group if r["status"] != "failed"]
         if traces:
             summary_rows.append(summarize_group(group, traces))
             grid, mean, se = budget_curve(traces)
             _write_csv(
-                os.path.join(trace_dir, f"curve_{config_id}.csv"),
+                os.path.join(out_dir, f"curve_{config_id}.csv"),
                 CURVE_COLUMNS,
                 (
                     (b, m, s, 10.0**m, 10.0 ** (m - 1.96 * s), 10.0 ** (m + 1.96 * s))
@@ -570,7 +605,7 @@ def summarize_dir(trace_dir: str) -> list[SummaryRow]:
             # Keep fully-failed groups visible instead of dropping them.
             summary_rows.append(_summary_row(group, **_FAILED_STATS))
     _write_csv(
-        os.path.join(trace_dir, SUMMARY_NAME),
+        os.path.join(out_dir, SUMMARY_NAME),
         SUMMARY_COLUMNS,
         ((*dataclasses.astuple(r)[:-1], *r.reached) for r in summary_rows),
     )
@@ -593,9 +628,22 @@ def run_experiment(
     """Execute the full sweep and write traces, manifest, summary and curves.
 
     workers defaults to the available parallelism; results are collected
-    and written in a deterministic order regardless of scheduling.
+    and written in a deterministic order regardless of scheduling.  Raises
+    OutputExists, before any run, when the output directory already holds
+    a manifest, a summary, a trace or a curve file.
     """
     out_dir = output_dir if output_dir is not None else cfg.output_dir
+    if os.path.isdir(out_dir):
+        found = sorted(
+            name
+            for name in os.listdir(out_dir)
+            if any(fnmatch.fnmatchcase(name, pat) for pat in _OUTPUT_PATTERNS)
+        )
+        if found:
+            raise OutputExists(
+                f"output directory {out_dir} already holds sweep results "
+                f"({len(found)} files, e.g. {found[0]}); choose another directory"
+            )
     os.makedirs(out_dir, exist_ok=True)
     payloads = plan_runs(cfg, output_dir=out_dir)
 
@@ -615,7 +663,7 @@ def run_experiment(
         MANIFEST_COLUMNS,
         ([r[c] for c in MANIFEST_COLUMNS] for r in results),
     )
-    summary = summarize_dir(out_dir)
+    summary = _write_summary(out_dir, results, itemgetter("trace_columns"))
     n_failed = sum(1 for r in results if r["status"] == "failed")
     return ExperimentOutcome(
         output_dir=out_dir, n_runs=len(results), n_failed=n_failed, summary=summary

@@ -24,7 +24,10 @@ class ComponentKernel(Protocol):
     """Vectorised evaluation backend for the components of a finite sum.
 
     Implementations must be pure: repeated calls with the same arguments
-    return the same values, and nothing here may mutate shared state.
+    return the same values, bit for bit, and nothing here may mutate shared
+    state.  A kernel may memoise intermediate results, such as the margins
+    at the last point evaluated, provided a call returns the same bits with
+    or without the memo.
 
     A method that returns both values and a gradient must compute them in
     one pass over the data, sharing the work the two have in common (the

@@ -83,10 +83,32 @@ def logistic_component(ds: LogisticDataset, i: int, x: np.ndarray) -> tuple[floa
 
 
 class LogisticKernel:
-    """Vectorised evaluation of the logistic components."""
+    """Vectorised evaluation of the logistic components.
+
+    The full-data methods read the margins -y * (Z x) and the losses through
+    a one-entry memo of the last point they evaluated, keyed by the dtype,
+    shape and bytes of x.  A line search evaluates the objective at the
+    point it accepts, and the next iteration asks for value and gradient at
+    the same bytes, so that gradient pays only for the sigmoid and Z' coef.
+    A hit returns the arrays a miss would compute, so no result changes by a
+    bit; an x mutated in place, or one differing only in the sign of a zero,
+    misses.  The memo holds two N-vectors.
+    """
 
     def __init__(self, ds: LogisticDataset):
         self.ds = ds
+        self._memo: tuple[tuple, np.ndarray, np.ndarray] | None = None
+
+    def _margins_losses(self, x):
+        """Full-data margins and losses at x, read-only, from the memo when x's bytes match."""
+        x = np.asarray(x)
+        key = (x.dtype.str, x.shape, x.tobytes())
+        if self._memo is None or self._memo[0] != key:
+            margins = -self.ds.y * (self.ds.Z @ x)
+            losses = np.logaddexp(0.0, margins)
+            margins.flags.writeable = losses.flags.writeable = False
+            self._memo = (key, margins, losses)
+        return self._memo[1], self._memo[2]
 
     def values(self, idx, x):
         margins = -self.ds.y[idx] * (self.ds.Z[idx] @ x)
@@ -99,13 +121,13 @@ class LogisticKernel:
         return np.logaddexp(0.0, margins), (Z.T @ coef) / len(idx)
 
     def weighted_value(self, w, x):
-        margins = -self.ds.y * (self.ds.Z @ x)
-        return float(w @ np.logaddexp(0.0, margins))
+        _, losses = self._margins_losses(x)
+        return float(w @ losses)
 
     def weighted_value_grad(self, w, x):
-        margins = -self.ds.y * (self.ds.Z @ x)
+        margins, losses = self._margins_losses(x)
         coef = w * (-self.ds.y * expit(margins))
-        return float(w @ np.logaddexp(0.0, margins)), self.ds.Z.T @ coef
+        return float(w @ losses), self.ds.Z.T @ coef
 
     def weighted_value_grad_many(self, w, X):
         # One GEMM pair per block of rows: each block of Z is read once for

@@ -382,6 +382,8 @@ def ipas_step(
             f_full = est.value(meter)
             phi = lambda t_: _guarded(lambda: full_value(obj, x + t_ * p, meter))
             t = line_search_full(phi, f_full, slope, eta_k, cfg.beta, cfg.c1)
+            # The bytes phi evaluated at t: the kernel can reuse that
+            # evaluation for the next iteration's full gradient.
             x_next = x + t * p
             accepted = True
         else:

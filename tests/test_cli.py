@@ -271,6 +271,29 @@ class TestUnusableOutputDir:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "exp.ini"]
 
 
+class TestExistingResults:
+    # A second sweep into a directory must not overwrite or merge with the first.
+    def test_second_run_exits_two_and_changes_nothing(self, config_path, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        argv = ["run", str(config_path), "--out", str(out_dir), "--workers", "1"]
+        assert main(argv) == EXIT_OK
+        capsys.readouterr()
+        before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        assert main(argv) == EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: output directory {out_dir} already holds")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+    def test_premade_empty_directory_runs(self, config_path, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert main(["run", str(config_path), "--out", str(out_dir), "--workers", "1"]) == EXIT_OK
+        assert "2 runs (0 failed)" in capsys.readouterr().out
+        assert (out_dir / "runs.csv").exists()
+
+
 class TestSummarize:
     def test_rebuild_after_run(self, config_path, tmp_path, capsys):
         out_dir = tmp_path / "out"

@@ -10,6 +10,7 @@ from ipas import (
     EmptyGroup,
     IterationRecord,
     LogisticDataset,
+    OutputExists,
     build_problem,
     budget_curve,
     execute_run,
@@ -628,6 +629,79 @@ class TestEndToEnd:
         rows = summarize_dir(str(out_dir))
         assert (out_dir / SUMMARY_NAME).read_bytes() == before
         assert len(rows) == 2
+
+    @pytest.mark.parametrize("case", ["one_dn", "two_dn", "missing_data"])
+    def test_run_writes_what_summarize_dir_rebuilds(self, tmp_path, case):
+        # run_experiment summarises the columns its runs return; summarize_dir
+        # reads the same runs back from the manifest and the traces.
+        data = tmp_path / "data.libsvm"
+        if case != "missing_data":
+            save_libsvm(make_synthetic_logistic(60, 4, seed=3), data)
+        config = f"""
+            [problem]
+            kind = logistic
+            dataset = {data}
+
+            [solver]
+            n0 = 3
+            d = 2
+            k_max = 30
+
+            [sweep]
+            s = 0.75 1
+            dn = {"1 8" if case == "two_dn" else "1"}
+
+            [run]
+            seeds = 2 0 1
+            """
+        cfg = parse_experiment_config(write_config(tmp_path, config))
+        out_dir = tmp_path / "out"
+        outcome = run_experiment(cfg, workers=1, output_dir=str(out_dir))
+        assert outcome.n_failed == (outcome.n_runs if case == "missing_data" else 0)
+        written = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        derived = [SUMMARY_NAME, *(p.name for p in out_dir.glob("curve_*.csv"))]
+        n_curves = 0 if case == "missing_data" else len(cfg.sweep_s) * len(cfg.sweep_dN)
+        assert len(derived) == 1 + n_curves
+        for name in derived:
+            (out_dir / name).unlink()
+        # repr: a fully failed group's statistics are NaN.
+        assert repr(summarize_dir(str(out_dir))) == repr(outcome.summary)
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == written
+
+    def test_refuses_a_directory_with_results(self, tmp_path):
+        cfg = parse_experiment_config(write_config(tmp_path, QUAD_CONFIG))
+        out_dir = tmp_path / "out"
+        run_experiment(cfg, workers=1, output_dir=str(out_dir))
+        before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        with pytest.raises(OutputExists, match=f"output directory {out_dir} already holds"):
+            run_experiment(cfg, workers=1, output_dir=str(out_dir))
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+    @pytest.mark.parametrize(
+        "name", [MANIFEST_NAME, SUMMARY_NAME, "trace_other_seed0.csv", "curve_other.csv"]
+    )
+    def test_any_sweep_output_blocks_the_run(self, tmp_path, name):
+        cfg = parse_experiment_config(write_config(tmp_path, QUAD_CONFIG))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        (out_dir / name).write_text("earlier\n")
+        with pytest.raises(OutputExists, match=name):
+            run_experiment(cfg, workers=1, output_dir=str(out_dir))
+        assert [p.name for p in out_dir.iterdir()] == [name]
+        assert (out_dir / name).read_text() == "earlier\n"
+
+    def test_empty_or_unrelated_directory_runs(self, tmp_path):
+        cfg = parse_experiment_config(write_config(tmp_path, QUAD_CONFIG))
+        empty, other = tmp_path / "empty", tmp_path / "other"
+        empty.mkdir()
+        other.mkdir()
+        for name in ("notes.txt", "runs.csv.bak", "trace.csv", "curve_old.txt"):
+            (other / name).write_text("keep\n")
+        assert run_experiment(cfg, workers=1, output_dir=str(empty)).n_failed == 0
+        assert run_experiment(cfg, workers=1, output_dir=str(other)).n_failed == 0
+        for name in ("notes.txt", "runs.csv.bak", "trace.csv", "curve_old.txt"):
+            assert (other / name).read_text() == "keep\n"
+        assert (empty / MANIFEST_NAME).read_bytes() == (other / MANIFEST_NAME).read_bytes()
 
     def test_summarize_dir_without_manifest(self, tmp_path):
         with pytest.raises(EmptyGroup):

@@ -1,15 +1,18 @@
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from ipas import (
+    BaselineConfig,
     LabelError,
     LogisticDataset,
     NonFiniteValue,
     NoisyQuadraticSpec,
     ParseError,
+    SolverConfig,
     exact_project,
     feasibility_gap,
     CallableKernel,
@@ -25,12 +28,14 @@ from ipas import (
     min_norm_feasible,
     noisy_quadratic_component,
     noisy_quadratic_objective,
+    run,
+    run_baseline,
     save_libsvm,
     uniform_weights,
 )
 
 from ipas.objective import ComponentKernel
-from ipas.problems import _ROW_BLOCK
+from ipas.problems import _ROW_BLOCK, LogisticKernel
 from ipas.solver import _oracle_batch
 
 DATA = Path(__file__).parent / "data"
@@ -432,6 +437,133 @@ def test_every_kernel_implements_the_protocol():
         kernel = obj.kernel
         assert isinstance(kernel, ComponentKernel), type(kernel).__name__
         assert_batch_matches_columns(kernel, obj.weights, X[: obj.dim], rtol=1e-12)
+
+
+class _CountingZ:
+    """Stands in for a dataset's Z and counts the full-data products Z @ x.
+
+    Transposes, row gathers and the batched oracle's blocks reach the real
+    array, so only the margins of the full-data methods are counted.
+    """
+
+    def __init__(self, Z):
+        self.Z = Z
+        self.passes = 0
+
+    def __matmul__(self, x):
+        self.passes += 1
+        return self.Z @ x
+
+    def __getitem__(self, idx):
+        return self.Z[idx]
+
+    def __getattr__(self, name):
+        return getattr(self.Z, name)
+
+
+def count_margin_passes(kernel, monkeypatch) -> _CountingZ:
+    counter = _CountingZ(kernel.ds.Z)
+    monkeypatch.setattr(kernel, "ds", SimpleNamespace(Z=counter, y=kernel.ds.y))
+    return counter
+
+
+def record_full_data_points(kernel, monkeypatch) -> list[bytes]:
+    """Log the bytes of every x passed to weighted_value/weighted_value_grad."""
+    points: list[bytes] = []
+    for name in ("weighted_value", "weighted_value_grad"):
+        method = getattr(kernel, name)
+
+        def spy(w, x, method=method):
+            points.append(np.asarray(x).tobytes())
+            return method(w, x)
+
+        monkeypatch.setattr(kernel, name, spy)
+    return points
+
+
+def distinct_in_a_row(points: list[bytes]) -> int:
+    """Points differing from the one before: the misses of a one-entry memo."""
+    return sum(1 for i, p in enumerate(points) if i == 0 or p != points[i - 1])
+
+
+class TestLogisticMemo:
+    """The full-data methods reuse the margins of the last point, bit-neutrally."""
+
+    @pytest.mark.parametrize("source", ["tiny", "synthetic"])
+    def test_results_equal_a_fresh_kernel(self, source, monkeypatch):
+        if source == "tiny":
+            ds = load_libsvm(DATA / "tiny.libsvm")
+        else:
+            ds = make_synthetic_logistic(300, 10, seed=8)
+        kernel = LogisticKernel(ds)
+        counter = count_margin_passes(kernel, monkeypatch)
+        rng = np.random.default_rng(9)
+        w1 = uniform_weights(ds.n_samples)
+        w2 = rng.random(ds.n_samples)
+        w2 /= w2.sum()
+        x = rng.standard_normal(ds.dim)
+        y = rng.standard_normal(ds.dim)
+        y_pos_zero = y.copy()
+        y_pos_zero[0] = 0.0
+        y_neg_zero = y_pos_zero.copy()
+        y_neg_zero[0] = -0.0
+        steps = [  # (point, expected miss)
+            (x, True),
+            (x, False),  # a repeat
+            (x.copy(), False),  # the same bytes in a new array
+            (y, True),  # a new point
+            (y_pos_zero, True),
+            (y_neg_zero, True),  # differs only in the sign of a zero
+            (y_neg_zero, False),
+        ]
+
+        def check(w, point):
+            # Each reference comes from a new kernel, whose memo is empty.
+            assert kernel.weighted_value(w, point) == LogisticKernel(ds).weighted_value(w, point)
+            value, grad = kernel.weighted_value_grad(w, point)
+            ref_value, ref_grad = LogisticKernel(ds).weighted_value_grad(w, point)
+            assert value == ref_value
+            assert np.array_equal(grad, ref_grad)
+
+        for i, (point, miss) in enumerate(steps):
+            for w in (w1, w2):
+                before = counter.passes
+                check(w, point)
+                assert counter.passes - before == (1 if miss and w is w1 else 0), i
+        # Mutated in place after a call: the same array object, new bytes.
+        y_neg_zero += 0.5
+        check(w2, y_neg_zero)
+
+    def problem(self):
+        obj = logistic_objective(make_synthetic_logistic(300, 10, seed=1))
+        return generate_constraints(10, 3, seed=2), obj
+
+    def test_baseline_reads_each_accepted_point_once(self, monkeypatch):
+        cs, obj = self.problem()
+        counter = count_margin_passes(obj.kernel, monkeypatch)
+        points = record_full_data_points(obj.kernel, monkeypatch)
+        k_max = 8
+        records = run_baseline(cs, obj, BaselineConfig(k_max=k_max, c1=1e-4)).records
+        assert [r.t for r in records[:-1]] == [1.0] * k_max  # one trial per step
+        # A gradient and a trial per iteration, 2 k_max evaluations; the
+        # gradient at each accepted trial point reuses its margins.
+        assert len(points) == 2 * k_max
+        assert distinct_in_a_row(points) == k_max + 1
+        assert counter.passes == k_max + 1
+
+    def test_full_sample_ipas_reads_each_distinct_point_once(self, monkeypatch):
+        cs, obj = self.problem()
+        counter = count_margin_passes(obj.kernel, monkeypatch)
+        points = record_full_data_points(obj.kernel, monkeypatch)
+        cfg = SolverConfig(k_max=40, N0=250, dN=25, D_size=4, t_min=1e-3, seed=0)
+        records = run(cs, obj, cfg).records
+        # Mini-batch steps up to the full sample, then accepted one-trial steps.
+        full = [r for r in records[:-1] if r.Nk == obj.n_components]
+        assert len(full) >= 5
+        assert all(r.accepted and r.t == 1.0 for r in full)
+        assert len(points) == 2 * len(full)
+        assert distinct_in_a_row(points) == len(full) + 1
+        assert counter.passes == len(full) + 1
 
 
 class TestConstraintGeneration:
