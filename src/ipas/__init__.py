@@ -38,10 +38,10 @@ from .experiment import (
     ExperimentConfig,
     ExperimentOutcome,
     SummaryRow,
+    TraceColumns,
     build_problem,
     budget_curve,
     execute_run,
-    final_norm_d,
     interpolate_log_d,
     parse_experiment_config,
     plan_runs,

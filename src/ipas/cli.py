@@ -14,7 +14,7 @@ import argparse
 import os
 import sys
 
-from .errors import EmptyGroup, IpasError, OutputExists
+from .errors import ConfigInvalid, EmptyGroup, IpasError, OutputExists
 from .experiment import (
     parse_experiment_config,
     plan_runs,
@@ -72,13 +72,8 @@ def _cmd_run(args) -> int:
         return EXIT_CONFIG_ERROR
     out_dir = _resolve_out_dir(args.out, cfg.output_dir)
     try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        print(f"config error: cannot create output directory {out_dir}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    try:
         outcome = run_experiment(cfg, workers=args.workers, output_dir=out_dir)
-    except OutputExists as exc:
+    except (ConfigInvalid, OutputExists) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     print(

@@ -4,9 +4,9 @@ A config file describes one problem, a base solver configuration, a sweep
 grid over the tolerance exponent, the batch growth step and (for the
 noisy quadratic) the noise level, and a list of seeds.  Every grid point
 times seed becomes one run with its own trace CSV; a manifest, a summary
-table and per-grid-point budget curves are written next to the traces.
-Identical configs produce byte-identical outputs, regardless of worker
-count.
+table and per-grid-point budget curves are written next to the traces,
+from each completed run's TraceColumns.  Identical configs produce
+byte-identical outputs, regardless of worker count.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -215,6 +214,8 @@ def _parse_problem(sec: dict) -> dict:
     problem = {"kind": kind, **{key: conv(sec.get(key, d)) for key, (conv, d) in fields.items()}}
     if problem.get("components", 1) < 1:
         raise ConfigInvalid(f"components={problem['components']} must be >= 1")
+    if not 0.0 < problem["m_fraction"] <= 1.0:  # false for NaN and infinities too
+        raise ConfigInvalid(f"m_fraction={problem['m_fraction']} must lie in (0, 1]")
     return problem
 
 
@@ -226,6 +227,8 @@ def _parse_solver(sec: dict) -> tuple[SolverConfig, float | None]:
         raise ConfigInvalid("give either n0 or n0_fraction, not both")
     kwargs = {attr: conv(sec[key]) for key, attr, conv in _SOLVER_FIELDS if key in sec}
     n0_fraction = float(sec["n0_fraction"]) if "n0_fraction" in sec else None
+    if n0_fraction is not None and not 0.0 < n0_fraction <= 1.0:
+        raise ConfigInvalid(f"n0_fraction={n0_fraction} must lie in (0, 1]")
     return SolverConfig(**kwargs), n0_fraction
 
 
@@ -385,8 +388,7 @@ def execute_run(payload: dict) -> dict:
 
     Returns a result row for the manifest; failures are reported in the
     row rather than raised, so one bad run cannot take down a sweep.  A
-    completed run's row also carries, under "trace_columns", the columns
-    of its trace that the summary and the curves read.
+    completed run's row also carries its TraceColumns under "trace_columns".
     """
     # The payload carries every manifest column except status and error.
     result = {col: payload.get(col, "") for col in MANIFEST_COLUMNS}
@@ -399,7 +401,7 @@ def execute_run(payload: dict) -> dict:
         out = run(cs, obj, cfg, x0=x0)
         write_trace(out.records, os.path.join(payload["output_dir"], payload["trace_file"]))
         result["status"] = out.status
-        result["trace_columns"] = _columns(out.records)
+        result["trace_columns"] = TraceColumns.of(out.records)
     except (IpasError, OSError, ValueError) as exc:
         result["status"] = "failed"
         result["error"] = str(exc)
@@ -421,42 +423,52 @@ def read_manifest(path: str) -> list[dict]:
     return rows
 
 
-class _TraceColumns(NamedTuple):
+class TraceColumns(NamedTuple):
     """What a summary reads of one trace: each row's budget and norm_d_true, the final e_x."""
 
     budget: np.ndarray
     norm_d: np.ndarray
     e_final: float
 
-
-def _columns(trace) -> _TraceColumns:
-    """The _TraceColumns of a trace given as its records; columns pass through."""
-    if isinstance(trace, _TraceColumns):
-        return trace
-    return _TraceColumns(
-        np.array([r.scalar_products for r in trace], dtype=float),
-        np.array([r.norm_d_true for r in trace], dtype=float),
-        trace[-1].e_x,
-    )
+    @classmethod
+    def of(cls, records: list[IterationRecord]) -> TraceColumns:
+        """The columns of a trace given as its records."""
+        return cls(
+            np.array([r.scalar_products for r in records], dtype=float),
+            np.array([r.norm_d_true for r in records], dtype=float),
+            records[-1].e_x,
+        )
 
 
-def final_norm_d(records: list[IterationRecord]) -> float:
-    return records[-1].norm_d_true
-
-
-def reach_budget(records: list[IterationRecord], threshold: float) -> float:
+def reach_budget(trace: TraceColumns, threshold: float) -> float:
     """Scalar products spent until norm_d_true first drops to the threshold.
 
-    Returns +inf when the run never reached it.  records may also be the
-    trace's columns as execute_run returns them.
+    Returns +inf when the run never reached it.
     """
-    cols = _columns(records)
-    hits = np.flatnonzero(cols.norm_d <= threshold)
-    return float(cols.budget[hits[0]]) if hits.size else math.inf
+    hits = np.flatnonzero(trace.norm_d <= threshold)
+    return float(trace.budget[hits[0]]) if hits.size else math.inf
 
 
-def _summary_row(rows: list[dict], **stats) -> SummaryRow:
-    """A group's row: identity columns from its first run, failure counts, stats."""
+def summarize_group(rows: list[dict]) -> SummaryRow:
+    """Aggregate one grid point over its seeds.
+
+    rows holds the manifest entries, completed and failed; each completed
+    one carries its TraceColumns under "trace_columns".  A group whose runs
+    all failed stays visible, with NaN statistics and zero reach fractions.
+    """
+    if not rows:
+        raise EmptyGroup("cannot summarise an empty run group")
+    traces = [r["trace_columns"] for r in rows if r["status"] != "failed"]
+    if traces:
+        finals = np.array([(t.norm_d[-1], t.budget[-1], t.e_final) for t in traces])
+        reached = tuple(
+            float(np.mean([reach_budget(t, thr) < math.inf for t in traces]))
+            for thr in REACH_THRESHOLDS
+        )
+    else:
+        finals = np.full((1, 3), math.nan)
+        reached = (0.0,) * len(REACH_THRESHOLDS)
+    d_finals, budgets, e_finals = finals.T
     head = rows[0]
     return SummaryRow(
         config_id=head["config_id"],
@@ -465,78 +477,30 @@ def _summary_row(rows: list[dict], **stats) -> SummaryRow:
         dN=head["dN"],
         sigma=head["sigma"],
         n_runs=len(rows),
-        n_failed=sum(1 for r in rows if r["status"] == "failed"),
-        **stats,
-    )
-
-
-# Statistics of a group whose runs all failed.
-_FAILED_STATS = dict(
-    d_final_median=math.nan,
-    d_final_q25=math.nan,
-    d_final_q75=math.nan,
-    budget_median=math.nan,
-    e_final_median=math.nan,
-    reached=tuple(0.0 for _ in REACH_THRESHOLDS),
-)
-
-
-def summarize_group(
-    rows: list[dict], traces: list[list[IterationRecord]]
-) -> SummaryRow:
-    """Aggregate one grid point over its seeds.
-
-    rows holds the manifest entries (completed and failed); traces holds
-    the parsed trace of each completed run (its records, or its columns as
-    execute_run returns them), aligned with the completed subset of rows in
-    order.
-    """
-    if not rows:
-        raise EmptyGroup("cannot summarise an empty run group")
-    completed = [r for r in rows if r["status"] != "failed"]
-    if not completed:
-        raise EmptyGroup(
-            f"group {rows[0]['config_id']} has no completed runs "
-            f"({len(rows)} failed)"
-        )
-    if len(completed) != len(traces):
-        raise ValueError("trace list does not match the completed runs")
-
-    traces = [_columns(t) for t in traces]
-    finals = np.array([t.norm_d[-1] for t in traces])
-    budgets = np.array([t.budget[-1] for t in traces])
-    e_finals = np.array([t.e_final for t in traces])
-    reached = tuple(
-        float(np.mean([1.0 if reach_budget(t, thr) < math.inf else 0.0 for t in traces]))
-        for thr in REACH_THRESHOLDS
-    )
-    return _summary_row(
-        rows,
-        d_final_median=float(np.quantile(finals, 0.5)),
-        d_final_q25=float(np.quantile(finals, 0.25)),
-        d_final_q75=float(np.quantile(finals, 0.75)),
+        n_failed=len(rows) - len(traces),
+        d_final_median=float(np.quantile(d_finals, 0.5)),
+        d_final_q25=float(np.quantile(d_finals, 0.25)),
+        d_final_q75=float(np.quantile(d_finals, 0.75)),
         budget_median=float(np.quantile(budgets, 0.5)),
         e_final_median=float(np.quantile(e_finals, 0.5)),
         reached=reached,
     )
 
 
-def interpolate_log_d(records: list[IterationRecord], budgets: np.ndarray) -> np.ndarray:
+def interpolate_log_d(trace: TraceColumns, budgets: np.ndarray) -> np.ndarray:
     """Per-run interpolant of log10 norm_d_true, linear in the budget axis.
 
     Rows sharing a budget value collapse to the latest one, and direction
-    norms are floored at 1e-16 before the log.  records may also be the
-    trace's columns as execute_run returns them.
+    norms are floored at 1e-16 before the log.
     """
-    cols = _columns(records)
-    ys = np.log10(np.maximum(cols.norm_d, 1e-16))
+    ys = np.log10(np.maximum(trace.norm_d, 1e-16))
     # The last row of each run of equal budgets.
-    last = np.append(cols.budget[1:] != cols.budget[:-1], True)
-    return np.interp(budgets, cols.budget[last], ys[last])
+    last = np.append(trace.budget[1:] != trace.budget[:-1], True)
+    return np.interp(budgets, trace.budget[last], ys[last])
 
 
 def budget_curve(
-    traces: list[list[IterationRecord]], n_points: int = CURVE_POINTS
+    traces: list[TraceColumns], n_points: int = CURVE_POINTS
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mean and standard error of log10 ||d|| on a common budget grid.
 
@@ -546,7 +510,6 @@ def budget_curve(
     """
     if not traces:
         raise EmptyGroup("no traces to build a curve from")
-    traces = [_columns(t) for t in traces]
     lo = max(t.budget[0] for t in traces)
     hi = min(t.budget[-1] for t in traces)
     if hi < lo:
@@ -569,19 +532,15 @@ def summarize_dir(trace_dir: str) -> list[SummaryRow]:
     rows = read_manifest(manifest_path)
     if not rows:
         raise EmptyGroup(f"manifest in {trace_dir} lists no runs")
-    return _write_summary(
-        trace_dir, rows, lambda r: _columns(read_trace(os.path.join(trace_dir, r["trace_file"])))
-    )
+    for row in rows:
+        if row["status"] != "failed":
+            trace = read_trace(os.path.join(trace_dir, row["trace_file"]))
+            row["trace_columns"] = TraceColumns.of(trace)
+    return _write_summary(trace_dir, rows)
 
 
-def _write_summary(
-    out_dir: str, rows: list[dict], columns_of: Callable[[dict], _TraceColumns]
-) -> list[SummaryRow]:
-    """Write summary.csv and one curve file per group with a completed run.
-
-    rows are manifest rows; columns_of(row) gives a completed run's trace
-    columns.
-    """
+def _write_summary(out_dir: str, rows: list[dict]) -> list[SummaryRow]:
+    """Write summary.csv, and a curve file per group with a completed run, from manifest rows."""
     groups: dict[str, list[dict]] = {}
     for row in rows:
         groups.setdefault(row["config_id"], []).append(row)
@@ -589,9 +548,9 @@ def _write_summary(
     summary_rows = []
     for config_id in sorted(groups):
         group = sorted(groups[config_id], key=lambda r: r["seed"])
-        traces = [columns_of(r) for r in group if r["status"] != "failed"]
+        summary_rows.append(summarize_group(group))
+        traces = [r["trace_columns"] for r in group if r["status"] != "failed"]
         if traces:
-            summary_rows.append(summarize_group(group, traces))
             grid, mean, se = budget_curve(traces)
             _write_csv(
                 os.path.join(out_dir, f"curve_{config_id}.csv"),
@@ -601,9 +560,6 @@ def _write_summary(
                     for b, m, s in zip(grid, mean, se)
                 ),
             )
-        else:
-            # Keep fully-failed groups visible instead of dropping them.
-            summary_rows.append(_summary_row(group, **_FAILED_STATS))
     _write_csv(
         os.path.join(out_dir, SUMMARY_NAME),
         SUMMARY_COLUMNS,
@@ -630,7 +586,7 @@ def run_experiment(
     workers defaults to the available parallelism; results are collected
     and written in a deterministic order regardless of scheduling.  Raises
     OutputExists, before any run, when the output directory already holds
-    a manifest, a summary, a trace or a curve file.
+    sweep results, and ConfigInvalid when it cannot be created.
     """
     out_dir = output_dir if output_dir is not None else cfg.output_dir
     if os.path.isdir(out_dir):
@@ -644,7 +600,10 @@ def run_experiment(
                 f"output directory {out_dir} already holds sweep results "
                 f"({len(found)} files, e.g. {found[0]}); choose another directory"
             )
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigInvalid(f"cannot create output directory {out_dir}: {exc}") from exc
     payloads = plan_runs(cfg, output_dir=out_dir)
 
     if workers is None:
@@ -663,7 +622,7 @@ def run_experiment(
         MANIFEST_COLUMNS,
         ([r[c] for c in MANIFEST_COLUMNS] for r in results),
     )
-    summary = _write_summary(out_dir, results, itemgetter("trace_columns"))
+    summary = _write_summary(out_dir, results)
     n_failed = sum(1 for r in results if r["status"] == "failed")
     return ExperimentOutcome(
         output_dir=out_dir, n_runs=len(results), n_failed=n_failed, summary=summary

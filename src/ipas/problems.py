@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 from scipy.special import expit
 
-from .constraints import ConstraintSet, build_constraint_set
+from .constraints import ConstraintSet, build_constraint_set, exact_project
 from .errors import LabelError, ParseError, RankDeficient
 from .objective import FiniteSumObjective, uniform_weights
 
@@ -24,8 +24,8 @@ from .objective import FiniteSumObjective, uniform_weights
 # logistic regression
 
 # Rows of Z per block of LogisticKernel.weighted_value_grad_many.  With the
-# oracle's batches of up to 64 points, each (rows, points) block buffer holds
-# at most 128 KB and stays in cache through the elementwise passes.  The
+# oracle's batches of up to 64 points, each (rows, points) block temporary
+# holds at most 128 KB and stays in cache through the elementwise passes.  The
 # blocks change the summation order, and the loss and sigmoid formulas differ
 # from logaddexp/expit, so the method agrees with weighted_value_grad to
 # rounding, not bit for bit.  One call on 100000x200 at one BLAS thread took
@@ -135,31 +135,17 @@ class LogisticKernel:
         # Between the two, loss and sigmoid both come from e = exp(-|m|):
         # loss = max(m, 0) + log1p(e) and sigmoid = where(m > 0, 1, e) / (1 + e),
         # the formulas behind logaddexp(0, m) and expit(m) but in ufuncs that
-        # numpy vectorises, so either may differ from them by an ulp.  The
-        # block buffers are allocated once per call and reused in place.
+        # numpy vectorises, so either may differ from them by an ulp.
         Z, y = self.ds.Z, self.ds.y
         values = np.zeros(X.shape[1])
         grads = np.zeros(X.shape)
-        shape = (min(_ROW_BLOCK, len(y)), X.shape[1])
-        m_buf, e_buf, loss_buf = np.empty(shape), np.empty(shape), np.empty(shape)
-        pos_buf = np.empty(shape, dtype=bool)
         for lo in range(0, len(y), _ROW_BLOCK):
             rows = slice(lo, lo + _ROW_BLOCK)
             Zb, wb = Z[rows], w[rows]
-            r = len(Zb)
-            m, e, loss, positive = m_buf[:r], e_buf[:r], loss_buf[:r], pos_buf[:r]
-            np.matmul(Zb, X, out=m)
-            m *= -y[rows, None]
-            np.abs(m, out=e)
-            np.negative(e, out=e)
-            np.exp(e, out=e)
-            np.greater(m, 0.0, out=positive)
-            np.log1p(e, out=loss)
-            loss += np.maximum(m, 0.0, out=m)
-            values += wb @ loss
-            denom = np.add(e, 1.0, out=m)
-            np.copyto(e, 1.0, where=positive)
-            coef = np.divide(e, denom, out=e)
+            m = (Zb @ X) * -y[rows, None]
+            e = np.exp(-np.abs(m))
+            values += wb @ (np.log1p(e) + np.maximum(m, 0.0))
+            coef = np.where(m > 0.0, 1.0, e) / (e + 1.0)
             coef *= (-wb * y[rows])[:, None]
             grads += Zb.T @ coef
         return values, grads
@@ -443,5 +429,5 @@ def generate_constraints(n: int, m: int, seed: int) -> ConstraintSet:
 
 
 def min_norm_feasible(cs: ConstraintSet) -> np.ndarray:
-    """The minimum-norm point of {x : A x = b}: A^T (A A^T)^{-1} b."""
-    return cs.A.T @ scipy.linalg.cho_solve(cs.chol, cs.b)
+    """The minimum-norm point of {x : A x = b}: the projection of the origin."""
+    return exact_project(cs, np.zeros(cs.n))

@@ -153,10 +153,6 @@ class RunResult:
     seed: int
     projections_checked: int = 0
 
-    @property
-    def final_record(self) -> IterationRecord:
-        return self.records[-1]
-
 
 def eta(k: int, s_exp: float) -> float:
     """Projection tolerance schedule 1/(k+1)^s_exp for k = 0, 1, ..."""

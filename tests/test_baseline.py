@@ -69,7 +69,7 @@ class TestBaselineRun:
     def test_direction_norm_decreases_overall(self):
         cs, obj = problem()
         res = run_baseline(cs, obj, BaselineConfig(k_max=200))
-        assert res.final_record.norm_d_true < 0.05 * res.records[0].norm_d_true
+        assert res.records[-1].norm_d_true < 0.05 * res.records[0].norm_d_true
 
     def test_budget_charges_full_gradient_plus_exact_solve(self):
         # Iteration k costs N grads + (m+4)m for the solve + N per line
@@ -105,7 +105,7 @@ class TestBaselineRun:
         res = run_baseline(cs, obj, BaselineConfig(k_max=k_max), x0=x0)
         assert sum(r.cg_iters for r in res.records) * (cs.m + 4) == res.meter.cg_scalar_products
         assert res.records[0].e_x == feasibility_gap(cs, x0)
-        assert res.final_record.e_x == feasibility_gap(cs, res.x)
+        assert res.records[-1].e_x == feasibility_gap(cs, res.x)
 
     def test_deterministic(self):
         cs, obj = problem()

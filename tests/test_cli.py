@@ -1,4 +1,5 @@
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -195,6 +196,27 @@ class TestImpossibleControlSample:
         assert code == EXIT_CONFIG_ERROR
         assert not out_dir.exists()
         assert "D_size=6 must be <= N-1 = 5" in capsys.readouterr().err
+
+
+class TestFractionOutOfRange:
+    # The shipped logistic config with a starting-batch fraction that no
+    # run could resolve; parsing rejects it before anything runs.
+    def config(self, tmp_path):
+        shipped = (Path(__file__).parents[1] / "configs" / "logistic.ini").read_text()
+        path = tmp_path / "inf_n0.ini"
+        path.write_text(shipped.replace("n0_fraction = 0.01", "n0_fraction = inf"))
+        return path
+
+    def test_validate_exits_two(self, tmp_path, capsys):
+        assert main(["validate", str(self.config(tmp_path))]) == EXIT_CONFIG_ERROR
+        assert "n0_fraction=inf must lie in (0, 1]" in capsys.readouterr().err
+
+    def test_run_exits_two_and_writes_nothing(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        code = main(["run", str(self.config(tmp_path)), "--out", str(out_dir)])
+        assert code == EXIT_CONFIG_ERROR
+        assert not out_dir.exists()
+        assert "n0_fraction=inf must lie in (0, 1]" in capsys.readouterr().err
 
 
 class TestRun:

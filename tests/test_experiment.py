@@ -11,10 +11,10 @@ from ipas import (
     IterationRecord,
     LogisticDataset,
     OutputExists,
+    TraceColumns,
     build_problem,
     budget_curve,
     execute_run,
-    final_norm_d,
     interpolate_log_d,
     load_libsvm,
     make_synthetic_logistic,
@@ -167,6 +167,15 @@ class TestConfigParsing:
             ("dn = 1", "dn = 0 1"),  # a grid point breaks the dN bound
             ("d = 2", "d = 8"),  # D_size above N-1 = 7 components
             ("components = 8", "components = 0"),
+            # Fractions must be finite and lie in (0, 1].
+            ("m_fraction = 0.5", "m_fraction = inf"),
+            ("m_fraction = 0.5", "m_fraction = nan"),
+            ("m_fraction = 0.5", "m_fraction = 2"),
+            ("m_fraction = 0.5", "m_fraction = 0"),
+            ("n0 = 2", "n0_fraction = inf"),
+            ("n0 = 2", "n0_fraction = nan"),
+            ("n0 = 2", "n0_fraction = 1.5"),
+            ("n0 = 2", "n0_fraction = -0.1"),
         ],
     )
     def test_invalid_configs_rejected(self, tmp_path, mutation):
@@ -477,42 +486,44 @@ class TestExecuteRun:
         assert result["error"] != ""
 
 
+def columns(*rows):
+    """TraceColumns of a trace given as (budget, norm_d) pairs."""
+    return TraceColumns.of([trace_row(k, budget, d) for k, (budget, d) in enumerate(rows)])
+
+
 class TestReachAndInterpolation:
     def test_reach_budget_first_crossing(self):
-        records = [
-            trace_row(0, 10, 1.0),
-            trace_row(1, 20, 0.05),
-            trace_row(2, 30, 0.2),  # goes back up; first crossing counts
-            trace_row(3, 40, 0.01),
-        ]
-        assert reach_budget(records, 0.1) == 20.0
-        assert reach_budget(records, 0.01) == 40.0
-        assert reach_budget(records, 1e-6) == math.inf
-        assert final_norm_d(records) == 0.01
+        # Goes back up at budget 30; the first crossing counts.
+        trace = columns((10, 1.0), (20, 0.05), (30, 0.2), (40, 0.01))
+        assert reach_budget(trace, 0.1) == 20.0
+        assert reach_budget(trace, 0.01) == 40.0
+        assert reach_budget(trace, 1e-6) == math.inf
+
+    def test_columns_of_records(self):
+        records = [trace_row(0, 10, 1.0, e=0.5), trace_row(1, 20, 0.05, e=0.25)]
+        trace = TraceColumns.of(records)
+        np.testing.assert_array_equal(trace.budget, [10.0, 20.0])
+        np.testing.assert_array_equal(trace.norm_d, [1.0, 0.05])
+        assert trace.e_final == 0.25
 
     def test_interpolation_hand_values(self):
-        records = [trace_row(0, 0, 1.0), trace_row(1, 10, 0.1), trace_row(2, 20, 0.01)]
-        out = interpolate_log_d(records, np.array([0.0, 5.0, 10.0, 15.0, 20.0]))
+        trace = columns((0, 1.0), (10, 0.1), (20, 0.01))
+        out = interpolate_log_d(trace, np.array([0.0, 5.0, 10.0, 15.0, 20.0]))
         np.testing.assert_allclose(out, [0.0, -0.5, -1.0, -1.5, -2.0], atol=1e-12)
 
     def test_duplicate_budget_keeps_latest(self):
-        records = [
-            trace_row(0, 0, 1.0),
-            trace_row(1, 10, 0.1),
-            trace_row(2, 10, 0.001),  # rejected-step row: same budget, new metric
-            trace_row(3, 20, 0.0001),
-        ]
-        out = interpolate_log_d(records, np.array([10.0]))
+        # The third row is a rejected step: same budget, new metric.
+        trace = columns((0, 1.0), (10, 0.1), (10, 0.001), (20, 0.0001))
+        out = interpolate_log_d(trace, np.array([10.0]))
         np.testing.assert_allclose(out, [-3.0], atol=1e-12)
 
     def test_zero_direction_is_floored(self):
-        records = [trace_row(0, 0, 1.0), trace_row(1, 10, 0.0)]
-        out = interpolate_log_d(records, np.array([10.0]))
+        out = interpolate_log_d(columns((0, 1.0), (10, 0.0)), np.array([10.0]))
         assert out[0] == -16.0
 
     def test_budget_curve_two_runs(self):
-        t1 = [trace_row(0, 0, 1.0), trace_row(1, 100, 0.01)]
-        t2 = [trace_row(0, 20, 1.0), trace_row(1, 80, 0.0001)]
+        t1 = columns((0, 1.0), (100, 0.01))
+        t2 = columns((20, 1.0), (80, 0.0001))
         grid, mean, se = budget_curve([t1, t2], n_points=4)
         # Common support is [max(0, 20), min(100, 80)].
         assert grid[0] == 20.0
@@ -524,8 +535,7 @@ class TestReachAndInterpolation:
         np.testing.assert_allclose(se, expected_se, atol=1e-12)
 
     def test_budget_curve_single_run_has_zero_se(self):
-        t1 = [trace_row(0, 0, 1.0), trace_row(1, 100, 0.01)]
-        grid, mean, se = budget_curve([t1], n_points=3)
+        grid, mean, se = budget_curve([columns((0, 1.0), (100, 0.01))], n_points=3)
         np.testing.assert_array_equal(se, np.zeros_like(mean))
 
     def test_budget_curve_empty_group(self):
@@ -534,53 +544,51 @@ class TestReachAndInterpolation:
 
 
 class TestSummarizeGroup:
-    def rows(self, statuses):
-        return [
-            {
-                "config_id": "s1_dN1",
-                "config_hash": "h",
-                "s_exp": 1.0,
-                "dN": 1,
-                "sigma": None,
-                "seed": i,
-                "status": st,
-                "trace_file": f"t{i}.csv",
-            }
-            for i, st in enumerate(statuses)
+    def rows(self, traces, n_failed=0):
+        """Manifest rows: one completed run per trace, then n_failed failed runs."""
+        head = {"config_id": "s1_dN1", "config_hash": "h", "s_exp": 1.0, "dN": 1, "sigma": None}
+        completed = [
+            {**head, "seed": i, "status": "ok", "trace_columns": t} for i, t in enumerate(traces)
         ]
+        failed = [
+            {**head, "seed": len(traces) + i, "status": "failed"} for i in range(n_failed)
+        ]
+        return completed + failed
 
     def test_quantiles_on_known_finals(self):
-        traces = [
-            [trace_row(0, 0, 5.0), trace_row(1, 10, d)] for d in (1.0, 2.0, 9.0)
-        ]
-        row = summarize_group(self.rows(["ok", "ok", "ok"]), traces)
+        row = summarize_group(self.rows([columns((0, 5.0), (10, d)) for d in (1.0, 2.0, 9.0)]))
         assert row.d_final_median == 2.0
         assert row.d_final_q25 == 1.5
         assert row.d_final_q75 == 5.5
+        assert row.budget_median == 10.0
         assert row.n_runs == 3
         assert row.n_failed == 0
 
     def test_reach_fractions(self):
         traces = [
-            [trace_row(0, 0, 1.0), trace_row(1, 10, 0.05)],  # reaches 1e-1 only
-            [trace_row(0, 0, 1.0), trace_row(1, 10, 0.005)],  # reaches 1e-1, 1e-2
+            columns((0, 1.0), (10, 0.05)),  # reaches 1e-1 only
+            columns((0, 1.0), (10, 0.005)),  # reaches 1e-1, 1e-2
         ]
-        row = summarize_group(self.rows(["ok", "ok"]), traces)
+        row = summarize_group(self.rows(traces))
         assert row.reached == (1.0, 0.5, 0.0)
         assert len(REACH_THRESHOLDS) == len(row.reached)
 
     def test_failed_rows_counted_but_not_aggregated(self):
-        traces = [[trace_row(0, 0, 1.0), trace_row(1, 10, 0.5)]]
-        row = summarize_group(self.rows(["ok", "failed"]), traces)
+        row = summarize_group(self.rows([columns((0, 1.0), (10, 0.5))], n_failed=1))
         assert row.n_runs == 2
         assert row.n_failed == 1
         assert row.d_final_median == 0.5
 
+    def test_all_failed_group_keeps_a_nan_row(self):
+        row = summarize_group(self.rows([], n_failed=2))
+        assert (row.config_id, row.n_runs, row.n_failed) == ("s1_dN1", 2, 2)
+        stats = (row.d_final_median, row.d_final_q25, row.d_final_q75, row.budget_median)
+        assert all(math.isnan(v) for v in (*stats, row.e_final_median))
+        assert row.reached == (0.0,) * len(REACH_THRESHOLDS)
+
     def test_empty_group_raises(self):
         with pytest.raises(EmptyGroup):
-            summarize_group([], [])
-        with pytest.raises(EmptyGroup):
-            summarize_group(self.rows(["failed", "failed"]), [])
+            summarize_group([])
 
 
 class TestEndToEnd:
@@ -619,6 +627,33 @@ class TestEndToEnd:
         run_experiment(cfg, workers=2, output_dir=str(d2))
         for name in sorted(p.name for p in d1.iterdir()):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
+
+    def test_mixed_group_summary_matches_the_rebuild(self, tmp_path, monkeypatch):
+        # One seed of one grid point fails, the other runs complete.
+        real_execute_run = experiment.execute_run
+
+        def fail_one_seed(payload):
+            if payload["config_id"] == "s1_dN1_sig0.5" and payload["seed"] == 1:
+                payload = {**payload, "problem": {**payload["problem"], "kind": "cubic"}}
+            return real_execute_run(payload)
+
+        monkeypatch.setattr(experiment, "execute_run", fail_one_seed)
+        cfg = parse_experiment_config(
+            write_config(tmp_path, QUAD_CONFIG.replace("seeds = 0, 1", "seeds = 0, 1, 2"))
+        )
+        out_dir = tmp_path / "out"
+        outcome = run_experiment(cfg, workers=1, output_dir=str(out_dir))
+        assert outcome.n_failed == 1
+        assert [(r.config_id, r.n_runs, r.n_failed) for r in outcome.summary] == [
+            ("s1_dN1_sig0.5", 3, 1),
+            ("s2_dN1_sig0.5", 3, 0),
+        ]
+        written = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        assert "trace_s1_dN1_sig0.5_seed1.csv" not in written
+        for name in [SUMMARY_NAME, "curve_s1_dN1_sig0.5.csv", "curve_s2_dN1_sig0.5.csv"]:
+            (out_dir / name).unlink()
+        assert summarize_dir(str(out_dir)) == outcome.summary
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == written
 
     def test_summarize_dir_rebuilds_summary(self, tmp_path):
         cfg = parse_experiment_config(write_config(tmp_path, QUAD_CONFIG))

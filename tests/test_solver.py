@@ -333,7 +333,7 @@ class TestRunBehaviour:
         assert len(res.records) == 3  # two iterations plus the state row
         np.testing.assert_allclose(res.x, x_star, rtol=0, atol=1e-12)
         assert res.records[0].t == 1.0
-        assert res.final_record.norm_d_true <= 1e-12
+        assert res.records[-1].norm_d_true <= 1e-12
 
     def test_stationarity_never_fires_below_full_sample(self):
         # Identical components mean every trial is accepted, so the batch
@@ -440,7 +440,7 @@ class TestRunBehaviour:
         assert any(r.unsuccessful for r in rows)
         assert sum(r.cg_iters for r in res.records) * (cs.m + 4) == res.meter.cg_scalar_products
         assert res.projections_checked == len(calls)
-        assert res.final_record.e_x == feasibility_gap(cs, res.x)
+        assert res.records[-1].e_x == feasibility_gap(cs, res.x)
         # An unsuccessful step pays for the full gradient and its projections
         # only; the value its one-pass evaluation also computed is not charged.
         for k, r in enumerate(rows):
