@@ -67,12 +67,10 @@ from .problems import (
     NoisyQuadraticSpec,
     generate_constraints,
     load_libsvm,
-    logistic_component,
     logistic_objective,
     make_noisy_quadratic,
     make_synthetic_logistic,
     min_norm_feasible,
-    noisy_quadratic_component,
     noisy_quadratic_objective,
     save_libsvm,
 )

@@ -13,6 +13,7 @@ and rejecting those steps would stall the reference method.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,10 +71,10 @@ def baseline_step(
     d = exact_project(cs, x - g) - x
     # Exact solve priced at CG's worst case on the m-dimensional system.
     meter.charge_cg(cs.m, cs.m)
-    norm_d = float(np.linalg.norm(d))
+    norm_d = math.sqrt(float(d.dot(d)))
 
     f0 = full.value(meter)
-    slope = float(g @ d)
+    slope = float(g.dot(d))
     phi = lambda t_: _guarded(lambda: full_value(obj, x + t_ * d, meter))
     t = line_search_full(phi, f0, slope, eta_k, cfg.beta, cfg.c1)
 

@@ -25,6 +25,11 @@ _PIVOT_RTOL = 1e-12
 # CG iteration cap, as a multiple of the system size m.
 _CG_MAX_ITER_FACTOR = 10
 
+# LAPACK's float64 triangular solve with a Cholesky factor, the routine
+# scipy.linalg.cho_solve dispatches to, fetched once: on the m x m systems
+# here cho_solve's argument checks and lookup cost about ten times the solve.
+_POTRS = scipy.linalg.get_lapack_funcs("potrs", (np.empty((1, 1)),))
+
 
 @dataclass(frozen=True)
 class ConstraintSet:
@@ -113,7 +118,8 @@ def feasibility_gap(cs: ConstraintSet, x: np.ndarray) -> float:
 
 def _gap(cs: ConstraintSet, x: np.ndarray) -> float:
     """||A x - b|| for a validated float x; the one expression of the gap."""
-    return float(np.linalg.norm(cs.A @ x - cs.b))
+    r = cs.A.dot(x) - cs.b
+    return math.sqrt(float(r.dot(r)))
 
 
 def exact_project(cs: ConstraintSet, y: np.ndarray) -> np.ndarray:
@@ -125,8 +131,16 @@ def exact_project(cs: ConstraintSet, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.shape[:1] != (cs.n,) or y.ndim > 2:
         raise DimensionMismatch(f"y must have shape ({cs.n},) or ({cs.n}, K), got {y.shape}")
-    lam = scipy.linalg.cho_solve(cs.chol, cs.A @ y - (cs.b if y.ndim == 1 else cs.b[:, None]))
-    return y - cs.A.T @ lam
+    rhs = cs.A.dot(y) - (cs.b if y.ndim == 1 else cs.b[:, None])
+    # What cho_solve checks of the right-hand side; the factor was checked
+    # when the constraint set was built.
+    if not np.isfinite(rhs).all():
+        raise ValueError("array must not contain infs or NaNs")
+    c, lower = cs.chol
+    lam, info = _POTRS(c, rhs, lower=lower, overwrite_b=True)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+    return y - cs.A.T.dot(lam)
 
 
 def cg_solve(
@@ -142,19 +156,23 @@ def cg_solve(
     the recurrence, so callers can rely on it.  Raises CgStalled when the
     tolerance is not met within max_iter iterations.
     """
-    x = np.zeros_like(rhs, dtype=float)
     r = np.array(rhs, dtype=float)
-    rnorm = math.sqrt(float(r @ r))
+    x = np.zeros(r.shape)
+    rnorm = math.sqrt(float(r.dot(r)))
     if rnorm <= tol_abs:
         return x, rnorm, 0
 
+    # On the small systems here numpy's per-call dispatch, not arithmetic,
+    # sets the cost of an iteration, so the loop makes as few calls as the
+    # arithmetic allows: ndarray.dot for the scalar products and an in-place
+    # update of p.
     p = r.copy()
     rs = rnorm * rnorm
     best_norm = rnorm
     for it in range(1, max_iter + 1):
         Ap = apply(p)
-        pAp = float(p @ Ap)
-        if not math.isfinite(pAp) or pAp <= 0.0:
+        pAp = float(p.dot(Ap))
+        if not 0.0 < pAp < math.inf:
             raise CgStalled(
                 f"CG curvature p^T A p = {pAp:.3e} is not positive; operator is not SPD",
                 residual_norm=best_norm,
@@ -163,11 +181,12 @@ def cg_solve(
         alpha = rs / pAp
         x += alpha * p
         r -= alpha * Ap
-        rs_new = float(r @ r)
-        if math.sqrt(rs_new) <= tol_abs:
+        rs_new = float(r.dot(r))
+        rnorm = math.sqrt(rs_new)
+        if rnorm <= tol_abs:
             # Recurrence residuals drift from the truth; confirm before exiting.
             true_r = rhs - apply(x)
-            true_norm = math.sqrt(float(true_r @ true_r))
+            true_norm = math.sqrt(float(true_r.dot(true_r)))
             if true_norm <= tol_abs:
                 return x, true_norm, it
             r = true_r
@@ -176,10 +195,11 @@ def cg_solve(
             rs = rs_new
             best_norm = min(best_norm, true_norm)
             continue
-        beta = rs_new / rs
-        p = r + beta * p
+        p *= rs_new / rs
+        p += r
         rs = rs_new
-        best_norm = min(best_norm, math.sqrt(rs_new))
+        if rnorm < best_norm:
+            best_norm = rnorm
 
     raise CgStalled(
         f"CG did not reach tolerance {tol_abs:.3e} in {max_iter} iterations "
@@ -201,11 +221,9 @@ def inexact_project(cs: ConstraintSet, y: np.ndarray, eta: float) -> ProjectionR
         raise DimensionMismatch(f"y must have shape ({cs.n},), got {y.shape}")
     if eta <= 0:
         raise ValueError(f"eta must be positive, got {eta}")
-    rhs = cs.A @ y - cs.b
-    lam, _, iters = cg_solve(
-        cs.AAt.__matmul__, rhs, tol_abs=eta, max_iter=_CG_MAX_ITER_FACTOR * cs.m
-    )
-    point = y - cs.A.T @ lam
+    rhs = cs.A.dot(y) - cs.b
+    lam, _, iters = cg_solve(cs.AAt.dot, rhs, tol_abs=eta, max_iter=_CG_MAX_ITER_FACTOR * cs.m)
+    point = y - cs.A.T.dot(lam)
     # Report the feasibility gap itself rather than the CG residual: CG
     # certified the normal-system form <= eta, and the two differ only at
     # the roundoff scale of ||y||.

@@ -405,6 +405,11 @@ def execute_run(payload: dict) -> dict:
     except (IpasError, OSError, ValueError) as exc:
         result["status"] = "failed"
         result["error"] = str(exc)
+    except Exception as exc:
+        # Any other error is a defect, but it is this run's alone: report it
+        # with its type and keep the sweep going.
+        result["status"] = "failed"
+        result["error"] = f"{type(exc).__name__}: {exc}"
     return result
 
 

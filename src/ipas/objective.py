@@ -8,6 +8,7 @@ keeps the estimators unbiased for f.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Protocol, runtime_checkable
 
@@ -195,8 +196,17 @@ def draw_sample(obj: FiniteSumObjective, size: int, rng: np.random.Generator) ->
     return np.asarray(idx, dtype=np.int64)
 
 
+def _mean(vals: np.ndarray) -> float:
+    """float(vals.mean()) from the same pairwise sum and division, without mean's dispatch.
+
+    An empty vals gives NaN, as mean does.
+    """
+    n = vals.size
+    return float(np.add.reduce(vals)) / n if n else math.nan
+
+
 def _check_finite_scalar(v: float, what: str) -> float:
-    if not np.isfinite(v):
+    if not math.isfinite(v):
         raise NonFiniteValue(f"{what} evaluated to {v!r}")
     return float(v)
 
@@ -240,7 +250,7 @@ def subsample_value(
     vals = obj.kernel.values(s, x)
     if meter is not None:
         meter.charge_values(s.size, obj.value_cost)
-    return _check_finite_scalar(float(vals.mean()), "subsampled objective value")
+    return _check_finite_scalar(_mean(vals), "subsampled objective value")
 
 
 def subsample_value_grad(
@@ -257,7 +267,7 @@ def subsample_value_grad(
     if meter is not None:
         meter.charge_grads(s.size, obj.grad_cost)
     g = _check_finite_vector(g, "subsampled gradient")
-    return ValueGrad(g, float(vals.mean()), s.size, obj.value_cost, "subsampled objective value")
+    return ValueGrad(g, _mean(vals), s.size, obj.value_cost, "subsampled objective value")
 
 
 def full_value(obj: FiniteSumObjective, x: np.ndarray, meter: BudgetMeter | None) -> float:

@@ -18,7 +18,7 @@ from scipy.special import expit
 
 from .constraints import ConstraintSet, build_constraint_set, exact_project
 from .errors import LabelError, ParseError, RankDeficient
-from .objective import FiniteSumObjective, uniform_weights
+from .objective import FiniteSumObjective, _mean, uniform_weights
 
 # ---------------------------------------------------------------------------
 # logistic regression
@@ -66,20 +66,6 @@ class LogisticDataset:
     @property
     def dim(self) -> int:
         return self.Z.shape[1]
-
-
-def logistic_component(ds: LogisticDataset, i: int, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """Log-loss of sample i at x: log(1 + exp(-y_i <x, z_i>)), with gradient.
-
-    Uses logaddexp/expit so large margins neither overflow nor lose the
-    asymptote: a strongly violated margin returns the linear excess, a
-    strongly satisfied one returns essentially zero.
-    """
-    z = ds.Z[i]
-    margin = -ds.y[i] * float(z @ x)
-    value = float(np.logaddexp(0.0, margin))
-    grad = (-ds.y[i] * float(expit(margin))) * z
-    return value, grad
 
 
 class LogisticKernel:
@@ -296,8 +282,8 @@ class NoisyQuadraticSpec:
             raise ValueError(f"base_q must have shape ({n},), got {q.shape}")
         if eps.ndim != 1 or eps.size < 1:
             raise ValueError("eps must be a nonempty vector")
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma}")
         scale = max(1.0, float(np.abs(Q).max()))
         if np.abs(Q - Q.T).max() > 1e-10 * scale:
             raise ValueError("base_Q must be symmetric")
@@ -316,54 +302,42 @@ class NoisyQuadraticSpec:
         return int(self.eps.size)
 
 
-def noisy_quadratic_component(
-    spec: NoisyQuadraticSpec, i: int, x: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Value and gradient of component i of the noisy quadratic."""
-    x = np.asarray(x, dtype=float)
-    Qx = spec.base_Q @ x
-    base_value = 0.5 * float(x @ Qx) + float(spec.base_q @ x)
-    ridge = spec.n_components * float(spec.eps[i] ** 2)
-    value = base_value + ridge * float(x @ x)
-    grad = Qx + spec.base_q + (2.0 * ridge) * x
-    return value, grad
-
-
 class NoisyQuadraticKernel:
     """Vectorised evaluation of the noisy quadratic components."""
 
     def __init__(self, spec: NoisyQuadraticSpec):
         self.spec = spec
         self._eps_sq = spec.eps**2
+        self._N = spec.n_components
 
     def _base(self, x):
-        Qx = self.spec.base_Q @ x
-        return 0.5 * float(x @ Qx) + float(self.spec.base_q @ x), Qx
+        Qx = self.spec.base_Q.dot(x)
+        return 0.5 * float(x.dot(Qx)) + float(self.spec.base_q.dot(x)), Qx
 
     def values(self, idx, x):
         base_value, _ = self._base(x)
-        return base_value + (self.spec.n_components * float(x @ x)) * self._eps_sq[idx]
+        return base_value + (self._N * float(x.dot(x))) * self._eps_sq[idx]
 
     def value_grad_mean(self, idx, x):
         base_value, Qx = self._base(x)
         eps_sq = self._eps_sq[idx]
-        vals = base_value + (self.spec.n_components * float(x @ x)) * eps_sq
-        ridge_mean = self.spec.n_components * float(eps_sq.mean())
+        vals = base_value + (self._N * float(x.dot(x))) * eps_sq
+        ridge_mean = self._N * _mean(eps_sq)
         return vals, Qx + self.spec.base_q + (2.0 * ridge_mean) * x
 
     def weighted_value(self, w, x):
         base_value, _ = self._base(x)
-        ridge = self.spec.n_components * float(w @ self._eps_sq)
-        return base_value + ridge * float(x @ x)
+        ridge = self._N * float(w.dot(self._eps_sq))
+        return base_value + ridge * float(x.dot(x))
 
     def weighted_value_grad(self, w, x):
         base_value, Qx = self._base(x)
-        ridge = self.spec.n_components * float(w @ self._eps_sq)
-        return base_value + ridge * float(x @ x), Qx + self.spec.base_q + (2.0 * ridge) * x
+        ridge = self._N * float(w.dot(self._eps_sq))
+        return base_value + ridge * float(x.dot(x)), Qx + self.spec.base_q + (2.0 * ridge) * x
 
     def weighted_value_grad_many(self, w, X):
         QX = self.spec.base_Q @ X
-        ridge = self.spec.n_components * float(w @ self._eps_sq)
+        ridge = self._N * float(w @ self._eps_sq)
         quad = np.einsum("ik,ik->k", X, 0.5 * QX + ridge * X)
         return quad + self.spec.base_q @ X, QX + self.spec.base_q[:, None] + (2.0 * ridge) * X
 
@@ -396,6 +370,8 @@ def make_noisy_quadratic(
     before scaling); q_scale scales the linear term.  Draw order: M, q,
     then eps, all from default_rng(seed).
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
     M = rng.standard_normal((n, n))
     Q = (base_curvature / n) * (M.T @ M)

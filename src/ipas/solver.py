@@ -207,7 +207,7 @@ def validate_config(cfg: SolverConfig, n_components: int | None = None) -> None:
 
 def descent_check(grad_full: np.ndarray, p: np.ndarray, c: float) -> bool:
     """True when p is a sufficient descent direction: g.p <= -c ||p||^2."""
-    return float(grad_full @ p) <= -c * float(p @ p)
+    return float(grad_full.dot(p)) <= -c * float(p.dot(p))
 
 
 def line_search_full(
@@ -285,9 +285,9 @@ def additional_sampling_test(
         f_trial = subsample_value(obj, d_set, x_trial, meter)
     except NonFiniteValue:
         f_trial = math.inf
-    s_sq = float(s @ s)
+    s_sq = float(s.dot(s))
     accepted = f_trial <= f_x - cfg.c * s_sq + cfg.C_accept * eta_k * eta_k
-    return AdditionalSampleResult(accepted=accepted, s_norm=float(np.sqrt(s_sq)), projection=proj)
+    return AdditionalSampleResult(accepted=accepted, s_norm=math.sqrt(s_sq), projection=proj)
 
 
 def _account(state: SolverState, cs: ConstraintSet, proj: ProjectionResult, eta_k: float) -> int:
@@ -365,8 +365,8 @@ def ipas_step(
     proj = inexact_project(cs, x - grad_est, eta_k)
     cg_total = _account(state, cs, proj, eta_k)
     p = proj.point - x
-    norm_p = float(np.linalg.norm(p))
-    slope = float(grad_est @ p)
+    norm_p = math.sqrt(float(p.dot(p)))
+    slope = float(grad_est.dot(p))
 
     accepted = False
     unsuccessful = False

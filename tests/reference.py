@@ -1,0 +1,109 @@
+"""Reference implementations that tests compare the package against.
+
+The component oracles evaluate one summand at a time, the plain way, for
+checking the vectorised kernels.  cg_solve and exact_project are the
+package's earlier forms, written with the @ operator, a freshly allocated
+search direction and scipy.linalg.cho_solve; the package's leaner forms
+must reproduce them bit for bit.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Callable
+
+import numpy as np
+import scipy.linalg
+from scipy.special import expit
+
+from ipas import CgStalled, ConstraintSet, DimensionMismatch, LogisticDataset, NoisyQuadraticSpec
+
+
+def logistic_component(ds: LogisticDataset, i: int, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """Log-loss of sample i at x: log(1 + exp(-y_i <x, z_i>)), with gradient.
+
+    Uses logaddexp/expit so large margins neither overflow nor lose the
+    asymptote: a strongly violated margin returns the linear excess, a
+    strongly satisfied one returns essentially zero.
+    """
+    z = ds.Z[i]
+    margin = -ds.y[i] * float(z @ x)
+    value = float(np.logaddexp(0.0, margin))
+    grad = (-ds.y[i] * float(expit(margin))) * z
+    return value, grad
+
+
+def noisy_quadratic_component(
+    spec: NoisyQuadraticSpec, i: int, x: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Value and gradient of component i of the noisy quadratic."""
+    x = np.asarray(x, dtype=float)
+    Qx = spec.base_Q @ x
+    base_value = 0.5 * float(x @ Qx) + float(spec.base_q @ x)
+    ridge = spec.n_components * float(spec.eps[i] ** 2)
+    value = base_value + ridge * float(x @ x)
+    grad = Qx + spec.base_q + (2.0 * ridge) * x
+    return value, grad
+
+
+def cg_solve(
+    apply: Callable[[np.ndarray], np.ndarray],
+    rhs: np.ndarray,
+    tol_abs: float,
+    max_iter: int,
+) -> tuple[np.ndarray, float, int]:
+    """Conjugate gradients on an SPD operator, cold started from zero (reference form)."""
+    x = np.zeros_like(rhs, dtype=float)
+    r = np.array(rhs, dtype=float)
+    rnorm = math.sqrt(float(r @ r))
+    if rnorm <= tol_abs:
+        return x, rnorm, 0
+
+    p = r.copy()
+    rs = rnorm * rnorm
+    best_norm = rnorm
+    for it in range(1, max_iter + 1):
+        Ap = apply(p)
+        pAp = float(p @ Ap)
+        if not math.isfinite(pAp) or pAp <= 0.0:
+            raise CgStalled(
+                f"CG curvature p^T A p = {pAp:.3e} is not positive; operator is not SPD",
+                residual_norm=best_norm,
+                iterations=it,
+            )
+        alpha = rs / pAp
+        x += alpha * p
+        r -= alpha * Ap
+        rs_new = float(r @ r)
+        if math.sqrt(rs_new) <= tol_abs:
+            # Recurrence residuals drift from the truth; confirm before exiting.
+            true_r = rhs - apply(x)
+            true_norm = math.sqrt(float(true_r @ true_r))
+            if true_norm <= tol_abs:
+                return x, true_norm, it
+            r = true_r
+            rs_new = true_norm * true_norm
+            p = r.copy()
+            rs = rs_new
+            best_norm = min(best_norm, true_norm)
+            continue
+        beta = rs_new / rs
+        p = r + beta * p
+        rs = rs_new
+        best_norm = min(best_norm, math.sqrt(rs_new))
+
+    raise CgStalled(
+        f"CG did not reach tolerance {tol_abs:.3e} in {max_iter} iterations "
+        f"(best residual {best_norm:.3e})",
+        residual_norm=best_norm,
+        iterations=max_iter,
+    )
+
+
+def exact_project(cs: ConstraintSet, y: np.ndarray) -> np.ndarray:
+    """Orthogonal projection of y, shape (n,) or (n, K), through cho_solve (reference form)."""
+    y = np.asarray(y, dtype=float)
+    if y.shape[:1] != (cs.n,) or y.ndim > 2:
+        raise DimensionMismatch(f"y must have shape ({cs.n},) or ({cs.n}, K), got {y.shape}")
+    lam = scipy.linalg.cho_solve(cs.chol, cs.A @ y - (cs.b if y.ndim == 1 else cs.b[:, None]))
+    return y - cs.A.T @ lam

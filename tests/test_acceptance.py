@@ -37,12 +37,10 @@ from ipas import (
     generate_constraints,
     inexact_project,
     load_libsvm,
-    logistic_component,
     logistic_objective,
     make_noisy_quadratic,
     make_synthetic_logistic,
     min_norm_feasible,
-    noisy_quadratic_component,
     noisy_quadratic_objective,
     projected_direction,
     run,
@@ -50,6 +48,8 @@ from ipas import (
     save_libsvm,
     write_trace,
 )
+
+from reference import logistic_component, noisy_quadratic_component
 
 QUAD_N = 1000
 QUAD_DIM = 20

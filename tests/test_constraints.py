@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import reference
 from conftest import kkt_project, random_system
 
 from ipas import (
@@ -392,3 +393,94 @@ class TestProjectedDirection:
             d = projected_direction(cs, x, g)
             assert float(g @ d) <= -float(d @ d) + 1e-10
 
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestMatchesReference:
+    """The lean cg_solve and the direct LAPACK exact_project against their
+    reference forms in tests/reference.py, bit for bit."""
+
+    @staticmethod
+    def _outcome(solve, apply, rhs, tol, max_iter):
+        calls = [0]
+
+        def counted(v):
+            calls[0] += 1
+            return apply(v)
+
+        try:
+            x, res, iters = solve(counted, rhs, tol, max_iter)
+        except CgStalled as exc:
+            return ("stalled", str(exc), exc.residual_norm, exc.iterations), calls[0]
+        return ("solved", x.tobytes(), res, iters), calls[0]
+
+    @pytest.mark.parametrize("m", [4, 10, 100])
+    def test_cg_solve_bits(self, m):
+        # Gram matrices of random wide matrices, like A A^T in the solver.
+        # Right-hand sides span 1e-8 to 1e3; the relative tolerances run down
+        # to roundoff, where the recurrence residual passes the test but the
+        # true residual does not and CG restarts from it, or stalls.
+        rng = np.random.default_rng(m)
+        restarts = 0
+        for _ in range(3 if m == 100 else 12):
+            A = rng.standard_normal((m, m + 3))
+            S = A @ A.T
+            for scale in (1e-8, 1e-3, 1.0, 1e3):
+                rhs = scale * rng.standard_normal(m)
+                rhs_norm = float(np.linalg.norm(rhs))
+                for rel in (1e-2, 1e-8, 1e-13, 1e-15):
+                    tol = rel * rhs_norm
+                    expected, ref_calls = self._outcome(
+                        reference.cg_solve, S.__matmul__, rhs, tol, 10 * m
+                    )
+                    got, calls = self._outcome(cg_solve, S.dot, rhs, tol, 10 * m)
+                    assert got == expected, (scale, rel)
+                    assert calls == ref_calls
+                    if expected[0] == "solved":
+                        # One apply per iteration plus one per true-residual check.
+                        restarts += calls - expected[3] - 1
+        assert restarts > 0
+
+    @pytest.mark.parametrize("m", [4, 10, 100])
+    def test_inexact_project_bits(self, m):
+        cs = random_system(m, m + 10, seed=80 + m)
+        rng = np.random.default_rng(81)
+        for scale in (1e-8, 1.0, 1e3):
+            y = scale * rng.standard_normal(m + 10)
+            for eta in (1e-1, 1e-6, 1e-10):
+                rhs = cs.A @ y - cs.b
+                try:
+                    lam, _, iters = reference.cg_solve(cs.AAt.__matmul__, rhs, eta, 10 * m)
+                except CgStalled:
+                    with pytest.raises(CgStalled):
+                        inexact_project(cs, y, eta)
+                    continue
+                point = y - cs.A.T @ lam
+                result = inexact_project(cs, y, eta)
+                assert same_bits(result.point, point)
+                assert result.residual_norm == float(np.linalg.norm(cs.A @ point - cs.b))
+                assert result.cg_iterations == iters
+                assert feasibility_gap(cs, point) == result.residual_norm
+
+    @pytest.mark.parametrize("m", [4, 10, 100])
+    @pytest.mark.parametrize("K", [None, 1, 7, 64])
+    def test_exact_project_bits(self, m, K):
+        cs = random_system(m, m + 10, seed=90 + m)
+        rng = np.random.default_rng(91)
+        shape = (m + 10,) if K is None else (m + 10, K)
+        for scale in (1e-8, 1e-3, 1.0, 1e3):
+            y = scale * rng.standard_normal(shape)
+            assert same_bits(exact_project(cs, y), reference.exact_project(cs, y))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("K", [None, 3])
+    def test_exact_project_rejects_non_finite_input(self, bad, K):
+        cs = random_system(3, 7, seed=95)
+        y = np.zeros(7) if K is None else np.zeros((7, K))
+        y[2] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            reference.exact_project(cs, y)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            exact_project(cs, y)

@@ -655,6 +655,33 @@ class TestEndToEnd:
         assert summarize_dir(str(out_dir)) == outcome.summary
         assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == written
 
+    def test_unexpected_error_fails_only_its_run(self, tmp_path, monkeypatch):
+        # An error outside the expected kinds (a ZeroDivisionError from a
+        # problem builder) fails the runs of its grid point, with its type
+        # in the row, and the sweep finishes.
+        real_build_problem = experiment.build_problem
+
+        def build_problem(problem):
+            if problem["sigma"] == 1.0:
+                raise ZeroDivisionError("float division by zero")
+            return real_build_problem(problem)
+
+        monkeypatch.setattr(experiment, "build_problem", build_problem)
+        config = QUAD_CONFIG.replace("s = 1.0 2.0", "s = 1.0\n    sigma = 0.5 1.0")
+        cfg = parse_experiment_config(write_config(tmp_path, config))
+        out_dir = tmp_path / "out"
+        outcome = run_experiment(cfg, workers=1, output_dir=str(out_dir))
+        manifest = read_manifest(str(out_dir / MANIFEST_NAME))
+        assert [(r["sigma"], r["status"]) for r in manifest] == [
+            (0.5, "max_iterations"),
+            (0.5, "max_iterations"),
+            (1.0, "failed"),
+            (1.0, "failed"),
+        ]
+        assert {r["error"] for r in manifest} == {"", "ZeroDivisionError: float division by zero"}
+        assert outcome.n_failed == 2
+        assert [(r.n_runs, r.n_failed) for r in outcome.summary] == [(2, 0), (2, 2)]
+
     def test_summarize_dir_rebuilds_summary(self, tmp_path):
         cfg = parse_experiment_config(write_config(tmp_path, QUAD_CONFIG))
         out_dir = tmp_path / "out"

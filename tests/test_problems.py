@@ -21,22 +21,22 @@ from ipas import (
     full_value_grad,
     generate_constraints,
     load_libsvm,
-    logistic_component,
     logistic_objective,
     make_noisy_quadratic,
     make_synthetic_logistic,
     min_norm_feasible,
-    noisy_quadratic_component,
     noisy_quadratic_objective,
     run,
     run_baseline,
     save_libsvm,
+    subsample_value,
     uniform_weights,
 )
 
 from ipas.objective import ComponentKernel
 from ipas.problems import _ROW_BLOCK, LogisticKernel
 from ipas.solver import _oracle_batch
+from reference import logistic_component, noisy_quadratic_component
 
 DATA = Path(__file__).parent / "data"
 
@@ -404,6 +404,46 @@ class TestNoisyQuadratic:
             NoisyQuadraticSpec(
                 base_Q=good.base_Q, base_q=good.base_q, sigma=-0.1, eps=np.zeros(3)
             )
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sigma_is_rejected(self, sigma):
+        # Without the check a NaN sigma builds a problem with no noise at all.
+        good = make_noisy_quadratic(3, 4, sigma=0.5, seed=19)
+        with pytest.raises(ValueError, match="sigma must be finite and nonnegative"):
+            NoisyQuadraticSpec(base_Q=good.base_Q, base_q=good.base_q, sigma=sigma, eps=good.eps)
+        with pytest.raises(ValueError, match="sigma must be finite and nonnegative"):
+            make_noisy_quadratic(3, 4, sigma=sigma, seed=19)
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_nonpositive_dimension_is_rejected(self, n):
+        with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
+            make_noisy_quadratic(n, 4, sigma=0.5, seed=19)
+
+    def test_kernel_matches_the_operator_forms_bitwise(self):
+        # The kernel takes products with ndarray.dot and means as np.add.reduce
+        # over the count; x @ y and ndarray.mean give the same bits.
+        spec = make_noisy_quadratic(20, 1000, sigma=1.0, seed=23)
+        obj = noisy_quadratic_objective(spec)
+        kernel, w, eps_sq = obj.kernel, obj.weights, spec.eps**2
+        rng = np.random.default_rng(24)
+        for size in (1, 10, 999):
+            x = rng.standard_normal(20) * 10.0 ** int(rng.integers(-4, 4))
+            idx = rng.integers(0, 1000, size)
+            Qx = spec.base_Q @ x
+            base = 0.5 * float(x @ Qx) + float(spec.base_q @ x)
+            vals = base + (1000 * float(x @ x)) * eps_sq[idx]
+            grad = Qx + spec.base_q + (2.0 * (1000 * float(eps_sq[idx].mean()))) * x
+            got_vals, got_grad = kernel.value_grad_mean(idx, x)
+            assert got_vals.tobytes() == vals.tobytes() == kernel.values(idx, x).tobytes()
+            assert got_grad.tobytes() == grad.tobytes()
+            assert subsample_value(obj, idx, x, None) == float(vals.mean())
+            ridge = 1000 * float(w @ eps_sq)
+            value, full_grad = kernel.weighted_value_grad(w, x)
+            assert value == base + ridge * float(x @ x) == kernel.weighted_value(w, x)
+            assert full_grad.tobytes() == (Qx + spec.base_q + (2.0 * ridge) * x).tobytes()
+        # The mean of an empty sample is NaN, as with ndarray.mean.
+        with pytest.raises(NonFiniteValue):
+            subsample_value(obj, np.array([], dtype=np.int64), x, None)
 
     def test_generator_draw_order_is_stable(self):
         # M, then q, then eps, all from one seeded generator; callers rely
