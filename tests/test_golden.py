@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+import ipas.constraints
 from ipas import (
     BaselineConfig,
     SolverConfig,
@@ -36,6 +37,8 @@ from ipas import (
     run_experiment,
     write_trace,
 )
+
+import reference
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -64,7 +67,24 @@ def baseline_roundoff():
     return run_baseline(cs, obj, BaselineConfig(k_max=240, c1=1e-4)).records
 
 
+def ipas_check07():
+    # Check 07's instance 4 (n = 20, N = 1000, m = 10) with a steeper
+    # tolerance schedule and faster batch growth than the check uses, so
+    # that 100 iterations reach what check 07 reaches only after 1000 or
+    # never: draws of 100 to 980 keys, the full sample from k = 51, a CG
+    # true-residual restart at k = 90 (eta is ~1e-10 there) and unsuccessful
+    # rows from k = 92.
+    obj = noisy_quadratic_objective(make_noisy_quadratic(20, 1000, sigma=1.0, seed=1004))
+    cs = generate_constraints(20, 10, seed=504)
+    cfg = SolverConfig(
+        beta=0.1, c=1e-4, c1=1e-2, C_accept=1e-2, s_exp=5.0,
+        dN=20, D_size=1, N0=100, t_min=1e-5, k_max=100, seed=4,
+    )
+    return run(cs, obj, cfg, x0=min_norm_feasible(cs)).records
+
+
 TRACES = {
+    "ipas_check07.csv": ipas_check07,
     "ipas_quadratic.csv": ipas_quadratic,
     "ipas_logistic.csv": ipas_logistic,
     "baseline_roundoff.csv": baseline_roundoff,
@@ -130,6 +150,34 @@ def sweep_dir(name: str, tmp_dir: Path) -> Path:
 @pytest.mark.parametrize("name", sorted(TRACES))
 def test_trace_matches_golden(name, tmp_path):
     assert trace_bytes(name, tmp_path) == (GOLDEN / name).read_bytes()
+
+
+def test_check07_trace_covers_the_sampled_step(monkeypatch, tmp_path):
+    # Replays the golden run through the reference CG to count the
+    # true-residual restarts, which the trace does not show.
+    applies_beyond_iterations = []
+
+    def counted_cg(apply, rhs, tol_abs, max_iter):
+        calls = [0]
+
+        def counted(v):
+            calls[0] += 1
+            return apply(v)
+
+        x, res, iters = reference.cg_solve(counted, rhs, tol_abs, max_iter)
+        applies_beyond_iterations.append(calls[0] - iters)
+        return x, res, iters
+
+    monkeypatch.setattr(ipas.constraints, "cg_solve", counted_cg)
+    records = ipas_check07()
+    write_trace(records, tmp_path / "replay.csv")
+    assert (tmp_path / "replay.csv").read_bytes() == (GOLDEN / "ipas_check07.csv").read_bytes()
+    # One apply per iteration plus one true-residual check per exit test.
+    assert max(applies_beyond_iterations) > 1
+    mini = [r for r in records[:-1] if r.Nk < 1000]
+    assert max(r.Nk for r in mini) > 900
+    assert any(r.Nk == 1000 for r in records[:-1])
+    assert any(r.unsuccessful for r in records)
 
 
 @pytest.mark.parametrize("name", sorted(SWEEPS))
