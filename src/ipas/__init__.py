@@ -55,6 +55,7 @@ from .objective import (
     BudgetMeter,
     CallableKernel,
     FiniteSumObjective,
+    Sample,
     draw_sample,
     full_value,
     full_value_grad,

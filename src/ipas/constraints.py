@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -144,33 +143,42 @@ def exact_project(cs: ConstraintSet, y: np.ndarray) -> np.ndarray:
 
 
 def cg_solve(
-    apply: Callable[[np.ndarray], np.ndarray],
+    M: np.ndarray,
     rhs: np.ndarray,
     tol_abs: float,
     max_iter: int,
 ) -> tuple[np.ndarray, float, int]:
-    """Conjugate gradients on an SPD operator, cold started from zero.
+    """Conjugate gradients on an SPD matrix M, cold started from zero.
 
-    Terminates on the absolute residual norm ||rhs - apply(x)|| <= tol_abs;
+    M is a float (m, m) array and rhs an (m,) vector.  Terminates on the absolute residual norm ||rhs - M x|| <= tol_abs;
     the returned norm is recomputed from the candidate solution rather than
     the recurrence, so callers can rely on it.  Raises CgStalled when the
     tolerance is not met within max_iter iterations.
     """
-    r = np.array(rhs, dtype=float)
-    x = np.zeros(r.shape)
-    rnorm = math.sqrt(float(r.dot(r)))
+    rhs = np.asarray(rhs, dtype=float)
+    m = rhs.size
+    # On the small systems here numpy's per-call dispatch, not arithmetic,
+    # sets the cost of an iteration, so the loop makes seven calls: the
+    # matvec into Ap, two scalar products, one multiply and one add that
+    # move x and r together, and the in-place update of p.  The buffers
+    # hold [x | -r] and [p | Ap]; negation is exact and rounding symmetric,
+    # so fl(-r + alpha*Ap) = -fl(r - alpha*Ap), (-r).(-r) = r.r, and
+    # p - (-r) = p + r, all bit for bit.
+    xr = np.zeros((2, m))
+    x, neg_r = xr
+    np.negative(rhs, neg_r)
+    rnorm = math.sqrt(float(neg_r.dot(neg_r)))
     if rnorm <= tol_abs:
         return x, rnorm, 0
 
-    # On the small systems here numpy's per-call dispatch, not arithmetic,
-    # sets the cost of an iteration, so the loop makes as few calls as the
-    # arithmetic allows: ndarray.dot for the scalar products and an in-place
-    # update of p.
-    p = r.copy()
+    pa = np.empty((2, m))
+    p, Ap = pa
+    np.copyto(p, rhs)
+    step = np.empty((2, m))
     rs = rnorm * rnorm
     best_norm = rnorm
     for it in range(1, max_iter + 1):
-        Ap = apply(p)
+        M.dot(p, Ap)
         pAp = float(p.dot(Ap))
         if not 0.0 < pAp < math.inf:
             raise CgStalled(
@@ -178,25 +186,23 @@ def cg_solve(
                 residual_norm=best_norm,
                 iterations=it,
             )
-        alpha = rs / pAp
-        x += alpha * p
-        r -= alpha * Ap
-        rs_new = float(r.dot(r))
+        np.multiply(pa, rs / pAp, step)
+        xr += step
+        rs_new = float(neg_r.dot(neg_r))
         rnorm = math.sqrt(rs_new)
         if rnorm <= tol_abs:
             # Recurrence residuals drift from the truth; confirm before exiting.
-            true_r = rhs - apply(x)
-            true_norm = math.sqrt(float(true_r.dot(true_r)))
+            true_neg_r = M.dot(x) - rhs
+            true_norm = math.sqrt(float(true_neg_r.dot(true_neg_r)))
             if true_norm <= tol_abs:
                 return x, true_norm, it
-            r = true_r
-            rs_new = true_norm * true_norm
-            p = r.copy()
-            rs = rs_new
+            np.copyto(neg_r, true_neg_r)
+            np.negative(true_neg_r, p)
+            rs = true_norm * true_norm
             best_norm = min(best_norm, true_norm)
             continue
         p *= rs_new / rs
-        p += r
+        p -= neg_r
         rs = rs_new
         if rnorm < best_norm:
             best_norm = rnorm
@@ -222,7 +228,7 @@ def inexact_project(cs: ConstraintSet, y: np.ndarray, eta: float) -> ProjectionR
     if eta <= 0:
         raise ValueError(f"eta must be positive, got {eta}")
     rhs = cs.A.dot(y) - cs.b
-    lam, _, iters = cg_solve(cs.AAt.dot, rhs, tol_abs=eta, max_iter=_CG_MAX_ITER_FACTOR * cs.m)
+    lam, _, iters = cg_solve(cs.AAt, rhs, eta, _CG_MAX_ITER_FACTOR * cs.m)
     point = y - cs.A.T.dot(lam)
     # Report the feasibility gap itself rather than the CG residual: CG
     # certified the normal-system form <= eta, and the two differ only at

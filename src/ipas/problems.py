@@ -96,15 +96,19 @@ class LogisticKernel:
             self._memo = (key, margins, losses)
         return self._memo[1], self._memo[2]
 
-    def values(self, idx, x):
-        margins = -self.ds.y[idx] * (self.ds.Z[idx] @ x)
+    def gather(self, idx):
+        return self.ds.Z[idx], self.ds.y[idx]
+
+    def values(self, rows, x):
+        Z, y = rows
+        margins = -y * (Z @ x)
         return np.logaddexp(0.0, margins)
 
-    def value_grad_mean(self, idx, x):
-        Z, y = self.ds.Z[idx], self.ds.y[idx]
+    def value_grad_mean(self, rows, x):
+        Z, y = rows
         margins = -y * (Z @ x)
         coef = -y * expit(margins)
-        return np.logaddexp(0.0, margins), (Z.T @ coef) / len(idx)
+        return np.logaddexp(0.0, margins), (Z.T @ coef) / len(y)
 
     def weighted_value(self, w, x):
         _, losses = self._margins_losses(x)
@@ -303,36 +307,53 @@ class NoisyQuadraticSpec:
 
 
 class NoisyQuadraticKernel:
-    """Vectorised evaluation of the noisy quadratic components."""
+    """Vectorised evaluation of the noisy quadratic components.
+
+    The full-data methods take the ridge weight N * w.eps^2 from a one-entry
+    memo keyed on the identity of w, kept only for a read-only w, such as
+    an objective's own weights, which is taken to be frozen.  The memo holds
+    w itself, so its identity cannot pass to another array.
+    """
 
     def __init__(self, spec: NoisyQuadraticSpec):
         self.spec = spec
         self._eps_sq = spec.eps**2
         self._N = spec.n_components
+        self._ridge_memo: tuple[np.ndarray, float] | None = None
 
     def _base(self, x):
         Qx = self.spec.base_Q.dot(x)
         return 0.5 * float(x.dot(Qx)) + float(self.spec.base_q.dot(x)), Qx
 
-    def values(self, idx, x):
-        base_value, _ = self._base(x)
-        return base_value + (self._N * float(x.dot(x))) * self._eps_sq[idx]
+    def _ridge(self, w):
+        memo = self._ridge_memo
+        if memo is not None and memo[0] is w:
+            return memo[1]
+        ridge = self._N * float(w.dot(self._eps_sq))
+        if not w.flags.writeable:
+            self._ridge_memo = (w, ridge)
+        return ridge
 
-    def value_grad_mean(self, idx, x):
+    def gather(self, idx):
+        return self._eps_sq[idx]
+
+    def values(self, rows, x):
+        base_value, _ = self._base(x)
+        return base_value + (self._N * float(x.dot(x))) * rows
+
+    def value_grad_mean(self, rows, x):
         base_value, Qx = self._base(x)
-        eps_sq = self._eps_sq[idx]
-        vals = base_value + (self._N * float(x.dot(x))) * eps_sq
-        ridge_mean = self._N * _mean(eps_sq)
+        vals = base_value + (self._N * float(x.dot(x))) * rows
+        ridge_mean = self._N * _mean(rows)
         return vals, Qx + self.spec.base_q + (2.0 * ridge_mean) * x
 
     def weighted_value(self, w, x):
         base_value, _ = self._base(x)
-        ridge = self._N * float(w.dot(self._eps_sq))
-        return base_value + ridge * float(x.dot(x))
+        return base_value + self._ridge(w) * float(x.dot(x))
 
     def weighted_value_grad(self, w, x):
         base_value, Qx = self._base(x)
-        ridge = self._N * float(w.dot(self._eps_sq))
+        ridge = self._ridge(w)
         return base_value + ridge * float(x.dot(x)), Qx + self.spec.base_q + (2.0 * ridge) * x
 
     def weighted_value_grad_many(self, w, X):

@@ -30,6 +30,7 @@ from .errors import ConfigInvalid, InvariantViolation, MaxBacktracks, NonFiniteV
 from .objective import (
     BudgetMeter,
     FiniteSumObjective,
+    Sample,
     draw_sample,
     full_value,
     full_value_grad,
@@ -205,9 +206,13 @@ def validate_config(cfg: SolverConfig, n_components: int | None = None) -> None:
         raise ConfigInvalid("; ".join(problems))
 
 
-def descent_check(grad_full: np.ndarray, p: np.ndarray, c: float) -> bool:
-    """True when p is a sufficient descent direction: g.p <= -c ||p||^2."""
-    return float(grad_full.dot(p)) <= -c * float(p.dot(p))
+def descent_check(slope: float, p_sq: float, c: float) -> bool:
+    """True when p is a sufficient descent direction: g.p <= -c ||p||^2.
+
+    Takes the products slope = g.p and p_sq = p.p, which the step has
+    already computed for the line search and the trace.
+    """
+    return slope <= -c * p_sq
 
 
 def line_search_full(
@@ -276,7 +281,7 @@ def additional_sampling_test(
     trial point improves on x by at least c*||s||^2 - C_accept*eta_k^2.
     All evaluations are charged whether or not the step is accepted.
     """
-    d_set = draw_sample(obj, cfg.D_size, rng)
+    d_set = Sample.of(obj, draw_sample(obj, cfg.D_size, rng))
     control = subsample_value_grad(obj, d_set, x, meter)
     proj = inexact_project(cs, x - control.grad, eta_k)
     s = proj.point - x
@@ -358,14 +363,15 @@ def ipas_step(
     if is_full:
         est = full_value_grad(obj, x, meter)
     else:
-        sample = draw_sample(obj, state.Nk, state.rng)
+        sample = Sample.of(obj, draw_sample(obj, state.Nk, state.rng))
         est = subsample_value_grad(obj, sample, x, meter)
     grad_est = est.grad
 
     proj = inexact_project(cs, x - grad_est, eta_k)
     cg_total = _account(state, cs, proj, eta_k)
     p = proj.point - x
-    norm_p = math.sqrt(float(p.dot(p)))
+    p_sq = float(p.dot(p))
+    norm_p = math.sqrt(p_sq)
     slope = float(grad_est.dot(p))
 
     accepted = False
@@ -374,7 +380,7 @@ def ipas_step(
     Nk_next = state.Nk
     e_next = e_x
     if is_full:
-        if descent_check(grad_est, p, cfg.c):
+        if descent_check(slope, p_sq, cfg.c):
             f_full = est.value(meter)
             phi = lambda t_: _guarded(lambda: full_value(obj, x + t_ * p, meter))
             t = line_search_full(phi, f_full, slope, eta_k, cfg.beta, cfg.c1)

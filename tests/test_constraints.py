@@ -186,13 +186,13 @@ class TestExactProject:
 class TestCgSolve:
     def test_identity_system(self):
         rhs = np.array([1.0, -2.0, 3.0])
-        x, res, iters = cg_solve(lambda v: v, rhs, tol_abs=1e-12, max_iter=30)
+        x, res, iters = cg_solve(np.eye(3), rhs, tol_abs=1e-12, max_iter=30)
         np.testing.assert_allclose(x, rhs, rtol=0, atol=1e-12)
         assert res <= 1e-12
         assert iters == 1
 
     def test_zero_rhs_short_circuits(self):
-        x, res, iters = cg_solve(lambda v: 2 * v, np.zeros(4), tol_abs=1e-10, max_iter=10)
+        x, res, iters = cg_solve(2 * np.eye(4), np.zeros(4), tol_abs=1e-10, max_iter=10)
         assert iters == 0
         assert res == 0.0
         np.testing.assert_array_equal(x, np.zeros(4))
@@ -200,7 +200,7 @@ class TestCgSolve:
     def test_diagonal_system(self):
         d = np.array([1.0, 4.0, 9.0, 16.0])
         rhs = np.array([1.0, 2.0, 3.0, 4.0])
-        x, res, _ = cg_solve(lambda v: d * v, rhs, tol_abs=1e-12, max_iter=50)
+        x, res, _ = cg_solve(np.diag(d), rhs, tol_abs=1e-12, max_iter=50)
         np.testing.assert_allclose(x, rhs / d, rtol=1e-10, atol=1e-12)
         assert res <= 1e-12
 
@@ -211,7 +211,7 @@ class TestCgSolve:
             M = rng.standard_normal((dim, dim))
             S = M @ M.T + dim * np.eye(dim)
             rhs = rng.standard_normal(dim)
-            x, res, iters = cg_solve(lambda v, S=S: S @ v, rhs, tol_abs=1e-11, max_iter=200)
+            x, res, iters = cg_solve(S, rhs, tol_abs=1e-11, max_iter=200)
             np.testing.assert_allclose(x, np.linalg.solve(S, rhs), rtol=1e-7, atol=1e-9)
             assert res <= 1e-11
             assert 1 <= iters <= 200
@@ -221,7 +221,7 @@ class TestCgSolve:
         M = rng.standard_normal((8, 8))
         S = M @ M.T + 8 * np.eye(8)
         rhs = rng.standard_normal(8)
-        x, res, _ = cg_solve(lambda v: S @ v, rhs, tol_abs=1e-3, max_iter=100)
+        x, res, _ = cg_solve(S, rhs, tol_abs=1e-3, max_iter=100)
         assert np.linalg.norm(rhs - S @ x) == pytest.approx(res, rel=1e-9, abs=1e-15)
         assert res <= 1e-3
 
@@ -230,8 +230,8 @@ class TestCgSolve:
         M = rng.standard_normal((30, 30))
         S = M @ M.T + 0.5 * np.eye(30)
         rhs = rng.standard_normal(30)
-        _, _, it_loose = cg_solve(lambda v: S @ v, rhs, tol_abs=1e-1, max_iter=500)
-        _, _, it_tight = cg_solve(lambda v: S @ v, rhs, tol_abs=1e-10, max_iter=500)
+        _, _, it_loose = cg_solve(S, rhs, tol_abs=1e-1, max_iter=500)
+        _, _, it_tight = cg_solve(S, rhs, tol_abs=1e-10, max_iter=500)
         assert it_loose < it_tight
 
     def test_iteration_cap_raises(self):
@@ -240,7 +240,7 @@ class TestCgSolve:
         S = M @ M.T + 1e-8 * np.eye(40)
         rhs = rng.standard_normal(40)
         with pytest.raises(CgStalled) as exc:
-            cg_solve(lambda v: S @ v, rhs, tol_abs=1e-14, max_iter=3)
+            cg_solve(S, rhs, tol_abs=1e-14, max_iter=3)
         assert exc.value.iterations == 3
         assert exc.value.residual_norm > 1e-14
 
@@ -248,7 +248,7 @@ class TestCgSolve:
         S = np.diag([1.0, -1.0])
         rhs = np.array([0.3, 1.0])
         with pytest.raises(CgStalled):
-            cg_solve(lambda v: S @ v, rhs, tol_abs=1e-12, max_iter=50)
+            cg_solve(S, rhs, tol_abs=1e-12, max_iter=50)
 
 
 class TestInexactProject:
@@ -403,18 +403,12 @@ class TestMatchesReference:
     reference forms in tests/reference.py, bit for bit."""
 
     @staticmethod
-    def _outcome(solve, apply, rhs, tol, max_iter):
-        calls = [0]
-
-        def counted(v):
-            calls[0] += 1
-            return apply(v)
-
+    def _outcome(solve, *args):
         try:
-            x, res, iters = solve(counted, rhs, tol, max_iter)
+            x, res, iters = solve(*args)
         except CgStalled as exc:
-            return ("stalled", str(exc), exc.residual_norm, exc.iterations), calls[0]
-        return ("solved", x.tobytes(), res, iters), calls[0]
+            return ("stalled", str(exc), exc.residual_norm, exc.iterations)
+        return ("solved", x.tobytes(), res, iters)
 
     @pytest.mark.parametrize("m", [4, 10, 100])
     def test_cg_solve_bits(self, m):
@@ -432,15 +426,17 @@ class TestMatchesReference:
                 rhs_norm = float(np.linalg.norm(rhs))
                 for rel in (1e-2, 1e-8, 1e-13, 1e-15):
                     tol = rel * rhs_norm
-                    expected, ref_calls = self._outcome(
-                        reference.cg_solve, S.__matmul__, rhs, tol, 10 * m
-                    )
-                    got, calls = self._outcome(cg_solve, S.dot, rhs, tol, 10 * m)
-                    assert got == expected, (scale, rel)
-                    assert calls == ref_calls
+                    calls = [0]
+
+                    def counted(v):
+                        calls[0] += 1
+                        return S @ v
+
+                    expected = self._outcome(reference.cg_solve, counted, rhs, tol, 10 * m)
+                    assert self._outcome(cg_solve, S, rhs, tol, 10 * m) == expected, (scale, rel)
                     if expected[0] == "solved":
                         # One apply per iteration plus one per true-residual check.
-                        restarts += calls - expected[3] - 1
+                        restarts += calls[0] - expected[3] - 1
         assert restarts > 0
 
     @pytest.mark.parametrize("m", [4, 10, 100])

@@ -157,12 +157,12 @@ def test_check07_trace_covers_the_sampled_step(monkeypatch, tmp_path):
     # true-residual restarts, which the trace does not show.
     applies_beyond_iterations = []
 
-    def counted_cg(apply, rhs, tol_abs, max_iter):
+    def counted_cg(M, rhs, tol_abs, max_iter):
         calls = [0]
 
         def counted(v):
             calls[0] += 1
-            return apply(v)
+            return M.dot(v)
 
         x, res, iters = reference.cg_solve(counted, rhs, tol_abs, max_iter)
         applies_beyond_iterations.append(calls[0] - iters)

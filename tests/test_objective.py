@@ -16,6 +16,7 @@ from ipas import (
     subsample_value_grad,
     uniform_weights,
 )
+from ipas.objective import _GUIDE_MIN_DRAW
 
 DIM = 3
 
@@ -116,6 +117,63 @@ class TestDrawSample:
                 np.testing.assert_array_equal(got, want)
                 assert got.dtype == np.int64
                 assert rng.bit_generator.state == ref.bit_generator.state
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 3000),
+        kind=st.sampled_from(["uniform", "zeros", "dominant", "lognormal"]),
+        size=st.one_of(
+            st.integers(1, 2 * _GUIDE_MIN_DRAW), st.integers(2 * _GUIDE_MIN_DRAW, 3000)
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_generator_choice_for_any_weights(self, n, kind, size, seed):
+        # Sizes on both sides of the guide-table cutoff.  The reference gets
+        # the renormalised weights, whose CDF is the one draw_sample builds.
+        rng = np.random.default_rng(seed)
+        if kind == "uniform":
+            w = np.ones(n)
+        elif kind == "zeros":
+            w = rng.random(n) * (rng.random(n) < 0.3)
+            w[rng.integers(n)] = 1.0
+        elif kind == "dominant":
+            w = np.full(n, 1e-12)
+            w[rng.integers(n)] = 1.0
+        else:
+            w = rng.lognormal(0.0, 4.0, n)
+        obj = make_objective(n, weights=w / w.sum())
+        got = draw_sample(obj, size, np.random.default_rng(seed))
+        want = np.random.default_rng(seed).choice(n, size, p=obj.weights / obj.weights.sum())
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("kind", ["uniform", "skewed"])
+    def test_keys_on_cdf_steps_get_the_search_answer(self, kind):
+        # Keys exactly on every CDF value and on both float neighbours of
+        # it, drawn in one batch through the guide table: a bucket guess one
+        # off, or a check on the wrong side of a step, changes an index.
+        class Keys:
+            def __init__(self, u):
+                self.u = u
+
+            def random(self, size):
+                assert size == self.u.size
+                return self.u
+
+        n = 1000
+        w = np.ones(n) if kind == "uniform" else np.random.default_rng(7).random(n) ** 4
+        if kind == "skewed":
+            w[::7] = 0.0
+        obj = make_objective(n, weights=w / w.sum())
+        steps = obj.cdf[obj.cdf < 1.0]
+        u = np.concatenate([
+            [0.0, np.nextafter(1.0, 0.0)],
+            steps, np.nextafter(steps, 0.0), np.nextafter(steps, 1.0),
+            (np.arange(n) + 0.5) / n,
+        ])
+        assert u.size >= _GUIDE_MIN_DRAW
+        got = draw_sample(obj, u.size, Keys(u))
+        np.testing.assert_array_equal(got, obj.cdf.searchsorted(u, side="right"))
+        assert obj.weights[got].min() > 0.0
 
     def test_size_and_range(self):
         s = draw_sample(make_objective(10), 33, np.random.default_rng(0))

@@ -12,6 +12,7 @@ from ipas import (
     NonFiniteValue,
     NoisyQuadraticSpec,
     ParseError,
+    Sample,
     SolverConfig,
     exact_project,
     feasibility_gap,
@@ -34,7 +35,7 @@ from ipas import (
 )
 
 from ipas.objective import ComponentKernel
-from ipas.problems import _ROW_BLOCK, LogisticKernel
+from ipas.problems import _ROW_BLOCK, LogisticKernel, NoisyQuadraticKernel
 from ipas.solver import _oracle_batch
 from reference import logistic_component, noisy_quadratic_component
 
@@ -117,11 +118,12 @@ class TestLogisticComponents:
         rng = np.random.default_rng(2)
         x = rng.standard_normal(2)
         idx = np.array([0, 2, 2, 3])
+        rows = kernel.gather(idx)
         loop_vals = np.array([logistic_component(ds, i, x)[0] for i in idx])
-        np.testing.assert_allclose(kernel.values(idx, x), loop_vals, rtol=1e-14)
+        np.testing.assert_allclose(kernel.values(rows, x), loop_vals, rtol=1e-14)
         loop_grad = np.mean([logistic_component(ds, i, x)[1] for i in idx], axis=0)
-        vals, grad = kernel.value_grad_mean(idx, x)
-        np.testing.assert_array_equal(vals, kernel.values(idx, x))
+        vals, grad = kernel.value_grad_mean(rows, x)
+        np.testing.assert_array_equal(vals, kernel.values(rows, x))
         np.testing.assert_allclose(grad, loop_grad, rtol=1e-13)
         w = np.array([0.1, 0.2, 0.3, 0.4])
         value, grad = kernel.weighted_value_grad(w, x)
@@ -365,13 +367,14 @@ class TestNoisyQuadratic:
         rng = np.random.default_rng(18)
         x = rng.standard_normal(3)
         idx = np.array([0, 3, 3, 6])
+        rows = obj.kernel.gather(idx)
         loop_vals = [noisy_quadratic_component(spec, i, x)[0] for i in idx]
-        np.testing.assert_allclose(obj.kernel.values(idx, x), loop_vals, rtol=1e-13)
+        np.testing.assert_allclose(obj.kernel.values(rows, x), loop_vals, rtol=1e-13)
         loop_grad = np.mean(
             [noisy_quadratic_component(spec, i, x)[1] for i in idx], axis=0
         )
-        vals, grad = obj.kernel.value_grad_mean(idx, x)
-        np.testing.assert_array_equal(vals, obj.kernel.values(idx, x))
+        vals, grad = obj.kernel.value_grad_mean(rows, x)
+        np.testing.assert_array_equal(vals, obj.kernel.values(rows, x))
         np.testing.assert_allclose(grad, loop_grad, rtol=1e-12)
         w = np.arange(1.0, 8.0) / 28.0
         value, grad = obj.kernel.weighted_value_grad(w, x)
@@ -419,6 +422,28 @@ class TestNoisyQuadratic:
         with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
             make_noisy_quadratic(n, 4, sigma=0.5, seed=19)
 
+    def test_ridge_memo_follows_the_weights(self):
+        # The ridge weight is memoised only for a read-only weights array; a
+        # writable one may change between calls and is read every time.
+        spec = make_noisy_quadratic(3, 7, sigma=0.5, seed=17)
+        kernel = noisy_quadratic_objective(spec).kernel
+        x = np.array([0.3, -1.2, 2.0])
+
+        def fresh(w):
+            return NoisyQuadraticKernel(spec).weighted_value_grad(w, x)
+
+        w = np.arange(1.0, 8.0) / 28.0
+        frozen = w.copy()
+        frozen.setflags(write=False)
+        for weights in (w, w, frozen, w, frozen):
+            assert kernel.weighted_value_grad(weights, x)[0] == fresh(weights)[0]
+            w[:2] = w[1::-1]  # same sum, other ridge
+        other = np.full(7, 1.0 / 7)
+        other.setflags(write=False)
+        value, grad = kernel.weighted_value_grad(other, x)
+        assert value == kernel.weighted_value(other, x) == fresh(other)[0]
+        assert grad.tobytes() == fresh(other)[1].tobytes()
+
     def test_kernel_matches_the_operator_forms_bitwise(self):
         # The kernel takes products with ndarray.dot and means as np.add.reduce
         # over the count; x @ y and ndarray.mean give the same bits.
@@ -433,10 +458,12 @@ class TestNoisyQuadratic:
             base = 0.5 * float(x @ Qx) + float(spec.base_q @ x)
             vals = base + (1000 * float(x @ x)) * eps_sq[idx]
             grad = Qx + spec.base_q + (2.0 * (1000 * float(eps_sq[idx].mean()))) * x
-            got_vals, got_grad = kernel.value_grad_mean(idx, x)
-            assert got_vals.tobytes() == vals.tobytes() == kernel.values(idx, x).tobytes()
+            rows = kernel.gather(idx)
+            got_vals, got_grad = kernel.value_grad_mean(rows, x)
+            assert got_vals.tobytes() == vals.tobytes() == kernel.values(rows, x).tobytes()
             assert got_grad.tobytes() == grad.tobytes()
             assert subsample_value(obj, idx, x, None) == float(vals.mean())
+            assert subsample_value(obj, Sample.of(obj, idx), x, None) == float(vals.mean())
             ridge = 1000 * float(w @ eps_sq)
             value, full_grad = kernel.weighted_value_grad(w, x)
             assert value == base + ridge * float(x @ x) == kernel.weighted_value(w, x)

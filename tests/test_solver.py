@@ -137,20 +137,20 @@ class TestValidateConfig:
 
 
 class TestDescentCheck:
+    # The check takes slope = g.p and p_sq = ||p||^2 from the step.
     def test_antiparallel_direction_passes(self):
-        assert descent_check(np.array([1.0, 0.0]), np.array([-1.0, 0.0]), c=0.5)
+        assert descent_check(slope=-1.0, p_sq=1.0, c=0.5)  # g = (1, 0), p = (-1, 0)
 
     def test_uphill_direction_fails(self):
-        assert not descent_check(np.array([1.0, 0.0]), np.array([1.0, 0.0]), c=0.5)
+        assert not descent_check(slope=1.0, p_sq=1.0, c=0.5)  # g = p = (1, 0)
 
     def test_zero_direction_passes_trivially(self):
-        assert descent_check(np.array([1.0, 2.0]), np.zeros(2), c=0.9)
+        assert descent_check(slope=0.0, p_sq=0.0, c=0.9)
 
     def test_threshold_scales_with_c(self):
-        g = np.array([1.0, 0.0])
-        p = np.array([-1.0, 1.0])  # g.p = -1, ||p||^2 = 2
-        assert descent_check(g, p, c=0.5)  # -1 <= -1.0 holds
-        assert not descent_check(g, p, c=0.6)  # -1 <= -1.2 fails
+        # g = (1, 0), p = (-1, 1): g.p = -1, ||p||^2 = 2
+        assert descent_check(-1.0, 2.0, c=0.5)  # -1 <= -1.0 holds
+        assert not descent_check(-1.0, 2.0, c=0.6)  # -1 <= -1.2 fails
 
 
 class TestLineSearchFull:
