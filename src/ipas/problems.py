@@ -337,14 +337,14 @@ class NoisyQuadraticKernel:
     def gather(self, idx):
         return self._eps_sq[idx]
 
-    def values(self, rows, x):
+    def values(self, eps_sq, x):
         base_value, _ = self._base(x)
-        return base_value + (self._N * float(x.dot(x))) * rows
+        return base_value + (self._N * float(x.dot(x))) * eps_sq
 
-    def value_grad_mean(self, rows, x):
+    def value_grad_mean(self, eps_sq, x):
         base_value, Qx = self._base(x)
-        vals = base_value + (self._N * float(x.dot(x))) * rows
-        ridge_mean = self._N * _mean(rows)
+        vals = base_value + (self._N * float(x.dot(x))) * eps_sq
+        ridge_mean = self._N * _mean(eps_sq)
         return vals, Qx + self.spec.base_q + (2.0 * ridge_mean) * x
 
     def weighted_value(self, w, x):
