@@ -150,10 +150,11 @@ def cg_solve(
 ) -> tuple[np.ndarray, float, int]:
     """Conjugate gradients on an SPD matrix M, cold started from zero.
 
-    M is a float (m, m) array and rhs an (m,) vector.  Terminates on the absolute residual norm ||rhs - M x|| <= tol_abs;
-    the returned norm is recomputed from the candidate solution rather than
-    the recurrence, so callers can rely on it.  Raises CgStalled when the
-    tolerance is not met within max_iter iterations.
+    M is a float (m, m) array and rhs an (m,) vector.  Terminates on the
+    absolute residual norm ||rhs - M x|| <= tol_abs; the returned norm is
+    recomputed from the candidate solution rather than the recurrence, so
+    callers can rely on it.  Raises CgStalled when the tolerance is not met
+    within max_iter iterations.
     """
     rhs = np.asarray(rhs, dtype=float)
     m = rhs.size

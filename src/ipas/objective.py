@@ -322,6 +322,8 @@ def subsample_value(
     """Unweighted average of the sampled component values at x.
 
     s is a Sample or the drawn indices themselves; both charge s.size values.
+    The solver always passes a Sample; the index form stays as public API
+    for library callers, who gather the rows once per call with it.
     """
     vals = obj.kernel.values(_rows(obj, s), x)
     if meter is not None:

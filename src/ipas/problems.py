@@ -358,7 +358,7 @@ class NoisyQuadraticKernel:
 
     def weighted_value_grad_many(self, w, X):
         QX = self.spec.base_Q @ X
-        ridge = self._N * float(w @ self._eps_sq)
+        ridge = self._ridge(w)
         quad = np.einsum("ik,ik->k", X, 0.5 * QX + ridge * X)
         return quad + self.spec.base_q @ X, QX + self.spec.base_q[:, None] + (2.0 * ridge) * X
 

@@ -398,6 +398,18 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+class _CountingMatrix:
+    """An SPD matrix that counts the products cg_solve takes with it."""
+
+    def __init__(self, S):
+        self.S = S
+        self.calls = 0
+
+    def dot(self, v, out=None):
+        self.calls += 1
+        return self.S.dot(v, out)
+
+
 class TestMatchesReference:
     """The lean cg_solve and the direct LAPACK exact_project against their
     reference forms in tests/reference.py, bit for bit."""
@@ -426,17 +438,19 @@ class TestMatchesReference:
                 rhs_norm = float(np.linalg.norm(rhs))
                 for rel in (1e-2, 1e-8, 1e-13, 1e-15):
                     tol = rel * rhs_norm
-                    calls = [0]
+                    ref_calls = [0]
 
                     def counted(v):
-                        calls[0] += 1
+                        ref_calls[0] += 1
                         return S @ v
 
                     expected = self._outcome(reference.cg_solve, counted, rhs, tol, 10 * m)
-                    assert self._outcome(cg_solve, S, rhs, tol, 10 * m) == expected, (scale, rel)
+                    M = _CountingMatrix(S)
+                    assert self._outcome(cg_solve, M, rhs, tol, 10 * m) == expected, (scale, rel)
+                    assert M.calls == ref_calls[0]
                     if expected[0] == "solved":
                         # One apply per iteration plus one per true-residual check.
-                        restarts += calls[0] - expected[3] - 1
+                        restarts += ref_calls[0] - expected[3] - 1
         assert restarts > 0
 
     @pytest.mark.parametrize("m", [4, 10, 100])
