@@ -581,6 +581,13 @@ class ExperimentOutcome:
     summary: list[SummaryRow]
 
 
+def _usable_cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_experiment(
     cfg: ExperimentConfig,
     workers: int | None = None,
@@ -588,7 +595,8 @@ def run_experiment(
 ) -> ExperimentOutcome:
     """Execute the full sweep and write traces, manifest, summary and curves.
 
-    workers defaults to the available parallelism; results are collected
+    workers defaults to the CPUs the process may run on (its affinity
+    mask where the OS has one, else os.cpu_count()); results are collected
     and written in a deterministic order regardless of scheduling.  Raises
     OutputExists, before any run, when the output directory already holds
     sweep results, and ConfigInvalid when it cannot be created.
@@ -612,7 +620,7 @@ def run_experiment(
     payloads = plan_runs(cfg, output_dir=out_dir)
 
     if workers is None:
-        workers = os.cpu_count() or 1
+        workers = _usable_cpu_count()
     workers = max(1, min(workers, len(payloads)))
 
     if workers == 1:

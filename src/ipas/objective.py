@@ -174,6 +174,9 @@ class FiniteSumObjective:
         w = np.array(self.weights, dtype=float)
         if w.ndim != 1 or w.size < 1:
             raise WeightError(f"weights must be a nonempty 1-D array, got shape {w.shape}")
+        # A NaN weight would pass both checks below, since NaN compares false.
+        if not np.isfinite(w).all():
+            raise WeightError("weights must be finite")
         if (w < 0).any():
             raise WeightError("weights must be nonnegative")
         total = float(w.sum())

@@ -48,7 +48,9 @@ class LogisticDataset:
             raise ValueError(f"Z must be a nonempty 2-D array, got shape {Z.shape}")
         if y.shape != (Z.shape[0],):
             raise ValueError(f"y must have shape ({Z.shape[0]},), got {y.shape}")
-        if not np.isfinite(Z).all():
+        # min and max propagate NaN and reach any infinity, so this rejects
+        # what isfinite(Z).all() rejects without an N x n boolean temporary.
+        if not (math.isfinite(Z.min()) and math.isfinite(Z.max())):
             raise ValueError("Z must be finite")
         if not np.isin(y, (-1.0, 1.0)).all():
             raise LabelError("labels must be -1 or +1 after mapping")

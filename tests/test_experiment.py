@@ -628,6 +628,18 @@ class TestEndToEnd:
         for name in sorted(p.name for p in d1.iterdir()):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
 
+    def test_default_workers_follow_the_affinity_mask(self, tmp_path, monkeypatch):
+        # One usable CPU on a host that has more: the sweep runs serially.
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-CPU affinity mask must not start a process pool")
+
+        monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(experiment.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(experiment.concurrent.futures, "ProcessPoolExecutor", no_pool)
+        cfg = parse_experiment_config(write_config(tmp_path, QUAD_CONFIG))
+        outcome = run_experiment(cfg, output_dir=str(tmp_path / "out"))
+        assert (outcome.n_runs, outcome.n_failed) == (4, 0)
+
     def test_mixed_group_summary_matches_the_rebuild(self, tmp_path, monkeypatch):
         # One seed of one grid point fails, the other runs complete.
         real_execute_run = experiment.execute_run

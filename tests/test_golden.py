@@ -9,11 +9,17 @@ a change to the output is intended, regenerate the files with
 
 and review the diff before committing it.  The script prints, for each
 file, "unchanged" or the columns whose cells changed, with the number of
-rows and the worst relative change in each.
+rows and the worst relative change in each.  To verify that a change
+keeps every file's bytes without rewriting any of them, run
+
+    PYTHONPATH=src python tests/test_golden.py --check
+
+which prints the same report and exits 1 if any file would change.
 """
 
 import math
 import shutil
+import sys
 import tempfile
 import textwrap
 from pathlib import Path
@@ -192,6 +198,22 @@ def test_failed_sweep_has_no_curves(tmp_path):
     assert not list(out.glob("curve_*.csv"))
 
 
+def test_check_mode_reports_a_change_without_rewriting(monkeypatch, tmp_path, capsys):
+    golden = tmp_path / "golden"
+    shutil.copytree(GOLDEN, golden)
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN", golden)
+    assert _regenerate(write=False)
+    stale = golden / "sweep_quadratic" / "summary.csv"
+    stale_bytes = stale.read_bytes().replace(b"s2_dN1", b"s9_dN1")
+    stale.write_bytes(stale_bytes)
+    capsys.readouterr()
+    assert not _regenerate(write=False)
+    assert stale.read_bytes() == stale_bytes
+    report = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    assert report.pop("sweep_quadratic/summary.csv").startswith("1 of 2 rows changed: config_id")
+    assert set(report.values()) == {"unchanged"}
+
+
 def _relative_change(old: str, new: str) -> float:
     """|new - old| / max(|old|, |new|) between two numeric cells; inf for text."""
     try:
@@ -230,26 +252,38 @@ def change_report(old: bytes | None, new: bytes) -> str:
     return f"{len(rows)} of {len(new_lines) - 1} rows changed: {parts}"
 
 
-def _rewrite(path: Path, data: bytes) -> None:
-    old = path.read_bytes() if path.exists() else None
-    print(f"{path.relative_to(GOLDEN)}: {change_report(old, data)}")
-    path.write_bytes(data)
+def _regenerate(write: bool) -> bool:
+    """Rerun every golden computation and report each file; True if all are unchanged.
 
+    With write False the files are only compared, never rewritten.
+    """
+    unchanged = True
 
-def _regenerate() -> None:
-    GOLDEN.mkdir(parents=True, exist_ok=True)
+    def visit(path: Path, data: bytes) -> None:
+        nonlocal unchanged
+        old = path.read_bytes() if path.exists() else None
+        unchanged &= old == data
+        print(f"{path.relative_to(GOLDEN)}: {change_report(old, data)}")
+        if write:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(data)
+
     tmp = Path(tempfile.mkdtemp())
     try:
         for name in TRACES:
-            _rewrite(GOLDEN / name, trace_bytes(name, tmp))
+            visit(GOLDEN / name, trace_bytes(name, tmp))
         for name, (_, files) in SWEEPS.items():
             out = sweep_dir(name, tmp)
-            (GOLDEN / name).mkdir(exist_ok=True)
             for fname in files:
-                _rewrite(GOLDEN / name / fname, (out / fname).read_bytes())
+                visit(GOLDEN / name / fname, (out / fname).read_bytes())
     finally:
         shutil.rmtree(tmp)
+    return unchanged
 
 
 if __name__ == "__main__":
-    _regenerate()
+    if sys.argv[1:] not in ([], ["--check"]):
+        sys.exit(f"usage: {sys.argv[0]} [--check]")
+    check = sys.argv[1:] == ["--check"]
+    unchanged = _regenerate(write=not check)
+    sys.exit(1 if check and not unchanged else 0)

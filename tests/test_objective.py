@@ -48,6 +48,13 @@ class TestWeights:
         with pytest.raises(WeightError):
             make_objective(3, weights=np.array([0.6, 0.6, -0.2]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        # NaN compares false, so it would pass the sign and sum checks and
+        # build an all-NaN cdf, from which every draw returns index 0.
+        with pytest.raises(WeightError, match="weights must be finite"):
+            make_objective(3, weights=np.array([bad, 0.5, 0.5]))
+
     def test_wrong_sum_rejected(self):
         with pytest.raises(WeightError):
             make_objective(2, weights=np.array([0.5, 0.6]))

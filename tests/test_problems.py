@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -195,6 +196,32 @@ class TestLogisticComponents:
             LogisticDataset(Z=np.array([[np.nan, 0.0]]), y=np.array([1.0]))
         with pytest.raises(LabelError):
             LogisticDataset(Z=np.ones((2, 1)), y=np.array([0.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (2, 1), (4, 2)], ids=["first", "interior", "last"])
+    def test_non_finite_entry_is_rejected(self, bad, where):
+        Z = np.ones((5, 3))
+        Z[where] = bad
+        with pytest.raises(ValueError, match="^Z must be finite$"):
+            LogisticDataset(Z=Z, y=np.ones(5))
+
+    def test_largest_finite_entries_are_accepted(self):
+        big = 1.7976931348623157e308
+        assert big == np.finfo(float).max
+        Z = np.array([[big, -big], [1.0, 0.0]])
+        ds = LogisticDataset(Z=Z, y=np.array([1.0, -1.0]))
+        np.testing.assert_array_equal(ds.Z, Z)
+
+    def test_validation_allocates_nothing_the_size_of_z(self):
+        Z = np.ones((4000, 500))
+        y = np.ones(4000)
+        tracemalloc.start()
+        try:
+            LogisticDataset(Z=Z, y=y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.01 * Z.nbytes
 
 
 class TestLibsvmIO:
