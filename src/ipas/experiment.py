@@ -28,6 +28,7 @@ from .errors import ConfigInvalid, EmptyGroup, IpasError, OutputExists, ParseErr
 from .objective import FiniteSumObjective
 from .problems import (
     LogisticDataset,
+    _usable_cpu_count,
     generate_constraints,
     logistic_objective,
     make_noisy_quadratic,
@@ -579,13 +580,6 @@ class ExperimentOutcome:
     n_runs: int
     n_failed: int
     summary: list[SummaryRow]
-
-
-def _usable_cpu_count() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def run_experiment(

@@ -1,7 +1,9 @@
 """Reference implementations that tests compare the package against.
 
 The component oracles evaluate one summand at a time, the plain way, for
-checking the vectorised kernels.  cg_solve and exact_project are the
+checking the vectorised kernels; logistic_value_grad_many is the batched
+logistic oracle's serial form, and parse_libsvm_dicts the LIBSVM reader's
+earlier form, which held one dict per row.  cg_solve and exact_project are the
 package's earlier forms, written with the @ operator, a freshly allocated
 search direction and scipy.linalg.cho_solve; the package's leaner forms
 must reproduce them bit for bit.
@@ -9,6 +11,7 @@ must reproduce them bit for bit.
 
 from __future__ import annotations
 
+import io
 import math
 from typing import Callable
 
@@ -16,7 +19,15 @@ import numpy as np
 import scipy.linalg
 from scipy.special import expit
 
-from ipas import CgStalled, ConstraintSet, DimensionMismatch, LogisticDataset, NoisyQuadraticSpec
+from ipas import (
+    CgStalled,
+    ConstraintSet,
+    DimensionMismatch,
+    LogisticDataset,
+    NoisyQuadraticSpec,
+    ParseError,
+)
+from ipas.problems import _map_labels
 
 
 def logistic_component(ds: LogisticDataset, i: int, x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -31,6 +42,29 @@ def logistic_component(ds: LogisticDataset, i: int, x: np.ndarray) -> tuple[floa
     value = float(np.logaddexp(0.0, margin))
     grad = (-ds.y[i] * float(expit(margin))) * z
     return value, grad
+
+
+def logistic_value_grad_many(
+    ds: LogisticDataset, w: np.ndarray, X: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """LogisticKernel.weighted_value_grad_many as one serial loop over 256-row blocks.
+
+    The package computes the same block terms, on helper threads for a
+    large Z, and must sum them to these bits.
+    """
+    Z, y = ds.Z, ds.y
+    values = np.zeros(X.shape[1])
+    grads = np.zeros(X.shape)
+    for lo in range(0, len(y), 256):
+        rows = slice(lo, lo + 256)
+        Zb, wb = Z[rows], w[rows]
+        m = (Zb @ X) * -y[rows, None]
+        e = np.exp(-np.abs(m))
+        values += wb @ (np.log1p(e) + np.maximum(m, 0.0))
+        coef = np.where(m > 0.0, 1.0, e) / (e + 1.0)
+        coef *= (-wb * y[rows])[:, None]
+        grads += Zb.T @ coef
+    return values, grads
 
 
 def noisy_quadratic_component(
@@ -107,3 +141,45 @@ def exact_project(cs: ConstraintSet, y: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(f"y must have shape ({cs.n},) or ({cs.n}, K), got {y.shape}")
     lam = scipy.linalg.cho_solve(cs.chol, cs.A @ y - (cs.b if y.ndim == 1 else cs.b[:, None]))
     return y - cs.A.T @ lam
+
+
+def parse_libsvm_dicts(data: bytes, path) -> LogisticDataset:
+    """parse_libsvm as one {index: value} dict per row, filled into Z entry by entry."""
+    labels: list[float] = []
+    rows: list[dict[int, float]] = []
+    width = 0
+    with io.TextIOWrapper(io.BytesIO(data)) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            tokens = line.split()
+            try:
+                label = float(tokens[0])
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: bad label {tokens[0]!r}") from exc
+            entries: dict[int, float] = {}
+            for tok in tokens[1:]:
+                idx_str, _, val_str = tok.partition(":")
+                if not _:
+                    raise ParseError(f"{path}:{lineno}: expected idx:val, got {tok!r}")
+                try:
+                    idx = int(idx_str)
+                    val = float(val_str)
+                except ValueError as exc:
+                    raise ParseError(f"{path}:{lineno}: bad entry {tok!r}") from exc
+                if idx < 1:
+                    raise ParseError(f"{path}:{lineno}: indices are 1-based, got {idx}")
+                entries[idx] = val
+                width = max(width, idx)
+            labels.append(label)
+            rows.append(entries)
+    if not rows:
+        raise ParseError(f"{path}: no samples found")
+
+    y = _map_labels(np.array(labels))
+    Z = np.zeros((len(rows), width))
+    for r, entries in enumerate(rows):
+        for idx, val in entries.items():
+            Z[r, idx - 1] = val
+    return LogisticDataset(Z=Z, y=y)

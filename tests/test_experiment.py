@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
@@ -627,6 +630,78 @@ class TestEndToEnd:
         run_experiment(cfg, workers=2, output_dir=str(d2))
         for name in sorted(p.name for p in d1.iterdir()):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
+
+    def test_process_pool_forks_after_a_threaded_oracle(self, tmp_path):
+        # The parent evaluates the batched logistic oracle on helper threads,
+        # then the sweep's process pool forks from it.  4096 rows make 16
+        # row blocks, enough for the oracle's threads in the workers too.
+        # A child process, so that a hang fails at the timeout.
+        data = tmp_path / "data.libsvm"
+        save_libsvm(make_synthetic_logistic(4096, 3, seed=11), data)
+        config = write_config(
+            tmp_path,
+            f"""
+            [problem]
+            kind = logistic
+            dataset = {data}
+
+            [solver]
+            n0 = 40
+            d = 4
+            k_max = 30
+
+            [sweep]
+            s = 0.75 1
+            dn = 1
+
+            [run]
+            seeds = 0 1
+            """,
+        )
+        script = textwrap.dedent(
+            f"""
+            import threading
+            from concurrent.futures import ThreadPoolExecutor
+            import numpy as np
+            from ipas import load_libsvm, logistic_objective, parse_experiment_config, problems
+            from ipas import run_experiment
+
+            pools = []
+
+            class CountingPool(ThreadPoolExecutor):
+                def __init__(self, *args, **kwargs):
+                    pools.append(args)
+                    super().__init__(*args, **kwargs)
+
+            problems.ThreadPoolExecutor = CountingPool
+            problems._usable_cpu_count = lambda: 2
+            problems._blas_threads = lambda: 1
+            problems._MIN_THREADED_POINTS = 1
+            obj = logistic_objective(load_libsvm({str(data)!r}))
+            X = np.random.default_rng(0).standard_normal((3, 40))
+            obj.kernel.weighted_value_grad_many(obj.weights, X)
+            assert pools == [(2,)], pools
+            assert threading.active_count() == 1, threading.enumerate()
+            cfg = parse_experiment_config({str(config)!r})
+            for workers in (2, 1):
+                out_dir = {str(tmp_path)!r} + f"/w{{workers}}"
+                outcome = run_experiment(cfg, workers=workers, output_dir=out_dir)
+                assert (outcome.n_runs, outcome.n_failed) == (4, 0)
+            print("done")
+            """
+        )
+        src = str(Path(experiment.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=env
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "done"
+        names = sorted(p.name for p in (tmp_path / "w1").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "w2").iterdir())
+        for name in names:
+            parallel, serial = (tmp_path / d / name for d in ("w2", "w1"))
+            assert parallel.read_bytes() == serial.read_bytes(), name
 
     def test_default_workers_follow_the_affinity_mask(self, tmp_path, monkeypatch):
         # One usable CPU on a host that has more: the sweep runs serially.

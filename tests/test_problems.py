@@ -1,10 +1,13 @@
 import math
+import threading
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ipas import (
     BaselineConfig,
@@ -35,10 +38,16 @@ from ipas import (
     uniform_weights,
 )
 
+from ipas import problems
 from ipas.objective import ComponentKernel
-from ipas.problems import _ROW_BLOCK, LogisticKernel, NoisyQuadraticKernel
+from ipas.problems import _ROW_BLOCK, LogisticKernel, NoisyQuadraticKernel, parse_libsvm
 from ipas.solver import _oracle_batch
-from reference import logistic_component, noisy_quadratic_component
+from reference import (
+    logistic_component,
+    logistic_value_grad_many,
+    noisy_quadratic_component,
+    parse_libsvm_dicts,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -224,6 +233,146 @@ class TestLogisticComponents:
         assert peak < 0.01 * Z.nbytes
 
 
+class TestThreadedBatchKernel:
+    """weighted_value_grad_many on helper threads against the serial reference, bit for bit."""
+
+    DIM = 7
+    # 23 row blocks, the last one short, in tasks of 4, 4, 4, 4, 4 and 3
+    # blocks: two threads, and more tasks than the four kept in flight.
+    N = 22 * _ROW_BLOCK + 100
+    # 12 blocks make 3 tasks, too few for two threads; one more row makes 4.
+    SERIAL_N = 12 * _ROW_BLOCK
+
+    @classmethod
+    def problem(cls, n_samples, K, seed=0):
+        rng = np.random.default_rng(seed)
+        ds = make_synthetic_logistic(n_samples, cls.DIM, seed=seed)
+        w = rng.random(n_samples)
+        w /= w.sum()
+        return logistic_objective(ds, w).kernel, w, rng.standard_normal((cls.DIM, K))
+
+    @staticmethod
+    def block_threads(monkeypatch, fail_at=None):
+        """Record the thread of every block; raise in the block starting at fail_at."""
+        seen = []
+        real = LogisticKernel._block_terms
+
+        def spy(self, w, X, lo):
+            seen.append((lo, threading.current_thread(), np.geterr()))
+            if lo == fail_at:
+                raise RuntimeError(f"block at row {lo} failed")
+            return real(self, w, X, lo)
+
+        monkeypatch.setattr(LogisticKernel, "_block_terms", spy)
+        return seen
+
+    @pytest.fixture
+    def two_cpus(self, monkeypatch):
+        # Two usable CPUs, and BLAS pinned to one thread.
+        monkeypatch.setattr(problems, "_usable_cpu_count", lambda: 2)
+        monkeypatch.setattr(problems, "_blas_threads", lambda: 1)
+
+    def assert_matches_reference(self, kernel, w, X):
+        values, grads = kernel.weighted_value_grad_many(w, X)
+        ref_values, ref_grads = logistic_value_grad_many(kernel.ds, w, X)
+        np.testing.assert_array_equal(values, ref_values)
+        np.testing.assert_array_equal(grads, ref_grads)
+
+    @pytest.mark.parametrize("K", [1, 2, 33, 70])
+    def test_threaded_sum_matches_the_serial_reference(self, monkeypatch, two_cpus, K):
+        monkeypatch.setattr(problems, "_MIN_THREADED_POINTS", 1)
+        kernel, w, X = self.problem(self.N, K, seed=K)
+        seen = self.block_threads(monkeypatch)
+        self.assert_matches_reference(kernel, w, X)
+        assert sorted(lo for lo, _, _ in seen) == list(range(0, self.N, _ROW_BLOCK))
+        assert threading.main_thread() not in {t for _, t, _ in seen}
+
+    @pytest.mark.parametrize(
+        "n_samples,K,threaded",
+        [
+            (SERIAL_N, 70, False),
+            (SERIAL_N + 1, 70, True),
+            (N, problems._MIN_THREADED_POINTS - 1, False),
+            (N, problems._MIN_THREADED_POINTS, True),
+        ],
+    )
+    def test_threads_engage_only_on_enough_blocks_and_points(
+        self, monkeypatch, two_cpus, n_samples, K, threaded
+    ):
+        kernel, w, X = self.problem(n_samples, K)
+        seen = self.block_threads(monkeypatch)
+        self.assert_matches_reference(kernel, w, X)
+        assert (threading.main_thread() not in {t for _, t, _ in seen}) == threaded
+
+    @pytest.mark.parametrize(
+        "cpus,env,threads",
+        [
+            (1, {"OPENBLAS_NUM_THREADS": "1"}, None),
+            (2, {}, None),
+            (2, {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, None),
+            (2, {"OMP_NUM_THREADS": "1"}, 2),
+            (4, {"MKL_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
+            (8, {"OPENBLAS_NUM_THREADS": "1"}, 3),
+        ],
+    )
+    def test_threads_share_the_cpus_with_blas(self, monkeypatch, cpus, env, threads):
+        # None: the serial path.  Eight CPUs, but the 6 tasks make 3 threads.
+        for var in problems._BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        monkeypatch.setattr(problems, "_usable_cpu_count", lambda: cpus)
+        pools = []
+        real_pool = problems.ThreadPoolExecutor
+
+        def pool(max_workers):
+            pools.append(max_workers)
+            return real_pool(max_workers)
+
+        monkeypatch.setattr(problems, "ThreadPoolExecutor", pool)
+        kernel, w, X = self.problem(self.N, 40)
+        self.assert_matches_reference(kernel, w, X)
+        assert pools == ([] if threads is None else [threads])
+
+    def test_a_helpers_exception_reaches_the_caller(self, monkeypatch, two_cpus):
+        kernel, w, X = self.problem(self.N, 40)
+        seen = self.block_threads(monkeypatch, fail_at=9 * _ROW_BLOCK)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"block at row {9 * _ROW_BLOCK} failed"):
+            kernel.weighted_value_grad_many(w, X)
+        failed = [t for lo, t, _ in seen if lo == 9 * _ROW_BLOCK]
+        assert failed and failed[0] is not threading.main_thread()
+        assert threading.active_count() == before
+
+    def test_helpers_run_under_the_callers_errstate(self, monkeypatch, two_cpus):
+        kernel, w, X = self.problem(self.N, 40)
+        seen = self.block_threads(monkeypatch)
+        with np.errstate(over="raise", under="ignore", invalid="warn"):
+            kernel.weighted_value_grad_many(w, X)
+        assert threading.main_thread() not in {t for _, t, _ in seen}
+        assert all(
+            (err["over"], err["under"], err["invalid"]) == ("raise", "ignore", "warn")
+            for _, _, err in seen
+        )
+
+    def test_a_helpers_floating_point_error_reaches_the_caller(self, two_cpus):
+        # One row in a late block has a margin of about 900, so exp(-|m|)
+        # underflows there; under="raise" must hold in the helper that
+        # computes it, as it does in the serial reference.
+        ds = make_synthetic_logistic(self.N, 1, seed=2)
+        Z = ds.Z.copy()
+        Z[11 * _ROW_BLOCK + 5] = 900.0
+        kernel = logistic_objective(LogisticDataset(Z=Z, y=ds.y)).kernel
+        w = uniform_weights(self.N)
+        X = np.ones((1, 40))
+        kernel.weighted_value_grad_many(w, X)
+        with np.errstate(under="raise"):
+            with pytest.raises(FloatingPointError, match="underflow"):
+                logistic_value_grad_many(kernel.ds, w, X)
+            with pytest.raises(FloatingPointError, match="underflow"):
+                kernel.weighted_value_grad_many(w, X)
+
+
 class TestLibsvmIO:
     def test_fixture_file(self):
         ds = load_libsvm(DATA / "tiny.libsvm")
@@ -306,6 +455,98 @@ class TestLibsvmIO:
         path = tmp_path / "gaps.libsvm"
         path.write_text("1 1:1.0\n\n0 1:2.0\n")
         assert load_libsvm(path).n_samples == 2
+
+
+def _outcome(parse, data):
+    """Z and y of a parse, or the type and message of what it raised."""
+    try:
+        ds = parse(data, "f.libsvm")
+    except Exception as exc:  # the comparison covers every error the parsers raise
+        return type(exc), str(exc)
+    return ds.Z.tolist(), ds.y.tolist()
+
+
+# An entry token: mostly well formed, sometimes with a repeated, zero,
+# negative or malformed index, a malformed value or no colon.
+_ENTRY = st.one_of(
+    st.builds(
+        "{}:{!r}".format,
+        st.integers(1, 9),
+        st.floats(allow_nan=False, allow_infinity=False, width=64),
+    ),
+    st.builds("{}:{}".format, st.integers(-2, 0), st.sampled_from(["1", "2.5"])),
+    st.sampled_from(["3", "x:1", "2:one", "1:", ":4", "1:2:3", "04:1e-3", "+2:-0.0"]),
+)
+_LINE = st.builds(
+    lambda label, entries, sep: sep.join([label, *entries]),
+    st.sampled_from(["1", "-1", "0", "+1", "2"]),
+    st.lists(_ENTRY, max_size=6),
+    st.sampled_from([" ", "\t", "  "]),
+)
+
+
+class TestLibsvmParser:
+    """parse_libsvm's flat arrays against the per-row dict parser it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(_LINE, st.just(""), st.just("  ")), max_size=8))
+    def test_matches_the_per_row_dict_parser(self, lines):
+        data = "\n".join(lines).encode()
+        assert _outcome(parse_libsvm, data) == _outcome(parse_libsvm_dicts, data)
+
+    def test_width_is_the_largest_index(self):
+        ds = parse_libsvm(b"1 2:1.5\n-1 5:2.0 1:-1\n1\n", "f")
+        np.testing.assert_array_equal(
+            ds.Z, [[0, 1.5, 0, 0, 0], [-1, 0, 0, 0, 2], [0, 0, 0, 0, 0]]
+        )
+        np.testing.assert_array_equal(ds.y, [1, -1, 1])
+
+    def test_repeated_index_keeps_its_last_value(self):
+        ds = parse_libsvm(b"1 2:1.5 1:3 2:-4 2:7\n-1 1:5 1:0.25\n1 2:1\n", "f")
+        np.testing.assert_array_equal(ds.Z, [[3, 7], [0.25, 0], [0, 1]])
+        np.testing.assert_array_equal(ds.y, [1, -1, 1])
+
+    def test_large_file_matches_the_dict_parser(self, tmp_path):
+        path = tmp_path / "data.libsvm"
+        save_libsvm(make_synthetic_logistic(500, 30, seed=8), path)
+        data = path.read_bytes()
+        ds, ref = parse_libsvm(data, path), parse_libsvm_dicts(data, path)
+        np.testing.assert_array_equal(ds.Z, ref.Z)
+        np.testing.assert_array_equal(ds.y, ref.y)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("1 1:1.0\nxyz 1:2.0\n", "f:2: bad label 'xyz'"),
+            ("1 1:1.0\n-1 1:2 23\n", "f:2: expected idx:val, got '23'"),
+            ("1 1:one\n", "f:1: bad entry '1:one'"),
+            ("1 2.0:1\n", "f:1: bad entry '2.0:1'"),
+            ("1 1:1 0:1.0 x\n", "f:1: indices are 1-based, got 0"),
+            ("1 -3:1.0\n", "f:1: indices are 1-based, got -3"),
+            ("\n \n\t\n", "f: no samples found"),
+        ],
+    )
+    def test_parse_error_messages(self, text, message):
+        for parse in (parse_libsvm, parse_libsvm_dicts):
+            with pytest.raises(ParseError) as info:
+                parse(text.encode(), "f")
+            assert str(info.value) == message
+
+    def test_traced_memory_stays_near_the_size_of_z(self, tmp_path):
+        # The per-row dicts traced about 10x Z; flat arrays hold 16 bytes an
+        # entry, and an ordered file peaks near three times Z.
+        path = tmp_path / "data.libsvm"
+        ds = make_synthetic_logistic(2000, 40, seed=9)
+        save_libsvm(ds, path)
+        data = path.read_bytes()
+        tracemalloc.start()
+        try:
+            parsed = parse_libsvm(data, "f")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(parsed.Z, ds.Z)
+        assert peak < 4 * ds.Z.nbytes
 
 
 class TestSyntheticLogistic:

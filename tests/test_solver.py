@@ -33,6 +33,7 @@ from ipas import (
     logistic_objective,
     make_noisy_quadratic,
     make_synthetic_logistic,
+    min_norm_feasible,
     noisy_quadratic_objective,
     projected_direction,
     read_trace,
@@ -589,6 +590,26 @@ class TestInvariantChecks:
         self.patch_projection(monkeypatch, 1, shift)
         with pytest.raises(InvariantViolation, match="after the accepted step exceeds"):
             run(cs, obj, cfg, x0=x_star)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=InvariantViolation,
+    reason="eta_k falls below the attainable accuracy of CG's residual (ROADMAP item 2)",
+)
+def test_steep_schedule_on_a_check07_instance_finishes():
+    # Check 07's instance 0 and parameters, but s_exp=4, dN=20, k_max=600:
+    # the run raises "projection residual 1.649e-11 exceeds its tolerance
+    # 1.267e-11" at k = 529.  A projection contract with a roundoff floor
+    # lets it finish, and this xfail then fails as an unexpected pass.
+    spec = make_noisy_quadratic(20, 1000, 1.0, seed=1000)
+    cs = generate_constraints(20, 10, seed=500)
+    cfg = SolverConfig(
+        beta=0.1, c=1e-4, c1=1e-2, C_accept=1e-2, s_exp=4.0,
+        dN=20, D_size=1, N0=10, t_min=1e-5, k_max=600, seed=0,
+    )
+    result = run(cs, noisy_quadratic_objective(spec), cfg, x0=min_norm_feasible(cs))
+    assert result.status in (STATUS_MAX_ITERATIONS, STATUS_STATIONARY)
 
 
 class TestOracleMemo:
