@@ -2,8 +2,10 @@
 
 The component oracles evaluate one summand at a time, the plain way, for
 checking the vectorised kernels; logistic_value_grad_many is the batched
-logistic oracle's serial form, and parse_libsvm_dicts the LIBSVM reader's
-earlier form, which held one dict per row.  cg_solve and exact_project are the
+logistic oracle's serial form, TwoPassLogisticKernel the logistic kernel's
+full-data methods as one pass for Z x and one for Z' coef, and
+parse_libsvm_dicts the LIBSVM reader's earlier form, which held one dict
+per row.  cg_solve and exact_project are the
 package's earlier forms, written with the @ operator, a freshly allocated
 search direction and scipy.linalg.cho_solve; the package's leaner forms
 must reproduce them bit for bit.
@@ -27,7 +29,7 @@ from ipas import (
     NoisyQuadraticSpec,
     ParseError,
 )
-from ipas.problems import _map_labels
+from ipas.problems import LogisticKernel, _map_labels
 
 
 def logistic_component(ds: LogisticDataset, i: int, x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -65,6 +67,28 @@ def logistic_value_grad_many(
         coef *= (-wb * y[rows])[:, None]
         grads += Zb.T @ coef
     return values, grads
+
+
+class TwoPassLogisticKernel(LogisticKernel):
+    """LogisticKernel whose full-data methods read Z twice and memoise nothing.
+
+    The margins -y * (Z x) come from one product and the gradient from a
+    second, Z' coef, at every call.  The package's full-data methods must
+    return these bits, whichever path they take.
+    """
+
+    def _two_pass_margins(self, x):
+        margins = -self.ds.y * (self.ds.Z @ x)
+        return margins, np.logaddexp(0.0, margins)
+
+    def weighted_value(self, w, x):
+        _, losses = self._two_pass_margins(x)
+        return float(w @ losses)
+
+    def weighted_value_grad(self, w, x):
+        margins, losses = self._two_pass_margins(x)
+        coef = w * (-self.ds.y * expit(margins))
+        return float(w @ losses), self.ds.Z.T @ coef
 
 
 def noisy_quadratic_component(
