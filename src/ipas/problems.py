@@ -16,9 +16,11 @@ import os
 from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dgemv
 from scipy.special import expit
 
 from .constraints import ConstraintSet, build_constraint_set, exact_project
@@ -64,6 +66,18 @@ _BLAS_THREAD_VARS = (
     "MKL_NUM_THREADS",
     "OMP_NUM_THREADS",
 )
+
+# The single-point full-data methods read Z once per point, in blocks of
+# about _SINGLE_PASS_BLOCK_BYTES of whole rows, when Z holds at least
+# _SINGLE_PASS_MIN_BYTES.  Against two passes (Z x, then Z' coef) at one
+# BLAS thread on a shared 2-vCPU x86 host, the single pass with 512 KB
+# blocks took 0.86-0.95x the time at 16-32 MB of Z and 0.80-0.92x at
+# 64-160 MB, for n = 8, 100 and 200 (31.8 against 38.3 ms at 100000 x 200);
+# 128 KB and 1 MB blocks did no better.  Below that its per-block calls
+# cost more than the second read of a Z that the cache still holds: 1.26x
+# at 768 x 200 and 1.4-1.6x for n = 8 up to 3 MB, with 256-row blocks.
+_SINGLE_PASS_MIN_BYTES = 32 << 20
+_SINGLE_PASS_BLOCK_BYTES = 512 << 10
 
 
 def _usable_cpu_count() -> int:
@@ -118,33 +132,135 @@ class LogisticDataset:
         return self.Z.shape[1]
 
 
+class _Point(NamedTuple):
+    """LogisticKernel's memo: the full-data margins and losses at the point
+    with this key, and the gradient for the read-only weights w, if held."""
+
+    key: tuple
+    margins: np.ndarray
+    losses: np.ndarray
+    w: np.ndarray | None
+    grad: np.ndarray | None
+
+
 class LogisticKernel:
     """Vectorised evaluation of the logistic components.
 
     The full-data methods read the margins -y * (Z x) and the losses through
     a one-entry memo of the last point they evaluated, keyed by the dtype,
-    shape and bytes of x.  A line search evaluates the objective at the
+    shape and bytes of x.  For a read-only w, such as an objective's own
+    weights, which is taken to be frozen, the memo also holds the gradient,
+    keyed on the identity of w; it holds w itself, so that identity cannot
+    pass to another array.  A line search evaluates the objective at the
     point it accepts, and the next iteration asks for value and gradient at
-    the same bytes, so that gradient pays only for the sigmoid and Z' coef.
-    A hit returns the arrays a miss would compute, so no result changes by a
-    bit; an x mutated in place, or one differing only in the sign of a zero,
-    misses.  The memo holds two N-vectors.
+    the same bytes.  A hit returns the arrays a miss would compute, read-only,
+    so no result changes by a bit; an x mutated in place, or one differing
+    only in the sign of a zero, misses.  The memo holds two N-vectors.
+
+    On a large Z a miss reads Z once (_single_pass): each block of rows
+    gives its margins and, while it is still in cache, its share of the
+    gradient, so a value-only call at a read-only w computes and holds the
+    gradient too.  Elsewhere a miss takes one pass for the margins, and a
+    gradient one more.  The single pass is taken only where a probe, once
+    per kernel, finds that it returns the two passes' bits, and only while
+    numpy ignores underflow, numpy's default: the gradient's products can
+    underflow where the losses do not, and a value-only call must not
+    raise or warn where the two passes stay silent.
     """
 
     def __init__(self, ds: LogisticDataset):
         self.ds = ds
-        self._memo: tuple[tuple, np.ndarray, np.ndarray] | None = None
+        self._memo: _Point | None = None
+        # None until the first miss that could take the single pass probes it.
+        large = ds.Z.nbytes >= _SINGLE_PASS_MIN_BYTES and ds.Z.flags.c_contiguous
+        self._single_pass_ok: bool | None = None if large else False
 
     def _margins_losses(self, x):
-        """Full-data margins and losses at x, read-only, from the memo when x's bytes match."""
+        margins = -self.ds.y * (self.ds.Z @ x)
+        return margins, np.logaddexp(0.0, margins)
+
+    def _grad(self, w, margins):
+        return self.ds.Z.T @ (w * (-self.ds.y * expit(margins)))
+
+    def _single_pass(self, w, x):
+        """Margins, losses and gradient at x, as the two passes give them, reading Z once.
+
+        Each block gives m = -y * (Z_b x), then adds Z_b' coef to the gradient
+        through dgemv with beta = 1, while Z_b is still in cache; Z_b.T is
+        Fortran-ordered, so dgemv copies nothing.  The elementwise work is
+        the two passes' own, block by block, so the margins, the losses and
+        coef keep their bits.  The chained sum keeps the bits of numpy's
+        Z' coef where the BLAS adds each block's rows to the same partial
+        sums in the same order, which the probe checks.  The last block
+        takes the rows left over, so no block is shorter than the rest: a
+        block of a single row changed margins' bits (N = 513, 256-row blocks).
+        """
+        Z, y = self.ds.Z, self.ds.y
+        N, n = Z.shape
+        rows = max(4, _SINGLE_PASS_BLOCK_BYTES // (Z.itemsize * n) // 4 * 4)
+        starts = range(0, max(N // rows, 1) * rows, rows)
+        margins = np.empty(N)
+        grad = np.zeros(n)
+        for lo, hi in zip(starts, [*starts[1:], N]):
+            Zb, neg_yb = Z[lo:hi], -y[lo:hi]
+            mb = np.matmul(Zb, x, out=margins[lo:hi])
+            mb *= neg_yb
+            coef = expit(mb)
+            coef *= neg_yb
+            coef *= w[lo:hi]
+            grad = dgemv(1.0, Zb.T, coef, beta=1.0, y=grad, overwrite_y=1)
+        return margins, np.logaddexp(0.0, margins), grad
+
+    def _probe(self) -> bool:
+        """Whether _single_pass returns the two passes' bits on this Z, at random w and x.
+
+        The BLAS behind numpy and scipy's dgemv fixes the order of each sum.
+        With OpenBLAS 0.3.31 under numpy and 0.3.30 under scipy on x86, the
+        orders agree where n % 4 == 0 and not otherwise: the last n % 4
+        gradient entries are dot products over all the rows, which the
+        blocks cut into partial sums.  At two BLAS threads they also split
+        the entries over the threads in ways that depend on the row count:
+        n = 100 agreed at 600 and 2000 rows and not from 5000 rows up.  So
+        the probe runs on Z itself, once per kernel: three reads of Z, 66 ms
+        at 100000 x 200.
+        """
+        rng = np.random.default_rng(0)
+        w, x = rng.random(self.ds.n_samples), rng.standard_normal(self.ds.dim)
+        with np.errstate(all="ignore"):
+            single = self._single_pass(w, x)
+            margins, losses = self._margins_losses(x)
+            two = (margins, losses, self._grad(w, margins))
+            finite = math.isfinite(float(w @ losses))
+        return finite and all(a.tobytes() == b.tobytes() for a, b in zip(single, two))
+
+    def _takes_single_pass(self) -> bool:
+        if self._single_pass_ok is None:
+            self._single_pass_ok = self._probe()
+        return self._single_pass_ok and np.geterr()["under"] == "ignore"
+
+    def _evaluate(self, w, x, want_grad: bool):
+        """Losses at x, and the gradient for w if want_grad (else None), through the memo."""
         x = np.asarray(x)
         key = (x.dtype.str, x.shape, x.tobytes())
-        if self._memo is None or self._memo[0] != key:
-            margins = -self.ds.y * (self.ds.Z @ x)
-            losses = np.logaddexp(0.0, margins)
-            margins.flags.writeable = losses.flags.writeable = False
-            self._memo = (key, margins, losses)
-        return self._memo[1], self._memo[2]
+        frozen = not w.flags.writeable
+        memo = self._memo
+        if memo is not None and memo.key == key:
+            margins, losses = memo.margins, memo.losses
+            grad = memo.grad if memo.w is w and frozen else None
+            if grad is not None or not want_grad:
+                return losses, grad
+        elif (want_grad or frozen) and self._takes_single_pass():
+            margins, losses, grad = self._single_pass(w, x)
+        else:
+            (margins, losses), grad = self._margins_losses(x), None
+        if want_grad and grad is None:
+            grad = self._grad(w, margins)
+        for arr in (margins, losses, grad):
+            if arr is not None:
+                arr.flags.writeable = False
+        held = grad is not None and frozen
+        self._memo = _Point(key, margins, losses, w if held else None, grad if held else None)
+        return losses, grad
 
     def gather(self, idx):
         return self.ds.Z[idx], self.ds.y[idx]
@@ -161,13 +277,12 @@ class LogisticKernel:
         return np.logaddexp(0.0, margins), (Z.T @ coef) / len(y)
 
     def weighted_value(self, w, x):
-        _, losses = self._margins_losses(x)
+        losses, _ = self._evaluate(w, x, want_grad=False)
         return float(w @ losses)
 
     def weighted_value_grad(self, w, x):
-        margins, losses = self._margins_losses(x)
-        coef = w * (-self.ds.y * expit(margins))
-        return float(w @ losses), self.ds.Z.T @ coef
+        losses, grad = self._evaluate(w, x, want_grad=True)
+        return float(w @ losses), grad
 
     def _block_terms(self, w, X, lo):
         """The (values, gradients) terms of the row block starting at lo."""
