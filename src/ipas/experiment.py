@@ -20,6 +20,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import NamedTuple
 
 import numpy as np
@@ -141,12 +142,21 @@ def _parse_floats(text: str) -> list[float]:
 
 
 def _parse_ints(text: str) -> list[int]:
+    """Integers, read exactly: in digits, or in a float form of an integer (10.0, 1e3).
+
+    A float form must also be finite as a float, so inf, nan and 1e400 fail.
+    """
     out = []
     for tok in text.replace(",", " ").split():
-        v = float(tok)
-        if v != int(v):
+        try:
+            out.append(int(tok))
+            continue
+        except ValueError:
+            pass
+        exact = Decimal(tok) if float(tok).is_integer() else None
+        if exact is None or exact != exact.to_integral_value():
             raise ValueError(f"expected an integer, got {tok!r}")
-        out.append(int(v))
+        out.append(int(exact))
     return out
 
 

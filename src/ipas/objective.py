@@ -35,7 +35,9 @@ class ComponentKernel(Protocol):
     return the same values, bit for bit, and nothing here may mutate shared
     state.  A kernel may memoise intermediate results, such as the margins
     at the last point evaluated, provided a call returns the same bits with
-    or without the memo.
+    or without the memo.  A value-only call may also compute and hold the
+    gradient at its point, where reading the data once for both costs less
+    than reading it again when the gradient is asked for.
 
     A method that returns both values and a gradient must compute them in
     one pass over the data, sharing the work the two have in common (the

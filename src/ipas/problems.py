@@ -132,6 +132,15 @@ class LogisticDataset:
         return self.Z.shape[1]
 
 
+def _underflow_ignored() -> bool:
+    return np.geterr()["under"] == "ignore"
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two float64 arrays hold the same bytes, without copying them."""
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 class _Point(NamedTuple):
     """LogisticKernel's memo: the full-data margins and losses at the point
     with this key, and the gradient for the read-only weights w, if held."""
@@ -162,10 +171,11 @@ class LogisticKernel:
     gradient, so a value-only call at a read-only w computes and holds the
     gradient too.  Elsewhere a miss takes one pass for the margins, and a
     gradient one more.  The single pass is taken only where a probe, once
-    per kernel, finds that it returns the two passes' bits, and only while
-    numpy ignores underflow, numpy's default: the gradient's products can
-    underflow where the losses do not, and a value-only call must not
-    raise or warn where the two passes stay silent.
+    per kernel, finds that it returns the two passes' bits.  It and the
+    reuse of a held gradient wait while numpy does not ignore underflow
+    (its default): the gradient's products can underflow where the losses
+    do not, and no call may raise or warn where the two passes would not,
+    or stay silent where they would.
     """
 
     def __init__(self, ds: LogisticDataset):
@@ -175,21 +185,20 @@ class LogisticKernel:
         large = ds.Z.nbytes >= _SINGLE_PASS_MIN_BYTES and ds.Z.flags.c_contiguous
         self._single_pass_ok: bool | None = None if large else False
 
-    def _margins_losses(self, x):
-        margins = -self.ds.y * (self.ds.Z @ x)
-        return margins, np.logaddexp(0.0, margins)
+    def _margins(self, x):
+        return -self.ds.y * (self.ds.Z @ x)
 
     def _grad(self, w, margins):
         return self.ds.Z.T @ (w * (-self.ds.y * expit(margins)))
 
     def _single_pass(self, w, x):
-        """Margins, losses and gradient at x, as the two passes give them, reading Z once.
+        """Margins and gradient at x, as the two passes give them, reading Z once.
 
         Each block gives m = -y * (Z_b x), then adds Z_b' coef to the gradient
         through dgemv with beta = 1, while Z_b is still in cache; Z_b.T is
         Fortran-ordered, so dgemv copies nothing.  The elementwise work is
-        the two passes' own, block by block, so the margins, the losses and
-        coef keep their bits.  The chained sum keeps the bits of numpy's
+        the two passes' own, block by block, so the margins and coef keep
+        their bits.  The chained sum keeps the bits of numpy's
         Z' coef where the BLAS adds each block's rows to the same partial
         sums in the same order, which the probe checks.  The last block
         takes the rows left over, so no block is shorter than the rest: a
@@ -209,7 +218,7 @@ class LogisticKernel:
             coef *= neg_yb
             coef *= w[lo:hi]
             grad = dgemv(1.0, Zb.T, coef, beta=1.0, y=grad, overwrite_y=1)
-        return margins, np.logaddexp(0.0, margins), grad
+        return margins, grad
 
     def _probe(self) -> bool:
         """Whether _single_pass returns the two passes' bits on this Z, at random w and x.
@@ -226,17 +235,21 @@ class LogisticKernel:
         """
         rng = np.random.default_rng(0)
         w, x = rng.random(self.ds.n_samples), rng.standard_normal(self.ds.dim)
+        # Equal margins give equal losses, one logaddexp either way.  No more
+        # than five N-vectors are live at a time, fewer than a two-pass
+        # gradient call holds, so the probe raises no peak memory.
         with np.errstate(all="ignore"):
-            single = self._single_pass(w, x)
-            margins, losses = self._margins_losses(x)
-            two = (margins, losses, self._grad(w, margins))
-            finite = math.isfinite(float(w @ losses))
-        return finite and all(a.tobytes() == b.tobytes() for a, b in zip(single, two))
+            single_margins, single_grad = self._single_pass(w, x)
+            margins = self._margins(x)
+            same = _same_bits(single_margins, margins)
+            del single_margins
+            grad = self._grad(w, margins)
+        return same and _same_bits(single_grad, grad) and bool(np.isfinite(grad).all())
 
     def _takes_single_pass(self) -> bool:
         if self._single_pass_ok is None:
             self._single_pass_ok = self._probe()
-        return self._single_pass_ok and np.geterr()["under"] == "ignore"
+        return self._single_pass_ok
 
     def _evaluate(self, w, x, want_grad: bool):
         """Losses at x, and the gradient for w if want_grad (else None), through the memo."""
@@ -246,13 +259,16 @@ class LogisticKernel:
         memo = self._memo
         if memo is not None and memo.key == key:
             margins, losses = memo.margins, memo.losses
-            grad = memo.grad if memo.w is w and frozen else None
+            held = memo.w is w and frozen and _underflow_ignored()
+            grad = memo.grad if held else None
             if grad is not None or not want_grad:
                 return losses, grad
-        elif (want_grad or frozen) and self._takes_single_pass():
-            margins, losses, grad = self._single_pass(w, x)
         else:
-            (margins, losses), grad = self._margins_losses(x), None
+            if (want_grad or frozen) and self._takes_single_pass() and _underflow_ignored():
+                margins, grad = self._single_pass(w, x)
+            else:
+                margins, grad = self._margins(x), None
+            losses = np.logaddexp(0.0, margins)
         if want_grad and grad is None:
             grad = self._grad(w, margins)
         for arr in (margins, losses, grad):

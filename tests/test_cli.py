@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from ipas import parse_experiment_config
 from ipas.cli import EXIT_CONFIG_ERROR, EXIT_OK, EXIT_RUN_FAILURE, OUTPUT_DIR_ENV, main
 
 
@@ -217,6 +218,59 @@ class TestFractionOutOfRange:
         assert code == EXIT_CONFIG_ERROR
         assert not out_dir.exists()
         assert "n0_fraction=inf must lie in (0, 1]" in capsys.readouterr().err
+
+
+class TestIntegerLists:
+    # Seeds and the dn sweep are read as exact integers.  A float form is
+    # accepted where it names a finite integer; read through a float, inf
+    # and 1e400 crashed validate with an OverflowError, and 2**53 + 1
+    # became 2**53.
+    def config(self, tmp_path, seeds="0", dn="1"):
+        path = tmp_path / "ints.ini"
+        path.write_text(
+            textwrap.dedent(
+                f"""
+                [problem]
+                kind = noisy_quadratic
+                n = 5
+                components = 6
+
+                [solver]
+                n0 = 2
+                d = 2
+                k_max = 8
+
+                [sweep]
+                dn = {dn}
+
+                [run]
+                seeds = {seeds}
+                """
+            )
+        )
+        return path
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("seeds", "inf"), ("seeds", "1e400"), ("dn", "inf"), ("seeds", "nan"), ("dn", "1.5")],
+    )
+    def test_a_non_integer_exits_two(self, tmp_path, capsys, key, value):
+        path = self.config(tmp_path, **{key: value})
+        assert main(["validate", str(path)]) == EXIT_CONFIG_ERROR
+        assert f"expected an integer, got {value!r}" in capsys.readouterr().err
+
+    def test_finite_float_forms_are_integers(self, tmp_path, capsys):
+        path = self.config(tmp_path, seeds="10.0 1e3", dn="1e0 2")
+        assert main(["validate", str(path)]) == EXIT_OK
+        assert "4 runs planned across 2 seeds" in capsys.readouterr().out
+        cfg = parse_experiment_config(path)
+        assert (cfg.seeds, cfg.sweep_dN) == ((10, 1000), (1, 2))
+
+    def test_seeds_are_read_exactly(self, tmp_path, capsys):
+        path = self.config(tmp_path, seeds="9007199254740992 9007199254740993")
+        assert main(["validate", str(path)]) == EXIT_OK
+        assert "across 2 seeds" in capsys.readouterr().out
+        assert parse_experiment_config(path).seeds == (2**53, 2**53 + 1)
 
 
 class TestRun:

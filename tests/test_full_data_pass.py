@@ -119,9 +119,9 @@ class TestKernelBits:
         real = kernel._single_pass
 
         def off_by_an_ulp(w, x):
-            margins, losses, grad = real(w, x)
+            margins, grad = real(w, x)
             grad[0] = np.nextafter(grad[0], np.inf)
-            return margins, losses, grad
+            return margins, grad
 
         monkeypatch.setattr(kernel, "_single_pass", off_by_an_ulp)
         assert not kernel._takes_single_pass()
@@ -200,17 +200,21 @@ class TestGradientMemo:
         ref = TwoPassLogisticKernel(kernel.ds)
         raised = {}
         for method in ("weighted_value", "weighted_value_grad"):
-            kernel._memo = None
+            # Computed at the default error state, the gradient is held; it
+            # must not be reused where the two passes would raise.
+            kernel.weighted_value_grad(w, 0.5 * x)
+            if method == "weighted_value_grad":
+                kernel.weighted_value_grad(w, x)
             outcomes = []
             for k in (kernel, ref):
                 with np.errstate(all="raise"):
                     try:
                         result = getattr(k, method)(w, x)
-                    except FloatingPointError as exc:
-                        result = f"raised: {exc}"
+                    except FloatingPointError:
+                        result = "raised"
                 outcomes.append(repr(result))
             assert outcomes[0] == outcomes[1], method
-            raised[method] = outcomes[0].startswith("'raised")
+            raised[method] = outcomes[0] == repr("raised")
         if kernel.ds.n_samples == N_ROWS:
             expected = {5.0: (False, False), 700.0: (False, True), 800.0: (True, True)}
             assert (raised["weighted_value"], raised["weighted_value_grad"]) == expected[largest]
