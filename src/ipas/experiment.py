@@ -150,13 +150,11 @@ def _parse_ints(text: str) -> list[int]:
     for tok in text.replace(",", " ").split():
         try:
             out.append(int(tok))
-            continue
         except ValueError:
-            pass
-        exact = Decimal(tok) if float(tok).is_integer() else None
-        if exact is None or exact != exact.to_integral_value():
-            raise ValueError(f"expected an integer, got {tok!r}")
-        out.append(int(exact))
+            exact = Decimal(tok) if float(tok).is_integer() else None
+            if exact is None or exact != exact.to_integral_value():
+                raise ValueError(f"expected an integer, got {tok!r}") from None
+            out.append(int(exact))
     return out
 
 

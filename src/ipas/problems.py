@@ -157,25 +157,25 @@ class LogisticKernel:
 
     The full-data methods read the margins -y * (Z x) and the losses through
     a one-entry memo of the last point they evaluated, keyed by the dtype,
-    shape and bytes of x.  For a read-only w, such as an objective's own
-    weights, which is taken to be frozen, the memo also holds the gradient,
-    keyed on the identity of w; it holds w itself, so that identity cannot
-    pass to another array.  A line search evaluates the objective at the
+    shape and bytes of x.  A line search evaluates the objective at the
     point it accepts, and the next iteration asks for value and gradient at
-    the same bytes.  A hit returns the arrays a miss would compute, read-only,
-    so no result changes by a bit; an x mutated in place, or one differing
-    only in the sign of a zero, misses.  The memo holds two N-vectors.
+    the same bytes.  A hit returns the arrays a miss would compute, so no
+    result changes by a bit; an x mutated in place, or one differing only
+    in the sign of a zero, misses.  The memo holds two N-vectors.  Every
+    array returned is read-only.
 
     On a large Z a miss reads Z once (_single_pass): each block of rows
     gives its margins and, while it is still in cache, its share of the
-    gradient, so a value-only call at a read-only w computes and holds the
-    gradient too.  Elsewhere a miss takes one pass for the margins, and a
-    gradient one more.  The single pass is taken only where a probe, once
-    per kernel, finds that it returns the two passes' bits.  It and the
-    reuse of a held gradient wait while numpy does not ignore underflow
-    (its default): the gradient's products can underflow where the losses
-    do not, and no call may raise or warn where the two passes would not,
-    or stay silent where they would.
+    gradient, so a trial value computes the gradient too.  For a read-only
+    w, such as an objective's own weights, which is taken to be frozen, the
+    memo holds that gradient, keyed on the identity of w; it holds w itself,
+    so that identity cannot pass to another array.  Elsewhere a miss takes
+    one pass for the margins, and a gradient one more.  The single pass is
+    taken only where a probe, once per kernel, finds that it returns the
+    two passes' bits.  It and the reuse of a held gradient wait while numpy
+    does not ignore underflow (its default): the gradient's products can
+    underflow where the losses do not, and no call may raise or warn where
+    the two passes would not, or stay silent where they would.
     """
 
     def __init__(self, ds: LogisticDataset):
@@ -198,11 +198,11 @@ class LogisticKernel:
         through dgemv with beta = 1, while Z_b is still in cache; Z_b.T is
         Fortran-ordered, so dgemv copies nothing.  The elementwise work is
         the two passes' own, block by block, so the margins and coef keep
-        their bits.  The chained sum keeps the bits of numpy's
-        Z' coef where the BLAS adds each block's rows to the same partial
-        sums in the same order, which the probe checks.  The last block
-        takes the rows left over, so no block is shorter than the rest: a
-        block of a single row changed margins' bits (N = 513, 256-row blocks).
+        their bits.  The chained sum keeps the bits of numpy's Z' coef where
+        the BLAS adds each block's rows to the same partial sums in the same
+        order, which the probe checks.  The last block takes the rows left
+        over, so no block is shorter than the rest: a block of a single row
+        changed margins' bits (N = 513, 256-row blocks).
         """
         Z, y = self.ds.Z, self.ds.y
         N, n = Z.shape
@@ -235,9 +235,10 @@ class LogisticKernel:
         """
         rng = np.random.default_rng(0)
         w, x = rng.random(self.ds.n_samples), rng.standard_normal(self.ds.dim)
-        # Equal margins give equal losses, one logaddexp either way.  No more
-        # than five N-vectors are live at a time, fewer than a two-pass
-        # gradient call holds, so the probe raises no peak memory.
+        # Equal margins give equal losses, one logaddexp either way.  At most
+        # five N-vectors are live at once, fewer than a two-pass gradient
+        # call holds: a first baseline run at 100000 x 200 peaks at the same
+        # resident size as at the two passes.
         with np.errstate(all="ignore"):
             single_margins, single_grad = self._single_pass(w, x)
             margins = self._margins(x)
@@ -255,28 +256,31 @@ class LogisticKernel:
         """Losses at x, and the gradient for w if want_grad (else None), through the memo."""
         x = np.asarray(x)
         key = (x.dtype.str, x.shape, x.tobytes())
-        frozen = not w.flags.writeable
         memo = self._memo
-        if memo is not None and memo.key == key:
-            margins, losses = memo.margins, memo.losses
-            held = memo.w is w and frozen and _underflow_ignored()
-            grad = memo.grad if held else None
-            if grad is not None or not want_grad:
-                return losses, grad
-        else:
+        if memo is None or memo.key != key:
+            frozen = not w.flags.writeable
+            grad = None
             if (want_grad or frozen) and self._takes_single_pass() and _underflow_ignored():
                 margins, grad = self._single_pass(w, x)
+                grad.flags.writeable = False
             else:
-                margins, grad = self._margins(x), None
+                margins = self._margins(x)
             losses = np.logaddexp(0.0, margins)
-        if want_grad and grad is None:
-            grad = self._grad(w, margins)
-        for arr in (margins, losses, grad):
-            if arr is not None:
-                arr.flags.writeable = False
-        held = grad is not None and frozen
-        self._memo = _Point(key, margins, losses, w if held else None, grad if held else None)
-        return losses, grad
+            margins.flags.writeable = losses.flags.writeable = False
+            held = frozen and grad is not None
+            self._memo = _Point(key, margins, losses, w if held else None, grad if held else None)
+            if grad is not None or not want_grad:
+                return losses, grad
+        elif memo.w is w:
+            if not w.flags.writeable and _underflow_ignored():
+                return memo.losses, memo.grad
+            if w.flags.writeable:  # no longer frozen: drop what was held for it
+                self._memo = memo._replace(w=None, grad=None)
+        if not want_grad:
+            return self._memo.losses, None
+        grad = self._grad(w, self._memo.margins)
+        grad.flags.writeable = False
+        return self._memo.losses, grad
 
     def gather(self, idx):
         return self.ds.Z[idx], self.ds.y[idx]

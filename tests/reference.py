@@ -5,10 +5,10 @@ checking the vectorised kernels; logistic_value_grad_many is the batched
 logistic oracle's serial form, TwoPassLogisticKernel the logistic kernel's
 full-data methods as one pass for Z x and one for Z' coef, and
 parse_libsvm_dicts the LIBSVM reader's earlier form, which held one dict
-per row.  cg_solve and exact_project are the
-package's earlier forms, written with the @ operator, a freshly allocated
-search direction and scipy.linalg.cho_solve; the package's leaner forms
-must reproduce them bit for bit.
+per row.  cg_solve and exact_project are the package's earlier forms,
+written with the @ operator, a freshly allocated search direction and
+scipy.linalg.cho_solve; the package's leaner forms must reproduce them bit
+for bit.
 """
 
 from __future__ import annotations

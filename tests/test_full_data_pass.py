@@ -161,14 +161,18 @@ class TestGradientMemo:
         for _ in range(2):
             assert kernel.weighted_value_grad(w, x)[1].tobytes() == ref_grad(kernel, w, x)
             w[:2] = w[1::-1]
-        # Frozen, its gradient is held; writeable again and changed, it is not reused.
+        # Frozen, its gradient is held after a single pass; writeable again
+        # and changed, the gradient is dropped, not reused.
         w.setflags(write=False)
-        kernel.weighted_value_grad(w, x)
-        assert kernel._memo.w is w
+        point = 0.5 * x
+        kernel.weighted_value(w, point)
+        assert (kernel._memo.w is w) == kernel._single_pass_ok
         w.setflags(write=True)
         w[:2] = w[1::-1]
-        assert kernel.weighted_value_grad(w, x)[1].tobytes() == ref_grad(kernel, w, x)
+        assert kernel.weighted_value_grad(w, point)[1].tobytes() == ref_grad(kernel, w, point)
         assert kernel._memo.w is None
+        w.setflags(write=False)
+        assert kernel.weighted_value_grad(w, point)[1].tobytes() == ref_grad(kernel, w, point)
 
     def test_the_returned_gradient_is_read_only(self, kernel_and_point):
         kernel, x = kernel_and_point
