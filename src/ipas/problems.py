@@ -16,7 +16,6 @@ import os
 from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -141,17 +140,6 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-class _Point(NamedTuple):
-    """LogisticKernel's memo: the full-data margins and losses at the point
-    with this key, and the gradient for the read-only weights w, if held."""
-
-    key: tuple
-    margins: np.ndarray
-    losses: np.ndarray
-    w: np.ndarray | None
-    grad: np.ndarray | None
-
-
 class LogisticKernel:
     """Vectorised evaluation of the logistic components.
 
@@ -161,15 +149,15 @@ class LogisticKernel:
     point it accepts, and the next iteration asks for value and gradient at
     the same bytes.  A hit returns the arrays a miss would compute, so no
     result changes by a bit; an x mutated in place, or one differing only
-    in the sign of a zero, misses.  The memo holds two N-vectors.  Every
-    array returned is read-only.
+    in the sign of a zero, misses.  The memo holds two N-vectors, returned
+    read-only.
 
     On a large Z a miss reads Z once (_single_pass): each block of rows
     gives its margins and, while it is still in cache, its share of the
     gradient, so a trial value computes the gradient too.  For a read-only
     w, such as an objective's own weights, which is taken to be frozen, the
-    memo holds that gradient, keyed on the identity of w; it holds w itself,
-    so that identity cannot pass to another array.  Elsewhere a miss takes
+    memo holds that gradient, read-only, keyed on the identity of w; it
+    holds w itself, so that identity cannot pass to another array.  Elsewhere a miss takes
     one pass for the margins, and a gradient one more.  The single pass is
     taken only where a probe, once per kernel, finds that it returns the
     two passes' bits.  It and the reuse of a held gradient wait while numpy
@@ -180,7 +168,10 @@ class LogisticKernel:
 
     def __init__(self, ds: LogisticDataset):
         self.ds = ds
-        self._memo: _Point | None = None
+        # (key of x, margins, losses, w, gradient for w), the last two None
+        # unless a single pass computed the gradient for a read-only w.  A
+        # plain tuple: a NamedTuple cost 0.3 us more per miss on small data.
+        self._memo: tuple | None = None
         # None until the first miss that could take the single pass probes it.
         large = ds.Z.nbytes >= _SINGLE_PASS_MIN_BYTES and ds.Z.flags.c_contiguous
         self._single_pass_ok: bool | None = None if large else False
@@ -196,7 +187,9 @@ class LogisticKernel:
 
         Each block gives m = -y * (Z_b x), then adds Z_b' coef to the gradient
         through dgemv with beta = 1, while Z_b is still in cache; Z_b.T is
-        Fortran-ordered, so dgemv copies nothing.  The elementwise work is
+        Fortran-ordered, so dgemv copies nothing.  Z_b.dot(x, out=...) makes
+        the BLAS call of Z_b @ x with less dispatch (0.7 ms of 26 ms a pass
+        at 100000 x 200).  The elementwise work is
         the two passes' own, block by block, so the margins and coef keep
         their bits.  The chained sum keeps the bits of numpy's Z' coef where
         the BLAS adds each block's rows to the same partial sums in the same
@@ -211,8 +204,8 @@ class LogisticKernel:
         margins = np.empty(N)
         grad = np.zeros(n)
         for lo, hi in zip(starts, [*starts[1:], N]):
-            Zb, neg_yb = Z[lo:hi], -y[lo:hi]
-            mb = np.matmul(Zb, x, out=margins[lo:hi])
+            Zb, neg_yb, mb = Z[lo:hi], -y[lo:hi], margins[lo:hi]
+            Zb.dot(x, out=mb)
             mb *= neg_yb
             coef = expit(mb)
             coef *= neg_yb
@@ -257,30 +250,32 @@ class LogisticKernel:
         x = np.asarray(x)
         key = (x.dtype.str, x.shape, x.tobytes())
         memo = self._memo
-        if memo is None or memo.key != key:
-            frozen = not w.flags.writeable
+        if memo is None or memo[0] != key:
             grad = None
-            if (want_grad or frozen) and self._takes_single_pass() and _underflow_ignored():
+            if (
+                self._single_pass_ok is not False
+                and (want_grad or not w.flags.writeable)
+                and _underflow_ignored()
+                and self._takes_single_pass()
+            ):
                 margins, grad = self._single_pass(w, x)
-                grad.flags.writeable = False
             else:
                 margins = self._margins(x)
             losses = np.logaddexp(0.0, margins)
             margins.flags.writeable = losses.flags.writeable = False
-            held = frozen and grad is not None
-            self._memo = _Point(key, margins, losses, w if held else None, grad if held else None)
+            held = grad is not None and not w.flags.writeable
+            if held:
+                grad.flags.writeable = False
+            self._memo = (key, margins, losses) + ((w, grad) if held else (None, None))
             if grad is not None or not want_grad:
                 return losses, grad
-        elif memo.w is w:
+        elif memo[3] is w:
             if not w.flags.writeable and _underflow_ignored():
-                return memo.losses, memo.grad
+                return memo[2], memo[4]
             if w.flags.writeable:  # no longer frozen: drop what was held for it
-                self._memo = memo._replace(w=None, grad=None)
-        if not want_grad:
-            return self._memo.losses, None
-        grad = self._grad(w, self._memo.margins)
-        grad.flags.writeable = False
-        return self._memo.losses, grad
+                self._memo = memo[:3] + (None, None)
+        _, margins, losses, _, _ = self._memo
+        return losses, self._grad(w, margins) if want_grad else None
 
     def gather(self, idx):
         return self.ds.Z[idx], self.ds.y[idx]
