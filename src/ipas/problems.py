@@ -157,13 +157,14 @@ class LogisticKernel:
     gradient, so a trial value computes the gradient too.  For a read-only
     w, such as an objective's own weights, which is taken to be frozen, the
     memo holds that gradient, read-only, keyed on the identity of w; it
-    holds w itself, so that identity cannot pass to another array.  Elsewhere a miss takes
-    one pass for the margins, and a gradient one more.  The single pass is
-    taken only where a probe, once per kernel, finds that it returns the
-    two passes' bits.  It and the reuse of a held gradient wait while numpy
-    does not ignore underflow (its default): the gradient's products can
-    underflow where the losses do not, and no call may raise or warn where
-    the two passes would not, or stay silent where they would.
+    holds w itself, so that identity cannot pass to another array.
+    Elsewhere a miss takes one pass for the margins, and a gradient one
+    more.  The single pass is taken only where a probe, once per kernel,
+    finds that it returns the two passes' bits.  It and the reuse of a held
+    gradient wait while numpy does not ignore underflow (its default): the
+    gradient's products can underflow where the losses do not, and no call
+    may raise or warn where the two passes would not, or stay silent where
+    they would.
     """
 
     def __init__(self, ds: LogisticDataset):
@@ -189,9 +190,8 @@ class LogisticKernel:
         through dgemv with beta = 1, while Z_b is still in cache; Z_b.T is
         Fortran-ordered, so dgemv copies nothing.  Z_b.dot(x, out=...) makes
         the BLAS call of Z_b @ x with less dispatch (0.7 ms of 26 ms a pass
-        at 100000 x 200).  The elementwise work is
-        the two passes' own, block by block, so the margins and coef keep
-        their bits.  The chained sum keeps the bits of numpy's Z' coef where
+        at 100000 x 200).  The elementwise work is the two passes' own, block
+        by block, so the margins and coef keep their bits.  The chained sum keeps the bits of numpy's Z' coef where
         the BLAS adds each block's rows to the same partial sums in the same
         order, which the probe checks.  The last block takes the rows left
         over, so no block is shorter than the rest: a block of a single row

@@ -164,21 +164,30 @@ class TestGradientMemo:
         kernel, x = kernel_and_point
         w = uniform_weights(kernel.ds.n_samples)
         w[:2] = (0.5 * w[0], 1.5 * w[1])  # same sum, other gradient
+
+        def check(point):
+            assert kernel.weighted_value_grad(w, point)[1].tobytes() == ref_grad(kernel, w, point)
+
         for _ in range(2):
-            assert kernel.weighted_value_grad(w, x)[1].tobytes() == ref_grad(kernel, w, x)
+            check(x)
             w[:2] = w[1::-1]
-        # Frozen, its gradient is held after a single pass; writeable again
-        # and changed, the gradient is dropped, not reused.
+        # A gradient computed for a writeable w is not held, so freezing w
+        # after a change cannot bring back the old one.
+        check(0.25 * x)
+        w[:2] = w[1::-1]
         w.setflags(write=False)
+        check(0.25 * x)
+        # Frozen, w's gradient is held after a single pass; writeable again
+        # and changed, it is dropped, not reused.
         point = 0.5 * x
         kernel.weighted_value(w, point)
         assert held_weights(kernel) is (w if kernel._single_pass_ok else None)
         w.setflags(write=True)
         w[:2] = w[1::-1]
-        assert kernel.weighted_value_grad(w, point)[1].tobytes() == ref_grad(kernel, w, point)
+        check(point)
         assert held_weights(kernel) is None
         w.setflags(write=False)
-        assert kernel.weighted_value_grad(w, point)[1].tobytes() == ref_grad(kernel, w, point)
+        check(point)
 
     def test_a_held_gradient_is_returned_read_only(self, kernel_and_point):
         kernel, x = kernel_and_point
