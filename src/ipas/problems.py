@@ -191,11 +191,12 @@ class LogisticKernel:
         Fortran-ordered, so dgemv copies nothing.  Z_b.dot(x, out=...) makes
         the BLAS call of Z_b @ x with less dispatch (0.7 ms of 26 ms a pass
         at 100000 x 200).  The elementwise work is the two passes' own, block
-        by block, so the margins and coef keep their bits.  The chained sum keeps the bits of numpy's Z' coef where
-        the BLAS adds each block's rows to the same partial sums in the same
-        order, which the probe checks.  The last block takes the rows left
-        over, so no block is shorter than the rest: a block of a single row
-        changed margins' bits (N = 513, 256-row blocks).
+        by block, so the margins and coef keep their bits.  The chained sum
+        keeps the bits of numpy's Z' coef where the BLAS adds each block's
+        rows to the same partial sums in the same order, which the probe
+        checks.  The last block takes the rows left over, so no block is
+        shorter than the rest: a block of a single row changed margins' bits
+        (N = 513, 256-row blocks).
         """
         Z, y = self.ds.Z, self.ds.y
         N, n = Z.shape
