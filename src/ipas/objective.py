@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Protocol, runtime_checkable
+from typing import Callable, ClassVar, NamedTuple, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -20,10 +20,8 @@ from .errors import NonFiniteValue, WeightError
 _WEIGHT_SUM_ATOL = 1e-8
 
 # Draws of at least this many keys go through the guide table; smaller ones
-# search the CDF directly, which costs less there.  Per draw of fresh
-# uniform keys on a 2-vCPU x86 host (numpy 2.4), search against guide:
-# 6.0/6.5 us at 64 keys, 11.8/7.0 us at 128 and 87/14 us at 1000 for
-# N = 1000; the two met between 32 and 48 keys for N = 100000.
+# search the CDF directly, which costs less there.  At 1000 keys on N = 1000
+# the table is about six times faster (CHANGES.md has the timings).
 _GUIDE_MIN_DRAW = 64
 
 
@@ -128,10 +126,9 @@ class CallableKernel:
 class BudgetMeter:
     """Running count of work in scalar products.
 
-    Component evaluations are charged at the problem-declared unit cost;
-    each CG iteration on an m-dimensional system costs m + 4 scalar
-    products.  Passing meter=None to the evaluation helpers leaves all
-    counters untouched, which is how oracle metrics stay free.
+    A component value or gradient evaluation costs one scalar product;
+    each CG iteration on an m-dimensional system costs m + 4.  The oracle
+    metrics go through weighted_value_grad_many, never through a meter.
     """
 
     scalar_products: int = 0
@@ -139,13 +136,13 @@ class BudgetMeter:
     component_grad_evals: int = 0
     cg_scalar_products: int = 0
 
-    def charge_values(self, count: int, unit_cost: int = 1) -> None:
+    def charge_values(self, count: int) -> None:
         self.component_value_evals += count
-        self.scalar_products += count * unit_cost
+        self.scalar_products += count
 
-    def charge_grads(self, count: int, unit_cost: int = 1) -> None:
+    def charge_grads(self, count: int) -> None:
         self.component_grad_evals += count
-        self.scalar_products += count * unit_cost
+        self.scalar_products += count
 
     def charge_cg(self, iterations: int, m: int) -> None:
         cost = (m + 4) * iterations
@@ -157,18 +154,18 @@ class BudgetMeter:
 class FiniteSumObjective:
     """A weighted finite sum with a vectorised evaluation kernel.
 
-    value_cost and grad_cost are the scalar products charged per component
-    value and gradient evaluation; they are declared by the problem that
-    builds the objective.  cdf is the cumulative sampling distribution that
-    draw_sample searches, built once from the weights, and guide the
-    (N+1)-entry table through which large draws search it.
+    value_cost and grad_cost are the scalar products BudgetMeter charges
+    per component value and gradient evaluation.  cdf is the cumulative
+    sampling distribution that draw_sample searches, built once from the
+    weights, and guide the (N+1)-entry table through which large draws
+    search it.
     """
 
     weights: np.ndarray
     dim: int
     kernel: ComponentKernel
-    value_cost: int = 1
-    grad_cost: int = 1
+    value_cost: ClassVar[int] = 1
+    grad_cost: ClassVar[int] = 1
     cdf: np.ndarray = field(init=False, repr=False, compare=False)
     guide: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -269,11 +266,6 @@ class Sample(NamedTuple):
         return cls(obj.kernel.gather(idx), idx.size)
 
 
-def _rows(obj: FiniteSumObjective, s: Sample | np.ndarray) -> object:
-    """The kernel rows of s: its own for a Sample, gathered now for indices."""
-    return s.rows if isinstance(s, Sample) else obj.kernel.gather(s)
-
-
 def _mean(vals: np.ndarray) -> float:
     """float(vals.mean()) from the same pairwise sum and division, without mean's dispatch.
 
@@ -308,68 +300,50 @@ class ValueGrad:
     grad: np.ndarray
     raw_value: float
     count: int
-    unit_cost: int
     what: str
 
-    def value(self, meter: BudgetMeter | None) -> float:
-        """The checked value; charges `count` component values unless meter is None."""
-        if meter is not None:
-            meter.charge_values(self.count, self.unit_cost)
+    def value(self, meter: BudgetMeter) -> float:
+        """The checked value; charges `count` component values."""
+        meter.charge_values(self.count)
         return _check_finite_scalar(self.raw_value, self.what)
 
 
 def subsample_value(
-    obj: FiniteSumObjective,
-    s: Sample | np.ndarray,
-    x: np.ndarray,
-    meter: BudgetMeter | None,
+    obj: FiniteSumObjective, s: Sample, x: np.ndarray, meter: BudgetMeter
 ) -> float:
-    """Unweighted average of the sampled component values at x.
-
-    s is a Sample or the drawn indices themselves; both charge s.size values.
-    The solver always passes a Sample; the index form stays as public API
-    for library callers, who gather the rows once per call with it.
-    """
-    vals = obj.kernel.values(_rows(obj, s), x)
-    if meter is not None:
-        meter.charge_values(s.size, obj.value_cost)
+    """Unweighted average of the sampled component values at x; charges s.size values."""
+    vals = obj.kernel.values(s.rows, x)
+    meter.charge_values(s.size)
     return _check_finite_scalar(_mean(vals), "subsampled objective value")
 
 
 def subsample_value_grad(
-    obj: FiniteSumObjective,
-    s: Sample | np.ndarray,
-    x: np.ndarray,
-    meter: BudgetMeter | None,
+    obj: FiniteSumObjective, s: Sample, x: np.ndarray, meter: BudgetMeter
 ) -> ValueGrad:
     """Unweighted averages of the sampled component values and gradients at x.
 
-    s is a Sample or the drawn indices, as for subsample_value.  Charges and
-    checks the gradient now; the value waits for ValueGrad.value.
+    Charges and checks the gradient now; the value waits for ValueGrad.value.
     """
-    vals, g = obj.kernel.value_grad_mean(_rows(obj, s), x)
-    if meter is not None:
-        meter.charge_grads(s.size, obj.grad_cost)
+    vals, g = obj.kernel.value_grad_mean(s.rows, x)
+    meter.charge_grads(s.size)
     g = _check_finite_vector(g, "subsampled gradient")
-    return ValueGrad(g, _mean(vals), s.size, obj.value_cost, "subsampled objective value")
+    return ValueGrad(g, _mean(vals), s.size, "subsampled objective value")
 
 
-def full_value(obj: FiniteSumObjective, x: np.ndarray, meter: BudgetMeter | None) -> float:
+def full_value(obj: FiniteSumObjective, x: np.ndarray, meter: BudgetMeter) -> float:
     """The true weighted objective sum_i w_i f_i(x); charges all N components."""
     v = obj.kernel.weighted_value(obj.weights, x)
-    if meter is not None:
-        meter.charge_values(obj.n_components, obj.value_cost)
+    meter.charge_values(obj.n_components)
     return _check_finite_scalar(float(v), "objective value")
 
 
-def full_value_grad(obj: FiniteSumObjective, x: np.ndarray, meter: BudgetMeter | None) -> ValueGrad:
+def full_value_grad(obj: FiniteSumObjective, x: np.ndarray, meter: BudgetMeter) -> ValueGrad:
     """The true weighted objective and gradient at x from one kernel pass.
 
     Charges all N component gradients and checks the gradient now; the
     value waits for ValueGrad.value.
     """
     v, g = obj.kernel.weighted_value_grad(obj.weights, x)
-    if meter is not None:
-        meter.charge_grads(obj.n_components, obj.grad_cost)
+    meter.charge_grads(obj.n_components)
     g = _check_finite_vector(g, "objective gradient")
-    return ValueGrad(g, float(v), obj.n_components, obj.value_cost, "objective value")
+    return ValueGrad(g, float(v), obj.n_components, "objective value")

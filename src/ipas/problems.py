@@ -34,9 +34,8 @@ from .objective import FiniteSumObjective, _mean, uniform_weights
 # holds at most 128 KB and stays in cache through the elementwise passes.  The
 # blocks change the summation order, and the loss and sigmoid formulas differ
 # from logaddexp/expit, so the method agrees with weighted_value_grad to
-# rounding, not bit for bit.  One call on 100000x200 at one BLAS thread took
-# 35/105/150 ms at K = 8/40/64 points with 256 rows, against 37/108/154 ms
-# with 512, 52/115/161 ms with 1024 and 60/125/170 ms with 4096.
+# rounding, not bit for bit.  256 rows were the fastest of 256 to 4096: 150 ms
+# a call at K = 64 on 100000x200 (CHANGES.md has the sweep).
 _ROW_BLOCK = 256
 
 # The threaded form of weighted_value_grad_many hands each helper thread
@@ -45,17 +44,13 @@ _ROW_BLOCK = 256
 # It runs for batches of at least _MIN_THREADED_POINTS points: each block
 # makes about a dozen numpy calls, each of which takes and drops the
 # interpreter lock, and on a block of few points the threads mostly wait for
-# it.  On 100000x200 at one BLAS thread with 2 usable CPUs (shared host), the
-# threaded call took 1.2-2.2x the serial time at K = 1, 0.92-1.22x at
-# K = 8-12, 0.81-1.11x at K = 16-20, 0.72-0.81x at K = 24-28 and 0.63-0.68x
-# at K = 33.
+# it.  Two threads took 0.63-0.68x the serial time at K = 33 on 100000x200
+# (CHANGES.md has the sweep over K).
 #
 # The helper threads share the usable CPUs with BLAS's own threads, so there
 # are usable CPUs // BLAS threads of them.  A BLAS library takes its thread
 # count from these variables, OpenBLAS's first, and runs one thread per CPU
-# when none is set: then the kernel stays serial.  At numpy's default of 2
-# BLAS threads on 2 CPUs, two helper threads took 1.75x the serial time at
-# K = 33 (245 against 140 ms).
+# when none is set: then the kernel stays serial.
 _BLOCKS_PER_TASK = 4
 _TASKS_PER_THREAD = 2
 _MIN_THREADED_POINTS = 24
@@ -68,13 +63,10 @@ _BLAS_THREAD_VARS = (
 
 # The single-point full-data methods read Z once per point, in blocks of
 # about _SINGLE_PASS_BLOCK_BYTES of whole rows, when Z holds at least
-# _SINGLE_PASS_MIN_BYTES.  Against two passes (Z x, then Z' coef) at one
-# BLAS thread on a shared 2-vCPU x86 host, the single pass with 512 KB
-# blocks took 0.86-0.95x the time at 16-32 MB of Z and 0.80-0.92x at
-# 64-160 MB, for n = 8, 100 and 200 (31.8 against 38.3 ms at 100000 x 200);
-# 128 KB and 1 MB blocks did no better.  Below that its per-block calls
-# cost more than the second read of a Z that the cache still holds: 1.26x
-# at 768 x 200 and 1.4-1.6x for n = 8 up to 3 MB, with 256-row blocks.
+# _SINGLE_PASS_MIN_BYTES.  There it beats two passes (Z x, then Z' coef):
+# 31.8 against 38.3 ms at 100000 x 200.  Below that its per-block calls cost
+# more than the second read of a Z that the cache still holds.  CHANGES.md
+# has the sweep over sizes and block bytes.
 _SINGLE_PASS_MIN_BYTES = 32 << 20
 _SINGLE_PASS_BLOCK_BYTES = 512 << 10
 
@@ -189,14 +181,12 @@ class LogisticKernel:
         Each block gives m = -y * (Z_b x), then adds Z_b' coef to the gradient
         through dgemv with beta = 1, while Z_b is still in cache; Z_b.T is
         Fortran-ordered, so dgemv copies nothing.  Z_b.dot(x, out=...) makes
-        the BLAS call of Z_b @ x with less dispatch (0.7 ms of 26 ms a pass
-        at 100000 x 200).  The elementwise work is the two passes' own, block
-        by block, so the margins and coef keep their bits.  The chained sum
-        keeps the bits of numpy's Z' coef where the BLAS adds each block's
-        rows to the same partial sums in the same order, which the probe
-        checks.  The last block takes the rows left over, so no block is
-        shorter than the rest: a block of a single row changed margins' bits
-        (N = 513, 256-row blocks).
+        the BLAS call of Z_b @ x with less dispatch.  The elementwise work is
+        the two passes' own, block by block, so the margins and coef keep
+        their bits.  The chained sum keeps the bits of numpy's Z' coef where
+        the BLAS adds each block's rows to the same partial sums in the same
+        order, which the probe checks.  The last block takes the rows left over, so no block is
+        shorter than the rest: a block of a single row changed margins' bits.
         """
         Z, y = self.ds.Z, self.ds.y
         N, n = Z.shape
@@ -217,22 +207,17 @@ class LogisticKernel:
     def _probe(self) -> bool:
         """Whether _single_pass returns the two passes' bits on this Z, at random w and x.
 
-        The BLAS behind numpy and scipy's dgemv fixes the order of each sum.
-        With OpenBLAS 0.3.31 under numpy and 0.3.30 under scipy on x86, the
-        orders agree where n % 4 == 0 and not otherwise: the last n % 4
-        gradient entries are dot products over all the rows, which the
-        blocks cut into partial sums.  At two BLAS threads they also split
-        the entries over the threads in ways that depend on the row count:
-        n = 100 agreed at 600 and 2000 rows and not from 5000 rows up.  So
-        the probe runs on Z itself, once per kernel: three reads of Z, 66 ms
-        at 100000 x 200.
+        The BLAS behind numpy and scipy's dgemv fixes the order of each sum,
+        and whether the two orders agree depends on n, on the row count and
+        on the BLAS thread count (CHANGES.md has the cases).  So the probe
+        runs on Z itself, once per kernel: three reads of Z, 66 ms at
+        100000 x 200.
         """
         rng = np.random.default_rng(0)
         w, x = rng.random(self.ds.n_samples), rng.standard_normal(self.ds.dim)
         # Equal margins give equal losses, one logaddexp either way.  At most
         # five N-vectors are live at once, fewer than a two-pass gradient
-        # call holds: a first baseline run at 100000 x 200 peaks at the same
-        # resident size as at the two passes.
+        # call holds.
         with np.errstate(all="ignore"):
             single_margins, single_grad = self._single_pass(w, x)
             margins = self._margins(x)
@@ -361,9 +346,7 @@ def logistic_objective(ds: LogisticDataset, weights: np.ndarray | None = None) -
     """Finite-sum objective over the dataset, uniform weights by default."""
     if weights is None:
         weights = uniform_weights(ds.n_samples)
-    return FiniteSumObjective(
-        weights=weights, dim=ds.dim, kernel=LogisticKernel(ds), value_cost=1, grad_cost=1
-    )
+    return FiniteSumObjective(weights=weights, dim=ds.dim, kernel=LogisticKernel(ds))
 
 
 # ---------------------------------------------------------------------------
@@ -599,13 +582,7 @@ def noisy_quadratic_objective(
 ) -> FiniteSumObjective:
     if weights is None:
         weights = uniform_weights(spec.n_components)
-    return FiniteSumObjective(
-        weights=weights,
-        dim=spec.dim,
-        kernel=NoisyQuadraticKernel(spec),
-        value_cost=1,
-        grad_cost=1,
-    )
+    return FiniteSumObjective(weights=weights, dim=spec.dim, kernel=NoisyQuadraticKernel(spec))
 
 
 def make_noisy_quadratic(

@@ -141,7 +141,6 @@ class AdditionalSampleResult:
     """Outcome of the control-sample acceptance test."""
 
     accepted: bool
-    s_norm: float
     projection: ProjectionResult
 
 
@@ -151,7 +150,6 @@ class RunResult:
     status: str
     x: np.ndarray
     meter: BudgetMeter
-    seed: int
     projections_checked: int = 0
 
 
@@ -292,7 +290,7 @@ def additional_sampling_test(
         f_trial = math.inf
     s_sq = float(s.dot(s))
     accepted = f_trial <= f_x - cfg.c * s_sq + cfg.C_accept * eta_k * eta_k
-    return AdditionalSampleResult(accepted=accepted, s_norm=math.sqrt(s_sq), projection=proj)
+    return AdditionalSampleResult(accepted=accepted, projection=proj)
 
 
 def _account(state: SolverState, cs: ConstraintSet, proj: ProjectionResult, eta_k: float) -> int:
@@ -542,7 +540,6 @@ def _drive(
         status=status,
         x=state.x,
         meter=state.meter,
-        seed=seed,
         projections_checked=state.projections_checked,
     )
 

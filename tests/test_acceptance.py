@@ -33,6 +33,7 @@ import pytest
 
 from ipas import (
     BaselineConfig,
+    BudgetMeter,
     SolverConfig,
     build_constraint_set,
     eta,
@@ -124,7 +125,8 @@ def logistic_batch(tmp_path_factory):
     obj = logistic_objective(ds)
     cs = generate_constraints(LOGI_DIM, LOGI_M, seed=7)
     x0 = min_norm_feasible(cs)
-    d0 = float(np.linalg.norm(projected_direction(cs, x0, full_value_grad(obj, x0, None).grad)))
+    g0 = full_value_grad(obj, x0, BudgetMeter()).grad
+    d0 = float(np.linalg.norm(projected_direction(cs, x0, g0)))
     cases = []
     for seed in range(10):
         cfg = SolverConfig(

@@ -8,6 +8,7 @@ from ipas import (
     CallableKernel,
     FiniteSumObjective,
     NonFiniteValue,
+    Sample,
     WeightError,
     draw_sample,
     full_value,
@@ -221,7 +222,7 @@ class TestSubsampleEvaluations:
         x = np.array([0.5, -1.0, 2.0])
         idx = np.array([0, 2, 2, 5])
         expected = np.mean([scaled_quadratic(i, x)[0] for i in idx])
-        assert subsample_value(obj, idx, x, meter=None) == pytest.approx(
+        assert subsample_value(obj, Sample.of(obj, idx), x, BudgetMeter()) == pytest.approx(
             expected, rel=1e-14
         )
 
@@ -231,24 +232,27 @@ class TestSubsampleEvaluations:
         idx = np.array([1, 1, 4])
         expected = np.mean([scaled_quadratic(i, x)[1] for i in idx], axis=0)
         np.testing.assert_allclose(
-            subsample_value_grad(obj, idx, x, meter=None).grad, expected, rtol=1e-14
+            subsample_value_grad(obj, Sample.of(obj, idx), x, BudgetMeter()).grad,
+            expected,
+            rtol=1e-14,
         )
 
     def test_fused_value_equals_value_only_evaluation(self):
         obj = make_objective(6, weights=np.array([0.3, 0.1, 0.1, 0.2, 0.2, 0.1]))
         x = np.array([1.0, 0.25, -0.5])
-        idx = np.array([1, 1, 4, 5])
-        assert subsample_value_grad(obj, idx, x, None).value(None) == subsample_value(
-            obj, idx, x, None
+        s = Sample.of(obj, np.array([1, 1, 4, 5]))
+        meter = BudgetMeter()
+        assert subsample_value_grad(obj, s, x, meter).value(meter) == subsample_value(
+            obj, s, x, meter
         )
-        assert full_value_grad(obj, x, None).value(None) == full_value(obj, x, None)
+        assert full_value_grad(obj, x, meter).value(meter) == full_value(obj, x, meter)
 
     def test_repeated_index_counts_twice(self):
         # Multiset semantics: duplicates shift the average.
         obj = make_objective(3)
         x = np.ones(DIM)
-        once = subsample_value(obj, np.array([0, 2]), x, None)
-        twice = subsample_value(obj, np.array([0, 2, 2]), x, None)
+        once = subsample_value(obj, Sample.of(obj, np.array([0, 2])), x, BudgetMeter())
+        twice = subsample_value(obj, Sample.of(obj, np.array([0, 2, 2])), x, BudgetMeter())
         assert once != pytest.approx(twice)
 
     def test_subsample_ignores_weights(self):
@@ -256,20 +260,21 @@ class TestSubsampleEvaluations:
         w = np.array([0.9, 0.05, 0.05])
         obj = make_objective(3, weights=w)
         x = np.array([1.0, 1.0, 1.0])
-        s = np.array([0, 1, 2])
+        s = Sample.of(obj, np.array([0, 1, 2]))
         expected = np.mean([scaled_quadratic(i, x)[0] for i in range(3)])
-        assert subsample_value(obj, s, x, None) == pytest.approx(expected, rel=1e-14)
+        assert subsample_value(obj, s, x, BudgetMeter()) == pytest.approx(expected, rel=1e-14)
 
     def test_grad_estimator_unbiased_for_uniform_weights(self):
         obj = make_objective(8)
         x = np.array([0.3, -0.7, 1.1])
-        target = full_value_grad(obj, x, None).grad
+        meter = BudgetMeter()
+        target = full_value_grad(obj, x, meter).grad
         rng = np.random.default_rng(11)
         reps, batch = 4000, 4
         acc = np.zeros(DIM)
         for _ in range(reps):
-            s = draw_sample(obj, batch, rng)
-            acc += subsample_value_grad(obj, s, x, None).grad
+            s = Sample.of(obj, draw_sample(obj, batch, rng))
+            acc += subsample_value_grad(obj, s, x, meter).grad
         est = acc / reps
         # Componentwise spread of single-sample gradients bounds the SE.
         singles = np.array([scaled_quadratic(i, x)[1] for i in range(8)])
@@ -283,16 +288,17 @@ class TestSubsampleEvaluations:
         obj = FiniteSumObjective(
             weights=uniform_weights(2), dim=DIM, kernel=CallableKernel(bad, 2)
         )
-        s = np.array([0])
+        s = Sample.of(obj, np.array([0]))
+        meter = BudgetMeter()
         with pytest.raises(NonFiniteValue):
-            subsample_value(obj, s, np.zeros(DIM), None)
+            subsample_value(obj, s, np.zeros(DIM), meter)
         # A one-pass evaluation checks the value only when it is taken.
         for fused in (
-            subsample_value_grad(obj, s, np.zeros(DIM), None),
-            full_value_grad(obj, np.zeros(DIM), None),
+            subsample_value_grad(obj, s, np.zeros(DIM), meter),
+            full_value_grad(obj, np.zeros(DIM), meter),
         ):
             with pytest.raises(NonFiniteValue):
-                fused.value(None)
+                fused.value(meter)
 
     def test_nonfinite_grad_raises(self):
         def bad(i, x):
@@ -301,11 +307,11 @@ class TestSubsampleEvaluations:
         obj = FiniteSumObjective(
             weights=uniform_weights(2), dim=DIM, kernel=CallableKernel(bad, 2)
         )
-        s = np.array([1])
+        s = Sample.of(obj, np.array([1]))
         with pytest.raises(NonFiniteValue):
-            subsample_value_grad(obj, s, np.zeros(DIM), None)
+            subsample_value_grad(obj, s, np.zeros(DIM), BudgetMeter())
         with pytest.raises(NonFiniteValue):
-            full_value_grad(obj, np.zeros(DIM), None)
+            full_value_grad(obj, np.zeros(DIM), BudgetMeter())
 
 
 class TestFullEvaluations:
@@ -314,24 +320,27 @@ class TestFullEvaluations:
         obj = make_objective(4, weights=w)
         x = np.array([2.0, -1.0, 0.5])
         expected = sum(w[i] * scaled_quadratic(i, x)[0] for i in range(4))
-        assert full_value(obj, x, None) == pytest.approx(expected, rel=1e-14)
+        assert full_value(obj, x, BudgetMeter()) == pytest.approx(expected, rel=1e-14)
 
     def test_full_grad_matches_weighted_loop(self):
         w = np.array([0.7, 0.1, 0.2])
         obj = make_objective(3, weights=w)
         x = np.array([-0.2, 0.9, 1.5])
         expected = sum(w[i] * scaled_quadratic(i, x)[1] for i in range(3))
-        np.testing.assert_allclose(full_value_grad(obj, x, None).grad, expected, rtol=1e-14)
+        np.testing.assert_allclose(
+            full_value_grad(obj, x, BudgetMeter()).grad, expected, rtol=1e-14
+        )
 
     def test_full_grad_matches_finite_differences(self):
         obj = make_objective(5)
         x = np.array([0.4, -0.3, 0.8])
-        g = full_value_grad(obj, x, None).grad
+        meter = BudgetMeter()
+        g = full_value_grad(obj, x, meter).grad
         h = 1e-6
         for j in range(DIM):
             e = np.zeros(DIM)
             e[j] = h
-            fd = (full_value(obj, x + e, None) - full_value(obj, x - e, None)) / (2 * h)
+            fd = (full_value(obj, x + e, meter) - full_value(obj, x - e, meter)) / (2 * h)
             assert g[j] == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
 
@@ -346,7 +355,7 @@ class TestBudgetMeter:
     def test_subsample_charges_sample_size(self):
         obj = make_objective(10)
         meter = BudgetMeter()
-        s = np.array([0, 1, 1, 3, 9])
+        s = Sample.of(obj, np.array([0, 1, 1, 3, 9]))
         subsample_value(obj, s, np.zeros(DIM), meter)
         assert meter.component_value_evals == 5
         assert meter.scalar_products == 5
@@ -366,8 +375,6 @@ class TestBudgetMeter:
         assert meter.component_value_evals == 7
         assert meter.component_grad_evals == 7
         assert meter.scalar_products == 14
-        fused.value(None)  # an unmetered look at the value costs nothing
-        assert meter.scalar_products == 14
         fused.value(meter)
         assert meter.component_value_evals == 14
         assert meter.scalar_products == 21
@@ -379,15 +386,3 @@ class TestBudgetMeter:
         assert meter.scalar_products == 84
         meter.charge_cg(iterations=0, m=10)
         assert meter.scalar_products == 84
-
-    def test_unit_cost_scales_charges(self):
-        meter = BudgetMeter()
-        meter.charge_values(3, unit_cost=5)
-        assert meter.component_value_evals == 3
-        assert meter.scalar_products == 15
-
-    def test_none_meter_is_free(self):
-        obj = make_objective(4)
-        # Must simply not raise; nothing to observe.
-        full_value(obj, np.zeros(DIM), None)
-        subsample_value_grad(obj, np.array([2]), np.zeros(DIM), None).value(None)

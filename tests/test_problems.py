@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from ipas import (
     BaselineConfig,
     LabelError,
+    BudgetMeter,
     LogisticDataset,
     NonFiniteValue,
     NoisyQuadraticSpec,
@@ -194,9 +195,10 @@ class TestLogisticComponents:
         rng = np.random.default_rng(3)
         x = rng.standard_normal(2)
         mean_value = np.mean([logistic_component(ds, i, x)[0] for i in range(4)])
-        assert full_value(obj, x, None) == pytest.approx(mean_value, rel=1e-14)
+        meter = BudgetMeter()
+        assert full_value(obj, x, meter) == pytest.approx(mean_value, rel=1e-14)
         mean_grad = np.mean([logistic_component(ds, i, x)[1] for i in range(4)], axis=0)
-        np.testing.assert_allclose(full_value_grad(obj, x, None).grad, mean_grad, rtol=1e-13)
+        np.testing.assert_allclose(full_value_grad(obj, x, meter).grad, mean_grad, rtol=1e-13)
 
     def test_dataset_validation(self):
         with pytest.raises(ValueError):
@@ -627,7 +629,7 @@ class TestNoisyQuadratic:
         x = rng.standard_normal(3)
         base = 0.5 * x @ spec.base_Q @ x + spec.base_q @ x
         expected = base + float(np.sum(spec.eps**2)) * float(x @ x)
-        assert full_value(obj, x, None) == pytest.approx(expected, rel=1e-13)
+        assert full_value(obj, x, BudgetMeter()) == pytest.approx(expected, rel=1e-13)
 
     def test_vectorised_kernel_matches_loop(self):
         spec = make_noisy_quadratic(3, 7, sigma=0.5, seed=17)
@@ -730,15 +732,16 @@ class TestNoisyQuadratic:
             got_vals, got_grad = kernel.value_grad_mean(rows, x)
             assert got_vals.tobytes() == vals.tobytes() == kernel.values(rows, x).tobytes()
             assert got_grad.tobytes() == grad.tobytes()
-            assert subsample_value(obj, idx, x, None) == float(vals.mean())
-            assert subsample_value(obj, Sample.of(obj, idx), x, None) == float(vals.mean())
+            sample = Sample.of(obj, idx)
+            assert subsample_value(obj, sample, x, BudgetMeter()) == float(vals.mean())
             ridge = 1000 * float(w @ eps_sq)
             value, full_grad = kernel.weighted_value_grad(w, x)
             assert value == base + ridge * float(x @ x) == kernel.weighted_value(w, x)
             assert full_grad.tobytes() == (Qx + spec.base_q + (2.0 * ridge) * x).tobytes()
         # The mean of an empty sample is NaN, as with ndarray.mean.
         with pytest.raises(NonFiniteValue):
-            subsample_value(obj, np.array([], dtype=np.int64), x, None)
+            empty = Sample.of(obj, np.array([], dtype=np.int64))
+            subsample_value(obj, empty, x, BudgetMeter())
 
     def test_generator_draw_order_is_stable(self):
         # M, then q, then eps, all from one seeded generator; callers rely

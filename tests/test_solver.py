@@ -281,7 +281,8 @@ class TestAdditionalSamplingTest:
             self.cs, self.obj, self.x, np.zeros(2), eta_k=0.5,
             cfg=self.config(), rng=self.rng, meter=BudgetMeter(),
         )
-        assert out.s_norm == pytest.approx(math.sqrt(2.0), rel=1e-12)
+        s = out.projection.point - self.x
+        assert float(np.linalg.norm(s)) == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
     def test_charges_one_grad_and_two_values_per_index(self):
         meter = BudgetMeter()
@@ -715,7 +716,7 @@ class TestOracleMemo:
         first = run(cs, objs[0], SolverConfig(N0=2, D_size=2, k_max=0), x0=x0)
         second = run(cs, objs[1], SolverConfig(N0=2, D_size=2, k_max=5), x0=x0)
         for res, obj in zip((first, second), objs):
-            f = full_value(obj, x0, None)
+            f = full_value(obj, x0, BudgetMeter())
             assert abs(res.records[0].f_true - f) <= 1e-12 * max(1.0, abs(f))
         assert second.records[0].f_true != first.records[0].f_true
 
@@ -730,8 +731,9 @@ class TestOracleMemo:
             iterates.append(res.x)
             assert len(iterates) == len(res.records) > _ORACLE_BATCH
             for r, x in zip(res.records, iterates):
-                full = full_value_grad(obj, x, None)
-                f = full.value(None)
+                meter = BudgetMeter()
+                full = full_value_grad(obj, x, meter)
+                f = full.value(meter)
                 norm_d = float(np.linalg.norm(projected_direction(cs, x, full.grad)))
                 scale = max(1.0, float(np.linalg.norm(x)), float(np.linalg.norm(full.grad)))
                 assert abs(r.f_true - f) <= 1e-12 * max(1.0, abs(f))
