@@ -61,38 +61,6 @@ REACH_THRESHOLDS = (1e-1, 1e-2, 1e-3)
 # Number of points on the common budget grid for the mean curves.
 CURVE_POINTS = 50
 
-# [problem] keys of each kind besides "kind": key -> (type, default), where
-# a default of None marks a required key.
-_PROBLEM_FIELDS = {
-    "noisy_quadratic": {
-        "n": (int, None),
-        "components": (int, None),
-        "sigma": (float, 1.0),
-        "base_seed": (int, 0),
-        "base_curvature": (float, 1.0),
-        "q_scale": (float, 1.0),
-        "m_fraction": (float, 0.5),
-        "constraint_seed": (int, 0),
-    },
-    "logistic": {"dataset": (str, None), "m_fraction": (float, 0.5), "constraint_seed": (int, 0)},
-}
-
-# [solver] keys that map onto SolverConfig fields: (key, field, type).
-_SOLVER_FIELDS = (
-    ("beta", "beta", float),
-    ("c", "c", float),
-    ("c1", "c1", float),
-    ("t_min", "t_min", float),
-    ("c_accept", "C_accept", float),
-    ("n0", "N0", int),
-    ("dn", "dN", int),
-    ("s", "s_exp", float),
-    ("d", "D_size", int),
-    ("k_max", "k_max", int),
-    ("tol_d", "tol_d", float),
-    ("tol_e", "tol_e", float),
-)
-_SOLVER_KEYS = {key for key, _, _ in _SOLVER_FIELDS} | {"n0_fraction"}
 
 _SWEEP_KEYS = {"s", "dn", "sigma"}
 _RUN_KEYS = {"seeds", "output_dir"}
@@ -158,6 +126,52 @@ def _parse_ints(text: str) -> list[int]:
     return out
 
 
+def _parse_int(text: str) -> int:
+    """Exactly one integer, read by _parse_ints's rule."""
+    values = _parse_ints(text)
+    if len(values) != 1:
+        raise ValueError(f"expected an integer, got {text!r}")
+    return values[0]
+
+
+# [problem] keys of each kind besides "kind": key -> (type, default), where
+# a default of None marks a required key.
+_PROBLEM_FIELDS = {
+    "noisy_quadratic": {
+        "n": (_parse_int, None),
+        "components": (_parse_int, None),
+        "sigma": (float, 1.0),
+        "base_seed": (_parse_int, 0),
+        "base_curvature": (float, 1.0),
+        "q_scale": (float, 1.0),
+        "m_fraction": (float, 0.5),
+        "constraint_seed": (_parse_int, 0),
+    },
+    "logistic": {
+        "dataset": (str, None),
+        "m_fraction": (float, 0.5),
+        "constraint_seed": (_parse_int, 0),
+    },
+}
+
+# [solver] keys that map onto SolverConfig fields: (key, field, type).
+_SOLVER_FIELDS = (
+    ("beta", "beta", float),
+    ("c", "c", float),
+    ("c1", "c1", float),
+    ("t_min", "t_min", float),
+    ("c_accept", "C_accept", float),
+    ("n0", "N0", _parse_int),
+    ("dn", "dN", _parse_int),
+    ("s", "s_exp", float),
+    ("d", "D_size", _parse_int),
+    ("k_max", "k_max", _parse_int),
+    ("tol_d", "tol_d", float),
+    ("tol_e", "tol_e", float),
+)
+_SOLVER_KEYS = {key for key, _, _ in _SOLVER_FIELDS} | {"n0_fraction"}
+
+
 def parse_experiment_config(path) -> ExperimentConfig:
     """Read a key-value config file with [problem]/[solver]/[sweep]/[run] sections.
 
@@ -220,7 +234,10 @@ def _parse_problem(sec: dict) -> dict:
     missing = [key for key, (_, default) in fields.items() if default is None and key not in sec]
     if missing:
         raise ConfigInvalid(f"{kind} problems need {', '.join(missing)} in [problem]")
-    problem = {"kind": kind, **{key: conv(sec.get(key, d)) for key, (conv, d) in fields.items()}}
+    problem = {
+        "kind": kind,
+        **{key: conv(sec[key]) if key in sec else d for key, (conv, d) in fields.items()},
+    }
     if problem.get("components", 1) < 1:
         raise ConfigInvalid(f"components={problem['components']} must be >= 1")
     if not 0.0 < problem["m_fraction"] <= 1.0:  # false for NaN and infinities too

@@ -221,24 +221,25 @@ class TestFractionOutOfRange:
 
 
 class TestIntegerLists:
-    # Seeds and the dn sweep are read as exact integers.  A float form is
-    # accepted where it names a finite integer; read through a float, inf
-    # and 1e400 crashed validate with an OverflowError, and 2**53 + 1
-    # became 2**53.
-    def config(self, tmp_path, seeds="0", dn="1"):
+    # Seeds, the dn sweep and the integer keys of [problem] and [solver] are
+    # read as exact integers.  A float form is accepted where it names a
+    # finite integer; read through a float, inf and 1e400 crashed validate
+    # with an OverflowError, and 2**53 + 1 became 2**53.  Read through int,
+    # k_max = 1e3 failed while seeds = 1e3 was accepted.
+    def config(self, tmp_path, seeds="0", dn="1", n="5", k_max="8"):
         path = tmp_path / "ints.ini"
         path.write_text(
             textwrap.dedent(
                 f"""
                 [problem]
                 kind = noisy_quadratic
-                n = 5
+                n = {n}
                 components = 6
 
                 [solver]
                 n0 = 2
                 d = 2
-                k_max = 8
+                k_max = {k_max}
 
                 [sweep]
                 dn = {dn}
@@ -252,7 +253,15 @@ class TestIntegerLists:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("seeds", "inf"), ("seeds", "1e400"), ("dn", "inf"), ("seeds", "nan"), ("dn", "1.5")],
+        [
+            ("seeds", "inf"),
+            ("seeds", "1e400"),
+            ("dn", "inf"),
+            ("seeds", "nan"),
+            ("dn", "1.5"),
+            ("k_max", "1.5"),
+            ("n", "1 2"),
+        ],
     )
     def test_a_non_integer_exits_two(self, tmp_path, capsys, key, value):
         path = self.config(tmp_path, **{key: value})
@@ -260,11 +269,13 @@ class TestIntegerLists:
         assert f"expected an integer, got {value!r}" in capsys.readouterr().err
 
     def test_finite_float_forms_are_integers(self, tmp_path, capsys):
-        path = self.config(tmp_path, seeds="10.0 1e3", dn="1e0 2")
+        path = self.config(tmp_path, seeds="10.0 1e3", dn="1e0 2", n="5.0", k_max="1e3")
         assert main(["validate", str(path)]) == EXIT_OK
         assert "4 runs planned across 2 seeds" in capsys.readouterr().out
         cfg = parse_experiment_config(path)
         assert (cfg.seeds, cfg.sweep_dN) == ((10, 1000), (1, 2))
+        assert (cfg.problem["n"], cfg.solver.k_max) == (5, 1000)
+        assert type(cfg.problem["n"]) is type(cfg.solver.k_max) is int
 
     def test_seeds_are_read_exactly(self, tmp_path, capsys):
         path = self.config(tmp_path, seeds="9007199254740992 9007199254740993")
