@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigInvalid, EmptyGroup, IpasError, OutputExists, ParseError
+from .errors import ConfigInvalid, EmptyGroup, IpasError, OutputExists
 from .objective import FiniteSumObjective
 from .problems import (
     LogisticDataset,
@@ -102,6 +102,9 @@ MANIFEST_COLUMNS = (
 SUMMARY_COLUMNS = tuple(f.name for f in dataclasses.fields(SummaryRow))[:-1] + tuple(
     f"reached_{t:g}" for t in REACH_THRESHOLDS
 )
+# The converter of each manifest cell, in MANIFEST_COLUMNS order; sigma is
+# empty for a logistic run.
+_MANIFEST_TYPES = (str, str, float, int, lambda v: float(v) if v else None, int, str, str, str)
 CURVE_COLUMNS = ("budget", "log10_d_mean", "log10_d_se", "d_geomean", "d_lo", "d_hi")
 
 
@@ -440,18 +443,9 @@ def execute_run(payload: dict) -> dict:
 
 
 def read_manifest(path: str) -> list[dict]:
-    cols, lines = _read_csv(path)
-    if not cols:
-        raise ParseError(f"{path}: empty manifest")
-    rows = []
-    for cells in lines:
-        row = dict(zip(cols, cells))
-        row["s_exp"] = float(row["s_exp"])
-        row["dN"] = int(row["dN"])
-        row["sigma"] = float(row["sigma"]) if row["sigma"] else None
-        row["seed"] = int(row["seed"])
-        rows.append(row)
-    return rows
+    """Parse a manifest written by run_experiment: one dict per run, keyed by column."""
+    rows = _read_csv(path, MANIFEST_COLUMNS, _MANIFEST_TYPES, "manifest")
+    return [dict(zip(MANIFEST_COLUMNS, row)) for row in rows]
 
 
 class TraceColumns(NamedTuple):

@@ -588,13 +588,26 @@ def _write_csv(path, columns: Iterable[str], rows: Iterable[Iterable]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _read_csv(path) -> tuple[list[str], list[list[str]]]:
-    """Header and string cells of a file written by _write_csv; blank lines are skipped."""
+def _read_csv(path, columns: tuple[str, ...], types: tuple, what: str) -> list[list]:
+    """The rows of a file _write_csv wrote with this header, each cell through its converter.
+
+    Blank lines are skipped.  Raises ParseError on another header, on a row
+    of another cell count and on a cell its converter rejects.
+    """
     with open(path) as fh:
         lines = [line.rstrip("\n") for line in fh if line.strip()]
-    if not lines:
-        return [], []
-    return lines[0].split(","), [line.split(",") for line in lines[1:]]
+    if not lines or tuple(lines[0].split(",")) != columns:
+        raise ParseError(f"{path}: missing or unexpected {what} header")
+    rows = []
+    for line in lines[1:]:
+        cells = line.split(",")
+        if len(cells) != len(columns):
+            raise ParseError(f"{path}: expected {len(columns)} cells, got {len(cells)}")
+        try:
+            rows.append([conv(v) for conv, v in zip(types, cells)])
+        except ValueError as exc:
+            raise ParseError(f"{path}: {exc}") from None
+    return rows
 
 
 # IterationRecord fields in TRACE_COLUMNS order, and the converter of each
@@ -614,12 +627,4 @@ def write_trace(records: Iterable[IterationRecord], path) -> None:
 
 def read_trace(path) -> list[IterationRecord]:
     """Parse a trace CSV written by write_trace."""
-    header, rows = _read_csv(path)
-    if tuple(header) != TRACE_COLUMNS:
-        raise ParseError(f"{path}: missing or unexpected trace header")
-    records = []
-    for parts in rows:
-        if len(parts) != len(TRACE_COLUMNS):
-            raise ParseError(f"{path}: expected {len(TRACE_COLUMNS)} cells, got {len(parts)}")
-        records.append(IterationRecord(*(conv(v) for conv, v in zip(_TRACE_TYPES, parts))))
-    return records
+    return [IterationRecord(*row) for row in _read_csv(path, TRACE_COLUMNS, _TRACE_TYPES, "trace")]

@@ -393,6 +393,29 @@ class TestSummarize:
         assert main(["summarize", str(tmp_path)]) == EXIT_RUN_FAILURE
         assert "summarize failed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda rows: [rows[0], rows[1].rsplit(",", 2)[0], *rows[2:]], "expected 9 cells, got 7"),
+            (lambda rows: [rows[0].replace("seed", "sead"), *rows[1:]], "unexpected manifest header"),
+            (lambda rows: [rows[0], rows[1].replace(",0,", ",zero,", 1), *rows[2:]], "'zero'"),
+        ],
+        ids=["short-row", "header", "bad-cell"],
+    )
+    def test_damaged_manifest_exits_one(self, config_path, tmp_path, capsys, damage, message):
+        # Cells used to be zipped onto whatever header was found, so a short
+        # row crashed with a KeyError traceback.
+        out_dir = tmp_path / "out"
+        main(["run", str(config_path), "--out", str(out_dir), "--workers", "1"])
+        manifest = out_dir / "runs.csv"
+        rows = manifest.read_text().splitlines()
+        manifest.write_text("\n".join(damage(rows)) + "\n")
+        capsys.readouterr()
+        assert main(["summarize", str(out_dir)]) == EXIT_RUN_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith(f"summarize failed: {manifest}: ")
+        assert message in err and "Traceback" not in err
+
 
 class TestParser:
     def test_no_arguments_is_a_usage_error(self, capsys):
