@@ -396,9 +396,9 @@ class TestSummarize:
     @pytest.mark.parametrize(
         "damage, message",
         [
-            (lambda rows: [rows[0], rows[1].rsplit(",", 2)[0], *rows[2:]], "expected 9 cells, got 7"),
-            (lambda rows: [rows[0].replace("seed", "sead"), *rows[1:]], "unexpected manifest header"),
-            (lambda rows: [rows[0], rows[1].replace(",0,", ",zero,", 1), *rows[2:]], "'zero'"),
+            (lambda r: [r[0], r[1].rsplit(",", 2)[0], *r[2:]], "expected 9 cells, got 7"),
+            (lambda r: [r[0].replace("seed", "sead"), *r[1:]], "unexpected manifest header"),
+            (lambda r: [r[0], r[1].replace(",0,", ",zero,", 1), *r[2:]], "'zero'"),
         ],
         ids=["short-row", "header", "bad-cell"],
     )
