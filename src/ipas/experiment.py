@@ -62,10 +62,6 @@ REACH_THRESHOLDS = (1e-1, 1e-2, 1e-3)
 CURVE_POINTS = 50
 
 
-_SWEEP_KEYS = {"s", "dn", "sigma"}
-_RUN_KEYS = {"seeds", "output_dir"}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     problem: dict
@@ -98,13 +94,13 @@ class SummaryRow:
 MANIFEST_COLUMNS = (
     "config_id", "config_hash", "s_exp", "dN", "sigma", "seed", "status", "trace_file", "error"
 )
+# The converter of each manifest cell, in MANIFEST_COLUMNS order; sigma is
+# empty for a logistic run.
+_MANIFEST_TYPES = (str, str, float, int, lambda v: float(v) if v else None, int, str, str, str)
 # SummaryRow's fields in order, with reached spread over one column per threshold.
 SUMMARY_COLUMNS = tuple(f.name for f in dataclasses.fields(SummaryRow))[:-1] + tuple(
     f"reached_{t:g}" for t in REACH_THRESHOLDS
 )
-# The converter of each manifest cell, in MANIFEST_COLUMNS order; sigma is
-# empty for a logistic run.
-_MANIFEST_TYPES = (str, str, float, int, lambda v: float(v) if v else None, int, str, str, str)
 CURVE_COLUMNS = ("budget", "log10_d_mean", "log10_d_se", "d_geomean", "d_lo", "d_hi")
 
 
@@ -137,23 +133,21 @@ def _parse_int(text: str) -> int:
     return values[0]
 
 
-# [problem] keys of each kind besides "kind": key -> (type, default), where
-# a default of None marks a required key.
+# [problem] keys of each kind besides "kind": key -> (converter, default),
+# where the default is the text of an absent key and None marks a required key.
 _PROBLEM_FIELDS = {
     "noisy_quadratic": {
         "n": (_parse_int, None),
         "components": (_parse_int, None),
-        "sigma": (float, 1.0),
-        "base_seed": (_parse_int, 0),
-        "base_curvature": (float, 1.0),
-        "q_scale": (float, 1.0),
-        "m_fraction": (float, 0.5),
-        "constraint_seed": (_parse_int, 0),
+        "sigma": (float, "1.0"),
+        "base_seed": (_parse_int, "0"),
+        "base_curvature": (float, "1.0"),
+        "q_scale": (float, "1.0"),
+        "m_fraction": (float, "0.5"),
+        "constraint_seed": (_parse_int, "0"),
     },
     "logistic": {
-        "dataset": (str, None),
-        "m_fraction": (float, 0.5),
-        "constraint_seed": (_parse_int, 0),
+        "dataset": (str, None), "m_fraction": (float, "0.5"), "constraint_seed": (_parse_int, "0")
     },
 }
 
@@ -173,6 +167,9 @@ _SOLVER_FIELDS = (
     ("tol_e", "tol_e", float),
 )
 _SOLVER_KEYS = {key for key, _, _ in _SOLVER_FIELDS} | {"n0_fraction"}
+
+_SWEEP_KEYS = {"s", "dn", "sigma"}
+_RUN_KEYS = {"seeds", "output_dir"}
 
 
 def parse_experiment_config(path) -> ExperimentConfig:
@@ -237,10 +234,7 @@ def _parse_problem(sec: dict) -> dict:
     missing = [key for key, (_, default) in fields.items() if default is None and key not in sec]
     if missing:
         raise ConfigInvalid(f"{kind} problems need {', '.join(missing)} in [problem]")
-    problem = {
-        "kind": kind,
-        **{key: conv(sec[key]) if key in sec else d for key, (conv, d) in fields.items()},
-    }
+    problem = {"kind": kind, **{key: conv(sec.get(key, d)) for key, (conv, d) in fields.items()}}
     if problem.get("components", 1) < 1:
         raise ConfigInvalid(f"components={problem['components']} must be >= 1")
     if not 0.0 < problem["m_fraction"] <= 1.0:  # false for NaN and infinities too
