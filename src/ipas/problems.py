@@ -185,8 +185,9 @@ class LogisticKernel:
         the two passes' own, block by block, so the margins and coef keep
         their bits.  The chained sum keeps the bits of numpy's Z' coef where
         the BLAS adds each block's rows to the same partial sums in the same
-        order, which the probe checks.  The last block takes the rows left over, so no block is
-        shorter than the rest: a block of a single row changed margins' bits.
+        order, which the probe checks.  The last block takes the rows left
+        over, so no block is shorter than the rest: a block of a single row
+        changed margins' bits.
         """
         Z, y = self.ds.Z, self.ds.y
         N, n = Z.shape
