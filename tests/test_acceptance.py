@@ -319,7 +319,7 @@ CHECK07_STREAKS = {1: 722, 3: 127, 4: 883, 6: 467, 8: 685, 9: 221}
 
 
 def test_07_stall_regime_is_pinned(quad_batch):
-    """Pin which check-07 seeds stall, and from which iteration.
+    """Pin which check-07 seeds stall, and for how many iterations.
 
     Seeds 1, 3, 4, 6, 8 and 9 end in an unbroken streak of unsuccessful
     full-sample rows, with no unsuccessful row before it; the other four
