@@ -189,6 +189,20 @@ class TestConfigParsing:
             parse_experiment_config(path)
 
     @pytest.mark.parametrize(
+        "section, mutation",
+        [
+            ("problem", ("n = 6", "n = 6\n    banana = 1")),
+            ("solver", ("d = 2", "d = 2\n    dd = 2")),
+            ("sweep", ("dn = 1", "dn = 1\n    step = 1")),
+            ("run", ("seeds = 0, 1", "seeds = 0, 1\n    workers = 2")),
+        ],
+    )
+    def test_unknown_key_names_its_section(self, tmp_path, section, mutation):
+        path = write_config(tmp_path, QUAD_CONFIG.replace(*mutation))
+        with pytest.raises(ConfigInvalid, match=rf"unknown keys in \[{section}\]"):
+            parse_experiment_config(path)
+
+    @pytest.mark.parametrize(
         "mutation",
         [
             ("s = 1.0 2.0", "s = 1 1.0 0.7500001 0.75"),  # ids s1 and s0.75 twice each
