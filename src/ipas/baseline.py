@@ -88,7 +88,6 @@ def baseline_step(
         f_true=f0,
         scalar_products=meter.scalar_products,
         accepted=True,
-        unsuccessful=False,
         cg_iters=cs.m,
     )
 

@@ -91,12 +91,14 @@ class SummaryRow:
     reached: tuple[float, ...]  # fractions, aligned with REACH_THRESHOLDS
 
 
-MANIFEST_COLUMNS = (
-    "config_id", "config_hash", "s_exp", "dN", "sigma", "seed", "status", "trace_file", "error"
-)
-# The converter of each manifest cell, in MANIFEST_COLUMNS order; sigma is
-# empty for a logistic run.
-_MANIFEST_TYPES = (str, str, float, int, lambda v: float(v) if v else None, int, str, str, str)
+# The manifest's columns, in order, each with the parser of its cells; sigma
+# is empty for a logistic run.
+_MANIFEST_PARSERS = {
+    "config_id": str, "config_hash": str, "s_exp": float, "dN": int,
+    "sigma": lambda v: float(v) if v else None, "seed": int,
+    "status": str, "trace_file": str, "error": str,
+}
+MANIFEST_COLUMNS = tuple(_MANIFEST_PARSERS)
 # SummaryRow's fields in order, with reached spread over one column per threshold.
 SUMMARY_COLUMNS = tuple(f.name for f in dataclasses.fields(SummaryRow))[:-1] + tuple(
     f"reached_{t:g}" for t in REACH_THRESHOLDS
@@ -133,48 +135,50 @@ def _parse_int(text: str) -> int:
     return values[0]
 
 
-# [problem] keys of each kind besides "kind": key -> (converter, default),
-# where the default is the text of an absent key and None marks a required key.
-_PROBLEM_FIELDS = {
+# Each config section's table: key -> (converter, default), where the default
+# is the text an absent key reads as, _REQUIRED, or None to leave it out.
+_REQUIRED = object()
+
+# [problem] keys of each kind besides "kind".
+_CONSTRAINT_KEYS = {"m_fraction": (float, "0.5"), "constraint_seed": (_parse_int, "0")}
+_PROBLEM_KINDS = {
     "noisy_quadratic": {
-        "n": (_parse_int, None),
-        "components": (_parse_int, None),
+        "n": (_parse_int, _REQUIRED),
+        "components": (_parse_int, _REQUIRED),
         "sigma": (float, "1.0"),
         "base_seed": (_parse_int, "0"),
         "base_curvature": (float, "1.0"),
         "q_scale": (float, "1.0"),
-        "m_fraction": (float, "0.5"),
-        "constraint_seed": (_parse_int, "0"),
+        **_CONSTRAINT_KEYS,
     },
-    "logistic": {
-        "dataset": (str, None), "m_fraction": (float, "0.5"), "constraint_seed": (_parse_int, "0")
-    },
+    "logistic": {"dataset": (str, _REQUIRED), **_CONSTRAINT_KEYS},
 }
 
-# [solver] keys that map onto SolverConfig fields: (key, field, type).
-_SOLVER_FIELDS = (
-    ("beta", "beta", float),
-    ("c", "c", float),
-    ("c1", "c1", float),
-    ("t_min", "t_min", float),
-    ("c_accept", "C_accept", float),
-    ("n0", "N0", _parse_int),
-    ("dn", "dN", _parse_int),
-    ("s", "s_exp", float),
-    ("d", "D_size", _parse_int),
-    ("k_max", "k_max", _parse_int),
-    ("tol_d", "tol_d", float),
-    ("tol_e", "tol_e", float),
-)
-_SOLVER_KEYS = {key for key, _, _ in _SOLVER_FIELDS} | {"n0_fraction"}
+# [solver] keys, each optional: an absent one keeps SolverConfig's default.
+_SOLVER_SECTION = dict.fromkeys(
+    ("beta", "c", "c1", "t_min", "c_accept", "n0_fraction", "s", "tol_d", "tol_e"), (float, None)
+) | dict.fromkeys(("n0", "dn", "d", "k_max"), (_parse_int, None))
+# The SolverConfig field of each [solver] key that names it otherwise.
+_SOLVER_FIELD_NAMES = {"c_accept": "C_accept", "n0": "N0", "dn": "dN", "s": "s_exp", "d": "D_size"}
 
-_SWEEP_KEYS = {"s", "dn", "sigma"}
-_RUN_KEYS = {"seeds", "output_dir"}
+# [sweep] grids, each of values distinct in run ids; an absent one holds the
+# base configuration's value.
+_SWEEP_SECTION = {
+    "s": (lambda text: _distinct("s", _parse_floats(text), _format_g), None),
+    "dn": (lambda text: _distinct("dn", _parse_ints(text), str), None),
+    "sigma": (lambda text: _distinct("sigma", _parse_floats(text), _format_g), None),
+}
+
+_RUN_SECTION = {
+    "seeds": (lambda text: _distinct("seeds", _parse_ints(text), str), _REQUIRED),
+    "output_dir": (str, "runs"),
+}
 
 
 def parse_experiment_config(path) -> ExperimentConfig:
     """Read a key-value config file with [problem]/[solver]/[sweep]/[run] sections.
 
+    Each section is read by its table, then the checks that span keys run.
     Raises ConfigInvalid when any (s, dN) grid point breaks a solver bound.
     """
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
@@ -191,105 +195,83 @@ def parse_experiment_config(path) -> ExperimentConfig:
             raise ConfigInvalid(f"unknown section [{section}]")
     if not cp.has_section("problem") or not cp.has_section("run"):
         raise ConfigInvalid("config needs [problem] and [run] sections")
-
+    kind = cp["problem"].get("kind")
+    if kind not in _PROBLEM_KINDS:
+        raise ConfigInvalid(f"problem kind must be one of {sorted(_PROBLEM_KINDS)}, got {kind!r}")
     try:
-        problem = _parse_problem(dict(cp["problem"]))
-        solver, n0_fraction = _parse_solver(dict(cp["solver"]) if cp.has_section("solver") else {})
-        sweep_s, sweep_dN, sweep_sigma = _parse_sweep(
-            dict(cp["sweep"]) if cp.has_section("sweep") else {}, problem, solver, n0_fraction
-        )
-        run_sec = dict(cp["run"])
-        unknown = set(run_sec) - _RUN_KEYS
-        if unknown:
-            raise ConfigInvalid(f"unknown keys in [run]: {sorted(unknown)}")
-        if "seeds" not in run_sec:
-            raise ConfigInvalid("[run] needs a seeds list")
-        seeds = _distinct("seeds", _parse_ints(run_sec["seeds"]), str)
-        if not seeds:
-            raise ConfigInvalid("[run] seeds list is empty")
-        output_dir = run_sec.get("output_dir", "runs")
+        problem = _section(cp, "problem", {"kind": (str, _REQUIRED), **_PROBLEM_KINDS[kind]})
+        solver = _section(cp, "solver", _SOLVER_SECTION)
+        sweep = _section(cp, "sweep", _SWEEP_SECTION)
+        run_sec = _section(cp, "run", _RUN_SECTION)
     except (ValueError, KeyError) as exc:
         raise ConfigInvalid(f"bad config value: {exc}") from exc
 
-    return ExperimentConfig(
-        problem=problem,
-        solver=solver,
-        n0_fraction=n0_fraction,
-        sweep_s=sweep_s,
-        sweep_dN=sweep_dN,
-        sweep_sigma=sweep_sigma,
-        seeds=seeds,
-        output_dir=output_dir,
-    )
-
-
-def _parse_problem(sec: dict) -> dict:
-    kind = sec.get("kind")
-    if kind not in _PROBLEM_FIELDS:
-        raise ConfigInvalid(f"problem kind must be one of {sorted(_PROBLEM_FIELDS)}, got {kind!r}")
-    fields = _PROBLEM_FIELDS[kind]
-    unknown = set(sec) - set(fields) - {"kind"}
-    if unknown:
-        raise ConfigInvalid(f"unknown keys in [problem] for kind={kind}: {sorted(unknown)}")
-    missing = [key for key, (_, default) in fields.items() if default is None and key not in sec]
-    if missing:
-        raise ConfigInvalid(f"{kind} problems need {', '.join(missing)} in [problem]")
-    problem = {"kind": kind, **{key: conv(sec.get(key, d)) for key, (conv, d) in fields.items()}}
     if problem.get("components", 1) < 1:
         raise ConfigInvalid(f"components={problem['components']} must be >= 1")
     if not 0.0 < problem["m_fraction"] <= 1.0:  # false for NaN and infinities too
         raise ConfigInvalid(f"m_fraction={problem['m_fraction']} must lie in (0, 1]")
-    return problem
-
-
-def _parse_solver(sec: dict) -> tuple[SolverConfig, float | None]:
-    unknown = set(sec) - _SOLVER_KEYS
-    if unknown:
-        raise ConfigInvalid(f"unknown keys in [solver]: {sorted(unknown)}")
-    if "n0" in sec and "n0_fraction" in sec:
+    if "n0" in solver and "n0_fraction" in solver:
         raise ConfigInvalid("give either n0 or n0_fraction, not both")
-    kwargs = {attr: conv(sec[key]) for key, attr, conv in _SOLVER_FIELDS if key in sec}
-    n0_fraction = float(sec["n0_fraction"]) if "n0_fraction" in sec else None
+    n0_fraction = solver.pop("n0_fraction", None)
     if n0_fraction is not None and not 0.0 < n0_fraction <= 1.0:
         raise ConfigInvalid(f"n0_fraction={n0_fraction} must lie in (0, 1]")
-    return SolverConfig(**kwargs), n0_fraction
+    base = SolverConfig(**{_SOLVER_FIELD_NAMES.get(k, k): v for k, v in solver.items()})
+    if "sigma" in sweep and kind != "noisy_quadratic":
+        raise ConfigInvalid("a sigma sweep only applies to noisy_quadratic problems")
+    if not run_sec["seeds"]:
+        raise ConfigInvalid("[run] seeds list is empty")
+
+    cfg = ExperimentConfig(
+        problem=problem,
+        solver=base,
+        n0_fraction=n0_fraction,
+        sweep_s=sweep.get("s", (base.s_exp,)),
+        sweep_dN=sweep.get("dn", (base.dN,)),
+        sweep_sigma=sweep.get("sigma", (problem["sigma"],)) if kind == "noisy_quadratic" else None,
+        seeds=run_sec["seeds"],
+        output_dir=run_sec["output_dir"],
+    )
+    _validate_grid(cfg)
+    return cfg
 
 
-def _parse_sweep(
-    sec: dict, problem: dict, solver: SolverConfig, n0_fraction: float | None
-) -> tuple[tuple[float, ...], tuple[int, ...], tuple[float, ...] | None]:
-    unknown = set(sec) - _SWEEP_KEYS
+def _section(cp: configparser.ConfigParser, name: str, table: dict) -> dict:
+    """Section [name]'s values by key, read by its table; an absent section is empty.
+
+    Raises ConfigInvalid on a key the table lacks and on a required key the
+    section lacks.
+    """
+    sec = dict(cp[name]) if cp.has_section(name) else {}
+    unknown = set(sec) - set(table)
     if unknown:
-        raise ConfigInvalid(f"unknown keys in [sweep]: {sorted(unknown)}")
-    sweep_s = _distinct("s", _parse_floats(sec["s"]), _format_g) if "s" in sec else (solver.s_exp,)
-    sweep_dN = _distinct("dn", _parse_ints(sec["dn"]), str) if "dn" in sec else (solver.dN,)
-    if "sigma" in sec:
-        if problem["kind"] != "noisy_quadratic":
-            raise ConfigInvalid("a sigma sweep only applies to noisy_quadratic problems")
-        sweep_sigma = _distinct("sigma", _parse_floats(sec["sigma"]), _format_g)
-    elif problem["kind"] == "noisy_quadratic":
-        sweep_sigma = (problem["sigma"],)
-    else:
-        sweep_sigma = None
-    # Check every grid point now, so that no run fails on these bounds later.
-    # A noisy quadratic states its component count, so the bounds that need
-    # it are checked too, with N0 resolved as execute_run resolves it; a
-    # logistic dataset's row count is known only once a run loads it.
+        raise ConfigInvalid(f"unknown keys in [{name}]: {sorted(unknown)}")
+    missing = [key for key, (_, d) in table.items() if d is _REQUIRED and key not in sec]
+    if missing:
+        raise ConfigInvalid(f"[{name}] needs {', '.join(missing)}")
+    return {k: conv(sec.get(k, d)) for k, (conv, d) in table.items() if k in sec or d is not None}
+
+
+def _validate_grid(cfg: ExperimentConfig) -> None:
+    """Raise ConfigInvalid naming the first (s, dN) grid point that breaks a solver bound.
+
+    Checked here so that no run fails on these bounds later.  A noisy
+    quadratic states its component count, so the bounds that need it are
+    checked too, with N0 resolved as execute_run resolves it; a logistic
+    dataset's row count is known only once a run loads it.
+    """
+    base = cfg.solver
     n_components = None
-    if problem["kind"] == "noisy_quadratic":
-        n_components = problem["components"]
-        solver = dataclasses.replace(
-            solver, N0=_resolve_n0(n0_fraction, solver.N0, n_components)
-        )
-    for s_exp in sweep_s:
-        for dN in sweep_dN:
+    if cfg.problem["kind"] == "noisy_quadratic":
+        n_components = cfg.problem["components"]
+        base = dataclasses.replace(base, N0=_resolve_n0(cfg.n0_fraction, base.N0, n_components))
+    for s_exp in cfg.sweep_s:
+        for dN in cfg.sweep_dN:
             try:
                 validate_config(
-                    dataclasses.replace(solver, s_exp=s_exp, dN=dN), n_components=n_components
+                    dataclasses.replace(base, s_exp=s_exp, dN=dN), n_components=n_components
                 )
             except ConfigInvalid as exc:
                 raise ConfigInvalid(f"grid point s={_format_g(s_exp)}, dN={dN}: {exc}") from None
-    return sweep_s, sweep_dN, sweep_sigma
 
 
 def _format_g(v: float) -> str:
@@ -438,7 +420,7 @@ def execute_run(payload: dict) -> dict:
 
 def read_manifest(path: str) -> list[dict]:
     """Parse a manifest written by run_experiment: one dict per run, keyed by column."""
-    rows = _read_csv(path, MANIFEST_COLUMNS, _MANIFEST_TYPES, "manifest")
+    rows = _read_csv(path, _MANIFEST_PARSERS, "manifest")
     return [dict(zip(MANIFEST_COLUMNS, row)) for row in rows]
 
 

@@ -12,7 +12,7 @@ slack and the acceptance test lean on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
 from typing import Callable, Iterable
 
@@ -47,20 +47,6 @@ _FEAS_CHECK_ATOL = 1e-10
 # Distinct iterates per batched oracle evaluation in _drive; bounds the
 # iterates held and the batch's temporaries.
 _ORACLE_BATCH = 64
-
-TRACE_COLUMNS = (
-    "k",
-    "N_k",
-    "t_k",
-    "norm_p",
-    "norm_d_true",
-    "e_x",
-    "f_true",
-    "scalar_products",
-    "accepted",
-    "unsuccessful",
-    "cg_iters",
-)
 
 STATUS_STATIONARY = "stationary"
 STATUS_MAX_ITERATIONS = "max_iterations"
@@ -113,27 +99,30 @@ class SolverState:
     projections_checked: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class IterationRecord:
     """One trace row: the state entering iteration k plus the step taken there.
 
-    norm_d_true and f_true are oracle metrics computed with the exact
-    projection and the full weighted sums; they never touch the budget.
-    The adaptive step leaves them NaN and the run driver fills them.
+    This class is the trace schema: its fields, in order, are the columns
+    (named by "column" metadata where the names differ), each cell parsed
+    by its field's type.  The defaults are those of a row that takes no
+    step.  norm_d_true and f_true are oracle metrics computed with the
+    exact projection and the full weighted sums; they never touch the
+    budget.  Rows that leave them NaN get them from the run driver.
     scalar_products is the meter total after the iteration finished.
     """
 
     k: int
-    Nk: int
-    t: float
-    norm_p: float
-    norm_d_true: float
+    Nk: int = field(metadata={"column": "N_k"})
+    t: float = field(default=0.0, metadata={"column": "t_k"})
+    norm_p: float = 0.0
+    norm_d_true: float = math.nan
     e_x: float
-    f_true: float
+    f_true: float = math.nan
     scalar_products: int
-    accepted: bool
-    unsuccessful: bool
-    cg_iters: int
+    accepted: bool = False
+    unsuccessful: bool = False
+    cg_iters: int = 0
 
 
 @dataclass(frozen=True)
@@ -423,9 +412,7 @@ def ipas_step(
         Nk=state.Nk,
         t=float(t),
         norm_p=norm_p,
-        norm_d_true=math.nan,
         e_x=e_x,
-        f_true=math.nan,
         scalar_products=meter.scalar_products,
         accepted=accepted,
         unsuccessful=unsuccessful,
@@ -440,26 +427,6 @@ def ipas_step(
     state.Nk = Nk_next
     state.k = k + 1
     return record
-
-
-def _state_record(state: SolverState) -> IterationRecord:
-    """Terminal trace row: the final iterate's state with no step fields.
-
-    Its oracle columns are NaN, for _drive to fill.
-    """
-    return IterationRecord(
-        k=state.k,
-        Nk=state.Nk,
-        t=0.0,
-        norm_p=0.0,
-        norm_d_true=math.nan,
-        e_x=state.e_x,
-        f_true=math.nan,
-        scalar_products=state.meter.scalar_products,
-        accepted=False,
-        unsuccessful=False,
-        cg_iters=0,
-    )
 
 
 def _drive(
@@ -533,7 +500,11 @@ def _drive(
         if state.done is not None:
             status = state.done
             break
-    append(_state_record(state), state.x)
+    # The terminal row: the final iterate's state, with no step.
+    terminal = IterationRecord(
+        k=state.k, Nk=state.Nk, e_x=state.e_x, scalar_products=state.meter.scalar_products
+    )
+    append(terminal, state.x)
     flush()
     return RunResult(
         records=records,
@@ -568,8 +539,9 @@ def _write_csv(path, columns: Iterable[str], rows: Iterable[Iterable]) -> None:
     """Write a header and one line per row, deterministic byte for byte.
 
     Floats, numpy scalars included, are written as the repr of the Python
-    float, booleans as 1/0 and None as an empty cell.  Other values go through str with commas and newlines replaced,
-    so every line keeps the header's cell count.
+    float, booleans as 1/0 and None as an empty cell.  Other values go
+    through str with commas and newlines replaced, so every line keeps the
+    header's cell count.
     """
     lines = [",".join(columns)]
     for row in rows:
@@ -588,12 +560,14 @@ def _write_csv(path, columns: Iterable[str], rows: Iterable[Iterable]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _read_csv(path, columns: tuple[str, ...], types: tuple, what: str) -> list[list]:
-    """The rows of a file _write_csv wrote with this header, each cell through its converter.
+def _read_csv(path, parsers: dict[str, Callable], what: str) -> list[list]:
+    """The rows of a file _write_csv wrote with parsers' keys as its header.
 
-    Blank lines are skipped.  Raises ParseError on another header, on a row
-    of another cell count and on a cell its converter rejects.
+    Each cell goes through its column's parser.  Blank lines are skipped.
+    Raises ParseError on another header, on a row of another cell count and
+    on a cell its parser rejects.
     """
+    columns = tuple(parsers)
     with open(path) as fh:
         lines = [line.rstrip("\n") for line in fh if line.strip()]
     if not lines or tuple(lines[0].split(",")) != columns:
@@ -604,16 +578,29 @@ def _read_csv(path, columns: tuple[str, ...], types: tuple, what: str) -> list[l
         if len(cells) != len(columns):
             raise ParseError(f"{path}: expected {len(columns)} cells, got {len(cells)}")
         try:
-            rows.append([conv(v) for conv, v in zip(types, cells)])
+            rows.append([parse(v) for parse, v in zip(parsers.values(), cells)])
         except ValueError as exc:
             raise ParseError(f"{path}: {exc}") from None
     return rows
 
 
-# IterationRecord fields in TRACE_COLUMNS order, and the converter of each
-# cell back to its field; flags are written as 1/0.
-_record_cells = attrgetter(*(f.name for f in fields(IterationRecord)))
-_TRACE_TYPES = (int, int, float, float, float, float, float, int, "1".__eq__, "1".__eq__, int)
+def _parse_flag(cell: str) -> bool:
+    """A flag cell as _write_csv writes it: 1 or 0, nothing else."""
+    if cell not in ("0", "1"):
+        raise ValueError(f"expected a 0/1 flag, got {cell!r}")
+    return cell == "1"
+
+
+# The trace schema, read off IterationRecord: each column's parser by its
+# field's annotation, and a getter of a record's cells in column order
+# (dataclasses.astuple would deep-copy every cell).
+_TRACE_FIELDS = tuple(f.name for f in fields(IterationRecord))
+_TRACE_PARSERS = {
+    f.metadata.get("column", f.name): {"int": int, "float": float, "bool": _parse_flag}[f.type]
+    for f in fields(IterationRecord)
+}
+TRACE_COLUMNS = tuple(_TRACE_PARSERS)
+_record_cells = attrgetter(*_TRACE_FIELDS)
 
 
 def write_trace(records: Iterable[IterationRecord], path) -> None:
@@ -627,4 +614,5 @@ def write_trace(records: Iterable[IterationRecord], path) -> None:
 
 def read_trace(path) -> list[IterationRecord]:
     """Parse a trace CSV written by write_trace."""
-    return [IterationRecord(*row) for row in _read_csv(path, TRACE_COLUMNS, _TRACE_TYPES, "trace")]
+    rows = _read_csv(path, _TRACE_PARSERS, "trace")
+    return [IterationRecord(**dict(zip(_TRACE_FIELDS, row))) for row in rows]

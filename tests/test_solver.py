@@ -810,3 +810,14 @@ class TestTraceIO:
         path.write_text(",".join(TRACE_COLUMNS) + "\n0,1,0.5\n")
         with pytest.raises(ParseError):
             read_trace(path)
+
+    @pytest.mark.parametrize("flags", ["yes,2", "yes,0", "1,2", "True,0", "1.0,0", ",0"])
+    def test_flag_cells_other_than_0_or_1_rejected(self, tmp_path, flags):
+        path = tmp_path / "trace.csv"
+        row = "3,4,0.1,0.5,nan,0.0,nan,120,{},7"
+        path.write_text(",".join(TRACE_COLUMNS) + "\n" + row.format("1,0") + "\n")
+        [record] = read_trace(path)
+        assert (record.accepted, record.unsuccessful) == (True, False)
+        path.write_text(",".join(TRACE_COLUMNS) + "\n" + row.format(flags) + "\n")
+        with pytest.raises(ParseError, match="0/1 flag"):
+            read_trace(path)
