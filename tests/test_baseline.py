@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ipas
 from ipas import (
     BaselineConfig,
     ConfigInvalid,
@@ -17,6 +24,7 @@ from ipas import (
     write_trace,
     read_trace,
 )
+from ipas.problems import _usable_cpu_count
 
 
 def problem(sigma=0.8, seed=200):
@@ -135,3 +143,43 @@ class TestBaselineRun:
         path = tmp_path / "baseline.csv"
         write_trace(res.records, path)
         assert read_trace(path) == res.records
+
+
+# A 20000x100 logistic baseline with m = 50: large enough that the
+# full-data gradient's products change bits with the BLAS thread count.
+_THREADS_SCRIPT = textwrap.dedent(
+    """
+    import sys
+    from ipas import (
+        BaselineConfig, generate_constraints, logistic_objective, make_synthetic_logistic,
+        run_baseline, write_trace,
+    )
+    obj = logistic_objective(make_synthetic_logistic(20000, 100, 0))
+    res = run_baseline(generate_constraints(100, 50, 0), obj, BaselineConfig(k_max=3))
+    write_trace(res.records, sys.argv[1])
+    """
+)
+
+
+@pytest.mark.skipif(_usable_cpu_count() < 2, reason="a second BLAS thread needs a second CPU")
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="large products change bits with the BLAS thread count (ROADMAP item 3)",
+)
+def test_trace_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # Each run takes about a second.  Once traces hold at any thread count,
+    # this xfail fails as an unexpected pass.
+    src = str(Path(ipas.__file__).parents[1])
+    cleared = ("OMP_NUM_THREADS", "MKL_NUM_THREADS", "GOTO_NUM_THREADS")
+    traces = []
+    for threads in ("1", "2"):
+        env = {key: value for key, value in os.environ.items() if key not in cleared}
+        env["OPENBLAS_NUM_THREADS"] = threads
+        env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        path = tmp_path / f"threads{threads}.csv"
+        subprocess.run(
+            [sys.executable, "-c", _THREADS_SCRIPT, str(path)], env=env, check=True, timeout=120
+        )
+        traces.append(path.read_bytes())
+    assert traces[0] == traces[1]
