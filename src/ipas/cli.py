@@ -1,9 +1,10 @@
 """Command line entry point for benchmark sweeps.
 
 Subcommands: run a config file, rebuild summaries from a trace directory,
-or validate a config without running anything.  Exit codes: 0 on success,
-1 when runs fail or a summary cannot be built, 2 for configuration
-errors, among them an output directory that already holds sweep results.
+or validate a config: prepare each grid point as run does, running nothing.
+Exit codes: 0 on success, 1 when runs fail or a summary cannot be built,
+2 for configuration errors, among them a grid point that cannot be
+prepared and an output directory that already holds sweep results.
 The IPAS_OUT_DIR environment variable overrides the config's
 output directory; the --out flag overrides both.
 """
@@ -49,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sum = sub.add_parser("summarize", help="rebuild summary and curves from a trace directory")
     p_sum.add_argument("trace_dir", help="directory containing runs.csv and trace files")
 
-    p_val = sub.add_parser("validate", help="check a config file without running")
+    p_val = sub.add_parser("validate", help="check a config and build its problems, without running")
     p_val.add_argument("config", help="path to the experiment config file")
 
     return parser
@@ -67,11 +68,7 @@ def _resolve_out_dir(cli_out: str | None, config_out: str) -> str:
 def _cmd_run(args) -> int:
     try:
         cfg = parse_experiment_config(args.config)
-    except IpasError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    out_dir = _resolve_out_dir(args.out, cfg.output_dir)
-    try:
+        out_dir = _resolve_out_dir(args.out, cfg.output_dir)
         outcome = run_experiment(cfg, workers=args.workers, output_dir=out_dir)
     except (ConfigInvalid, OutputExists) as exc:
         print(f"config error: {exc}", file=sys.stderr)

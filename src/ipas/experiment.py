@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigInvalid, EmptyGroup, IpasError, OutputExists
-from .objective import FiniteSumObjective
+from .objective import BudgetMeter, full_value_grad
 from .problems import (
     LogisticDataset,
     _usable_cpu_count,
@@ -178,8 +178,8 @@ _RUN_SECTION = {
 def parse_experiment_config(path) -> ExperimentConfig:
     """Read a key-value config file with [problem]/[solver]/[sweep]/[run] sections.
 
-    Each section is read by its table, then the checks that span keys run.
-    Raises ConfigInvalid when any (s, dN) grid point breaks a solver bound.
+    Each section is read by its table, the checks that span keys run, and each
+    grid point is prepared as its runs will be; ConfigInvalid names what failed.
     """
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
@@ -206,8 +206,6 @@ def parse_experiment_config(path) -> ExperimentConfig:
     except (ValueError, KeyError) as exc:
         raise ConfigInvalid(f"bad config value: {exc}") from exc
 
-    if problem.get("components", 1) < 1:
-        raise ConfigInvalid(f"components={problem['components']} must be >= 1")
     if not 0.0 < problem["m_fraction"] <= 1.0:  # false for NaN and infinities too
         raise ConfigInvalid(f"m_fraction={problem['m_fraction']} must lie in (0, 1]")
     if "n0" in solver and "n0_fraction" in solver:
@@ -220,6 +218,8 @@ def parse_experiment_config(path) -> ExperimentConfig:
         raise ConfigInvalid("a sigma sweep only applies to noisy_quadratic problems")
     if not run_sec["seeds"]:
         raise ConfigInvalid("[run] seeds list is empty")
+    if not run_sec["output_dir"]:
+        raise ConfigInvalid("[run] output_dir is empty")
 
     cfg = ExperimentConfig(
         problem=problem,
@@ -252,26 +252,26 @@ def _section(cp: configparser.ConfigParser, name: str, table: dict) -> dict:
 
 
 def _validate_grid(cfg: ExperimentConfig) -> None:
-    """Raise ConfigInvalid naming the first (s, dN) grid point that breaks a solver bound.
+    """Raise ConfigInvalid naming the first grid point that execute_run could not prepare.
 
-    Checked here so that no run fails on these bounds later.  A noisy
-    quadratic states its component count, so the bounds that need it are
-    checked too, with N0 resolved as execute_run resolves it; a logistic
-    dataset's row count is known only once a run loads it.
+    Each distinct problem is built once and evaluated at x0 on a throwaway
+    meter, then each point's SolverConfig is checked against its component
+    count.  The error is stated as a manifest row would state it.
     """
-    base = cfg.solver
-    n_components = None
-    if cfg.problem["kind"] == "noisy_quadratic":
-        n_components = cfg.problem["components"]
-        base = dataclasses.replace(base, N0=_resolve_n0(cfg.n0_fraction, base.N0, n_components))
-    for s_exp in cfg.sweep_s:
-        for dN in cfg.sweep_dN:
-            try:
-                validate_config(
-                    dataclasses.replace(base, s_exp=s_exp, dN=dN), n_components=n_components
-                )
-            except ConfigInvalid as exc:
-                raise ConfigInvalid(f"grid point s={_format_g(s_exp)}, dN={dN}: {exc}") from None
+    counts: dict[str, int] = {}  # component count by distinct problem
+    for payload in plan_runs(dataclasses.replace(cfg, seeds=cfg.seeds[:1])):
+        key = json.dumps(payload["problem"], sort_keys=True)
+        try:
+            if key not in counts:
+                _, obj, x0 = build_problem(payload["problem"])
+                meter = BudgetMeter()
+                full_value_grad(obj, x0, meter).value(meter)
+                counts[key] = obj.n_components
+            validate_config(_run_config(payload, counts[key]), n_components=counts[key])
+        except Exception as exc:
+            sigma = "" if payload["sigma"] is None else f", sigma={_format_g(payload['sigma'])}"
+            point = f"s={_format_g(payload['s_exp'])}, dN={payload['dN']}{sigma}"
+            raise ConfigInvalid(f"grid point {point}: {_error_text(exc)}") from exc
 
 
 def _format_g(v: float) -> str:
@@ -382,10 +382,20 @@ def build_problem(problem: dict):
     return cs, obj, min_norm_feasible(cs)
 
 
-def _resolve_n0(n0_fraction: float | None, base_n0: int, n_components: int) -> int:
-    if n0_fraction is None:
-        return min(base_n0, n_components)
-    return min(n_components, max(1, math.ceil(n0_fraction * n_components)))
+def _run_config(payload: dict, n_components: int) -> SolverConfig:
+    """A planned run's SolverConfig, with N0 resolved against the component count."""
+    fields = dict(payload["solver"], seed=payload["seed"])
+    fraction = payload["n0_fraction"]
+    n0 = fields["N0"] if fraction is None else max(1, math.ceil(fraction * n_components))
+    fields["N0"] = min(n0, n_components)
+    return SolverConfig(**fields)
+
+
+def _error_text(exc: Exception) -> str:
+    """An error as a manifest row states it: an unexpected kind also names its type."""
+    if isinstance(exc, (IpasError, OSError, ValueError)):
+        return str(exc)
+    return f"{type(exc).__name__}: {exc}"
 
 
 def execute_run(payload: dict) -> dict:
@@ -399,22 +409,14 @@ def execute_run(payload: dict) -> dict:
     result = {col: payload.get(col, "") for col in MANIFEST_COLUMNS}
     try:
         cs, obj, x0 = build_problem(payload["problem"])
-        fields = dict(payload["solver"])
-        fields["N0"] = _resolve_n0(payload["n0_fraction"], fields["N0"], obj.n_components)
-        fields["seed"] = payload["seed"]
-        cfg = SolverConfig(**fields)
-        out = run(cs, obj, cfg, x0=x0)
+        out = run(cs, obj, _run_config(payload, obj.n_components), x0=x0)
         write_trace(out.records, os.path.join(payload["output_dir"], payload["trace_file"]))
         result["status"] = out.status
         result["trace_columns"] = TraceColumns.of(out.records)
-    except (IpasError, OSError, ValueError) as exc:
-        result["status"] = "failed"
-        result["error"] = str(exc)
     except Exception as exc:
-        # Any other error is a defect, but it is this run's alone: report it
-        # with its type and keep the sweep going.
+        # Any error, a defect too, is this run's alone: report it, keep the sweep going.
         result["status"] = "failed"
-        result["error"] = f"{type(exc).__name__}: {exc}"
+        result["error"] = _error_text(exc)
     return result
 
 

@@ -3,7 +3,13 @@ from pathlib import Path
 
 import pytest
 
-from ipas import parse_experiment_config
+from ipas import (
+    IpasError,
+    experiment,
+    make_synthetic_logistic,
+    parse_experiment_config,
+    save_libsvm,
+)
 from ipas.cli import EXIT_CONFIG_ERROR, EXIT_OK, EXIT_RUN_FAILURE, OUTPUT_DIR_ENV, main
 
 
@@ -220,6 +226,115 @@ class TestFractionOutOfRange:
         assert "n0_fraction=inf must lie in (0, 1]" in capsys.readouterr().err
 
 
+class TestUnrunnableProblem:
+    # Configs that parse but whose runs could not start: planning builds each
+    # problem and evaluates it at x0, so the builder's own message rejects
+    # them before anything runs.
+    QUAD = """
+        [problem]
+        kind = noisy_quadratic
+        n = 5
+        components = 6
+        {key} = {value}
+
+        [solver]
+        n0 = 2
+        d = 2
+        k_max = 8
+
+        [run]
+        seeds = 0
+        """
+    LOGISTIC = """
+        [problem]
+        kind = logistic
+        dataset = {dataset}
+
+        [solver]
+        d = {d}
+
+        [run]
+        seeds = 0
+        """
+    CASES = {
+        "negative_sigma": (
+            QUAD.format(key="sigma", value="-1"),
+            "s=1, dN=1, sigma=-1",
+            "sigma must be finite and nonnegative, got -1.0",
+        ),
+        "negative_base_seed": (
+            QUAD.format(key="base_seed", value="-1"),
+            "s=1, dN=1, sigma=1",
+            "expected non-negative integer",
+        ),
+        "negative_constraint_seed": (
+            QUAD.format(key="constraint_seed", value="-1"),
+            "s=1, dN=1, sigma=1",
+            "expected non-negative integer",
+        ),
+        "infinite_q_scale": (
+            QUAD.format(key="q_scale", value="inf"),
+            "s=1, dN=1, sigma=1",
+            "objective gradient contains non-finite entries",
+        ),
+        "overflowing_sigma": (
+            QUAD.format(key="sigma", value="1e200"),
+            "s=1, dN=1, sigma=1e+200",
+            "objective gradient contains non-finite entries",
+        ),
+        "nan_curvature": (
+            QUAD.format(key="base_curvature", value="nan"),
+            "s=1, dN=1, sigma=1",
+            "array must not contain infs or NaNs",
+        ),
+        "negative_curvature": (
+            QUAD.format(key="base_curvature", value="-1"),
+            "s=1, dN=1, sigma=1",
+            "base_Q must be positive semidefinite",
+        ),
+        "control_sample_of_every_row": (
+            LOGISTIC.format(dataset="{data}", d=40),
+            "s=1, dN=1",
+            "D_size=40 must be <= N-1 = 39",
+        ),
+        "missing_dataset": (
+            LOGISTIC.format(dataset="{missing}", d=1),
+            "s=1, dN=1",
+            "[Errno 2] No such file or directory",
+        ),
+        "empty_output_dir": (
+            QUAD.format(key="sigma", value="1") + "output_dir =\n",
+            None,
+            "[run] output_dir is empty",
+        ),
+    }
+
+    def config(self, tmp_path, case):
+        data = tmp_path / "rows40.libsvm"
+        save_libsvm(make_synthetic_logistic(40, 3, seed=1), data)
+        text = self.CASES[case][0].format(data=data, missing=tmp_path / "missing.libsvm")
+        path = tmp_path / f"{case}.ini"
+        path.write_text(textwrap.dedent(text))
+        return path
+
+    def expected(self, case):
+        _, point, message = self.CASES[case]
+        return f"grid point {point}: {message}" if point else message
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_validate_exits_two(self, tmp_path, capsys, case):
+        assert main(["validate", str(self.config(tmp_path, case))]) == EXIT_CONFIG_ERROR
+        assert f"invalid: {self.expected(case)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_run_exits_two_and_writes_nothing(self, tmp_path, capsys, case):
+        out_dir = tmp_path / "out"
+        code = main(["run", str(self.config(tmp_path, case)), "--out", str(out_dir)])
+        assert code == EXIT_CONFIG_ERROR
+        assert not out_dir.exists()
+        assert f"config error: {self.expected(case)}" in capsys.readouterr().err
+
+
 class TestIntegerLists:
     # Seeds, the dn sweep and the integer keys of [problem] and [solver] are
     # read as exact integers.  A float form is accepted where it names a
@@ -314,20 +429,14 @@ class TestRun:
     def test_config_error_exits_two(self, tmp_path):
         assert main(["run", str(tmp_path / "absent.ini")]) == EXIT_CONFIG_ERROR
 
-    def test_failed_runs_exit_one(self, tmp_path, capsys):
-        path = tmp_path / "doomed.ini"
-        path.write_text(
-            textwrap.dedent(
-                f"""
-                [problem]
-                kind = logistic
-                dataset = {tmp_path / 'missing.libsvm'}
+    def test_failed_runs_exit_one(self, config_path, tmp_path, capsys, monkeypatch):
+        # Planning accepts the config; its one run fails while it runs.
+        def doomed(*args, **kwargs):
+            raise IpasError("doomed")
 
-                [run]
-                seeds = 0
-                """
-            )
-        )
+        monkeypatch.setattr(experiment, "run", doomed)
+        path = tmp_path / "doomed.ini"
+        path.write_text(config_path.read_text().replace("seeds = 0 1", "seeds = 0"))
         code = main(["run", str(path), "--out", str(tmp_path / "out"), "--workers", "1"])
         assert code == EXIT_RUN_FAILURE
         assert "1 failed" in capsys.readouterr().out

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from ipas import (
     IterationRecord,
     LogisticDataset,
     OutputExists,
+    SolverConfig,
     TraceColumns,
     build_problem,
     budget_curve,
@@ -31,7 +33,7 @@ from ipas import (
     summarize_group,
 )
 from ipas import experiment
-from ipas.experiment import MANIFEST_NAME, REACH_THRESHOLDS, SUMMARY_NAME, _resolve_n0
+from ipas.experiment import MANIFEST_NAME, REACH_THRESHOLDS, SUMMARY_NAME, _run_config
 
 DATA = Path(__file__).parent / "data"
 
@@ -422,6 +424,55 @@ class TestDatasetCache:
             assert (cached / name).read_bytes() == (uncached / name).read_bytes(), name
 
 
+class TestPlanTimePreparation:
+    def test_each_distinct_problem_is_built_once(self, tmp_path, monkeypatch):
+        # 2 s x 2 sigma grid points, two seeds each: one build per sigma.
+        built = []
+        real = experiment.build_problem
+        monkeypatch.setattr(
+            experiment, "build_problem", lambda problem: built.append(problem) or real(problem)
+        )
+        config = QUAD_CONFIG.replace("dn = 1", "dn = 1\n    sigma = 0.5 1.0")
+        parse_experiment_config(write_config(tmp_path, config))
+        assert [p["sigma"] for p in built] == [0.5, 1.0]
+
+    def test_a_logistic_grid_parses_its_dataset_once(self, tmp_path, monkeypatch):
+        # Planning and a serial run of the 4 grid points share one parse.
+        path = tmp_path / "data.libsvm"
+        save_libsvm(make_synthetic_logistic(60, 4, seed=3), path)
+        parsed = []
+        real = experiment.parse_libsvm
+        monkeypatch.setattr(
+            experiment, "parse_libsvm", lambda data, p: parsed.append(p) or real(data, p)
+        )
+        config = f"""
+            [problem]
+            kind = logistic
+            dataset = {path}
+
+            [solver]
+            k_max = 3
+
+            [sweep]
+            s = 0.75 1
+            dn = 1 8
+
+            [run]
+            seeds = 0
+            """
+        cfg = parse_experiment_config(write_config(tmp_path, config))
+        assert parsed == [str(path)]
+        outcome = run_experiment(cfg, workers=1, output_dir=str(tmp_path / "out"))
+        assert (outcome.n_runs, outcome.n_failed) == (4, 0)
+        assert parsed == [str(path)]
+
+
+def _resolve_n0(n0_fraction, base_n0, n_components):
+    """The N0 a run of a grid point with these values starts from."""
+    payload = {"solver": asdict(SolverConfig(N0=base_n0)), "n0_fraction": n0_fraction, "seed": 0}
+    return _run_config(payload, n_components).N0
+
+
 class TestResolveN0:
     def test_absolute_value_passthrough(self):
         assert _resolve_n0(None, 5, 100) == 5
@@ -758,8 +809,8 @@ class TestEndToEnd:
 
     def test_unexpected_error_fails_only_its_run(self, tmp_path, monkeypatch):
         # An error outside the expected kinds (a ZeroDivisionError from a
-        # problem builder) fails the runs of its grid point, with its type
-        # in the row, and the sweep finishes.
+        # problem builder, after planning accepted the config) fails the runs
+        # of its grid point, with its type in the row, and the sweep finishes.
         real_build_problem = experiment.build_problem
 
         def build_problem(problem):
@@ -767,9 +818,9 @@ class TestEndToEnd:
                 raise ZeroDivisionError("float division by zero")
             return real_build_problem(problem)
 
-        monkeypatch.setattr(experiment, "build_problem", build_problem)
         config = QUAD_CONFIG.replace("s = 1.0 2.0", "s = 1.0\n    sigma = 0.5 1.0")
         cfg = parse_experiment_config(write_config(tmp_path, config))
+        monkeypatch.setattr(experiment, "build_problem", build_problem)
         out_dir = tmp_path / "out"
         outcome = run_experiment(cfg, workers=1, output_dir=str(out_dir))
         manifest = read_manifest(str(out_dir / MANIFEST_NAME))
@@ -798,8 +849,7 @@ class TestEndToEnd:
         # run_experiment summarises the columns its runs return; summarize_dir
         # reads the same runs back from the manifest and the traces.
         data = tmp_path / "data.libsvm"
-        if case != "missing_data":
-            save_libsvm(make_synthetic_logistic(60, 4, seed=3), data)
+        save_libsvm(make_synthetic_logistic(60, 4, seed=3), data)
         config = f"""
             [problem]
             kind = logistic
@@ -818,6 +868,8 @@ class TestEndToEnd:
             seeds = 2 0 1
             """
         cfg = parse_experiment_config(write_config(tmp_path, config))
+        if case == "missing_data":
+            data.unlink()  # gone after planning, so every run fails
         out_dir = tmp_path / "out"
         outcome = run_experiment(cfg, workers=1, output_dir=str(out_dir))
         assert outcome.n_failed == (outcome.n_runs if case == "missing_data" else 0)

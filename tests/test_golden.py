@@ -17,6 +17,7 @@ keeps every file's bytes without rewriting any of them, run
 which prints the same report and exits 1 if any file would change.
 """
 
+import dataclasses
 import math
 import shutil
 import sys
@@ -120,11 +121,15 @@ QUAD_SWEEP = """
     seeds = 0, 1
 """
 
-# Every run fails while loading the dataset, so each group is fully failed.
-FAILED_SWEEP = """
+# Planning reads tiny.libsvm; sweep_dir then points the runs at a dataset
+# that does not exist, so every run fails while loading it and each group is
+# fully failed.  Planning rejects a config that names the missing file; the
+# swapped dict equals the one such a config parses to, so its config hashes
+# are those in the golden files.
+FAILED_SWEEP = f"""
     [problem]
     kind = logistic
-    dataset = no_such_dataset.libsvm
+    dataset = {DATA / "tiny.libsvm"}
 
     [sweep]
     s = 0.75 1
@@ -149,7 +154,10 @@ def sweep_dir(name: str, tmp_dir: Path) -> Path:
     config = tmp_dir / f"{name}.ini"
     config.write_text(textwrap.dedent(SWEEPS[name][0]))
     out = tmp_dir / name
-    run_experiment(parse_experiment_config(config), workers=1, output_dir=str(out))
+    cfg = parse_experiment_config(config)
+    if name == "sweep_failed":
+        cfg = dataclasses.replace(cfg, problem={**cfg.problem, "dataset": "no_such_dataset.libsvm"})
+    run_experiment(cfg, workers=1, output_dir=str(out))
     return out
 
 
