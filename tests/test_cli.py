@@ -303,7 +303,9 @@ class TestUnrunnableProblem:
             "[Errno 2] No such file or directory",
         ),
         "empty_output_dir": (
-            QUAD.format(key="sigma", value="1") + "output_dir =\n",
+            QUAD.format(key="sigma", value="1").replace(
+                "seeds = 0", "seeds = 0\n        output_dir ="
+            ),
             None,
             "[run] output_dir is empty",
         ),
