@@ -255,11 +255,11 @@ def _validate_grid(cfg: ExperimentConfig) -> None:
     """Raise ConfigInvalid naming the first grid point that execute_run could not prepare.
 
     Each distinct problem is built once and evaluated at x0 on a throwaway
-    meter, then each point's SolverConfig is checked against its component
-    count.  The error is stated as a manifest row would state it.
+    meter, then each run's SolverConfig, seed included, is checked against
+    its component count.  The error is stated as a manifest row would state it.
     """
     counts: dict[str, int] = {}  # component count by distinct problem
-    for payload in plan_runs(dataclasses.replace(cfg, seeds=cfg.seeds[:1])):
+    for payload in plan_runs(cfg):
         key = json.dumps(payload["problem"], sort_keys=True)
         try:
             if key not in counts:

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.blas import dgemv
 from scipy.special import expit
 
 from .constraints import ConstraintSet, build_constraint_set, exact_project
@@ -61,14 +60,22 @@ _BLAS_THREAD_VARS = (
     "OMP_NUM_THREADS",
 )
 
-# The single-point full-data methods read Z once per point, in blocks of
-# about _SINGLE_PASS_BLOCK_BYTES of whole rows, when Z holds at least
-# _SINGLE_PASS_MIN_BYTES.  There it beats two passes (Z x, then Z' coef):
-# 31.8 against 38.3 ms at 100000 x 200.  Below that its per-block calls cost
-# more than the second read of a Z that the cache still holds.  CHANGES.md
-# has the sweep over sizes and block bytes.
-_SINGLE_PASS_MIN_BYTES = 32 << 20
-_SINGLE_PASS_BLOCK_BYTES = 512 << 10
+# Row blocks of the one-point full-data methods (_blocks): about _BLOCK_BYTES
+# of whole rows, a multiple of 4 rows and at most _BLOCK_ROWS each.  The last
+# block takes the rows left over, so none is short: a block of one row
+# changed its margin's bits.  x86 OpenBLAS threads a ddot of more than about
+# 10000 entries, and a threaded sum changes its bits with the thread count;
+# the cap keeps every block, the last included, below that.
+_BLOCK_BYTES = 512 << 10
+_BLOCK_ROWS = 4096
+
+# On a Z of at least this size a value-only miss for a read-only w also
+# computes the gradient, in the same read of Z: 24.9 ms against 36.8 ms for
+# the value's read plus the next iteration's gradient read at 100000 x 200
+# (one BLAS thread, medians of 40 calls on a 2-vCPU x86 host).  Below it the
+# trial points' gradients cost more than a second read of a Z that the cache
+# still holds.
+_FUSED_MIN_BYTES = 32 << 20
 
 
 def _usable_cpu_count() -> int:
@@ -127,110 +134,83 @@ def _underflow_ignored() -> bool:
     return np.geterr()["under"] == "ignore"
 
 
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether two float64 arrays hold the same bytes, without copying them."""
-    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+def _blocks(n_rows: int, dim: int) -> list[slice]:
+    """The row blocks of LogisticKernel's one-point full-data methods, in order."""
+    rows = min(_BLOCK_ROWS, max(4, _BLOCK_BYTES // (8 * dim) // 4 * 4))
+    starts = list(range(0, max(n_rows // rows, 1) * rows, rows))
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n_rows])]
 
 
 class LogisticKernel:
     """Vectorised evaluation of the logistic components.
 
-    The full-data methods read the margins -y * (Z x) and the losses through
-    a one-entry memo of the last point they evaluated, keyed by the dtype,
-    shape and bytes of x.  A line search evaluates the objective at the
-    point it accepts, and the next iteration asks for value and gradient at
-    the same bytes.  A hit returns the arrays a miss would compute, so no
-    result changes by a bit; an x mutated in place, or one differing only
-    in the sign of a zero, misses.  The memo holds two N-vectors, returned
-    read-only.
+    The one-point full-data methods run over the row blocks of _blocks, in
+    block order: each block gives its margins m_b = -y_b * (Z_b x) and, when
+    a gradient is wanted, adds Z_b' coef_b to it while Z_b is still in
+    cache; a value adds the blocks' w_b . losses_b.  No bit depends on the
+    BLAS thread count, and data of one block makes the plain calls, Z x,
+    Z' coef and w . losses.
 
-    On a large Z a miss reads Z once (_single_pass): each block of rows
-    gives its margins and, while it is still in cache, its share of the
-    gradient, so a trial value computes the gradient too.  For a read-only
-    w, such as an objective's own weights, which is taken to be frozen, the
-    memo holds that gradient, read-only, keyed on the identity of w; it
-    holds w itself, so that identity cannot pass to another array.
-    Elsewhere a miss takes one pass for the margins, and a gradient one
-    more.  The single pass is taken only where a probe, once per kernel,
-    finds that it returns the two passes' bits.  It and the reuse of a held
-    gradient wait while numpy does not ignore underflow (its default): the
+    The methods read the margins and the losses through a one-entry memo
+    of the last point they evaluated, keyed by the dtype, shape and bytes
+    of x.  A line search evaluates the objective at the point it accepts,
+    and the next iteration asks for value and gradient at the same bytes.
+    A hit returns the arrays a miss would compute, so no result changes by
+    a bit; an x mutated in place, or one differing only in the sign of a
+    zero, misses.  The memo holds two N-vectors, returned read-only.
+
+    A gradient computed for a read-only w, such as an objective's own
+    weights, which is taken to be frozen, is held too, read-only, keyed on
+    the identity of w; the memo holds w itself, so that identity cannot
+    pass to another array.  On a Z of at least _FUSED_MIN_BYTES a
+    value-only miss for a read-only w computes that gradient in the same
+    read of Z.  Both the fused miss and the reuse of a held gradient wait
+    while numpy does not ignore underflow (ignoring it is the default): the
     gradient's products can underflow where the losses do not, and no call
-    may raise or warn where the two passes would not, or stay silent where
-    they would.
+    may raise or warn where a memo-less call would not, or stay silent
+    where it would.
     """
 
     def __init__(self, ds: LogisticDataset):
         self.ds = ds
         # (key of x, margins, losses, w, gradient for w), the last two None
-        # unless a single pass computed the gradient for a read-only w.  A
-        # plain tuple: a NamedTuple cost 0.3 us more per miss on small data.
+        # unless the gradient for a read-only w is held.  A plain tuple: a
+        # NamedTuple cost 0.3 us more per miss on small data.
         self._memo: tuple | None = None
-        # None until the first miss that could take the single pass probes it.
-        large = ds.Z.nbytes >= _SINGLE_PASS_MIN_BYTES and ds.Z.flags.c_contiguous
-        self._single_pass_ok: bool | None = None if large else False
+        self._fuses = ds.Z.nbytes >= _FUSED_MIN_BYTES
+        neg_y = -ds.y
+        self._row_blocks = [(rows, ds.Z[rows], neg_y[rows]) for rows in _blocks(*ds.Z.shape)]
 
-    def _margins(self, x):
-        return -self.ds.y * (self.ds.Z @ x)
+    def _pass(self, w, x=None, margins=None):
+        """Margins at x, or the given ones, and the gradient for w (None for w None).
 
-    def _grad(self, w, margins):
-        return self.ds.Z.T @ (w * (-self.ds.y * expit(margins)))
-
-    def _single_pass(self, w, x):
-        """Margins and gradient at x, as the two passes give them, reading Z once.
-
-        Each block gives m = -y * (Z_b x), then adds Z_b' coef to the gradient
-        through dgemv with beta = 1, while Z_b is still in cache; Z_b.T is
-        Fortran-ordered, so dgemv copies nothing.  Z_b.dot(x, out=...) makes
-        the BLAS call of Z_b @ x with less dispatch.  The elementwise work is
-        the two passes' own, block by block, so the margins and coef keep
-        their bits.  The chained sum keeps the bits of numpy's Z' coef where
-        the BLAS adds each block's rows to the same partial sums in the same
-        order, which the probe checks.  The last block takes the rows left
-        over, so no block is shorter than the rest: a block of a single row
-        changed margins' bits.
+        Z_b.dot(x, out=m_b) makes the BLAS call of Z_b @ x.  The gradient
+        starts from the first block's term, not from zeros, so that data of
+        one block keeps the bits of Z' coef, -0.0 entries included.
         """
-        Z, y = self.ds.Z, self.ds.y
-        N, n = Z.shape
-        rows = max(4, _SINGLE_PASS_BLOCK_BYTES // (Z.itemsize * n) // 4 * 4)
-        starts = range(0, max(N // rows, 1) * rows, rows)
-        margins = np.empty(N)
-        grad = np.zeros(n)
-        for lo, hi in zip(starts, [*starts[1:], N]):
-            Zb, neg_yb, mb = Z[lo:hi], -y[lo:hi], margins[lo:hi]
-            Zb.dot(x, out=mb)
-            mb *= neg_yb
-            coef = expit(mb)
-            coef *= neg_yb
-            coef *= w[lo:hi]
-            grad = dgemv(1.0, Zb.T, coef, beta=1.0, y=grad, overwrite_y=1)
+        fill = margins is None
+        if fill:
+            margins = np.empty(self.ds.n_samples)
+        grad = None
+        for rows, Zb, neg_yb in self._row_blocks:
+            mb = margins[rows]
+            if fill:
+                Zb.dot(x, out=mb)
+                mb *= neg_yb
+            if w is not None:
+                coef = expit(mb)
+                coef *= neg_yb
+                coef *= w[rows]
+                term = Zb.T.dot(coef)
+                grad = term if grad is None else np.add(grad, term, out=grad)
         return margins, grad
 
-    def _probe(self) -> bool:
-        """Whether _single_pass returns the two passes' bits on this Z, at random w and x.
-
-        The BLAS behind numpy and scipy's dgemv fixes the order of each sum,
-        and whether the two orders agree depends on n, on the row count and
-        on the BLAS thread count (CHANGES.md has the cases).  So the probe
-        runs on Z itself, once per kernel: three reads of Z, 66 ms at
-        100000 x 200.
-        """
-        rng = np.random.default_rng(0)
-        w, x = rng.random(self.ds.n_samples), rng.standard_normal(self.ds.dim)
-        # Equal margins give equal losses, one logaddexp either way.  At most
-        # five N-vectors are live at once, fewer than a two-pass gradient
-        # call holds.
-        with np.errstate(all="ignore"):
-            single_margins, single_grad = self._single_pass(w, x)
-            margins = self._margins(x)
-            same = _same_bits(single_margins, margins)
-            del single_margins
-            grad = self._grad(w, margins)
-        return same and _same_bits(single_grad, grad) and bool(np.isfinite(grad).all())
-
-    def _takes_single_pass(self) -> bool:
-        if self._single_pass_ok is None:
-            self._single_pass_ok = self._probe()
-        return self._single_pass_ok
+    def _value(self, w, losses) -> float:
+        value = None
+        for rows, _, _ in self._row_blocks:
+            term = float(w[rows].dot(losses[rows]))
+            value = term if value is None else value + term
+        return value
 
     def _evaluate(self, w, x, want_grad: bool):
         """Losses at x, and the gradient for w if want_grad (else None), through the memo."""
@@ -238,31 +218,22 @@ class LogisticKernel:
         key = (x.dtype.str, x.shape, x.tobytes())
         memo = self._memo
         if memo is None or memo[0] != key:
-            grad = None
-            if (
-                self._single_pass_ok is not False
-                and (want_grad or not w.flags.writeable)
-                and _underflow_ignored()
-                and self._takes_single_pass()
-            ):
-                margins, grad = self._single_pass(w, x)
-            else:
-                margins = self._margins(x)
+            fuse = want_grad or (self._fuses and not w.flags.writeable and _underflow_ignored())
+            margins, grad = self._pass(w if fuse else None, x=x)
             losses = np.logaddexp(0.0, margins)
             margins.flags.writeable = losses.flags.writeable = False
-            held = grad is not None and not w.flags.writeable
-            if held:
-                grad.flags.writeable = False
-            self._memo = (key, margins, losses) + ((w, grad) if held else (None, None))
-            if grad is not None or not want_grad:
+        else:
+            _, margins, losses, held_w, grad = memo
+            if not want_grad:
+                return losses, None
+            if held_w is w and not w.flags.writeable and _underflow_ignored():
                 return losses, grad
-        elif memo[3] is w:
-            if not w.flags.writeable and _underflow_ignored():
-                return memo[2], memo[4]
-            if w.flags.writeable:  # no longer frozen: drop what was held for it
-                self._memo = memo[:3] + (None, None)
-        _, margins, losses, _, _ = self._memo
-        return losses, self._grad(w, margins) if want_grad else None
+            _, grad = self._pass(w, margins=margins)
+        held = grad is not None and not w.flags.writeable
+        if held:
+            grad.flags.writeable = False
+        self._memo = (key, margins, losses) + ((w, grad) if held else (None, None))
+        return losses, grad
 
     def gather(self, idx):
         return self.ds.Z[idx], self.ds.y[idx]
@@ -280,11 +251,11 @@ class LogisticKernel:
 
     def weighted_value(self, w, x):
         losses, _ = self._evaluate(w, x, want_grad=False)
-        return float(w @ losses)
+        return self._value(w, losses)
 
     def weighted_value_grad(self, w, x):
         losses, grad = self._evaluate(w, x, want_grad=True)
-        return float(w @ losses), grad
+        return self._value(w, losses), grad
 
     def _block_terms(self, w, X, lo):
         """The (values, gradients) terms of the row block starting at lo."""
@@ -499,10 +470,15 @@ class NoisyQuadraticSpec:
         n = Q.shape[0]
         if q.shape != (n,):
             raise ValueError(f"base_q must have shape ({n},), got {q.shape}")
+        if not np.isfinite(q).all():
+            raise ValueError("base_q must be finite")
         if eps.ndim != 1 or eps.size < 1:
             raise ValueError("eps must be a nonempty vector")
         if not 0.0 <= self.sigma < math.inf:
             raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma}")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(eps**2).all():
+                raise ValueError(f"eps must have finite squares, got sigma={self.sigma:g}")
         scale = max(1.0, float(np.abs(Q).max()))
         if np.abs(Q - Q.T).max() > 1e-10 * scale:
             raise ValueError("base_Q must be symmetric")
@@ -602,6 +578,8 @@ def make_noisy_quadratic(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if n_components < 1:
+        raise ValueError(f"n_components must be >= 1, got {n_components}")
     rng = np.random.default_rng(seed)
     M = rng.standard_normal((n, n))
     Q = (base_curvature / n) * (M.T @ M)

@@ -179,6 +179,8 @@ def validate_config(cfg: SolverConfig, n_components: int | None = None) -> None:
         problems.append(f"dN={cfg.dN} must be >= 1")
     if cfg.D_size < 1:
         problems.append(f"D_size={cfg.D_size} must be >= 1")
+    if cfg.seed < 0:
+        problems.append(f"seed={cfg.seed} must be >= 0")
     if n_components is not None:
         if cfg.N0 > n_components:
             problems.append(f"N0={cfg.N0} exceeds the component count {n_components}")

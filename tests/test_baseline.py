@@ -145,8 +145,9 @@ class TestBaselineRun:
         assert read_trace(path) == res.records
 
 
-# A 20000x100 logistic baseline with m = 50: large enough that the
-# full-data gradient's products change bits with the BLAS thread count.
+# A 20000 x n logistic baseline with m = 50, written to argv[1] for n =
+# argv[2]: large enough that numpy's own Z' coef and w . losses over all
+# rows change bits with the BLAS thread count.
 _THREADS_SCRIPT = textwrap.dedent(
     """
     import sys
@@ -154,22 +155,18 @@ _THREADS_SCRIPT = textwrap.dedent(
         BaselineConfig, generate_constraints, logistic_objective, make_synthetic_logistic,
         run_baseline, write_trace,
     )
-    obj = logistic_objective(make_synthetic_logistic(20000, 100, 0))
-    res = run_baseline(generate_constraints(100, 50, 0), obj, BaselineConfig(k_max=3))
+    n = int(sys.argv[2])
+    obj = logistic_objective(make_synthetic_logistic(20000, n, 0))
+    res = run_baseline(generate_constraints(n, 50, 0), obj, BaselineConfig(k_max=3))
     write_trace(res.records, sys.argv[1])
     """
 )
 
 
 @pytest.mark.skipif(_usable_cpu_count() < 2, reason="a second BLAS thread needs a second CPU")
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="large products change bits with the BLAS thread count (ROADMAP item 3)",
-)
-def test_trace_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # Each run takes about a second.  Once traces hold at any thread count,
-    # this xfail fails as an unexpected pass.
+@pytest.mark.parametrize("n", [100, 101])  # n % 4 = 0 and 1
+def test_trace_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, n):
+    # Each run takes about a second.
     src = str(Path(ipas.__file__).parents[1])
     cleared = ("OMP_NUM_THREADS", "MKL_NUM_THREADS", "GOTO_NUM_THREADS")
     traces = []
@@ -179,7 +176,10 @@ def test_trace_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
         env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
         path = tmp_path / f"threads{threads}.csv"
         subprocess.run(
-            [sys.executable, "-c", _THREADS_SCRIPT, str(path)], env=env, check=True, timeout=120
+            [sys.executable, "-c", _THREADS_SCRIPT, str(path), str(n)],
+            env=env,
+            check=True,
+            timeout=120,
         )
         traces.append(path.read_bytes())
     assert traces[0] == traces[1]

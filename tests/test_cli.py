@@ -275,12 +275,27 @@ class TestUnrunnableProblem:
         "infinite_q_scale": (
             QUAD.format(key="q_scale", value="inf"),
             "s=1, dN=1, sigma=1",
-            "objective gradient contains non-finite entries",
+            "base_q must be finite",
         ),
         "overflowing_sigma": (
             QUAD.format(key="sigma", value="1e200"),
             "s=1, dN=1, sigma=1e+200",
-            "objective gradient contains non-finite entries",
+            "eps must have finite squares, got sigma=1e+200",
+        ),
+        "zero_components": (
+            QUAD.format(key="sigma", value="1").replace("components = 6", "components = 0"),
+            "s=1, dN=1, sigma=1",
+            "n_components must be >= 1, got 0",
+        ),
+        "negative_components": (
+            QUAD.format(key="sigma", value="1").replace("components = 6", "components = -1"),
+            "s=1, dN=1, sigma=1",
+            "n_components must be >= 1, got -1",
+        ),
+        "negative_run_seed": (
+            QUAD.format(key="sigma", value="1").replace("seeds = 0", "seeds = 0 -1"),
+            "s=1, dN=1, sigma=1",
+            "seed=-1 must be >= 0",
         ),
         "nan_curvature": (
             QUAD.format(key="base_curvature", value="nan"),

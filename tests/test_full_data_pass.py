@@ -1,9 +1,13 @@
-"""The logistic kernel's full-data methods against their two-pass form.
+"""The logistic kernel's one-point full-data methods against their memo-less forms.
 
-Above _SINGLE_PASS_MIN_BYTES of Z the kernel reads Z once per point where
-its probe allows, and must still return the bits of the two-pass kernel of
-tests/reference.py: in the solver's and the baseline's records, field by
-field, and in the kernel's own value, margins, losses and gradient.
+The kernel sums its margins, value and gradient over the row blocks of
+ipas.problems._blocks and reads them through a memo; on a Z of at least
+_FUSED_MIN_BYTES a trial value computes the gradient in the same read of Z.
+Whichever path a call takes, it must return the bits of a memo-less kernel
+of tests/reference.py: BlockedLogisticKernel on data of several blocks, and
+TwoPassLogisticKernel, the plain Z x and Z' coef, on data of one block.
+Checked in the solver's and the baseline's records, field by field, and in
+the kernel's own value, margins, losses and gradient.
 """
 
 import dataclasses
@@ -11,21 +15,22 @@ import dataclasses
 import numpy as np
 import pytest
 
-import test_golden
 from ipas import (
     BaselineConfig,
     FiniteSumObjective,
     LogisticDataset,
     SolverConfig,
     generate_constraints,
+    load_libsvm,
     logistic_objective,
     make_synthetic_logistic,
     run,
     run_baseline,
     uniform_weights,
 )
-from ipas.problems import _SINGLE_PASS_MIN_BYTES, LogisticKernel
-from reference import TwoPassLogisticKernel
+from ipas.problems import _FUSED_MIN_BYTES, LogisticKernel, _blocks
+from reference import BlockedLogisticKernel, TwoPassLogisticKernel
+from test_golden import DATA
 
 # 21000 x 200 float64 is 33.6 MB, just above the size gate, and N is no
 # multiple of a row block.  The features are scaled so that the line
@@ -35,13 +40,20 @@ DIM = 200
 SCALE = 30.0
 
 
+def reference(ds: LogisticDataset) -> LogisticKernel:
+    """The memo-less kernel whose bits the package must return on ds."""
+    if len(_blocks(*ds.Z.shape)) == 1:
+        return TwoPassLogisticKernel(ds)
+    return BlockedLogisticKernel(ds)
+
+
 @pytest.fixture(scope="module")
 def large():
     base = make_synthetic_logistic(N_ROWS, DIM, seed=3)
     ds = LogisticDataset(Z=SCALE * base.Z, y=base.y)
-    assert ds.Z.nbytes >= _SINGLE_PASS_MIN_BYTES
+    assert ds.Z.nbytes >= _FUSED_MIN_BYTES
     obj = logistic_objective(ds)
-    ref = FiniteSumObjective(weights=obj.weights, dim=DIM, kernel=TwoPassLogisticKernel(ds))
+    ref = FiniteSumObjective(weights=obj.weights, dim=DIM, kernel=BlockedLogisticKernel(ds))
     return generate_constraints(DIM, 20, seed=4), obj, ref
 
 
@@ -50,7 +62,7 @@ def fields(records) -> list[str]:
     return [repr(dataclasses.astuple(r)) for r in records]
 
 
-def test_baseline_records_match_the_two_pass_kernel(large):
+def test_baseline_records_match_the_blocked_kernel(large):
     cs, obj, ref = large
     cfg = BaselineConfig(k_max=8, s_exp=3.0)
     records = run_baseline(cs, obj, cfg).records
@@ -58,7 +70,7 @@ def test_baseline_records_match_the_two_pass_kernel(large):
     assert fields(records) == fields(run_baseline(cs, ref, cfg).records)
 
 
-def test_full_sample_ipas_records_match_the_two_pass_kernel(large):
+def test_full_sample_ipas_records_match_the_blocked_kernel(large):
     cs, obj, ref = large
     cfg = SolverConfig(k_max=8, N0=N_ROWS, s_exp=3.0, seed=0)
     records = run(cs, obj, cfg).records
@@ -74,15 +86,15 @@ def frozen(w: np.ndarray) -> np.ndarray:
 
 
 def assert_bits(kernel: LogisticKernel, w: np.ndarray, x: np.ndarray, value_first: bool):
-    """Value, margins, losses and gradient at x equal the two-pass kernel's bytes."""
-    ref = TwoPassLogisticKernel(kernel.ds)
+    """Value, margins, losses and gradient at x equal the reference kernel's bytes."""
+    ref = reference(kernel.ds)
     if value_first:
         assert kernel.weighted_value(w, x) == ref.weighted_value(w, x)
     value, grad = kernel.weighted_value_grad(w, x)
     ref_value, ref_grad = ref.weighted_value_grad(w, x)
     assert value == ref_value
     assert grad.tobytes() == ref_grad.tobytes()
-    margins, losses = ref._two_pass_margins(x)
+    margins, losses = ref.margins_and_losses(x)
     _, memo_margins, memo_losses, _, _ = kernel._memo
     assert memo_margins.tobytes() == margins.tobytes()
     assert memo_losses.tobytes() == losses.tobytes()
@@ -94,46 +106,65 @@ def margin_scaled_point(ds: LogisticDataset, largest: float, seed: int) -> np.nd
     return x * (largest / np.abs(ds.Z @ x).max())
 
 
+def assert_bits_at_every_scale(ds: LogisticDataset, seed: int):
+    kernel = LogisticKernel(ds)
+    n_rows = ds.n_samples
+    rng = np.random.default_rng(seed)
+    weights = (frozen(uniform_weights(n_rows)), rng.random(n_rows) / n_rows)
+    # Margins up to about 5, 100 and 700: at 700 the gradient's products
+    # reach the subnormal range.
+    for i, largest in enumerate((5.0, 100.0, 700.0)):
+        x = margin_scaled_point(ds, largest, seed=i)
+        for w in weights:
+            for value_first in (True, False):
+                kernel._memo = None
+                assert_bits(kernel, w, x, value_first)
+
+
 class TestKernelBits:
     @pytest.mark.parametrize("n", [200, 201, 202, 203])
-    def test_every_result_matches_the_two_pass_kernel(self, n):
-        # n % 4 in {0, 1, 2, 3}; OpenBLAS keeps the single pass's bits only
-        # at n % 4 == 0, and the probe sends the rest to the two passes.
+    def test_every_result_matches_the_blocked_kernel(self, n):
+        # n % 4 in {0, 1, 2, 3}, each above the size gate.
         ds = make_synthetic_logistic(N_ROWS, n, seed=n)
-        assert ds.Z.nbytes >= _SINGLE_PASS_MIN_BYTES
-        kernel = LogisticKernel(ds)
-        rng = np.random.default_rng(n)
-        weights = (frozen(uniform_weights(N_ROWS)), rng.random(N_ROWS) / N_ROWS)
-        # Margins up to about 5, 100 and 700: at 700 the gradient's products
-        # reach the subnormal range.
-        for i, largest in enumerate((5.0, 100.0, 700.0)):
-            x = margin_scaled_point(ds, largest, seed=i)
-            for w in weights:
-                for value_first in (True, False):
-                    kernel._memo = None
-                    assert_bits(kernel, w, x, value_first)
-        assert kernel._single_pass_ok is not None
+        assert ds.Z.nbytes >= _FUSED_MIN_BYTES
+        assert_bits_at_every_scale(ds, seed=n)
 
-    def test_a_refused_probe_keeps_the_two_passes(self, large, monkeypatch):
-        _, obj, _ = large
-        kernel = LogisticKernel(obj.kernel.ds)
-        real = kernel._single_pass
+    @pytest.mark.parametrize("data", ["tiny", "768x8", "100x5"])
+    def test_one_block_data_matches_the_two_pass_kernel(self, data):
+        # tests/data/tiny.libsvm, the sweep's 768 x 8 data and the golden
+        # baseline's 100 x 5 fixture: one block, so the plain calls.
+        ds = {
+            "tiny": lambda: load_libsvm(DATA / "tiny.libsvm"),
+            "768x8": lambda: make_synthetic_logistic(768, 8, seed=42),
+            "100x5": lambda: make_synthetic_logistic(100, 5, seed=0),
+        }[data]()
+        assert len(_blocks(*ds.Z.shape)) == 1
+        assert_bits_at_every_scale(ds, seed=5)
 
-        def off_by_an_ulp(w, x):
-            margins, grad = real(w, x)
-            grad[0] = np.nextafter(grad[0], np.inf)
-            return margins, grad
 
-        monkeypatch.setattr(kernel, "_single_pass", off_by_an_ulp)
-        assert not kernel._takes_single_pass()
-        assert kernel._single_pass_ok is False
-        x = margin_scaled_point(kernel.ds, 5.0, seed=1)
-        assert_bits(kernel, obj.weights, x, value_first=True)
+class TestBlocks:
+    @pytest.mark.parametrize("dim", [1, 5, 8, 200])
+    def test_blocks_tile_the_rows_below_the_threaded_ddot_size(self, dim):
+        # x86 OpenBLAS threads a ddot from about 10000 entries on.
+        n_rows = 100000
+        blocks = _blocks(n_rows, dim)
+        assert blocks[0].start == 0 and blocks[-1].stop == n_rows
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        assert all(b.start % 4 == 0 for b in blocks)
+        assert all(b.stop - b.start < 10000 for b in blocks)
+
+    def test_the_last_block_takes_the_rows_left_over(self):
+        blocks = _blocks(N_ROWS, DIM)
+        rows = blocks[0].stop
+        assert rows % 4 == 0
+        assert all(b.stop - b.start == rows for b in blocks[:-1])
+        assert rows <= blocks[-1].stop - blocks[-1].start < 2 * rows
+        assert _blocks(3, DIM) == [slice(0, 3)]
 
 
 @pytest.fixture(params=["small", "large"])
 def kernel_and_point(request, large):
-    """A kernel on the two passes (300 x 10) and one above the size gate."""
+    """A kernel on one block (300 x 10) and one on many, above the size gate."""
     if request.param == "small":
         ds = make_synthetic_logistic(300, 10, seed=8)
     else:
@@ -147,7 +178,7 @@ def held_weights(kernel):
 
 
 def ref_grad(kernel, w, x):
-    return TwoPassLogisticKernel(kernel.ds).weighted_value_grad(w, x)[1].tobytes()
+    return reference(kernel.ds).weighted_value_grad(w, x)[1].tobytes()
 
 
 class TestGradientMemo:
@@ -177,11 +208,11 @@ class TestGradientMemo:
         w[:2] = w[1::-1]
         w.setflags(write=False)
         check(0.25 * x)
-        # Frozen, w's gradient is held after a single pass; writeable again
-        # and changed, it is dropped, not reused.
+        # Frozen, w's gradient is held after a trial value above the size
+        # gate; writeable again and changed, it is dropped, not reused.
         point = 0.5 * x
         kernel.weighted_value(w, point)
-        assert held_weights(kernel) is (w if kernel._single_pass_ok else None)
+        assert held_weights(kernel) is (w if kernel._fuses else None)
         w.setflags(write=True)
         w[:2] = w[1::-1]
         check(point)
@@ -194,16 +225,16 @@ class TestGradientMemo:
         w = frozen(uniform_weights(kernel.ds.n_samples))
         kernel.weighted_value(w, x)
         _, grad = kernel.weighted_value_grad(w, x)
-        assert (held_weights(kernel) is w) == kernel._single_pass_ok
-        if held_weights(kernel) is w:
-            with pytest.raises(ValueError, match="read-only"):
-                grad += 1.0
+        assert held_weights(kernel) is w
+        with pytest.raises(ValueError, match="read-only"):
+            grad += 1.0
         assert grad.tobytes() == ref_grad(kernel, w, x)
+        assert kernel.weighted_value_grad(w, x)[1] is grad
 
     def test_two_trials_then_the_gradient_at_the_first(self, kernel_and_point):
         kernel, x = kernel_and_point
         w = frozen(uniform_weights(kernel.ds.n_samples))
-        ref = TwoPassLogisticKernel(kernel.ds)
+        ref = reference(kernel.ds)
         first, second = x, 0.5 * x
         for point in (first, second):
             assert kernel.weighted_value(w, point) == ref.weighted_value(w, point)
@@ -212,18 +243,18 @@ class TestGradientMemo:
         assert grad.tobytes() == ref_grad(kernel, w, first)
 
     @pytest.mark.parametrize("largest", [5.0, 700.0, 800.0])
-    def test_raise_on_every_error_raises_as_the_two_passes_do(self, kernel_and_point, largest):
+    def test_raise_on_every_error_raises_as_the_reference_does(self, kernel_and_point, largest):
         # On the large data, margins near 700 make the gradient's products
         # underflow while the losses do not, so only a call that asks for
         # the gradient raises; margins near 800 make the losses underflow too.
         kernel, _ = kernel_and_point
         x = margin_scaled_point(kernel.ds, largest, seed=2)
         w = frozen(uniform_weights(kernel.ds.n_samples))
-        ref = TwoPassLogisticKernel(kernel.ds)
+        ref = reference(kernel.ds)
         raised = {}
         for method in ("weighted_value", "weighted_value_grad"):
             # Computed at the default error state, the gradient is held; it
-            # must not be reused where the two passes would raise.
+            # must not be reused where the memo-less kernel would raise.
             kernel.weighted_value_grad(w, 0.5 * x)
             if method == "weighted_value_grad":
                 kernel.weighted_value_grad(w, x)
@@ -242,34 +273,55 @@ class TestGradientMemo:
             assert (raised["weighted_value"], raised["weighted_value_grad"]) == expected[largest]
 
 
-class TestWhereTheSinglePassRuns:
-    def test_not_on_small_data(self, monkeypatch):
-        # The sweep's 768 x 8 data, tests/data/tiny.libsvm and the golden
-        # baseline's 100 x 5 fixture stay on the two passes, unprobed.
-        def refuse(self, *args):
-            raise AssertionError("the single pass or its probe ran on small data")
+def count_passes(kernel, monkeypatch) -> dict[str, int]:
+    """Count the kernel's blocked passes by kind, as the calls go."""
+    counts = {"value": 0, "fused": 0, "gradient": 0}
+    real = kernel._pass
 
-        monkeypatch.setattr(LogisticKernel, "_probe", refuse)
-        monkeypatch.setattr(LogisticKernel, "_single_pass", refuse)
-        test_golden.baseline_roundoff()
-        test_golden.ipas_logistic()
-        obj = logistic_objective(make_synthetic_logistic(768, 8, seed=42))
-        cs = generate_constraints(8, 4, seed=7)
-        run(cs, obj, SolverConfig(k_max=20, N0=768, D_size=4, seed=0))
-        run_baseline(cs, obj, BaselineConfig(k_max=20))
-        assert obj.kernel._single_pass_ok is False
+    def spy(w, x=None, margins=None):
+        kind = "gradient" if x is None else "value" if w is None else "fused"
+        counts[kind] += 1
+        return real(w, x=x, margins=margins)
 
-    def test_on_large_data_where_the_probe_allows(self, large, monkeypatch):
+    monkeypatch.setattr(kernel, "_pass", spy)
+    return counts
+
+
+class TestWhereTheFusedPassRuns:
+    @pytest.mark.parametrize("data", ["small", "large"])
+    def test_a_trial_value_holds_the_gradient_only_above_the_size_gate(self, data, large):
+        ds = make_synthetic_logistic(768, 8, seed=42) if data == "small" else large[1].kernel.ds
+        kernel = LogisticKernel(ds)
+        assert kernel._fuses == (data == "large")
+        w = frozen(uniform_weights(ds.n_samples))
+        x = margin_scaled_point(ds, 5.0, seed=1)
+        kernel.weighted_value(w, x)
+        assert held_weights(kernel) is (w if data == "large" else None)
+        # Not for a writeable w, nor while underflow is not ignored.
+        kernel.weighted_value(w.copy(), 0.5 * x)
+        assert held_weights(kernel) is None
+        with np.errstate(under="warn"):
+            kernel.weighted_value(w, 0.25 * x)
+        assert held_weights(kernel) is None
+
+    def test_each_trial_point_reads_z_once_on_large_data(self, large, monkeypatch):
         cs, obj, _ = large
         kernel = LogisticKernel(obj.kernel.ds)
-        if not kernel._takes_single_pass():
-            pytest.skip("the probe found that this BLAS sums the single pass in another order")
-        calls = []
-        real = kernel._single_pass
-        monkeypatch.setattr(kernel, "_single_pass", lambda w, x: calls.append(1) or real(w, x))
+        counts = count_passes(kernel, monkeypatch)
         objective = FiniteSumObjective(weights=obj.weights, dim=DIM, kernel=kernel)
         records = run_baseline(cs, objective, BaselineConfig(k_max=4, s_exp=3.0)).records
-        # One single pass per trial point plus the start; each gradient at
+        # One fused pass per trial point plus the start; each gradient at
         # an accepted point is the memo's.
         trials = sum(1 if r.t == 1.0 else 2 for r in records[:-1])
-        assert len(calls) == trials + 1
+        assert counts == {"value": 0, "fused": trials + 1, "gradient": 0}
+
+    def test_small_data_reads_z_again_for_each_accepted_gradient(self, monkeypatch):
+        obj = logistic_objective(make_synthetic_logistic(768, 8, seed=42))
+        cs = generate_constraints(8, 4, seed=7)
+        counts = count_passes(obj.kernel, monkeypatch)
+        k_max = 20
+        records = run_baseline(cs, obj, BaselineConfig(k_max=k_max)).records
+        assert [r.t for r in records[:-1]] == [1.0] * k_max  # one trial per search
+        # The gradient at the start is a miss, those at the k_max - 1
+        # accepted points that follow read the held margins.
+        assert counts == {"value": k_max, "fused": 1, "gradient": k_max - 1}

@@ -1,6 +1,7 @@
 import math
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -692,6 +693,14 @@ class TestNoisyQuadratic:
         with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
             make_noisy_quadratic(n, 4, sigma=0.5, seed=19)
 
+    def test_noise_whose_squares_overflow_is_rejected_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"finite squares, got sigma=1e\+200"):
+                make_noisy_quadratic(3, 4, sigma=1e200, seed=19)
+            with pytest.raises(ValueError, match="base_q must be finite"):
+                make_noisy_quadratic(3, 4, sigma=0.5, seed=19, q_scale=math.inf)
+
     def test_ridge_memo_follows_the_weights(self):
         # The ridge weight is memoised only for a read-only weights array; a
         # writable one may change between calls and is read every time.
@@ -777,31 +786,16 @@ def test_every_kernel_implements_the_protocol():
         assert_batch_matches_columns(kernel, obj.weights, X[: obj.dim], rtol=1e-12)
 
 
-class _CountingZ:
-    """Stands in for a dataset's Z and counts the full-data products Z @ x.
+def count_margin_passes(kernel, monkeypatch) -> SimpleNamespace:
+    """Count the kernel's blocked passes that compute margins: its reads of Z at a new x."""
+    counter = SimpleNamespace(passes=0)
+    real = kernel._pass
 
-    Transposes, row gathers and the batched oracle's blocks reach the real
-    array, so only the margins of the full-data methods are counted.
-    """
+    def spy(w, x=None, margins=None):
+        counter.passes += x is not None
+        return real(w, x=x, margins=margins)
 
-    def __init__(self, Z):
-        self.Z = Z
-        self.passes = 0
-
-    def __matmul__(self, x):
-        self.passes += 1
-        return self.Z @ x
-
-    def __getitem__(self, idx):
-        return self.Z[idx]
-
-    def __getattr__(self, name):
-        return getattr(self.Z, name)
-
-
-def count_margin_passes(kernel, monkeypatch) -> _CountingZ:
-    counter = _CountingZ(kernel.ds.Z)
-    monkeypatch.setattr(kernel, "ds", SimpleNamespace(Z=counter, y=kernel.ds.y))
+    monkeypatch.setattr(kernel, "_pass", spy)
     return counter
 
 
