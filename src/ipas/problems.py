@@ -70,12 +70,15 @@ _BLOCK_BYTES = 512 << 10
 _BLOCK_ROWS = 4096
 
 # On a Z of at least this size a value-only miss for a read-only w also
-# computes the gradient, in the same read of Z: 24.9 ms against 36.8 ms for
-# the value's read plus the next iteration's gradient read at 100000 x 200
-# (one BLAS thread, medians of 40 calls on a 2-vCPU x86 host).  Below it the
-# trial points' gradients cost more than a second read of a Z that the cache
-# still holds.
-_FUSED_MIN_BYTES = 32 << 20
+# computes the gradient, in the same read of Z, so the gradient at an
+# accepted trial point costs no second read.  Fusing adds two reads of
+# numpy's error state per iteration, about 3 us, and pays once the rest of
+# an iteration has pushed Z out of cache.  Baseline iterations on N x n
+# data, fused against unfused (one trial per search, one BLAS thread,
+# medians of 9 interleaved runs, 2-vCPU x86): 0.91-0.99x from 768 x 8, the
+# sweep's 49 KB, to 2000 x 50 (0.8 MB); 1.00x at 1500 x 100 (1.1 MB); 1.03x
+# at 1000 x 200 (1.5 MB); 1.02-1.25x from 2000 x 200 to 40000 x 200 (61 MB).
+_FUSED_MIN_BYTES = 1 << 20
 
 
 def _usable_cpu_count() -> int:
@@ -147,9 +150,12 @@ class LogisticKernel:
     The one-point full-data methods run over the row blocks of _blocks, in
     block order: each block gives its margins m_b = -y_b * (Z_b x) and, when
     a gradient is wanted, adds Z_b' coef_b to it while Z_b is still in
-    cache; a value adds the blocks' w_b . losses_b.  No bit depends on the
-    BLAS thread count, and data of one block makes the plain calls, Z x,
-    Z' coef and w . losses.
+    cache; a value adds the blocks' w_b . losses_b.  Data of one block
+    makes the plain calls, Z x, Z' coef and w . losses.  No block reaches
+    the 10000 rows from which x86 OpenBLAS threads a ddot.  The results kept
+    their bytes at 1, 2 and 4 OpenBLAS threads on a 2-vCPU x86 host for the
+    shapes checked, 100000 x 2 to 400 x 20000 (tests/test_baseline.py checks
+    some at 1 against 2 threads); other BLAS builds and hosts are unchecked.
 
     The methods read the margins and the losses through a one-entry memo
     of the last point they evaluated, keyed by the dtype, shape and bytes

@@ -163,23 +163,67 @@ _THREADS_SCRIPT = textwrap.dedent(
 )
 
 
-@pytest.mark.skipif(_usable_cpu_count() < 2, reason="a second BLAS thread needs a second CPU")
-@pytest.mark.parametrize("n", [100, 101])  # n % 4 = 0 and 1
-def test_trace_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, n):
-    # Each run takes about a second.
+def _written_at_each_thread_count(tmp_path, script, *args) -> list[bytes]:
+    """What script writes to argv[1], run at 1 and at 2 OpenBLAS threads."""
     src = str(Path(ipas.__file__).parents[1])
     cleared = ("OMP_NUM_THREADS", "MKL_NUM_THREADS", "GOTO_NUM_THREADS")
-    traces = []
+    outputs = []
     for threads in ("1", "2"):
         env = {key: value for key, value in os.environ.items() if key not in cleared}
         env["OPENBLAS_NUM_THREADS"] = threads
         env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-        path = tmp_path / f"threads{threads}.csv"
+        path = tmp_path / f"threads{threads}.out"
         subprocess.run(
-            [sys.executable, "-c", _THREADS_SCRIPT, str(path), str(n)],
+            [sys.executable, "-c", script, str(path), *map(str, args)],
             env=env,
             check=True,
             timeout=120,
         )
-        traces.append(path.read_bytes())
+        outputs.append(path.read_bytes())
+    return outputs
+
+
+@pytest.mark.skipif(_usable_cpu_count() < 2, reason="a second BLAS thread needs a second CPU")
+@pytest.mark.parametrize("n", [100, 101])  # n % 4 = 0 and 1
+def test_trace_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, n):
+    # Each run takes about a second.
+    traces = _written_at_each_thread_count(tmp_path, _THREADS_SCRIPT, n)
     assert traces[0] == traces[1]
+
+
+# The kernel's full-data value and gradient on random N x n data, for a
+# read-only and a writeable w, written to argv[1] for N, n = argv[2:4].
+_KERNEL_SCRIPT = textwrap.dedent(
+    """
+    import sys
+    from pathlib import Path
+    import numpy as np
+    from ipas import LogisticDataset, uniform_weights
+    from ipas.problems import LogisticKernel
+    N, n = int(sys.argv[2]), int(sys.argv[3])
+    rng = np.random.default_rng(n)
+    ds = LogisticDataset(Z=rng.standard_normal((N, n)) / n**0.5, y=rng.choice([-1.0, 1.0], N))
+    x = rng.standard_normal(n)
+    frozen = uniform_weights(N)
+    frozen.setflags(write=False)
+    kernel = LogisticKernel(ds)
+    out = [repr(kernel.weighted_value(frozen, x)).encode()]
+    for w in (frozen, rng.random(N) / N):
+        value, grad = kernel.weighted_value_grad(w, x)
+        out += [repr(value).encode(), grad.tobytes()]
+    Path(sys.argv[1]).write_bytes(b"|".join(out))
+    """
+)
+
+
+@pytest.mark.skipif(_usable_cpu_count() < 2, reason="a second BLAS thread needs a second CPU")
+@pytest.mark.parametrize(
+    "shape",
+    # Narrow data, in blocks of 4096 rows, and data over 16384 columns
+    # wide, in blocks of 4 rows whose margins are dots of n entries.
+    [(30000, 2), (30000, 3), (30000, 4), (300, 17000)],
+    ids=lambda shape: "x".join(map(str, shape)),
+)
+def test_kernel_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, shape):
+    outputs = _written_at_each_thread_count(tmp_path, _KERNEL_SCRIPT, *shape)
+    assert outputs[0] == outputs[1]

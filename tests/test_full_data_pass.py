@@ -32,7 +32,7 @@ from ipas.problems import _FUSED_MIN_BYTES, LogisticKernel, _blocks
 from reference import BlockedLogisticKernel, TwoPassLogisticKernel
 from test_golden import DATA
 
-# 21000 x 200 float64 is 33.6 MB, just above the size gate, and N is no
+# 21000 x 200 float64 is 33.6 MB, above the size gate, and N is no
 # multiple of a row block.  The features are scaled so that the line
 # searches backtrack.
 N_ROWS = 21000
