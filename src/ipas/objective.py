@@ -49,6 +49,9 @@ class ComponentKernel(Protocol):
     agree with it to rounding, not bit for bit.
     """
 
+    weights: np.ndarray
+    """The float weights w_i, one per component, fixed for the kernel's life."""
+
     def gather(self, idx: np.ndarray) -> object:
         """The data of the components in idx (duplicates allowed), in the form
         values() and value_grad_mean() read.  A sample is gathered once and
@@ -64,32 +67,30 @@ class ComponentKernel(Protocol):
         unweighted mean of their gradients."""
         ...
 
-    def weighted_value(self, w: np.ndarray, x: np.ndarray) -> float:
-        """sum_i w_i f_i(x) over all components."""
+    def weighted_value(self, x: np.ndarray) -> float:
+        """sum_i w_i f_i(x) over all components, for the kernel's weights w."""
         ...
 
-    def weighted_value_grad(self, w: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray]:
+    def weighted_value_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         """sum_i w_i f_i(x), as weighted_value() returns it, and sum_i w_i grad f_i(x)."""
         ...
 
-    def weighted_value_grad_many(
-        self, w: np.ndarray, X: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def weighted_value_grad_many(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """weighted_value_grad at every column of X (n, K): values (K,) and gradients (n, K)."""
         ...
 
 
 class CallableKernel:
-    """Kernel built from a single (i, x) -> (value, gradient) callable.
+    """Kernel of one component per weight, from a single (i, x) -> (value, gradient) callable.
 
     Convenient for tests and small synthetic problems; evaluation loops in
     Python, so large component counts should implement ComponentKernel
     directly with vectorised operations.
     """
 
-    def __init__(self, fn: Callable[[int, np.ndarray], tuple[float, np.ndarray]], n_components: int):
+    def __init__(self, fn: Callable[[int, np.ndarray], tuple[float, np.ndarray]], weights):
         self._fn = fn
-        self.n_components = n_components
+        self.weights = np.array(weights, dtype=float)
 
     def gather(self, idx):
         return idx
@@ -105,21 +106,29 @@ class CallableKernel:
             total += g
         return vals, total / len(rows)
 
-    def weighted_value(self, w, x):
-        return float(sum(w[i] * self._fn(i, x)[0] for i in range(self.n_components)))
+    def weighted_value(self, x):
+        return float(sum(w * self._fn(i, x)[0] for i, w in enumerate(self.weights)))
 
-    def weighted_value_grad(self, w, x):
+    def weighted_value_grad(self, x):
         value = 0
         total = np.zeros_like(np.asarray(x, dtype=float))
-        for i in range(self.n_components):
+        for i, w in enumerate(self.weights):
             v, g = self._fn(i, x)
-            value += w[i] * v
-            total += w[i] * g
+            value += w * v
+            total += w * g
         return float(value), total
 
-    def weighted_value_grad_many(self, w, X):
-        pairs = [self.weighted_value_grad(w, x) for x in X.T]
+    def weighted_value_grad_many(self, X):
+        pairs = [self.weighted_value_grad(x) for x in X.T]
         return np.array([v for v, _ in pairs]), np.column_stack([g for _, g in pairs])
+
+
+def component_weights(weights, n_components: int) -> np.ndarray:
+    """A float copy of weights for a kernel of n_components components to own."""
+    w = np.array(weights, dtype=float)
+    if w.shape != (n_components,):
+        raise WeightError(f"expected {n_components} weights, one per component, got {w.shape}")
+    return w
 
 
 @dataclass
@@ -155,22 +164,23 @@ class FiniteSumObjective:
     """A weighted finite sum with a vectorised evaluation kernel.
 
     value_cost and grad_cost are the scalar products BudgetMeter charges
-    per component value and gradient evaluation.  cdf is the cumulative
+    per component value and gradient evaluation.  weights is the kernel's
+    own array, checked here and made read-only.  cdf is the cumulative
     sampling distribution that draw_sample searches, built once from the
     weights, and guide the (N+1)-entry table through which large draws
     search it.
     """
 
-    weights: np.ndarray
     dim: int
     kernel: ComponentKernel
     value_cost: ClassVar[int] = 1
     grad_cost: ClassVar[int] = 1
+    weights: np.ndarray = field(init=False)
     cdf: np.ndarray = field(init=False, repr=False, compare=False)
     guide: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=float)
+        w = self.kernel.weights
         if w.ndim != 1 or w.size < 1:
             raise WeightError(f"weights must be a nonempty 1-D array, got shape {w.shape}")
         # A NaN weight would pass both checks below, since NaN compares false.
@@ -332,7 +342,7 @@ def subsample_value_grad(
 
 def full_value(obj: FiniteSumObjective, x: np.ndarray, meter: BudgetMeter) -> float:
     """The true weighted objective sum_i w_i f_i(x); charges all N components."""
-    v = obj.kernel.weighted_value(obj.weights, x)
+    v = obj.kernel.weighted_value(x)
     meter.charge_values(obj.n_components)
     return _check_finite_scalar(float(v), "objective value")
 
@@ -343,7 +353,7 @@ def full_value_grad(obj: FiniteSumObjective, x: np.ndarray, meter: BudgetMeter) 
     Charges all N component gradients and checks the gradient now; the
     value waits for ValueGrad.value.
     """
-    v, g = obj.kernel.weighted_value_grad(obj.weights, x)
+    v, g = obj.kernel.weighted_value_grad(x)
     meter.charge_grads(obj.n_components)
     g = _check_finite_vector(g, "objective gradient")
     return ValueGrad(g, float(v), obj.n_components, "objective value")

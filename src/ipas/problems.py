@@ -23,7 +23,7 @@ from scipy.special import expit
 
 from .constraints import ConstraintSet, build_constraint_set, exact_project
 from .errors import LabelError, ParseError, RankDeficient
-from .objective import FiniteSumObjective, _mean, uniform_weights
+from .objective import FiniteSumObjective, _mean, component_weights, uniform_weights
 
 # ---------------------------------------------------------------------------
 # logistic regression
@@ -69,15 +69,15 @@ _BLAS_THREAD_VARS = (
 _BLOCK_BYTES = 512 << 10
 _BLOCK_ROWS = 4096
 
-# On a Z of at least this size a value-only miss for a read-only w also
-# computes the gradient, in the same read of Z, so the gradient at an
-# accepted trial point costs no second read.  Fusing adds two reads of
-# numpy's error state per iteration, about 3 us, and pays once the rest of
-# an iteration has pushed Z out of cache.  Baseline iterations on N x n
-# data, fused against unfused (one trial per search, one BLAS thread,
-# medians of 9 interleaved runs, 2-vCPU x86): 0.91-0.99x from 768 x 8, the
-# sweep's 49 KB, to 2000 x 50 (0.8 MB); 1.00x at 1500 x 100 (1.1 MB); 1.03x
-# at 1000 x 200 (1.5 MB); 1.02-1.25x from 2000 x 200 to 40000 x 200 (61 MB).
+# On a Z of at least this size a value-only miss also computes the gradient,
+# in the same read of Z, so the gradient at an accepted trial point costs no
+# second read.  Fusing adds two reads of numpy's error state per iteration,
+# about 3 us, and pays once the rest of an iteration has pushed Z out of
+# cache.  Baseline iterations on N x n data, fused against unfused (one trial
+# per search, one BLAS thread, medians of 9 interleaved runs, 2-vCPU x86):
+# 0.91-0.99x from 768 x 8, the sweep's 49 KB, to 2000 x 50 (0.8 MB); 1.00x at
+# 1500 x 100 (1.1 MB); 1.03x at 1000 x 200 (1.5 MB); 1.02-1.25x from
+# 2000 x 200 to 40000 x 200 (61 MB).
 _FUSED_MIN_BYTES = 1 << 20
 
 
@@ -150,12 +150,13 @@ class LogisticKernel:
     The one-point full-data methods run over the row blocks of _blocks, in
     block order: each block gives its margins m_b = -y_b * (Z_b x) and, when
     a gradient is wanted, adds Z_b' coef_b to it while Z_b is still in
-    cache; a value adds the blocks' w_b . losses_b.  Data of one block
-    makes the plain calls, Z x, Z' coef and w . losses.  No block reaches
-    the 10000 rows from which x86 OpenBLAS threads a ddot.  The results kept
-    their bytes at 1, 2 and 4 OpenBLAS threads on a 2-vCPU x86 host for the
-    shapes checked, 100000 x 2 to 400 x 20000 (tests/test_baseline.py checks
-    some at 1 against 2 threads); other BLAS builds and hosts are unchecked.
+    cache; a value adds the blocks' w_b . losses_b, w being the kernel's
+    weights.  Data of one block makes the plain calls, Z x, Z' coef and
+    w . losses.  No block reaches the 10000 rows from which x86 OpenBLAS
+    threads a ddot.  The results kept their bytes at 1, 2 and 4 OpenBLAS
+    threads on a 2-vCPU x86 host for the shapes checked, 100000 x 2 to
+    400 x 20000 (tests/test_baseline.py checks some at 1 against 2 threads);
+    other BLAS builds and hosts are unchecked.
 
     The methods read the margins and the losses through a one-entry memo
     of the last point they evaluated, keyed by the dtype, shape and bytes
@@ -165,30 +166,28 @@ class LogisticKernel:
     a bit; an x mutated in place, or one differing only in the sign of a
     zero, misses.  The memo holds two N-vectors, returned read-only.
 
-    A gradient computed for a read-only w, such as an objective's own
-    weights, which is taken to be frozen, is held too, read-only, keyed on
-    the identity of w; the memo holds w itself, so that identity cannot
-    pass to another array.  On a Z of at least _FUSED_MIN_BYTES a
-    value-only miss for a read-only w computes that gradient in the same
-    read of Z.  Both the fused miss and the reuse of a held gradient wait
-    while numpy does not ignore underflow (ignoring it is the default): the
-    gradient's products can underflow where the losses do not, and no call
-    may raise or warn where a memo-less call would not, or stay silent
-    where it would.
+    A gradient is held too, read-only.  On a Z of at least _FUSED_MIN_BYTES
+    a value-only miss computes it in the same read of Z.  Both the fused
+    miss and the reuse of a held gradient wait while numpy does not ignore
+    underflow (ignoring it is the default): the gradient's products can
+    underflow where the losses do not, and no call may raise or warn where
+    a memo-less call would not, or stay silent where it would.
     """
 
-    def __init__(self, ds: LogisticDataset):
+    def __init__(self, ds: LogisticDataset, weights):
         self.ds = ds
-        # (key of x, margins, losses, w, gradient for w), the last two None
-        # unless the gradient for a read-only w is held.  A plain tuple: a
+        self.weights = component_weights(weights, ds.n_samples)
+        # (key of x, margins, losses, gradient or None).  A plain tuple: a
         # NamedTuple cost 0.3 us more per miss on small data.
         self._memo: tuple | None = None
         self._fuses = ds.Z.nbytes >= _FUSED_MIN_BYTES
         neg_y = -ds.y
-        self._row_blocks = [(rows, ds.Z[rows], neg_y[rows]) for rows in _blocks(*ds.Z.shape)]
+        self._row_blocks = [
+            (rows, ds.Z[rows], neg_y[rows], self.weights[rows]) for rows in _blocks(*ds.Z.shape)
+        ]
 
-    def _pass(self, w, x=None, margins=None):
-        """Margins at x, or the given ones, and the gradient for w (None for w None).
+    def _pass(self, x=None, margins=None, want_grad=True):
+        """Margins at x, or the given ones, and the gradient if want_grad (else None).
 
         Z_b.dot(x, out=m_b) makes the BLAS call of Z_b @ x.  The gradient
         starts from the first block's term, not from zeros, so that data of
@@ -198,47 +197,46 @@ class LogisticKernel:
         if fill:
             margins = np.empty(self.ds.n_samples)
         grad = None
-        for rows, Zb, neg_yb in self._row_blocks:
+        for rows, Zb, neg_yb, wb in self._row_blocks:
             mb = margins[rows]
             if fill:
                 Zb.dot(x, out=mb)
                 mb *= neg_yb
-            if w is not None:
+            if want_grad:
                 coef = expit(mb)
                 coef *= neg_yb
-                coef *= w[rows]
+                coef *= wb
                 term = Zb.T.dot(coef)
                 grad = term if grad is None else np.add(grad, term, out=grad)
         return margins, grad
 
-    def _value(self, w, losses) -> float:
+    def _value(self, losses) -> float:
         value = None
-        for rows, _, _ in self._row_blocks:
-            term = float(w[rows].dot(losses[rows]))
+        for rows, _, _, wb in self._row_blocks:
+            term = float(wb.dot(losses[rows]))
             value = term if value is None else value + term
         return value
 
-    def _evaluate(self, w, x, want_grad: bool):
-        """Losses at x, and the gradient for w if want_grad (else None), through the memo."""
+    def _evaluate(self, x, want_grad: bool):
+        """Losses at x, and the gradient if want_grad (else None), through the memo."""
         x = np.asarray(x)
         key = (x.dtype.str, x.shape, x.tobytes())
         memo = self._memo
         if memo is None or memo[0] != key:
-            fuse = want_grad or (self._fuses and not w.flags.writeable and _underflow_ignored())
-            margins, grad = self._pass(w if fuse else None, x=x)
+            fuse = want_grad or (self._fuses and _underflow_ignored())
+            margins, grad = self._pass(x=x, want_grad=fuse)
             losses = np.logaddexp(0.0, margins)
             margins.flags.writeable = losses.flags.writeable = False
         else:
-            _, margins, losses, held_w, grad = memo
+            _, margins, losses, grad = memo
             if not want_grad:
                 return losses, None
-            if held_w is w and not w.flags.writeable and _underflow_ignored():
+            if grad is not None and _underflow_ignored():
                 return losses, grad
-            _, grad = self._pass(w, margins=margins)
-        held = grad is not None and not w.flags.writeable
-        if held:
+            _, grad = self._pass(margins=margins)
+        if grad is not None:
             grad.flags.writeable = False
-        self._memo = (key, margins, losses) + ((w, grad) if held else (None, None))
+        self._memo = (key, margins, losses, grad)
         return losses, grad
 
     def gather(self, idx):
@@ -255,15 +253,15 @@ class LogisticKernel:
         coef = -y * expit(margins)
         return np.logaddexp(0.0, margins), (Z.T @ coef) / len(y)
 
-    def weighted_value(self, w, x):
-        losses, _ = self._evaluate(w, x, want_grad=False)
-        return self._value(w, losses)
+    def weighted_value(self, x):
+        losses, _ = self._evaluate(x, want_grad=False)
+        return self._value(losses)
 
-    def weighted_value_grad(self, w, x):
-        losses, grad = self._evaluate(w, x, want_grad=True)
-        return self._value(w, losses), grad
+    def weighted_value_grad(self, x):
+        losses, grad = self._evaluate(x, want_grad=True)
+        return self._value(losses), grad
 
-    def _block_terms(self, w, X, lo):
+    def _block_terms(self, X, lo):
         """The (values, gradients) terms of the row block starting at lo."""
         # One GEMM pair per block of rows: each block of Z is read once for
         # all K points and again, while it is still cached, for the gradient.
@@ -272,14 +270,14 @@ class LogisticKernel:
         # the formulas behind logaddexp(0, m) and expit(m) but in ufuncs that
         # numpy vectorises, so either may differ from them by an ulp.
         rows = slice(lo, lo + _ROW_BLOCK)
-        Zb, wb, yb = self.ds.Z[rows], w[rows], self.ds.y[rows]
+        Zb, wb, yb = self.ds.Z[rows], self.weights[rows], self.ds.y[rows]
         m = (Zb @ X) * -yb[:, None]
         e = np.exp(-np.abs(m))
         coef = np.where(m > 0.0, 1.0, e) / (e + 1.0)
         coef *= (-wb * yb)[:, None]
         return wb @ (np.log1p(e) + np.maximum(m, 0.0)), Zb.T @ coef
 
-    def _threaded_block_terms(self, w, X, tasks, threads):
+    def _threaded_block_terms(self, X, tasks, threads):
         """Yield every block's terms in block order, computed on helper threads.
 
         Each task runs in its own copy of the caller's context, which holds
@@ -288,7 +286,7 @@ class LogisticKernel:
         """
 
         def run(starts):
-            return [self._block_terms(w, X, lo) for lo in starts]
+            return [self._block_terms(X, lo) for lo in starts]
 
         in_flight = collections.deque()
         with ThreadPoolExecutor(threads) as pool:
@@ -299,7 +297,7 @@ class LogisticKernel:
             while in_flight:
                 yield from in_flight.popleft().result()
 
-    def weighted_value_grad_many(self, w, X):
+    def weighted_value_grad_many(self, X):
         # Block terms are summed on the calling thread in block order, so
         # the threaded and the serial path return the same bits.  Threads
         # engage only when BLAS leaves CPUs free, each thread gets at least
@@ -309,9 +307,9 @@ class LogisticKernel:
         cpus = _usable_cpu_count()
         threads = min(cpus // (_blas_threads() or cpus), len(tasks) // 2)
         if threads > 1 and X.shape[1] >= _MIN_THREADED_POINTS:
-            terms = self._threaded_block_terms(w, X, tasks, threads)
+            terms = self._threaded_block_terms(X, tasks, threads)
         else:
-            terms = (self._block_terms(w, X, lo) for lo in starts)
+            terms = (self._block_terms(X, lo) for lo in starts)
         values = np.zeros(X.shape[1])
         grads = np.zeros(X.shape)
         for value, grad in terms:
@@ -324,7 +322,7 @@ def logistic_objective(ds: LogisticDataset, weights: np.ndarray | None = None) -
     """Finite-sum objective over the dataset, uniform weights by default."""
     if weights is None:
         weights = uniform_weights(ds.n_samples)
-    return FiniteSumObjective(weights=weights, dim=ds.dim, kernel=LogisticKernel(ds))
+    return FiniteSumObjective(ds.dim, LogisticKernel(ds, weights))
 
 
 # ---------------------------------------------------------------------------
@@ -506,30 +504,20 @@ class NoisyQuadraticSpec:
 class NoisyQuadraticKernel:
     """Vectorised evaluation of the noisy quadratic components.
 
-    The full-data methods take the ridge weight N * w.eps^2 from a one-entry
-    memo keyed on the identity of w, kept only for a read-only w, such as
-    an objective's own weights, which is taken to be frozen.  The memo holds
-    w itself, so its identity cannot pass to another array.
+    The full-data methods share the ridge weight N * w.eps^2, computed once
+    from the kernel's weights w.
     """
 
-    def __init__(self, spec: NoisyQuadraticSpec):
+    def __init__(self, spec: NoisyQuadraticSpec, weights):
         self.spec = spec
+        self.weights = component_weights(weights, spec.n_components)
         self._eps_sq = spec.eps**2
         self._N = spec.n_components
-        self._ridge_memo: tuple[np.ndarray, float] | None = None
+        self._ridge = self._N * float(self.weights.dot(self._eps_sq))
 
     def _base(self, x):
         Qx = self.spec.base_Q.dot(x)
         return 0.5 * float(x.dot(Qx)) + float(self.spec.base_q.dot(x)), Qx
-
-    def _ridge(self, w):
-        memo = self._ridge_memo
-        if memo is not None and memo[0] is w:
-            return memo[1]
-        ridge = self._N * float(w.dot(self._eps_sq))
-        if not w.flags.writeable:
-            self._ridge_memo = (w, ridge)
-        return ridge
 
     def gather(self, idx):
         return self._eps_sq[idx]
@@ -544,18 +532,18 @@ class NoisyQuadraticKernel:
         ridge_mean = self._N * _mean(eps_sq)
         return vals, Qx + self.spec.base_q + (2.0 * ridge_mean) * x
 
-    def weighted_value(self, w, x):
+    def weighted_value(self, x):
         base_value, _ = self._base(x)
-        return base_value + self._ridge(w) * float(x.dot(x))
+        return base_value + self._ridge * float(x.dot(x))
 
-    def weighted_value_grad(self, w, x):
+    def weighted_value_grad(self, x):
         base_value, Qx = self._base(x)
-        ridge = self._ridge(w)
+        ridge = self._ridge
         return base_value + ridge * float(x.dot(x)), Qx + self.spec.base_q + (2.0 * ridge) * x
 
-    def weighted_value_grad_many(self, w, X):
+    def weighted_value_grad_many(self, X):
         QX = self.spec.base_Q @ X
-        ridge = self._ridge(w)
+        ridge = self._ridge
         quad = np.einsum("ik,ik->k", X, 0.5 * QX + ridge * X)
         return quad + self.spec.base_q @ X, QX + self.spec.base_q[:, None] + (2.0 * ridge) * X
 
@@ -565,7 +553,7 @@ def noisy_quadratic_objective(
 ) -> FiniteSumObjective:
     if weights is None:
         weights = uniform_weights(spec.n_components)
-    return FiniteSumObjective(weights=weights, dim=spec.dim, kernel=NoisyQuadraticKernel(spec))
+    return FiniteSumObjective(spec.dim, NoisyQuadraticKernel(spec, weights))
 
 
 def make_noisy_quadratic(

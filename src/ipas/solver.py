@@ -310,7 +310,7 @@ def _oracle_batch(
     such row.
     """
     X = np.column_stack(xs)
-    values, G = obj.kernel.weighted_value_grad_many(obj.weights, X)
+    values, G = obj.kernel.weighted_value_grad_many(X)
     bad = ~(np.isfinite(G).all(axis=0) & np.isfinite(values))
     if bad.any():
         j = int(bad.argmax())

@@ -2,14 +2,13 @@
 
 The component oracles evaluate one summand at a time, the plain way, for
 checking the vectorised kernels; logistic_value_grad_many is the batched
-logistic oracle's serial form, TwoPassLogisticKernel the logistic kernel's
-full-data methods as one pass for Z x and one for Z' coef,
-BlockedLogisticKernel the same methods as a plain loop over the kernel's
-row blocks, and parse_libsvm_dicts the LIBSVM reader's earlier form, which
-held one dict per row.  cg_solve and exact_project are the package's
-earlier forms, written with the @ operator, a freshly allocated search
-direction and scipy.linalg.cho_solve; the package's leaner forms must
-reproduce them bit for bit.
+logistic oracle's serial form, BlockedLogisticKernel the logistic
+kernel's full-data methods as a plain loop over its row blocks, and
+parse_libsvm_dicts the LIBSVM reader's earlier form, which held one dict
+per row.  cg_solve and exact_project are the package's earlier forms,
+written with the @ operator, a freshly allocated search direction and
+scipy.linalg.cho_solve; the package's leaner forms must reproduce them bit
+for bit.
 """
 
 from __future__ import annotations
@@ -70,41 +69,20 @@ def logistic_value_grad_many(
     return values, grads
 
 
-class TwoPassLogisticKernel(LogisticKernel):
-    """LogisticKernel whose full-data methods read Z twice and memoise nothing.
-
-    The margins -y * (Z x) come from one product and the gradient from a
-    second, Z' coef, at every call.  On data of one row block the package's
-    full-data methods must return these bits, whichever path they take.
-    """
-
-    def margins_and_losses(self, x):
-        margins = -self.ds.y * (self.ds.Z @ x)
-        return margins, np.logaddexp(0.0, margins)
-
-    def weighted_value(self, w, x):
-        _, losses = self.margins_and_losses(x)
-        return float(w @ losses)
-
-    def weighted_value_grad(self, w, x):
-        margins, losses = self.margins_and_losses(x)
-        coef = w * (-self.ds.y * expit(margins))
-        return float(w @ losses), self.ds.Z.T @ coef
-
-
 class BlockedLogisticKernel(LogisticKernel):
     """LogisticKernel whose full-data methods loop over its row blocks and memoise nothing.
 
     Each block of _blocks, in order, gives its margins -y_b * (Z_b x), its
     losses, its value w_b . losses_b and, for a gradient, Z_b' coef_b; the
     values and the gradients are added in block order, each sum starting
-    from the first block's term.  On data of several blocks the package's
-    full-data methods must return these bits, whichever path they take.
+    from the first block's term.  Data of one block makes the plain calls,
+    Z x, Z' coef and w . losses.  The package's full-data methods must
+    return these bits, whichever path they take.
     """
 
-    def _terms(self, w, x, want_grad: bool):
+    def _terms(self, x, want_grad: bool):
         """Per block: (margins, losses, value, gradient or None)."""
-        Z, y = self.ds.Z, self.ds.y
+        Z, y, w = self.ds.Z, self.ds.y, self.weights
         for rows in _blocks(*Z.shape):
             margins = -y[rows] * (Z[rows] @ x)
             losses = np.logaddexp(0.0, margins)
@@ -112,22 +90,22 @@ class BlockedLogisticKernel(LogisticKernel):
             yield margins, losses, float(w[rows] @ losses), grad
 
     def margins_and_losses(self, x):
-        terms = list(self._terms(np.ones(self.ds.n_samples), x, want_grad=False))
+        terms = list(self._terms(x, want_grad=False))
         return np.concatenate([t[0] for t in terms]), np.concatenate([t[1] for t in terms])
 
-    def _sums(self, w, x, want_grad: bool):
+    def _sums(self, x, want_grad: bool):
         value = grad = None
-        for _, _, block_value, block_grad in self._terms(w, x, want_grad):
+        for _, _, block_value, block_grad in self._terms(x, want_grad):
             value = block_value if value is None else value + block_value
             if want_grad:
                 grad = block_grad if grad is None else grad + block_grad
         return value, grad
 
-    def weighted_value(self, w, x):
-        return self._sums(w, x, want_grad=False)[0]
+    def weighted_value(self, x):
+        return self._sums(x, want_grad=False)[0]
 
-    def weighted_value_grad(self, w, x):
-        return self._sums(w, x, want_grad=True)
+    def weighted_value_grad(self, x):
+        return self._sums(x, want_grad=True)
 
 
 def noisy_quadratic_component(

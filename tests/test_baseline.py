@@ -191,8 +191,9 @@ def test_trace_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, n):
     assert traces[0] == traces[1]
 
 
-# The kernel's full-data value and gradient on random N x n data, for a
-# read-only and a writeable w, written to argv[1] for N, n = argv[2:4].
+# The kernel's full-data value and gradient on random N x n data, for two
+# weight vectors, written to argv[1] for N, n = argv[2:4]: the first kernel
+# takes a value before its gradient, the second only the gradient.
 _KERNEL_SCRIPT = textwrap.dedent(
     """
     import sys
@@ -204,12 +205,10 @@ _KERNEL_SCRIPT = textwrap.dedent(
     rng = np.random.default_rng(n)
     ds = LogisticDataset(Z=rng.standard_normal((N, n)) / n**0.5, y=rng.choice([-1.0, 1.0], N))
     x = rng.standard_normal(n)
-    frozen = uniform_weights(N)
-    frozen.setflags(write=False)
-    kernel = LogisticKernel(ds)
-    out = [repr(kernel.weighted_value(frozen, x)).encode()]
-    for w in (frozen, rng.random(N) / N):
-        value, grad = kernel.weighted_value_grad(w, x)
+    first, second = LogisticKernel(ds, uniform_weights(N)), LogisticKernel(ds, rng.random(N) / N)
+    out = [repr(first.weighted_value(x)).encode()]
+    for kernel in (first, second):
+        value, grad = kernel.weighted_value_grad(x)
         out += [repr(value).encode(), grad.tobytes()]
     Path(sys.argv[1]).write_bytes(b"|".join(out))
     """

@@ -744,7 +744,7 @@ class TestEndToEnd:
             problems._MIN_THREADED_POINTS = 1
             obj = logistic_objective(load_libsvm({str(data)!r}))
             X = np.random.default_rng(0).standard_normal((3, 40))
-            obj.kernel.weighted_value_grad_many(obj.weights, X)
+            obj.kernel.weighted_value_grad_many(X)
             assert pools == [(2,)], pools
             assert threading.active_count() == 1, threading.enumerate()
             cfg = parse_experiment_config({str(config)!r})

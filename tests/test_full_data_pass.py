@@ -3,10 +3,9 @@
 The kernel sums its margins, value and gradient over the row blocks of
 ipas.problems._blocks and reads them through a memo; on a Z of at least
 _FUSED_MIN_BYTES a trial value computes the gradient in the same read of Z.
-Whichever path a call takes, it must return the bits of a memo-less kernel
-of tests/reference.py: BlockedLogisticKernel on data of several blocks, and
-TwoPassLogisticKernel, the plain Z x and Z' coef, on data of one block.
-Checked in the solver's and the baseline's records, field by field, and in
+Whichever path a call takes, it must return the bits of the memo-less
+BlockedLogisticKernel of tests/reference.py, which on data of one block
+makes the plain calls Z x and Z' coef.  Checked in the solver's and the baseline's records, field by field, and in
 the kernel's own value, margins, losses and gradient.
 """
 
@@ -29,7 +28,7 @@ from ipas import (
     uniform_weights,
 )
 from ipas.problems import _FUSED_MIN_BYTES, LogisticKernel, _blocks
-from reference import BlockedLogisticKernel, TwoPassLogisticKernel
+from reference import BlockedLogisticKernel
 from test_golden import DATA
 
 # 21000 x 200 float64 is 33.6 MB, above the size gate, and N is no
@@ -40,20 +39,13 @@ DIM = 200
 SCALE = 30.0
 
 
-def reference(ds: LogisticDataset) -> LogisticKernel:
-    """The memo-less kernel whose bits the package must return on ds."""
-    if len(_blocks(*ds.Z.shape)) == 1:
-        return TwoPassLogisticKernel(ds)
-    return BlockedLogisticKernel(ds)
-
-
 @pytest.fixture(scope="module")
 def large():
     base = make_synthetic_logistic(N_ROWS, DIM, seed=3)
     ds = LogisticDataset(Z=SCALE * base.Z, y=base.y)
     assert ds.Z.nbytes >= _FUSED_MIN_BYTES
     obj = logistic_objective(ds)
-    ref = FiniteSumObjective(weights=obj.weights, dim=DIM, kernel=BlockedLogisticKernel(ds))
+    ref = FiniteSumObjective(DIM, BlockedLogisticKernel(ds, obj.weights))
     return generate_constraints(DIM, 20, seed=4), obj, ref
 
 
@@ -79,23 +71,22 @@ def test_full_sample_ipas_records_match_the_blocked_kernel(large):
     assert fields(records) == fields(run(cs, ref, cfg).records)
 
 
-def frozen(w: np.ndarray) -> np.ndarray:
-    w = w.copy()
-    w.setflags(write=False)
-    return w
+def reference(kernel: LogisticKernel) -> BlockedLogisticKernel:
+    """The memo-less kernel whose bits kernel must return."""
+    return BlockedLogisticKernel(kernel.ds, kernel.weights)
 
 
-def assert_bits(kernel: LogisticKernel, w: np.ndarray, x: np.ndarray, value_first: bool):
+def assert_bits(kernel: LogisticKernel, x: np.ndarray, value_first: bool):
     """Value, margins, losses and gradient at x equal the reference kernel's bytes."""
-    ref = reference(kernel.ds)
+    ref = reference(kernel)
     if value_first:
-        assert kernel.weighted_value(w, x) == ref.weighted_value(w, x)
-    value, grad = kernel.weighted_value_grad(w, x)
-    ref_value, ref_grad = ref.weighted_value_grad(w, x)
+        assert kernel.weighted_value(x) == ref.weighted_value(x)
+    value, grad = kernel.weighted_value_grad(x)
+    ref_value, ref_grad = ref.weighted_value_grad(x)
     assert value == ref_value
     assert grad.tobytes() == ref_grad.tobytes()
     margins, losses = ref.margins_and_losses(x)
-    _, memo_margins, memo_losses, _, _ = kernel._memo
+    _, memo_margins, memo_losses, _ = kernel._memo
     assert memo_margins.tobytes() == margins.tobytes()
     assert memo_losses.tobytes() == losses.tobytes()
 
@@ -107,18 +98,17 @@ def margin_scaled_point(ds: LogisticDataset, largest: float, seed: int) -> np.nd
 
 
 def assert_bits_at_every_scale(ds: LogisticDataset, seed: int):
-    kernel = LogisticKernel(ds)
     n_rows = ds.n_samples
     rng = np.random.default_rng(seed)
-    weights = (frozen(uniform_weights(n_rows)), rng.random(n_rows) / n_rows)
+    kernels = [LogisticKernel(ds, w) for w in (uniform_weights(n_rows), rng.random(n_rows) / n_rows)]
     # Margins up to about 5, 100 and 700: at 700 the gradient's products
     # reach the subnormal range.
     for i, largest in enumerate((5.0, 100.0, 700.0)):
         x = margin_scaled_point(ds, largest, seed=i)
-        for w in weights:
+        for kernel in kernels:
             for value_first in (True, False):
                 kernel._memo = None
-                assert_bits(kernel, w, x, value_first)
+                assert_bits(kernel, x, value_first)
 
 
 class TestKernelBits:
@@ -130,7 +120,7 @@ class TestKernelBits:
         assert_bits_at_every_scale(ds, seed=n)
 
     @pytest.mark.parametrize("data", ["tiny", "768x8", "100x5"])
-    def test_one_block_data_matches_the_two_pass_kernel(self, data):
+    def test_one_block_data_matches_the_blocked_kernel(self, data):
         # tests/data/tiny.libsvm, the sweep's 768 x 8 data and the golden
         # baseline's 100 x 5 fixture: one block, so the plain calls.
         ds = {
@@ -163,106 +153,77 @@ class TestBlocks:
 
 
 @pytest.fixture(params=["small", "large"])
-def kernel_and_point(request, large):
-    """A kernel on one block (300 x 10) and one on many, above the size gate."""
+def data_and_point(request, large):
+    """Data of one block (300 x 10) and of many, above the size gate."""
     if request.param == "small":
         ds = make_synthetic_logistic(300, 10, seed=8)
     else:
         ds = large[1].kernel.ds
-    return LogisticKernel(ds), margin_scaled_point(ds, 5.0, seed=9)
+    return ds, margin_scaled_point(ds, 5.0, seed=9)
 
 
-def held_weights(kernel):
-    """The weights whose gradient the kernel's memo holds, or None."""
+def held_gradient(kernel):
+    """The gradient the kernel's memo holds, or None."""
     return kernel._memo[3]
 
 
-def ref_grad(kernel, w, x):
-    return reference(kernel.ds).weighted_value_grad(w, x)[1].tobytes()
+def ref_grad(kernel, x):
+    return reference(kernel).weighted_value_grad(x)[1].tobytes()
 
 
 class TestGradientMemo:
-    def test_another_read_only_w_at_the_same_point_recomputes(self, kernel_and_point):
-        kernel, x = kernel_and_point
-        n_rows = kernel.ds.n_samples
-        w1 = frozen(uniform_weights(n_rows))
-        w2 = frozen(np.random.default_rng(1).random(n_rows) / n_rows)
-        kernel.weighted_value(w1, x)
-        for w in (w2, w1, w2):
-            assert kernel.weighted_value_grad(w, x)[1].tobytes() == ref_grad(kernel, w, x)
+    def test_kernels_with_other_weights_keep_their_own_gradients(self, data_and_point):
+        ds, x = data_and_point
+        n_rows = ds.n_samples
+        first = LogisticKernel(ds, uniform_weights(n_rows))
+        second = LogisticKernel(ds, np.random.default_rng(1).random(n_rows) / n_rows)
+        first.weighted_value(x)
+        for kernel in (second, first, second):
+            assert kernel.weighted_value_grad(x)[1].tobytes() == ref_grad(kernel, x)
 
-    def test_a_writeable_w_never_reuses_a_held_gradient(self, kernel_and_point):
-        kernel, x = kernel_and_point
-        w = uniform_weights(kernel.ds.n_samples)
-        w[:2] = (0.5 * w[0], 1.5 * w[1])  # same sum, other gradient
-
-        def check(point):
-            assert kernel.weighted_value_grad(w, point)[1].tobytes() == ref_grad(kernel, w, point)
-
-        for _ in range(2):
-            check(x)
-            w[:2] = w[1::-1]
-        # A gradient computed for a writeable w is not held, so freezing w
-        # after a change cannot bring back the old one.
-        check(0.25 * x)
-        w[:2] = w[1::-1]
-        w.setflags(write=False)
-        check(0.25 * x)
-        # Frozen, w's gradient is held after a trial value above the size
-        # gate; writeable again and changed, it is dropped, not reused.
-        point = 0.5 * x
-        kernel.weighted_value(w, point)
-        assert held_weights(kernel) is (w if kernel._fuses else None)
-        w.setflags(write=True)
-        w[:2] = w[1::-1]
-        check(point)
-        assert held_weights(kernel) is None
-        w.setflags(write=False)
-        check(point)
-
-    def test_a_held_gradient_is_returned_read_only(self, kernel_and_point):
-        kernel, x = kernel_and_point
-        w = frozen(uniform_weights(kernel.ds.n_samples))
-        kernel.weighted_value(w, x)
-        _, grad = kernel.weighted_value_grad(w, x)
-        assert held_weights(kernel) is w
+    def test_a_held_gradient_is_returned_read_only(self, data_and_point):
+        ds, x = data_and_point
+        kernel = LogisticKernel(ds, uniform_weights(ds.n_samples))
+        kernel.weighted_value(x)
+        _, grad = kernel.weighted_value_grad(x)
+        assert held_gradient(kernel) is grad
         with pytest.raises(ValueError, match="read-only"):
             grad += 1.0
-        assert grad.tobytes() == ref_grad(kernel, w, x)
-        assert kernel.weighted_value_grad(w, x)[1] is grad
+        assert grad.tobytes() == ref_grad(kernel, x)
+        assert kernel.weighted_value_grad(x)[1] is grad
 
-    def test_two_trials_then_the_gradient_at_the_first(self, kernel_and_point):
-        kernel, x = kernel_and_point
-        w = frozen(uniform_weights(kernel.ds.n_samples))
-        ref = reference(kernel.ds)
+    def test_two_trials_then_the_gradient_at_the_first(self, data_and_point):
+        ds, x = data_and_point
+        kernel = LogisticKernel(ds, uniform_weights(ds.n_samples))
+        ref = reference(kernel)
         first, second = x, 0.5 * x
         for point in (first, second):
-            assert kernel.weighted_value(w, point) == ref.weighted_value(w, point)
-        value, grad = kernel.weighted_value_grad(w, first.copy())
-        assert value == ref.weighted_value(w, first)
-        assert grad.tobytes() == ref_grad(kernel, w, first)
+            assert kernel.weighted_value(point) == ref.weighted_value(point)
+        value, grad = kernel.weighted_value_grad(first.copy())
+        assert value == ref.weighted_value(first)
+        assert grad.tobytes() == ref_grad(kernel, first)
 
     @pytest.mark.parametrize("largest", [5.0, 700.0, 800.0])
-    def test_raise_on_every_error_raises_as_the_reference_does(self, kernel_and_point, largest):
+    def test_raise_on_every_error_raises_as_the_reference_does(self, data_and_point, largest):
         # On the large data, margins near 700 make the gradient's products
         # underflow while the losses do not, so only a call that asks for
         # the gradient raises; margins near 800 make the losses underflow too.
-        kernel, _ = kernel_and_point
-        x = margin_scaled_point(kernel.ds, largest, seed=2)
-        w = frozen(uniform_weights(kernel.ds.n_samples))
-        ref = reference(kernel.ds)
+        ds, _ = data_and_point
+        x = margin_scaled_point(ds, largest, seed=2)
+        kernel = LogisticKernel(ds, uniform_weights(ds.n_samples))
+        ref = reference(kernel)
         raised = {}
         for method in ("weighted_value", "weighted_value_grad"):
             # Computed at the default error state, the gradient is held; it
             # must not be reused where the memo-less kernel would raise.
-            kernel.weighted_value_grad(w, 0.5 * x)
+            kernel.weighted_value_grad(0.5 * x)
             if method == "weighted_value_grad":
-                kernel.weighted_value_grad(w, x)
+                kernel.weighted_value_grad(x)
             outcomes = []
             for k in (kernel, ref):
                 with np.errstate(all="raise"):
                     try:
-                        result = getattr(k, method)(w, x)
+                        result = getattr(k, method)(x)
                     except FloatingPointError:
                         result = "raised"
                 outcomes.append(repr(result))
@@ -278,10 +239,10 @@ def count_passes(kernel, monkeypatch) -> dict[str, int]:
     counts = {"value": 0, "fused": 0, "gradient": 0}
     real = kernel._pass
 
-    def spy(w, x=None, margins=None):
-        kind = "gradient" if x is None else "value" if w is None else "fused"
+    def spy(x=None, margins=None, want_grad=True):
+        kind = "gradient" if x is None else "fused" if want_grad else "value"
         counts[kind] += 1
-        return real(w, x=x, margins=margins)
+        return real(x=x, margins=margins, want_grad=want_grad)
 
     monkeypatch.setattr(kernel, "_pass", spy)
     return counts
@@ -291,24 +252,21 @@ class TestWhereTheFusedPassRuns:
     @pytest.mark.parametrize("data", ["small", "large"])
     def test_a_trial_value_holds_the_gradient_only_above_the_size_gate(self, data, large):
         ds = make_synthetic_logistic(768, 8, seed=42) if data == "small" else large[1].kernel.ds
-        kernel = LogisticKernel(ds)
+        kernel = LogisticKernel(ds, uniform_weights(ds.n_samples))
         assert kernel._fuses == (data == "large")
-        w = frozen(uniform_weights(ds.n_samples))
         x = margin_scaled_point(ds, 5.0, seed=1)
-        kernel.weighted_value(w, x)
-        assert held_weights(kernel) is (w if data == "large" else None)
-        # Not for a writeable w, nor while underflow is not ignored.
-        kernel.weighted_value(w.copy(), 0.5 * x)
-        assert held_weights(kernel) is None
+        kernel.weighted_value(x)
+        assert (held_gradient(kernel) is not None) == (data == "large")
+        # Not while underflow is not ignored.
         with np.errstate(under="warn"):
-            kernel.weighted_value(w, 0.25 * x)
-        assert held_weights(kernel) is None
+            kernel.weighted_value(0.25 * x)
+        assert held_gradient(kernel) is None
 
     def test_each_trial_point_reads_z_once_on_large_data(self, large, monkeypatch):
         cs, obj, _ = large
-        kernel = LogisticKernel(obj.kernel.ds)
+        kernel = LogisticKernel(obj.kernel.ds, obj.weights)
         counts = count_passes(kernel, monkeypatch)
-        objective = FiniteSumObjective(weights=obj.weights, dim=DIM, kernel=kernel)
+        objective = FiniteSumObjective(DIM, kernel)
         records = run_baseline(cs, objective, BaselineConfig(k_max=4, s_exp=3.0)).records
         # One fused pass per trial point plus the start; each gradient at
         # an accepted point is the memo's.

@@ -32,9 +32,7 @@ def scaled_quadratic(i: int, x: np.ndarray) -> tuple[float, np.ndarray]:
 def make_objective(n: int, weights=None) -> FiniteSumObjective:
     if weights is None:
         weights = uniform_weights(n)
-    return FiniteSumObjective(
-        weights=weights, dim=DIM, kernel=CallableKernel(scaled_quadratic, n)
-    )
+    return FiniteSumObjective(DIM, CallableKernel(scaled_quadratic, weights))
 
 
 class TestWeights:
@@ -285,9 +283,7 @@ class TestSubsampleEvaluations:
         def bad(i, x):
             return float("nan"), np.zeros(DIM)
 
-        obj = FiniteSumObjective(
-            weights=uniform_weights(2), dim=DIM, kernel=CallableKernel(bad, 2)
-        )
+        obj = FiniteSumObjective(DIM, CallableKernel(bad, uniform_weights(2)))
         s = Sample.of(obj, np.array([0]))
         meter = BudgetMeter()
         with pytest.raises(NonFiniteValue):
@@ -304,9 +300,7 @@ class TestSubsampleEvaluations:
         def bad(i, x):
             return 0.0, np.full(DIM, np.inf)
 
-        obj = FiniteSumObjective(
-            weights=uniform_weights(2), dim=DIM, kernel=CallableKernel(bad, 2)
-        )
+        obj = FiniteSumObjective(DIM, CallableKernel(bad, uniform_weights(2)))
         s = Sample.of(obj, np.array([1]))
         with pytest.raises(NonFiniteValue):
             subsample_value_grad(obj, s, np.zeros(DIM), BudgetMeter())

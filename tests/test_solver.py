@@ -63,11 +63,7 @@ def pinned_target_objective(x_star: np.ndarray, n_components: int) -> FiniteSumO
         d = x - x_star
         return 0.5 * float(d @ d), d
 
-    return FiniteSumObjective(
-        weights=uniform_weights(n_components),
-        dim=x_star.size,
-        kernel=CallableKernel(fn, n_components),
-    )
+    return FiniteSumObjective(x_star.size, CallableKernel(fn, uniform_weights(n_components)))
 
 
 class TestEta:
@@ -302,9 +298,7 @@ class TestAdditionalSamplingTest:
             d = x.copy()
             return 0.5 * float(d @ d), d
 
-        obj = FiniteSumObjective(
-            weights=uniform_weights(4), dim=2, kernel=CallableKernel(fragile, 4)
-        )
+        obj = FiniteSumObjective(2, CallableKernel(fragile, uniform_weights(4)))
         out = additional_sampling_test(
             self.cs, obj, self.x, np.array([10.0, -10.0]), eta_k=0.5,
             cfg=self.config(), rng=self.rng, meter=BudgetMeter(),
@@ -457,9 +451,7 @@ class TestRunBehaviour:
         # computed is never used, so it must not be charged or raise.
         cs = orthonormal_system(2, 5, seed=14, shift=1.0)
         obj = FiniteSumObjective(
-            weights=uniform_weights(3),
-            dim=5,
-            kernel=CallableKernel(lambda i, x: (math.nan, np.zeros_like(x)), 3),
+            5, CallableKernel(lambda i, x: (math.nan, np.zeros_like(x)), uniform_weights(3))
         )
         cfg = SolverConfig(N0=3, D_size=1, k_max=1, oracle_metrics=False)
         res = run(cs, obj, cfg, x0=np.zeros(5))
@@ -542,9 +534,7 @@ class TestInvariantChecks:
         # restores feasibility, the descent check fails and step 0 re-projects.
         cs = orthonormal_system(2, 5, seed=14, shift=1.0)
         obj = FiniteSumObjective(
-            weights=uniform_weights(3),
-            dim=5,
-            kernel=CallableKernel(lambda i, x: (0.0, np.zeros_like(x)), 3),
+            5, CallableKernel(lambda i, x: (0.0, np.zeros_like(x)), uniform_weights(3))
         )
         return cs, obj, SolverConfig(N0=3, D_size=1, k_max=1)
 
@@ -759,9 +749,7 @@ class TestOracleMemo:
                     grad = np.full_like(d, math.nan)
             return value, grad
 
-        obj = FiniteSumObjective(
-            weights=np.array([0.0, 0.5, 0.5]), dim=6, kernel=CallableKernel(fn, 3)
-        )
+        obj = FiniteSumObjective(6, CallableKernel(fn, [0.0, 0.5, 0.5]))
         with pytest.raises(NonFiniteValue, match=r"oracle at row k=1:"):
             run(cs, obj, SolverConfig(N0=1, D_size=2, k_max=5), x0=x0)
 
