@@ -29,12 +29,12 @@ from .objective import FiniteSumObjective, _mean, component_weights, uniform_wei
 # logistic regression
 
 # Rows of Z per block of LogisticKernel.weighted_value_grad_many.  With the
-# oracle's batches of up to 64 points, each (rows, points) block temporary
+# oracle's batches of up to 64 points, each (points, rows) block temporary
 # holds at most 128 KB and stays in cache through the elementwise passes.  The
 # blocks change the summation order, and the loss and sigmoid formulas differ
 # from logaddexp/expit, so the method agrees with weighted_value_grad to
-# rounding, not bit for bit.  256 rows were the fastest of 256 to 4096: 150 ms
-# a call at K = 64 on 100000x200 (CHANGES.md has the sweep).
+# rounding, not bit for bit.  256 rows ran within 4% of the fastest of 128 to
+# 1024 (CHANGES.md has the sweep).
 _ROW_BLOCK = 256
 
 # The threaded form of weighted_value_grad_many hands each helper thread
@@ -43,8 +43,8 @@ _ROW_BLOCK = 256
 # It runs for batches of at least _MIN_THREADED_POINTS points: each block
 # makes about a dozen numpy calls, each of which takes and drops the
 # interpreter lock, and on a block of few points the threads mostly wait for
-# it.  Two threads took 0.63-0.68x the serial time at K = 33 on 100000x200
-# (CHANGES.md has the sweep over K).
+# it.  Two threads took about 0.7x the serial time at K = 33 on 100000x200
+# (CHANGES.md has the measurement).
 #
 # The helper threads share the usable CPUs with BLAS's own threads, so there
 # are usable CPUs // BLAS threads of them.  A BLAS library takes its thread
@@ -65,7 +65,10 @@ _BLAS_THREAD_VARS = (
 # block takes the rows left over, so none is short: a block of one row
 # changed its margin's bits.  x86 OpenBLAS threads a ddot of more than about
 # 10000 entries, and a threaded sum changes its bits with the thread count;
-# the cap keeps every block, the last included, below that.
+# the cap keeps every block, the last included, below that.  A mini-batch
+# gradient sums over blocks of _BLOCK_ROWS gathered rows: Z' coef over 8000
+# rows of 100 columns changed its bits between 1 and 2 threads, over 4096
+# rows it did not.
 _BLOCK_BYTES = 512 << 10
 _BLOCK_ROWS = 4096
 
@@ -73,11 +76,8 @@ _BLOCK_ROWS = 4096
 # in the same read of Z, so the gradient at an accepted trial point costs no
 # second read.  Fusing adds two reads of numpy's error state per iteration,
 # about 3 us, and pays once the rest of an iteration has pushed Z out of
-# cache.  Baseline iterations on N x n data, fused against unfused (one trial
-# per search, one BLAS thread, medians of 9 interleaved runs, 2-vCPU x86):
-# 0.91-0.99x from 768 x 8, the sweep's 49 KB, to 2000 x 50 (0.8 MB); 1.00x at
-# 1500 x 100 (1.1 MB); 1.03x at 1000 x 200 (1.5 MB); 1.02-1.25x from
-# 2000 x 200 to 40000 x 200 (61 MB).
+# cache: fused baseline iterations broke even at about 1 MB (CHANGES.md has
+# the sweep).
 _FUSED_MIN_BYTES = 1 << 20
 
 
@@ -248,10 +248,15 @@ class LogisticKernel:
         return np.logaddexp(0.0, margins)
 
     def value_grad_mean(self, rows, x):
+        # The gradient sums Z_b' coef_b over blocks of _BLOCK_ROWS gathered
+        # rows, in order; a batch of one block makes the plain call Z' coef.
         Z, y = rows
         margins = -y * (Z @ x)
         coef = -y * expit(margins)
-        return np.logaddexp(0.0, margins), (Z.T @ coef) / len(y)
+        grad = Z[:_BLOCK_ROWS].T @ coef[:_BLOCK_ROWS]
+        for lo in range(_BLOCK_ROWS, len(y), _BLOCK_ROWS):
+            grad += Z[lo : lo + _BLOCK_ROWS].T @ coef[lo : lo + _BLOCK_ROWS]
+        return np.logaddexp(0.0, margins), grad / len(y)
 
     def weighted_value(self, x):
         losses, _ = self._evaluate(x, want_grad=False)
@@ -261,23 +266,39 @@ class LogisticKernel:
         losses, grad = self._evaluate(x, want_grad=True)
         return self._value(losses), grad
 
-    def _block_terms(self, X, lo):
-        """The (values, gradients) terms of the row block starting at lo."""
+    def _block_terms(self, XT, lo):
+        """The (values, gradients) terms of the row block starting at lo.
+
+        XT holds the K points as C-contiguous rows.  The margins and the
+        coefficients are (K, rows) arrays, so Z_b is the wide operand of
+        both GEMMs, and the gradient term is a (K, n) array.
+        """
         # One GEMM pair per block of rows: each block of Z is read once for
         # all K points and again, while it is still cached, for the gradient.
         # Between the two, loss and sigmoid both come from e = exp(-|m|):
         # loss = max(m, 0) + log1p(e) and sigmoid = where(m > 0, 1, e) / (1 + e),
         # the formulas behind logaddexp(0, m) and expit(m) but in ufuncs that
-        # numpy vectorises, so either may differ from them by an ulp.
+        # numpy vectorises, so either may differ from them by an ulp.  As
+        # 0 <= e <= 1, maximum(e, m > 0) is that where, bit for bit.
         rows = slice(lo, lo + _ROW_BLOCK)
         Zb, wb, yb = self.ds.Z[rows], self.weights[rows], self.ds.y[rows]
-        m = (Zb @ X) * -yb[:, None]
-        e = np.exp(-np.abs(m))
-        coef = np.where(m > 0.0, 1.0, e) / (e + 1.0)
-        coef *= (-wb * yb)[:, None]
-        return wb @ (np.log1p(e) + np.maximum(m, 0.0)), Zb.T @ coef
+        m = XT @ Zb.T
+        m *= -yb
+        e = np.abs(m)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        losses = np.log1p(e)
+        positive = m > 0.0
+        losses += np.maximum(m, 0.0, out=m)
+        coef = np.maximum(e, positive, out=m)
+        e += 1.0
+        coef /= e
+        coef *= -wb * yb
+        # w_b @ losses over a (rows, K) copy is the matrix-vector product of
+        # the row-major layout, so the values keep its bits.
+        return wb @ losses.T.copy(), coef @ Zb
 
-    def _threaded_block_terms(self, X, tasks, threads):
+    def _threaded_block_terms(self, XT, tasks, threads):
         """Yield every block's terms in block order, computed on helper threads.
 
         Each task runs in its own copy of the caller's context, which holds
@@ -286,7 +307,7 @@ class LogisticKernel:
         """
 
         def run(starts):
-            return [self._block_terms(X, lo) for lo in starts]
+            return [self._block_terms(XT, lo) for lo in starts]
 
         in_flight = collections.deque()
         with ThreadPoolExecutor(threads) as pool:
@@ -306,16 +327,17 @@ class LogisticKernel:
         tasks = [starts[i : i + _BLOCKS_PER_TASK] for i in range(0, len(starts), _BLOCKS_PER_TASK)]
         cpus = _usable_cpu_count()
         threads = min(cpus // (_blas_threads() or cpus), len(tasks) // 2)
+        XT = np.ascontiguousarray(X.T)
         if threads > 1 and X.shape[1] >= _MIN_THREADED_POINTS:
-            terms = self._threaded_block_terms(X, tasks, threads)
+            terms = self._threaded_block_terms(XT, tasks, threads)
         else:
-            terms = (self._block_terms(X, lo) for lo in starts)
+            terms = (self._block_terms(XT, lo) for lo in starts)
         values = np.zeros(X.shape[1])
-        grads = np.zeros(X.shape)
+        grads = np.zeros(XT.shape)
         for value, grad in terms:
             values += value
             grads += grad
-        return values, grads
+        return values, np.ascontiguousarray(grads.T)
 
 
 def logistic_objective(ds: LogisticDataset, weights: np.ndarray | None = None) -> FiniteSumObjective:

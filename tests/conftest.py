@@ -1,6 +1,13 @@
 import numpy as np
+from hypothesis import settings
 
 from ipas import build_constraint_set
+
+# Every @given test draws the same examples on every machine and run: the
+# draws come from a fixed seed, no example database replays earlier
+# failures, and no per-example deadline depends on the host's speed.
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 
 def random_system(m: int, n: int, seed: int):

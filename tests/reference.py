@@ -51,22 +51,26 @@ def logistic_value_grad_many(
 ) -> tuple[np.ndarray, np.ndarray]:
     """LogisticKernel.weighted_value_grad_many as one serial loop over 256-row blocks.
 
+    Point-major: the K points are the rows of X', so each block's margins
+    and coefficients are (K, rows) arrays, and its gradient term is
+    coef @ Z_b.  The value term is w_b @ losses over the (rows, K) losses.
     The package computes the same block terms, on helper threads for a
     large Z, and must sum them to these bits.
     """
     Z, y = ds.Z, ds.y
+    XT = np.ascontiguousarray(X.T)
     values = np.zeros(X.shape[1])
-    grads = np.zeros(X.shape)
+    grads = np.zeros(XT.shape)
     for lo in range(0, len(y), 256):
         rows = slice(lo, lo + 256)
         Zb, wb = Z[rows], w[rows]
-        m = (Zb @ X) * -y[rows, None]
+        m = (XT @ Zb.T) * -y[rows]
         e = np.exp(-np.abs(m))
-        values += wb @ (np.log1p(e) + np.maximum(m, 0.0))
+        values += wb @ np.ascontiguousarray((np.log1p(e) + np.maximum(m, 0.0)).T)
         coef = np.where(m > 0.0, 1.0, e) / (e + 1.0)
-        coef *= (-wb * y[rows])[:, None]
-        grads += Zb.T @ coef
-    return values, grads
+        coef *= -wb * y[rows]
+        grads += coef @ Zb
+    return values, np.ascontiguousarray(grads.T)
 
 
 class BlockedLogisticKernel(LogisticKernel):

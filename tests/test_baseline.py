@@ -226,3 +226,32 @@ _KERNEL_SCRIPT = textwrap.dedent(
 def test_kernel_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, shape):
     outputs = _written_at_each_thread_count(tmp_path, _KERNEL_SCRIPT, *shape)
     assert outputs[0] == outputs[1]
+
+
+# The kernel's mini-batch values and gradient over S sorted rows gathered
+# from random (S + S/4) x n data, written to argv[1] for S, n = argv[2:4].
+_MINI_BATCH_SCRIPT = textwrap.dedent(
+    """
+    import sys
+    from pathlib import Path
+    import numpy as np
+    from ipas import LogisticDataset, uniform_weights
+    from ipas.problems import LogisticKernel
+    S, n = int(sys.argv[2]), int(sys.argv[3])
+    rng = np.random.default_rng(n)
+    N = S + S // 4
+    ds = LogisticDataset(Z=rng.standard_normal((N, n)) / n**0.5, y=rng.choice([-1.0, 1.0], N))
+    kernel = LogisticKernel(ds, uniform_weights(N))
+    idx = np.sort(rng.choice(N, S, replace=False))
+    values, grad = kernel.value_grad_mean(kernel.gather(idx), rng.standard_normal(n))
+    Path(sys.argv[1]).write_bytes(values.tobytes() + b"|" + grad.tobytes())
+    """
+)
+
+
+@pytest.mark.skipif(_usable_cpu_count() < 2, reason="a second BLAS thread needs a second CPU")
+def test_mini_batch_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # One Z' coef over all 8192 gathered rows changed bits between 1 and 2
+    # threads; the gradient now sums two blocks of 4096 rows.
+    outputs = _written_at_each_thread_count(tmp_path, _MINI_BATCH_SCRIPT, 8192, 100)
+    assert outputs[0] == outputs[1]

@@ -247,12 +247,12 @@ class TestThreadedBatchKernel:
     SERIAL_N = 12 * _ROW_BLOCK
 
     @classmethod
-    def problem(cls, n_samples, K, seed=0):
+    def problem(cls, n_samples, K, seed=0, dim=DIM):
         rng = np.random.default_rng(seed)
-        ds = make_synthetic_logistic(n_samples, cls.DIM, seed=seed)
+        ds = make_synthetic_logistic(n_samples, dim, seed=seed)
         w = rng.random(n_samples)
         w /= w.sum()
-        return logistic_objective(ds, w).kernel, rng.standard_normal((cls.DIM, K))
+        return logistic_objective(ds, w).kernel, rng.standard_normal((dim, K))
 
     @staticmethod
     def block_threads(monkeypatch, fail_at=None):
@@ -280,6 +280,7 @@ class TestThreadedBatchKernel:
         ref_values, ref_grads = logistic_value_grad_many(kernel.ds, kernel.weights, X)
         np.testing.assert_array_equal(values, ref_values)
         np.testing.assert_array_equal(grads, ref_grads)
+        assert grads.shape == X.shape and grads.flags.c_contiguous
 
     @pytest.mark.parametrize("K", [1, 2, 33, 70])
     def test_threaded_sum_matches_the_serial_reference(self, monkeypatch, two_cpus, K):
@@ -289,6 +290,25 @@ class TestThreadedBatchKernel:
         self.assert_matches_reference(kernel, X)
         assert sorted(lo for lo, _, _ in seen) == list(range(0, self.N, _ROW_BLOCK))
         assert threading.main_thread() not in {t for _, t, _ in seen}
+
+    @pytest.mark.parametrize("K", [1, 2, 33, 70])
+    @pytest.mark.parametrize(
+        "n_samples,dim",
+        [(SERIAL_N + 1, DIM), (N, 1), (N, 50)],
+        ids=["one-row-last-block", "dim-1", "dim-50"],
+    )
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_point_major_layout_on_shapes_where_the_layouts_round_apart(
+        self, monkeypatch, cpus, n_samples, dim, K
+    ):
+        # On these shapes X' Z_b' and coef Z_b can round differently from the
+        # row-major Z_b X and Z_b' coef, so only a reference in the kernel's
+        # own layout matches them bit for bit.
+        monkeypatch.setattr(problems, "_usable_cpu_count", lambda: cpus)
+        monkeypatch.setattr(problems, "_blas_threads", lambda: 1)
+        monkeypatch.setattr(problems, "_MIN_THREADED_POINTS", 1)
+        kernel, X = self.problem(n_samples, K, seed=K, dim=dim)
+        self.assert_matches_reference(kernel, X)
 
     @pytest.mark.parametrize(
         "n_samples,K,threaded",
