@@ -25,6 +25,7 @@ from .solver import (
     STATUS_STATIONARY,
     IterationRecord,
     RunResult,
+    SolverConfig,
     SolverState,
     _bound_problems,
     _drive,
@@ -52,7 +53,7 @@ class BaselineConfig:
 
 
 def validate_baseline_config(cfg: BaselineConfig) -> None:
-    problems = _bound_problems(cfg, ("beta", "c1"))
+    problems = _bound_problems(cfg, ("beta", "c1"), SolverConfig.t_min)
     if problems:
         raise ConfigInvalid("; ".join(problems))
 

@@ -31,7 +31,7 @@ class ComponentKernel(Protocol):
 
     Implementations must be pure: repeated calls with the same arguments
     return the same values, bit for bit, and nothing here may mutate shared
-    state.  A kernel may memoise intermediate results, such as the margins
+    state.  A kernel may memoise results, such as the value and gradient
     at the last point evaluated, provided a call returns the same bits with
     or without the memo.  A value-only call may also compute and hold the
     gradient at its point, where reading the data once for both costs less
@@ -46,7 +46,9 @@ class ComponentKernel(Protocol):
     weighted_value_grad_many evaluates many points in one pass, for the
     unmetered oracle; it may sum in another order than the single-point
     method and use other, equivalent elementwise formulas, so its results
-    agree with it to rounding, not bit for bit.
+    agree with it to rounding, not bit for bit.  LogisticKernel's
+    one-point methods are its case of one point, so there the two agree
+    bit for bit.
     """
 
     weights: np.ndarray

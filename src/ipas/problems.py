@@ -28,23 +28,30 @@ from .objective import FiniteSumObjective, _mean, component_weights, uniform_wei
 # ---------------------------------------------------------------------------
 # logistic regression
 
-# Rows of Z per block of LogisticKernel.weighted_value_grad_many.  With the
-# oracle's batches of up to 64 points, each (points, rows) block temporary
-# holds at most 128 KB and stays in cache through the elementwise passes.  The
-# blocks change the summation order, and the loss and sigmoid formulas differ
-# from logaddexp/expit, so the method agrees with weighted_value_grad to
-# rounding, not bit for bit.  256 rows ran within 4% of the fastest of 128 to
-# 1024 (CHANGES.md has the sweep).
-_ROW_BLOCK = 256
+# Row blocks of LogisticKernel's full-data methods (_blocks): about
+# _BLOCK_BYTES of whole rows, rounded down to a multiple of 8 rows, at least
+# 8 and at most _BLOCK_ROWS.  The rows left over make one block of a multiple
+# of 8 rows and one last block of fewer than 8.  The rule keeps every GEMM's
+# bits independent of the BLAS thread count: on x86 OpenBLAS the margins
+# GEMM changed its bits between 1 and 2 threads on row counts that are not a
+# multiple of 8, and the gradient GEMM on more than 384 rows, the depth (kc)
+# of its inner panel.
+_BLOCK_BYTES = 512 << 10
+_BLOCK_ROWS = 384
 
-# The threaded form of weighted_value_grad_many hands each helper thread
-# tasks of this many consecutive row blocks and keeps this many tasks per
-# thread in flight, so only a few blocks' terms wait for the caller at a time.
-# It runs for batches of at least _MIN_THREADED_POINTS points: each block
-# makes about a dozen numpy calls, each of which takes and drops the
-# interpreter lock, and on a block of few points the threads mostly wait for
-# it.  Two threads took about 0.7x the serial time at K = 33 on 100000x200
-# (CHANGES.md has the measurement).
+# A mini-batch gradient sums Z_b' coef_b over blocks of this many gathered
+# rows: Z' coef over 8000 rows of 100 columns changed its bits between 1 and
+# 2 threads, over 4096 rows it did not.
+_BATCH_ROWS = 4096
+
+# The threaded form of the full-data sums hands each helper thread tasks of
+# this many consecutive row blocks and keeps this many tasks per thread in
+# flight, so only a few blocks' terms wait for the caller at a time.  It runs
+# for batches of at least _MIN_THREADED_POINTS points: each block makes about
+# a dozen numpy calls, each of which takes and drops the interpreter lock,
+# and on a block of few points the threads mostly wait for it.  Two threads
+# took about 0.7x the serial time at K = 33 on 100000x200 (CHANGES.md has the
+# measurement).
 #
 # The helper threads share the usable CPUs with BLAS's own threads, so there
 # are usable CPUs // BLAS threads of them.  A BLAS library takes its thread
@@ -59,26 +66,6 @@ _BLAS_THREAD_VARS = (
     "MKL_NUM_THREADS",
     "OMP_NUM_THREADS",
 )
-
-# Row blocks of the one-point full-data methods (_blocks): about _BLOCK_BYTES
-# of whole rows, a multiple of 4 rows and at most _BLOCK_ROWS each.  The last
-# block takes the rows left over, so none is short: a block of one row
-# changed its margin's bits.  x86 OpenBLAS threads a ddot of more than about
-# 10000 entries, and a threaded sum changes its bits with the thread count;
-# the cap keeps every block, the last included, below that.  A mini-batch
-# gradient sums over blocks of _BLOCK_ROWS gathered rows: Z' coef over 8000
-# rows of 100 columns changed its bits between 1 and 2 threads, over 4096
-# rows it did not.
-_BLOCK_BYTES = 512 << 10
-_BLOCK_ROWS = 4096
-
-# On a Z of at least this size a value-only miss also computes the gradient,
-# in the same read of Z, so the gradient at an accepted trial point costs no
-# second read.  Fusing adds two reads of numpy's error state per iteration,
-# about 3 us, and pays once the rest of an iteration has pushed Z out of
-# cache: fused baseline iterations broke even at about 1 MB (CHANGES.md has
-# the sweep).
-_FUSED_MIN_BYTES = 1 << 20
 
 
 def _usable_cpu_count() -> int:
@@ -138,36 +125,38 @@ def _underflow_ignored() -> bool:
 
 
 def _blocks(n_rows: int, dim: int) -> list[slice]:
-    """The row blocks of LogisticKernel's one-point full-data methods, in order."""
-    rows = min(_BLOCK_ROWS, max(4, _BLOCK_BYTES // (8 * dim) // 4 * 4))
-    starts = list(range(0, max(n_rows // rows, 1) * rows, rows))
-    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n_rows])]
+    """The row blocks of LogisticKernel's full-data methods, in order."""
+    rows = min(_BLOCK_ROWS, max(8, _BLOCK_BYTES // (8 * dim) // 8 * 8))
+    edges = sorted({*range(0, n_rows, rows), n_rows // 8 * 8, n_rows})
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
 class LogisticKernel:
     """Vectorised evaluation of the logistic components.
 
-    The one-point full-data methods run over the row blocks of _blocks, in
-    block order: each block gives its margins m_b = -y_b * (Z_b x) and, when
-    a gradient is wanted, adds Z_b' coef_b to it while Z_b is still in
-    cache; a value adds the blocks' w_b . losses_b, w being the kernel's
-    weights.  Data of one block makes the plain calls, Z x, Z' coef and
-    w . losses.  No block reaches the 10000 rows from which x86 OpenBLAS
-    threads a ddot.  The results kept their bytes at 1, 2 and 4 OpenBLAS
-    threads on a 2-vCPU x86 host for the shapes checked, 100000 x 2 to
-    400 x 20000 (tests/test_baseline.py checks some at 1 against 2 threads);
-    other BLAS builds and hosts are unchecked.
+    Every full-data method sums block terms over the row blocks of _blocks,
+    in block order, each sum starting from the first block's term.  A block
+    takes the K points as the rows of a C-contiguous X' and gives its values
+    w_b . losses_b and, when a gradient is wanted, its gradient term
+    coef_b Z_b while Z_b is still in cache, w being the kernel's weights.
+    weighted_value and weighted_value_grad are the K = 1 case of
+    weighted_value_grad_many: the same calls on the same blocks, so the
+    three return the same bits at a point.  The results kept their bytes at
+    1 and 2 OpenBLAS threads on a 2-vCPU x86 host for the shapes checked
+    (tests/test_baseline.py checks some); other BLAS builds and hosts are
+    unchecked.
 
-    The methods read the margins and the losses through a one-entry memo
-    of the last point they evaluated, keyed by the dtype, shape and bytes
-    of x.  A line search evaluates the objective at the point it accepts,
-    and the next iteration asks for value and gradient at the same bytes.
-    A hit returns the arrays a miss would compute, so no result changes by
-    a bit; an x mutated in place, or one differing only in the sign of a
-    zero, misses.  The memo holds two N-vectors, returned read-only.
+    The one-point methods read the value and the gradient through a
+    one-entry memo of the last point they evaluated, keyed by the dtype,
+    shape and bytes of x.  A line search evaluates the objective at the
+    point it accepts, and the next iteration asks for value and gradient at
+    the same bytes.  A hit returns what a miss would compute, so no result
+    changes by a bit; an x mutated in place, or one differing only in the
+    sign of a zero, misses.  The held gradient is returned read-only.
 
-    A gradient is held too, read-only.  On a Z of at least _FUSED_MIN_BYTES
-    a value-only miss computes it in the same read of Z.  Both the fused
+    A value-only miss computes the gradient in the same read of Z, so the
+    gradient at an accepted trial point costs no second read; a rejected
+    trial costs the gradient's share of a block's work.  Both the fused
     miss and the reuse of a held gradient wait while numpy does not ignore
     underflow (ignoring it is the default): the gradient's products can
     underflow where the losses do not, and no call may raise or warn where
@@ -177,67 +166,35 @@ class LogisticKernel:
     def __init__(self, ds: LogisticDataset, weights):
         self.ds = ds
         self.weights = component_weights(weights, ds.n_samples)
-        # (key of x, margins, losses, gradient or None).  A plain tuple: a
-        # NamedTuple cost 0.3 us more per miss on small data.
+        # (key of x, value, gradient or None).  A plain tuple: a NamedTuple
+        # cost 0.3 us more per miss on small data.
         self._memo: tuple | None = None
-        self._fuses = ds.Z.nbytes >= _FUSED_MIN_BYTES
         neg_y = -ds.y
+        neg_wy = self.weights * neg_y
         self._row_blocks = [
-            (rows, ds.Z[rows], neg_y[rows], self.weights[rows]) for rows in _blocks(*ds.Z.shape)
+            (ds.Z[rows], neg_y[rows], self.weights[rows], neg_wy[rows])
+            for rows in _blocks(*ds.Z.shape)
         ]
 
-    def _pass(self, x=None, margins=None, want_grad=True):
-        """Margins at x, or the given ones, and the gradient if want_grad (else None).
-
-        Z_b.dot(x, out=m_b) makes the BLAS call of Z_b @ x.  The gradient
-        starts from the first block's term, not from zeros, so that data of
-        one block keeps the bits of Z' coef, -0.0 entries included.
-        """
-        fill = margins is None
-        if fill:
-            margins = np.empty(self.ds.n_samples)
-        grad = None
-        for rows, Zb, neg_yb, wb in self._row_blocks:
-            mb = margins[rows]
-            if fill:
-                Zb.dot(x, out=mb)
-                mb *= neg_yb
-            if want_grad:
-                coef = expit(mb)
-                coef *= neg_yb
-                coef *= wb
-                term = Zb.T.dot(coef)
-                grad = term if grad is None else np.add(grad, term, out=grad)
-        return margins, grad
-
-    def _value(self, losses) -> float:
-        value = None
-        for rows, _, _, wb in self._row_blocks:
-            term = float(wb.dot(losses[rows]))
-            value = term if value is None else value + term
-        return value
-
     def _evaluate(self, x, want_grad: bool):
-        """Losses at x, and the gradient if want_grad (else None), through the memo."""
+        """The value at x, and the gradient if want_grad (else None), through the memo."""
         x = np.asarray(x)
         key = (x.dtype.str, x.shape, x.tobytes())
         memo = self._memo
-        if memo is None or memo[0] != key:
-            fuse = want_grad or (self._fuses and _underflow_ignored())
-            margins, grad = self._pass(x=x, want_grad=fuse)
-            losses = np.logaddexp(0.0, margins)
-            margins.flags.writeable = losses.flags.writeable = False
-        else:
-            _, margins, losses, grad = memo
+        if memo is not None and memo[0] == key:
+            _, value, grad = memo
             if not want_grad:
-                return losses, None
+                return value, None
             if grad is not None and _underflow_ignored():
-                return losses, grad
-            _, grad = self._pass(margins=margins)
-        if grad is not None:
+                return value, grad
+        values, grads = self._sums(x[None, :], want_grad=want_grad or _underflow_ignored())
+        value = float(values[0])
+        grad = None
+        if grads is not None:
+            grad = grads[0]
             grad.flags.writeable = False
-        self._memo = (key, margins, losses, grad)
-        return losses, grad
+        self._memo = (key, value, grad)
+        return value, grad
 
     def gather(self, idx):
         return self.ds.Z[idx], self.ds.y[idx]
@@ -248,55 +205,50 @@ class LogisticKernel:
         return np.logaddexp(0.0, margins)
 
     def value_grad_mean(self, rows, x):
-        # The gradient sums Z_b' coef_b over blocks of _BLOCK_ROWS gathered
+        # The gradient sums Z_b' coef_b over blocks of _BATCH_ROWS gathered
         # rows, in order; a batch of one block makes the plain call Z' coef.
         Z, y = rows
         margins = -y * (Z @ x)
         coef = -y * expit(margins)
-        grad = Z[:_BLOCK_ROWS].T @ coef[:_BLOCK_ROWS]
-        for lo in range(_BLOCK_ROWS, len(y), _BLOCK_ROWS):
-            grad += Z[lo : lo + _BLOCK_ROWS].T @ coef[lo : lo + _BLOCK_ROWS]
+        grad = Z[:_BATCH_ROWS].T @ coef[:_BATCH_ROWS]
+        for lo in range(_BATCH_ROWS, len(y), _BATCH_ROWS):
+            grad += Z[lo : lo + _BATCH_ROWS].T @ coef[lo : lo + _BATCH_ROWS]
         return np.logaddexp(0.0, margins), grad / len(y)
 
     def weighted_value(self, x):
-        losses, _ = self._evaluate(x, want_grad=False)
-        return self._value(losses)
+        return self._evaluate(x, want_grad=False)[0]
 
     def weighted_value_grad(self, x):
-        losses, grad = self._evaluate(x, want_grad=True)
-        return self._value(losses), grad
+        return self._evaluate(x, want_grad=True)
 
-    def _block_terms(self, XT, lo):
-        """The (values, gradients) terms of the row block starting at lo.
+    def _block_terms(self, XT, block, want_grad: bool):
+        """The (values, gradients or None) terms of one row block.
 
-        XT holds the K points as C-contiguous rows.  The margins and the
+        XT holds the K points as rows.  The margins and the
         coefficients are (K, rows) arrays, so Z_b is the wide operand of
         both GEMMs, and the gradient term is a (K, n) array.
         """
-        # One GEMM pair per block of rows: each block of Z is read once for
-        # all K points and again, while it is still cached, for the gradient.
-        # Between the two, loss and sigmoid both come from e = exp(-|m|):
-        # loss = max(m, 0) + log1p(e) and sigmoid = where(m > 0, 1, e) / (1 + e),
-        # the formulas behind logaddexp(0, m) and expit(m) but in ufuncs that
-        # numpy vectorises, so either may differ from them by an ulp.  As
-        # 0 <= e <= 1, maximum(e, m > 0) is that where, bit for bit.
-        rows = slice(lo, lo + _ROW_BLOCK)
-        Zb, wb, yb = self.ds.Z[rows], self.weights[rows], self.ds.y[rows]
-        m = XT @ Zb.T
-        m *= -yb
+        # Loss and sigmoid both come from e = exp(-|m|): loss = max(m, 0) +
+        # log1p(e) and sigmoid = where(m > 0, 1, e) / (1 + e), the formulas
+        # behind logaddexp(0, m) and expit(m) but in ufuncs that numpy
+        # vectorises.  As 0 <= e <= 1, maximum(e, m > 0) is that where, bit
+        # for bit.
+        Zb, neg_yb, wb, neg_wyb = block
+        m = XT.dot(Zb.T)
+        m *= neg_yb
         e = np.abs(m)
         np.negative(e, out=e)
         np.exp(e, out=e)
         losses = np.log1p(e)
         positive = m > 0.0
         losses += np.maximum(m, 0.0, out=m)
+        if not want_grad:
+            return losses.dot(wb), None
         coef = np.maximum(e, positive, out=m)
         e += 1.0
         coef /= e
-        coef *= -wb * yb
-        # w_b @ losses over a (rows, K) copy is the matrix-vector product of
-        # the row-major layout, so the values keep its bits.
-        return wb @ losses.T.copy(), coef @ Zb
+        coef *= neg_wyb
+        return losses.dot(wb), coef.dot(Zb)
 
     def _threaded_block_terms(self, XT, tasks, threads):
         """Yield every block's terms in block order, computed on helper threads.
@@ -306,37 +258,45 @@ class LogisticKernel:
         lives for this call only, so no thread survives into a later fork.
         """
 
-        def run(starts):
-            return [self._block_terms(XT, lo) for lo in starts]
+        def run(blocks):
+            return [self._block_terms(XT, block, True) for block in blocks]
 
         in_flight = collections.deque()
         with ThreadPoolExecutor(threads) as pool:
-            for starts in tasks:
+            for blocks in tasks:
                 if len(in_flight) == _TASKS_PER_THREAD * threads:
                     yield from in_flight.popleft().result()
-                in_flight.append(pool.submit(contextvars.copy_context().run, run, starts))
+                in_flight.append(pool.submit(contextvars.copy_context().run, run, blocks))
             while in_flight:
                 yield from in_flight.popleft().result()
 
-    def weighted_value_grad_many(self, X):
-        # Block terms are summed on the calling thread in block order, so
-        # the threaded and the serial path return the same bits.  Threads
-        # engage only when BLAS leaves CPUs free, each thread gets at least
-        # two tasks and the batch holds at least _MIN_THREADED_POINTS points.
-        starts = range(0, len(self.ds.y), _ROW_BLOCK)
-        tasks = [starts[i : i + _BLOCKS_PER_TASK] for i in range(0, len(starts), _BLOCKS_PER_TASK)]
-        cpus = _usable_cpu_count()
-        threads = min(cpus // (_blas_threads() or cpus), len(tasks) // 2)
-        XT = np.ascontiguousarray(X.T)
-        if threads > 1 and X.shape[1] >= _MIN_THREADED_POINTS:
+    def _sums(self, XT, want_grad: bool):
+        """The values (K,) and, if want_grad, the gradients (K, n) at the rows of XT.
+
+        Block terms are summed on the calling thread in block order, so the
+        threaded and the serial path return the same bits.  Threads engage
+        only for a gradient of at least _MIN_THREADED_POINTS points, when
+        BLAS leaves CPUs free and each thread gets at least two tasks.
+        """
+        blocks = self._row_blocks
+        threads = 0
+        if want_grad and len(XT) >= _MIN_THREADED_POINTS:
+            tasks = [blocks[i : i + _BLOCKS_PER_TASK] for i in range(0, len(blocks), _BLOCKS_PER_TASK)]
+            cpus = _usable_cpu_count()
+            threads = min(cpus // (_blas_threads() or cpus), len(tasks) // 2)
+        if threads > 1:
             terms = self._threaded_block_terms(XT, tasks, threads)
         else:
-            terms = (self._block_terms(XT, lo) for lo in starts)
-        values = np.zeros(X.shape[1])
-        grads = np.zeros(XT.shape)
+            terms = (self._block_terms(XT, block, want_grad) for block in blocks)
+        values, grads = next(terms)
         for value, grad in terms:
             values += value
-            grads += grad
+            if want_grad:
+                grads += grad
+        return values, grads
+
+    def weighted_value_grad_many(self, X):
+        values, grads = self._sums(np.ascontiguousarray(X.T), want_grad=True)
         return values, np.ascontiguousarray(grads.T)
 
 

@@ -38,7 +38,11 @@ from .objective import (
     subsample_value_grad,
 )
 
-# Hard cap on Armijo backtracks in the full-sample search.
+# Hard cap on the backtracks of either line search.  A config is valid only
+# if beta**_MAX_BACKTRACKS <= t_min: the mini-batch search then stops within
+# the cap, and the full-sample search tries steps down to t_min before it
+# raises MaxBacktracks.  The baseline, which has no t_min, is held to the
+# adaptive solver's default.
 _MAX_BACKTRACKS = 200
 
 # Slack for runtime feasibility checks; covers float roundoff only.
@@ -149,16 +153,22 @@ def eta(k: int, s_exp: float) -> float:
     return float((k + 1) ** (-s_exp))
 
 
-def _bound_problems(cfg, unit_fields: tuple[str, ...]) -> list[str]:
+def _bound_problems(cfg, unit_fields: tuple[str, ...], t_min: float) -> list[str]:
     """Violations of the bounds that SolverConfig and BaselineConfig share.
 
-    unit_fields names the parameters that must lie in (0, 1).
+    unit_fields names the parameters that must lie in (0, 1); t_min is the
+    smallest step the line searches must be able to reach from cfg.beta.
     """
     problems = []
     for name in unit_fields:
         v = getattr(cfg, name)
         if not (0.0 < v < 1.0):
             problems.append(f"{name}={v!r} must lie in (0, 1)")
+    if 0.0 < cfg.beta < 1.0 and cfg.beta**_MAX_BACKTRACKS > t_min:
+        problems.append(
+            f"beta={cfg.beta!r} and t_min={t_min!r}: {_MAX_BACKTRACKS} backtracks by beta "
+            f"reach only {cfg.beta**_MAX_BACKTRACKS:.3g}, above t_min"
+        )
     if not cfg.s_exp > 0.5:
         problems.append(f"s_exp={cfg.s_exp!r} must exceed 0.5 for summable squared tolerances")
     if cfg.k_max < 0:
@@ -170,7 +180,7 @@ def _bound_problems(cfg, unit_fields: tuple[str, ...]) -> list[str]:
 
 def validate_config(cfg: SolverConfig, n_components: int | None = None) -> None:
     """Raise ConfigInvalid when cfg violates a hard bound."""
-    problems = _bound_problems(cfg, ("beta", "c", "c1", "t_min"))
+    problems = _bound_problems(cfg, ("beta", "c", "c1", "t_min"), cfg.t_min)
     if not cfg.C_accept > 0:
         problems.append(f"C_accept={cfg.C_accept!r} must be positive")
     if cfg.N0 < 1:
@@ -217,7 +227,7 @@ def line_search_full(
     Returns the largest t = beta^j (smallest j >= 0) with
     phi(t) <= f0 + c1*t*slope + eta_k^2.  phi should map non-finite trial
     values to +inf so that they simply fail the test.  Raises MaxBacktracks
-    after 200 failed reductions.
+    after _MAX_BACKTRACKS failed reductions.
     """
     slack = eta_k * eta_k
     for j in range(_MAX_BACKTRACKS + 1):

@@ -1,14 +1,14 @@
 """Reference implementations that tests compare the package against.
 
 The component oracles evaluate one summand at a time, the plain way, for
-checking the vectorised kernels; logistic_value_grad_many is the batched
-logistic oracle's serial form, BlockedLogisticKernel the logistic
-kernel's full-data methods as a plain loop over its row blocks, and
-parse_libsvm_dicts the LIBSVM reader's earlier form, which held one dict
-per row.  cg_solve and exact_project are the package's earlier forms,
-written with the @ operator, a freshly allocated search direction and
-scipy.linalg.cho_solve; the package's leaner forms must reproduce them bit
-for bit.
+checking the vectorised kernels; logistic_block_sums is the logistic
+kernel's full-data sums as a plain serial loop over its row blocks,
+logistic_value_grad_many and BlockedLogisticKernel its batched and
+one-point forms, and parse_libsvm_dicts the LIBSVM reader's earlier form,
+which held one dict per row.  cg_solve and exact_project are the package's
+earlier forms, written with the @ operator, a freshly allocated search
+direction and scipy.linalg.cho_solve; the package's leaner forms must
+reproduce them bit for bit.
 """
 
 from __future__ import annotations
@@ -46,70 +46,59 @@ def logistic_component(ds: LogisticDataset, i: int, x: np.ndarray) -> tuple[floa
     return value, grad
 
 
-def logistic_value_grad_many(
-    ds: LogisticDataset, w: np.ndarray, X: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """LogisticKernel.weighted_value_grad_many as one serial loop over 256-row blocks.
+def logistic_block_sums(
+    ds: LogisticDataset, w: np.ndarray, X: np.ndarray, want_grad: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The logistic kernel's full-data sums at the columns of X, as one serial loop.
 
-    Point-major: the K points are the rows of X', so each block's margins
-    and coefficients are (K, rows) arrays, and its gradient term is
-    coef @ Z_b.  The value term is w_b @ losses over the (rows, K) losses.
-    The package computes the same block terms, on helper threads for a
-    large Z, and must sum them to these bits.
+    Point-major, over the row blocks of _blocks: the K points are the rows
+    of X', so each block's margins and coefficients are (K, rows) arrays,
+    its value term is losses . w_b and its gradient term coef . Z_b.  The
+    terms are added in block order, each sum starting from the first
+    block's term.  Returns the values (K,) and, if want_grad, the gradients
+    (K, n), else None.  The package computes the same block terms, on
+    helper threads for a large batch, and must sum them to these bits.
     """
     Z, y = ds.Z, ds.y
     XT = np.ascontiguousarray(X.T)
-    values = np.zeros(X.shape[1])
-    grads = np.zeros(XT.shape)
-    for lo in range(0, len(y), 256):
-        rows = slice(lo, lo + 256)
+    values = grads = None
+    for rows in _blocks(*Z.shape):
         Zb, wb = Z[rows], w[rows]
-        m = (XT @ Zb.T) * -y[rows]
+        m = XT.dot(Zb.T) * -y[rows]
         e = np.exp(-np.abs(m))
-        values += wb @ np.ascontiguousarray((np.log1p(e) + np.maximum(m, 0.0)).T)
-        coef = np.where(m > 0.0, 1.0, e) / (e + 1.0)
-        coef *= -wb * y[rows]
-        grads += coef @ Zb
+        value = (np.log1p(e) + np.maximum(m, 0.0)).dot(wb)
+        values = value if values is None else values + value
+        if want_grad:
+            coef = np.where(m > 0.0, 1.0, e) / (e + 1.0)
+            coef *= wb * -y[rows]
+            grads = coef.dot(Zb) if grads is None else grads + coef.dot(Zb)
+    return values, grads
+
+
+def logistic_value_grad_many(
+    ds: LogisticDataset, w: np.ndarray, X: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """LogisticKernel.weighted_value_grad_many: the block sums, gradients as (n, K)."""
+    values, grads = logistic_block_sums(ds, w, X)
     return values, np.ascontiguousarray(grads.T)
 
 
 class BlockedLogisticKernel(LogisticKernel):
-    """LogisticKernel whose full-data methods loop over its row blocks and memoise nothing.
+    """LogisticKernel whose one-point methods are the block sums at one point, memo-less.
 
-    Each block of _blocks, in order, gives its margins -y_b * (Z_b x), its
-    losses, its value w_b . losses_b and, for a gradient, Z_b' coef_b; the
-    values and the gradients are added in block order, each sum starting
-    from the first block's term.  Data of one block makes the plain calls,
-    Z x, Z' coef and w . losses.  The package's full-data methods must
-    return these bits, whichever path they take.
+    A value-only call computes no gradient term, as the package's does not
+    unless it fuses, so each raises or warns where the package must.  The
+    package's one-point methods must return these bits, whichever path
+    they take.
     """
 
-    def _terms(self, x, want_grad: bool):
-        """Per block: (margins, losses, value, gradient or None)."""
-        Z, y, w = self.ds.Z, self.ds.y, self.weights
-        for rows in _blocks(*Z.shape):
-            margins = -y[rows] * (Z[rows] @ x)
-            losses = np.logaddexp(0.0, margins)
-            grad = Z[rows].T @ (w[rows] * (-y[rows] * expit(margins))) if want_grad else None
-            yield margins, losses, float(w[rows] @ losses), grad
-
-    def margins_and_losses(self, x):
-        terms = list(self._terms(x, want_grad=False))
-        return np.concatenate([t[0] for t in terms]), np.concatenate([t[1] for t in terms])
-
-    def _sums(self, x, want_grad: bool):
-        value = grad = None
-        for _, _, block_value, block_grad in self._terms(x, want_grad):
-            value = block_value if value is None else value + block_value
-            if want_grad:
-                grad = block_grad if grad is None else grad + block_grad
-        return value, grad
-
     def weighted_value(self, x):
-        return self._sums(x, want_grad=False)[0]
+        values, _ = logistic_block_sums(self.ds, self.weights, x[:, None], want_grad=False)
+        return float(values[0])
 
     def weighted_value_grad(self, x):
-        return self._sums(x, want_grad=True)
+        values, grads = logistic_block_sums(self.ds, self.weights, x[:, None])
+        return float(values[0]), grads[0]
 
 
 def noisy_quadratic_component(

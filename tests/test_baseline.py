@@ -45,6 +45,13 @@ class TestBaselineConfig:
         with pytest.raises(ConfigInvalid):
             validate_baseline_config(BaselineConfig(**{field: value}))
 
+    def test_beta_must_reach_the_solvers_default_t_min_within_the_backtrack_cap(self):
+        # The full-sample search stops after 200 backtracks, which take
+        # 0.999 only to 0.82; 0.95 reaches 3.5e-5, below t_min = 1e-4.
+        validate_baseline_config(BaselineConfig(beta=0.95))
+        with pytest.raises(ConfigInvalid, match=r"beta=0\.999 and t_min=0\.0001: 200"):
+            validate_baseline_config(BaselineConfig(beta=0.999))
+
 
 class TestBaselineRun:
     def test_every_row_is_full_sample_and_accepted(self):
@@ -218,8 +225,8 @@ _KERNEL_SCRIPT = textwrap.dedent(
 @pytest.mark.skipif(_usable_cpu_count() < 2, reason="a second BLAS thread needs a second CPU")
 @pytest.mark.parametrize(
     "shape",
-    # Narrow data, in blocks of 4096 rows, and data over 16384 columns
-    # wide, in blocks of 4 rows whose margins are dots of n entries.
+    # Narrow data, in blocks of 384 rows, and data over 16384 columns
+    # wide, in blocks of 8 rows whose margins are dots of n entries.
     [(30000, 2), (30000, 3), (30000, 4), (300, 17000)],
     ids=lambda shape: "x".join(map(str, shape)),
 )
@@ -254,4 +261,36 @@ def test_mini_batch_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     # One Z' coef over all 8192 gathered rows changed bits between 1 and 2
     # threads; the gradient now sums two blocks of 4096 rows.
     outputs = _written_at_each_thread_count(tmp_path, _MINI_BATCH_SCRIPT, 8192, 100)
+    assert outputs[0] == outputs[1]
+
+
+# The batched oracle at K random points on random N x n data with random
+# weights, written to argv[1] for N, n, K = argv[2:5].
+_BATCH_SCRIPT = textwrap.dedent(
+    """
+    import sys
+    from pathlib import Path
+    import numpy as np
+    from ipas import LogisticDataset
+    from ipas.problems import LogisticKernel
+    N, n, K = map(int, sys.argv[2:5])
+    rng = np.random.default_rng(n)
+    ds = LogisticDataset(Z=rng.standard_normal((N, n)) / n**0.5, y=rng.choice([-1.0, 1.0], N))
+    kernel = LogisticKernel(ds, rng.random(N) / N)
+    values, grads = kernel.weighted_value_grad_many(rng.standard_normal((n, K)))
+    Path(sys.argv[1]).write_bytes(values.tobytes() + b"|" + grads.tobytes())
+    """
+)
+
+
+@pytest.mark.skipif(_usable_cpu_count() < 2, reason="a second BLAS thread needs a second CPU")
+@pytest.mark.parametrize(
+    "shape",
+    # Row blocks of 384, 384, 232 and 4 rows; of 96 and 4 rows on 100 x 200,
+    # where the parent's one 100-row block changed bits at K = 33 and 64.
+    [(1004, 50, 1), (1004, 50, 33), (1004, 50, 64), (100, 200, 33), (100, 200, 64)],
+    ids=lambda shape: "{}x{}-K{}".format(*shape),
+)
+def test_batched_oracle_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, shape):
+    outputs = _written_at_each_thread_count(tmp_path, _BATCH_SCRIPT, *shape)
     assert outputs[0] == outputs[1]

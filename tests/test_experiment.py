@@ -698,11 +698,11 @@ class TestEndToEnd:
 
     def test_process_pool_forks_after_a_threaded_oracle(self, tmp_path):
         # The parent evaluates the batched logistic oracle on helper threads,
-        # then the sweep's process pool forks from it.  4096 rows make 16
+        # then the sweep's process pool forks from it.  6144 rows make 16
         # row blocks, enough for the oracle's threads in the workers too.
         # A child process, so that a hang fails at the timeout.
         data = tmp_path / "data.libsvm"
-        save_libsvm(make_synthetic_logistic(4096, 3, seed=11), data)
+        save_libsvm(make_synthetic_logistic(6144, 3, seed=11), data)
         config = write_config(
             tmp_path,
             f"""

@@ -1,12 +1,12 @@
 """The logistic kernel's one-point full-data methods against their memo-less forms.
 
-The kernel sums its margins, value and gradient over the row blocks of
-ipas.problems._blocks and reads them through a memo; on a Z of at least
-_FUSED_MIN_BYTES a trial value computes the gradient in the same read of Z.
+The kernel sums its value and gradient over the row blocks of
+ipas.problems._blocks and reads them through a memo; while underflow is
+ignored, a trial value computes the gradient in the same read of Z.
 Whichever path a call takes, it must return the bits of the memo-less
-BlockedLogisticKernel of tests/reference.py, which on data of one block
-makes the plain calls Z x and Z' coef.  Checked in the solver's and the baseline's records, field by field, and in
-the kernel's own value, margins, losses and gradient.
+BlockedLogisticKernel of tests/reference.py.  Checked in the solver's and
+the baseline's records, field by field, in the kernel's own value and
+gradient, and against the batched oracle at one point.
 """
 
 import dataclasses
@@ -27,13 +27,12 @@ from ipas import (
     run_baseline,
     uniform_weights,
 )
-from ipas.problems import _FUSED_MIN_BYTES, LogisticKernel, _blocks
+from ipas.problems import LogisticKernel, _blocks
 from reference import BlockedLogisticKernel
 from test_golden import DATA
 
-# 21000 x 200 float64 is 33.6 MB, above the size gate, and N is no
-# multiple of a row block.  The features are scaled so that the line
-# searches backtrack.
+# 21000 x 200 float64 is 33.6 MB, and N is no multiple of a row block.
+# The features are scaled so that the line searches backtrack.
 N_ROWS = 21000
 DIM = 200
 SCALE = 30.0
@@ -43,7 +42,6 @@ SCALE = 30.0
 def large():
     base = make_synthetic_logistic(N_ROWS, DIM, seed=3)
     ds = LogisticDataset(Z=SCALE * base.Z, y=base.y)
-    assert ds.Z.nbytes >= _FUSED_MIN_BYTES
     obj = logistic_objective(ds)
     ref = FiniteSumObjective(DIM, BlockedLogisticKernel(ds, obj.weights))
     return generate_constraints(DIM, 20, seed=4), obj, ref
@@ -77,7 +75,7 @@ def reference(kernel: LogisticKernel) -> BlockedLogisticKernel:
 
 
 def assert_bits(kernel: LogisticKernel, x: np.ndarray, value_first: bool):
-    """Value, margins, losses and gradient at x equal the reference kernel's bytes."""
+    """Value and gradient at x equal the reference kernel's bytes."""
     ref = reference(kernel)
     if value_first:
         assert kernel.weighted_value(x) == ref.weighted_value(x)
@@ -85,10 +83,6 @@ def assert_bits(kernel: LogisticKernel, x: np.ndarray, value_first: bool):
     ref_value, ref_grad = ref.weighted_value_grad(x)
     assert value == ref_value
     assert grad.tobytes() == ref_grad.tobytes()
-    margins, losses = ref.margins_and_losses(x)
-    _, memo_margins, memo_losses, _ = kernel._memo
-    assert memo_margins.tobytes() == margins.tobytes()
-    assert memo_losses.tobytes() == losses.tobytes()
 
 
 def margin_scaled_point(ds: LogisticDataset, largest: float, seed: int) -> np.ndarray:
@@ -114,41 +108,75 @@ def assert_bits_at_every_scale(ds: LogisticDataset, seed: int):
 class TestKernelBits:
     @pytest.mark.parametrize("n", [200, 201, 202, 203])
     def test_every_result_matches_the_blocked_kernel(self, n):
-        # n % 4 in {0, 1, 2, 3}, each above the size gate.
+        # n % 8 in {0, 1, 2, 3}.
         ds = make_synthetic_logistic(N_ROWS, n, seed=n)
-        assert ds.Z.nbytes >= _FUSED_MIN_BYTES
         assert_bits_at_every_scale(ds, seed=n)
 
     @pytest.mark.parametrize("data", ["tiny", "768x8", "100x5"])
-    def test_one_block_data_matches_the_blocked_kernel(self, data):
+    def test_small_data_matches_the_blocked_kernel(self, data):
         # tests/data/tiny.libsvm, the sweep's 768 x 8 data and the golden
-        # baseline's 100 x 5 fixture: one block, so the plain calls.
+        # baseline's 100 x 5 fixture: two blocks each, the last one of
+        # fewer than 8 rows for tiny and 100 x 5.
         ds = {
             "tiny": lambda: load_libsvm(DATA / "tiny.libsvm"),
             "768x8": lambda: make_synthetic_logistic(768, 8, seed=42),
             "100x5": lambda: make_synthetic_logistic(100, 5, seed=0),
         }[data]()
-        assert len(_blocks(*ds.Z.shape)) == 1
+        assert len(_blocks(*ds.Z.shape)) == 2
         assert_bits_at_every_scale(ds, seed=5)
 
 
+class TestOnePointIsTheBatchAtOnePoint:
+    @pytest.mark.parametrize("data", ["tiny", "768x8", "1004x50", "large"])
+    def test_the_one_point_methods_return_the_batchs_bits(self, data, large):
+        # weighted_value and weighted_value_grad are the K = 1 case of
+        # weighted_value_grad_many: same blocks, same calls, same sums.
+        ds = {
+            "tiny": lambda: load_libsvm(DATA / "tiny.libsvm"),
+            "768x8": lambda: make_synthetic_logistic(768, 8, seed=42),
+            "1004x50": lambda: make_synthetic_logistic(1004, 50, seed=1),
+            "large": lambda: large[1].kernel.ds,
+        }[data]()
+        n_rows = ds.n_samples
+        weights = (uniform_weights(n_rows), np.random.default_rng(0).random(n_rows) / n_rows)
+        for i, largest in enumerate((5.0, 100.0, 700.0)):
+            x = margin_scaled_point(ds, largest, seed=i)
+            for w in weights:
+                values, grads = LogisticKernel(ds, w).weighted_value_grad_many(x[:, None])
+                value, grad = LogisticKernel(ds, w).weighted_value_grad(x)
+                assert repr(value) == repr(float(values[0]))
+                assert grad.tobytes() == grads[:, 0].tobytes()
+                with np.errstate(under="warn"):  # a value-only pass
+                    assert repr(LogisticKernel(ds, w).weighted_value(x)) == repr(value)
+                strided = np.stack([x, x], axis=1)[:, 0]  # x's bytes, not contiguous
+                value, grad = LogisticKernel(ds, w).weighted_value_grad(strided)
+                assert repr(value) == repr(float(values[0]))
+                assert grad.tobytes() == grads[:, 0].tobytes()
+
+
 class TestBlocks:
-    @pytest.mark.parametrize("dim", [1, 5, 8, 200])
-    def test_blocks_tile_the_rows_below_the_threaded_ddot_size(self, dim):
-        # x86 OpenBLAS threads a ddot from about 10000 entries on.
-        n_rows = 100000
+    @pytest.mark.parametrize("n_rows", [1, 7, 8, 385, 1004, N_ROWS, 100004])
+    @pytest.mark.parametrize("dim", [1, 8, 50, 200, 201, 17000])
+    def test_blocks_are_multiples_of_8_rows_up_to_384_but_the_last(self, n_rows, dim):
+        # On x86 OpenBLAS the margins GEMM changed bits with the thread
+        # count on row counts that are not a multiple of 8, and the
+        # gradient GEMM on more than 384 rows.
         blocks = _blocks(n_rows, dim)
         assert blocks[0].start == 0 and blocks[-1].stop == n_rows
         assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
-        assert all(b.start % 4 == 0 for b in blocks)
-        assert all(b.stop - b.start < 10000 for b in blocks)
+        sizes = [b.stop - b.start for b in blocks]
+        assert all(0 < size <= 384 for size in sizes)
+        assert all(size % 8 == 0 for size in sizes[:-1])
+        assert sizes[-1] % 8 == 0 or sizes[-1] < 8
 
-    def test_the_last_block_takes_the_rows_left_over(self):
-        blocks = _blocks(N_ROWS, DIM)
-        rows = blocks[0].stop
-        assert rows % 4 == 0
-        assert all(b.stop - b.start == rows for b in blocks[:-1])
-        assert rows <= blocks[-1].stop - blocks[-1].start < 2 * rows
+    @pytest.mark.parametrize("dim,rows", [(1, 384), (50, 384), (200, 320), (17000, 8)])
+    def test_a_full_block_holds_about_512_kb_of_rows(self, dim, rows):
+        assert _blocks(10 * rows, dim) == [slice(lo, lo + rows) for lo in range(0, 10 * rows, rows)]
+
+    def test_the_rows_left_over_make_at_most_two_blocks(self):
+        assert [b.stop - b.start for b in _blocks(1004, 50)] == [384, 384, 232, 4]
+        assert [b.stop - b.start for b in _blocks(100004, DIM)][-3:] == [320, 160, 4]
+        assert [b.stop - b.start for b in _blocks(N_ROWS, DIM)][-2:] == [320, 200]
         assert _blocks(3, DIM) == [slice(0, 3)]
 
 
@@ -164,7 +192,7 @@ def data_and_point(request, large):
 
 def held_gradient(kernel):
     """The gradient the kernel's memo holds, or None."""
-    return kernel._memo[3]
+    return kernel._memo[2]
 
 
 def ref_grad(kernel, x):
@@ -235,51 +263,45 @@ class TestGradientMemo:
 
 
 def count_passes(kernel, monkeypatch) -> dict[str, int]:
-    """Count the kernel's blocked passes by kind, as the calls go."""
-    counts = {"value": 0, "fused": 0, "gradient": 0}
-    real = kernel._pass
+    """Count the kernel's blocked passes, value-only and with a gradient, as the calls go."""
+    counts = {"value": 0, "gradient": 0}
+    real = kernel._sums
 
-    def spy(x=None, margins=None, want_grad=True):
-        kind = "gradient" if x is None else "fused" if want_grad else "value"
-        counts[kind] += 1
-        return real(x=x, margins=margins, want_grad=want_grad)
+    def spy(XT, want_grad):
+        counts["gradient" if want_grad else "value"] += 1
+        return real(XT, want_grad=want_grad)
 
-    monkeypatch.setattr(kernel, "_pass", spy)
+    monkeypatch.setattr(kernel, "_sums", spy)
     return counts
 
 
 class TestWhereTheFusedPassRuns:
     @pytest.mark.parametrize("data", ["small", "large"])
-    def test_a_trial_value_holds_the_gradient_only_above_the_size_gate(self, data, large):
+    def test_a_trial_value_holds_the_gradient_while_underflow_is_ignored(self, data, large):
         ds = make_synthetic_logistic(768, 8, seed=42) if data == "small" else large[1].kernel.ds
         kernel = LogisticKernel(ds, uniform_weights(ds.n_samples))
-        assert kernel._fuses == (data == "large")
         x = margin_scaled_point(ds, 5.0, seed=1)
         kernel.weighted_value(x)
-        assert (held_gradient(kernel) is not None) == (data == "large")
+        assert held_gradient(kernel) is not None
         # Not while underflow is not ignored.
         with np.errstate(under="warn"):
             kernel.weighted_value(0.25 * x)
         assert held_gradient(kernel) is None
 
-    def test_each_trial_point_reads_z_once_on_large_data(self, large, monkeypatch):
-        cs, obj, _ = large
-        kernel = LogisticKernel(obj.kernel.ds, obj.weights)
+    @pytest.mark.parametrize("data", ["small", "large"])
+    def test_each_trial_point_reads_z_once(self, data, large, monkeypatch):
+        # The sweep's 768 x 8 problem and the large one.
+        if data == "small":
+            cs, obj = generate_constraints(8, 4, seed=7), make_synthetic_logistic(768, 8, seed=42)
+            cfg = BaselineConfig(k_max=20)
+        else:
+            cs, obj = large[0], large[1].kernel.ds
+            cfg = BaselineConfig(k_max=4, s_exp=3.0)
+        kernel = LogisticKernel(obj, uniform_weights(obj.n_samples))
         counts = count_passes(kernel, monkeypatch)
-        objective = FiniteSumObjective(DIM, kernel)
-        records = run_baseline(cs, objective, BaselineConfig(k_max=4, s_exp=3.0)).records
-        # One fused pass per trial point plus the start; each gradient at
-        # an accepted point is the memo's.
+        records = run_baseline(cs, FiniteSumObjective(obj.dim, kernel), cfg).records
+        # One fused pass per trial point, one at the start and one for the
+        # terminal row's oracle; each gradient at an accepted point is the
+        # memo's.
         trials = sum(1 if r.t == 1.0 else 2 for r in records[:-1])
-        assert counts == {"value": 0, "fused": trials + 1, "gradient": 0}
-
-    def test_small_data_reads_z_again_for_each_accepted_gradient(self, monkeypatch):
-        obj = logistic_objective(make_synthetic_logistic(768, 8, seed=42))
-        cs = generate_constraints(8, 4, seed=7)
-        counts = count_passes(obj.kernel, monkeypatch)
-        k_max = 20
-        records = run_baseline(cs, obj, BaselineConfig(k_max=k_max)).records
-        assert [r.t for r in records[:-1]] == [1.0] * k_max  # one trial per search
-        # The gradient at the start is a miss, those at the k_max - 1
-        # accepted points that follow read the held margins.
-        assert counts == {"value": k_max, "fused": 1, "gradient": k_max - 1}
+        assert counts == {"value": 0, "gradient": trials + 2}

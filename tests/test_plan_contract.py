@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from ipas import (
     ConfigInvalid,
     InvariantViolation,
-    MaxBacktracks,
     parse_experiment_config,
     run,
     run_experiment,
@@ -161,17 +160,11 @@ def test_an_accepted_config_with_a_steep_schedule_runs_to_the_end():
         raise crashes[0]
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=MaxBacktracks,
-    reason="line_search_full stops after 200 backtracks whatever beta is, "
-    "and validate_config accepts any beta below 1",
-)
 def test_a_backtracking_factor_near_one_is_rejected_or_runs():
     # A draw of the property above, shrunk by hand.  With one component
     # every iteration is full sample, and 200 backtracks by 0.999 shrink the
-    # step only to 0.82: the second iteration raises MaxBacktracks.
-    # beta = 0.997 runs; 0.998 raises too.
+    # step only to 0.82, so the second iteration would raise MaxBacktracks;
+    # beta**200 lies above t_min, so the config is rejected.
     text = """
         [problem]
         kind = noisy_quadratic
@@ -185,4 +178,29 @@ def test_a_backtracking_factor_near_one_is_rejected_or_runs():
         [run]
         seeds = 0
     """
-    assert_rejected_or_runs(textwrap.dedent(text))
+    assert assert_rejected_or_runs(textwrap.dedent(text)) == "rejected at plan time"
+
+
+def test_a_mini_batch_search_without_a_trial_bound_is_rejected():
+    # Shrunk by hand: a mini-batch search reduces t by beta until beta * t
+    # < t_min, so one search could make about 6.9 million trials.  The
+    # config is rejected, naming both keys.
+    text = """
+        [problem]
+        kind = noisy_quadratic
+        n = 5
+        components = 100
+
+        [solver]
+        beta = 0.9999
+        t_min = 1e-300
+        k_max = 200
+
+        [run]
+        seeds = 0
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sweep.ini"
+        path.write_text(textwrap.dedent(text))
+        with pytest.raises(ConfigInvalid, match=r"beta=0\.9999 and t_min=1e-300: 200 backtracks"):
+            parse_experiment_config(path)

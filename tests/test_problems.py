@@ -44,7 +44,7 @@ from ipas import (
 
 from ipas import problems
 from ipas.objective import ComponentKernel
-from ipas.problems import _ROW_BLOCK, LogisticKernel, NoisyQuadraticKernel, parse_libsvm
+from ipas.problems import _BLOCK_ROWS, LogisticKernel, NoisyQuadraticKernel, _blocks, parse_libsvm
 from ipas.solver import _oracle_batch
 from reference import (
     BlockedLogisticKernel,
@@ -149,7 +149,7 @@ class TestLogisticComponents:
     def test_batched_kernel_covers_both_block_edges(self):
         # N is not a multiple of the row block, so the last block is short,
         # and K exceeds the solver's 64-iterate batches.
-        ds = make_synthetic_logistic(2 * _ROW_BLOCK + 123, 5, seed=4)
+        ds = make_synthetic_logistic(2 * _BLOCK_ROWS + 123, 5, seed=4)
         rng = np.random.default_rng(5)
         w = rng.random(ds.n_samples)
         w /= w.sum()
@@ -240,11 +240,11 @@ class TestThreadedBatchKernel:
     """weighted_value_grad_many on helper threads against the serial reference, bit for bit."""
 
     DIM = 7
-    # 23 row blocks, the last one short, in tasks of 4, 4, 4, 4, 4 and 3
-    # blocks: two threads, and more tasks than the four kept in flight.
-    N = 22 * _ROW_BLOCK + 100
+    # 22 full row blocks, then one of 96 rows and one of 4, in 6 tasks of
+    # 4 blocks: two threads, and more tasks than the four kept in flight.
+    N = 22 * _BLOCK_ROWS + 100
     # 12 blocks make 3 tasks, too few for two threads; one more row makes 4.
-    SERIAL_N = 12 * _ROW_BLOCK
+    SERIAL_N = 12 * _BLOCK_ROWS
 
     @classmethod
     def problem(cls, n_samples, K, seed=0, dim=DIM):
@@ -260,11 +260,13 @@ class TestThreadedBatchKernel:
         seen = []
         real = LogisticKernel._block_terms
 
-        def spy(self, X, lo):
+        def spy(self, XT, block, want_grad):
+            i = next(i for i, b in enumerate(self._row_blocks) if b is block)
+            lo = _blocks(*self.ds.Z.shape)[i].start
             seen.append((lo, threading.current_thread(), np.geterr()))
             if lo == fail_at:
                 raise RuntimeError(f"block at row {lo} failed")
-            return real(self, X, lo)
+            return real(self, XT, block, want_grad)
 
         monkeypatch.setattr(LogisticKernel, "_block_terms", spy)
         return seen
@@ -288,7 +290,7 @@ class TestThreadedBatchKernel:
         kernel, X = self.problem(self.N, K, seed=K)
         seen = self.block_threads(monkeypatch)
         self.assert_matches_reference(kernel, X)
-        assert sorted(lo for lo, _, _ in seen) == list(range(0, self.N, _ROW_BLOCK))
+        assert sorted(lo for lo, _, _ in seen) == [b.start for b in _blocks(self.N, self.DIM)]
         assert threading.main_thread() not in {t for _, t, _ in seen}
 
     @pytest.mark.parametrize("K", [1, 2, 33, 70])
@@ -359,11 +361,11 @@ class TestThreadedBatchKernel:
 
     def test_a_helpers_exception_reaches_the_caller(self, monkeypatch, two_cpus):
         kernel, X = self.problem(self.N, 40)
-        seen = self.block_threads(monkeypatch, fail_at=9 * _ROW_BLOCK)
+        seen = self.block_threads(monkeypatch, fail_at=9 * _BLOCK_ROWS)
         before = threading.active_count()
-        with pytest.raises(RuntimeError, match=f"block at row {9 * _ROW_BLOCK} failed"):
+        with pytest.raises(RuntimeError, match=f"block at row {9 * _BLOCK_ROWS} failed"):
             kernel.weighted_value_grad_many(X)
-        failed = [t for lo, t, _ in seen if lo == 9 * _ROW_BLOCK]
+        failed = [t for lo, t, _ in seen if lo == 9 * _BLOCK_ROWS]
         assert failed and failed[0] is not threading.main_thread()
         assert threading.active_count() == before
 
@@ -384,7 +386,7 @@ class TestThreadedBatchKernel:
         # computes it, as it does in the serial reference.
         ds = make_synthetic_logistic(self.N, 1, seed=2)
         Z = ds.Z.copy()
-        Z[11 * _ROW_BLOCK + 5] = 900.0
+        Z[11 * _BLOCK_ROWS + 5] = 900.0
         kernel = logistic_objective(LogisticDataset(Z=Z, y=ds.y)).kernel
         X = np.ones((1, 40))
         kernel.weighted_value_grad_many(X)
@@ -817,15 +819,17 @@ def test_weights_of_the_wrong_length_are_rejected_when_the_objective_is_built(ex
 
 
 def count_margin_passes(kernel, monkeypatch) -> SimpleNamespace:
-    """Count the kernel's blocked passes that compute margins: its reads of Z at a new x."""
+    """Count the one-point methods' blocked passes: the calls that replace the memo."""
     counter = SimpleNamespace(passes=0)
-    real = kernel._pass
+    real = kernel._evaluate
 
-    def spy(x=None, margins=None, want_grad=True):
-        counter.passes += x is not None
-        return real(x=x, margins=margins, want_grad=want_grad)
+    def spy(x, want_grad):
+        before = kernel._memo
+        result = real(x, want_grad)
+        counter.passes += kernel._memo is not before
+        return result
 
-    monkeypatch.setattr(kernel, "_pass", spy)
+    monkeypatch.setattr(kernel, "_evaluate", spy)
     return counter
 
 
@@ -849,7 +853,7 @@ def distinct_in_a_row(points: list[bytes]) -> int:
 
 
 class TestLogisticMemo:
-    """The full-data methods reuse the margins of the last point, bit-neutrally."""
+    """The full-data methods reuse the value and gradient of the last point, bit-neutrally."""
 
     @pytest.mark.parametrize("source", ["tiny", "synthetic"])
     def test_results_equal_a_fresh_kernel(self, source, monkeypatch):
@@ -910,7 +914,7 @@ class TestLogisticMemo:
         records = run_baseline(cs, obj, BaselineConfig(k_max=k_max, c1=1e-4)).records
         assert [r.t for r in records[:-1]] == [1.0] * k_max  # one trial per step
         # A gradient and a trial per iteration, 2 k_max evaluations; the
-        # gradient at each accepted trial point reuses its margins.
+        # gradient at each accepted trial point is the one its trial held.
         assert len(points) == 2 * k_max
         assert distinct_in_a_row(points) == k_max + 1
         assert counter.passes == k_max + 1

@@ -117,6 +117,25 @@ class TestValidateConfig:
         with pytest.raises(ConfigInvalid):
             validate_config(cfg)
 
+    @pytest.mark.parametrize(
+        "beta,t_min,valid",
+        [
+            (0.1, 1e-199, True),  # 0.1**200 rounds to 1.0000000000000112e-200
+            (0.1, 1e-200, False),
+            (0.95, 1e-4, True),  # 0.95**200 is 3.5e-5
+            (0.96, 1e-4, False),  # 2.9e-4
+            (0.999, 1e-4, False),
+            (0.9999, 1e-300, False),
+        ],
+    )
+    def test_beta_must_reach_t_min_within_the_backtrack_cap(self, beta, t_min, valid):
+        cfg = SolverConfig(beta=beta, t_min=t_min)
+        if valid:
+            validate_config(cfg)
+        else:
+            with pytest.raises(ConfigInvalid, match=rf"beta={beta!r} and t_min={t_min!r}: 200"):
+                validate_config(cfg)
+
     def test_batch_bounds_need_component_count(self):
         cfg = SolverConfig(N0=10, D_size=9)
         validate_config(cfg)  # fine without a count
