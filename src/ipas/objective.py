@@ -138,7 +138,9 @@ class BudgetMeter:
     """Running count of work in scalar products.
 
     A component value or gradient evaluation costs one scalar product;
-    each CG iteration on an m-dimensional system costs m + 4.  The oracle
+    each CG iteration on an m-dimensional system costs m + 4.  Only
+    projections that ran are charged: a control-sample test that its
+    values decided charges its values and gradient but no CG.  The oracle
     metrics go through weighted_value_grad_many, never through a meter.
     """
 

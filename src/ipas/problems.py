@@ -153,6 +153,8 @@ class LogisticKernel:
     the same bytes.  A hit returns what a miss would compute, so no result
     changes by a bit; an x mutated in place, or one differing only in the
     sign of a zero, misses.  The held gradient is returned read-only.
+    weighted_value_grad_many at K = 1 reads the memo too, and returns a
+    writable copy.
 
     A value-only miss computes the gradient in the same read of Z, so the
     gradient at an accepted trial point costs no second read; a rejected
@@ -296,6 +298,11 @@ class LogisticKernel:
         return values, grads
 
     def weighted_value_grad_many(self, X):
+        if X.shape[1] == 1:
+            # The one-point case, through the memo: a terminal-row oracle at
+            # the point a line search just accepted reads no data.
+            value, grad = self._evaluate(np.ascontiguousarray(X[:, 0]), want_grad=True)
+            return np.array([value]), grad[:, None].copy()
         values, grads = self._sums(np.ascontiguousarray(X.T), want_grad=True)
         return values, np.ascontiguousarray(grads.T)
 

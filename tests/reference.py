@@ -8,7 +8,10 @@ one-point forms, and parse_libsvm_dicts the LIBSVM reader's earlier form,
 which held one dict per row.  cg_solve and exact_project are the package's
 earlier forms, written with the @ operator, a freshly allocated search
 direction and scipy.linalg.cho_solve; the package's leaner forms must
-reproduce them bit for bit.
+reproduce them bit for bit.  additional_sampling_test is the control-sample
+test that projects the control direction every time; the package's, which
+skips the projection when the values alone reject the step, must decide
+every step as it does.
 """
 
 from __future__ import annotations
@@ -27,9 +30,16 @@ from ipas import (
     DimensionMismatch,
     LogisticDataset,
     NoisyQuadraticSpec,
+    NonFiniteValue,
     ParseError,
+    Sample,
+    draw_sample,
+    inexact_project,
+    subsample_value,
+    subsample_value_grad,
 )
 from ipas.problems import LogisticKernel, _blocks, _map_labels
+from ipas.solver import AdditionalSampleResult
 
 
 def logistic_component(ds: LogisticDataset, i: int, x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -175,6 +185,27 @@ def exact_project(cs: ConstraintSet, y: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(f"y must have shape ({cs.n},) or ({cs.n}, K), got {y.shape}")
     lam = scipy.linalg.cho_solve(cs.chol, cs.A @ y - (cs.b if y.ndim == 1 else cs.b[:, None]))
     return y - cs.A.T @ lam
+
+
+def additional_sampling_test(cs, obj, x, x_trial, eta_k, cfg, rng, meter) -> AdditionalSampleResult:
+    """The control-sample test that always projects the control direction (reference form).
+
+    Same draw, evaluations, charges and test as the package's, but the
+    control direction is projected before the values are read, whatever
+    they turn out to be.
+    """
+    d_set = Sample.of(obj, draw_sample(obj, cfg.D_size, rng))
+    control = subsample_value_grad(obj, d_set, x, meter)
+    proj = inexact_project(cs, x - control.grad, eta_k)
+    s = proj.point - x
+    f_x = control.value(meter)
+    try:
+        f_trial = subsample_value(obj, d_set, x_trial, meter)
+    except NonFiniteValue:
+        f_trial = math.inf
+    s_sq = float(s.dot(s))
+    accepted = f_trial <= f_x - cfg.c * s_sq + cfg.C_accept * eta_k * eta_k
+    return AdditionalSampleResult(accepted=accepted, projection=proj)
 
 
 def parse_libsvm_dicts(data: bytes, path) -> LogisticDataset:

@@ -28,7 +28,7 @@ from ipas import (
     uniform_weights,
 )
 from ipas.problems import LogisticKernel, _blocks
-from reference import BlockedLogisticKernel
+from reference import BlockedLogisticKernel, logistic_value_grad_many
 from test_golden import DATA
 
 # 21000 x 200 float64 is 33.6 MB, and N is no multiple of a row block.
@@ -130,7 +130,9 @@ class TestOnePointIsTheBatchAtOnePoint:
     @pytest.mark.parametrize("data", ["tiny", "768x8", "1004x50", "large"])
     def test_the_one_point_methods_return_the_batchs_bits(self, data, large):
         # weighted_value and weighted_value_grad are the K = 1 case of
-        # weighted_value_grad_many: same blocks, same calls, same sums.
+        # weighted_value_grad_many: same blocks, same calls, same sums.  The
+        # package's batch at one point goes through them, so it is checked
+        # against the reference batch.
         ds = {
             "tiny": lambda: load_libsvm(DATA / "tiny.libsvm"),
             "768x8": lambda: make_synthetic_logistic(768, 8, seed=42),
@@ -142,7 +144,10 @@ class TestOnePointIsTheBatchAtOnePoint:
         for i, largest in enumerate((5.0, 100.0, 700.0)):
             x = margin_scaled_point(ds, largest, seed=i)
             for w in weights:
-                values, grads = LogisticKernel(ds, w).weighted_value_grad_many(x[:, None])
+                values, grads = logistic_value_grad_many(ds, w, x[:, None])
+                batch = LogisticKernel(ds, w).weighted_value_grad_many(x[:, None])
+                assert batch[0].tobytes() == values.tobytes()
+                assert batch[1].tobytes() == grads.tobytes()
                 value, grad = LogisticKernel(ds, w).weighted_value_grad(x)
                 assert repr(value) == repr(float(values[0]))
                 assert grad.tobytes() == grads[:, 0].tobytes()
@@ -152,6 +157,19 @@ class TestOnePointIsTheBatchAtOnePoint:
                 value, grad = LogisticKernel(ds, w).weighted_value_grad(strided)
                 assert repr(value) == repr(float(values[0]))
                 assert grad.tobytes() == grads[:, 0].tobytes()
+
+    def test_a_one_point_batch_at_the_held_point_reads_no_data(self, monkeypatch):
+        ds = make_synthetic_logistic(768, 8, seed=42)
+        kernel = LogisticKernel(ds, uniform_weights(ds.n_samples))
+        x = margin_scaled_point(ds, 5.0, seed=0)
+        value, grad = kernel.weighted_value_grad(x)
+        counts = count_passes(kernel, monkeypatch)
+        values, grads = kernel.weighted_value_grad_many(x[:, None])
+        assert counts == {"value": 0, "gradient": 0}
+        assert values.tobytes() == np.array([value]).tobytes()
+        assert grads.tobytes() == grad.tobytes()
+        # The oracle's own array, not a view of the held read-only gradient.
+        assert grads.shape == (8, 1) and grads.flags.writeable and grads.flags.c_contiguous
 
 
 class TestBlocks:
@@ -300,8 +318,8 @@ class TestWhereTheFusedPassRuns:
         kernel = LogisticKernel(obj, uniform_weights(obj.n_samples))
         counts = count_passes(kernel, monkeypatch)
         records = run_baseline(cs, FiniteSumObjective(obj.dim, kernel), cfg).records
-        # One fused pass per trial point, one at the start and one for the
-        # terminal row's oracle; each gradient at an accepted point is the
-        # memo's.
+        # One fused pass per trial point and one at the start; each gradient
+        # at an accepted point is the memo's, and so is the terminal row's
+        # one-point oracle.
         trials = sum(1 if r.t == 1.0 else 2 for r in records[:-1])
-        assert counts == {"value": 0, "gradient": trials + 2}
+        assert counts == {"value": 0, "gradient": trials + 1}

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ipas.solver
 from ipas import (
     CallableKernel,
+    CgStalled,
     ConfigInvalid,
     FiniteSumObjective,
     InvariantViolation,
@@ -323,6 +325,58 @@ class TestAdditionalSamplingTest:
             cfg=self.config(), rng=self.rng, meter=BudgetMeter(),
         )
         assert not out.accepted
+        assert out.projection is None
+
+    def spy_projection(self, monkeypatch) -> list:
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return inexact_project(*args)
+
+        monkeypatch.setattr(ipas.solver, "inexact_project", spy)
+        return calls
+
+    def test_values_above_the_slack_reject_without_projecting(self, monkeypatch):
+        # f(x) = 1 and C eta^2 = 0.125: a trial value above 1.125 fails the
+        # test whatever s is.
+        calls = self.spy_projection(monkeypatch)
+        meter = BudgetMeter()
+        a = math.sqrt(1.125 + 1e-6)
+        out = additional_sampling_test(
+            self.cs, self.obj, self.x, np.array([a, -a]), eta_k=0.5,
+            cfg=self.config(), rng=self.rng, meter=meter,
+        )
+        assert (out.accepted, out.projection, calls) == (False, None, [])
+        # The control values and gradient are charged all the same.
+        assert (meter.component_grad_evals, meter.component_value_evals) == (2, 4)
+
+    def test_values_within_the_slack_project_and_the_direction_decides(self, monkeypatch):
+        # Between the full cutoff 1.105 and f(x) + C eta^2 = 1.125 only
+        # c ||s||^2 = 0.02 rejects the step, so s is projected.
+        calls = self.spy_projection(monkeypatch)
+        a = math.sqrt(1.115)
+        out = additional_sampling_test(
+            self.cs, self.obj, self.x, np.array([a, -a]), eta_k=0.5,
+            cfg=self.config(), rng=self.rng, meter=BudgetMeter(),
+        )
+        assert not out.accepted
+        assert out.projection is not None and len(calls) == 1
+
+    def test_a_non_finite_control_value_raises_before_the_control_projection(self, monkeypatch):
+        def stalled(*args):
+            raise CgStalled("CG stalled", residual_norm=1.0, iterations=1)
+
+        def nan_value(i, x):
+            return math.nan, np.zeros(2)
+
+        monkeypatch.setattr(ipas.solver, "inexact_project", stalled)
+        obj = FiniteSumObjective(2, CallableKernel(nan_value, uniform_weights(4)))
+        with pytest.raises(NonFiniteValue, match="subsampled objective value"):
+            additional_sampling_test(
+                self.cs, obj, self.x, np.zeros(2), eta_k=0.5,
+                cfg=self.config(), rng=self.rng, meter=BudgetMeter(),
+            )
 
 
 class TestRunBehaviour:
