@@ -29,7 +29,6 @@ from .solver import (
     SolverState,
     _bound_problems,
     _drive,
-    _guarded,
     eta,
     line_search_full,
 )
@@ -76,8 +75,9 @@ def baseline_step(
 
     f0 = full.value(meter)
     slope = float(g.dot(d))
-    phi = lambda t_: _guarded(lambda: full_value(obj, x + t_ * d, meter))
-    t = line_search_full(phi, f0, slope, eta_k, cfg.beta, cfg.c1)
+    t, state.x = line_search_full(
+        lambda z: full_value(obj, z, meter), x, d, f0, slope, eta_k, cfg.beta, cfg.c1
+    )
 
     record = IterationRecord(
         k=k,
@@ -95,9 +95,6 @@ def baseline_step(
     if norm_d <= cfg.tol_d and state.e_x <= cfg.tol_e:
         state.done = STATUS_STATIONARY
 
-    # The very expression phi evaluated at t, so the next full_value_grad
-    # sees the same bytes and the kernel can reuse that evaluation.
-    state.x = x + t * d
     state.e_x = feasibility_gap(cs, state.x)
     state.k = k + 1
     return record

@@ -66,6 +66,9 @@ def _resolve_out_dir(cli_out: str | None, config_out: str) -> str:
 
 
 def _cmd_run(args) -> int:
+    if args.workers is not None and args.workers < 1:
+        print(f"config error: --workers {args.workers} must be at least 1", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
     try:
         cfg = parse_experiment_config(args.config)
         out_dir = _resolve_out_dir(args.out, cfg.output_dir)

@@ -588,10 +588,12 @@ def run_experiment(
 
     workers defaults to the CPUs the process may run on (its affinity
     mask where the OS has one, else os.cpu_count()); results are collected
-    and written in a deterministic order regardless of scheduling.  Raises
-    OutputExists, before any run, when the output directory already holds
-    sweep results, and ConfigInvalid when it cannot be created.
+    and written in a deterministic order regardless of scheduling.  Raises,
+    before any run, ValueError if workers < 1, OutputExists if the output
+    directory holds sweep results and ConfigInvalid if it cannot be made.
     """
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers={workers} must be >= 1")
     out_dir = output_dir if output_dir is not None else cfg.output_dir
     if os.path.isdir(out_dir):
         found = sorted(
@@ -612,9 +614,9 @@ def run_experiment(
 
     if workers is None:
         workers = _usable_cpu_count()
-    workers = max(1, min(workers, len(payloads)))
+    workers = min(workers, len(payloads))
 
-    if workers == 1:
+    if workers <= 1:
         results = [execute_run(p) for p in payloads]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:

@@ -20,9 +20,9 @@ from .errors import NonFiniteValue, WeightError
 _WEIGHT_SUM_ATOL = 1e-8
 
 # Draws of at least this many keys go through the guide table; smaller ones
-# search the CDF directly, which costs less there.  At 1000 keys on N = 1000
-# the table is about six times faster (CHANGES.md has the timings).
-_GUIDE_MIN_DRAW = 64
+# search the CDF directly, which costs less there: with uniform weights the
+# table first wins at 192 keys on N = 100000 (CHANGES.md has the timings).
+_GUIDE_MIN_DRAW = 192
 
 
 @runtime_checkable

@@ -146,15 +146,13 @@ class LogisticKernel:
     (tests/test_baseline.py checks some); other BLAS builds and hosts are
     unchecked.
 
-    The one-point methods read the value and the gradient through a
-    one-entry memo of the last point they evaluated, keyed by the dtype,
-    shape and bytes of x.  A line search evaluates the objective at the
-    point it accepts, and the next iteration asks for value and gradient at
-    the same bytes.  A hit returns what a miss would compute, so no result
-    changes by a bit; an x mutated in place, or one differing only in the
-    sign of a zero, misses.  The held gradient is returned read-only.
-    weighted_value_grad_many at K = 1 reads the memo too, and returns a
-    writable copy.
+    A call at one point, the one-point batch included, goes through _sums'
+    one-entry memo of the last point, keyed by its dtype, shape and bytes: a
+    line search returns the very array it accepts, and the next iteration
+    evaluates there.  A hit returns what a miss would compute, so no result
+    changes by a bit; a point mutated in place, or one differing only in the
+    sign of a zero, misses.  weighted_value_grad returns the held gradient
+    read-only; weighted_value_grad_many returns writable copies.
 
     A value-only miss computes the gradient in the same read of Z, so the
     gradient at an accepted trial point costs no second read; a rejected
@@ -168,8 +166,8 @@ class LogisticKernel:
     def __init__(self, ds: LogisticDataset, weights):
         self.ds = ds
         self.weights = component_weights(weights, ds.n_samples)
-        # (key of x, value, gradient or None).  A plain tuple: a NamedTuple
-        # cost 0.3 us more per miss on small data.
+        # (key, values, gradients or None) of _sums' last one-point call.  A
+        # plain tuple: a NamedTuple cost 0.3 us more per miss on small data.
         self._memo: tuple | None = None
         neg_y = -ds.y
         neg_wy = self.weights * neg_y
@@ -177,26 +175,6 @@ class LogisticKernel:
             (ds.Z[rows], neg_y[rows], self.weights[rows], neg_wy[rows])
             for rows in _blocks(*ds.Z.shape)
         ]
-
-    def _evaluate(self, x, want_grad: bool):
-        """The value at x, and the gradient if want_grad (else None), through the memo."""
-        x = np.asarray(x)
-        key = (x.dtype.str, x.shape, x.tobytes())
-        memo = self._memo
-        if memo is not None and memo[0] == key:
-            _, value, grad = memo
-            if not want_grad:
-                return value, None
-            if grad is not None and _underflow_ignored():
-                return value, grad
-        values, grads = self._sums(x[None, :], want_grad=want_grad or _underflow_ignored())
-        value = float(values[0])
-        grad = None
-        if grads is not None:
-            grad = grads[0]
-            grad.flags.writeable = False
-        self._memo = (key, value, grad)
-        return value, grad
 
     def gather(self, idx):
         return self.ds.Z[idx], self.ds.y[idx]
@@ -218,10 +196,11 @@ class LogisticKernel:
         return np.logaddexp(0.0, margins), grad / len(y)
 
     def weighted_value(self, x):
-        return self._evaluate(x, want_grad=False)[0]
+        return float(self._sums(np.asarray(x)[None, :], want_grad=False)[0][0])
 
     def weighted_value_grad(self, x):
-        return self._evaluate(x, want_grad=True)
+        values, grads = self._sums(np.asarray(x)[None, :], want_grad=True)
+        return float(values[0]), grads[0]
 
     def _block_terms(self, XT, block, want_grad: bool):
         """The (values, gradients or None) terms of one row block.
@@ -279,7 +258,19 @@ class LogisticKernel:
         threaded and the serial path return the same bits.  Threads engage
         only for a gradient of at least _MIN_THREADED_POINTS points, when
         BLAS leaves CPUs free and each thread gets at least two tasks.
+        One-point calls go through the memo and return its read-only arrays.
         """
+        key = None
+        if len(XT) == 1:
+            key = (XT.dtype.str, XT.shape, XT.tobytes())
+            memo = self._memo
+            if memo is not None and memo[0] == key:
+                _, values, grads = memo
+                if not want_grad:
+                    return values, None
+                if grads is not None and _underflow_ignored():
+                    return values, grads
+            want_grad = want_grad or _underflow_ignored()
         blocks = self._row_blocks
         threads = 0
         if want_grad and len(XT) >= _MIN_THREADED_POINTS:
@@ -295,16 +286,16 @@ class LogisticKernel:
             values += value
             if want_grad:
                 grads += grad
+        if key is not None:
+            values.flags.writeable = False
+            if grads is not None:
+                grads.flags.writeable = False
+            self._memo = (key, values, grads)
         return values, grads
 
     def weighted_value_grad_many(self, X):
-        if X.shape[1] == 1:
-            # The one-point case, through the memo: a terminal-row oracle at
-            # the point a line search just accepted reads no data.
-            value, grad = self._evaluate(np.ascontiguousarray(X[:, 0]), want_grad=True)
-            return np.array([value]), grad[:, None].copy()
         values, grads = self._sums(np.ascontiguousarray(X.T), want_grad=True)
-        return values, np.ascontiguousarray(grads.T)
+        return values.copy(), grads.T.copy()
 
 
 def logistic_objective(ds: LogisticDataset, weights: np.ndarray | None = None) -> FiniteSumObjective:
@@ -366,6 +357,8 @@ def parse_libsvm(data: bytes, path) -> LogisticDataset:
                 label = float(tokens[0])
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: bad label {tokens[0]!r}") from exc
+            if not math.isfinite(label):  # float() takes nan and inf
+                raise ParseError(f"{path}:{lineno}: bad label {tokens[0]!r}")
             for tok in tokens[1:]:
                 idx_str, colon, val_str = tok.partition(":")
                 if not colon:

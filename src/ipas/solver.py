@@ -220,25 +220,28 @@ def descent_check(slope: float, p_sq: float, c: float) -> bool:
 
 
 def line_search_full(
-    phi: Callable[[float], float],
+    value_at: Callable[[np.ndarray], float],
+    x: np.ndarray,
+    p: np.ndarray,
     f0: float,
     slope: float,
     eta_k: float,
     beta: float,
     c1: float,
-) -> float:
-    """Backtracking Armijo search with nonmonotone slack eta_k^2.
+) -> tuple[float, np.ndarray]:
+    """Backtracking Armijo search from x along p with nonmonotone slack eta_k^2.
 
     Returns the largest t = beta^j (smallest j >= 0) with
-    phi(t) <= f0 + c1*t*slope + eta_k^2.  phi should map non-finite trial
-    values to +inf so that they simply fail the test.  Raises MaxBacktracks
-    after _MAX_BACKTRACKS failed reductions.
+    value_at(x + t*p) <= f0 + c1*t*slope + eta_k^2, and the very array
+    x + t*p that value_at received; a trial that raises NonFiniteValue
+    fails.  Raises MaxBacktracks after _MAX_BACKTRACKS failed reductions.
     """
     slack = eta_k * eta_k
     for j in range(_MAX_BACKTRACKS + 1):
         t = beta**j
-        if phi(t) <= f0 + c1 * t * slope + slack:
-            return t
+        point = x + t * p
+        if _guarded(value_at, point) <= f0 + c1 * t * slope + slack:
+            return t, point
     raise MaxBacktracks(
         f"no step satisfied the Armijo condition within {_MAX_BACKTRACKS} backtracks; "
         "check the objective for non-finite values or a broken gradient"
@@ -246,26 +249,31 @@ def line_search_full(
 
 
 def line_search_minibatch(
-    phi: Callable[[float], float],
+    value_at: Callable[[np.ndarray], float],
+    x: np.ndarray,
+    p: np.ndarray,
     f0: float,
     slope: float,
     eta_k: float,
     beta: float,
     c1: float,
     t_min: float,
-) -> float:
-    """Bounded backtracking from t = 1, never returning below t_min.
+) -> tuple[float, np.ndarray]:
+    """Bounded backtracking from x along p, from t = 1 and never below t_min.
 
     Reduces t by beta only while the Armijo condition (with slack eta_k^2)
-    fails and the reduced step would still be >= t_min.  The returned step
-    may violate the Armijo condition; the acceptance test downstream is
-    what protects the iterate.
+    fails at x + t*p, as a trial that raises NonFiniteValue does, and the
+    reduced step would still be >= t_min.  Returns t and the very array
+    x + t*p that value_at received last.  That step may violate the Armijo
+    condition; the acceptance test downstream is what protects the iterate.
     """
     slack = eta_k * eta_k
     t = 1.0
-    while phi(t) > f0 + c1 * t * slope + slack and beta * t >= t_min:
+    point = x + t * p
+    while _guarded(value_at, point) > f0 + c1 * t * slope + slack and beta * t >= t_min:
         t = beta * t
-    return t
+        point = x + t * p
+    return t, point
 
 
 def additional_sampling_test(
@@ -298,7 +306,7 @@ def additional_sampling_test(
     d_set = Sample.of(obj, draw_sample(obj, cfg.D_size, rng))
     control = subsample_value_grad(obj, d_set, x, meter)
     f_x = control.value(meter)
-    f_trial = _guarded(lambda: subsample_value(obj, d_set, x_trial, meter))
+    f_trial = _guarded(subsample_value, obj, d_set, x_trial, meter)
     slack = cfg.C_accept * eta_k * eta_k
     if f_trial > f_x + slack:
         return AdditionalSampleResult(accepted=False, projection=None)
@@ -345,10 +353,10 @@ def _oracle_batch(
     return norm_d, values
 
 
-def _guarded(fn: Callable[[], float]) -> float:
-    """Evaluate a trial objective value, mapping non-finite results to +inf."""
+def _guarded(fn: Callable[..., float], *args) -> float:
+    """fn(*args), a trial objective value, with non-finite results mapped to +inf."""
     try:
-        return fn()
+        return fn(*args)
     except NonFiniteValue:
         return math.inf
 
@@ -396,12 +404,10 @@ def ipas_step(
     e_next = e_x
     if is_full:
         if descent_check(slope, p_sq, cfg.c):
-            f_full = est.value(meter)
-            phi = lambda t_: _guarded(lambda: full_value(obj, x + t_ * p, meter))
-            t = line_search_full(phi, f_full, slope, eta_k, cfg.beta, cfg.c1)
-            # The bytes phi evaluated at t: the kernel can reuse that
-            # evaluation for the next iteration's full gradient.
-            x_next = x + t * p
+            value_at = lambda z: full_value(obj, z, meter)
+            t, x_next = line_search_full(
+                value_at, x, p, est.value(meter), slope, eta_k, cfg.beta, cfg.c1
+            )
             accepted = True
         else:
             # No sufficient descent: stay at x and only restore feasibility.
@@ -411,17 +417,15 @@ def ipas_step(
             e_next = reproj.residual_norm  # within eta_k, as _account checked
             unsuccessful = True
     else:
-        f0 = est.value(meter)
-        phi = lambda t_: _guarded(lambda: subsample_value(obj, sample, x + t_ * p, meter))
-        t = line_search_minibatch(phi, f0, slope, eta_k, cfg.beta, cfg.c1, cfg.t_min)
-        x_trial = x + t * p
-        control = additional_sampling_test(cs, obj, x, x_trial, eta_k, cfg, state.rng, meter)
+        value_at = lambda z: subsample_value(obj, sample, z, meter)
+        t, x_next = line_search_minibatch(
+            value_at, x, p, est.value(meter), slope, eta_k, cfg.beta, cfg.c1, cfg.t_min
+        )
+        control = additional_sampling_test(cs, obj, x, x_next, eta_k, cfg, state.rng, meter)
         if control.projection is not None:
             cg_total += _account(state, cs, control.projection, eta_k)
-        if control.accepted:
-            x_next = x_trial
-            accepted = True
-        else:
+        accepted = control.accepted
+        if not accepted:
             x_next = x  # rejected: the iterate is kept bitwise unchanged
             Nk_next = min(N, state.Nk + cfg.dN)
 

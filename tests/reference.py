@@ -223,6 +223,8 @@ def parse_libsvm_dicts(data: bytes, path) -> LogisticDataset:
                 label = float(tokens[0])
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: bad label {tokens[0]!r}") from exc
+            if not math.isfinite(label):  # float() takes nan and inf
+                raise ParseError(f"{path}:{lineno}: bad label {tokens[0]!r}")
             entries: dict[int, float] = {}
             for tok in tokens[1:]:
                 idx_str, _, val_str = tok.partition(":")

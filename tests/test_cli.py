@@ -446,6 +446,25 @@ class TestRun:
     def test_config_error_exits_two(self, tmp_path):
         assert main(["run", str(tmp_path / "absent.ini")]) == EXIT_CONFIG_ERROR
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_a_worker_count_below_one_exits_two_and_writes_nothing(
+        self, config_path, tmp_path, capsys, workers
+    ):
+        # It used to run one worker in silence.
+        out_dir = tmp_path / "out"
+        code = main(["run", str(config_path), "--out", str(out_dir), "--workers", str(workers)])
+        assert code == EXIT_CONFIG_ERROR
+        assert f"--workers {workers} must be at least 1" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_run_experiment_rejects_a_worker_count_below_one(self, config_path, tmp_path, workers):
+        cfg = parse_experiment_config(config_path)
+        out_dir = tmp_path / "out"
+        with pytest.raises(ValueError, match=f"workers={workers} must be >= 1"):
+            experiment.run_experiment(cfg, workers=workers, output_dir=str(out_dir))
+        assert not out_dir.exists()
+
     def test_failed_runs_exit_one(self, config_path, tmp_path, capsys, monkeypatch):
         # Planning accepts the config; its one run fails while it runs.
         def doomed(*args, **kwargs):

@@ -209,7 +209,7 @@ def data_and_point(request, large):
 
 
 def held_gradient(kernel):
-    """The gradient the kernel's memo holds, or None."""
+    """The (1, n) gradient the kernel's memo holds, or None."""
     return kernel._memo[2]
 
 
@@ -232,11 +232,12 @@ class TestGradientMemo:
         kernel = LogisticKernel(ds, uniform_weights(ds.n_samples))
         kernel.weighted_value(x)
         _, grad = kernel.weighted_value_grad(x)
-        assert held_gradient(kernel) is grad
+        held = held_gradient(kernel)
+        assert grad.base is held
         with pytest.raises(ValueError, match="read-only"):
             grad += 1.0
         assert grad.tobytes() == ref_grad(kernel, x)
-        assert kernel.weighted_value_grad(x)[1] is grad
+        assert kernel.weighted_value_grad(x)[1].base is held
 
     def test_two_trials_then_the_gradient_at_the_first(self, data_and_point):
         ds, x = data_and_point
@@ -281,15 +282,20 @@ class TestGradientMemo:
 
 
 def count_passes(kernel, monkeypatch) -> dict[str, int]:
-    """Count the kernel's blocked passes, value-only and with a gradient, as the calls go."""
+    """Count the kernel's blocked passes over Z, value-only and with a gradient.
+
+    A pass is counted at its first block's terms; a memo hit computes none.
+    """
     counts = {"value": 0, "gradient": 0}
-    real = kernel._sums
+    real = kernel._block_terms
+    first = kernel._row_blocks[0]
 
-    def spy(XT, want_grad):
-        counts["gradient" if want_grad else "value"] += 1
-        return real(XT, want_grad=want_grad)
+    def spy(XT, block, want_grad):
+        if block is first:
+            counts["gradient" if want_grad else "value"] += 1
+        return real(XT, block, want_grad)
 
-    monkeypatch.setattr(kernel, "_sums", spy)
+    monkeypatch.setattr(kernel, "_block_terms", spy)
     return counts
 
 

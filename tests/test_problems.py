@@ -542,6 +542,9 @@ class TestLibsvmParser:
         "text,message",
         [
             ("1 1:1.0\nxyz 1:2.0\n", "f:2: bad label 'xyz'"),
+            ("1 1:0.5\nnan 1:0.25\n1 1:1\n", "f:2: bad label 'nan'"),
+            ("0 1:0.5\ninf 1:0.25\n", "f:2: bad label 'inf'"),
+            ("-inf 1:0.5\n1 1:1\n", "f:1: bad label '-inf'"),
             ("1 1:1.0\n-1 1:2 23\n", "f:2: expected idx:val, got '23'"),
             ("1 1:one\n", "f:1: bad entry '1:one'"),
             ("1 2.0:1\n", "f:1: bad entry '2.0:1'"),
@@ -819,17 +822,19 @@ def test_weights_of_the_wrong_length_are_rejected_when_the_objective_is_built(ex
 
 
 def count_margin_passes(kernel, monkeypatch) -> SimpleNamespace:
-    """Count the one-point methods' blocked passes: the calls that replace the memo."""
+    """Count the kernel's one-point passes over Z, each at its first block's terms.
+
+    The oracle's batches of several points are not counted.
+    """
     counter = SimpleNamespace(passes=0)
-    real = kernel._evaluate
+    real = kernel._block_terms
+    first = kernel._row_blocks[0]
 
-    def spy(x, want_grad):
-        before = kernel._memo
-        result = real(x, want_grad)
-        counter.passes += kernel._memo is not before
-        return result
+    def spy(XT, block, want_grad):
+        counter.passes += block is first and len(XT) == 1
+        return real(XT, block, want_grad)
 
-    monkeypatch.setattr(kernel, "_evaluate", spy)
+    monkeypatch.setattr(kernel, "_block_terms", spy)
     return counter
 
 

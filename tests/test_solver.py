@@ -171,41 +171,58 @@ class TestDescentCheck:
         assert not descent_check(-1.0, 2.0, c=0.6)  # -1 <= -1.2 fails
 
 
+def search(line_search, phi, *args, **kwargs):
+    """Run a line search along the real line: from x = [0] along p = [1].
+
+    Trial points are then [t] exactly, and value_at reads phi(t) there.
+    Returns the step and checks that the returned point is [t].
+    """
+    t, point = line_search(lambda z: phi(float(z[0])), np.zeros(1), np.ones(1), *args, **kwargs)
+    assert point.tolist() == [t]
+    return t
+
+
 class TestLineSearchFull:
     def test_quadratic_model_lands_on_known_power(self):
         # phi(t) = f0 - t + 3 t^2 with slope -1, c1 = 0.5: the condition
         # 3 t^2 <= t/2 first holds at t = 0.5^3.
         f0 = 10.0
         phi = lambda t: f0 - t + 3 * t * t
-        t = line_search_full(phi, f0, slope=-1.0, eta_k=0.0, beta=0.5, c1=0.5)
+        t = search(line_search_full, phi, f0, slope=-1.0, eta_k=0.0, beta=0.5, c1=0.5)
         assert t == 0.125
 
     def test_slack_loosens_the_step(self):
         f0 = 10.0
         phi = lambda t: f0 - t + 3 * t * t
-        t = line_search_full(phi, f0, slope=-1.0, eta_k=1.0, beta=0.5, c1=0.5)
+        t = search(line_search_full, phi, f0, slope=-1.0, eta_k=1.0, beta=0.5, c1=0.5)
         assert t == 0.5
 
     def test_immediate_acceptance(self):
         f0 = 2.0
-        t = line_search_full(lambda t: f0 - t, f0, slope=-1.0, eta_k=0.0, beta=0.1, c1=0.9)
+        t = search(line_search_full, lambda t: f0 - t, f0, slope=-1.0, eta_k=0.0, beta=0.1, c1=0.9)
         assert t == 1.0
 
     def test_unsatisfiable_raises_after_cap(self):
         calls = []
         phi = lambda t: calls.append(t) or 1e9
         with pytest.raises(MaxBacktracks):
-            line_search_full(phi, 0.0, slope=-1.0, eta_k=0.0, beta=0.5, c1=0.5)
+            search(line_search_full, phi, 0.0, slope=-1.0, eta_k=0.0, beta=0.5, c1=0.5)
         assert len(calls) == 201
 
-    def test_nonfinite_trials_are_skipped(self):
-        # A phi that explodes for large steps but behaves below t = 0.25.
+    @pytest.mark.parametrize("blowup", ["inf", "raise"])
+    def test_nonfinite_trials_are_skipped(self, blowup):
+        # A phi that explodes for large steps but behaves below t = 0.25,
+        # returning +inf or raising NonFiniteValue as the objective does.
         f0 = 1.0
 
         def phi(t):
-            return math.inf if t > 0.3 else f0 - 0.5 * t
+            if t <= 0.3:
+                return f0 - 0.5 * t
+            if blowup == "raise":
+                raise NonFiniteValue("objective value evaluated to inf")
+            return math.inf
 
-        t = line_search_full(phi, f0, slope=-1.0, eta_k=0.0, beta=0.5, c1=0.25)
+        t = search(line_search_full, phi, f0, slope=-1.0, eta_k=0.0, beta=0.5, c1=0.25)
         assert t == 0.25
 
 
@@ -213,26 +230,40 @@ class TestLineSearchMinibatch:
     def test_matches_full_search_above_floor(self):
         f0 = 10.0
         phi = lambda t: f0 - t + 3 * t * t
-        t = line_search_minibatch(phi, f0, slope=-1.0, eta_k=0.0, beta=0.5, c1=0.5, t_min=0.01)
+        t = search(line_search_minibatch, phi, f0, slope=-1.0, eta_k=0.0, beta=0.5, c1=0.5,
+                   t_min=0.01)
         assert t == 0.125
 
     def test_floor_stops_reduction_before_armijo_holds(self):
         # Always-failing phi with beta = 0.5, t_min = 0.1: reductions stop at
         # 0.125 because the next trial 0.0625 would cross the floor.
         phi = lambda t: 1e9
-        t = line_search_minibatch(phi, 0.0, slope=-1.0, eta_k=0.0, beta=0.5, c1=0.5, t_min=0.1)
+        t = search(line_search_minibatch, phi, 0.0, slope=-1.0, eta_k=0.0, beta=0.5, c1=0.5,
+                   t_min=0.1)
         assert t == 0.125
 
     def test_high_floor_returns_unit_step(self):
         phi = lambda t: 1e9
-        t = line_search_minibatch(phi, 0.0, slope=-1.0, eta_k=0.0, beta=0.5, c1=0.5, t_min=0.9)
+        t = search(line_search_minibatch, phi, 0.0, slope=-1.0, eta_k=0.0, beta=0.5, c1=0.5,
+                   t_min=0.9)
         assert t == 1.0
 
     def test_returned_step_may_violate_armijo(self):
         f0 = 0.0
         phi = lambda t: f0 + 1.0  # never satisfies the condition
-        t = line_search_minibatch(phi, f0, slope=-1.0, eta_k=0.0, beta=0.1, c1=0.5, t_min=0.05)
+        t = search(line_search_minibatch, phi, f0, slope=-1.0, eta_k=0.0, beta=0.1, c1=0.5,
+                   t_min=0.05)
         assert phi(t) > f0 + 0.5 * t * (-1.0)
+
+    def test_a_raising_trial_counts_as_a_failed_one(self):
+        def phi(t):
+            if t > 0.3:
+                raise NonFiniteValue("subsampled objective value evaluated to nan")
+            return -1.0
+
+        t = search(line_search_minibatch, phi, 0.0, slope=-1.0, eta_k=0.0, beta=0.5, c1=0.5,
+                   t_min=0.01)
+        assert t == 0.25
 
     @given(
         beta=st.floats(min_value=0.05, max_value=0.9),
@@ -243,13 +274,91 @@ class TestLineSearchMinibatch:
     def test_floor_and_grid_invariants(self, beta, t_min, fail_above):
         # phi fails the Armijo test exactly when t > fail_above.
         phi = lambda t: 1e9 if t > fail_above else -1e9
-        t = line_search_minibatch(phi, 0.0, slope=-1.0, eta_k=0.0, beta=beta, c1=0.5, t_min=t_min)
+        t = search(line_search_minibatch, phi, 0.0, slope=-1.0, eta_k=0.0, beta=beta, c1=0.5,
+                   t_min=t_min)
         # Never below the floor, and always a power of beta up to roundoff.
         assert t >= t_min or t == 1.0
         j = round(math.log(t) / math.log(beta)) if t < 1.0 else 0
         assert t == pytest.approx(beta**j, rel=1e-9)
         # On return either the test passed or the floor blocked further cuts.
         assert phi(t) <= 0.0 or beta * t < t_min
+
+
+class TestSearchHandsOverItsPoint:
+    """A search returns the array its last trial evaluated, and an accepted step keeps it.
+
+    The logistic kernel's memo is keyed on the bytes of the point, so this
+    is what lets the next iteration's full gradient, or the terminal row's
+    oracle, reuse the accepted trial's evaluation.
+    """
+
+    @staticmethod
+    def spy(monkeypatch, module, searches) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Log (last array an evaluator received inside the search, returned point) per search."""
+        log = []
+        inside = []
+        for name in ("full_value", "subsample_value"):
+            if hasattr(module, name):
+
+                def evaluator(obj, *args, real=getattr(module, name)):
+                    if inside:
+                        inside[-1] = args[-2]  # the point: (sample,) x, meter
+                    return real(obj, *args)
+
+                monkeypatch.setattr(module, name, evaluator)
+        for name in searches:
+
+            def wrapped(*args, real=getattr(module, name)):
+                inside.append(None)
+                try:
+                    t, point = real(*args)
+                finally:
+                    last = inside.pop()
+                log.append((last, point))
+                return t, point
+
+            monkeypatch.setattr(module, name, wrapped)
+        return log
+
+    @staticmethod
+    def keep_accepted(monkeypatch, module, step_name, log) -> list[str]:
+        """Check, after every accepted step, that state.x is the last search's point."""
+        kinds = []
+
+        def step(state, cs, obj, cfg, real=getattr(module, step_name)):
+            searches = len(log)
+            record = real(state, cs, obj, cfg)
+            if record.accepted:
+                assert len(log) == searches + 1
+                assert state.x is log[-1][1]
+                kinds.append("full" if record.Nk >= obj.n_components else "mini-batch")
+            return record
+
+        monkeypatch.setattr(module, step_name, step)
+        return kinds
+
+    @staticmethod
+    def problem():
+        spec = make_noisy_quadratic(6, 20, sigma=0.5, seed=0)
+        return generate_constraints(6, 2, seed=1), noisy_quadratic_objective(spec)
+
+    def test_ipas_steps_keep_the_point_each_search_evaluated_last(self, monkeypatch):
+        log = self.spy(monkeypatch, ipas.solver, ("line_search_full", "line_search_minibatch"))
+        kinds = self.keep_accepted(monkeypatch, ipas.solver, "ipas_step", log)
+        cs, obj = self.problem()
+        run(cs, obj, SolverConfig(k_max=60, N0=2, dN=3, D_size=3, seed=0))
+        assert {"full", "mini-batch"} <= set(kinds)
+        assert log and all(last is point for last, point in log)
+
+    def test_baseline_steps_keep_the_point_each_search_evaluated_last(self, monkeypatch):
+        import ipas.baseline
+
+        log = self.spy(monkeypatch, ipas.baseline, ("line_search_full",))
+        kinds = self.keep_accepted(monkeypatch, ipas.baseline, "baseline_step", log)
+        cs, obj = self.problem()
+        ipas.baseline.run_baseline(cs, obj, ipas.baseline.BaselineConfig(k_max=10))
+        assert kinds == ["full"] * 10
+        assert all(last is point for last, point in log)
 
 
 class TestAdditionalSamplingTest:
