@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import ipas.solver
 from ipas import (
+    BaselineConfig,
     CallableKernel,
     CgStalled,
     ConfigInvalid,
@@ -40,6 +41,7 @@ from ipas import (
     projected_direction,
     read_trace,
     run,
+    run_baseline,
     uniform_weights,
     validate_config,
     write_trace,
@@ -527,6 +529,30 @@ class TestRunBehaviour:
         assert res.status == STATUS_MAX_ITERATIONS
         assert all(r.Nk == 1 for r in res.records)
         np.testing.assert_allclose(res.x, x_star, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("method", ["ipas", "baseline"])
+    @pytest.mark.parametrize("tol_d", [1e-2, 1e-3])
+    def test_the_run_stops_on_the_first_stationary_row(self, method, tol_d):
+        # Stationary means a full-sample row with norm_p <= tol_d and
+        # e_x <= tol_e; the run stops on the first such row, and the
+        # terminal row for the next iterate follows it.
+        cs = generate_constraints(8, 3, seed=100)
+        obj = noisy_quadratic_objective(make_noisy_quadratic(8, 6, sigma=0.5, seed=200))
+        N, tol_e = obj.n_components, 1e-6
+        if method == "ipas":
+            cfg = SolverConfig(N0=2, dN=1, D_size=2, k_max=400, s_exp=2.0, tol_d=tol_d, tol_e=tol_e)
+            res = run(cs, obj, cfg)
+        else:
+            cfg = BaselineConfig(k_max=400, s_exp=2.0, tol_d=tol_d, tol_e=tol_e)
+            res = run_baseline(cs, obj, cfg)
+        *rows, terminal = res.records
+        hits = [r.Nk >= N and r.norm_p <= tol_d and r.e_x <= tol_e for r in rows]
+        assert res.status == STATUS_STATIONARY
+        assert len(rows) > 5 and hits[-1] and not any(hits[:-1])
+        assert [r.k for r in res.records] == list(range(len(res.records)))
+        assert (terminal.t, terminal.norm_p, terminal.accepted, terminal.cg_iters) == (0.0, 0.0, False, 0)
+        assert terminal.scalar_products == rows[-1].scalar_products == res.meter.scalar_products
+        assert terminal.e_x == feasibility_gap(cs, res.x)
 
     def test_mixed_accept_reject_bookkeeping(self):
         cs = generate_constraints(8, 3, seed=100)
