@@ -17,6 +17,7 @@ from .constraints import (
     exact_project,
     feasibility_gap,
     inexact_project,
+    min_norm_feasible,
     projected_direction,
 )
 from .errors import (
@@ -71,7 +72,6 @@ from .problems import (
     logistic_objective,
     make_noisy_quadratic,
     make_synthetic_logistic,
-    min_norm_feasible,
     noisy_quadratic_objective,
     save_libsvm,
 )

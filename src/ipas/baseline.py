@@ -22,13 +22,13 @@ from .constraints import ConstraintSet, exact_project, feasibility_gap
 from .errors import ConfigInvalid
 from .objective import FiniteSumObjective, full_value, full_value_grad
 from .solver import (
-    STATUS_STATIONARY,
     IterationRecord,
     RunResult,
     SolverConfig,
     SolverState,
     _bound_problems,
     _drive,
+    _row,
     eta,
     line_search_full,
 )
@@ -62,9 +62,8 @@ def baseline_step(
 ) -> IterationRecord:
     """One full-gradient iteration with an exact projection."""
     x = state.x
-    k = state.k
     meter = state.meter
-    eta_k = eta(k, cfg.s_exp)
+    eta_k = eta(state.k, cfg.s_exp)
 
     full = full_value_grad(obj, x, meter)
     g = full.grad
@@ -79,24 +78,12 @@ def baseline_step(
         lambda z: full_value(obj, z, meter), x, d, f0, slope, eta_k, cfg.beta, cfg.c1
     )
 
-    record = IterationRecord(
-        k=k,
-        Nk=obj.n_components,
-        t=float(t),
-        norm_p=norm_d,
-        norm_d_true=norm_d,
-        e_x=state.e_x,
-        f_true=f0,
-        scalar_products=meter.scalar_products,
-        accepted=True,
+    record = _row(
+        state, t=float(t), norm_p=norm_d, norm_d_true=norm_d, f_true=f0, accepted=True,
         cg_iters=cs.m,
     )
-
-    if norm_d <= cfg.tol_d and state.e_x <= cfg.tol_e:
-        state.done = STATUS_STATIONARY
-
     state.e_x = feasibility_gap(cs, state.x)
-    state.k = k + 1
+    state.k += 1
     return record
 
 

@@ -142,6 +142,11 @@ def exact_project(cs: ConstraintSet, y: np.ndarray) -> np.ndarray:
     return y - cs.A.T.dot(lam)
 
 
+def min_norm_feasible(cs: ConstraintSet) -> np.ndarray:
+    """The minimum-norm point of {x : A x = b}: the projection of the origin."""
+    return exact_project(cs, np.zeros(cs.n))
+
+
 def cg_solve(
     M: np.ndarray,
     rhs: np.ndarray,

@@ -25,6 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .constraints import min_norm_feasible
 from .errors import ConfigInvalid, EmptyGroup, IpasError, OutputExists
 from .objective import BudgetMeter, full_value_grad
 from .problems import (
@@ -33,7 +34,6 @@ from .problems import (
     generate_constraints,
     logistic_objective,
     make_noisy_quadratic,
-    min_norm_feasible,
     noisy_quadratic_objective,
     parse_libsvm,
 )
@@ -161,16 +161,16 @@ _SOLVER_SECTION = dict.fromkeys(
 # The SolverConfig field of each [solver] key that names it otherwise.
 _SOLVER_FIELD_NAMES = {"c_accept": "C_accept", "n0": "N0", "dn": "dN", "s": "s_exp", "d": "D_size"}
 
-# [sweep] grids, each of values distinct in run ids; an absent one holds the
-# base configuration's value.
+# [sweep] grids, each nonempty and of values distinct in run ids; an absent
+# one holds the base configuration's value.
 _SWEEP_SECTION = {
-    "s": (lambda text: _distinct("s", _parse_floats(text), _format_g), None),
-    "dn": (lambda text: _distinct("dn", _parse_ints(text), str), None),
-    "sigma": (lambda text: _distinct("sigma", _parse_floats(text), _format_g), None),
+    "s": (lambda text: _distinct("[sweep] s", _parse_floats(text), _format_g), None),
+    "dn": (lambda text: _distinct("[sweep] dn", _parse_ints(text), str), None),
+    "sigma": (lambda text: _distinct("[sweep] sigma", _parse_floats(text), _format_g), None),
 }
 
 _RUN_SECTION = {
-    "seeds": (lambda text: _distinct("seeds", _parse_ints(text), str), _REQUIRED),
+    "seeds": (lambda text: _distinct("[run] seeds", _parse_ints(text), str), _REQUIRED),
     "output_dir": (str, "runs"),
 }
 
@@ -185,7 +185,7 @@ def parse_experiment_config(path) -> ExperimentConfig:
     try:
         with open(path) as fh:
             cp.read_file(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigInvalid(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigInvalid(f"cannot parse config {path}: {exc}") from exc
@@ -216,8 +216,6 @@ def parse_experiment_config(path) -> ExperimentConfig:
     base = SolverConfig(**{_SOLVER_FIELD_NAMES.get(k, k): v for k, v in solver.items()})
     if "sigma" in sweep and kind != "noisy_quadratic":
         raise ConfigInvalid("a sigma sweep only applies to noisy_quadratic problems")
-    if not run_sec["seeds"]:
-        raise ConfigInvalid("[run] seeds list is empty")
     if not run_sec["output_dir"]:
         raise ConfigInvalid("[run] output_dir is empty")
 
@@ -279,11 +277,13 @@ def _format_g(v: float) -> str:
 
 
 def _distinct(key: str, values: list, label) -> tuple:
-    """Reject values whose labels in run ids coincide.
+    """Reject an empty list, and values whose labels in run ids coincide.
 
     Two such values would write the same trace file and merge into one
     summary group, so the sweep could not keep their results apart.
     """
+    if not values:
+        raise ConfigInvalid(f"{key} list is empty")
     labels = [label(v) for v in values]
     clashes = sorted({lab for lab in labels if labels.count(lab) > 1})
     if clashes:

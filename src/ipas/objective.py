@@ -140,14 +140,17 @@ class BudgetMeter:
     A component value or gradient evaluation costs one scalar product;
     each CG iteration on an m-dimensional system costs m + 4.  Only
     projections that ran are charged: a control-sample test that its
-    values decided charges its values and gradient but no CG.  The oracle
-    metrics go through weighted_value_grad_many, never through a meter.
+    values decided charges its values and gradient but no CG.
+    cg_iterations counts the CG iterations charged, so a trace row's
+    cg_iters is its change over the step.  The oracle metrics go through
+    weighted_value_grad_many, never through a meter.
     """
 
     scalar_products: int = 0
     component_value_evals: int = 0
     component_grad_evals: int = 0
     cg_scalar_products: int = 0
+    cg_iterations: int = 0
 
     def charge_values(self, count: int) -> None:
         self.component_value_evals += count
@@ -159,6 +162,7 @@ class BudgetMeter:
 
     def charge_cg(self, iterations: int, m: int) -> None:
         cost = (m + 4) * iterations
+        self.cg_iterations += iterations
         self.cg_scalar_products += cost
         self.scalar_products += cost
 

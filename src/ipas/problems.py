@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg
 from scipy.special import expit
 
-from .constraints import ConstraintSet, build_constraint_set, exact_project
+from .constraints import ConstraintSet, build_constraint_set
 from .errors import LabelError, ParseError, RankDeficient
 from .objective import FiniteSumObjective, _mean, component_weights, uniform_weights
 
@@ -338,9 +338,10 @@ def load_libsvm(path) -> LogisticDataset:
 def parse_libsvm(data: bytes, path) -> LogisticDataset:
     """Parse 'label idx:val idx:val ...' lines, read from path, into a dense dataset.
 
-    The bytes are decoded as open(path) would decode them.  Indices are
-    1-based; the feature width is the largest index seen.  Unmentioned
-    entries are zero, and an index repeated on a line keeps its last value.
+    The bytes are decoded as open(path) would decode them, and bytes that
+    do not decode raise ParseError naming the file.  Indices are 1-based;
+    the feature width is the largest index seen.  Unmentioned entries are
+    zero, and an index repeated on a line keeps its last value.
     The entries are collected in flat index and value arrays, 16 bytes an
     entry, and written into Z in one assignment.
     """
@@ -348,32 +349,35 @@ def parse_libsvm(data: bytes, path) -> LogisticDataset:
     counts = array("q")  # entries per sample
     cols = array("q")  # 1-based feature indices, sample after sample
     vals = array("d")
-    with io.TextIOWrapper(io.BytesIO(data)) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            tokens = line.split()
-            if not tokens:
-                continue
-            try:
-                label = float(tokens[0])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: bad label {tokens[0]!r}") from exc
-            if not math.isfinite(label):  # float() takes nan and inf
-                raise ParseError(f"{path}:{lineno}: bad label {tokens[0]!r}")
-            for tok in tokens[1:]:
-                idx_str, colon, val_str = tok.partition(":")
-                if not colon:
-                    raise ParseError(f"{path}:{lineno}: expected idx:val, got {tok!r}")
+    try:
+        with io.TextIOWrapper(io.BytesIO(data)) as fh:
+            for lineno, line in enumerate(fh, start=1):
+                tokens = line.split()
+                if not tokens:
+                    continue
                 try:
-                    idx = int(idx_str)
-                    val = float(val_str)
+                    label = float(tokens[0])
                 except ValueError as exc:
-                    raise ParseError(f"{path}:{lineno}: bad entry {tok!r}") from exc
-                if idx < 1:
-                    raise ParseError(f"{path}:{lineno}: indices are 1-based, got {idx}")
-                cols.append(idx)
-                vals.append(val)
-            labels.append(label)
-            counts.append(len(tokens) - 1)
+                    raise ParseError(f"{path}:{lineno}: bad label {tokens[0]!r}") from exc
+                if not math.isfinite(label):  # float() takes nan and inf
+                    raise ParseError(f"{path}:{lineno}: bad label {tokens[0]!r}")
+                for tok in tokens[1:]:
+                    idx_str, colon, val_str = tok.partition(":")
+                    if not colon:
+                        raise ParseError(f"{path}:{lineno}: expected idx:val, got {tok!r}")
+                    try:
+                        idx = int(idx_str)
+                        val = float(val_str)
+                    except ValueError as exc:
+                        raise ParseError(f"{path}:{lineno}: bad entry {tok!r}") from exc
+                    if idx < 1:
+                        raise ParseError(f"{path}:{lineno}: indices are 1-based, got {idx}")
+                    cols.append(idx)
+                    vals.append(val)
+                labels.append(label)
+                counts.append(len(tokens) - 1)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: cannot decode: {exc}") from None
     if not labels:
         raise ParseError(f"{path}: no samples found")
 
@@ -586,8 +590,3 @@ def generate_constraints(n: int, m: int, seed: int) -> ConstraintSet:
         except RankDeficient as exc:
             last_error = exc
     raise RankDeficient(f"no full-rank draw in 4 attempts for m={m}, n={n}") from last_error
-
-
-def min_norm_feasible(cs: ConstraintSet) -> np.ndarray:
-    """The minimum-norm point of {x : A x = b}: the projection of the origin."""
-    return exact_project(cs, np.zeros(cs.n))

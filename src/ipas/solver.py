@@ -21,9 +21,9 @@ import numpy as np
 from .constraints import (
     ConstraintSet,
     ProjectionResult,
-    exact_project,
     feasibility_gap,
     inexact_project,
+    min_norm_feasible,
     projected_direction,
 )
 from .errors import ConfigInvalid, InvariantViolation, MaxBacktracks, NonFiniteValue, ParseError
@@ -99,7 +99,6 @@ class SolverState:
     rng: np.random.Generator
     meter: BudgetMeter
     e_x: float
-    done: str | None = None
     projections_checked: int = 0
 
 
@@ -127,19 +126,6 @@ class IterationRecord:
     accepted: bool = False
     unsuccessful: bool = False
     cg_iters: int = 0
-
-
-@dataclass(frozen=True)
-class AdditionalSampleResult:
-    """Outcome of the control-sample acceptance test.
-
-    projection is the control direction's inexact projection, or None when
-    the control values alone rejected the step and no projection ran; the
-    caller checks and charges only a projection that ran.
-    """
-
-    accepted: bool
-    projection: ProjectionResult | None
 
 
 @dataclass
@@ -277,58 +263,73 @@ def line_search_minibatch(
 
 
 def additional_sampling_test(
+    state: SolverState,
     cs: ConstraintSet,
     obj: FiniteSumObjective,
-    x: np.ndarray,
     x_trial: np.ndarray,
     eta_k: float,
     cfg: SolverConfig,
-    rng: np.random.Generator,
-    meter: BudgetMeter,
-) -> AdditionalSampleResult:
-    """Accept or reject a trial point using an independent control sample.
+) -> bool:
+    """Accept or reject a trial point from state.x using an independent control sample.
 
-    Draws D_size indices and accepts when the control objective at the
-    trial point improves on x by at least c*||s||^2 - C_accept*eta_k^2,
-    where s is the inexactly projected direction of the control gradient
-    at x.  Since c*||s||^2 >= 0, a trial value above f_x + C_accept*eta_k^2
-    fails the test whatever s is; the values decide such a step alone, and
-    s is never projected (the result's projection is None).  The shortcut
-    is exact in floating point: q = fl(c*||s||^2) >= 0 gives
+    Draws D_size indices with state.rng and accepts when the control
+    objective at the trial point improves on x by at least
+    c*||s||^2 - C_accept*eta_k^2, where s is the inexactly projected
+    direction of the control gradient at x.  Since c*||s||^2 >= 0, a trial
+    value above f_x + C_accept*eta_k^2 fails the test whatever s is; the
+    values decide such a step alone, and s is never projected.  The
+    shortcut is exact in floating point: q = fl(c*||s||^2) >= 0 gives
     fl(f_x - q) <= f_x, and rounding is monotone, so the full test's
     threshold is never above fl(f_x + C_accept*eta_k^2).
 
-    The control values and gradient are charged whether or not the step is
-    accepted; the caller charges a projection's CG when one ran.  Because
-    the values come first, a non-finite control value at x raises
-    NonFiniteValue before a control CG could raise CgStalled.
+    The control values and gradient are charged to state.meter whether or
+    not the step is accepted; a projection that runs goes through _project,
+    which checks, charges and counts it.  Because the values come first, a
+    non-finite control value at x raises NonFiniteValue before a control CG
+    could raise CgStalled.
     """
-    d_set = Sample.of(obj, draw_sample(obj, cfg.D_size, rng))
+    x = state.x
+    meter = state.meter
+    d_set = Sample.of(obj, draw_sample(obj, cfg.D_size, state.rng))
     control = subsample_value_grad(obj, d_set, x, meter)
     f_x = control.value(meter)
     f_trial = _guarded(subsample_value, obj, d_set, x_trial, meter)
     slack = cfg.C_accept * eta_k * eta_k
     if f_trial > f_x + slack:
-        return AdditionalSampleResult(accepted=False, projection=None)
-    proj = inexact_project(cs, x - control.grad, eta_k)
-    s = proj.point - x
-    s_sq = float(s.dot(s))
-    return AdditionalSampleResult(accepted=f_trial <= f_x - cfg.c * s_sq + slack, projection=proj)
+        return False
+    s = _project(state, cs, x - control.grad, eta_k).point - x
+    return f_trial <= f_x - cfg.c * float(s.dot(s)) + slack
 
 
-def _account(state: SolverState, cs: ConstraintSet, proj: ProjectionResult, eta_k: float) -> int:
-    """Check, charge and count one inexact projection; return its CG iterations.
+def _project(state: SolverState, cs: ConstraintSet, y: np.ndarray, eta_k: float) -> ProjectionResult:
+    """Project y inexactly to tolerance eta_k; check, charge and count the projection.
 
-    The reported residual norm is the feasibility gap of the projected
-    point by construction, so only the tolerance needs checking.
+    Every inexact projection of a run goes through here.  The reported
+    residual norm is the feasibility gap of the projected point by
+    construction, so only the tolerance needs checking.
     """
+    proj = inexact_project(cs, y, eta_k)
     if proj.residual_norm > eta_k:
         raise InvariantViolation(
             f"projection residual {proj.residual_norm:.3e} exceeds its tolerance {eta_k:.3e}"
         )
     state.meter.charge_cg(proj.cg_iterations, cs.m)
     state.projections_checked += 1
-    return proj.cg_iterations
+    return proj
+
+
+def _row(state: SolverState, **columns) -> IterationRecord:
+    """A trace row: the state's columns plus the step's (none: the terminal row).
+
+    A step builds its row before it moves the state.
+    """
+    return IterationRecord(
+        k=state.k,
+        Nk=state.Nk,
+        e_x=state.e_x,
+        scalar_products=state.meter.scalar_products,
+        **columns,
+    )
 
 
 def _oracle_batch(
@@ -370,17 +371,17 @@ def ipas_step(
     the iterate is merely re-projected (an unsuccessful step).  Mini-batch
     iterations always take their trial step to the acceptance test; on
     rejection the iterate is kept bitwise unchanged and the batch grows by
-    dN, capped at the component count.  Every projection that ran is
-    checked against its tolerance, charged and counted; a control test the
-    values decided ran none.  The record's oracle columns
+    dN, capped at the component count.  Every projection, the control
+    test's included, goes through _project; the row's cg_iters is the
+    meter's CG count over the step.  The record's oracle columns
     (norm_d_true, f_true) are NaN; _drive fills them in batches.
     """
     x = state.x
-    k = state.k
     e_x = state.e_x
     N = obj.n_components
     meter = state.meter
-    eta_k = eta(k, cfg.s_exp)
+    cg_start = meter.cg_iterations
+    eta_k = eta(state.k, cfg.s_exp)
     is_full = state.Nk >= N
 
     if is_full:
@@ -390,11 +391,8 @@ def ipas_step(
         est = subsample_value_grad(obj, sample, x, meter)
     grad_est = est.grad
 
-    proj = inexact_project(cs, x - grad_est, eta_k)
-    cg_total = _account(state, cs, proj, eta_k)
-    p = proj.point - x
+    p = _project(state, cs, x - grad_est, eta_k).point - x
     p_sq = float(p.dot(p))
-    norm_p = math.sqrt(p_sq)
     slope = float(grad_est.dot(p))
 
     accepted = False
@@ -411,20 +409,16 @@ def ipas_step(
             accepted = True
         else:
             # No sufficient descent: stay at x and only restore feasibility.
-            reproj = inexact_project(cs, x, eta_k)
-            cg_total += _account(state, cs, reproj, eta_k)
+            reproj = _project(state, cs, x, eta_k)
             x_next = reproj.point
-            e_next = reproj.residual_norm  # within eta_k, as _account checked
+            e_next = reproj.residual_norm  # within eta_k, as _project checked
             unsuccessful = True
     else:
         value_at = lambda z: subsample_value(obj, sample, z, meter)
         t, x_next = line_search_minibatch(
             value_at, x, p, est.value(meter), slope, eta_k, cfg.beta, cfg.c1, cfg.t_min
         )
-        control = additional_sampling_test(cs, obj, x, x_next, eta_k, cfg, state.rng, meter)
-        if control.projection is not None:
-            cg_total += _account(state, cs, control.projection, eta_k)
-        accepted = control.accepted
+        accepted = additional_sampling_test(state, cs, obj, x_next, eta_k, cfg)
         if not accepted:
             x_next = x  # rejected: the iterate is kept bitwise unchanged
             Nk_next = min(N, state.Nk + cfg.dN)
@@ -437,28 +431,21 @@ def ipas_step(
         if e_next > bound:
             raise InvariantViolation(
                 f"feasibility gap {e_next:.6e} after the accepted step exceeds {bound:.6e} "
-                f"at iteration {k}"
+                f"at iteration {state.k}"
             )
 
-    record = IterationRecord(
-        k=k,
-        Nk=state.Nk,
+    record = _row(
+        state,
         t=float(t),
-        norm_p=norm_p,
-        e_x=e_x,
-        scalar_products=meter.scalar_products,
+        norm_p=math.sqrt(p_sq),
         accepted=accepted,
         unsuccessful=unsuccessful,
-        cg_iters=cg_total,
+        cg_iters=meter.cg_iterations - cg_start,
     )
-
-    if is_full and norm_p <= cfg.tol_d and e_x <= cfg.tol_e:
-        state.done = STATUS_STATIONARY
-
     state.x = x_next
     state.e_x = e_next
     state.Nk = Nk_next
-    state.k = k + 1
+    state.k += 1
     return record
 
 
@@ -476,8 +463,9 @@ def _drive(
 
     Starts from x0 (default: minimum-norm feasible point) with a batch of
     Nk and calls step(state, cs, obj, cfg), where cfg is a SolverConfig or
-    a BaselineConfig, until cfg.k_max iterations or until the step marks
-    the state done.  The trace ends with a terminal row for the final
+    a BaselineConfig, until cfg.k_max iterations or until the row a step
+    returns is stationary: full sample, norm_p <= cfg.tol_d and
+    e_x <= cfg.tol_e.  The trace ends with a terminal row for the final
     iterate.
 
     With oracle_metrics set, every row whose oracle columns the step left
@@ -501,10 +489,7 @@ def _drive(
         raise ConfigInvalid(
             f"objective dimension {obj.dim} does not match the constraint width {cs.n}"
         )
-    if x0 is None:
-        x0 = exact_project(cs, np.zeros(cs.n))
-    else:
-        x0 = np.asarray(x0, dtype=float)
+    x0 = min_norm_feasible(cs) if x0 is None else np.asarray(x0, dtype=float)
 
     rng = np.random.default_rng(seed)
     state = SolverState(x=x0, k=0, Nk=Nk, rng=rng, meter=BudgetMeter(), e_x=feasibility_gap(cs, x0))
@@ -538,15 +523,12 @@ def _drive(
     status = STATUS_MAX_ITERATIONS
     while state.k < cfg.k_max:
         x = state.x
-        append(step(state, cs, obj, cfg), x)
-        if state.done is not None:
-            status = state.done
+        row = step(state, cs, obj, cfg)
+        append(row, x)
+        if row.Nk >= obj.n_components and row.norm_p <= cfg.tol_d and row.e_x <= cfg.tol_e:
+            status = STATUS_STATIONARY
             break
-    # The terminal row: the final iterate's state, with no step.
-    terminal = IterationRecord(
-        k=state.k, Nk=state.Nk, e_x=state.e_x, scalar_products=state.meter.scalar_products
-    )
-    append(terminal, state.x)
+    append(_row(state), state.x)
     flush()
     return RunResult(
         records=records,
@@ -571,9 +553,8 @@ def run(
     so a run with k_max = 0 yields exactly the initial state row.
     """
     validate_config(cfg, n_components=obj.n_components)
-    Nk = min(cfg.N0, obj.n_components)
     return _drive(
-        cs, obj, cfg, x0, ipas_step, Nk=Nk, seed=cfg.seed, oracle_metrics=cfg.oracle_metrics
+        cs, obj, cfg, x0, ipas_step, Nk=cfg.N0, seed=cfg.seed, oracle_metrics=cfg.oracle_metrics
     )
 
 

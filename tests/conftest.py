@@ -1,4 +1,7 @@
+import locale
+
 import numpy as np
+import pytest
 from hypothesis import settings
 
 from ipas import build_constraint_set
@@ -8,6 +11,13 @@ from ipas import build_constraint_set
 # failures, and no per-example deadline depends on the host's speed.
 settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
 settings.load_profile("deterministic")
+
+# Tests of bytes that are not UTF-8: open() and the LIBSVM reader decode
+# with the preferred encoding, under which such bytes may decode fine.
+utf8_only = pytest.mark.skipif(
+    locale.getpreferredencoding(False).lower().replace("-", "") != "utf8",
+    reason="needs UTF-8 as the preferred encoding",
+)
 
 
 def random_system(m: int, n: int, seed: int):

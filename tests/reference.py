@@ -34,12 +34,11 @@ from ipas import (
     ParseError,
     Sample,
     draw_sample,
-    inexact_project,
     subsample_value,
     subsample_value_grad,
 )
 from ipas.problems import LogisticKernel, _blocks, _map_labels
-from ipas.solver import AdditionalSampleResult
+from ipas.solver import _project
 
 
 def logistic_component(ds: LogisticDataset, i: int, x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -187,25 +186,25 @@ def exact_project(cs: ConstraintSet, y: np.ndarray) -> np.ndarray:
     return y - cs.A.T @ lam
 
 
-def additional_sampling_test(cs, obj, x, x_trial, eta_k, cfg, rng, meter) -> AdditionalSampleResult:
+def additional_sampling_test(state, cs, obj, x_trial, eta_k, cfg) -> bool:
     """The control-sample test that always projects the control direction (reference form).
 
     Same draw, evaluations, charges and test as the package's, but the
-    control direction is projected before the values are read, whatever
-    they turn out to be.
+    control direction is projected, through the solver's checked and
+    charged _project, before the values are read, whatever they turn out
+    to be.
     """
-    d_set = Sample.of(obj, draw_sample(obj, cfg.D_size, rng))
+    x, meter = state.x, state.meter
+    d_set = Sample.of(obj, draw_sample(obj, cfg.D_size, state.rng))
     control = subsample_value_grad(obj, d_set, x, meter)
-    proj = inexact_project(cs, x - control.grad, eta_k)
-    s = proj.point - x
+    s = _project(state, cs, x - control.grad, eta_k).point - x
     f_x = control.value(meter)
     try:
         f_trial = subsample_value(obj, d_set, x_trial, meter)
     except NonFiniteValue:
         f_trial = math.inf
     s_sq = float(s.dot(s))
-    accepted = f_trial <= f_x - cfg.c * s_sq + cfg.C_accept * eta_k * eta_k
-    return AdditionalSampleResult(accepted=accepted, projection=proj)
+    return f_trial <= f_x - cfg.c * s_sq + cfg.C_accept * eta_k * eta_k
 
 
 def parse_libsvm_dicts(data: bytes, path) -> LogisticDataset:
@@ -213,34 +212,37 @@ def parse_libsvm_dicts(data: bytes, path) -> LogisticDataset:
     labels: list[float] = []
     rows: list[dict[int, float]] = []
     width = 0
-    with io.TextIOWrapper(io.BytesIO(data)) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            tokens = line.split()
-            try:
-                label = float(tokens[0])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: bad label {tokens[0]!r}") from exc
-            if not math.isfinite(label):  # float() takes nan and inf
-                raise ParseError(f"{path}:{lineno}: bad label {tokens[0]!r}")
-            entries: dict[int, float] = {}
-            for tok in tokens[1:]:
-                idx_str, _, val_str = tok.partition(":")
-                if not _:
-                    raise ParseError(f"{path}:{lineno}: expected idx:val, got {tok!r}")
+    try:
+        with io.TextIOWrapper(io.BytesIO(data)) as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                tokens = line.split()
                 try:
-                    idx = int(idx_str)
-                    val = float(val_str)
+                    label = float(tokens[0])
                 except ValueError as exc:
-                    raise ParseError(f"{path}:{lineno}: bad entry {tok!r}") from exc
-                if idx < 1:
-                    raise ParseError(f"{path}:{lineno}: indices are 1-based, got {idx}")
-                entries[idx] = val
-                width = max(width, idx)
-            labels.append(label)
-            rows.append(entries)
+                    raise ParseError(f"{path}:{lineno}: bad label {tokens[0]!r}") from exc
+                if not math.isfinite(label):  # float() takes nan and inf
+                    raise ParseError(f"{path}:{lineno}: bad label {tokens[0]!r}")
+                entries: dict[int, float] = {}
+                for tok in tokens[1:]:
+                    idx_str, _, val_str = tok.partition(":")
+                    if not _:
+                        raise ParseError(f"{path}:{lineno}: expected idx:val, got {tok!r}")
+                    try:
+                        idx = int(idx_str)
+                        val = float(val_str)
+                    except ValueError as exc:
+                        raise ParseError(f"{path}:{lineno}: bad entry {tok!r}") from exc
+                    if idx < 1:
+                        raise ParseError(f"{path}:{lineno}: indices are 1-based, got {idx}")
+                    entries[idx] = val
+                    width = max(width, idx)
+                labels.append(label)
+                rows.append(entries)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: cannot decode: {exc}") from None
     if not rows:
         raise ParseError(f"{path}: no samples found")
 

@@ -12,6 +12,8 @@ from ipas import (
 )
 from ipas.cli import EXIT_CONFIG_ERROR, EXIT_OK, EXIT_RUN_FAILURE, OUTPUT_DIR_ENV, main
 
+from conftest import utf8_only
+
 
 @pytest.fixture()
 def config_path(tmp_path):
@@ -350,6 +352,64 @@ class TestUnrunnableProblem:
         assert code == EXIT_CONFIG_ERROR
         assert not out_dir.exists()
         assert f"config error: {self.expected(case)}" in capsys.readouterr().err
+
+
+class TestEmptyLists:
+    # An empty sweep grid planned zero runs: validate said "ok: 0 runs
+    # planned", and run wrote an empty runs.csv and summary.csv that a later
+    # summarize refused.  It is rejected as an empty seeds list is.
+    @pytest.mark.parametrize(
+        "section, key", [("sweep", "s"), ("sweep", "dn"), ("sweep", "sigma"), ("run", "seeds")]
+    )
+    def test_validate_and_run_exit_two(self, tmp_path, capsys, section, key):
+        sweep = f"[sweep]\n{key} =\n" if section == "sweep" else ""
+        seeds = "" if key == "seeds" else "0"
+        path = tmp_path / "empty.ini"
+        path.write_text(
+            "[problem]\nkind = noisy_quadratic\nn = 5\ncomponents = 6\n"
+            f"[solver]\nn0 = 2\nd = 2\nk_max = 8\n{sweep}[run]\nseeds = {seeds}\n"
+        )
+        message = f"[{section}] {key} list is empty"
+        assert main(["validate", str(path)]) == EXIT_CONFIG_ERROR
+        assert f"invalid: {message}" in capsys.readouterr().err
+        out_dir = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out_dir)]) == EXIT_CONFIG_ERROR
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+
+@utf8_only
+class TestUndecodableBytes:
+    # A byte that is not UTF-8, in the config or in its dataset, made validate
+    # and run print a UnicodeDecodeError traceback and exit 1.
+    CONFIG = b"[problem]\nkind = noisy_quadratic\nn = 4\ncomponents = 10\n# caf\xe9\n[run]\nseeds = 0\n"
+
+    def config(self, tmp_path):
+        path = tmp_path / "latin1.ini"
+        path.write_bytes(self.CONFIG)
+        return path
+
+    def dataset_config(self, tmp_path):
+        data = tmp_path / "latin1.libsvm"
+        data.write_bytes(b"1 1:0.5\n-1 1:0.25 # caf\xe9\n")
+        path = tmp_path / "logistic.ini"
+        path.write_text(f"[problem]\nkind = logistic\ndataset = {data}\n[run]\nseeds = 0\n")
+        return path
+
+    @pytest.mark.parametrize(
+        "which, message",
+        [("config", "cannot read config "), ("dataset_config", "latin1.libsvm: cannot decode: ")],
+    )
+    def test_validate_and_run_exit_two(self, tmp_path, capsys, which, message):
+        path = getattr(self, which)(tmp_path)
+        assert main(["validate", str(path)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("invalid: ") and message in err and "Traceback" not in err
+        out_dir = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out_dir)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert not out_dir.exists()
 
 
 class TestIntegerLists:

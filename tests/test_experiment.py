@@ -218,6 +218,22 @@ class TestConfigParsing:
         with pytest.raises(ConfigInvalid, match="collide"):
             parse_experiment_config(path)
 
+    @pytest.mark.parametrize(
+        "mutation, message",
+        [
+            (("s = 1.0 2.0", "s ="), "[sweep] s list is empty"),
+            (("dn = 1", "dn ="), "[sweep] dn list is empty"),
+            (("dn = 1", "dn = 1\n    sigma ="), "[sweep] sigma list is empty"),
+            (("seeds = 0, 1", "seeds ="), "[run] seeds list is empty"),
+        ],
+    )
+    def test_an_empty_list_is_rejected(self, tmp_path, mutation, message):
+        # An empty sweep grid used to plan zero runs without complaint.
+        path = write_config(tmp_path, QUAD_CONFIG.replace(*mutation))
+        with pytest.raises(ConfigInvalid) as info:
+            parse_experiment_config(path)
+        assert str(info.value) == message
+
     def test_close_but_distinct_values_accepted(self, tmp_path):
         path = write_config(tmp_path, QUAD_CONFIG.replace("s = 1.0 2.0", "s = 0.75 0.7501"))
         payloads = plan_runs(parse_experiment_config(path))

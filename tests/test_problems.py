@@ -46,6 +46,7 @@ from ipas import problems
 from ipas.objective import ComponentKernel
 from ipas.problems import _BLOCK_ROWS, LogisticKernel, NoisyQuadraticKernel, _blocks, parse_libsvm
 from ipas.solver import _oracle_batch
+from conftest import utf8_only
 from reference import (
     BlockedLogisticKernel,
     logistic_component,
@@ -558,6 +559,14 @@ class TestLibsvmParser:
             with pytest.raises(ParseError) as info:
                 parse(text.encode(), "f")
             assert str(info.value) == message
+
+    @utf8_only
+    @pytest.mark.parametrize("data", [b"1 1:0.5\n0 1:\xe9\n", b"\xff\xfe1 1:0.5\n"])
+    def test_bytes_that_do_not_decode_are_a_parse_error(self, data):
+        # They raised UnicodeDecodeError, which no caller maps to a typed error.
+        for parse in (parse_libsvm, parse_libsvm_dicts):
+            with pytest.raises(ParseError, match=r"^f: cannot decode: 'utf-8' codec can't decode"):
+                parse(data, "f")
 
     def test_traced_memory_stays_near_the_size_of_z(self, tmp_path):
         # The per-row dicts traced about 10x Z; flat arrays hold 16 bytes an

@@ -20,6 +20,7 @@ from ipas import (
     STATUS_MAX_ITERATIONS,
     STATUS_STATIONARY,
     SolverConfig,
+    SolverState,
     TRACE_COLUMNS,
     additional_sampling_test,
     build_constraint_set,
@@ -370,26 +371,39 @@ class TestAdditionalSamplingTest:
         self.cs = build_constraint_set(np.ones((1, 2)), np.array([0.0]))
         self.x = np.array([1.0, -1.0])
         self.obj = pinned_target_objective(np.zeros(2), n_components=5)
-        self.rng = np.random.default_rng(0)
 
     def config(self, **kw):
         base = dict(c=0.01, C_accept=0.5, D_size=2)
         base.update(kw)
         return SolverConfig(**base)
 
-    def test_clear_improvement_accepted(self):
-        out = additional_sampling_test(
-            self.cs, self.obj, self.x, np.zeros(2), eta_k=0.5,
-            cfg=self.config(), rng=self.rng, meter=BudgetMeter(),
+    def control(self, x_trial, obj=None, seed=0, **kw):
+        """The test's decision on x_trial from self.x at eta_k = 0.5, and the state it ran on."""
+        state = SolverState(
+            x=self.x, k=0, Nk=1, rng=np.random.default_rng(seed), meter=BudgetMeter(), e_x=0.0
         )
-        assert out.accepted
+        accepted = additional_sampling_test(
+            state, self.cs, obj or self.obj, np.asarray(x_trial, dtype=float), 0.5, self.config(**kw)
+        )
+        return accepted, state
+
+    def spy_projection(self, monkeypatch) -> list:
+        results = []
+
+        def spy(*args):
+            results.append(inexact_project(*args))
+            return results[-1]
+
+        monkeypatch.setattr(ipas.solver, "inexact_project", spy)
+        return results
+
+    def test_clear_improvement_accepted(self):
+        accepted, _ = self.control(np.zeros(2))
+        assert accepted is True
 
     def test_clear_regression_rejected(self):
-        out = additional_sampling_test(
-            self.cs, self.obj, self.x, np.array([10.0, -10.0]), eta_k=0.5,
-            cfg=self.config(), rng=self.rng, meter=BudgetMeter(),
-        )
-        assert not out.accepted
+        accepted, _ = self.control(np.array([10.0, -10.0]))
+        assert accepted is False
 
     def test_threshold_boundary(self):
         # f(x) = 1, s = -x so ||s||^2 = 2: the cutoff value is
@@ -397,82 +411,70 @@ class TestAdditionalSamplingTest:
         cutoff = 1.0 - 2 * 0.01 + 0.5 * 0.5**2
         for delta, expect in [(-1e-6, True), (1e-6, False)]:
             a = math.sqrt(cutoff + delta)
-            out = additional_sampling_test(
-                self.cs, self.obj, self.x, np.array([a, -a]), eta_k=0.5,
-                cfg=self.config(), rng=np.random.default_rng(1), meter=BudgetMeter(),
-            )
-            assert out.accepted is expect
+            accepted, _ = self.control(np.array([a, -a]), seed=1)
+            assert accepted is expect
 
-    def test_control_direction_norm(self):
+    def test_control_direction_norm(self, monkeypatch):
         # grad at x is x itself; x - grad = 0 projects to 0, so s = -x.
-        out = additional_sampling_test(
-            self.cs, self.obj, self.x, np.zeros(2), eta_k=0.5,
-            cfg=self.config(), rng=self.rng, meter=BudgetMeter(),
-        )
-        s = out.projection.point - self.x
+        results = self.spy_projection(monkeypatch)
+        self.control(np.zeros(2))
+        (proj,) = results
+        s = proj.point - self.x
         assert float(np.linalg.norm(s)) == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
-    def test_charges_one_grad_and_two_values_per_index(self):
-        meter = BudgetMeter()
-        additional_sampling_test(
-            self.cs, self.obj, self.x, np.zeros(2), eta_k=0.5,
-            cfg=self.config(D_size=3), rng=self.rng, meter=meter,
-        )
+    def test_charges_one_grad_and_two_values_per_index(self, monkeypatch):
+        results = self.spy_projection(monkeypatch)
+        _, state = self.control(np.zeros(2), D_size=3)
+        meter = state.meter
         assert meter.component_grad_evals == 3
         assert meter.component_value_evals == 6
-        # CG work is charged by the caller, not in here.
-        assert meter.cg_scalar_products == 0
+        # The control projection ran: the test charges its CG and counts it.
+        (proj,) = results
+        assert state.projections_checked == 1
+        assert meter.cg_iterations == proj.cg_iterations
+        assert meter.cg_scalar_products == proj.cg_iterations * (self.cs.m + 4)
 
-    def test_nonfinite_trial_value_rejects(self):
+    def test_nonfinite_trial_value_rejects(self, monkeypatch):
         def fragile(i, x):
             if abs(x[0]) > 5:
                 return float("nan"), np.zeros(2)
             d = x.copy()
             return 0.5 * float(d @ d), d
 
+        results = self.spy_projection(monkeypatch)
         obj = FiniteSumObjective(2, CallableKernel(fragile, uniform_weights(4)))
-        out = additional_sampling_test(
-            self.cs, obj, self.x, np.array([10.0, -10.0]), eta_k=0.5,
-            cfg=self.config(), rng=self.rng, meter=BudgetMeter(),
-        )
-        assert not out.accepted
-        assert out.projection is None
-
-    def spy_projection(self, monkeypatch) -> list:
-        calls = []
-
-        def spy(*args):
-            calls.append(args)
-            return inexact_project(*args)
-
-        monkeypatch.setattr(ipas.solver, "inexact_project", spy)
-        return calls
+        accepted, state = self.control(np.array([10.0, -10.0]), obj=obj)
+        assert accepted is False
+        assert (results, state.projections_checked, state.meter.cg_scalar_products) == ([], 0, 0)
 
     def test_values_above_the_slack_reject_without_projecting(self, monkeypatch):
         # f(x) = 1 and C eta^2 = 0.125: a trial value above 1.125 fails the
         # test whatever s is.
-        calls = self.spy_projection(monkeypatch)
-        meter = BudgetMeter()
+        results = self.spy_projection(monkeypatch)
         a = math.sqrt(1.125 + 1e-6)
-        out = additional_sampling_test(
-            self.cs, self.obj, self.x, np.array([a, -a]), eta_k=0.5,
-            cfg=self.config(), rng=self.rng, meter=meter,
-        )
-        assert (out.accepted, out.projection, calls) == (False, None, [])
+        accepted, state = self.control(np.array([a, -a]))
+        meter = state.meter
+        assert (accepted, results, state.projections_checked) == (False, [], 0)
+        assert (meter.cg_iterations, meter.cg_scalar_products) == (0, 0)
         # The control values and gradient are charged all the same.
         assert (meter.component_grad_evals, meter.component_value_evals) == (2, 4)
 
     def test_values_within_the_slack_project_and_the_direction_decides(self, monkeypatch):
         # Between the full cutoff 1.105 and f(x) + C eta^2 = 1.125 only
         # c ||s||^2 = 0.02 rejects the step, so s is projected.
-        calls = self.spy_projection(monkeypatch)
+        results = self.spy_projection(monkeypatch)
         a = math.sqrt(1.115)
-        out = additional_sampling_test(
-            self.cs, self.obj, self.x, np.array([a, -a]), eta_k=0.5,
-            cfg=self.config(), rng=self.rng, meter=BudgetMeter(),
-        )
-        assert not out.accepted
-        assert out.projection is not None and len(calls) == 1
+        accepted, state = self.control(np.array([a, -a]))
+        assert accepted is False
+        assert len(results) == 1 and state.projections_checked == 1
+
+    def test_an_over_tolerance_control_projection_raises(self, monkeypatch):
+        def over(cs_, y, eta_):
+            return replace(inexact_project(cs_, y, eta_), residual_norm=2.0 * eta_)
+
+        monkeypatch.setattr(ipas.solver, "inexact_project", over)
+        with pytest.raises(InvariantViolation, match="projection residual .* exceeds"):
+            self.control(np.zeros(2))
 
     def test_a_non_finite_control_value_raises_before_the_control_projection(self, monkeypatch):
         def stalled(*args):
@@ -484,10 +486,7 @@ class TestAdditionalSamplingTest:
         monkeypatch.setattr(ipas.solver, "inexact_project", stalled)
         obj = FiniteSumObjective(2, CallableKernel(nan_value, uniform_weights(4)))
         with pytest.raises(NonFiniteValue, match="subsampled objective value"):
-            additional_sampling_test(
-                self.cs, obj, self.x, np.zeros(2), eta_k=0.5,
-                cfg=self.config(), rng=self.rng, meter=BudgetMeter(),
-            )
+            self.control(np.zeros(2), obj=obj)
 
 
 class TestRunBehaviour:
