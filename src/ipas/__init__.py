@@ -54,7 +54,6 @@ from .experiment import (
 )
 from .objective import (
     BudgetMeter,
-    CallableKernel,
     FiniteSumObjective,
     Sample,
     draw_sample,

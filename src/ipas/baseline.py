@@ -2,8 +2,10 @@
 
 Every iteration evaluates the full weighted gradient, projects exactly,
 and backtracks with the same nonmonotone Armijo rule as the adaptive
-solver.  The exact solve is charged as (m + 4) * m scalar products, the
-worst case of a CG solve on the same system, so budgets are comparable.
+solver: line_search_full, given the search slack eta_k^2 that
+solver._tolerances computes for both methods.  The exact solve is
+charged as (m + 4) * m scalar products, the worst case of a CG solve on
+the same system, so budgets are comparable.
 
 Unlike the adaptive solver's full-sample branch, the step takes no
 descent check.  The exact direction passes it in exact arithmetic, but
@@ -29,7 +31,7 @@ from .solver import (
     _bound_problems,
     _drive,
     _row,
-    eta,
+    _tolerances,
     line_search_full,
 )
 
@@ -38,9 +40,9 @@ from .solver import (
 class BaselineConfig:
     """Line search and stopping parameters for the deterministic method.
 
-    s_exp controls the same decaying slack eta_k^2 used by the adaptive
-    solver's search, keeping the two methods' acceptance thresholds
-    aligned in comparisons.
+    s_exp controls the same decaying search slack eta_k^2 as the adaptive
+    solver's, taken from the same _tolerances, keeping the two methods'
+    acceptance thresholds aligned in comparisons.
     """
 
     beta: float = 0.1
@@ -63,7 +65,7 @@ def baseline_step(
     """One full-gradient iteration with an exact projection."""
     x = state.x
     meter = state.meter
-    eta_k = eta(state.k, cfg.s_exp)
+    slack = _tolerances(state.k, cfg.s_exp).search
 
     full = full_value_grad(obj, x, meter)
     g = full.grad
@@ -75,7 +77,7 @@ def baseline_step(
     f0 = full.value(meter)
     slope = float(g.dot(d))
     t, state.x = line_search_full(
-        lambda z: full_value(obj, z, meter), x, d, f0, slope, eta_k, cfg.beta, cfg.c1
+        lambda z: full_value(obj, z, meter), x, d, f0, slope, slack, cfg.beta, cfg.c1
     )
 
     record = _row(

@@ -5,14 +5,12 @@ or validate a config: prepare each grid point as run does, running nothing.
 Exit codes: 0 on success, 1 when runs fail or a summary cannot be built,
 2 for configuration errors, among them a grid point that cannot be
 prepared and an output directory that already holds sweep results.
-The IPAS_OUT_DIR environment variable overrides the config's
-output directory; the --out flag overrides both.
+The --out flag overrides the config's output directory.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .errors import ConfigInvalid, EmptyGroup, IpasError, OutputExists
@@ -22,8 +20,6 @@ from .experiment import (
     run_experiment,
     summarize_dir,
 )
-
-OUTPUT_DIR_ENV = "IPAS_OUT_DIR"
 
 EXIT_OK = 0
 EXIT_RUN_FAILURE = 1
@@ -39,7 +35,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute every run in a sweep config")
     p_run.add_argument("config", help="path to the experiment config file")
-    p_run.add_argument("--out", help="output directory (overrides config and environment)")
+    p_run.add_argument("--out", help="output directory (overrides the config's)")
     p_run.add_argument(
         "--workers",
         type=int,
@@ -56,23 +52,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_out_dir(cli_out: str | None, config_out: str) -> str:
-    if cli_out:
-        return cli_out
-    env_out = os.environ.get(OUTPUT_DIR_ENV)
-    if env_out:
-        return env_out
-    return config_out
-
-
 def _cmd_run(args) -> int:
     if args.workers is not None and args.workers < 1:
         print(f"config error: --workers {args.workers} must be at least 1", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     try:
         cfg = parse_experiment_config(args.config)
-        out_dir = _resolve_out_dir(args.out, cfg.output_dir)
-        outcome = run_experiment(cfg, workers=args.workers, output_dir=out_dir)
+        outcome = run_experiment(cfg, workers=args.workers, output_dir=args.out or cfg.output_dir)
     except (ConfigInvalid, OutputExists) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, NamedTuple, Protocol, runtime_checkable
+from typing import ClassVar, NamedTuple, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -80,49 +80,6 @@ class ComponentKernel(Protocol):
     def weighted_value_grad_many(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """weighted_value_grad at every column of X (n, K): values (K,) and gradients (n, K)."""
         ...
-
-
-class CallableKernel:
-    """Kernel of one component per weight, from a single (i, x) -> (value, gradient) callable.
-
-    Convenient for tests and small synthetic problems; evaluation loops in
-    Python, so large component counts should implement ComponentKernel
-    directly with vectorised operations.
-    """
-
-    def __init__(self, fn: Callable[[int, np.ndarray], tuple[float, np.ndarray]], weights):
-        self._fn = fn
-        self.weights = np.array(weights, dtype=float)
-
-    def gather(self, idx):
-        return idx
-
-    def values(self, rows, x):
-        return np.array([self._fn(int(i), x)[0] for i in rows], dtype=float)
-
-    def value_grad_mean(self, rows, x):
-        vals = np.empty(len(rows))
-        total = np.zeros_like(np.asarray(x, dtype=float))
-        for j, i in enumerate(rows):
-            vals[j], g = self._fn(int(i), x)
-            total += g
-        return vals, total / len(rows)
-
-    def weighted_value(self, x):
-        return float(sum(w * self._fn(i, x)[0] for i, w in enumerate(self.weights)))
-
-    def weighted_value_grad(self, x):
-        value = 0
-        total = np.zeros_like(np.asarray(x, dtype=float))
-        for i, w in enumerate(self.weights):
-            v, g = self._fn(i, x)
-            value += w * v
-            total += w * g
-        return float(value), total
-
-    def weighted_value_grad_many(self, X):
-        pairs = [self.weighted_value_grad(x) for x in X.T]
-        return np.array([v for v, _ in pairs]), np.column_stack([g for _, g in pairs])
 
 
 def component_weights(weights, n_components: int) -> np.ndarray:

@@ -339,9 +339,10 @@ def parse_libsvm(data: bytes, path) -> LogisticDataset:
     """Parse 'label idx:val idx:val ...' lines, read from path, into a dense dataset.
 
     The bytes are decoded as open(path) would decode them, and bytes that
-    do not decode raise ParseError naming the file.  Indices are 1-based;
-    the feature width is the largest index seen.  Unmentioned entries are
-    zero, and an index repeated on a line keeps its last value.
+    do not decode raise ParseError naming the file, and the line and file
+    offset of the first such byte.  Indices are 1-based; the feature width
+    is the largest index seen.  Unmentioned entries are zero, and an index
+    repeated on a line keeps its last value.
     The entries are collected in flat index and value arrays, 16 bytes an
     entry, and written into Z in one assignment.
     """
@@ -376,8 +377,20 @@ def parse_libsvm(data: bytes, path) -> LogisticDataset:
                     vals.append(val)
                 labels.append(label)
                 counts.append(len(tokens) - 1)
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: cannot decode: {exc}") from None
+    except UnicodeDecodeError:
+        # The wrapper's error places the byte in the chunk it was decoding;
+        # one decode of all of data places it in the file.  Lines are
+        # counted as the loop counts them, with universal newlines.
+        try:
+            data.decode(fh.encoding)
+        except UnicodeDecodeError as exc:
+            head = data[: exc.start].decode(fh.encoding)
+            line = head.count("\n") + head.count("\r") - head.count("\r\n") + 1
+            raise ParseError(
+                f"{path}:{line}: cannot decode the byte at offset {exc.start} "
+                f"as {exc.encoding}: {exc.reason}"
+            ) from None
+        raise
     if not labels:
         raise ParseError(f"{path}: no samples found")
 

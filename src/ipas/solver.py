@@ -7,6 +7,12 @@ independently drawn control sample accept the step or reject it and grow
 the batch.  The projection tolerance eta_k = 1/(k+1)^s decays fast enough
 that the squared tolerances are summable, which is what the nonmonotone
 slack and the acceptance test lean on.
+
+A step takes its whole tolerance schedule from _tolerances(): eta_k, the
+search slack eta_k^2 and the control slack C_accept*eta_k^2.  Nothing
+else derives a slack from eta_k.  line_search_full, line_search_minibatch
+and additional_sampling_test apply the slack they are given, and the
+control test passes eta_k on only as the tolerance of its projection.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -144,6 +150,25 @@ def eta(k: int, s_exp: float) -> float:
     return float((k + 1) ** (-s_exp))
 
 
+class _Tolerances(NamedTuple):
+    """A step's tolerance schedule at one iteration; see _tolerances()."""
+
+    eta: float  # tolerance of every inexact projection
+    search: float  # slack of both line searches
+    control: float  # slack of the additional-sampling test
+
+
+def _tolerances(k: int, s_exp: float, C_accept: float = 0.0) -> _Tolerances:
+    """The tolerances of iteration k: eta_k, eta_k^2 and C_accept*eta_k^2.
+
+    The one place a slack is derived from eta_k.  The control slack is
+    rounded as (C_accept*eta_k)*eta_k; the baseline, which has no control
+    test, leaves C_accept at 0.
+    """
+    eta_k = eta(k, s_exp)
+    return _Tolerances(eta_k, eta_k * eta_k, C_accept * eta_k * eta_k)
+
+
 def _bound_problems(cfg, unit_fields: tuple[str, ...], t_min: float) -> list[str]:
     """Violations of the bounds that SolverConfig and BaselineConfig share.
 
@@ -211,18 +236,17 @@ def line_search_full(
     p: np.ndarray,
     f0: float,
     slope: float,
-    eta_k: float,
+    slack: float,
     beta: float,
     c1: float,
 ) -> tuple[float, np.ndarray]:
-    """Backtracking Armijo search from x along p with nonmonotone slack eta_k^2.
+    """Backtracking Armijo search from x along p with nonmonotone slack.
 
     Returns the largest t = beta^j (smallest j >= 0) with
-    value_at(x + t*p) <= f0 + c1*t*slope + eta_k^2, and the very array
+    value_at(x + t*p) <= f0 + c1*t*slope + slack, and the very array
     x + t*p that value_at received; a trial that raises NonFiniteValue
     fails.  Raises MaxBacktracks after _MAX_BACKTRACKS failed reductions.
     """
-    slack = eta_k * eta_k
     for j in range(_MAX_BACKTRACKS + 1):
         t = beta**j
         point = x + t * p
@@ -240,20 +264,19 @@ def line_search_minibatch(
     p: np.ndarray,
     f0: float,
     slope: float,
-    eta_k: float,
+    slack: float,
     beta: float,
     c1: float,
     t_min: float,
 ) -> tuple[float, np.ndarray]:
     """Bounded backtracking from x along p, from t = 1 and never below t_min.
 
-    Reduces t by beta only while the Armijo condition (with slack eta_k^2)
+    Reduces t by beta only while the Armijo condition (with slack added)
     fails at x + t*p, as a trial that raises NonFiniteValue does, and the
     reduced step would still be >= t_min.  Returns t and the very array
     x + t*p that value_at received last.  That step may violate the Armijo
     condition; the acceptance test downstream is what protects the iterate.
     """
-    slack = eta_k * eta_k
     t = 1.0
     point = x + t * p
     while _guarded(value_at, point) > f0 + c1 * t * slope + slack and beta * t >= t_min:
@@ -268,19 +291,20 @@ def additional_sampling_test(
     obj: FiniteSumObjective,
     x_trial: np.ndarray,
     eta_k: float,
+    slack: float,
     cfg: SolverConfig,
 ) -> bool:
     """Accept or reject a trial point from state.x using an independent control sample.
 
     Draws D_size indices with state.rng and accepts when the control
     objective at the trial point improves on x by at least
-    c*||s||^2 - C_accept*eta_k^2, where s is the inexactly projected
-    direction of the control gradient at x.  Since c*||s||^2 >= 0, a trial
-    value above f_x + C_accept*eta_k^2 fails the test whatever s is; the
-    values decide such a step alone, and s is never projected.  The
-    shortcut is exact in floating point: q = fl(c*||s||^2) >= 0 gives
+    c*||s||^2 - slack, where s is the control gradient's direction at x,
+    projected inexactly to tolerance eta_k.  Since c*||s||^2 >= 0, a trial
+    value above f_x + slack fails the test whatever s is; the values
+    decide such a step alone, and s is never projected.  The shortcut is
+    exact in floating point: q = fl(c*||s||^2) >= 0 gives
     fl(f_x - q) <= f_x, and rounding is monotone, so the full test's
-    threshold is never above fl(f_x + C_accept*eta_k^2).
+    threshold is never above fl(f_x + slack).
 
     The control values and gradient are charged to state.meter whether or
     not the step is accepted; a projection that runs goes through _project,
@@ -294,7 +318,6 @@ def additional_sampling_test(
     control = subsample_value_grad(obj, d_set, x, meter)
     f_x = control.value(meter)
     f_trial = _guarded(subsample_value, obj, d_set, x_trial, meter)
-    slack = cfg.C_accept * eta_k * eta_k
     if f_trial > f_x + slack:
         return False
     s = _project(state, cs, x - control.grad, eta_k).point - x
@@ -371,17 +394,18 @@ def ipas_step(
     the iterate is merely re-projected (an unsuccessful step).  Mini-batch
     iterations always take their trial step to the acceptance test; on
     rejection the iterate is kept bitwise unchanged and the batch grows by
-    dN, capped at the component count.  Every projection, the control
-    test's included, goes through _project; the row's cg_iters is the
-    meter's CG count over the step.  The record's oracle columns
-    (norm_d_true, f_true) are NaN; _drive fills them in batches.
+    dN, capped at the component count.  The step's tolerances come from
+    _tolerances().  Every projection, the control test's included, goes
+    through _project; the row's cg_iters is the meter's CG count over the
+    step.  The record's oracle columns (norm_d_true, f_true) are NaN;
+    _drive fills them in batches.
     """
     x = state.x
     e_x = state.e_x
     N = obj.n_components
     meter = state.meter
     cg_start = meter.cg_iterations
-    eta_k = eta(state.k, cfg.s_exp)
+    eta_k, search_slack, control_slack = _tolerances(state.k, cfg.s_exp, cfg.C_accept)
     is_full = state.Nk >= N
 
     if is_full:
@@ -404,7 +428,7 @@ def ipas_step(
         if descent_check(slope, p_sq, cfg.c):
             value_at = lambda z: full_value(obj, z, meter)
             t, x_next = line_search_full(
-                value_at, x, p, est.value(meter), slope, eta_k, cfg.beta, cfg.c1
+                value_at, x, p, est.value(meter), slope, search_slack, cfg.beta, cfg.c1
             )
             accepted = True
         else:
@@ -416,9 +440,9 @@ def ipas_step(
     else:
         value_at = lambda z: subsample_value(obj, sample, z, meter)
         t, x_next = line_search_minibatch(
-            value_at, x, p, est.value(meter), slope, eta_k, cfg.beta, cfg.c1, cfg.t_min
+            value_at, x, p, est.value(meter), slope, search_slack, cfg.beta, cfg.c1, cfg.t_min
         )
-        accepted = additional_sampling_test(state, cs, obj, x_next, eta_k, cfg)
+        accepted = additional_sampling_test(state, cs, obj, x_next, eta_k, control_slack, cfg)
         if not accepted:
             x_next = x  # rejected: the iterate is kept bitwise unchanged
             Nk_next = min(N, state.Nk + cfg.dN)
@@ -587,12 +611,15 @@ def _read_csv(path, parsers: dict[str, Callable], what: str) -> list[list]:
     """The rows of a file _write_csv wrote with parsers' keys as its header.
 
     Each cell goes through its column's parser.  Blank lines are skipped.
-    Raises ParseError on another header, on a row of another cell count and
-    on a cell its parser rejects.
+    Raises ParseError on bytes that do not decode, on another header, on a
+    row of another cell count and on a cell its parser rejects.
     """
     columns = tuple(parsers)
-    with open(path) as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
+    try:
+        with open(path) as fh:
+            lines = [line.rstrip("\n") for line in fh if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: cannot decode the {what}: {exc.reason}") from None
     if not lines or tuple(lines[0].split(",")) != columns:
         raise ParseError(f"{path}: missing or unexpected {what} header")
     rows = []

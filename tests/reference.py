@@ -186,7 +186,7 @@ def exact_project(cs: ConstraintSet, y: np.ndarray) -> np.ndarray:
     return y - cs.A.T @ lam
 
 
-def additional_sampling_test(state, cs, obj, x_trial, eta_k, cfg) -> bool:
+def additional_sampling_test(state, cs, obj, x_trial, eta_k, slack, cfg) -> bool:
     """The control-sample test that always projects the control direction (reference form).
 
     Same draw, evaluations, charges and test as the package's, but the
@@ -204,7 +204,7 @@ def additional_sampling_test(state, cs, obj, x_trial, eta_k, cfg) -> bool:
     except NonFiniteValue:
         f_trial = math.inf
     s_sq = float(s.dot(s))
-    return f_trial <= f_x - cfg.c * s_sq + cfg.C_accept * eta_k * eta_k
+    return f_trial <= f_x - cfg.c * s_sq + slack
 
 
 def parse_libsvm_dicts(data: bytes, path) -> LogisticDataset:

@@ -10,7 +10,7 @@ from ipas import (
     parse_experiment_config,
     save_libsvm,
 )
-from ipas.cli import EXIT_CONFIG_ERROR, EXIT_OK, EXIT_RUN_FAILURE, OUTPUT_DIR_ENV, main
+from ipas.cli import EXIT_CONFIG_ERROR, EXIT_OK, EXIT_RUN_FAILURE, main
 
 from conftest import utf8_only
 
@@ -398,7 +398,10 @@ class TestUndecodableBytes:
 
     @pytest.mark.parametrize(
         "which, message",
-        [("config", "cannot read config "), ("dataset_config", "latin1.libsvm: cannot decode: ")],
+        [
+            ("config", "cannot read config "),
+            ("dataset_config", "latin1.libsvm:2: cannot decode the byte at offset 23 as utf-8: "),
+        ],
     )
     def test_validate_and_run_exit_two(self, tmp_path, capsys, which, message):
         path = getattr(self, which)(tmp_path)
@@ -486,23 +489,6 @@ class TestRun:
         stdout = capsys.readouterr().out
         assert "2 runs (0 failed)" in stdout
 
-    def test_env_var_sets_output_dir(self, config_path, tmp_path, monkeypatch):
-        env_dir = tmp_path / "env_out"
-        monkeypatch.setenv(OUTPUT_DIR_ENV, str(env_dir))
-        assert main(["run", str(config_path), "--workers", "1"]) == EXIT_OK
-        assert (env_dir / "runs.csv").exists()
-
-    def test_flag_beats_env_var(self, config_path, tmp_path, monkeypatch):
-        env_dir = tmp_path / "env_out"
-        flag_dir = tmp_path / "flag_out"
-        monkeypatch.setenv(OUTPUT_DIR_ENV, str(env_dir))
-        assert (
-            main(["run", str(config_path), "--out", str(flag_dir), "--workers", "1"])
-            == EXIT_OK
-        )
-        assert (flag_dir / "runs.csv").exists()
-        assert not env_dir.exists()
-
     def test_config_error_exits_two(self, tmp_path):
         assert main(["run", str(tmp_path / "absent.ini")]) == EXIT_CONFIG_ERROR
 
@@ -540,20 +526,13 @@ class TestRun:
 
 class TestUnusableOutputDir:
     # An output path under a regular file (NotADirectoryError) or at one
-    # (FileExistsError), given by the flag or by the environment.
-    @pytest.mark.parametrize("via", ["flag", "env"])
+    # (FileExistsError).
     @pytest.mark.parametrize("where", ["under_a_file", "at_a_file"])
-    def test_exits_two_before_any_run(
-        self, config_path, tmp_path, monkeypatch, capsys, where, via
-    ):
+    def test_exits_two_before_any_run(self, config_path, tmp_path, capsys, where):
         blocker = tmp_path / "blocker"
         blocker.write_text("keep\n")
         out_dir = blocker / "out" if where == "under_a_file" else blocker
-        argv = ["run", str(config_path), "--workers", "1"]
-        if via == "flag":
-            argv += ["--out", str(out_dir)]
-        else:
-            monkeypatch.setenv(OUTPUT_DIR_ENV, str(out_dir))
+        argv = ["run", str(config_path), "--workers", "1", "--out", str(out_dir)]
         assert main(argv) == EXIT_CONFIG_ERROR
         captured = capsys.readouterr()
         assert f"config error: cannot create output directory {out_dir}: " in captured.err
@@ -620,6 +599,22 @@ class TestSummarize:
         err = capsys.readouterr().err
         assert err.startswith(f"summarize failed: {manifest}: ")
         assert message in err and "Traceback" not in err
+
+    @utf8_only
+    @pytest.mark.parametrize("what", ["trace", "manifest"])
+    def test_undecodable_bytes_exit_one(self, config_path, tmp_path, capsys, what):
+        # A byte that is not UTF-8 made summarize print a UnicodeDecodeError
+        # traceback.
+        out_dir = tmp_path / "out"
+        main(["run", str(config_path), "--out", str(out_dir), "--workers", "1"])
+        path = out_dir / "runs.csv" if what == "manifest" else sorted(out_dir.glob("trace_*.csv"))[0]
+        with open(path, "ab") as fh:
+            fh.write(b"\xe9")
+        capsys.readouterr()
+        assert main(["summarize", str(out_dir)]) == EXIT_RUN_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith(f"summarize failed: {path}: cannot decode the {what}: ")
+        assert "Traceback" not in err
 
 
 class TestParser:

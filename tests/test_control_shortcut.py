@@ -98,7 +98,7 @@ positive = st.one_of(
     eta_k=st.one_of(st.just(1.0), unit),
 )
 def test_a_trial_above_the_values_cutoff_fails_the_full_test(f_x, trial, s_sq, c, C_accept, eta_k):
-    # The expressions of additional_sampling_test, evaluated in its order.
+    # The expressions of _tolerances and additional_sampling_test, evaluated in their order.
     slack = C_accept * eta_k * eta_k
     cutoff = f_x + slack
     kind, v = trial

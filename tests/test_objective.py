@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from ipas import (
     BudgetMeter,
-    CallableKernel,
     FiniteSumObjective,
     NonFiniteValue,
     Sample,
@@ -18,6 +17,8 @@ from ipas import (
     uniform_weights,
 )
 from ipas.objective import _GUIDE_MIN_DRAW
+
+from conftest import CallableKernel
 
 DIM = 3
 

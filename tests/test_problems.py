@@ -24,7 +24,6 @@ from ipas import (
     WeightError,
     exact_project,
     feasibility_gap,
-    CallableKernel,
     FiniteSumObjective,
     full_value,
     full_value_grad,
@@ -46,7 +45,7 @@ from ipas import problems
 from ipas.objective import ComponentKernel
 from ipas.problems import _BLOCK_ROWS, LogisticKernel, NoisyQuadraticKernel, _blocks, parse_libsvm
 from ipas.solver import _oracle_batch
-from conftest import utf8_only
+from conftest import CallableKernel, utf8_only
 from reference import (
     BlockedLogisticKernel,
     logistic_component,
@@ -561,12 +560,25 @@ class TestLibsvmParser:
             assert str(info.value) == message
 
     @utf8_only
-    @pytest.mark.parametrize("data", [b"1 1:0.5\n0 1:\xe9\n", b"\xff\xfe1 1:0.5\n"])
-    def test_bytes_that_do_not_decode_are_a_parse_error(self, data):
+    @pytest.mark.parametrize(
+        "data, where",
+        [
+            (b"1 1:0.5\n0 1:\xe9\n", "f:2: cannot decode the byte at offset 12 "),
+            (b"\xff\xfe1 1:0.5\n", "f:1: cannot decode the byte at offset 0 "),
+            # Past the wrapper's first chunk, whose own error reads "position 7620".
+            (b"1 1:0.5\n" * 3000 + b"1 1:\xe9", "f:3001: cannot decode the byte at offset 24004 "),
+            (b"1 1:0.5\r\n-1 1:1\r1 1:\xe9\n", "f:3: cannot decode the byte at offset 20 "),
+        ],
+        ids=["line-2", "first-byte", "past-first-chunk", "universal-newlines"],
+    )
+    def test_bytes_that_do_not_decode_are_a_parse_error(self, data, where):
         # They raised UnicodeDecodeError, which no caller maps to a typed error.
-        for parse in (parse_libsvm, parse_libsvm_dicts):
-            with pytest.raises(ParseError, match=r"^f: cannot decode: 'utf-8' codec can't decode"):
-                parse(data, "f")
+        # The message names the line and the byte's offset in the file.
+        with pytest.raises(ParseError) as info:
+            parse_libsvm(data, "f")
+        assert str(info.value).startswith(where + "as utf-8: ")
+        with pytest.raises(ParseError, match=r"^f: cannot decode: 'utf-8' codec can't decode"):
+            parse_libsvm_dicts(data, "f")
 
     def test_traced_memory_stays_near_the_size_of_z(self, tmp_path):
         # The per-row dicts traced about 10x Z; flat arrays hold 16 bytes an

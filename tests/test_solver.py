@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 import ipas.solver
 from ipas import (
     BaselineConfig,
-    CallableKernel,
     CgStalled,
     ConfigInvalid,
     FiniteSumObjective,
@@ -49,7 +48,9 @@ from ipas import (
 )
 from ipas.constraints import ProjectionResult
 from ipas.objective import BudgetMeter
-from ipas.solver import _ORACLE_BATCH, _oracle_batch, ipas_step
+from ipas.solver import _ORACLE_BATCH, _oracle_batch, _tolerances, ipas_step
+
+from conftest import CallableKernel
 
 
 def orthonormal_system(m: int, n: int, seed: int, shift: float = 0.0):
@@ -91,6 +92,61 @@ class TestEta:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             eta(-1, 1.0)
+
+
+class TestTolerances:
+    def test_the_control_slack_keeps_its_rounding(self):
+        # The control slack is rounded as (C_accept*eta_k)*eta_k, as the
+        # control test rounded it when it squared eta_k itself; the other
+        # grouping, C_accept*(eta_k*eta_k), differs at 725 of these k.
+        C_accept = 1e-2
+        regrouped = 0
+        for k in range(2000):
+            eta_k, search_slack, control_slack = _tolerances(k, 1.0, C_accept)
+            assert eta_k == eta(k, 1.0)
+            assert search_slack == eta_k * eta_k
+            assert control_slack == (C_accept * eta_k) * eta_k
+            regrouped += control_slack != C_accept * (eta_k * eta_k)
+        assert regrouped == 725
+
+    @staticmethod
+    def spy(monkeypatch, module, name) -> list[tuple]:
+        """Log the positional arguments of every call of module.name."""
+        log = []
+
+        def wrapped(*args, real=getattr(module, name)):
+            log.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapped)
+        return log
+
+    def test_each_step_applies_the_tolerances_of_its_iteration(self, monkeypatch):
+        # Both searches take their slack at position 5, as does the control
+        # test, which takes eta_k, its projection's tolerance, at position 4.
+        import ipas.baseline
+
+        full = self.spy(monkeypatch, ipas.solver, "line_search_full")
+        mini = self.spy(monkeypatch, ipas.solver, "line_search_minibatch")
+        control = self.spy(monkeypatch, ipas.solver, "additional_sampling_test")
+        baseline = self.spy(monkeypatch, ipas.baseline, "line_search_full")
+        cs = generate_constraints(6, 2, seed=1)
+        obj = noisy_quadratic_objective(make_noisy_quadratic(6, 20, sigma=0.5, seed=0))
+        cfg = SolverConfig(k_max=60, N0=2, dN=3, D_size=3, C_accept=0.3, s_exp=0.75, seed=0)
+        expected_full, expected_mini, expected_control = [], [], []
+        for r in run(cs, obj, cfg).records[:-1]:
+            tol = _tolerances(r.k, cfg.s_exp, cfg.C_accept)
+            if r.Nk < obj.n_components:
+                expected_mini.append(tol.search)
+                expected_control.append((tol.eta, tol.control))
+            elif not r.unsuccessful:
+                expected_full.append(tol.search)
+        assert expected_full and expected_mini
+        assert [args[5] for args in full] == expected_full
+        assert [args[5] for args in mini] == expected_mini
+        assert [args[4:6] for args in control] == expected_control
+        records = run_baseline(cs, obj, BaselineConfig(k_max=10, s_exp=0.75)).records[:-1]
+        assert [args[5] for args in baseline] == [_tolerances(r.k, 0.75).search for r in records]
 
 
 class TestValidateConfig:
@@ -191,25 +247,25 @@ class TestLineSearchFull:
         # 3 t^2 <= t/2 first holds at t = 0.5^3.
         f0 = 10.0
         phi = lambda t: f0 - t + 3 * t * t
-        t = search(line_search_full, phi, f0, slope=-1.0, eta_k=0.0, beta=0.5, c1=0.5)
+        t = search(line_search_full, phi, f0, slope=-1.0, slack=0.0, beta=0.5, c1=0.5)
         assert t == 0.125
 
     def test_slack_loosens_the_step(self):
         f0 = 10.0
         phi = lambda t: f0 - t + 3 * t * t
-        t = search(line_search_full, phi, f0, slope=-1.0, eta_k=1.0, beta=0.5, c1=0.5)
+        t = search(line_search_full, phi, f0, slope=-1.0, slack=1.0, beta=0.5, c1=0.5)
         assert t == 0.5
 
     def test_immediate_acceptance(self):
         f0 = 2.0
-        t = search(line_search_full, lambda t: f0 - t, f0, slope=-1.0, eta_k=0.0, beta=0.1, c1=0.9)
+        t = search(line_search_full, lambda t: f0 - t, f0, slope=-1.0, slack=0.0, beta=0.1, c1=0.9)
         assert t == 1.0
 
     def test_unsatisfiable_raises_after_cap(self):
         calls = []
         phi = lambda t: calls.append(t) or 1e9
         with pytest.raises(MaxBacktracks):
-            search(line_search_full, phi, 0.0, slope=-1.0, eta_k=0.0, beta=0.5, c1=0.5)
+            search(line_search_full, phi, 0.0, slope=-1.0, slack=0.0, beta=0.5, c1=0.5)
         assert len(calls) == 201
 
     @pytest.mark.parametrize("blowup", ["inf", "raise"])
@@ -225,7 +281,7 @@ class TestLineSearchFull:
                 raise NonFiniteValue("objective value evaluated to inf")
             return math.inf
 
-        t = search(line_search_full, phi, f0, slope=-1.0, eta_k=0.0, beta=0.5, c1=0.25)
+        t = search(line_search_full, phi, f0, slope=-1.0, slack=0.0, beta=0.5, c1=0.25)
         assert t == 0.25
 
 
@@ -233,7 +289,7 @@ class TestLineSearchMinibatch:
     def test_matches_full_search_above_floor(self):
         f0 = 10.0
         phi = lambda t: f0 - t + 3 * t * t
-        t = search(line_search_minibatch, phi, f0, slope=-1.0, eta_k=0.0, beta=0.5, c1=0.5,
+        t = search(line_search_minibatch, phi, f0, slope=-1.0, slack=0.0, beta=0.5, c1=0.5,
                    t_min=0.01)
         assert t == 0.125
 
@@ -241,20 +297,20 @@ class TestLineSearchMinibatch:
         # Always-failing phi with beta = 0.5, t_min = 0.1: reductions stop at
         # 0.125 because the next trial 0.0625 would cross the floor.
         phi = lambda t: 1e9
-        t = search(line_search_minibatch, phi, 0.0, slope=-1.0, eta_k=0.0, beta=0.5, c1=0.5,
+        t = search(line_search_minibatch, phi, 0.0, slope=-1.0, slack=0.0, beta=0.5, c1=0.5,
                    t_min=0.1)
         assert t == 0.125
 
     def test_high_floor_returns_unit_step(self):
         phi = lambda t: 1e9
-        t = search(line_search_minibatch, phi, 0.0, slope=-1.0, eta_k=0.0, beta=0.5, c1=0.5,
+        t = search(line_search_minibatch, phi, 0.0, slope=-1.0, slack=0.0, beta=0.5, c1=0.5,
                    t_min=0.9)
         assert t == 1.0
 
     def test_returned_step_may_violate_armijo(self):
         f0 = 0.0
         phi = lambda t: f0 + 1.0  # never satisfies the condition
-        t = search(line_search_minibatch, phi, f0, slope=-1.0, eta_k=0.0, beta=0.1, c1=0.5,
+        t = search(line_search_minibatch, phi, f0, slope=-1.0, slack=0.0, beta=0.1, c1=0.5,
                    t_min=0.05)
         assert phi(t) > f0 + 0.5 * t * (-1.0)
 
@@ -264,7 +320,7 @@ class TestLineSearchMinibatch:
                 raise NonFiniteValue("subsampled objective value evaluated to nan")
             return -1.0
 
-        t = search(line_search_minibatch, phi, 0.0, slope=-1.0, eta_k=0.0, beta=0.5, c1=0.5,
+        t = search(line_search_minibatch, phi, 0.0, slope=-1.0, slack=0.0, beta=0.5, c1=0.5,
                    t_min=0.01)
         assert t == 0.25
 
@@ -277,7 +333,7 @@ class TestLineSearchMinibatch:
     def test_floor_and_grid_invariants(self, beta, t_min, fail_above):
         # phi fails the Armijo test exactly when t > fail_above.
         phi = lambda t: 1e9 if t > fail_above else -1e9
-        t = search(line_search_minibatch, phi, 0.0, slope=-1.0, eta_k=0.0, beta=beta, c1=0.5,
+        t = search(line_search_minibatch, phi, 0.0, slope=-1.0, slack=0.0, beta=beta, c1=0.5,
                    t_min=t_min)
         # Never below the floor, and always a power of beta up to roundoff.
         assert t >= t_min or t == 1.0
@@ -285,6 +341,27 @@ class TestLineSearchMinibatch:
         assert t == pytest.approx(beta**j, rel=1e-9)
         # On return either the test passed or the floor blocked further cuts.
         assert phi(t) <= 0.0 or beta * t < t_min
+
+
+@given(
+    f0=st.floats(-1e3, 1e3),
+    slope=st.floats(-1e3, -1e-2),
+    curvature=st.floats(0.0, 1e3),
+    beta=st.floats(0.05, 0.9),
+    c1=st.floats(1e-4, 0.9),
+)
+@settings(max_examples=200)
+def test_zero_slack_is_the_plain_armijo_condition(f0, slope, curvature, beta, c1):
+    # Both searches given slack 0 stop at the first trial step where
+    # phi(t) <= f0 + c1*t*slope holds, and at no other.
+    phi = lambda t: f0 + slope * t + curvature * t * t
+    armijo = lambda t: phi(t) <= f0 + c1 * t * slope
+    for line_search, extra in ((line_search_full, ()), (line_search_minibatch, (1e-300,))):
+        trials = []
+        t = search(line_search, lambda t: trials.append(t) or phi(t), f0, slope, 0.0, beta, c1,
+                   *extra)
+        assert trials[-1] == t and armijo(t)
+        assert not any(armijo(u) for u in trials[:-1])
 
 
 class TestSearchHandsOverItsPoint:
@@ -378,12 +455,17 @@ class TestAdditionalSamplingTest:
         return SolverConfig(**base)
 
     def control(self, x_trial, obj=None, seed=0, **kw):
-        """The test's decision on x_trial from self.x at eta_k = 0.5, and the state it ran on."""
+        """The test's decision on x_trial from self.x at eta_k = 0.5, and the state it ran on.
+
+        The slack is C_accept * eta_k^2, as _tolerances gives it.
+        """
         state = SolverState(
             x=self.x, k=0, Nk=1, rng=np.random.default_rng(seed), meter=BudgetMeter(), e_x=0.0
         )
+        cfg = self.config(**kw)
         accepted = additional_sampling_test(
-            state, self.cs, obj or self.obj, np.asarray(x_trial, dtype=float), 0.5, self.config(**kw)
+            state, self.cs, obj or self.obj, np.asarray(x_trial, dtype=float), 0.5,
+            cfg.C_accept * 0.25, cfg,
         )
         return accepted, state
 
