@@ -56,9 +56,13 @@ def _cmd_run(args) -> int:
     if args.workers is not None and args.workers < 1:
         print(f"config error: --workers {args.workers} must be at least 1", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    if args.out == "":
+        print("config error: --out is empty", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
     try:
         cfg = parse_experiment_config(args.config)
-        outcome = run_experiment(cfg, workers=args.workers, output_dir=args.out or cfg.output_dir)
+        output_dir = cfg.output_dir if args.out is None else args.out
+        outcome = run_experiment(cfg, workers=args.workers, output_dir=output_dir)
     except (ConfigInvalid, OutputExists) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

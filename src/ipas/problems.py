@@ -120,10 +120,6 @@ class LogisticDataset:
         return self.Z.shape[1]
 
 
-def _underflow_ignored() -> bool:
-    return np.geterr()["under"] == "ignore"
-
-
 def _blocks(n_rows: int, dim: int) -> list[slice]:
     """The row blocks of LogisticKernel's full-data methods, in order."""
     rows = min(_BLOCK_ROWS, max(8, _BLOCK_BYTES // (8 * dim) // 8 * 8))
@@ -137,14 +133,23 @@ class LogisticKernel:
     Every full-data method sums block terms over the row blocks of _blocks,
     in block order, each sum starting from the first block's term.  A block
     takes the K points as the rows of a C-contiguous X' and gives its values
-    w_b . losses_b and, when a gradient is wanted, its gradient term
-    coef_b Z_b while Z_b is still in cache, w being the kernel's weights.
-    weighted_value and weighted_value_grad are the K = 1 case of
-    weighted_value_grad_many: the same calls on the same blocks, so the
-    three return the same bits at a point.  The results kept their bytes at
-    1 and 2 OpenBLAS threads on a 2-vCPU x86 host for the shapes checked
-    (tests/test_baseline.py checks some); other BLAS builds and hosts are
-    unchecked.
+    w_b . losses_b and its gradient term coef_b Z_b while Z_b is still in
+    cache, w being the kernel's weights.  weighted_value and
+    weighted_value_grad are the K = 1 case of weighted_value_grad_many: the
+    same calls on the same blocks, so the three return the same bits at a
+    point.  The results kept their bytes at 1 and 2 OpenBLAS threads on a
+    2-vCPU x86 host for the shapes checked (tests/test_baseline.py checks
+    some); other BLAS builds and hosts are unchecked.
+
+    Every pass over Z computes the values and the gradients together, so
+    the gradient at an accepted trial point costs no second read; a
+    rejected trial costs the gradient's share of a block's work.  A pass
+    ignores underflow, whatever numpy's error state: the gradient's
+    products can underflow where the losses do not, and underflow only
+    rounds a term to a subnormal number or to zero.  So the caller's
+    setting for underflow changes no work, and a value never raises or
+    warns because of its gradient.  Overflow, invalid and divide follow the
+    caller's error state.
 
     A call at one point, the one-point batch included, goes through _sums'
     one-entry memo of the last point, keyed by its dtype, shape and bytes: a
@@ -153,23 +158,15 @@ class LogisticKernel:
     changes by a bit; a point mutated in place, or one differing only in the
     sign of a zero, misses.  weighted_value_grad returns the held gradient
     read-only; weighted_value_grad_many returns writable copies.
-
-    A value-only miss computes the gradient in the same read of Z, so the
-    gradient at an accepted trial point costs no second read; a rejected
-    trial costs the gradient's share of a block's work.  Both the fused
-    miss and the reuse of a held gradient wait while numpy does not ignore
-    underflow (ignoring it is the default): the gradient's products can
-    underflow where the losses do not, and no call may raise or warn where
-    a memo-less call would not, or stay silent where it would.
     """
 
     def __init__(self, ds: LogisticDataset, weights):
         self.ds = ds
         self.weights = component_weights(weights, ds.n_samples)
-        # (key, values, gradients or None) of _sums' last one-point call.  A
-        # plain tuple: a NamedTuple cost 0.3 us more per miss on small data.
+        # (key, values, gradients) of _sums' last one-point call.  A plain
+        # tuple: a NamedTuple cost 0.3 us more per miss on small data.
         self._memo: tuple | None = None
-        neg_y = -ds.y
+        self._neg_y = neg_y = -ds.y
         neg_wy = self.weights * neg_y
         self._row_blocks = [
             (ds.Z[rows], neg_y[rows], self.weights[rows], neg_wy[rows])
@@ -177,33 +174,34 @@ class LogisticKernel:
         ]
 
     def gather(self, idx):
-        return self.ds.Z[idx], self.ds.y[idx]
+        """The sampled rows of Z and their negated labels."""
+        return self.ds.Z[idx], self._neg_y[idx]
 
     def values(self, rows, x):
-        Z, y = rows
-        margins = -y * (Z @ x)
+        Z, neg_y = rows
+        margins = neg_y * (Z @ x)
         return np.logaddexp(0.0, margins)
 
     def value_grad_mean(self, rows, x):
         # The gradient sums Z_b' coef_b over blocks of _BATCH_ROWS gathered
         # rows, in order; a batch of one block makes the plain call Z' coef.
-        Z, y = rows
-        margins = -y * (Z @ x)
-        coef = -y * expit(margins)
+        Z, neg_y = rows
+        margins = neg_y * (Z @ x)
+        coef = neg_y * expit(margins)
         grad = Z[:_BATCH_ROWS].T @ coef[:_BATCH_ROWS]
-        for lo in range(_BATCH_ROWS, len(y), _BATCH_ROWS):
+        for lo in range(_BATCH_ROWS, len(neg_y), _BATCH_ROWS):
             grad += Z[lo : lo + _BATCH_ROWS].T @ coef[lo : lo + _BATCH_ROWS]
-        return np.logaddexp(0.0, margins), grad / len(y)
+        return np.logaddexp(0.0, margins), grad / len(neg_y)
 
     def weighted_value(self, x):
-        return float(self._sums(np.asarray(x)[None, :], want_grad=False)[0][0])
+        return float(self._sums(np.asarray(x)[None, :])[0][0])
 
     def weighted_value_grad(self, x):
-        values, grads = self._sums(np.asarray(x)[None, :], want_grad=True)
+        values, grads = self._sums(np.asarray(x)[None, :])
         return float(values[0]), grads[0]
 
-    def _block_terms(self, XT, block, want_grad: bool):
-        """The (values, gradients or None) terms of one row block.
+    def _block_terms(self, XT, block):
+        """The (values, gradients) terms of one row block.
 
         XT holds the K points as rows.  The margins and the
         coefficients are (K, rows) arrays, so Z_b is the wide operand of
@@ -223,8 +221,6 @@ class LogisticKernel:
         losses = np.log1p(e)
         positive = m > 0.0
         losses += np.maximum(m, 0.0, out=m)
-        if not want_grad:
-            return losses.dot(wb), None
         coef = np.maximum(e, positive, out=m)
         e += 1.0
         coef /= e
@@ -240,7 +236,7 @@ class LogisticKernel:
         """
 
         def run(blocks):
-            return [self._block_terms(XT, block, True) for block in blocks]
+            return [self._block_terms(XT, block) for block in blocks]
 
         in_flight = collections.deque()
         with ThreadPoolExecutor(threads) as pool:
@@ -251,50 +247,45 @@ class LogisticKernel:
             while in_flight:
                 yield from in_flight.popleft().result()
 
-    def _sums(self, XT, want_grad: bool):
-        """The values (K,) and, if want_grad, the gradients (K, n) at the rows of XT.
+    def _sums(self, XT):
+        """The values (K,) and the gradients (K, n) at the rows of XT.
 
         Block terms are summed on the calling thread in block order, so the
         threaded and the serial path return the same bits.  Threads engage
-        only for a gradient of at least _MIN_THREADED_POINTS points, when
-        BLAS leaves CPUs free and each thread gets at least two tasks.
-        One-point calls go through the memo and return its read-only arrays.
+        only for at least _MIN_THREADED_POINTS points, when BLAS leaves CPUs
+        free and each thread gets at least two tasks.  The helpers inherit
+        the errstate that ignores underflow.  One-point calls go through the
+        memo and return its read-only arrays.
         """
         key = None
         if len(XT) == 1:
             key = (XT.dtype.str, XT.shape, XT.tobytes())
             memo = self._memo
             if memo is not None and memo[0] == key:
-                _, values, grads = memo
-                if not want_grad:
-                    return values, None
-                if grads is not None and _underflow_ignored():
-                    return values, grads
-            want_grad = want_grad or _underflow_ignored()
+                return memo[1], memo[2]
         blocks = self._row_blocks
         threads = 0
-        if want_grad and len(XT) >= _MIN_THREADED_POINTS:
+        if len(XT) >= _MIN_THREADED_POINTS:
             tasks = [blocks[i : i + _BLOCKS_PER_TASK] for i in range(0, len(blocks), _BLOCKS_PER_TASK)]
             cpus = _usable_cpu_count()
             threads = min(cpus // (_blas_threads() or cpus), len(tasks) // 2)
-        if threads > 1:
-            terms = self._threaded_block_terms(XT, tasks, threads)
-        else:
-            terms = (self._block_terms(XT, block, want_grad) for block in blocks)
-        values, grads = next(terms)
-        for value, grad in terms:
-            values += value
-            if want_grad:
+        with np.errstate(under="ignore"):
+            if threads > 1:
+                terms = self._threaded_block_terms(XT, tasks, threads)
+            else:
+                terms = (self._block_terms(XT, block) for block in blocks)
+            values, grads = next(terms)
+            for value, grad in terms:
+                values += value
                 grads += grad
         if key is not None:
             values.flags.writeable = False
-            if grads is not None:
-                grads.flags.writeable = False
+            grads.flags.writeable = False
             self._memo = (key, values, grads)
         return values, grads
 
     def weighted_value_grad_many(self, X):
-        values, grads = self._sums(np.ascontiguousarray(X.T), want_grad=True)
+        values, grads = self._sums(np.ascontiguousarray(X.T))
         return values.copy(), grads.T.copy()
 
 

@@ -56,17 +56,18 @@ def logistic_component(ds: LogisticDataset, i: int, x: np.ndarray) -> tuple[floa
 
 
 def logistic_block_sums(
-    ds: LogisticDataset, w: np.ndarray, X: np.ndarray, want_grad: bool = True
-) -> tuple[np.ndarray, np.ndarray | None]:
+    ds: LogisticDataset, w: np.ndarray, X: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """The logistic kernel's full-data sums at the columns of X, as one serial loop.
 
     Point-major, over the row blocks of _blocks: the K points are the rows
     of X', so each block's margins and coefficients are (K, rows) arrays,
     its value term is losses . w_b and its gradient term coef . Z_b.  The
     terms are added in block order, each sum starting from the first
-    block's term.  Returns the values (K,) and, if want_grad, the gradients
-    (K, n), else None.  The package computes the same block terms, on
-    helper threads for a large batch, and must sum them to these bits.
+    block's term.  Returns the values (K,) and the gradients (K, n).  The
+    package computes the same block terms, on helper threads for a large
+    batch, and must sum them to these bits.  Unlike the package, the loop
+    runs under the caller's error state, underflow included.
     """
     Z, y = ds.Z, ds.y
     XT = np.ascontiguousarray(X.T)
@@ -77,10 +78,9 @@ def logistic_block_sums(
         e = np.exp(-np.abs(m))
         value = (np.log1p(e) + np.maximum(m, 0.0)).dot(wb)
         values = value if values is None else values + value
-        if want_grad:
-            coef = np.where(m > 0.0, 1.0, e) / (e + 1.0)
-            coef *= wb * -y[rows]
-            grads = coef.dot(Zb) if grads is None else grads + coef.dot(Zb)
+        coef = np.where(m > 0.0, 1.0, e) / (e + 1.0)
+        coef *= wb * -y[rows]
+        grads = coef.dot(Zb) if grads is None else grads + coef.dot(Zb)
     return values, grads
 
 
@@ -95,15 +95,12 @@ def logistic_value_grad_many(
 class BlockedLogisticKernel(LogisticKernel):
     """LogisticKernel whose one-point methods are the block sums at one point, memo-less.
 
-    A value-only call computes no gradient term, as the package's does not
-    unless it fuses, so each raises or warns where the package must.  The
-    package's one-point methods must return these bits, whichever path
-    they take.
+    The package's one-point methods must return these bits, whether a call
+    hits the memo or not.
     """
 
     def weighted_value(self, x):
-        values, _ = logistic_block_sums(self.ds, self.weights, x[:, None], want_grad=False)
-        return float(values[0])
+        return self.weighted_value_grad(x)[0]
 
     def weighted_value_grad(self, x):
         values, grads = logistic_block_sums(self.ds, self.weights, x[:, None])

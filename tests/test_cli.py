@@ -353,6 +353,21 @@ class TestUnrunnableProblem:
         assert not out_dir.exists()
         assert f"config error: {self.expected(case)}" in capsys.readouterr().err
 
+    def test_run_with_an_empty_out_exits_two_and_writes_nothing(self, tmp_path, capsys):
+        # An empty --out wrote to the config's output_dir, where an empty
+        # [run] output_dir (the empty_output_dir case) exits 2.
+        out_dir = tmp_path / "out"
+        path = tmp_path / "quad.ini"
+        path.write_text(
+            textwrap.dedent(self.QUAD.format(key="sigma", value="1")).replace(
+                "seeds = 0", f"seeds = 0\noutput_dir = {out_dir}"
+            )
+        )
+        assert main(["validate", str(path)]) == EXIT_OK
+        assert main(["run", str(path), "--out", ""]) == EXIT_CONFIG_ERROR
+        assert "config error: --out is empty" in capsys.readouterr().err
+        assert not out_dir.exists()
+
 
 class TestEmptyLists:
     # An empty sweep grid planned zero runs: validate said "ok: 0 runs

@@ -1,15 +1,17 @@
 """The logistic kernel's one-point full-data methods against their memo-less forms.
 
 The kernel sums its value and gradient over the row blocks of
-ipas.problems._blocks and reads them through a memo; while underflow is
-ignored, a trial value computes the gradient in the same read of Z.
-Whichever path a call takes, it must return the bits of the memo-less
-BlockedLogisticKernel of tests/reference.py.  Checked in the solver's and
-the baseline's records, field by field, in the kernel's own value and
-gradient, and against the batched oracle at one point.
+ipas.problems._blocks, together in one read of Z and with underflow
+ignored, and reads them through a memo.  Hit or miss, a call must return
+the bits of the memo-less BlockedLogisticKernel of tests/reference.py.
+Checked in the solver's and the baseline's records, field by field, in
+the kernel's own value and gradient, and against the batched oracle at
+one point.
 """
 
 import dataclasses
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from ipas import (
     run_baseline,
     uniform_weights,
 )
+from ipas import problems
 from ipas.problems import LogisticKernel, _blocks
 from reference import BlockedLogisticKernel, logistic_value_grad_many
 from test_golden import DATA
@@ -151,7 +154,10 @@ class TestOnePointIsTheBatchAtOnePoint:
                 value, grad = LogisticKernel(ds, w).weighted_value_grad(x)
                 assert repr(value) == repr(float(values[0]))
                 assert grad.tobytes() == grads[:, 0].tobytes()
-                with np.errstate(under="warn"):  # a value-only pass
+                # The gradient's products underflow at the 700 margins; the
+                # kernel ignores that whatever the caller's setting.
+                with np.errstate(under="warn"), warnings.catch_warnings():
+                    warnings.simplefilter("error")
                     assert repr(LogisticKernel(ds, w).weighted_value(x)) == repr(value)
                 strided = np.stack([x, x], axis=1)[:, 0]  # x's bytes, not contiguous
                 value, grad = LogisticKernel(ds, w).weighted_value_grad(strided)
@@ -165,7 +171,7 @@ class TestOnePointIsTheBatchAtOnePoint:
         value, grad = kernel.weighted_value_grad(x)
         counts = count_passes(kernel, monkeypatch)
         values, grads = kernel.weighted_value_grad_many(x[:, None])
-        assert counts == {"value": 0, "gradient": 0}
+        assert counts.passes == 0
         assert values.tobytes() == np.array([value]).tobytes()
         assert grads.tobytes() == grad.tobytes()
         # The oracle's own array, not a view of the held read-only gradient.
@@ -209,7 +215,7 @@ def data_and_point(request, large):
 
 
 def held_gradient(kernel):
-    """The (1, n) gradient the kernel's memo holds, or None."""
+    """The (1, n) gradient the kernel's memo holds."""
     return kernel._memo[2]
 
 
@@ -250,67 +256,83 @@ class TestGradientMemo:
         assert value == ref.weighted_value(first)
         assert grad.tobytes() == ref_grad(kernel, first)
 
-    @pytest.mark.parametrize("largest", [5.0, 700.0, 800.0])
-    def test_raise_on_every_error_raises_as_the_reference_does(self, data_and_point, largest):
+    @pytest.mark.parametrize("largest", [700.0, 800.0])
+    @pytest.mark.parametrize("call", ["one-point", "serial batch", "threaded batch"])
+    def test_raise_on_every_error_returns_the_bits_with_underflow_ignored(
+        self, large, monkeypatch, largest, call
+    ):
         # On the large data, margins near 700 make the gradient's products
-        # underflow while the losses do not, so only a call that asks for
-        # the gradient raises; margins near 800 make the losses underflow too.
-        ds, _ = data_and_point
-        x = margin_scaled_point(ds, largest, seed=2)
+        # underflow while the losses do not, and margins near 800 make the
+        # losses underflow too.  The reference follows the caller's error
+        # state and raises; the kernel ignores underflow and raises nothing.
+        ds = large[1].kernel.ds
         kernel = LogisticKernel(ds, uniform_weights(ds.n_samples))
-        ref = reference(kernel)
-        raised = {}
-        for method in ("weighted_value", "weighted_value_grad"):
-            # Computed at the default error state, the gradient is held; it
-            # must not be reused where the memo-less kernel would raise.
-            kernel.weighted_value_grad(0.5 * x)
-            if method == "weighted_value_grad":
-                kernel.weighted_value_grad(x)
-            outcomes = []
-            for k in (kernel, ref):
-                with np.errstate(all="raise"):
-                    try:
-                        result = getattr(k, method)(x)
-                    except FloatingPointError:
-                        result = "raised"
-                outcomes.append(repr(result))
-            assert outcomes[0] == outcomes[1], method
-            raised[method] = outcomes[0] == repr("raised")
-        if kernel.ds.n_samples == N_ROWS:
-            expected = {5.0: (False, False), 700.0: (False, True), 800.0: (True, True)}
-            assert (raised["weighted_value"], raised["weighted_value_grad"]) == expected[largest]
+        K = {"one-point": 1, "serial batch": 2, "threaded batch": problems._MIN_THREADED_POINTS}[call]
+        X = np.stack([margin_scaled_point(ds, largest, seed=i) for i in range(K)], axis=1)
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError, match="underflow"):
+            logistic_value_grad_many(ds, kernel.weights, X)
+        with np.errstate(under="ignore"):
+            ref_values, ref_grads = logistic_value_grad_many(ds, kernel.weights, X)
+        pools = []
+        if call == "threaded batch":
+            monkeypatch.setattr(problems, "_usable_cpu_count", lambda: 2)
+            monkeypatch.setattr(problems, "_blas_threads", lambda: 1)
+            real_pool = problems.ThreadPoolExecutor
+
+            def pool(max_workers):
+                pools.append(max_workers)
+                return real_pool(max_workers)
+
+            monkeypatch.setattr(problems, "ThreadPoolExecutor", pool)
+        with np.errstate(all="raise"):
+            if call == "one-point":
+                # A value-only miss, then the gradient from the memo.
+                x = X[:, 0]
+                values = np.array([kernel.weighted_value(x)])
+                value, grad = kernel.weighted_value_grad(x)
+                assert value == values[0]
+                grads = grad[:, None]
+            else:
+                values, grads = kernel.weighted_value_grad_many(X)
+        assert values.tobytes() == ref_values.tobytes()
+        assert grads.tobytes() == ref_grads.tobytes()
+        assert pools == ([2] if call == "threaded batch" else [])
 
 
-def count_passes(kernel, monkeypatch) -> dict[str, int]:
-    """Count the kernel's blocked passes over Z, value-only and with a gradient.
+def count_passes(kernel, monkeypatch) -> SimpleNamespace:
+    """Count the kernel's blocked passes over Z.
 
     A pass is counted at its first block's terms; a memo hit computes none.
     """
-    counts = {"value": 0, "gradient": 0}
+    counts = SimpleNamespace(passes=0)
     real = kernel._block_terms
     first = kernel._row_blocks[0]
 
-    def spy(XT, block, want_grad):
-        if block is first:
-            counts["gradient" if want_grad else "value"] += 1
-        return real(XT, block, want_grad)
+    def spy(XT, block):
+        counts.passes += block is first
+        return real(XT, block)
 
     monkeypatch.setattr(kernel, "_block_terms", spy)
     return counts
 
 
-class TestWhereTheFusedPassRuns:
+class TestOnePassPerPoint:
+    @pytest.mark.parametrize("under", ["ignore", "warn", "raise"])
     @pytest.mark.parametrize("data", ["small", "large"])
-    def test_a_trial_value_holds_the_gradient_while_underflow_is_ignored(self, data, large):
+    def test_a_value_then_the_gradient_at_the_point_make_one_pass(
+        self, data, large, under, monkeypatch
+    ):
+        # Whatever the caller's underflow setting, the value's pass holds
+        # the gradient that the next call at the point returns.
         ds = make_synthetic_logistic(768, 8, seed=42) if data == "small" else large[1].kernel.ds
         kernel = LogisticKernel(ds, uniform_weights(ds.n_samples))
+        counts = count_passes(kernel, monkeypatch)
         x = margin_scaled_point(ds, 5.0, seed=1)
-        kernel.weighted_value(x)
-        assert held_gradient(kernel) is not None
-        # Not while underflow is not ignored.
-        with np.errstate(under="warn"):
-            kernel.weighted_value(0.25 * x)
-        assert held_gradient(kernel) is None
+        with np.errstate(under=under):
+            value = kernel.weighted_value(x)
+            assert held_gradient(kernel) is not None
+            assert kernel.weighted_value_grad(x.copy())[0] == value
+        assert counts.passes == 1
 
     @pytest.mark.parametrize("data", ["small", "large"])
     def test_each_trial_point_reads_z_once(self, data, large, monkeypatch):
@@ -324,8 +346,8 @@ class TestWhereTheFusedPassRuns:
         kernel = LogisticKernel(obj, uniform_weights(obj.n_samples))
         counts = count_passes(kernel, monkeypatch)
         records = run_baseline(cs, FiniteSumObjective(obj.dim, kernel), cfg).records
-        # One fused pass per trial point and one at the start; each gradient
-        # at an accepted point is the memo's, and so is the terminal row's
+        # One pass per trial point and one at the start; each gradient at an
+        # accepted point is the memo's, and so is the terminal row's
         # one-point oracle.
         trials = sum(1 if r.t == 1.0 else 2 for r in records[:-1])
-        assert counts == {"value": 0, "gradient": trials + 1}
+        assert counts.passes == trials + 1
