@@ -159,46 +159,53 @@ def cg_solve(
     absolute residual norm ||rhs - M x|| <= tol_abs; the returned norm is
     recomputed from the candidate solution rather than the recurrence, so
     callers can rely on it.  Raises CgStalled when the tolerance is not met
-    within max_iter iterations.
+    within max_iter iterations, at iteration 0 when ||rhs|| is not finite,
+    and when a curvature p^T M p is not positive and finite.
     """
     rhs = np.asarray(rhs, dtype=float)
     m = rhs.size
     # On the small systems here numpy's per-call dispatch, not arithmetic,
     # sets the cost of an iteration, so the loop makes seven calls: the
     # matvec into Ap, two scalar products, one multiply and one add that
-    # move x and r together, and the in-place update of p.  The buffers
-    # hold [x | -r] and [p | Ap]; negation is exact and rounding symmetric,
-    # so fl(-r + alpha*Ap) = -fl(r - alpha*Ap), (-r).(-r) = r.r, and
-    # p - (-r) = p + r, all bit for bit.
-    xr = np.zeros((2, m))
-    x, neg_r = xr
+    # move x and r together, and the in-place update of p.  One workspace
+    # holds [x | -r], [p | Ap] and the step.  Negation is exact and rounding
+    # symmetric, so fl(-r + alpha*Ap) = -fl(r - alpha*Ap), (-r).(-r) = r.r
+    # and p - (-r) = p + r bit for bit.  The step factors reach the
+    # multiplies as a 0-d float64 array, which numpy need not convert as it
+    # does a Python float; the float64 product is the same, bit for bit.
+    w = np.zeros((6, m))
+    xr, pa, step = w[0:2], w[2:4], w[4:6]
+    x, neg_r, p, Ap = w[:4]
     np.negative(rhs, neg_r)
     rnorm = math.sqrt(float(neg_r.dot(neg_r)))
     if rnorm <= tol_abs:
         return x, rnorm, 0
+    if not rnorm < math.inf:
+        raise CgStalled(f"CG right-hand side norm {rnorm:.3e} is not finite", rnorm, 0)
 
-    pa = np.empty((2, m))
-    p, Ap = pa
     np.copyto(p, rhs)
-    step = np.empty((2, m))
+    factor = np.empty(())
+    matvec, p_dot, r_dot = M.dot, p.dot, neg_r.dot
+    add, multiply, subtract = np.add, np.multiply, np.subtract
     rs = rnorm * rnorm
     best_norm = rnorm
     for it in range(1, max_iter + 1):
-        M.dot(p, Ap)
-        pAp = float(p.dot(Ap))
+        matvec(p, Ap)
+        pAp = float(p_dot(Ap))
         if not 0.0 < pAp < math.inf:
             raise CgStalled(
                 f"CG curvature p^T A p = {pAp:.3e} is not positive; operator is not SPD",
                 residual_norm=best_norm,
                 iterations=it,
             )
-        np.multiply(pa, rs / pAp, step)
-        xr += step
-        rs_new = float(neg_r.dot(neg_r))
+        factor[()] = rs / pAp
+        multiply(pa, factor, step)
+        add(xr, step, xr)
+        rs_new = float(r_dot(neg_r))
         rnorm = math.sqrt(rs_new)
         if rnorm <= tol_abs:
             # Recurrence residuals drift from the truth; confirm before exiting.
-            true_neg_r = M.dot(x) - rhs
+            true_neg_r = matvec(x) - rhs
             true_norm = math.sqrt(float(true_neg_r.dot(true_neg_r)))
             if true_norm <= tol_abs:
                 return x, true_norm, it
@@ -207,8 +214,9 @@ def cg_solve(
             rs = true_norm * true_norm
             best_norm = min(best_norm, true_norm)
             continue
-        p *= rs_new / rs
-        p -= neg_r
+        factor[()] = rs_new / rs
+        multiply(p, factor, p)
+        subtract(p, neg_r, p)
         rs = rs_new
         if rnorm < best_norm:
             best_norm = rnorm
@@ -231,7 +239,7 @@ def inexact_project(cs: ConstraintSet, y: np.ndarray, eta: float) -> ProjectionR
     y = np.asarray(y, dtype=float)
     if y.shape != (cs.n,):
         raise DimensionMismatch(f"y must have shape ({cs.n},), got {y.shape}")
-    if eta <= 0:
+    if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta}")
     rhs = cs.A.dot(y) - cs.b
     lam, _, iters = cg_solve(cs.AAt, rhs, eta, _CG_MAX_ITER_FACTOR * cs.m)

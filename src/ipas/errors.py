@@ -14,7 +14,7 @@ class RankDeficient(IpasError):
 
 
 class CgStalled(IpasError):
-    """Conjugate gradients hit the iteration cap without meeting the requested residual tolerance.
+    """Conjugate gradients hit the iteration cap, a curvature <= 0 or a non-finite right-hand side.
 
     Carries the best residual norm and the iteration count for diagnostics.
     """

@@ -18,7 +18,7 @@ control test passes eta_k on only as the tolerance of its projection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from typing import Callable, Iterable, NamedTuple
 
@@ -500,14 +500,14 @@ def _drive(
     (_oracle_batch), which runs every _ORACLE_BATCH distinct iterates and
     once at the end.  Otherwise those columns stay NaN.
 
-    An oracle column's bits depend on the batch it lands in: the batched
-    pass and projection round with the batch's width and layout, so the
-    same iterate can read other last bits in another batch.  Rows share a
-    column by identity, not by bytes, and trajectory changes that merge or
-    move columns move oracle bits.  Keeping x itself on an unsuccessful
-    row whose re-projected point has x's bytes merged those iterates into
-    one column, and moved norm_d_true in 1613 of 40020 rows of twenty
-    check-07 runs and f_true in 2798 of 40040 rows of configs/logistic.ini.
+    An oracle column's bits depend on where it lands in its batch: BLAS
+    takes a batch's last iterates, those short of a full kernel block, by
+    another path that can round differently, as it does a batch of one.
+    Rows share a column by identity, not by bytes, so trajectory changes
+    that merge or move columns move oracle bits, as can _ORACLE_BATCH: on an
+    x86 OpenBLAS host, 60 moved norm_d_true in 2445 of 40020 rows of twenty
+    check-07 runs, 63 moved f_true in 1023 of 40040 rows of
+    configs/logistic.ini, and 4096 and 1024 moved none.
     """
     if obj.dim != cs.n:
         raise ConfigInvalid(
@@ -527,8 +527,10 @@ def _drive(
     def flush() -> None:
         if xs:
             norm_d, f = _oracle_batch(cs, obj, xs, ks)
+            # Frozen rows no one else holds yet: fill them, don't rebuild them.
             for i, j in pending:
-                records[i] = replace(records[i], norm_d_true=float(norm_d[j]), f_true=float(f[j]))
+                object.__setattr__(records[i], "norm_d_true", float(norm_d[j]))
+                object.__setattr__(records[i], "f_true", float(f[j]))
         xs.clear()
         ks.clear()
         pending.clear()

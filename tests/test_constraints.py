@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -328,6 +330,26 @@ class TestInexactProject:
             inexact_project(cs, np.zeros(5), eta=0.0)
         with pytest.raises(ValueError):
             inexact_project(cs, np.zeros(5), eta=-1e-3)
+        # NaN fails every comparison; it must not run CG to its cap.
+        with pytest.raises(ValueError, match="eta must be positive, got nan"):
+            inexact_project(cs, np.ones(5), eta=float("nan"))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_stops_cg_at_iteration_zero(self, bad):
+        # A non-finite y makes A y - b non-finite: CG names the right-hand
+        # side before it applies the operator, and nothing warns.
+        cs = random_system(3, 7, seed=43)
+        y = np.zeros(7)
+        y[2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CgStalled, match="right-hand side norm .* is not finite") as err:
+                inexact_project(cs, y, eta=1e-3)
+        assert err.value.iterations == 0
+        M = _CountingMatrix(cs.AAt)
+        with pytest.raises(CgStalled, match="right-hand side"):
+            cg_solve(M, cs.A @ y - cs.b, 1e-3, 30)
+        assert M.calls == 0
 
     def test_stall_on_extreme_conditioning(self):
         # Rows nearly parallel: Gram matrix nearly singular, CG cannot hit a
@@ -427,31 +449,41 @@ class TestMatchesReference:
         # Gram matrices of random wide matrices, like A A^T in the solver.
         # Right-hand sides span 1e-8 to 1e3; the relative tolerances run down
         # to roundoff, where the recurrence residual passes the test but the
-        # true residual does not and CG restarts from it, or stalls.
+        # true residual does not and CG restarts from it, or stalls.  The
+        # unit draws are also scaled to 1e-150, where the squared residual
+        # norms fall below the normal range, and to 1e150, where they near
+        # its top and the tightest tolerances stall.
         rng = np.random.default_rng(m)
         restarts = 0
+        stalls = {}
         for _ in range(3 if m == 100 else 12):
             A = rng.standard_normal((m, m + 3))
             S = A @ A.T
             for scale in (1e-8, 1e-3, 1.0, 1e3):
-                rhs = scale * rng.standard_normal(m)
-                rhs_norm = float(np.linalg.norm(rhs))
-                for rel in (1e-2, 1e-8, 1e-13, 1e-15):
-                    tol = rel * rhs_norm
-                    ref_calls = [0]
+                draw = rng.standard_normal(m)
+                for size in (scale, 1e-150, 1e150) if scale == 1.0 else (scale,):
+                    rhs = size * draw
+                    rhs_norm = float(np.linalg.norm(rhs))
+                    for rel in (1e-2, 1e-8, 1e-13, 1e-15):
+                        tol = rel * rhs_norm
+                        ref_calls = [0]
 
-                    def counted(v):
-                        ref_calls[0] += 1
-                        return S @ v
+                        def counted(v):
+                            ref_calls[0] += 1
+                            return S @ v
 
-                    expected = self._outcome(reference.cg_solve, counted, rhs, tol, 10 * m)
-                    M = _CountingMatrix(S)
-                    assert self._outcome(cg_solve, M, rhs, tol, 10 * m) == expected, (scale, rel)
-                    assert M.calls == ref_calls[0]
-                    if expected[0] == "solved":
-                        # One apply per iteration plus one per true-residual check.
-                        restarts += ref_calls[0] - expected[3] - 1
+                        expected = self._outcome(reference.cg_solve, counted, rhs, tol, 10 * m)
+                        M = _CountingMatrix(S)
+                        outcome = self._outcome(cg_solve, M, rhs, tol, 10 * m)
+                        assert outcome == expected, (size, rel)
+                        assert M.calls == ref_calls[0]
+                        if expected[0] == "solved":
+                            # One apply per iteration plus one per true-residual check.
+                            restarts += ref_calls[0] - expected[3] - 1
+                        else:
+                            stalls[size] = stalls.get(size, 0) + 1
         assert restarts > 0
+        assert stalls.get(1e150, 0) > 0, stalls
 
     @pytest.mark.parametrize("m", [4, 10, 100])
     def test_inexact_project_bits(self, m):

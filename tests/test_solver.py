@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -48,7 +48,7 @@ from ipas import (
 )
 from ipas.constraints import ProjectionResult
 from ipas.objective import BudgetMeter
-from ipas.solver import _ORACLE_BATCH, _oracle_batch, _tolerances, ipas_step
+from ipas.solver import IterationRecord, _ORACLE_BATCH, _oracle_batch, _tolerances, ipas_step
 
 from conftest import CallableKernel
 
@@ -983,6 +983,26 @@ class TestOracleMemo:
         res = run(cs, obj, cfg)
         assert len(checked) > _ORACLE_BATCH
         assert checked[-1] is res.x
+
+    def test_returned_rows_are_frozen_records(self, monkeypatch):
+        # The driver fills the oracle columns of the rows it still holds in
+        # place; every row it returns is frozen like any other.
+        cs, obj, cfg = self.mixed_run()
+        flushes = []
+
+        def counted(*args):
+            flushes.append(args[2])
+            return _oracle_batch(*args)
+
+        monkeypatch.setattr("ipas.solver._oracle_batch", counted)
+        res = run(cs, obj, cfg)
+        assert len(flushes) >= 2
+        for r in res.records:
+            assert type(r) is IterationRecord
+            assert not (math.isnan(r.norm_d_true) or math.isnan(r.f_true))
+            for column in ("norm_d_true", "f_true", "k"):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(r, column, 0.0)
 
     def test_no_reuse_across_runs(self):
         cs = generate_constraints(8, 3, seed=100)
