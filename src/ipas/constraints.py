@@ -24,6 +24,12 @@ _PIVOT_RTOL = 1e-12
 # CG iteration cap, as a multiple of the system size m.
 _CG_MAX_ITER_FACTOR = 10
 
+# Norms whose squares stay normal with a factor 2^22 to spare on either
+# side, room for the curvature p^T M p of an SPD M of moderate scale.  A
+# vector norm outside this range is taken at a power-of-two scaling.
+_NORM_MIN = 2.0**-500
+_NORM_MAX = 2.0**500
+
 # LAPACK's float64 triangular solve with a Cholesky factor, the routine
 # scipy.linalg.cho_solve dispatches to, fetched once: on the m x m systems
 # here cho_solve's argument checks and lookup cost about ten times the solve.
@@ -116,9 +122,31 @@ def feasibility_gap(cs: ConstraintSet, x: np.ndarray) -> float:
 
 
 def _gap(cs: ConstraintSet, x: np.ndarray) -> float:
-    """||A x - b|| for a validated float x; the one expression of the gap."""
+    """||A x - b|| for a validated float x; the one expression of the gap.
+
+    sqrt(r.r), taken at r / 2^e as cg_solve takes a right-hand side whose
+    norm lies outside [_NORM_MIN, _NORM_MAX].
+    """
     r = cs.A.dot(x) - cs.b
-    return math.sqrt(float(r.dot(r)))
+    norm = math.sqrt(float(r.dot(r)))
+    if not _NORM_MIN <= norm <= _NORM_MAX and (e := _exponent(r)):
+        r = np.ldexp(r, -e)
+        norm = _ldexp(math.sqrt(float(r.dot(r))), e)
+    return norm
+
+
+def _exponent(v: np.ndarray) -> int:
+    """e with 0.5 <= max|v| / 2^e < 1; 0 for a zero or non-finite v, left unscaled."""
+    big = float(np.abs(v).max(initial=0.0))
+    return math.frexp(big)[1] if 0.0 < big < math.inf else 0
+
+
+def _ldexp(v: float, e: int) -> float:
+    """v * 2^e, exact in the normal range; inf where it overflows."""
+    try:
+        return math.ldexp(v, e)
+    except OverflowError:
+        return math.copysign(math.inf, v)
 
 
 def exact_project(cs: ConstraintSet, y: np.ndarray) -> np.ndarray:
@@ -159,8 +187,15 @@ def cg_solve(
     absolute residual norm ||rhs - M x|| <= tol_abs; the returned norm is
     recomputed from the candidate solution rather than the recurrence, so
     callers can rely on it.  Raises CgStalled when the tolerance is not met
-    within max_iter iterations, at iteration 0 when ||rhs|| is not finite,
-    and when a curvature p^T M p is not positive and finite.
+    within max_iter iterations, at iteration 0 when rhs is not finite, and
+    when a curvature p^T M p is not positive and finite.
+
+    A nonzero finite rhs whose norm lies outside [_NORM_MIN, _NORM_MAX],
+    where r.r or p^T M p could overflow or underflow, is solved at
+    rhs / 2^e with tolerance tol_abs / 2^e, e the binary exponent of its
+    largest entry, and x and the residual are scaled back by 2^e.  Scaling
+    by a power of two is exact, so CG takes the steps it takes at any
+    in-range scale; an in-range rhs is solved as it is.
     """
     rhs = np.asarray(rhs, dtype=float)
     m = rhs.size
@@ -178,8 +213,15 @@ def cg_solve(
     x, neg_r, p, Ap = w[:4]
     np.negative(rhs, neg_r)
     rnorm = math.sqrt(float(neg_r.dot(neg_r)))
-    if rnorm <= tol_abs:
-        return x, rnorm, 0
+    e = 0 if _NORM_MIN <= rnorm <= _NORM_MAX else _exponent(rhs)
+    tol = tol_abs
+    if e:
+        rhs = np.ldexp(rhs, -e)
+        tol = _ldexp(tol_abs, -e)
+        np.negative(rhs, neg_r)
+        rnorm = math.sqrt(float(neg_r.dot(neg_r)))
+    if rnorm <= tol:
+        return x, math.ldexp(rnorm, e), 0
     if not rnorm < math.inf:
         raise CgStalled(f"CG right-hand side norm {rnorm:.3e} is not finite", rnorm, 0)
 
@@ -194,8 +236,9 @@ def cg_solve(
         pAp = float(p_dot(Ap))
         if not 0.0 < pAp < math.inf:
             raise CgStalled(
-                f"CG curvature p^T A p = {pAp:.3e} is not positive; operator is not SPD",
-                residual_norm=best_norm,
+                f"CG curvature p^T A p = {_ldexp(pAp, 2 * e):.3e} is not positive; "
+                "operator is not SPD",
+                residual_norm=_ldexp(best_norm, e),
                 iterations=it,
             )
         factor[()] = rs / pAp
@@ -203,12 +246,12 @@ def cg_solve(
         add(xr, step, xr)
         rs_new = float(r_dot(neg_r))
         rnorm = math.sqrt(rs_new)
-        if rnorm <= tol_abs:
+        if rnorm <= tol:
             # Recurrence residuals drift from the truth; confirm before exiting.
             true_neg_r = matvec(x) - rhs
             true_norm = math.sqrt(float(true_neg_r.dot(true_neg_r)))
-            if true_norm <= tol_abs:
-                return x, true_norm, it
+            if true_norm <= tol:
+                return (np.ldexp(x, e) if e else x), math.ldexp(true_norm, e), it
             np.copyto(neg_r, true_neg_r)
             np.negative(true_neg_r, p)
             rs = true_norm * true_norm
@@ -221,6 +264,7 @@ def cg_solve(
         if rnorm < best_norm:
             best_norm = rnorm
 
+    best_norm = _ldexp(best_norm, e)
     raise CgStalled(
         f"CG did not reach tolerance {tol_abs:.3e} in {max_iter} iterations "
         f"(best residual {best_norm:.3e})",

@@ -356,25 +356,30 @@ def _row(state: SolverState, **columns) -> IterationRecord:
 
 
 def _oracle_batch(
-    cs: ConstraintSet, obj: FiniteSumObjective, xs: list[np.ndarray], ks: list[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Unmetered (norm_d_true, f_true) at each iterate in xs, from one batched pass.
+    cs: ConstraintSet, obj: FiniteSumObjective, held: list[tuple[np.ndarray, list[IterationRecord]]]
+) -> None:
+    """Fill the held rows' oracle columns from one unmetered batched pass.
 
-    One weighted_value_grad_many call and one exact projection with
-    len(xs) right-hand sides.  ks[j] is the first trace row at xs[j]; a
-    non-finite value or gradient raises NonFiniteValue naming the first
-    such row.
+    held pairs each distinct iterate with its rows.  One
+    weighted_value_grad_many call and one exact projection with len(held)
+    right-hand sides; a non-finite value or gradient raises NonFiniteValue
+    naming the first row at the first such iterate.  The one writer of
+    norm_d_true and f_true in a built row, which is frozen to all others.
     """
-    X = np.column_stack(xs)
+    X = np.column_stack([x for x, _ in held])
     values, G = obj.kernel.weighted_value_grad_many(X)
     bad = ~(np.isfinite(G).all(axis=0) & np.isfinite(values))
     if bad.any():
         j = int(bad.argmax())
         raise NonFiniteValue(
-            f"oracle at row k={ks[j]}: objective value {values[j]!r} or its gradient is not finite"
+            f"oracle at row k={held[j][1][0].k}: objective value {values[j]!r} "
+            "or its gradient is not finite"
         )
     norm_d = np.linalg.norm(projected_direction(cs, X, G), axis=0)
-    return norm_d, values
+    for (_, rows), d, f in zip(held, norm_d.tolist(), values.tolist()):
+        for row in rows:
+            object.__setattr__(row, "norm_d_true", d)
+            object.__setattr__(row, "f_true", f)
 
 
 def _guarded(fn: Callable[..., float], *args) -> float:
@@ -493,12 +498,12 @@ def _drive(
     iterate.
 
     With oracle_metrics set, every row whose oracle columns the step left
-    NaN (every adaptive row and the terminal row) is filled here, after the
-    fact, since nothing in the trajectory reads them.  Each distinct
-    iterate is evaluated once: consecutive rows at the same array, as after
-    a rejected step, share one column of a batched evaluation
-    (_oracle_batch), which runs every _ORACLE_BATCH distinct iterates and
-    once at the end.  Otherwise those columns stay NaN.
+    NaN (every adaptive row and the terminal row) is filled after the
+    fact, since nothing in the trajectory reads them.  Such rows queue as
+    (iterate, rows) pairs, a row at the last pair's array (as after a
+    rejected step) joining that pair, and _oracle_batch fills them when
+    _ORACLE_BATCH iterates wait and a new one arrives, and once at the
+    end.  Otherwise those columns stay NaN.
 
     An oracle column's bits depend on where it lands in its batch: BLAS
     takes a batch's last iterates, those short of a full kernel block, by
@@ -518,33 +523,19 @@ def _drive(
     rng = np.random.default_rng(seed)
     state = SolverState(x=x0, k=0, Nk=Nk, rng=rng, meter=BudgetMeter(), e_x=feasibility_gap(cs, x0))
     records: list[IterationRecord] = []
-    # Distinct iterates awaiting the oracle, the k of the first row at each,
-    # and (row index, iterate index) for every row to fill.
-    xs: list[np.ndarray] = []
-    ks: list[int] = []
-    pending: list[tuple[int, int]] = []
-
-    def flush() -> None:
-        if xs:
-            norm_d, f = _oracle_batch(cs, obj, xs, ks)
-            # Frozen rows no one else holds yet: fill them, don't rebuild them.
-            for i, j in pending:
-                object.__setattr__(records[i], "norm_d_true", float(norm_d[j]))
-                object.__setattr__(records[i], "f_true", float(f[j]))
-        xs.clear()
-        ks.clear()
-        pending.clear()
+    held: list[tuple[np.ndarray, list[IterationRecord]]] = []
 
     def append(record: IterationRecord, x: np.ndarray) -> None:
         records.append(record)
         if not (oracle_metrics and math.isnan(record.f_true)):
             return
-        if not xs or xs[-1] is not x:
-            if len(xs) == _ORACLE_BATCH:
-                flush()
-            xs.append(x)
-            ks.append(record.k)
-        pending.append((len(records) - 1, len(xs) - 1))
+        if held and held[-1][0] is x:
+            held[-1][1].append(record)
+            return
+        if len(held) == _ORACLE_BATCH:
+            _oracle_batch(cs, obj, held)
+            held.clear()
+        held.append((x, [record]))
 
     status = STATUS_MAX_ITERATIONS
     while state.k < cfg.k_max:
@@ -555,7 +546,8 @@ def _drive(
             status = STATUS_STATIONARY
             break
     append(_row(state), state.x)
-    flush()
+    if held:
+        _oracle_batch(cs, obj, held)
     return RunResult(
         records=records,
         status=status,

@@ -70,6 +70,13 @@ class TestBuildConstraintSet:
         with pytest.raises(DimensionMismatch):
             build_constraint_set(np.zeros(4), np.zeros(2))
 
+    def test_tiny_pivot_rejected(self):
+        # A A^T = diag(1, 1e-26) factors, but its pivots 1 and 1e-13 differ
+        # by more than the relative threshold.
+        A = np.array([[1.0, 0.0, 0.0], [0.0, 1e-13, 0.0]])
+        with pytest.raises(RankDeficient, match="pivot ratio 1.000e-13"):
+            build_constraint_set(A, np.zeros(2))
+
     def test_nonfinite_entries_rejected(self):
         A = np.eye(2, 4)
         A[0, 1] = np.nan
@@ -104,6 +111,25 @@ class TestFeasibilityGap:
             y = rng.standard_normal(10)
             expected = np.linalg.norm(cs.A @ y - cs.b)
             assert feasibility_gap(cs, y) == pytest.approx(expected, rel=1e-13)
+
+
+    @pytest.mark.parametrize("shape", [(9,), (10, 1), ()])
+    def test_wrong_shape_rejected(self, shape):
+        cs = random_system(4, 10, seed=8)
+        with pytest.raises(DimensionMismatch, match=r"x must have shape \(10,\)"):
+            feasibility_gap(cs, np.zeros(shape))
+
+    @pytest.mark.parametrize("size", [1e-170, 1e200])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_gap_off_the_normal_range_of_its_square(self, size):
+        # ||r||^2 underflows to 0 at 1e-170 and overflows at 1e200 (with a
+        # RuntimeWarning); the gap is taken at a power-of-two scaling of r.
+        rng = np.random.default_rng(10)
+        A = rng.standard_normal((10, 13))
+        cs = build_constraint_set(A, np.zeros(10))
+        v = rng.standard_normal(13)
+        expected = np.linalg.norm(A @ v) * size
+        assert feasibility_gap(cs, size * v) == pytest.approx(expected, rel=1e-13)
 
 
 class TestExactProject:
@@ -252,6 +278,51 @@ class TestCgSolve:
         with pytest.raises(CgStalled):
             cg_solve(S, rhs, tol_abs=1e-12, max_iter=50)
 
+    @staticmethod
+    def gram_and_direction():
+        rng = np.random.default_rng(25)
+        A = rng.standard_normal((10, 13))
+        return A @ A.T, rng.standard_normal(10)
+
+    @pytest.mark.parametrize("rel", [1e-2, 1e-10])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_a_power_of_two_scaling_is_exact(self, rel):
+        # The norm of 2^510 d squares past the float range (with a
+        # RuntimeWarning) and is solved at a power-of-two scaling; 2^490 d
+        # is solved as it is.  The two solves agree to the scaling, bit for
+        # bit.
+        S, d = self.gram_and_direction()
+        tol = rel * np.linalg.norm(d)
+        hi = cg_solve(S, 2.0**510 * d, 2.0**510 * tol, 100)
+        lo = cg_solve(S, 2.0**490 * d, 2.0**490 * tol, 100)
+        assert same_bits(hi[0], lo[0] * 2.0**20)
+        assert hi[1:] == (lo[1] * 2.0**20, lo[2])
+        assert lo[2] > 0
+
+    @pytest.mark.parametrize("size", [1e153, 1e154])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_huge_finite_rhs_is_solved(self, size):
+        # Solved unscaled, p^T A p overflows at 1e153 ("not SPD") and r.r
+        # at 1e154 ("right-hand side norm inf").
+        S, d = self.gram_and_direction()
+        x, res, iters = cg_solve(S, size * d, 1e-10 * size, 100)
+        assert 0 < iters <= 100
+        assert 0.0 < res <= 1e-10 * size
+        assert np.linalg.norm(S @ (x / size) - d) <= 2e-10
+
+    def test_tiny_rhs_converges_to_its_tolerance(self):
+        # ||1e-170 d||^2 underflows to 0: solved unscaled, it would read as
+        # an exact solution at iteration 0 whatever the tolerance.
+        S, d = self.gram_and_direction()
+        x, res, iters = cg_solve(S, 1e-170 * d, 1e-180, 100)
+        assert iters > 0
+        assert 0.0 < res <= 1e-180
+        assert np.linalg.norm(S @ (x * 1e170) - d) * 1e-170 == pytest.approx(res, rel=1e-6)
+        # A tolerance below roundoff at that scale stalls, in the caller's units.
+        with pytest.raises(CgStalled, match=r"tolerance 1\.000e-200 in 100 iterations") as err:
+            cg_solve(S, 1e-170 * d, 1e-200, 100)
+        assert 1e-200 < err.value.residual_norm < 1e-180
+
 
 class TestInexactProject:
     def test_tight_tolerance_matches_exact(self):
@@ -333,6 +404,12 @@ class TestInexactProject:
         # NaN fails every comparison; it must not run CG to its cap.
         with pytest.raises(ValueError, match="eta must be positive, got nan"):
             inexact_project(cs, np.ones(5), eta=float("nan"))
+
+    @pytest.mark.parametrize("shape", [(4,), (5, 1), ()])
+    def test_wrong_shape_rejected(self, shape):
+        cs = random_system(2, 5, seed=42)
+        with pytest.raises(DimensionMismatch, match=r"y must have shape \(5,\)"):
+            inexact_project(cs, np.zeros(shape), eta=1e-3)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_point_stops_cg_at_iteration_zero(self, bad):

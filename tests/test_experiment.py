@@ -33,7 +33,13 @@ from ipas import (
     summarize_group,
 )
 from ipas import experiment
-from ipas.experiment import MANIFEST_NAME, REACH_THRESHOLDS, SUMMARY_NAME, _run_config
+from ipas.experiment import (
+    MANIFEST_COLUMNS,
+    MANIFEST_NAME,
+    REACH_THRESHOLDS,
+    SUMMARY_NAME,
+    _run_config,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -157,37 +163,40 @@ class TestConfigParsing:
         assert cfg.sweep_s == (cfg.solver.s_exp,)
 
     @pytest.mark.parametrize(
-        "mutation",
+        "mutation, message",
         [
-            ("[problem]", "[wrong_section]"),  # unknown section
-            ("kind = noisy_quadratic", "kind = cubic"),  # unknown kind
-            ("n = 6", "n = 6\n    banana = 1"),  # unknown problem key
-            ("n0 = 2", "n0 = 2\n    n0_fraction = 0.1"),  # mutually exclusive
-            ("d = 2", "dd = 2"),  # unknown solver key
-            ("seeds = 0, 1", "seeds ="),  # empty seeds
-            ("seeds = 0, 1", "other = 1"),  # missing seeds
-            ("seeds = 0, 1", "seeds = 0.5"),  # non-integer seed
-            ("n = 6", ""),  # missing required problem key
-            ("s = 1.0 2.0", "s = 1 0.4"),  # a grid point breaks the s_exp bound
-            ("dn = 1", "dn = 0 1"),  # a grid point breaks the dN bound
-            ("d = 2", "d = 8"),  # D_size above N-1 = 7 components
-            ("components = 8", "components = 0"),
+            (("[problem]", "[wrong_section]"), r"unknown section \[wrong_section\]"),
+            (("kind = noisy_quadratic", "kind = cubic"), "problem kind must be one of"),
+            # Inserted keys carry no indent: the text is already dedented, and
+            # an indented line would continue the value above it.
+            (("n = 6", "n = 6\nbanana = 1"), r"unknown keys in \[problem\]: \['banana'\]"),
+            (("n0 = 2", "n0 = 2\nn0_fraction = 0.1"), "give either n0 or n0_fraction, not both"),
+            (("d = 2", "dd = 2"), r"unknown keys in \[solver\]: \['dd'\]"),
+            (("seeds = 0, 1", "seeds ="), r"\[run\] seeds list is empty"),
+            (("seeds = 0, 1", ""), r"\[run\] needs seeds"),
+            (("seeds = 0, 1", "seeds = 0.5"), "expected an integer, got '0.5'"),
+            (("n = 6", ""), r"\[problem\] needs n"),
+            # Grid points that break a solver bound.
+            (("s = 1.0 2.0", "s = 1 0.4"), "s=0.4, .*s_exp=0.4 must exceed 0.5"),
+            (("dn = 1", "dn = 0 1"), "dN=0, .*dN=0 must be >= 1"),
+            (("d = 2", "d = 8"), r"D_size=8 must be <= N-1 = 7"),
+            (("components = 8", "components = 0"), "n_components must be >= 1, got 0"),
             # Fractions must be finite and lie in (0, 1].
-            ("m_fraction = 0.5", "m_fraction = inf"),
-            ("m_fraction = 0.5", "m_fraction = nan"),
-            ("m_fraction = 0.5", "m_fraction = 2"),
-            ("m_fraction = 0.5", "m_fraction = 0"),
-            ("n0 = 2", "n0_fraction = inf"),
-            ("n0 = 2", "n0_fraction = nan"),
-            ("n0 = 2", "n0_fraction = 1.5"),
-            ("n0 = 2", "n0_fraction = -0.1"),
+            (("m_fraction = 0.5", "m_fraction = inf"), r"m_fraction=inf must lie in \(0, 1\]"),
+            (("m_fraction = 0.5", "m_fraction = nan"), r"m_fraction=nan must lie in \(0, 1\]"),
+            (("m_fraction = 0.5", "m_fraction = 2"), r"m_fraction=2.0 must lie in \(0, 1\]"),
+            (("m_fraction = 0.5", "m_fraction = 0"), r"m_fraction=0.0 must lie in \(0, 1\]"),
+            (("n0 = 2", "n0_fraction = inf"), r"n0_fraction=inf must lie in \(0, 1\]"),
+            (("n0 = 2", "n0_fraction = nan"), r"n0_fraction=nan must lie in \(0, 1\]"),
+            (("n0 = 2", "n0_fraction = 1.5"), r"n0_fraction=1.5 must lie in \(0, 1\]"),
+            (("n0 = 2", "n0_fraction = -0.1"), r"n0_fraction=-0.1 must lie in \(0, 1\]"),
         ],
     )
-    def test_invalid_configs_rejected(self, tmp_path, mutation):
+    def test_invalid_configs_rejected(self, tmp_path, mutation, message):
         text = textwrap.dedent(QUAD_CONFIG).replace(*mutation)
         path = tmp_path / "bad.ini"
         path.write_text(text)
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(ConfigInvalid, match=message):
             parse_experiment_config(path)
 
     @pytest.mark.parametrize(
@@ -261,6 +270,17 @@ class TestConfigParsing:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigInvalid):
             parse_experiment_config(tmp_path / "absent.ini")
+
+    def test_a_key_before_any_section_is_a_parse_error(self, tmp_path):
+        path = write_config(tmp_path, "kind = noisy_quadratic\n" + textwrap.dedent(QUAD_CONFIG))
+        with pytest.raises(ConfigInvalid, match="cannot parse config"):
+            parse_experiment_config(path)
+
+    def test_missing_run_section(self, tmp_path):
+        text = textwrap.dedent(QUAD_CONFIG)
+        path = write_config(tmp_path, text[: text.index("[run]")])
+        with pytest.raises(ConfigInvalid, match=r"config needs \[problem\] and \[run\] sections"):
+            parse_experiment_config(path)
 
 
 class TestPlanRuns:
@@ -626,6 +646,16 @@ class TestReachAndInterpolation:
         with pytest.raises(EmptyGroup):
             budget_curve([])
 
+    def test_budget_curve_of_disjoint_budgets_is_one_point(self):
+        # No budget lies in both runs' ranges: the grid is the smallest
+        # final budget, where the later run reads its first value.
+        t1 = columns((0, 1.0), (100, 0.01))
+        t2 = columns((200, 1.0), (300, 0.1))
+        grid, mean, se = budget_curve([t1, t2], n_points=5)
+        np.testing.assert_array_equal(grid, [100.0])
+        np.testing.assert_allclose(mean, [-1.0], atol=1e-12)
+        np.testing.assert_allclose(se, [1.0], atol=1e-12)  # std sqrt(2) over sqrt(2) runs
+
 
 class TestSummarizeGroup:
     def rows(self, traces, n_failed=0):
@@ -936,4 +966,9 @@ class TestEndToEnd:
 
     def test_summarize_dir_without_manifest(self, tmp_path):
         with pytest.raises(EmptyGroup):
+            summarize_dir(str(tmp_path))
+
+    def test_summarize_dir_with_a_header_only_manifest(self, tmp_path):
+        (tmp_path / MANIFEST_NAME).write_text(",".join(MANIFEST_COLUMNS) + "\n")
+        with pytest.raises(EmptyGroup, match="lists no runs"):
             summarize_dir(str(tmp_path))

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.special import expit
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +20,7 @@ from ipas import (
     NonFiniteValue,
     NoisyQuadraticSpec,
     ParseError,
+    RankDeficient,
     Sample,
     SolverConfig,
     WeightError,
@@ -43,8 +45,15 @@ from ipas import (
 
 from ipas import problems
 from ipas.objective import ComponentKernel
-from ipas.problems import _BLOCK_ROWS, LogisticKernel, NoisyQuadraticKernel, _blocks, parse_libsvm
-from ipas.solver import _oracle_batch
+from ipas.problems import (
+    _BATCH_ROWS,
+    _BLOCK_ROWS,
+    LogisticKernel,
+    NoisyQuadraticKernel,
+    _blocks,
+    parse_libsvm,
+)
+from ipas.solver import IterationRecord, _oracle_batch
 from conftest import CallableKernel, utf8_only
 from reference import (
     BlockedLogisticKernel,
@@ -146,6 +155,25 @@ class TestLogisticComponents:
         np.testing.assert_allclose(grad, loop_grad, rtol=1e-13)
         assert_batch_matches_columns(kernel, rng.standard_normal((2, 3)), rtol=1e-13)
 
+    def test_minibatch_gradient_sums_its_row_blocks_in_order(self):
+        # Two full blocks of gathered rows and a short third one.
+        n_rows = 2 * _BATCH_ROWS + 5
+        ds = make_synthetic_logistic(n_rows, 6, seed=12)
+        kernel = LogisticKernel(ds, uniform_weights(n_rows))
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal(6)
+        rows = kernel.gather(rng.permutation(n_rows))
+        Z, neg_y = rows
+        coef = neg_y * expit(neg_y * (Z @ x))
+        expected = Z[:_BATCH_ROWS].T @ coef[:_BATCH_ROWS]
+        expected += Z[_BATCH_ROWS : 2 * _BATCH_ROWS].T @ coef[_BATCH_ROWS : 2 * _BATCH_ROWS]
+        expected += Z[2 * _BATCH_ROWS :].T @ coef[2 * _BATCH_ROWS :]
+        expected /= n_rows
+        _, grad = kernel.value_grad_mean(rows, x)
+        assert grad.shape == expected.shape and grad.tobytes() == expected.tobytes()
+        loop_grad = np.mean([logistic_component(ds, i, x)[1] for i in range(n_rows)], axis=0)
+        np.testing.assert_allclose(grad, loop_grad, rtol=1e-12)
+
     def test_batched_kernel_covers_both_block_edges(self):
         # N is not a multiple of the row block, so the last block is short,
         # and K exceeds the solver's 64-iterate batches.
@@ -187,8 +215,12 @@ class TestLogisticComponents:
         cs = generate_constraints(2, 1, seed=0)
         other = math.nan if math.isinf(first_bad) else math.inf
         xs = [np.zeros(2), np.array([first_bad, 0.0]), np.array([other, 0.0])]
+        held = [
+            (x, [IterationRecord(k=k, Nk=1, e_x=0.0, scalar_products=0) for k in ks])
+            for x, ks in zip(xs, [[0], [4, 5], [9]])
+        ]
         with pytest.raises(NonFiniteValue, match=r"oracle at row k=4:"):
-            _oracle_batch(cs, obj, xs, [0, 4, 9])
+            _oracle_batch(cs, obj, held)
 
     def test_uniform_objective_is_plain_average(self):
         ds = small_dataset()
@@ -709,6 +741,17 @@ class TestNoisyQuadratic:
                 base_Q=good.base_Q, base_q=good.base_q, sigma=-0.1, eps=np.zeros(3)
             )
 
+    def test_spec_rejects_a_non_square_Q_and_an_empty_eps(self):
+        good = make_noisy_quadratic(3, 4, sigma=0.5, seed=19)
+        with pytest.raises(ValueError, match=r"base_Q must be square, got shape \(3, 2\)"):
+            NoisyQuadraticSpec(
+                base_Q=good.base_Q[:, :2], base_q=good.base_q, sigma=0.1, eps=good.eps
+            )
+        with pytest.raises(ValueError, match="eps must be a nonempty vector"):
+            NoisyQuadraticSpec(
+                base_Q=good.base_Q, base_q=good.base_q, sigma=0.1, eps=np.zeros(0)
+            )
+
     @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
     def test_non_finite_sigma_is_rejected(self, sigma):
         # Without the check a NaN sigma builds a problem with no noise at all.
@@ -965,6 +1008,39 @@ class TestConstraintGeneration:
         cs = generate_constraints(12, 5, seed=32)
         assert cs.m == 5
         assert cs.n == 12
+
+    def test_a_failed_draw_is_redrawn(self, monkeypatch):
+        drawn = []
+        real = problems.build_constraint_set
+
+        def first_fails(A, b):
+            drawn.append(A)
+            if len(drawn) == 1:
+                raise RankDeficient("stand-in")
+            return real(A, b)
+
+        monkeypatch.setattr(problems, "build_constraint_set", first_fails)
+        cs = generate_constraints(9, 4, seed=30)
+        rng = np.random.default_rng(30)
+        rng.standard_normal((4, 9)), rng.standard_normal(9)  # the failed draw
+        A = rng.standard_normal((4, 9))
+        np.testing.assert_array_equal(cs.A, A)
+        np.testing.assert_array_equal(cs.b, A @ rng.standard_normal(9))
+        assert len(drawn) == 2
+
+    def test_gives_up_after_four_failed_draws(self, monkeypatch):
+        drawn = []
+
+        def always_fails(A, b):
+            drawn.append(A)
+            raise RankDeficient(f"stand-in {len(drawn)}")
+
+        monkeypatch.setattr(problems, "build_constraint_set", always_fails)
+        message = "no full-rank draw in 4 attempts for m=4, n=9"
+        with pytest.raises(RankDeficient, match=message) as err:
+            generate_constraints(9, 4, seed=30)
+        assert len(drawn) == 4
+        assert str(err.value.__cause__) == "stand-in 4"
 
 
 class TestMinNormFeasible:

@@ -930,9 +930,9 @@ class TestOracleMemo:
             cs, obj, cfg = self.mixed_run()
             batches = []
 
-            def counted(cs_, obj_, xs, ks):
-                batches.append(list(xs))
-                return _oracle_batch(cs_, obj_, xs, ks)
+            def counted(cs_, obj_, held):
+                batches.append([x for x, _ in held])
+                return _oracle_batch(cs_, obj_, held)
 
             monkeypatch.setattr("ipas.solver._ORACLE_BATCH", stride)
             monkeypatch.setattr("ipas.solver._oracle_batch", counted)
@@ -971,12 +971,12 @@ class TestOracleMemo:
 
         checked = []
 
-        def compared(cs_, obj_, xs, ks):
-            for x in xs:
+        def compared(cs_, obj_, held):
+            for x, _ in held:
                 (snapshot,) = {b for a, b in snapshots if a is x}
                 assert x.tobytes() == snapshot
                 checked.append(x)
-            return _oracle_batch(cs_, obj_, xs, ks)
+            return _oracle_batch(cs_, obj_, held)
 
         monkeypatch.setattr("ipas.solver.ipas_step", snapshotted)
         monkeypatch.setattr("ipas.solver._oracle_batch", compared)
