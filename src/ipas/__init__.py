@@ -2,7 +2,7 @@
 
 Minimises a weighted finite sum sum_i w_i f_i(x) over the affine set
 {x : A x = b}.  Gradients are estimated on growing mini-batches, steps are
-projected inexactly by conjugate gradients with a decaying tolerance, and
+projected inexactly, to within a decaying tolerance of the constraints, and
 an independent control sample decides whether to accept each step or grow
 the batch.  A deterministic full-gradient baseline and a benchmark CLI
 round out the package.
@@ -13,7 +13,6 @@ from .constraints import (
     ConstraintSet,
     ProjectionResult,
     build_constraint_set,
-    cg_solve,
     exact_project,
     feasibility_gap,
     inexact_project,
@@ -21,7 +20,6 @@ from .constraints import (
     projected_direction,
 )
 from .errors import (
-    CgStalled,
     ConfigInvalid,
     DimensionMismatch,
     EmptyGroup,

@@ -3,9 +3,9 @@
 Every iteration evaluates the full weighted gradient, projects exactly,
 and backtracks with the same nonmonotone Armijo rule as the adaptive
 solver: line_search_full, given the search slack eta_k^2 that
-solver._tolerances computes for both methods.  The exact solve is
-charged as (m + 4) * m scalar products, the worst case of a CG solve on
-the same system, so budgets are comparable.
+solver._tolerances computes for it and for the adaptive solver's
+mini-batch search.  The exact solve is charged as the adaptive solver's
+projections are, m + 4 scalar products a solve, so budgets are comparable.
 
 Unlike the adaptive solver's full-sample branch, the step takes no
 descent check.  The exact direction passes it in exact arithmetic, but
@@ -41,8 +41,8 @@ class BaselineConfig:
     """Line search and stopping parameters for the deterministic method.
 
     s_exp controls the same decaying search slack eta_k^2 as the adaptive
-    solver's, taken from the same _tolerances, keeping the two methods'
-    acceptance thresholds aligned in comparisons.
+    solver's mini-batch search, taken from the same _tolerances, keeping
+    the two methods' acceptance thresholds aligned in comparisons.
     """
 
     beta: float = 0.1
@@ -70,8 +70,7 @@ def baseline_step(
     full = full_value_grad(obj, x, meter)
     g = full.grad
     d = exact_project(cs, x - g) - x
-    # Exact solve priced at CG's worst case on the m-dimensional system.
-    meter.charge_cg(cs.m, cs.m)
+    meter.charge_cg(1, cs.m)  # one factored solve, priced as the solver's
     norm_d = math.sqrt(float(d.dot(d)))
 
     f0 = full.value(meter)
@@ -81,8 +80,7 @@ def baseline_step(
     )
 
     record = _row(
-        state, t=float(t), norm_p=norm_d, norm_d_true=norm_d, f_true=f0, accepted=True,
-        cg_iters=cs.m,
+        state, t=float(t), norm_p=norm_d, norm_d_true=norm_d, f_true=f0, accepted=True, cg_iters=1
     )
     state.e_x = feasibility_gap(cs, state.x)
     state.k += 1

@@ -1,11 +1,12 @@
 """Linear equality constraints and projections onto them.
 
 A constraint set is the affine subspace {x : A x = b} for a full row rank
-A of shape (m, n), m <= n.  Projections come in two flavours: an exact one
-through a cached Cholesky factorisation of A A^T, and an inexact one that
-solves the same normal system with conjugate gradients stopped at an
-absolute residual tolerance.  The inexact projection is the workhorse of
-the solver; the exact one doubles as its oracle.
+A of shape (m, n), m <= n.  Both projections solve the normal system
+A A^T lam = A y - b with a Cholesky factor of A A^T, cached when the set is
+built.  The exact one always solves; the inexact one, the workhorse of the
+solver, returns y itself when its gap ||A y - b|| is already within the
+tolerance, so its iterates may stay infeasible by that much.  The exact
+projection doubles as the solver's oracle.
 """
 
 from __future__ import annotations
@@ -16,16 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import CgStalled, DimensionMismatch, RankDeficient
+from .errors import DimensionMismatch, NonFiniteValue, RankDeficient
 
 # Relative pivot threshold below which A A^T is treated as rank deficient.
 _PIVOT_RTOL = 1e-12
 
-# CG iteration cap, as a multiple of the system size m.
-_CG_MAX_ITER_FACTOR = 10
-
-# Norms whose squares stay normal with a factor 2^22 to spare on either
-# side, room for the curvature p^T M p of an SPD M of moderate scale.  A
+# Norms whose squares stay normal with room to spare on either side.  A
 # vector norm outside this range is taken at a power-of-two scaling.
 _NORM_MIN = 2.0**-500
 _NORM_MAX = 2.0**500
@@ -68,7 +65,8 @@ class ProjectionResult:
 
     ``residual_norm`` is the feasibility gap ||A point - b|| of the returned
     point, computed by the same expression as feasibility_gap, so the two
-    agree bit for bit and callers need not recompute it.
+    agree bit for bit and callers need not recompute it.  ``cg_iterations``
+    counts the projection's solves, 0 or 1 (see BudgetMeter for the name).
     """
 
     point: np.ndarray
@@ -122,31 +120,29 @@ def feasibility_gap(cs: ConstraintSet, x: np.ndarray) -> float:
 
 
 def _gap(cs: ConstraintSet, x: np.ndarray) -> float:
-    """||A x - b|| for a validated float x; the one expression of the gap.
+    """||A x - b|| for a validated float x; the one expression of the gap."""
+    return _norm(cs.A.dot(x) - cs.b)
 
-    sqrt(r.r), taken at r / 2^e as cg_solve takes a right-hand side whose
-    norm lies outside [_NORM_MIN, _NORM_MAX].
+
+def _norm(r: np.ndarray) -> float:
+    """sqrt(r.r), taken at r / 2^e when it lies outside [_NORM_MIN, _NORM_MAX].
+
+    2^e is the binary exponent of r's largest entry, so the squares neither
+    overflow nor leave the normal range, and the scaling is exact; a zero or
+    non-finite r is left unscaled, and a norm past the float range is inf.
     """
-    r = cs.A.dot(x) - cs.b
     norm = math.sqrt(float(r.dot(r)))
-    if not _NORM_MIN <= norm <= _NORM_MAX and (e := _exponent(r)):
-        r = np.ldexp(r, -e)
-        norm = _ldexp(math.sqrt(float(r.dot(r))), e)
-    return norm
-
-
-def _exponent(v: np.ndarray) -> int:
-    """e with 0.5 <= max|v| / 2^e < 1; 0 for a zero or non-finite v, left unscaled."""
-    big = float(np.abs(v).max(initial=0.0))
-    return math.frexp(big)[1] if 0.0 < big < math.inf else 0
-
-
-def _ldexp(v: float, e: int) -> float:
-    """v * 2^e, exact in the normal range; inf where it overflows."""
+    if _NORM_MIN <= norm <= _NORM_MAX:
+        return norm
+    big = float(np.abs(r).max(initial=0.0))
+    if not 0.0 < big < math.inf:
+        return norm
+    e = math.frexp(big)[1]
+    r = np.ldexp(r, -e)
     try:
-        return math.ldexp(v, e)
+        return math.ldexp(math.sqrt(float(r.dot(r))), e)
     except OverflowError:
-        return math.copysign(math.inf, v)
+        return math.inf
 
 
 def exact_project(cs: ConstraintSet, y: np.ndarray) -> np.ndarray:
@@ -163,11 +159,16 @@ def exact_project(cs: ConstraintSet, y: np.ndarray) -> np.ndarray:
     # when the constraint set was built.
     if not np.isfinite(rhs).all():
         raise ValueError("array must not contain infs or NaNs")
+    return y - cs.A.T.dot(_solve(cs, rhs))
+
+
+def _solve(cs: ConstraintSet, rhs: np.ndarray) -> np.ndarray:
+    """lam with A A^T lam = rhs by the cached factor, in one LAPACK call that may overwrite rhs."""
     c, lower = cs.chol
     lam, info = _POTRS(c, rhs, lower=lower, overwrite_b=True)
     if info != 0:
         raise ValueError(f"illegal value in {-info}th argument of internal potrs")
-    return y - cs.A.T.dot(lam)
+    return lam
 
 
 def min_norm_feasible(cs: ConstraintSet) -> np.ndarray:
@@ -175,123 +176,29 @@ def min_norm_feasible(cs: ConstraintSet) -> np.ndarray:
     return exact_project(cs, np.zeros(cs.n))
 
 
-def cg_solve(
-    M: np.ndarray,
-    rhs: np.ndarray,
-    tol_abs: float,
-    max_iter: int,
-) -> tuple[np.ndarray, float, int]:
-    """Conjugate gradients on an SPD matrix M, cold started from zero.
-
-    M is a float (m, m) array and rhs an (m,) vector.  Terminates on the
-    absolute residual norm ||rhs - M x|| <= tol_abs; the returned norm is
-    recomputed from the candidate solution rather than the recurrence, so
-    callers can rely on it.  Raises CgStalled when the tolerance is not met
-    within max_iter iterations, at iteration 0 when rhs is not finite, and
-    when a curvature p^T M p is not positive and finite.
-
-    A nonzero finite rhs whose norm lies outside [_NORM_MIN, _NORM_MAX],
-    where r.r or p^T M p could overflow or underflow, is solved at
-    rhs / 2^e with tolerance tol_abs / 2^e, e the binary exponent of its
-    largest entry, and x and the residual are scaled back by 2^e.  Scaling
-    by a power of two is exact, so CG takes the steps it takes at any
-    in-range scale; an in-range rhs is solved as it is.
-    """
-    rhs = np.asarray(rhs, dtype=float)
-    m = rhs.size
-    # On the small systems here numpy's per-call dispatch, not arithmetic,
-    # sets the cost of an iteration, so the loop makes seven calls: the
-    # matvec into Ap, two scalar products, one multiply and one add that
-    # move x and r together, and the in-place update of p.  One workspace
-    # holds [x | -r], [p | Ap] and the step.  Negation is exact and rounding
-    # symmetric, so fl(-r + alpha*Ap) = -fl(r - alpha*Ap), (-r).(-r) = r.r
-    # and p - (-r) = p + r bit for bit.  The step factors reach the
-    # multiplies as a 0-d float64 array, which numpy need not convert as it
-    # does a Python float; the float64 product is the same, bit for bit.
-    w = np.zeros((6, m))
-    xr, pa, step = w[0:2], w[2:4], w[4:6]
-    x, neg_r, p, Ap = w[:4]
-    np.negative(rhs, neg_r)
-    rnorm = math.sqrt(float(neg_r.dot(neg_r)))
-    e = 0 if _NORM_MIN <= rnorm <= _NORM_MAX else _exponent(rhs)
-    tol = tol_abs
-    if e:
-        rhs = np.ldexp(rhs, -e)
-        tol = _ldexp(tol_abs, -e)
-        np.negative(rhs, neg_r)
-        rnorm = math.sqrt(float(neg_r.dot(neg_r)))
-    if rnorm <= tol:
-        return x, math.ldexp(rnorm, e), 0
-    if not rnorm < math.inf:
-        raise CgStalled(f"CG right-hand side norm {rnorm:.3e} is not finite", rnorm, 0)
-
-    np.copyto(p, rhs)
-    factor = np.empty(())
-    matvec, p_dot, r_dot = M.dot, p.dot, neg_r.dot
-    add, multiply, subtract = np.add, np.multiply, np.subtract
-    rs = rnorm * rnorm
-    best_norm = rnorm
-    for it in range(1, max_iter + 1):
-        matvec(p, Ap)
-        pAp = float(p_dot(Ap))
-        if not 0.0 < pAp < math.inf:
-            raise CgStalled(
-                f"CG curvature p^T A p = {_ldexp(pAp, 2 * e):.3e} is not positive; "
-                "operator is not SPD",
-                residual_norm=_ldexp(best_norm, e),
-                iterations=it,
-            )
-        factor[()] = rs / pAp
-        multiply(pa, factor, step)
-        add(xr, step, xr)
-        rs_new = float(r_dot(neg_r))
-        rnorm = math.sqrt(rs_new)
-        if rnorm <= tol:
-            # Recurrence residuals drift from the truth; confirm before exiting.
-            true_neg_r = matvec(x) - rhs
-            true_norm = math.sqrt(float(true_neg_r.dot(true_neg_r)))
-            if true_norm <= tol:
-                return (np.ldexp(x, e) if e else x), math.ldexp(true_norm, e), it
-            np.copyto(neg_r, true_neg_r)
-            np.negative(true_neg_r, p)
-            rs = true_norm * true_norm
-            best_norm = min(best_norm, true_norm)
-            continue
-        factor[()] = rs_new / rs
-        multiply(p, factor, p)
-        subtract(p, neg_r, p)
-        rs = rs_new
-        if rnorm < best_norm:
-            best_norm = rnorm
-
-    best_norm = _ldexp(best_norm, e)
-    raise CgStalled(
-        f"CG did not reach tolerance {tol_abs:.3e} in {max_iter} iterations "
-        f"(best residual {best_norm:.3e})",
-        residual_norm=best_norm,
-        iterations=max_iter,
-    )
-
-
 def inexact_project(cs: ConstraintSet, y: np.ndarray, eta: float) -> ProjectionResult:
-    """Approximate projection of y with normal-system residual at most eta.
+    """Projection of y to within eta of the constraints: y itself, or y projected exactly.
 
-    Solves A A^T lam = A y - b by CG (cold start, absolute tolerance eta,
-    at most 10*m iterations) and returns y - A^T lam.  The reported
-    residual norm is the feasibility gap of the returned point.
+    The gap r = A y - b is computed once.  When ||r|| <= eta, y itself is
+    returned with 0 solves.  Otherwise A A^T lam = r is solved with the
+    cached factor, as exact_project solves it, and y - A^T lam is returned,
+    the bits of exact_project(cs, y), with 1 solve.  The reported residual
+    norm is the feasibility gap of the returned point.  A non-finite gap
+    raises NonFiniteValue before any solve.
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (cs.n,):
         raise DimensionMismatch(f"y must have shape ({cs.n},), got {y.shape}")
     if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta}")
-    rhs = cs.A.dot(y) - cs.b
-    lam, _, iters = cg_solve(cs.AAt, rhs, eta, _CG_MAX_ITER_FACTOR * cs.m)
-    point = y - cs.A.T.dot(lam)
-    # Report the feasibility gap itself rather than the CG residual: CG
-    # certified the normal-system form <= eta, and the two differ only at
-    # the roundoff scale of ||y||.
-    return ProjectionResult(point=point, residual_norm=_gap(cs, point), cg_iterations=iters)
+    r = cs.A.dot(y) - cs.b
+    gap = _norm(r)
+    if not gap < math.inf:
+        raise NonFiniteValue(f"feasibility gap {gap!r} of the point to project is not finite")
+    if gap <= eta:
+        return ProjectionResult(point=y, residual_norm=gap, cg_iterations=0)
+    point = y - cs.A.T.dot(_solve(cs, r))
+    return ProjectionResult(point=point, residual_norm=_gap(cs, point), cg_iterations=1)
 
 
 def projected_direction(cs: ConstraintSet, x: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -13,18 +13,6 @@ class RankDeficient(IpasError):
     """The constraint matrix does not have full row rank (or is numerically close to losing it)."""
 
 
-class CgStalled(IpasError):
-    """Conjugate gradients hit the iteration cap, a curvature <= 0 or a non-finite right-hand side.
-
-    Carries the best residual norm and the iteration count for diagnostics.
-    """
-
-    def __init__(self, message: str, residual_norm: float, iterations: int):
-        super().__init__(message)
-        self.residual_norm = residual_norm
-        self.iterations = iterations
-
-
 class MaxBacktracks(IpasError):
     """Backtracking line search exceeded its trial cap; usually a sign of non-finite values."""
 

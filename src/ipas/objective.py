@@ -94,13 +94,14 @@ def component_weights(weights, n_components: int) -> np.ndarray:
 class BudgetMeter:
     """Running count of work in scalar products.
 
-    A component value or gradient evaluation costs one scalar product;
-    each CG iteration on an m-dimensional system costs m + 4.  Only
-    projections that ran are charged: a control-sample test that its
-    values decided charges its values and gradient but no CG.
-    cg_iterations counts the CG iterations charged, so a trace row's
-    cg_iters is its change over the step.  The oracle metrics go through
-    weighted_value_grad_many, never through a meter.
+    A component value or gradient evaluation costs one scalar product; a
+    projection's solve with the cached m x m Cholesky factor costs m + 4,
+    about the arithmetic of its two triangular solves, in both methods.
+    Only solves that ran are charged: a control-sample test that its values
+    decided charges its values and gradient but no solve.  cg_iterations
+    (a name kept from an earlier CG projection) counts the solves, so a
+    trace row's cg_iters is its change over the step.  The oracle metrics
+    go through weighted_value_grad_many, never through a meter.
     """
 
     scalar_products: int = 0

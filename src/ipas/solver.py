@@ -6,13 +6,16 @@ gradient step sized by a nonmonotone Armijo search, and then lets an
 independently drawn control sample accept the step or reject it and grow
 the batch.  The projection tolerance eta_k = 1/(k+1)^s decays fast enough
 that the squared tolerances are summable, which is what the nonmonotone
-slack and the acceptance test lean on.
+slack and the acceptance test lean on.  A projection keeps a point already
+within eta_k of the constraints and projects any other exactly.
 
 A step takes its whole tolerance schedule from _tolerances(): eta_k, the
-search slack eta_k^2 and the control slack C_accept*eta_k^2.  Nothing
-else derives a slack from eta_k.  line_search_full, line_search_minibatch
-and additional_sampling_test apply the slack they are given, and the
-control test passes eta_k on only as the tolerance of its projection.
+search slacks eta_k^2 (mini-batch) and eta_k^4 (full sample, summable
+wherever eta_k^2 is, as the nonmonotone search of Li and Fukushima 2000
+needs) and the control slack C_accept*eta_k^2.  Nothing else derives a
+slack from eta_k.  line_search_full, line_search_minibatch and
+additional_sampling_test apply the slack they are given, and the control
+test passes eta_k on only as the tolerance of its projection.
 """
 
 from __future__ import annotations
@@ -94,7 +97,8 @@ class SolverState:
     """Mutable per-run state threaded through the iterations.
 
     x is replaced by a new array whenever the iterate moves and is never
-    mutated in place; a rejected step keeps the very same object.  The run
+    mutated in place; a rejected step keeps the very same object, as does a
+    re-projection of an iterate already within its tolerance.  The run
     driver relies on both: it holds iterates until their deferred oracle
     columns are evaluated and tells them apart by identity.
     """
@@ -118,7 +122,8 @@ class IterationRecord:
     step.  norm_d_true and f_true are oracle metrics computed with the
     exact projection and the full weighted sums; they never touch the
     budget.  Rows that leave them NaN get them from the run driver.
-    scalar_products is the meter total after the iteration finished.
+    scalar_products is the meter total after the iteration finished, and
+    cg_iters counts the row's projection solves (see BudgetMeter).
     """
 
     k: int
@@ -154,19 +159,21 @@ class _Tolerances(NamedTuple):
     """A step's tolerance schedule at one iteration; see _tolerances()."""
 
     eta: float  # tolerance of every inexact projection
-    search: float  # slack of both line searches
+    search: float  # slack of the mini-batch search and the baseline's
+    full_search: float  # slack of the adaptive solver's full-sample search
     control: float  # slack of the additional-sampling test
 
 
 def _tolerances(k: int, s_exp: float, C_accept: float = 0.0) -> _Tolerances:
-    """The tolerances of iteration k: eta_k, eta_k^2 and C_accept*eta_k^2.
+    """The tolerances of iteration k: eta_k, eta_k^2, eta_k^4 and C_accept*eta_k^2.
 
-    The one place a slack is derived from eta_k.  The control slack is
-    rounded as (C_accept*eta_k)*eta_k; the baseline, which has no control
-    test, leaves C_accept at 0.
+    The one place a slack is derived from eta_k.  The full-sample slack is
+    rounded as (eta_k^2)^2 and the control slack as (C_accept*eta_k)*eta_k;
+    the baseline, which has no control test, leaves C_accept at 0.
     """
     eta_k = eta(k, s_exp)
-    return _Tolerances(eta_k, eta_k * eta_k, C_accept * eta_k * eta_k)
+    search = eta_k * eta_k
+    return _Tolerances(eta_k, search, search * search, C_accept * eta_k * eta_k)
 
 
 def _bound_problems(cfg, unit_fields: tuple[str, ...], t_min: float) -> list[str]:
@@ -309,8 +316,8 @@ def additional_sampling_test(
     The control values and gradient are charged to state.meter whether or
     not the step is accepted; a projection that runs goes through _project,
     which checks, charges and counts it.  Because the values come first, a
-    non-finite control value at x raises NonFiniteValue before a control CG
-    could raise CgStalled.
+    non-finite control value at x raises NonFiniteValue before the control
+    direction is projected.
     """
     x = state.x
     meter = state.meter
@@ -329,7 +336,8 @@ def _project(state: SolverState, cs: ConstraintSet, y: np.ndarray, eta_k: float)
 
     Every inexact projection of a run goes through here.  The reported
     residual norm is the feasibility gap of the projected point by
-    construction, so only the tolerance needs checking.
+    construction, so only the tolerance needs checking: an exactly
+    projected point can still miss a tolerance below its rounding.
     """
     proj = inexact_project(cs, y, eta_k)
     if proj.residual_norm > eta_k:
@@ -401,8 +409,9 @@ def ipas_step(
     rejection the iterate is kept bitwise unchanged and the batch grows by
     dN, capped at the component count.  The step's tolerances come from
     _tolerances().  Every projection, the control test's included, goes
-    through _project; the row's cg_iters is the meter's CG count over the
-    step.  The record's oracle columns (norm_d_true, f_true) are NaN;
+    through _project, and a re-projection of an iterate within eta_k keeps
+    the very same array.  The row's cg_iters is the meter's count of solves
+    over the step; its oracle columns (norm_d_true, f_true) are NaN, and
     _drive fills them in batches.
     """
     x = state.x
@@ -410,7 +419,7 @@ def ipas_step(
     N = obj.n_components
     meter = state.meter
     cg_start = meter.cg_iterations
-    eta_k, search_slack, control_slack = _tolerances(state.k, cfg.s_exp, cfg.C_accept)
+    eta_k, mini_slack, full_slack, control_slack = _tolerances(state.k, cfg.s_exp, cfg.C_accept)
     is_full = state.Nk >= N
 
     if is_full:
@@ -433,7 +442,7 @@ def ipas_step(
         if descent_check(slope, p_sq, cfg.c):
             value_at = lambda z: full_value(obj, z, meter)
             t, x_next = line_search_full(
-                value_at, x, p, est.value(meter), slope, search_slack, cfg.beta, cfg.c1
+                value_at, x, p, est.value(meter), slope, full_slack, cfg.beta, cfg.c1
             )
             accepted = True
         else:
@@ -445,7 +454,7 @@ def ipas_step(
     else:
         value_at = lambda z: subsample_value(obj, sample, z, meter)
         t, x_next = line_search_minibatch(
-            value_at, x, p, est.value(meter), slope, search_slack, cfg.beta, cfg.c1, cfg.t_min
+            value_at, x, p, est.value(meter), slope, mini_slack, cfg.beta, cfg.c1, cfg.t_min
         )
         accepted = additional_sampling_test(state, cs, obj, x_next, eta_k, control_slack, cfg)
         if not accepted:
@@ -501,7 +510,8 @@ def _drive(
     NaN (every adaptive row and the terminal row) is filled after the
     fact, since nothing in the trajectory reads them.  Such rows queue as
     (iterate, rows) pairs, a row at the last pair's array (as after a
-    rejected step) joining that pair, and _oracle_batch fills them when
+    rejected step, or a re-projection that left the iterate where it was)
+    joining that pair, and _oracle_batch fills them when
     _ORACLE_BATCH iterates wait and a new one arrives, and once at the
     end.  Otherwise those columns stay NaN.
 

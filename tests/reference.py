@@ -5,10 +5,9 @@ checking the vectorised kernels; logistic_block_sums is the logistic
 kernel's full-data sums as a plain serial loop over its row blocks,
 logistic_value_grad_many and BlockedLogisticKernel its batched and
 one-point forms, and parse_libsvm_dicts the LIBSVM reader's earlier form,
-which held one dict per row.  cg_solve and exact_project are the package's
-earlier forms, written with the @ operator, a freshly allocated search
-direction and scipy.linalg.cho_solve; the package's leaner forms must
-reproduce them bit for bit.  additional_sampling_test is the control-sample
+which held one dict per row.  exact_project is the package's earlier form,
+written with the @ operator and scipy.linalg.cho_solve; the package's
+direct LAPACK call must reproduce it bit for bit.  additional_sampling_test is the control-sample
 test that projects the control direction every time; the package's, which
 skips the projection when the values alone reject the step, must decide
 every step as it does.
@@ -18,14 +17,11 @@ from __future__ import annotations
 
 import io
 import math
-from typing import Callable
-
 import numpy as np
 import scipy.linalg
 from scipy.special import expit
 
 from ipas import (
-    CgStalled,
     ConstraintSet,
     DimensionMismatch,
     LogisticDataset,
@@ -118,60 +114,6 @@ def noisy_quadratic_component(
     value = base_value + ridge * float(x @ x)
     grad = Qx + spec.base_q + (2.0 * ridge) * x
     return value, grad
-
-
-def cg_solve(
-    apply: Callable[[np.ndarray], np.ndarray],
-    rhs: np.ndarray,
-    tol_abs: float,
-    max_iter: int,
-) -> tuple[np.ndarray, float, int]:
-    """Conjugate gradients on an SPD operator, cold started from zero (reference form)."""
-    x = np.zeros_like(rhs, dtype=float)
-    r = np.array(rhs, dtype=float)
-    rnorm = math.sqrt(float(r @ r))
-    if rnorm <= tol_abs:
-        return x, rnorm, 0
-
-    p = r.copy()
-    rs = rnorm * rnorm
-    best_norm = rnorm
-    for it in range(1, max_iter + 1):
-        Ap = apply(p)
-        pAp = float(p @ Ap)
-        if not math.isfinite(pAp) or pAp <= 0.0:
-            raise CgStalled(
-                f"CG curvature p^T A p = {pAp:.3e} is not positive; operator is not SPD",
-                residual_norm=best_norm,
-                iterations=it,
-            )
-        alpha = rs / pAp
-        x += alpha * p
-        r -= alpha * Ap
-        rs_new = float(r @ r)
-        if math.sqrt(rs_new) <= tol_abs:
-            # Recurrence residuals drift from the truth; confirm before exiting.
-            true_r = rhs - apply(x)
-            true_norm = math.sqrt(float(true_r @ true_r))
-            if true_norm <= tol_abs:
-                return x, true_norm, it
-            r = true_r
-            rs_new = true_norm * true_norm
-            p = r.copy()
-            rs = rs_new
-            best_norm = min(best_norm, true_norm)
-            continue
-        beta = rs_new / rs
-        p = r + beta * p
-        rs = rs_new
-        best_norm = min(best_norm, math.sqrt(rs_new))
-
-    raise CgStalled(
-        f"CG did not reach tolerance {tol_abs:.3e} in {max_iter} iterations "
-        f"(best residual {best_norm:.3e})",
-        residual_norm=best_norm,
-        iterations=max_iter,
-    )
 
 
 def exact_project(cs: ConstraintSet, y: np.ndarray) -> np.ndarray:

@@ -12,16 +12,11 @@ from traces.
 Each test prints one summary line (shown with ``pytest -s`` and in
 failure reports) and enforces the same verdict with an assertion.  The
 solver runs are shared through session fixtures so the module stays
-fast.  Check 07 is a known honest failure, in two regimes.  Six of its
-ten seeds (1, 3, 4, 6, 8, 9) end in an unbroken streak of unsuccessful
-full-sample iterations: the CG direction fails the descent check at every
-iteration once CG has reached its attainable accuracy, so the optimality
-measure freezes.  The other four keep stepping, with a best optimality
-measure near C/(k+1) for a per-seed C (3.3 on seed 0), which one of them
-takes below the 1e-3 target within 2000 iterations.  At 4500 iterations
-3 of the 10 seeds pass.  The README section "Known failing check" gives
-the measurements, and diagnostic tests next to check 07 pin the streaks
-and the C/(k+1) law.
+fast.  All twelve checks pass.  Every check-07 seed reaches the 1e-3
+target well within its 2000 iterations and then ends its run in an
+unbroken streak of unsuccessful full-sample rows at one iterate; a
+diagnostic next to check 07 records each seed's best optimality measure
+and the length of that streak.
 """
 
 from __future__ import annotations
@@ -325,67 +320,47 @@ def test_07_noisy_quadratic_desk_convergence(quad_batch):
                           f"(need 9); per-seed best optimality "
                           f"{', '.join(f'{b:.1e}' for b in bests)}; "
                           f"{quad_batch.wall:.1f}s")
-    assert ok, line + (
-        " | known honest failure: seeds 1, 3, 4, 6, 8 and 9 end in unbroken "
-        "streaks of unsuccessful full-sample iterations, where the CG direction "
-        "keeps failing the descent check and the optimality measure freezes; "
-        "the other seeds approach the target near C/(k+1) for a per-seed C "
-        "(3.3 on seed 0); at 4500 iterations 3/10 seeds pass (README, "
-        "'Known failing check')"
-    )
+    assert ok, line
 
 
-# Length of the trailing streak of unsuccessful rows of each check-07 seed
-# that stalls within its 2000 iterations.
-CHECK07_STREAKS = {1: 722, 3: 127, 4: 883, 6: 467, 8: 685, 9: 221}
+# Each check-07 seed's best ||d|| and the length of the streak of
+# unsuccessful full-sample rows that closes its run.
+CHECK07_RECORD = {
+    0: (3.186e-05, 603), 1: (4.945e-05, 628), 2: (3.371e-05, 165), 3: (2.708e-05, 667),
+    4: (7.074e-05, 866), 5: (5.102e-05, 749), 6: (7.635e-05, 712), 7: (1.705e-05, 656),
+    8: (4.268e-05, 300), 9: (5.073e-05, 695),
+}
 
 
-def test_07_stall_regime_is_pinned(quad_batch):
-    """Pin which check-07 seeds stall, and for how many iterations.
+def test_07_best_norms_and_closing_streaks_are_recorded(quad_batch):
+    """Record each check-07 seed's best ||d|| and the streak that closes its run.
 
-    Seeds 1, 3, 4, 6, 8 and 9 end in an unbroken streak of unsuccessful
-    full-sample rows, with no unsuccessful row before it; the other four
-    have none.  A projection that retries where roundoff makes the CG
-    direction fail the descent check is expected to remove every streak;
-    that change moves this pin, on purpose, to "no streaks".
+    Every seed ends in an unbroken streak of unsuccessful full-sample rows,
+    with no unsuccessful row before it.  The streak sits at one iterate:
+    its rows agree in norm_p, e_x and norm_d_true, and each makes one
+    solve, its step projection's, because the re-projection keeps an
+    iterate within eta_k.  What fails the descent check there is not
+    measured; this records the streaks without explaining them.
     """
-    streaks = {}
+    record = {}
     for case in quad_batch.cases:
         recs = case.result.records[:-1]  # the terminal row takes no step
         first = next((i for i, r in enumerate(recs) if r.unsuccessful), len(recs))
-        stalled = recs[first:]
-        assert all(r.unsuccessful and r.Nk == QUAD_N for r in stalled), (
+        streak = recs[first:]
+        assert streak and all(r.unsuccessful and r.Nk == QUAD_N for r in streak), (
             f"seed {case.cfg.seed}: the unsuccessful rows from k={first} are not one "
-            f"trailing full-sample streak"
+            "closing full-sample streak"
         )
-        if stalled:
-            streaks[case.cfg.seed] = len(stalled)
-    assert streaks == CHECK07_STREAKS
-
-
-@pytest.mark.parametrize("seed", [0, 5])
-def test_07_slack_law_is_pinned(quad_batch, seed):
-    """Pin the C/(k+1) law of check-07 seeds 0 and 5.
-
-    A full-sample step at t = 1e-2 multiplies f - f* by (1 - tL)^2, L the
-    largest curvature of the objective on null(A).  The search accepts it
-    while the increase, about ((1 - tL)^2 - 1) ||d||^2 / (2L), stays below
-    its slack 1/(k+1)^2, so the best ||d|| settles just below C/(k+1) with
-    C = sqrt(2L / ((1 - tL)^2 - 1)).  The ratio (k+1) best||d|| / C reads
-    0.942 on seed 0 and 0.905 on seed 5.  A slack that shrinks faster is
-    expected to break this pin, on purpose.
-    """
-    case = quad_batch.cases[seed]
-    A, spec = case.cs.A, case.spec
-    null = np.linalg.svd(A)[2][A.shape[0]:].T
-    ridge = QUAD_N * float(np.mean(spec.eps ** 2))
-    hessian = spec.base_Q + 2.0 * ridge * np.eye(QUAD_DIM)
-    L = float(np.linalg.eigvalsh(null.T @ hessian @ null).max())
-    t = 1e-2
-    C = np.sqrt(2.0 * L / ((1.0 - t * L) ** 2 - 1.0))
-    best = min(case.result.records, key=lambda r: r.norm_d_true)
-    ratio = (best.k + 1) * best.norm_d_true / C
-    assert 0.85 < ratio < 1.0, f"seed {seed}: L={L:.1f}, C={C:.3f}, k*={best.k}, ratio {ratio:.3f}"
+        assert len({(r.norm_p, r.e_x, r.norm_d_true) for r in streak}) == 1
+        assert {r.cg_iters for r in streak} == {1}
+        best = min(r.norm_d_true for r in case.result.records)
+        record[case.cfg.seed] = (best, len(streak))
+    print("check 07 record: " + "; ".join(
+        f"seed {seed} best {best:.3e}, closing streak {n}" for seed, (best, n) in record.items()
+    ))
+    assert record == {
+        seed: (pytest.approx(best, rel=1e-3), n) for seed, (best, n) in CHECK07_RECORD.items()
+    }
 
 
 def test_08_logistic_desk_convergence(logistic_batch):
@@ -468,7 +443,7 @@ def test_12_step_size_floor_and_trace_reevaluation(quad_batch, logistic_batch):
                 )
                 mini_rows += 1
             elif rec.Nk >= n_comp and rec.accepted:
-                slack = eta(rec.k, cfg.s_exp) ** 2
+                slack = eta(rec.k, cfg.s_exp) ** 4  # the full-sample search's slack
                 bound = rec.f_true - cfg.c1 * rec.t * cfg.c * rec.norm_p**2 + slack
                 assert recs[k + 1].f_true <= bound + 1e-9, (
                     f"full-sample step at {rec.k} violates the re-evaluated "

@@ -61,7 +61,7 @@ class TestBaselineRun:
             assert r.Nk == obj.n_components
             assert r.accepted
             assert not r.unsuccessful
-            assert r.cg_iters == cs.m
+            assert r.cg_iters == 1  # one factored solve
 
     def test_stays_essentially_feasible(self):
         cs, obj = problem()
@@ -87,13 +87,15 @@ class TestBaselineRun:
         assert res.records[-1].norm_d_true < 0.05 * res.records[0].norm_d_true
 
     def test_budget_charges_full_gradient_plus_exact_solve(self):
-        # Iteration k costs N grads + (m+4)m for the solve + N per line
-        # search value probe (at least the f0 evaluation).
+        # Iteration k costs N grads + (m+4) for the one factored solve, as
+        # the adaptive solver prices its projections, + N per line search
+        # value probe (at least the f0 evaluation).
         cs, obj = problem()
         res = run_baseline(cs, obj, BaselineConfig(k_max=1))
         N, m = obj.n_components, cs.m
         first = res.records[0].scalar_products
-        probes = (first - N - (m + 4) * m) / N
+        assert res.meter.cg_scalar_products == m + 4
+        probes = (first - N - (m + 4)) / N
         assert probes >= 1 and probes == int(probes)
 
     def test_stationarity_stop(self):

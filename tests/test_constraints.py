@@ -7,16 +7,19 @@ import reference
 from conftest import kkt_project, random_system
 
 from ipas import (
-    CgStalled,
+    BudgetMeter,
     DimensionMismatch,
+    InvariantViolation,
+    NonFiniteValue,
     RankDeficient,
+    SolverState,
     build_constraint_set,
-    cg_solve,
     exact_project,
     feasibility_gap,
     inexact_project,
     projected_direction,
 )
+from ipas.solver import _project
 
 
 class TestBuildConstraintSet:
@@ -211,119 +214,6 @@ class TestExactProject:
             assert np.linalg.norm(y - p) <= np.linalg.norm(y - other) + 1e-12
 
 
-class TestCgSolve:
-    def test_identity_system(self):
-        rhs = np.array([1.0, -2.0, 3.0])
-        x, res, iters = cg_solve(np.eye(3), rhs, tol_abs=1e-12, max_iter=30)
-        np.testing.assert_allclose(x, rhs, rtol=0, atol=1e-12)
-        assert res <= 1e-12
-        assert iters == 1
-
-    def test_zero_rhs_short_circuits(self):
-        x, res, iters = cg_solve(2 * np.eye(4), np.zeros(4), tol_abs=1e-10, max_iter=10)
-        assert iters == 0
-        assert res == 0.0
-        np.testing.assert_array_equal(x, np.zeros(4))
-
-    def test_diagonal_system(self):
-        d = np.array([1.0, 4.0, 9.0, 16.0])
-        rhs = np.array([1.0, 2.0, 3.0, 4.0])
-        x, res, _ = cg_solve(np.diag(d), rhs, tol_abs=1e-12, max_iter=50)
-        np.testing.assert_allclose(x, rhs / d, rtol=1e-10, atol=1e-12)
-        assert res <= 1e-12
-
-    def test_matches_dense_solve(self):
-        rng = np.random.default_rng(21)
-        for k in range(5):
-            dim = 6 + k
-            M = rng.standard_normal((dim, dim))
-            S = M @ M.T + dim * np.eye(dim)
-            rhs = rng.standard_normal(dim)
-            x, res, iters = cg_solve(S, rhs, tol_abs=1e-11, max_iter=200)
-            np.testing.assert_allclose(x, np.linalg.solve(S, rhs), rtol=1e-7, atol=1e-9)
-            assert res <= 1e-11
-            assert 1 <= iters <= 200
-
-    def test_reported_residual_is_true_residual(self):
-        rng = np.random.default_rng(22)
-        M = rng.standard_normal((8, 8))
-        S = M @ M.T + 8 * np.eye(8)
-        rhs = rng.standard_normal(8)
-        x, res, _ = cg_solve(S, rhs, tol_abs=1e-3, max_iter=100)
-        assert np.linalg.norm(rhs - S @ x) == pytest.approx(res, rel=1e-9, abs=1e-15)
-        assert res <= 1e-3
-
-    def test_loose_tolerance_uses_fewer_iterations(self):
-        rng = np.random.default_rng(23)
-        M = rng.standard_normal((30, 30))
-        S = M @ M.T + 0.5 * np.eye(30)
-        rhs = rng.standard_normal(30)
-        _, _, it_loose = cg_solve(S, rhs, tol_abs=1e-1, max_iter=500)
-        _, _, it_tight = cg_solve(S, rhs, tol_abs=1e-10, max_iter=500)
-        assert it_loose < it_tight
-
-    def test_iteration_cap_raises(self):
-        rng = np.random.default_rng(24)
-        M = rng.standard_normal((40, 40))
-        S = M @ M.T + 1e-8 * np.eye(40)
-        rhs = rng.standard_normal(40)
-        with pytest.raises(CgStalled) as exc:
-            cg_solve(S, rhs, tol_abs=1e-14, max_iter=3)
-        assert exc.value.iterations == 3
-        assert exc.value.residual_norm > 1e-14
-
-    def test_indefinite_operator_raises(self):
-        S = np.diag([1.0, -1.0])
-        rhs = np.array([0.3, 1.0])
-        with pytest.raises(CgStalled):
-            cg_solve(S, rhs, tol_abs=1e-12, max_iter=50)
-
-    @staticmethod
-    def gram_and_direction():
-        rng = np.random.default_rng(25)
-        A = rng.standard_normal((10, 13))
-        return A @ A.T, rng.standard_normal(10)
-
-    @pytest.mark.parametrize("rel", [1e-2, 1e-10])
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_a_power_of_two_scaling_is_exact(self, rel):
-        # The norm of 2^510 d squares past the float range (with a
-        # RuntimeWarning) and is solved at a power-of-two scaling; 2^490 d
-        # is solved as it is.  The two solves agree to the scaling, bit for
-        # bit.
-        S, d = self.gram_and_direction()
-        tol = rel * np.linalg.norm(d)
-        hi = cg_solve(S, 2.0**510 * d, 2.0**510 * tol, 100)
-        lo = cg_solve(S, 2.0**490 * d, 2.0**490 * tol, 100)
-        assert same_bits(hi[0], lo[0] * 2.0**20)
-        assert hi[1:] == (lo[1] * 2.0**20, lo[2])
-        assert lo[2] > 0
-
-    @pytest.mark.parametrize("size", [1e153, 1e154])
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_huge_finite_rhs_is_solved(self, size):
-        # Solved unscaled, p^T A p overflows at 1e153 ("not SPD") and r.r
-        # at 1e154 ("right-hand side norm inf").
-        S, d = self.gram_and_direction()
-        x, res, iters = cg_solve(S, size * d, 1e-10 * size, 100)
-        assert 0 < iters <= 100
-        assert 0.0 < res <= 1e-10 * size
-        assert np.linalg.norm(S @ (x / size) - d) <= 2e-10
-
-    def test_tiny_rhs_converges_to_its_tolerance(self):
-        # ||1e-170 d||^2 underflows to 0: solved unscaled, it would read as
-        # an exact solution at iteration 0 whatever the tolerance.
-        S, d = self.gram_and_direction()
-        x, res, iters = cg_solve(S, 1e-170 * d, 1e-180, 100)
-        assert iters > 0
-        assert 0.0 < res <= 1e-180
-        assert np.linalg.norm(S @ (x * 1e170) - d) * 1e-170 == pytest.approx(res, rel=1e-6)
-        # A tolerance below roundoff at that scale stalls, in the caller's units.
-        with pytest.raises(CgStalled, match=r"tolerance 1\.000e-200 in 100 iterations") as err:
-            cg_solve(S, 1e-170 * d, 1e-200, 100)
-        assert 1e-200 < err.value.residual_norm < 1e-180
-
-
 class TestInexactProject:
     def test_tight_tolerance_matches_exact(self):
         for m, n, seed in [(3, 8, 30), (5, 20, 31), (50, 200, 32)]:
@@ -366,15 +256,20 @@ class TestInexactProject:
         assert result.cg_iterations == 0
         np.testing.assert_array_equal(result.point, x)
 
-    def test_looser_tolerance_cheaper(self):
-        cs = random_system(40, 120, seed=36)
+    @pytest.mark.parametrize("m", [4, 10, 100])
+    def test_a_point_within_eta_is_returned_itself(self, m):
+        # Infeasible, but by less than eta: no solve, and the very array y
+        # comes back with its own gap.
+        cs = random_system(m, m + 10, seed=36)
         rng = np.random.default_rng(37)
-        y = rng.standard_normal(120) * 10
-        loose = inexact_project(cs, y, eta=1e-1)
-        tight = inexact_project(cs, y, eta=1e-10)
-        assert loose.cg_iterations < tight.cg_iterations
-        assert loose.residual_norm <= 1e-1
-        assert tight.residual_norm <= 1e-10
+        x = exact_project(cs, rng.standard_normal(m + 10))
+        y = x + 1e-3 * rng.standard_normal(m + 10)
+        gap = feasibility_gap(cs, y)
+        assert gap > 1e-6
+        for eta in (gap, 2.0 * gap, 1.0):
+            result = inexact_project(cs, y, eta=eta)
+            assert result.point is y
+            assert (result.residual_norm, result.cg_iterations) == (gap, 0)
 
     def test_error_bounded_by_conditioning(self):
         # || exact - inexact || <= ||A^T (A A^T)^{-1}||_2 * residual, with the
@@ -401,7 +296,7 @@ class TestInexactProject:
             inexact_project(cs, np.zeros(5), eta=0.0)
         with pytest.raises(ValueError):
             inexact_project(cs, np.zeros(5), eta=-1e-3)
-        # NaN fails every comparison; it must not run CG to its cap.
+        # NaN fails every comparison; it must not pass for a tolerance.
         with pytest.raises(ValueError, match="eta must be positive, got nan"):
             inexact_project(cs, np.ones(5), eta=float("nan"))
 
@@ -412,31 +307,42 @@ class TestInexactProject:
             inexact_project(cs, np.zeros(shape), eta=1e-3)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_point_stops_cg_at_iteration_zero(self, bad):
-        # A non-finite y makes A y - b non-finite: CG names the right-hand
-        # side before it applies the operator, and nothing warns.
+    def test_non_finite_point_raises_before_any_solve(self, bad, monkeypatch):
+        # A non-finite y makes its gap non-finite, whatever eta is: the
+        # projection names the gap before it solves, and nothing warns.
         cs = random_system(3, 7, seed=43)
         y = np.zeros(7)
         y[2] = bad
+
+        def no_solve(*args):
+            raise AssertionError("solved a non-finite right-hand side")
+
+        monkeypatch.setattr("ipas.constraints._POTRS", no_solve)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(CgStalled, match="right-hand side norm .* is not finite") as err:
-                inexact_project(cs, y, eta=1e-3)
-        assert err.value.iterations == 0
-        M = _CountingMatrix(cs.AAt)
-        with pytest.raises(CgStalled, match="right-hand side"):
-            cg_solve(M, cs.A @ y - cs.b, 1e-3, 30)
-        assert M.calls == 0
+            for eta in (1e-3, float("inf")):
+                with pytest.raises(NonFiniteValue, match=r"gap (nan|inf) .* not finite"):
+                    inexact_project(cs, y, eta=eta)
 
-    def test_stall_on_extreme_conditioning(self):
-        # Rows nearly parallel: Gram matrix nearly singular, CG cannot hit a
-        # tiny absolute tolerance within 10*m iterations.
+    def test_extreme_conditioning_reports_the_true_gap(self):
+        # Rows nearly parallel: A A^T is nearly singular, and the exactly
+        # projected point misses a tiny absolute tolerance by its rounding.
+        # The projection reports the gap it reached, and _project, which
+        # holds every projection of a run to eta_k, raises.
         A = np.vstack([np.ones(400), np.ones(400) + 1e-9 * np.arange(400)])
         b = np.array([1.0, 1.0])
         cs = build_constraint_set(A, b)
         y = np.full(400, 17.3)
-        with pytest.raises(CgStalled):
-            inexact_project(cs, y, eta=1e-15)
+        result = inexact_project(cs, y, eta=1e-15)
+        assert result.cg_iterations == 1
+        assert result.residual_norm == feasibility_gap(cs, result.point) > 1e-15
+        assert same_bits(result.point, exact_project(cs, y))
+        state = SolverState(
+            x=y, k=0, Nk=1, rng=np.random.default_rng(0), meter=BudgetMeter(), e_x=0.0
+        )
+        with pytest.raises(InvariantViolation, match="projection residual .* exceeds"):
+            _project(state, cs, y, 1e-15)
+        assert (state.projections_checked, state.meter.scalar_products) == (0, 0)
 
 
 class TestProjectedDirection:
@@ -497,91 +403,25 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-class _CountingMatrix:
-    """An SPD matrix that counts the products cg_solve takes with it."""
-
-    def __init__(self, S):
-        self.S = S
-        self.calls = 0
-
-    def dot(self, v, out=None):
-        self.calls += 1
-        return self.S.dot(v, out)
-
-
 class TestMatchesReference:
-    """The lean cg_solve and the direct LAPACK exact_project against their
-    reference forms in tests/reference.py, bit for bit."""
-
-    @staticmethod
-    def _outcome(solve, *args):
-        try:
-            x, res, iters = solve(*args)
-        except CgStalled as exc:
-            return ("stalled", str(exc), exc.residual_norm, exc.iterations)
-        return ("solved", x.tobytes(), res, iters)
-
-    @pytest.mark.parametrize("m", [4, 10, 100])
-    def test_cg_solve_bits(self, m):
-        # Gram matrices of random wide matrices, like A A^T in the solver.
-        # Right-hand sides span 1e-8 to 1e3; the relative tolerances run down
-        # to roundoff, where the recurrence residual passes the test but the
-        # true residual does not and CG restarts from it, or stalls.  The
-        # unit draws are also scaled to 1e-150, where the squared residual
-        # norms fall below the normal range, and to 1e150, where they near
-        # its top and the tightest tolerances stall.
-        rng = np.random.default_rng(m)
-        restarts = 0
-        stalls = {}
-        for _ in range(3 if m == 100 else 12):
-            A = rng.standard_normal((m, m + 3))
-            S = A @ A.T
-            for scale in (1e-8, 1e-3, 1.0, 1e3):
-                draw = rng.standard_normal(m)
-                for size in (scale, 1e-150, 1e150) if scale == 1.0 else (scale,):
-                    rhs = size * draw
-                    rhs_norm = float(np.linalg.norm(rhs))
-                    for rel in (1e-2, 1e-8, 1e-13, 1e-15):
-                        tol = rel * rhs_norm
-                        ref_calls = [0]
-
-                        def counted(v):
-                            ref_calls[0] += 1
-                            return S @ v
-
-                        expected = self._outcome(reference.cg_solve, counted, rhs, tol, 10 * m)
-                        M = _CountingMatrix(S)
-                        outcome = self._outcome(cg_solve, M, rhs, tol, 10 * m)
-                        assert outcome == expected, (size, rel)
-                        assert M.calls == ref_calls[0]
-                        if expected[0] == "solved":
-                            # One apply per iteration plus one per true-residual check.
-                            restarts += ref_calls[0] - expected[3] - 1
-                        else:
-                            stalls[size] = stalls.get(size, 0) + 1
-        assert restarts > 0
-        assert stalls.get(1e150, 0) > 0, stalls
+    """The factored inexact projection against exact_project, and the direct
+    LAPACK exact_project against its reference form in tests/reference.py,
+    bit for bit."""
 
     @pytest.mark.parametrize("m", [4, 10, 100])
     def test_inexact_project_bits(self, m):
+        # Every gap here exceeds eta, so each call makes its one solve.
         cs = random_system(m, m + 10, seed=80 + m)
         rng = np.random.default_rng(81)
         for scale in (1e-8, 1.0, 1e3):
             y = scale * rng.standard_normal(m + 10)
             for eta in (1e-1, 1e-6, 1e-10):
-                rhs = cs.A @ y - cs.b
-                try:
-                    lam, _, iters = reference.cg_solve(cs.AAt.__matmul__, rhs, eta, 10 * m)
-                except CgStalled:
-                    with pytest.raises(CgStalled):
-                        inexact_project(cs, y, eta)
-                    continue
-                point = y - cs.A.T @ lam
+                assert feasibility_gap(cs, y) > eta
+                point = exact_project(cs, y)
                 result = inexact_project(cs, y, eta)
                 assert same_bits(result.point, point)
-                assert result.residual_norm == float(np.linalg.norm(cs.A @ point - cs.b))
-                assert result.cg_iterations == iters
-                assert feasibility_gap(cs, point) == result.residual_norm
+                assert result.cg_iterations == 1
+                assert result.residual_norm == feasibility_gap(cs, point)
 
     @pytest.mark.parametrize("m", [4, 10, 100])
     @pytest.mark.parametrize("K", [None, 1, 7, 64])

@@ -139,7 +139,7 @@ def test_an_accepted_config_runs_to_the_end(text):
 @pytest.mark.xfail(
     strict=True,
     raises=InvariantViolation,
-    reason="eta_k falls below the attainable accuracy of CG's residual (ROADMAP item 2)",
+    reason="eta_k falls below the rounding floor of an exactly projected point (ROADMAP item 2)",
 )
 def test_an_accepted_config_with_a_steep_schedule_runs_to_the_end():
     # The first crash is raised here, after the draws, rather than reported
