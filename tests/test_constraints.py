@@ -1,7 +1,9 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import reference
 from conftest import kkt_project, random_system
@@ -19,6 +21,7 @@ from ipas import (
     inexact_project,
     projected_direction,
 )
+from ipas.constraints import _solve
 from ipas.solver import _project
 
 
@@ -212,6 +215,120 @@ class TestExactProject:
         for _ in range(20):
             other = exact_project(cs, rng.standard_normal(9))
             assert np.linalg.norm(y - p) <= np.linalg.norm(y - other) + 1e-12
+
+
+class TestFactoredSolve:
+    """The one solve of A A^T lam = rhs with the cached factor (_solve) that
+    both projections make, and the projection at scales where the squared
+    gap leaves the float range."""
+
+    @staticmethod
+    def padded(rows):
+        # A = [diag(rows) | 0]: A A^T = diag(rows^2), factored exactly.
+        m = len(rows)
+        A = np.hstack([np.diag(rows), np.zeros((m, 2))])
+        return build_constraint_set(A, np.zeros(m))
+
+    def test_identity_system(self):
+        cs = self.padded([1.0, 1.0, 1.0])
+        rhs = np.array([1.0, -2.0, 3.0])
+        assert same_bits(_solve(cs, rhs.copy()), rhs)
+
+    def test_zero_rhs_gives_zero(self):
+        cs = random_system(4, 9, seed=20)
+        assert same_bits(_solve(cs, np.zeros(4)), np.zeros(4))
+
+    def test_diagonal_system(self):
+        cs = self.padded([1.0, 2.0, 3.0, 4.0])
+        rhs = np.array([1.0, 2.0, 3.0, 4.0])
+        np.testing.assert_allclose(
+            _solve(cs, rhs.copy()), rhs / np.array([1.0, 4.0, 9.0, 16.0]), rtol=1e-15, atol=0
+        )
+
+    def test_matches_dense_solve(self):
+        rng = np.random.default_rng(21)
+        for k in range(5):
+            m = 6 + k
+            cs = random_system(m, m + 4, seed=21 + k)
+            rhs = rng.standard_normal(m)
+            np.testing.assert_allclose(
+                _solve(cs, rhs.copy()), np.linalg.solve(cs.AAt, rhs), rtol=1e-9, atol=1e-12
+            )
+
+    def test_residual_is_at_roundoff(self):
+        rng = np.random.default_rng(22)
+        cs = random_system(8, 12, seed=22)
+        rhs = rng.standard_normal(8)
+        lam = _solve(cs, rhs.copy())
+        assert np.linalg.norm(cs.AAt @ lam - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+    def test_caller_arrays_and_factor_are_untouched(self):
+        # _solve may overwrite its right-hand side; the projections pass it
+        # one of their own, so y, A, b and the cached factor keep their bits.
+        cs = random_system(5, 11, seed=23)
+        rng = np.random.default_rng(23)
+        factor, A, b = cs.chol[0].copy(), cs.A.copy(), cs.b.copy()
+        for _ in range(5):
+            y = 10.0 * rng.standard_normal(11)
+            kept = y.copy()
+            inexact_project(cs, y, eta=1e-12)
+            exact_project(cs, y)
+            assert same_bits(y, kept)
+        assert same_bits(cs.chol[0], factor)
+        assert same_bits(cs.A, A) and same_bits(cs.b, b)
+
+    @pytest.mark.parametrize("e", [-565, -510, 510])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_a_power_of_two_scaling_is_exact(self, e):
+        # At 2^510 the squared gap overflows (with a RuntimeWarning) and at
+        # 2^-565 it underflows; the gap is taken at a power-of-two scaling,
+        # and the projection at 2^e y is 2^e times the one at y, bit for bit.
+        rng = np.random.default_rng(25)
+        A = rng.standard_normal((10, 13))
+        cs = build_constraint_set(A, np.zeros(10))
+        y = rng.standard_normal(13)
+        one = inexact_project(cs, y, eta=1e-10)
+        scaled = inexact_project(cs, np.ldexp(y, e), eta=math.ldexp(1e-10, e))
+        assert one.cg_iterations == scaled.cg_iterations == 1
+        assert same_bits(scaled.point, np.ldexp(one.point, e))
+        assert scaled.residual_norm == math.ldexp(one.residual_norm, e) > 0.0
+        assert same_bits(_solve(cs, np.ldexp(A @ y, e)), np.ldexp(_solve(cs, A @ y), e))
+
+    @pytest.mark.parametrize("size", [1e153, 1e154])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_huge_finite_point_is_projected(self, size):
+        # The gap of size * y squares past the float range; it is still read
+        # as a finite number, and the projection solves.
+        rng = np.random.default_rng(26)
+        cs = build_constraint_set(rng.standard_normal((10, 13)), np.zeros(10))
+        y = rng.standard_normal(13)
+        result = inexact_project(cs, size * y, eta=1e-10 * size)
+        assert result.cg_iterations == 1
+        assert np.isfinite(result.point).all()
+        assert 0.0 < result.residual_norm <= 1e-10 * size
+        assert result.residual_norm == feasibility_gap(cs, result.point)
+        assert np.linalg.norm(cs.A @ (result.point / size)) <= 1e-13
+
+    def test_tiny_gap_is_not_read_as_zero(self):
+        # ||1e-170 r||^2 underflows to 0: read unscaled, the point would pass
+        # for one within any eta and come back unprojected.
+        rng = np.random.default_rng(27)
+        cs = build_constraint_set(rng.standard_normal((10, 13)), np.zeros(10))
+        y = 1e-170 * rng.standard_normal(13)
+        assert float((cs.A @ y).dot(cs.A @ y)) == 0.0
+        result = inexact_project(cs, y, eta=1e-200)
+        assert result.cg_iterations == 1
+        assert same_bits(result.point, exact_project(cs, y))
+        assert 0.0 < result.residual_norm < 1e-180
+
+    def test_eta_just_below_the_gap_solves(self):
+        cs = random_system(6, 14, seed=28)
+        y = np.random.default_rng(28).standard_normal(14)
+        gap = feasibility_gap(cs, y)
+        assert inexact_project(cs, y, eta=gap).cg_iterations == 0
+        below = inexact_project(cs, y, eta=math.nextafter(gap, 0.0))
+        assert below.cg_iterations == 1
+        assert same_bits(below.point, exact_project(cs, y))
 
 
 class TestInexactProject:
@@ -422,6 +539,19 @@ class TestMatchesReference:
                 assert same_bits(result.point, point)
                 assert result.cg_iterations == 1
                 assert result.residual_norm == feasibility_gap(cs, point)
+
+    @pytest.mark.parametrize("m", [4, 10, 100])
+    @pytest.mark.parametrize("K", [None, 7])
+    def test_solve_bits(self, m, K):
+        # The direct potrs call against scipy.linalg.cho_solve with the same
+        # factor, for right-hand sides from 1e-150 to 1e150.
+        cs = random_system(m, m + 3, seed=70 + m)
+        rng = np.random.default_rng(71)
+        shape = (m,) if K is None else (m, K)
+        for size in (1e-150, 1e-8, 1e-3, 1.0, 1e3, 1e150):
+            rhs = size * rng.standard_normal(shape)
+            expected = scipy.linalg.cho_solve(cs.chol, rhs)
+            assert same_bits(_solve(cs, rhs.copy()), expected), size
 
     @pytest.mark.parametrize("m", [4, 10, 100])
     @pytest.mark.parametrize("K", [None, 1, 7, 64])
