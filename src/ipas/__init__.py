@@ -58,6 +58,7 @@ from .objective import (
     full_value,
     full_value_grad,
     subsample_value,
+    subsample_value_along,
     subsample_value_grad,
     uniform_weights,
 )

@@ -41,13 +41,11 @@ class ConstraintSet:
     ----------
     A : (m, n) constraint matrix, full row rank.
     b : (m,) right-hand side.
-    AAt : (m, m) cached Gram matrix A A^T.
-    chol : Cholesky factorisation of AAt as returned by scipy's cho_factor.
+    chol : Cholesky factorisation of A A^T as returned by scipy's cho_factor.
     """
 
     A: np.ndarray
     b: np.ndarray
-    AAt: np.ndarray
     chol: tuple
 
     @property
@@ -93,9 +91,8 @@ def build_constraint_set(A: np.ndarray, b: np.ndarray) -> ConstraintSet:
     if not (np.isfinite(A).all() and np.isfinite(b).all()):
         raise DimensionMismatch("A and b must be finite")
 
-    AAt = A @ A.T
     try:
-        chol = scipy.linalg.cho_factor(AAt, lower=True)
+        chol = scipy.linalg.cho_factor(A @ A.T, lower=True)
     except scipy.linalg.LinAlgError as exc:
         raise RankDeficient(f"Cholesky of A A^T failed: {exc}") from exc
     pivots = np.diag(chol[0])
@@ -107,8 +104,7 @@ def build_constraint_set(A: np.ndarray, b: np.ndarray) -> ConstraintSet:
 
     A.setflags(write=False)
     b.setflags(write=False)
-    AAt.setflags(write=False)
-    return ConstraintSet(A=A, b=b, AAt=AAt, chol=chol)
+    return ConstraintSet(A=A, b=b, chol=chol)
 
 
 def feasibility_gap(cs: ConstraintSet, x: np.ndarray) -> float:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import ClassVar, NamedTuple, Protocol, runtime_checkable
+from typing import Callable, ClassVar, NamedTuple, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -64,6 +64,11 @@ class ComponentKernel(Protocol):
         """Component values f_i(x) for each component gathered in rows."""
         ...
 
+    def mean_along(self, rows: object, x: np.ndarray, p: np.ndarray) -> Callable[[float], float]:
+        """t -> the mean of values(rows, x + t p): bit for bit where the kernel evaluates
+        there, within a few ulps of the largest term where it is a polynomial in t (the
+        noisy quadratic)."""
+
     def value_grad_mean(self, rows: object, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Component values over rows, as values() returns them, and the
         unweighted mean of their gradients."""
@@ -100,8 +105,9 @@ class BudgetMeter:
     Only solves that ran are charged: a control-sample test that its values
     decided charges its values and gradient but no solve.  cg_iterations
     (a name kept from an earlier CG projection) counts the solves, so a
-    trace row's cg_iters is its change over the step.  The oracle metrics
-    go through weighted_value_grad_many, never through a meter.
+    trace row's cg_iters is its change over the step.  A trial along a ray
+    (subsample_value_along) is charged as a direct evaluation.  The oracle
+    metrics go through weighted_value_grad_many, never through a meter.
     """
 
     scalar_products: int = 0
@@ -291,6 +297,21 @@ def subsample_value(
     vals = obj.kernel.values(s.rows, x)
     meter.charge_values(s.size)
     return _check_finite_scalar(_mean(vals), "subsampled objective value")
+
+
+def subsample_value_along(
+    obj: FiniteSumObjective, s: Sample, x: np.ndarray, p: np.ndarray, meter: BudgetMeter
+) -> Callable[[float], float]:
+    """t -> subsample_value(obj, s, x + t*p, meter), from one mean_along call.
+
+    Each trial charges s.size values and is checked, as subsample_value is."""
+    along = obj.kernel.mean_along(s.rows, x, p)
+
+    def value(t: float) -> float:
+        meter.charge_values(s.size)
+        return _check_finite_scalar(along(t), "subsampled objective value")
+
+    return value
 
 
 def subsample_value_grad(

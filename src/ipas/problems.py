@@ -182,6 +182,9 @@ class LogisticKernel:
         margins = neg_y * (Z @ x)
         return np.logaddexp(0.0, margins)
 
+    def mean_along(self, rows, x, p):
+        return lambda t: _mean(self.values(rows, x + t * p))
+
     def value_grad_mean(self, rows, x):
         # The gradient sums Z_b' coef_b over blocks of _BATCH_ROWS gathered
         # rows, in order; a batch of one block makes the plain call Z' coef.
@@ -515,6 +518,16 @@ class NoisyQuadraticKernel:
     def values(self, eps_sq, x):
         base_value, _ = self._base(x)
         return base_value + (self._N * float(x.dot(x))) * eps_sq
+
+    def mean_along(self, eps_sq, x, p):
+        # The mean z'(Q/2 + r I)z + q'z, r = N mean(eps^2), at z = x + t p is a0 + t a1 + t^2 a2:
+        # W [x; p]' for W = [x; p](Q/2 + r I) + [q; 0] is [[a0, b], [c, a2]] with a1 = b + c.
+        V = np.array((x, p))
+        W = (0.5 * V).dot(self.spec.base_Q) + (self._N * _mean(eps_sq)) * V
+        W[0] += self.spec.base_q
+        (a0, b), (c, a2) = W.dot(V.T).tolist()
+        a1 = b + c
+        return lambda t: a0 + t * (a1 + t * a2)
 
     def value_grad_mean(self, eps_sq, x):
         base_value, Qx = self._base(x)

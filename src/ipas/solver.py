@@ -44,6 +44,7 @@ from .objective import (
     full_value,
     full_value_grad,
     subsample_value,
+    subsample_value_along,
     subsample_value_grad,
 )
 
@@ -266,7 +267,7 @@ def line_search_full(
 
 
 def line_search_minibatch(
-    value_at: Callable[[np.ndarray], float],
+    value_along: Callable[[float], float],
     x: np.ndarray,
     p: np.ndarray,
     f0: float,
@@ -279,17 +280,15 @@ def line_search_minibatch(
     """Bounded backtracking from x along p, from t = 1 and never below t_min.
 
     Reduces t by beta only while the Armijo condition (with slack added)
-    fails at x + t*p, as a trial that raises NonFiniteValue does, and the
-    reduced step would still be >= t_min.  Returns t and the very array
-    x + t*p that value_at received last.  That step may violate the Armijo
+    fails for value_along(t), the value at x + t*p, as a trial that raises
+    NonFiniteValue does, and the reduced step would still be >= t_min.
+    Returns t and x + t*p, formed once.  That step may violate the Armijo
     condition; the acceptance test downstream is what protects the iterate.
     """
     t = 1.0
-    point = x + t * p
-    while _guarded(value_at, point) > f0 + c1 * t * slope + slack and beta * t >= t_min:
+    while _guarded(value_along, t) > f0 + c1 * t * slope + slack and beta * t >= t_min:
         t = beta * t
-        point = x + t * p
-    return t, point
+    return t, x + t * p
 
 
 def additional_sampling_test(
@@ -452,9 +451,9 @@ def ipas_step(
             e_next = reproj.residual_norm  # within eta_k, as _project checked
             unsuccessful = True
     else:
-        value_at = lambda z: subsample_value(obj, sample, z, meter)
+        value_along = subsample_value_along(obj, sample, x, p, meter)
         t, x_next = line_search_minibatch(
-            value_at, x, p, est.value(meter), slope, mini_slack, cfg.beta, cfg.c1, cfg.t_min
+            value_along, x, p, est.value(meter), slope, mini_slack, cfg.beta, cfg.c1, cfg.t_min
         )
         accepted = additional_sampling_test(state, cs, obj, x_next, eta_k, control_slack, cfg)
         if not accepted:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import settings
 
 from ipas import build_constraint_set
+from ipas.objective import _mean
 
 # Every @given test draws the same examples on every machine and run: the
 # draws come from a fixed seed, no example database replays earlier
@@ -60,6 +61,9 @@ class CallableKernel:
 
     def values(self, rows, x):
         return np.array([self._fn(int(i), x)[0] for i in rows], dtype=float)
+
+    def mean_along(self, rows, x, p):
+        return lambda t: _mean(self.values(rows, x + t * p))
 
     def value_grad_mean(self, rows, x):
         vals = np.empty(len(rows))

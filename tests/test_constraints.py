@@ -32,16 +32,11 @@ class TestBuildConstraintSet:
         assert cs.n == 7
         assert cs.A.shape == (3, 7)
         assert cs.b.shape == (3,)
-        assert cs.AAt.shape == (3, 3)
-
-    def test_gram_matrix_matches_definition(self):
-        cs = random_system(4, 9, seed=1)
-        np.testing.assert_allclose(cs.AAt, cs.A @ cs.A.T, rtol=0, atol=1e-12)
 
     def test_cholesky_factor_reconstructs_gram(self):
         cs = random_system(5, 11, seed=2)
         L = np.tril(cs.chol[0])
-        np.testing.assert_allclose(L @ L.T, cs.AAt, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(L @ L.T, cs.A @ cs.A.T, rtol=1e-10, atol=1e-10)
 
     def test_arrays_are_read_only(self):
         cs = random_system(2, 5, seed=3)
@@ -252,7 +247,7 @@ class TestFactoredSolve:
             cs = random_system(m, m + 4, seed=21 + k)
             rhs = rng.standard_normal(m)
             np.testing.assert_allclose(
-                _solve(cs, rhs.copy()), np.linalg.solve(cs.AAt, rhs), rtol=1e-9, atol=1e-12
+                _solve(cs, rhs.copy()), np.linalg.solve(cs.A @ cs.A.T, rhs), rtol=1e-9, atol=1e-12
             )
 
     def test_residual_is_at_roundoff(self):
@@ -260,7 +255,7 @@ class TestFactoredSolve:
         cs = random_system(8, 12, seed=22)
         rhs = rng.standard_normal(8)
         lam = _solve(cs, rhs.copy())
-        assert np.linalg.norm(cs.AAt @ lam - rhs) <= 1e-12 * np.linalg.norm(rhs)
+        assert np.linalg.norm(cs.A @ cs.A.T @ lam - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
     def test_caller_arrays_and_factor_are_untouched(self):
         # _solve may overwrite its right-hand side; the projections pass it
@@ -395,10 +390,11 @@ class TestInexactProject:
         rng = np.random.default_rng(41)
         v = rng.standard_normal(8)
         v /= np.linalg.norm(v)
+        gram = cs.A @ cs.A.T
         for _ in range(300):
-            w = np.linalg.solve(cs.AAt, v)
+            w = np.linalg.solve(gram, v)
             v = w / np.linalg.norm(w)
-        lam_max = float(v @ np.linalg.solve(cs.AAt, v))
+        lam_max = float(v @ np.linalg.solve(gram, v))
         op_norm = np.sqrt(lam_max)
 
         y = rng.standard_normal(30) * 4

@@ -13,6 +13,7 @@ from ipas import (
     full_value,
     full_value_grad,
     subsample_value,
+    subsample_value_along,
     subsample_value_grad,
     uniform_weights,
 )
@@ -289,6 +290,8 @@ class TestSubsampleEvaluations:
         meter = BudgetMeter()
         with pytest.raises(NonFiniteValue):
             subsample_value(obj, s, np.zeros(DIM), meter)
+        with pytest.raises(NonFiniteValue):
+            subsample_value_along(obj, s, np.zeros(DIM), np.ones(DIM), meter)(0.5)
         # A one-pass evaluation checks the value only when it is taken.
         for fused in (
             subsample_value_grad(obj, s, np.zeros(DIM), meter),
@@ -361,6 +364,20 @@ class TestBudgetMeter:
         fused.value(meter)
         assert meter.component_value_evals == 10
         assert meter.scalar_products == 15
+
+    def test_ray_charges_sample_size_per_trial(self):
+        # Each trial along the ray is priced as a direct evaluation at its
+        # point, and reads the same value there.
+        obj = make_objective(10)
+        s = Sample.of(obj, np.array([0, 1, 1, 3, 9]))
+        x, p = np.array([0.5, -1.0, 2.0]), np.array([1.0, 0.25, -0.5])
+        meter, direct = BudgetMeter(), BudgetMeter()
+        value = subsample_value_along(obj, s, x, p, meter)
+        assert meter == BudgetMeter()
+        for trial, t in enumerate((1.0, 0.1, 0.01), start=1):
+            assert value(t) == subsample_value(obj, s, x + t * p, direct)
+            assert meter == direct
+            assert meter.component_value_evals == meter.scalar_products == 5 * trial
 
     def test_full_eval_charges_all_components(self):
         obj = make_objective(7)

@@ -44,7 +44,7 @@ from ipas import (
 )
 
 from ipas import problems
-from ipas.objective import ComponentKernel
+from ipas.objective import ComponentKernel, _mean
 from ipas.problems import (
     _BATCH_ROWS,
     _BLOCK_ROWS,
@@ -868,6 +868,57 @@ def test_weights_of_the_wrong_length_are_rejected_when_the_objective_is_built(ex
     for build, data in builders:
         with pytest.raises(WeightError, match=rf"expected 50 weights.*\({50 + extra},\)"):
             build(data, weights=uniform_weights(50 + extra))
+
+
+class TestMeanAlong:
+    """mean_along(rows, x, p)(t) against the mean of values() at the array x + t p.
+
+    Trials at t = 1, 0.1, ..., 1e-5, on one row, on duplicate indices and
+    on every component.
+    """
+
+    STEPS = [10.0**-j for j in range(6)]
+
+    @staticmethod
+    def samples(n: int) -> list[np.ndarray]:
+        return [np.array([n - 1]), np.array([0, 2, 2, 0, 1, 2]), np.arange(n)]
+
+    @pytest.mark.parametrize("kind", ["logistic", "callable"])
+    def test_kernels_that_evaluate_at_the_point_match_bit_for_bit(self, kind):
+        if kind == "logistic":
+            kernel = logistic_objective(make_synthetic_logistic(50, 4, seed=30)).kernel
+        else:
+            kernel = CallableKernel(
+                lambda i, x: ((i + 1) * float(x @ x) - i * x[0], None), uniform_weights(50)
+            )
+        rng = np.random.default_rng(31)
+        x, p = rng.standard_normal(4), rng.standard_normal(4)
+        for idx in self.samples(50):
+            rows = kernel.gather(idx)
+            along = kernel.mean_along(rows, x, p)
+            for t in self.STEPS:
+                assert along(t).hex() == _mean(kernel.values(rows, x + t * p)).hex()
+
+    def test_noisy_quadratic_matches_to_a_few_ulps_of_its_largest_term(self):
+        # The polynomial a0 + t a1 + t^2 a2 rounds otherwise than the values
+        # at the array x + t p; the two agree to the rounding of their terms.
+        spec = make_noisy_quadratic(20, 1000, sigma=1.0, seed=32)
+        kernel = noisy_quadratic_objective(spec).kernel
+        Q, q = spec.base_Q, spec.base_q
+        rng = np.random.default_rng(33)
+        for idx in self.samples(1000):
+            rows = kernel.gather(idx)
+            r = 1000 * float(np.mean(spec.eps[idx] ** 2))
+            for _ in range(5):
+                x, p = rng.standard_normal(20), rng.standard_normal(20)
+                a0 = 0.5 * (x @ Q @ x) + q @ x + r * (x @ x)
+                a1 = x @ Q @ p + q @ p + 2.0 * r * (x @ p)
+                a2 = 0.5 * (p @ Q @ p) + r * (p @ p)
+                along = kernel.mean_along(rows, x, p)
+                for t in self.STEPS:
+                    direct = _mean(kernel.values(rows, x + t * p))
+                    largest = max(abs(a0), abs(t * a1), abs(t * t * a2))
+                    assert abs(along(t) - direct) <= 8 * np.spacing(largest), (idx.size, t)
 
 
 def count_margin_passes(kernel, monkeypatch) -> SimpleNamespace:

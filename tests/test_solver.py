@@ -36,6 +36,7 @@ from ipas import (
     make_noisy_quadratic,
     make_synthetic_logistic,
     min_norm_feasible,
+    NoisyQuadraticSpec,
     noisy_quadratic_objective,
     projected_direction,
     read_trace,
@@ -46,7 +47,7 @@ from ipas import (
     write_trace,
 )
 from ipas.constraints import ProjectionResult
-from ipas.objective import BudgetMeter
+from ipas.objective import BudgetMeter, Sample, subsample_value_along
 from ipas.solver import IterationRecord, _ORACLE_BATCH, _oracle_batch, _tolerances, ipas_step
 
 from conftest import CallableKernel
@@ -257,10 +258,12 @@ class TestDescentCheck:
 def search(line_search, phi, *args, **kwargs):
     """Run a line search along the real line: from x = [0] along p = [1].
 
-    Trial points are then [t] exactly, and value_at reads phi(t) there.
+    Trial points are then [t] exactly: the full search's value_at reads
+    phi(t) there, and the mini-batch search's value_along is phi itself.
     Returns the step and checks that the returned point is [t].
     """
-    t, point = line_search(lambda z: phi(float(z[0])), np.zeros(1), np.ones(1), *args, **kwargs)
+    value = phi if line_search is line_search_minibatch else lambda z: phi(float(z[0]))
+    t, point = line_search(value, np.zeros(1), np.ones(1), *args, **kwargs)
     assert point.tolist() == [t]
     return t
 
@@ -348,6 +351,24 @@ class TestLineSearchMinibatch:
                    t_min=0.01)
         assert t == 0.25
 
+    def test_an_overflowing_trial_along_the_ray_counts_as_a_failed_one(self):
+        # f(z) = ||z||^2 / 2 from x = p = (1e154, 0): f(x + t p) = a0 (1 + t)^2
+        # with a0 = 5e307 overflows at t = 1 and reads 6.05e307 at t = 0.1.
+        spec = NoisyQuadraticSpec(base_Q=np.eye(2), base_q=np.zeros(2), sigma=0.0, eps=np.zeros(3))
+        obj = noisy_quadratic_objective(spec)
+        sample = Sample.of(obj, np.array([0, 2]))
+        x = p = np.array([1e154, 0.0])
+        meter = BudgetMeter()
+        value_along = subsample_value_along(obj, sample, x, p, meter)
+        with pytest.raises(NonFiniteValue):
+            value_along(1.0)
+        assert value_along(0.1) == pytest.approx(5e307 * 1.21, rel=1e-12)
+        meter = BudgetMeter()
+        value_along = subsample_value_along(obj, sample, x, p, meter)
+        t, point = line_search_minibatch(value_along, x, p, 5e307, -1.0, 5e307, 0.1, 1e-4, 1e-5)
+        assert (t, point.tolist()) == (0.1, (x + 0.1 * p).tolist())
+        assert meter.component_value_evals == 2 * sample.size
+
     @given(
         beta=st.floats(min_value=0.05, max_value=0.9),
         t_min=st.floats(min_value=1e-6, max_value=0.99),
@@ -389,11 +410,14 @@ def test_zero_slack_is_the_plain_armijo_condition(f0, slope, curvature, beta, c1
 
 
 class TestSearchHandsOverItsPoint:
-    """A search returns the array its last trial evaluated, and an accepted step keeps it.
+    """A search returns one array for its step, and an accepted step keeps it.
 
-    The logistic kernel's memo is keyed on the bytes of the point, so this
-    is what lets the next iteration's full gradient, or the terminal row's
-    oracle, reuse the accepted trial's evaluation.
+    The full search returns the array its last trial evaluated.  The
+    logistic kernel's memo is keyed on the bytes of the point, so this is
+    what lets the next iteration's full gradient, or the terminal row's
+    oracle, reuse the accepted trial's evaluation.  The mini-batch search
+    reads its trials along the ray and forms one point, x + t p at the t it
+    returns.
     """
 
     @staticmethod
@@ -425,6 +449,35 @@ class TestSearchHandsOverItsPoint:
         return log
 
     @staticmethod
+    def count_rays(monkeypatch, module) -> list[list[int]]:
+        """Log [trials read along the ray, points formed from p] per mini-batch search."""
+        counts = []
+
+        class Ray(np.ndarray):
+            def __rmul__(self, t):
+                counts[-1][1] += 1
+                return t * self.view(np.ndarray)
+
+        def along(*args, real=module.subsample_value_along):
+            value = real(*args)
+
+            def counted(t):
+                counts[-1][0] += 1
+                return value(t)
+
+            return counted
+
+        def search(value_along, x, p, *rest, real=module.line_search_minibatch):
+            counts.append([0, 0])
+            t, point = real(value_along, x, p.view(Ray), *rest)
+            assert type(point) is np.ndarray and point.tobytes() == (x + t * p).tobytes()
+            return t, point
+
+        monkeypatch.setattr(module, "subsample_value_along", along)
+        monkeypatch.setattr(module, "line_search_minibatch", search)
+        return counts
+
+    @staticmethod
     def keep_accepted(monkeypatch, module, step_name, log) -> list[str]:
         """Check, after every accepted step, that state.x is the last search's point."""
         kinds = []
@@ -446,13 +499,20 @@ class TestSearchHandsOverItsPoint:
         spec = make_noisy_quadratic(6, 20, sigma=0.5, seed=0)
         return generate_constraints(6, 2, seed=1), noisy_quadratic_objective(spec)
 
-    def test_ipas_steps_keep_the_point_each_search_evaluated_last(self, monkeypatch):
+    def test_ipas_steps_keep_the_point_each_search_hands_over(self, monkeypatch):
+        rays = self.count_rays(monkeypatch, ipas.solver)
         log = self.spy(monkeypatch, ipas.solver, ("line_search_full", "line_search_minibatch"))
         kinds = self.keep_accepted(monkeypatch, ipas.solver, "ipas_step", log)
         cs, obj = self.problem()
         run(cs, obj, SolverConfig(k_max=60, N0=2, dN=3, D_size=3, seed=0))
         assert {"full", "mini-batch"} <= set(kinds)
-        assert log and all(last is point for last, point in log)
+        # A mini-batch search evaluates at no array; a full one at the one it returns.
+        full = [(last, point) for last, point in log if last is not None]
+        assert full and all(last is point for last, point in full)
+        assert len(log) - len(full) == len(rays)
+        # One point per mini-batch search, however many trials it read.
+        assert rays and all(formed == 1 for _, formed in rays)
+        assert max(trials for trials, _ in rays) > 1
 
     def test_baseline_steps_keep_the_point_each_search_evaluated_last(self, monkeypatch):
         import ipas.baseline
