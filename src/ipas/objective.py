@@ -19,10 +19,11 @@ from .errors import NonFiniteValue, WeightError
 # How far the weight sum may stray from one before construction fails.
 _WEIGHT_SUM_ATOL = 1e-8
 
-# Draws of at least this many keys go through the guide table; smaller ones
-# search the CDF directly, which costs less there: with uniform weights the
-# table first wins at 192 keys on N = 100000 (CHANGES.md has the timings).
-_GUIDE_MIN_DRAW = 192
+# Draws of at least this many keys guess each index as floor(u*N) before
+# searching; smaller ones search the CDF directly.  With uniform weights the
+# guess first won at 192 keys on N = 100000 in the timings in CHANGES.md,
+# and from 32 to 64 keys in a later one (ROADMAP item 8).
+_GUESS_MIN_DRAW = 192
 
 
 @runtime_checkable
@@ -139,8 +140,7 @@ class FiniteSumObjective:
     per component value and gradient evaluation.  weights is the kernel's
     own array, checked here and made read-only.  cdf is the cumulative
     sampling distribution that draw_sample searches, built once from the
-    weights, and guide the (N+1)-entry table through which large draws
-    search it.
+    weights.
     """
 
     dim: int
@@ -149,7 +149,6 @@ class FiniteSumObjective:
     grad_cost: ClassVar[int] = 1
     weights: np.ndarray = field(init=False)
     cdf: np.ndarray = field(init=False, repr=False, compare=False)
-    guide: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = self.kernel.weights
@@ -171,17 +170,6 @@ class FiniteSumObjective:
         cdf /= cdf[-1]
         cdf.setflags(write=False)
         object.__setattr__(self, "cdf", cdf)
-        # Guide table (Chen & Asau 1974; Devroye 1986, III.2.4): entry j is
-        # the search's answer at the midpoint of bucket [j/N, (j+1)/N), the
-        # last entry serving keys whose u*N rounds up to N.  Midpoints, not
-        # bucket starts: with uniform weights every cdf step sits on a bucket
-        # edge, on either side of it by roundoff, and a table keyed on the
-        # starts would guess one index low in about half the buckets.
-        n = w.size
-        guide = cdf.searchsorted((np.arange(n + 1) + 0.5) / n, side="right")
-        np.minimum(guide, n - 1, out=guide)
-        guide.setflags(write=False)
-        object.__setattr__(self, "guide", guide)
 
     @property
     def n_components(self) -> int:
@@ -206,22 +194,23 @@ def draw_sample(obj: FiniteSumObjective, size: int, rng: np.random.Generator) ->
     if size < 1:
         raise ValueError(f"sample size must be >= 1, got {size}")
     u = rng.random(size)
-    if size < _GUIDE_MIN_DRAW:
+    if size < _GUESS_MIN_DRAW:
         idx = obj.cdf.searchsorted(u, side="right")
     else:
-        idx = _guided_search(obj.cdf, obj.guide, u)
+        idx = _guessed_search(obj.cdf, u)
     return np.asarray(idx, dtype=np.int64)
 
 
-def _guided_search(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """cdf.searchsorted(u, side="right"), guessed through the guide table.
+def _guessed_search(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """cdf.searchsorted(u, side="right"), guessed as floor(u*N).
 
-    Each key takes its bucket's guide entry i, which is the search's answer
-    exactly when cdf[i-1] <= u < cdf[i].  The keys that fail this check go
-    to the search; so do all keys guessed i = 0, since the wrapped cdf[-1]
-    is 1.0 and every key lies below it.
+    The guess i is the search's answer exactly when cdf[i-1] <= u < cdf[i];
+    with uniform weights it nearly always is.  The keys that fail this check
+    go to the search; so do all keys guessed i = 0, since the wrapped
+    cdf[-1] is 1.0 and every key lies below it.  No guess reaches N: for
+    every u < 1 and N < 2^53, u*N rounds to below N.
     """
-    i = guide.take((u * cdf.size).astype(np.intp))
+    i = (u * cdf.size).astype(np.intp)
     hit = cdf.take(i - 1) <= u
     hit &= u < cdf.take(i)
     if not hit.all():

@@ -527,6 +527,9 @@ class NoisyQuadraticKernel:
         W[0] += self.spec.base_q
         (a0, b), (c, a2) = W.dot(V.T).tolist()
         a1 = b + c
+        if not (math.isfinite(a0) and math.isfinite(a1) and math.isfinite(a2)):
+            # A coefficient past the float range would read inf at every t.
+            return lambda t: _mean(self.values(eps_sq, x + t * p))
         return lambda t: a0 + t * (a1 + t * a2)
 
     def value_grad_mean(self, eps_sq, x):

@@ -1,4 +1,5 @@
 import locale
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -88,3 +89,23 @@ class CallableKernel:
     def weighted_value_grad_many(self, X):
         pairs = [self.weighted_value_grad(x) for x in X.T]
         return np.array([v for v, _ in pairs]), np.column_stack([g for _, g in pairs])
+
+
+def count_passes(kernel, monkeypatch) -> SimpleNamespace:
+    """Count a LogisticKernel's blocked passes over Z, each at its first block's terms.
+
+    passes counts every pass and one_point those of a single point; a memo
+    hit computes none.
+    """
+    counts = SimpleNamespace(passes=0, one_point=0)
+    real = kernel._block_terms
+    first = kernel._row_blocks[0]
+
+    def spy(XT, block):
+        if block is first:
+            counts.passes += 1
+            counts.one_point += len(XT) == 1
+        return real(XT, block)
+
+    monkeypatch.setattr(kernel, "_block_terms", spy)
+    return counts

@@ -339,8 +339,11 @@ def test_07_best_norms_and_closing_streaks_are_recorded(quad_batch):
     with no unsuccessful row before it.  The streak sits at one iterate:
     its rows agree in norm_p, e_x and norm_d_true, and each makes one
     solve, its step projection's, because the re-projection keeps an
-    iterate within eta_k.  What fails the descent check there is not
-    measured; this records the streaks without explaining them.
+    iterate within eta_k.  What fails the descent check there was measured
+    in exact arithmetic at the final iterate (README, check 07): on seed 0
+    the infeasibility term mu.(A x - b), on seed 4 the rounding error of
+    the computed p.  Both scale with ||g||, not with eta_k, so the streak
+    does not end as eta_k falls.
     """
     record = {}
     for case in quad_batch.cases:

@@ -132,6 +132,17 @@ class TestFeasibilityGap:
         expected = np.linalg.norm(A @ v) * size
         assert feasibility_gap(cs, size * v) == pytest.approx(expected, rel=1e-13)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_gap_past_the_float_range_is_inf(self):
+        # Every entry of r is finite, but ||r|| = 2.1e308 is not, even at
+        # its power-of-two scaling; the projection refuses it before any
+        # solve.
+        cs = build_constraint_set(np.eye(2), np.zeros(2))
+        y = np.array([1.5e308, 1.5e308])
+        assert feasibility_gap(cs, y) == math.inf
+        with pytest.raises(NonFiniteValue, match=r"^feasibility gap inf .* not finite"):
+            inexact_project(cs, y, 1.0)
+
 
 class TestExactProject:
     def test_feasible_point_is_fixed(self):

@@ -11,7 +11,6 @@ one point.
 
 import dataclasses
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,6 +30,7 @@ from ipas import (
 )
 from ipas import problems
 from ipas.problems import LogisticKernel, _blocks
+from conftest import count_passes
 from reference import BlockedLogisticKernel, logistic_value_grad_many
 from test_golden import DATA
 
@@ -297,23 +297,6 @@ class TestGradientMemo:
         assert values.tobytes() == ref_values.tobytes()
         assert grads.tobytes() == ref_grads.tobytes()
         assert pools == ([2] if call == "threaded batch" else [])
-
-
-def count_passes(kernel, monkeypatch) -> SimpleNamespace:
-    """Count the kernel's blocked passes over Z.
-
-    A pass is counted at its first block's terms; a memo hit computes none.
-    """
-    counts = SimpleNamespace(passes=0)
-    real = kernel._block_terms
-    first = kernel._row_blocks[0]
-
-    def spy(XT, block):
-        counts.passes += block is first
-        return real(XT, block)
-
-    monkeypatch.setattr(kernel, "_block_terms", spy)
-    return counts
 
 
 class TestOnePassPerPoint:

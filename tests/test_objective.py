@@ -17,7 +17,7 @@ from ipas import (
     subsample_value_grad,
     uniform_weights,
 )
-from ipas.objective import _GUIDE_MIN_DRAW
+from ipas.objective import _GUESS_MIN_DRAW
 
 from conftest import CallableKernel
 
@@ -131,13 +131,14 @@ class TestDrawSample:
         n=st.integers(1, 3000),
         kind=st.sampled_from(["uniform", "zeros", "dominant", "lognormal"]),
         size=st.one_of(
-            st.integers(1, 2 * _GUIDE_MIN_DRAW), st.integers(2 * _GUIDE_MIN_DRAW, 3000)
+            st.integers(1, 2 * _GUESS_MIN_DRAW), st.integers(2 * _GUESS_MIN_DRAW, 3000)
         ),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_generator_choice_for_any_weights(self, n, kind, size, seed):
-        # Sizes on both sides of the guide-table cutoff.  The reference gets
-        # the renormalised weights, whose CDF is the one draw_sample builds.
+        # Sizes on both sides of the guessed search's cutoff.  The reference
+        # gets the renormalised weights, whose CDF is the one draw_sample
+        # builds.
         rng = np.random.default_rng(seed)
         if kind == "uniform":
             w = np.ones(n)
@@ -157,8 +158,9 @@ class TestDrawSample:
     @pytest.mark.parametrize("kind", ["uniform", "skewed"])
     def test_keys_on_cdf_steps_get_the_search_answer(self, kind):
         # Keys exactly on every CDF value and on both float neighbours of
-        # it, drawn in one batch through the guide table: a bucket guess one
-        # off, or a check on the wrong side of a step, changes an index.
+        # it, drawn in one batch through the floor(u*N) guess: a check on
+        # the wrong side of a step, or a guess not sent to the search when
+        # it misses, changes an index.
         class Keys:
             def __init__(self, u):
                 self.u = u
@@ -178,7 +180,7 @@ class TestDrawSample:
             steps, np.nextafter(steps, 0.0), np.nextafter(steps, 1.0),
             (np.arange(n) + 0.5) / n,
         ])
-        assert u.size >= _GUIDE_MIN_DRAW
+        assert u.size >= _GUESS_MIN_DRAW
         got = draw_sample(obj, u.size, Keys(u))
         np.testing.assert_array_equal(got, obj.cdf.searchsorted(u, side="right"))
         assert obj.weights[got].min() > 0.0

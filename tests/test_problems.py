@@ -4,7 +4,6 @@ import threading
 import tracemalloc
 import warnings
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -54,7 +53,7 @@ from ipas.problems import (
     parse_libsvm,
 )
 from ipas.solver import IterationRecord, _oracle_batch
-from conftest import CallableKernel, utf8_only
+from conftest import CallableKernel, count_passes, utf8_only
 from reference import (
     BlockedLogisticKernel,
     logistic_component,
@@ -920,22 +919,22 @@ class TestMeanAlong:
                     largest = max(abs(a0), abs(t * a1), abs(t * t * a2))
                     assert abs(along(t) - direct) <= 8 * np.spacing(largest), (idx.size, t)
 
-
-def count_margin_passes(kernel, monkeypatch) -> SimpleNamespace:
-    """Count the kernel's one-point passes over Z, each at its first block's terms.
-
-    The oracle's batches of several points are not counted.
-    """
-    counter = SimpleNamespace(passes=0)
-    real = kernel._block_terms
-    first = kernel._row_blocks[0]
-
-    def spy(XT, block):
-        counter.passes += block is first and len(XT) == 1
-        return real(XT, block)
-
-    monkeypatch.setattr(kernel, "_block_terms", spy)
-    return counter
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_noisy_quadratic_past_the_float_range_evaluates_at_the_point(self):
+        # p'Qp = 4e308 overflows, and a polynomial with an infinite
+        # coefficient would read inf at every t, where the values at the
+        # smaller steps are finite.
+        spec = NoisyQuadraticSpec(base_Q=np.eye(2), base_q=np.zeros(2), sigma=0.0, eps=np.zeros(1))
+        kernel = NoisyQuadraticKernel(spec, uniform_weights(1))
+        rows = kernel.gather(np.array([0]))
+        x, p = np.zeros(2), np.array([2e154, 0.0])
+        along = kernel.mean_along(rows, x, p)
+        for t in (0.1, 1e-5):
+            direct = _mean(kernel.values(rows, x + t * p))
+            assert math.isfinite(direct)
+            assert along(t).hex() == direct.hex()
+        assert not math.isfinite(along(1.0))
 
 
 def record_full_data_points(kernel, monkeypatch) -> list[bytes]:
@@ -970,7 +969,7 @@ class TestLogisticMemo:
         w2 = rng.random(ds.n_samples)
         w2 /= w2.sum()
         kernels = [LogisticKernel(ds, w) for w in (uniform_weights(ds.n_samples), w2)]
-        counters = [count_margin_passes(kernel, monkeypatch) for kernel in kernels]
+        counters = [count_passes(kernel, monkeypatch) for kernel in kernels]
         x = rng.standard_normal(ds.dim)
         y = rng.standard_normal(ds.dim)
         y_pos_zero = y.copy()
@@ -1000,9 +999,9 @@ class TestLogisticMemo:
 
         for i, (point, miss) in enumerate(steps):
             for kernel, counter in zip(kernels, counters):
-                before = counter.passes
+                before = counter.one_point
                 check(kernel, point)
-                assert counter.passes - before == miss, i
+                assert counter.one_point - before == miss, i
         # Mutated in place after a call: the same array object, new bytes.
         y_neg_zero += 0.5
         check(kernels[1], y_neg_zero)
@@ -1013,7 +1012,7 @@ class TestLogisticMemo:
 
     def test_baseline_reads_each_accepted_point_once(self, monkeypatch):
         cs, obj = self.problem()
-        counter = count_margin_passes(obj.kernel, monkeypatch)
+        counter = count_passes(obj.kernel, monkeypatch)
         points = record_full_data_points(obj.kernel, monkeypatch)
         k_max = 8
         records = run_baseline(cs, obj, BaselineConfig(k_max=k_max, c1=1e-4)).records
@@ -1022,11 +1021,11 @@ class TestLogisticMemo:
         # gradient at each accepted trial point is the one its trial held.
         assert len(points) == 2 * k_max
         assert distinct_in_a_row(points) == k_max + 1
-        assert counter.passes == k_max + 1
+        assert counter.one_point == k_max + 1
 
     def test_full_sample_ipas_reads_each_distinct_point_once(self, monkeypatch):
         cs, obj = self.problem()
-        counter = count_margin_passes(obj.kernel, monkeypatch)
+        counter = count_passes(obj.kernel, monkeypatch)
         points = record_full_data_points(obj.kernel, monkeypatch)
         cfg = SolverConfig(k_max=40, N0=250, dN=25, D_size=4, t_min=1e-3, seed=0)
         records = run(cs, obj, cfg).records
@@ -1036,7 +1035,7 @@ class TestLogisticMemo:
         assert all(r.accepted and r.t == 1.0 for r in full)
         assert len(points) == 2 * len(full)
         assert distinct_in_a_row(points) == len(full) + 1
-        assert counter.passes == len(full) + 1
+        assert counter.one_point == len(full) + 1
 
 
 class TestConstraintGeneration:
