@@ -56,6 +56,7 @@ from .objective import (
     Sample,
     draw_sample,
     full_value,
+    full_value_along,
     full_value_grad,
     subsample_value,
     subsample_value_along,

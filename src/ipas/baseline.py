@@ -4,8 +4,10 @@ Every iteration evaluates the full weighted gradient, projects exactly,
 and backtracks with the same nonmonotone Armijo rule as the adaptive
 solver: line_search_full, given the search slack eta_k^2 that
 solver._tolerances computes for it and for the adaptive solver's
-mini-batch search.  The exact solve is charged as the adaptive solver's
-projections are, m + 4 scalar products a solve, so budgets are comparable.
+mini-batch search.  The search reads its trials along the ray through
+full_value_along, each charged N values as at its point.  The exact solve
+is charged as the adaptive solver's projections are, m + 4 scalar
+products a solve, so budgets are comparable.
 
 Unlike the adaptive solver's full-sample branch, the step takes no
 descent check.  The exact direction passes it in exact arithmetic, but
@@ -22,7 +24,7 @@ import numpy as np
 
 from .constraints import ConstraintSet, exact_project, feasibility_gap
 from .errors import ConfigInvalid
-from .objective import FiniteSumObjective, full_value, full_value_grad
+from .objective import FiniteSumObjective, full_value_along, full_value_grad
 from .solver import (
     IterationRecord,
     RunResult,
@@ -76,7 +78,7 @@ def baseline_step(
     f0 = full.value(meter)
     slope = float(g.dot(d))
     t, state.x = line_search_full(
-        lambda z: full_value(obj, z, meter), x, d, f0, slope, slack, cfg.beta, cfg.c1
+        full_value_along(obj, x, d, meter), x, d, f0, slope, slack, cfg.beta, cfg.c1
     )
 
     record = _row(

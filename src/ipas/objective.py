@@ -19,11 +19,12 @@ from .errors import NonFiniteValue, WeightError
 # How far the weight sum may stray from one before construction fails.
 _WEIGHT_SUM_ATOL = 1e-8
 
-# Draws of at least this many keys guess each index as floor(u*N) before
-# searching; smaller ones search the CDF directly.  With uniform weights the
-# guess first won at 192 keys on N = 100000 in the timings in CHANGES.md,
-# and from 32 to 64 keys in a later one (ROADMAP item 8).
-_GUESS_MIN_DRAW = 192
+# Draws of at least this many keys from uniform weights guess each index as
+# floor(u*N) before searching; smaller ones, and every draw from other
+# weights, search the CDF directly.  Timed in alternating processes (minimum
+# of 7x3000 draw_sample calls), the guess first won at 64 keys on N = 1000
+# and at 32 on N = 100000; CHANGES.md has the numbers.
+_GUESS_MIN_DRAW = 64
 
 
 @runtime_checkable
@@ -79,6 +80,11 @@ class ComponentKernel(Protocol):
         """sum_i w_i f_i(x) over all components, for the kernel's weights w."""
         ...
 
+    def weighted_value_along(self, x: np.ndarray, p: np.ndarray) -> Callable[[float], float]:
+        """t -> weighted_value(x + t p), as mean_along is to values: bit for bit where the
+        kernel evaluates there; the noisy quadratic's polynomial reads weighted_value(x) at
+        t = 0 and has weighted_value_grad(x)'s g.p as its slope, both bit for bit."""
+
     def weighted_value_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         """sum_i w_i f_i(x), as weighted_value() returns it, and sum_i w_i grad f_i(x)."""
         ...
@@ -107,8 +113,9 @@ class BudgetMeter:
     decided charges its values and gradient but no solve.  cg_iterations
     (a name kept from an earlier CG projection) counts the solves, so a
     trace row's cg_iters is its change over the step.  A trial along a ray
-    (subsample_value_along) is charged as a direct evaluation.  The oracle
-    metrics go through weighted_value_grad_many, never through a meter.
+    (subsample_value_along, full_value_along) is charged as a direct
+    evaluation at its point.  The oracle metrics go through
+    weighted_value_grad_many, never through a meter.
     """
 
     scalar_products: int = 0
@@ -140,7 +147,8 @@ class FiniteSumObjective:
     per component value and gradient evaluation.  weights is the kernel's
     own array, checked here and made read-only.  cdf is the cumulative
     sampling distribution that draw_sample searches, built once from the
-    weights.
+    weights.  uniform says whether all weights are equal: only then does
+    draw_sample's guess floor(u*N) find the index without a search.
     """
 
     dim: int
@@ -149,6 +157,7 @@ class FiniteSumObjective:
     grad_cost: ClassVar[int] = 1
     weights: np.ndarray = field(init=False)
     cdf: np.ndarray = field(init=False, repr=False, compare=False)
+    uniform: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = self.kernel.weights
@@ -170,6 +179,7 @@ class FiniteSumObjective:
         cdf /= cdf[-1]
         cdf.setflags(write=False)
         object.__setattr__(self, "cdf", cdf)
+        object.__setattr__(self, "uniform", bool((w == w[0]).all()))
 
     @property
     def n_components(self) -> int:
@@ -194,7 +204,7 @@ def draw_sample(obj: FiniteSumObjective, size: int, rng: np.random.Generator) ->
     if size < 1:
         raise ValueError(f"sample size must be >= 1, got {size}")
     u = rng.random(size)
-    if size < _GUESS_MIN_DRAW:
+    if size < _GUESS_MIN_DRAW or not obj.uniform:
         idx = obj.cdf.searchsorted(u, side="right")
     else:
         idx = _guessed_search(obj.cdf, u)
@@ -205,8 +215,9 @@ def _guessed_search(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     """cdf.searchsorted(u, side="right"), guessed as floor(u*N).
 
     The guess i is the search's answer exactly when cdf[i-1] <= u < cdf[i];
-    with uniform weights it nearly always is.  The keys that fail this check
-    go to the search; so do all keys guessed i = 0, since the wrapped
+    with uniform weights it nearly always is, with others mostly not, so
+    draw_sample guesses only for uniform weights.  The keys that fail this
+    check go to the search; so do all keys guessed i = 0, since the wrapped
     cdf[-1] is 1.0 and every key lies below it.  No guess reaches N: for
     every u < 1 and N < 2^53, u*N rounds to below N.
     """
@@ -321,6 +332,22 @@ def full_value(obj: FiniteSumObjective, x: np.ndarray, meter: BudgetMeter) -> fl
     v = obj.kernel.weighted_value(x)
     meter.charge_values(obj.n_components)
     return _check_finite_scalar(float(v), "objective value")
+
+
+def full_value_along(
+    obj: FiniteSumObjective, x: np.ndarray, p: np.ndarray, meter: BudgetMeter
+) -> Callable[[float], float]:
+    """t -> full_value(obj, x + t*p, meter), from one weighted_value_along call.
+
+    Each trial charges all N values and is checked, as full_value is."""
+    along = obj.kernel.weighted_value_along(x, p)
+    n = obj.n_components
+
+    def value(t: float) -> float:
+        meter.charge_values(n)
+        return _check_finite_scalar(along(t), "objective value")
+
+    return value
 
 
 def full_value_grad(obj: FiniteSumObjective, x: np.ndarray, meter: BudgetMeter) -> ValueGrad:

@@ -199,6 +199,9 @@ class LogisticKernel:
     def weighted_value(self, x):
         return float(self._sums(np.asarray(x)[None, :])[0][0])
 
+    def weighted_value_along(self, x, p):
+        return lambda t: self.weighted_value(x + t * p)
+
     def weighted_value_grad(self, x):
         values, grads = self._sums(np.asarray(x)[None, :])
         return float(values[0]), grads[0]
@@ -541,6 +544,18 @@ class NoisyQuadraticKernel:
     def weighted_value(self, x):
         base_value, _ = self._base(x)
         return base_value + self._ridge * float(x.dot(x))
+
+    def weighted_value_along(self, x, p):
+        # f(x + t p) = a0 + t a1 + t^2 a2, with a0 = f(x) and a1 = grad f(x).p taken
+        # from weighted_value_grad, so they equal the search's f0 and slope bit for
+        # bit: a trial step too small to move a0 then reads f0 exactly.
+        a0, g = self.weighted_value_grad(x)
+        a1 = float(g.dot(p))
+        a2 = 0.5 * float(p.dot(self.spec.base_Q.dot(p))) + self._ridge * float(p.dot(p))
+        if not (math.isfinite(a0) and math.isfinite(a1) and math.isfinite(a2)):
+            # As in mean_along: a coefficient past the float range would read inf at every t.
+            return lambda t: self.weighted_value(x + t * p)
+        return lambda t: a0 + t * (a1 + t * a2)
 
     def weighted_value_grad(self, x):
         base_value, Qx = self._base(x)

@@ -16,6 +16,13 @@ needs) and the control slack C_accept*eta_k^2.  Nothing else derives a
 slack from eta_k.  line_search_full, line_search_minibatch and
 additional_sampling_test apply the slack they are given, and the control
 test passes eta_k on only as the tolerance of its projection.
+
+Both searches read each trial as value_along(t), the objective at x + t p,
+and form x + t p once, for the step they return.  The mini-batch search
+reads the sampled mean along the ray (subsample_value_along); the
+full-sample search evaluates each trial at its point, because its eta_k^4
+slack falls below the rounding of f, where the ray's polynomial and the
+value at the point may differ.
 """
 
 from __future__ import annotations
@@ -239,7 +246,7 @@ def descent_check(slope: float, p_sq: float, c: float) -> bool:
 
 
 def line_search_full(
-    value_at: Callable[[np.ndarray], float],
+    value_along: Callable[[float], float],
     x: np.ndarray,
     p: np.ndarray,
     f0: float,
@@ -251,15 +258,15 @@ def line_search_full(
     """Backtracking Armijo search from x along p with nonmonotone slack.
 
     Returns the largest t = beta^j (smallest j >= 0) with
-    value_at(x + t*p) <= f0 + c1*t*slope + slack, and the very array
-    x + t*p that value_at received; a trial that raises NonFiniteValue
-    fails.  Raises MaxBacktracks after _MAX_BACKTRACKS failed reductions.
+    value_along(t) <= f0 + c1*t*slope + slack, value_along(t) being the
+    value at x + t*p, and x + t*p, formed once; a trial that raises
+    NonFiniteValue fails.  Raises MaxBacktracks after _MAX_BACKTRACKS
+    failed reductions.
     """
     for j in range(_MAX_BACKTRACKS + 1):
         t = beta**j
-        point = x + t * p
-        if _guarded(value_at, point) <= f0 + c1 * t * slope + slack:
-            return t, point
+        if _guarded(value_along, t) <= f0 + c1 * t * slope + slack:
+            return t, x + t * p
     raise MaxBacktracks(
         f"no step satisfied the Armijo condition within {_MAX_BACKTRACKS} backtracks; "
         "check the objective for non-finite values or a broken gradient"
@@ -439,9 +446,10 @@ def ipas_step(
     e_next = e_x
     if is_full:
         if descent_check(slope, p_sq, cfg.c):
-            value_at = lambda z: full_value(obj, z, meter)
+            # Trials at their points, not on the ray: see the module docstring.
+            value_along = lambda t: full_value(obj, x + t * p, meter)
             t, x_next = line_search_full(
-                value_at, x, p, est.value(meter), slope, full_slack, cfg.beta, cfg.c1
+                value_along, x, p, est.value(meter), slope, full_slack, cfg.beta, cfg.c1
             )
             accepted = True
         else:

@@ -77,6 +77,9 @@ class CallableKernel:
     def weighted_value(self, x):
         return float(sum(w * self._fn(i, x)[0] for i, w in enumerate(self.weights)))
 
+    def weighted_value_along(self, x, p):
+        return lambda t: self.weighted_value(x + t * p)
+
     def weighted_value_grad(self, x):
         value = 0
         total = np.zeros_like(np.asarray(x, dtype=float))

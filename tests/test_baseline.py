@@ -11,6 +11,7 @@ import ipas
 from ipas import (
     BaselineConfig,
     ConfigInvalid,
+    FiniteSumObjective,
     STATUS_MAX_ITERATIONS,
     STATUS_STATIONARY,
     eta,
@@ -20,11 +21,12 @@ from ipas import (
     make_noisy_quadratic,
     noisy_quadratic_objective,
     run_baseline,
+    uniform_weights,
     validate_baseline_config,
     write_trace,
     read_trace,
 )
-from ipas.problems import _usable_cpu_count
+from ipas.problems import NoisyQuadraticKernel, _usable_cpu_count
 
 
 def problem(sigma=0.8, seed=200):
@@ -170,6 +172,29 @@ _THREADS_SCRIPT = textwrap.dedent(
     write_trace(res.records, sys.argv[1])
     """
 )
+
+
+class PointwiseQuadraticKernel(NoisyQuadraticKernel):
+    """The noisy quadratic with each full-data trial evaluated at its point x + t p."""
+
+    def weighted_value_along(self, x, p):
+        return lambda t: self.weighted_value(x + t * p)
+
+
+@pytest.mark.parametrize("i", [0, 1, 2])
+def test_trials_along_the_ray_keep_the_trace_bytes_of_trials_at_the_point(tmp_path, i):
+    # Check 07's instances and baseline: the polynomial's trial values round
+    # otherwise than the values at the points, but no search decides otherwise.
+    cs = generate_constraints(20, 10, seed=500 + i)
+    spec = make_noisy_quadratic(20, 1000, sigma=1.0, seed=1000 + i)
+    cfg = BaselineConfig(beta=0.1, c1=1e-2, s_exp=1.0, k_max=2000)
+    written = []
+    for kernel in (NoisyQuadraticKernel, PointwiseQuadraticKernel):
+        obj = FiniteSumObjective(spec.dim, kernel(spec, uniform_weights(spec.n_components)))
+        path = tmp_path / f"{kernel.__name__}.csv"
+        write_trace(run_baseline(cs, obj, cfg).records, path)
+        written.append(path.read_bytes())
+    assert written[0] == written[1]
 
 
 def _written_at_each_thread_count(tmp_path, script, *args) -> list[bytes]:

@@ -11,13 +11,15 @@ from ipas import (
     WeightError,
     draw_sample,
     full_value,
+    full_value_along,
     full_value_grad,
     subsample_value,
     subsample_value_along,
     subsample_value_grad,
     uniform_weights,
 )
-from ipas.objective import _GUESS_MIN_DRAW
+import ipas.objective
+from ipas.objective import _GUESS_MIN_DRAW, _guessed_search
 
 from conftest import CallableKernel
 
@@ -158,9 +160,10 @@ class TestDrawSample:
     @pytest.mark.parametrize("kind", ["uniform", "skewed"])
     def test_keys_on_cdf_steps_get_the_search_answer(self, kind):
         # Keys exactly on every CDF value and on both float neighbours of
-        # it, drawn in one batch through the floor(u*N) guess: a check on
-        # the wrong side of a step, or a guess not sent to the search when
-        # it misses, changes an index.
+        # it, drawn in one batch (through the floor(u*N) guess for uniform
+        # weights) and guessed directly: a check on the wrong side of a
+        # step, or a guess not sent to the search when it misses, changes
+        # an index.
         class Keys:
             def __init__(self, u):
                 self.u = u
@@ -183,7 +186,27 @@ class TestDrawSample:
         assert u.size >= _GUESS_MIN_DRAW
         got = draw_sample(obj, u.size, Keys(u))
         np.testing.assert_array_equal(got, obj.cdf.searchsorted(u, side="right"))
+        np.testing.assert_array_equal(_guessed_search(obj.cdf, u), got)
         assert obj.weights[got].min() > 0.0
+
+    @pytest.mark.parametrize("n", [7, 1000])
+    def test_only_uniform_weights_are_guessed(self, n, monkeypatch):
+        # With other weights the guess floor(u*N) misses nearly every key,
+        # so those draws search the CDF directly, at any size.
+        calls = []
+
+        def spy(cdf, u, real=_guessed_search):
+            calls.append(u.size)
+            return real(cdf, u)
+
+        monkeypatch.setattr(ipas.objective, "_guessed_search", spy)
+        skewed = np.random.default_rng(n).random(n)
+        for w, uniform in ((skewed / skewed.sum(), False), (uniform_weights(n), True)):
+            obj = make_objective(n, weights=w)
+            assert obj.uniform is uniform
+            for size in (1, _GUESS_MIN_DRAW - 1, _GUESS_MIN_DRAW, 1000):
+                draw_sample(obj, size, np.random.default_rng(size))
+            assert calls == ([_GUESS_MIN_DRAW, 1000] if uniform else [])
 
     def test_size_and_range(self):
         s = draw_sample(make_objective(10), 33, np.random.default_rng(0))
@@ -294,6 +317,8 @@ class TestSubsampleEvaluations:
             subsample_value(obj, s, np.zeros(DIM), meter)
         with pytest.raises(NonFiniteValue):
             subsample_value_along(obj, s, np.zeros(DIM), np.ones(DIM), meter)(0.5)
+        with pytest.raises(NonFiniteValue):
+            full_value_along(obj, np.zeros(DIM), np.ones(DIM), meter)(0.5)
         # A one-pass evaluation checks the value only when it is taken.
         for fused in (
             subsample_value_grad(obj, s, np.zeros(DIM), meter),
@@ -380,6 +405,17 @@ class TestBudgetMeter:
             assert value(t) == subsample_value(obj, s, x + t * p, direct)
             assert meter == direct
             assert meter.component_value_evals == meter.scalar_products == 5 * trial
+
+    def test_full_ray_charges_all_components_per_trial(self):
+        obj = make_objective(7)
+        x, p = np.array([0.5, -1.0, 2.0]), np.array([1.0, 0.25, -0.5])
+        meter, direct = BudgetMeter(), BudgetMeter()
+        value = full_value_along(obj, x, p, meter)
+        assert meter == BudgetMeter()
+        for trial, t in enumerate((1.0, 0.1, 0.01), start=1):
+            assert value(t) == full_value(obj, x + t * p, direct)
+            assert meter == direct
+            assert meter.component_value_evals == meter.scalar_products == 7 * trial
 
     def test_full_eval_charges_all_components(self):
         obj = make_objective(7)

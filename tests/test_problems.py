@@ -937,6 +937,78 @@ class TestMeanAlong:
         assert not math.isfinite(along(1.0))
 
 
+class TestWeightedValueAlong:
+    """weighted_value_along(x, p)(t) against weighted_value at the array x + t p."""
+
+    STEPS = [10.0**-j for j in range(6)]
+
+    @staticmethod
+    def coefficients(along) -> tuple[float, float, float]:
+        """The a0, a1, a2 of the noisy quadratic's polynomial, read from its closure."""
+        cells = dict(zip(along.__code__.co_freevars, (c.cell_contents for c in along.__closure__)))
+        return cells["a0"], cells["a1"], cells["a2"]
+
+    def quadratic(self):
+        spec = make_noisy_quadratic(20, 1000, sigma=1.0, seed=34)
+        return spec, noisy_quadratic_objective(spec).kernel
+
+    def test_noisy_quadratic_starts_at_the_value_and_the_slope_bit_for_bit(self):
+        # a0 and a1 are the baseline's f0 and slope: a trial too small to
+        # move a0 reads f0 exactly, as a trial at the point would.
+        _, kernel = self.quadratic()
+        rng = np.random.default_rng(35)
+        for _ in range(20):
+            x, p = rng.standard_normal(20), rng.standard_normal(20)
+            along = kernel.weighted_value_along(x, p)
+            value, g = kernel.weighted_value_grad(x)
+            a0, a1, _ = self.coefficients(along)
+            assert along(0.0).hex() == a0.hex() == kernel.weighted_value(x).hex() == value.hex()
+            assert a1.hex() == float(g.dot(p)).hex()
+            assert along(1e-300).hex() == a0.hex()
+
+    def test_noisy_quadratic_matches_to_a_few_ulps_of_its_largest_term(self):
+        spec, kernel = self.quadratic()
+        Q, q, r = spec.base_Q, spec.base_q, 1000 * float(np.mean(spec.eps**2))
+        rng = np.random.default_rng(36)
+        for _ in range(20):
+            x, p = rng.standard_normal(20), rng.standard_normal(20)
+            a1 = x @ Q @ p + q @ p + 2.0 * r * (x @ p)
+            a2 = 0.5 * (p @ Q @ p) + r * (p @ p)
+            along = kernel.weighted_value_along(x, p)
+            for t in self.STEPS:
+                direct = kernel.weighted_value(x + t * p)
+                largest = max(abs(kernel.weighted_value(x)), abs(t * a1), abs(t * t * a2))
+                assert abs(along(t) - direct) <= 8 * np.spacing(largest), t
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_noisy_quadratic_past_the_float_range_evaluates_at_the_point(self):
+        # p'Qp = 4e308 overflows; the values at the smaller steps are finite.
+        spec = NoisyQuadraticSpec(base_Q=np.eye(2), base_q=np.zeros(2), sigma=0.0, eps=np.zeros(1))
+        kernel = NoisyQuadraticKernel(spec, uniform_weights(1))
+        x, p = np.zeros(2), np.array([2e154, 0.0])
+        along = kernel.weighted_value_along(x, p)
+        for t in (0.1, 1e-5):
+            direct = kernel.weighted_value(x + t * p)
+            assert math.isfinite(direct)
+            assert along(t).hex() == direct.hex()
+        assert not math.isfinite(along(1.0))
+
+    @pytest.mark.parametrize("kind", ["logistic", "callable"])
+    def test_kernels_that_evaluate_at_the_point_match_bit_for_bit(self, kind):
+        if kind == "logistic":
+            kernel = logistic_objective(make_synthetic_logistic(50, 4, seed=37)).kernel
+        else:
+            kernel = CallableKernel(
+                lambda i, x: ((i + 1) * float(x @ x) - i * x[0], None), uniform_weights(50)
+            )
+        rng = np.random.default_rng(38)
+        x, p = rng.standard_normal(4), rng.standard_normal(4)
+        along = kernel.weighted_value_along(x, p)
+        for t in [0.0, *self.STEPS]:
+            assert along(t).hex() == kernel.weighted_value(x + t * p).hex()
+
+
 def record_full_data_points(kernel, monkeypatch) -> list[bytes]:
     """Log the bytes of every x passed to weighted_value/weighted_value_grad."""
     points: list[bytes] = []

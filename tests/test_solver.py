@@ -258,12 +258,11 @@ class TestDescentCheck:
 def search(line_search, phi, *args, **kwargs):
     """Run a line search along the real line: from x = [0] along p = [1].
 
-    Trial points are then [t] exactly: the full search's value_at reads
-    phi(t) there, and the mini-batch search's value_along is phi itself.
-    Returns the step and checks that the returned point is [t].
+    Both searches take phi itself as their value_along, and the point
+    x + t p is [t] exactly.  Returns the step and checks that the returned
+    point is [t].
     """
-    value = phi if line_search is line_search_minibatch else lambda z: phi(float(z[0]))
-    t, point = line_search(value, np.zeros(1), np.ones(1), *args, **kwargs)
+    t, point = line_search(phi, np.zeros(1), np.ones(1), *args, **kwargs)
     assert point.tolist() == [t]
     return t
 
@@ -412,28 +411,34 @@ def test_zero_slack_is_the_plain_armijo_condition(f0, slope, curvature, beta, c1
 class TestSearchHandsOverItsPoint:
     """A search returns one array for its step, and an accepted step keeps it.
 
-    The full search returns the array its last trial evaluated.  The
-    logistic kernel's memo is keyed on the bytes of the point, so this is
-    what lets the next iteration's full gradient, or the terminal row's
-    oracle, reuse the accepted trial's evaluation.  The mini-batch search
-    reads its trials along the ray and forms one point, x + t p at the t it
-    returns.
+    Both searches read their trials through value_along and form one point,
+    x + t p at the t they return.  Where the trials evaluate at their points
+    (the adaptive solver's full-sample search, the baseline on a logistic
+    problem), that point has the bytes of the last trial's.  The logistic
+    kernel's memo is keyed on those bytes, so this is what lets the next
+    iteration's full gradient, or the terminal row's oracle, reuse the
+    accepted trial's evaluation.
     """
 
     @staticmethod
-    def spy(monkeypatch, module, searches) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Log (last array an evaluator received inside the search, returned point) per search."""
+    def spy(monkeypatch, owner, searches, module=None) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Log (last array an evaluator received inside the search, returned point) per search.
+
+        The evaluators are owner's full_value, subsample_value or weighted_value,
+        where it has them; the searches are module's (owner's by default).
+        """
         log = []
         inside = []
-        for name in ("full_value", "subsample_value"):
-            if hasattr(module, name):
+        module = module or owner
+        for name in ("full_value", "subsample_value", "weighted_value"):
+            if hasattr(owner, name):
 
-                def evaluator(obj, *args, real=getattr(module, name)):
-                    if inside:
-                        inside[-1] = args[-2]  # the point: (sample,) x, meter
-                    return real(obj, *args)
+                def evaluator(*args, real=getattr(owner, name)):
+                    if inside:  # the point: the last array argument
+                        inside[-1] = next(a for a in reversed(args) if isinstance(a, np.ndarray))
+                    return real(*args)
 
-                monkeypatch.setattr(module, name, evaluator)
+                monkeypatch.setattr(owner, name, evaluator)
         for name in searches:
 
             def wrapped(*args, real=getattr(module, name)):
@@ -506,23 +511,34 @@ class TestSearchHandsOverItsPoint:
         cs, obj = self.problem()
         run(cs, obj, SolverConfig(k_max=60, N0=2, dN=3, D_size=3, seed=0))
         assert {"full", "mini-batch"} <= set(kinds)
-        # A mini-batch search evaluates at no array; a full one at the one it returns.
+        # A mini-batch search evaluates at no array; a full one last at the bytes it returns.
         full = [(last, point) for last, point in log if last is not None]
-        assert full and all(last is point for last, point in full)
+        assert full and all(last.tobytes() == point.tobytes() for last, point in full)
         assert len(log) - len(full) == len(rays)
         # One point per mini-batch search, however many trials it read.
         assert rays and all(formed == 1 for _, formed in rays)
         assert max(trials for trials, _ in rays) > 1
 
-    def test_baseline_steps_keep_the_point_each_search_evaluated_last(self, monkeypatch):
+    @pytest.mark.parametrize("kind", ["logistic", "quadratic"])
+    def test_baseline_steps_keep_the_point_each_search_evaluated_last(self, monkeypatch, kind):
+        # The logistic kernel evaluates each trial at x + t p, and the search
+        # returns those bytes; the quadratic reads its trials off its polynomial
+        # and evaluates at no array.
         import ipas.baseline
 
-        log = self.spy(monkeypatch, ipas.baseline, ("line_search_full",))
+        if kind == "logistic":
+            cs = generate_constraints(10, 3, seed=2)
+            obj = logistic_objective(make_synthetic_logistic(300, 10, seed=1))
+        else:
+            cs, obj = self.problem()
+        log = self.spy(monkeypatch, obj.kernel, ("line_search_full",), module=ipas.baseline)
         kinds = self.keep_accepted(monkeypatch, ipas.baseline, "baseline_step", log)
-        cs, obj = self.problem()
         ipas.baseline.run_baseline(cs, obj, ipas.baseline.BaselineConfig(k_max=10))
         assert kinds == ["full"] * 10
-        assert all(last is point for last, point in log)
+        if kind == "logistic":
+            assert all(last.tobytes() == point.tobytes() for last, point in log)
+        else:
+            assert all(last is None for last, _ in log)
 
 
 class TestAdditionalSamplingTest:
