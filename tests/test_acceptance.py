@@ -21,8 +21,10 @@ and the length of that streak.
 
 from __future__ import annotations
 
+import hashlib
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,12 +46,16 @@ from ipas import (
     make_synthetic_logistic,
     min_norm_feasible,
     noisy_quadratic_objective,
+    parse_experiment_config,
+    plan_runs,
     projected_direction,
     run,
     run_baseline,
     save_libsvm,
     write_trace,
 )
+
+from ipas.experiment import execute_run
 
 from reference import logistic_component, noisy_quadratic_component
 
@@ -470,3 +476,66 @@ def test_12_step_size_floor_and_trace_reevaluation(quad_batch, logistic_batch):
                              f"floor and {full_rows} full-sample rows satisfying "
                              f"the re-evaluated decrease bound, zero violations")
     assert True, line
+
+
+def shipped_logistic_payloads(tmp_path: Path) -> list[dict]:
+    """The planned runs of configs/logistic.ini, its dataset and outputs under tmp_path."""
+    data = tmp_path / "logistic_768x8.libsvm"
+    save_libsvm(make_synthetic_logistic(LOGI_N, LOGI_DIM, seed=42), data)
+    shipped = (Path(__file__).parents[1] / "configs" / "logistic.ini").read_text()
+    config = tmp_path / "logistic.ini"
+    config.write_text(shipped.replace("data/logistic_768x8.libsvm", str(data)))
+    return plan_runs(parse_experiment_config(config), output_dir=str(tmp_path))
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# sha256 of the write_trace bytes of each check-07 run, by seed: every
+# column of every row, the closing streaks and the oracle columns included.
+CHECK07_TRACE_SHA256 = {
+    0: "0107e491dd0d20213e9ae6916ab563652834becbfb105756380884705c2c15f1",
+    1: "a2caf9e20fd34f19dab4d52e77ce53a86f745a7b14f1fbb38210be36aded07f5",
+    2: "7f14cb5b20433cdeeff818b739008c9d4774822d5bc9e2b9c5f0c68cf41d4e6b",
+    3: "15c3de16264bf20d7a0391b0b875c065ff2a8364a7b10bc4326a9ed52b3b36de",
+    4: "ebcd5bc286ff7eef5e5eee20c7463e8cfca2da42fac68004f38ed9149941fd58",
+    5: "c021ad8f48031cf775e57e781a077bf8ac2142e51bd970e527c50c4df90895e9",
+    6: "4ae62768fa06c1b32d6421cfb3a94b70dfcfdd035ca7703279d4d764e0b31ad4",
+    7: "043901856ba0e65124441b4c51a244eee60dd049b6f014a04c7ab7c32af3cbc9",
+    8: "e0e63ebdf2bb03b1db454d3b635d74e971ba8790689a5f2a53697fa897502a71",
+    9: "fb5a17477faddc037d29118c9756cc2005d1c645b59476c04d698b1d3a837b26",
+}
+
+
+def test_check07_traces_keep_their_bytes(quad_batch, tmp_path):
+    digests = {}
+    for case in quad_batch.cases:
+        path = tmp_path / f"check07_seed{case.cfg.seed}.csv"
+        write_trace(case.result.records, path)
+        digests[case.cfg.seed] = _sha256(path)
+    assert digests == CHECK07_TRACE_SHA256
+
+
+# sha256 of the trace files that a sweep of configs/logistic.ini writes,
+# for seeds 0 and 1 at each of its four grid points.
+LOGISTIC_INI_TRACE_SHA256 = {
+    "s0.75_dN1 seed 0": "07057bf08eeff5563fdc5ffc044fd5d8af48946f443f0110751076207f00c41d",
+    "s0.75_dN1 seed 1": "c633bfb670c31f3209b9451e7be736ed7405f764682266bbf92d44029102d962",
+    "s0.75_dN8 seed 0": "4c62bc4d34da45dfd8be1f82759a08396883407faaa5fe827267b903512ceb7c",
+    "s0.75_dN8 seed 1": "40bb531e9703ce3109590d3e759b93a41c4a5ed03d443a1a84622ccfb1e7e08a",
+    "s1_dN1 seed 0": "314206ba9bdc3326a7da7d70cedb9ace8c648aef6eb9f65a5821ed0f2d931df2",
+    "s1_dN1 seed 1": "4cc5cb49a3bdb0b78f8f235b9a5afecc21233aea90d04f0248468d09323f0040",
+    "s1_dN8 seed 0": "ed02f1c7f9676d780abf7f32d73bca9e1b7393feaafc2a71371309d247509a68",
+    "s1_dN8 seed 1": "3c94412f604c0224c72aa5fe38a5e3a3b6ff6581ed9364acb18c6fe7ac3b38b6",
+}
+
+
+def test_logistic_ini_traces_keep_their_bytes(tmp_path):
+    digests = {}
+    for payload in shipped_logistic_payloads(tmp_path):
+        if payload["seed"] in (0, 1):
+            assert execute_run(payload)["status"] != "failed"
+            key = f"{payload['config_id']} seed {payload['seed']}"
+            digests[key] = _sha256(tmp_path / payload["trace_file"])
+    assert digests == LOGISTIC_INI_TRACE_SHA256

@@ -19,10 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ipas.solver
-from ipas import make_synthetic_logistic, parse_experiment_config, plan_runs, run, save_libsvm
+from ipas import run
 from ipas.experiment import _run_config, build_problem
 
 import reference
+from test_acceptance import shipped_logistic_payloads
 from test_golden import ipas_check07, ipas_logistic
 
 BUDGET_COLUMNS = ("scalar_products", "cg_iters")
@@ -33,13 +34,8 @@ DECISION_COLUMNS = tuple(
 
 def shipped_logistic_grid_point(tmp_path: Path):
     """Records of one grid point of configs/logistic.ini (s = 0.75, dN = 1, seed 3)."""
-    data = tmp_path / "logistic_768x8.libsvm"
-    save_libsvm(make_synthetic_logistic(768, 8, seed=42), data)
-    shipped = (Path(__file__).parents[1] / "configs" / "logistic.ini").read_text()
-    config = tmp_path / "logistic.ini"
-    config.write_text(shipped.replace("data/logistic_768x8.libsvm", str(data)))
     payload = next(
-        p for p in plan_runs(parse_experiment_config(config), output_dir=str(tmp_path))
+        p for p in shipped_logistic_payloads(tmp_path)
         if p["config_id"] == "s0.75_dN1" and p["seed"] == 3
     )
     cs, obj, x0 = build_problem(payload["problem"])
