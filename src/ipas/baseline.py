@@ -5,9 +5,11 @@ and backtracks with the same nonmonotone Armijo rule as the adaptive
 solver: line_search_full, given the search slack eta_k^2 that
 solver._tolerances computes for it and for the adaptive solver's
 mini-batch search.  The search reads its trials along the ray through
-full_value_along, each charged N values as at its point.  The exact solve
-is charged as the adaptive solver's projections are, m + 4 scalar
-products a solve, so budgets are comparable.
+full_value_along, each charged N values as at its point.  The ray starts
+from the step's own value and slope g.d, so one full evaluation, at the
+iterate, serves the direction, the search and the trace's oracle columns.
+The exact solve is charged as the adaptive solver's projections are,
+m + 4 scalar products a solve, so budgets are comparable.
 
 Unlike the adaptive solver's full-sample branch, the step takes no
 descent check.  The exact direction passes it in exact arithmetic, but
@@ -78,7 +80,7 @@ def baseline_step(
     f0 = full.value(meter)
     slope = float(g.dot(d))
     t, state.x = line_search_full(
-        full_value_along(obj, x, d, meter), x, d, f0, slope, slack, cfg.beta, cfg.c1
+        full_value_along(obj, x, d, f0, slope, meter), x, d, f0, slope, slack, cfg.beta, cfg.c1
     )
 
     record = _row(

@@ -80,10 +80,13 @@ class ComponentKernel(Protocol):
         """sum_i w_i f_i(x) over all components, for the kernel's weights w."""
         ...
 
-    def weighted_value_along(self, x: np.ndarray, p: np.ndarray) -> Callable[[float], float]:
+    def weighted_value_along(
+        self, x: np.ndarray, p: np.ndarray, f0: float, slope: float
+    ) -> Callable[[float], float]:
         """t -> weighted_value(x + t p), as mean_along is to values: bit for bit where the
-        kernel evaluates there; the noisy quadratic's polynomial reads weighted_value(x) at
-        t = 0 and has weighted_value_grad(x)'s g.p as its slope, both bit for bit."""
+        kernel evaluates there.  f0 and slope are the caller's weighted_value_grad(x) value
+        and its g.p, which a kernel may take as given: the noisy quadratic's polynomial
+        reads f0 at t = 0 and has slope as its slope, so only its curvature is computed."""
 
     def weighted_value_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         """sum_i w_i f_i(x), as weighted_value() returns it, and sum_i w_i grad f_i(x)."""
@@ -112,10 +115,16 @@ class BudgetMeter:
     Only solves that ran are charged: a control-sample test that its values
     decided charges its values and gradient but no solve.  cg_iterations
     (a name kept from an earlier CG projection) counts the solves, so a
-    trace row's cg_iters is its change over the step.  A trial along a ray
-    (subsample_value_along, full_value_along) is charged as a direct
-    evaluation at its point.  The oracle metrics go through
-    weighted_value_grad_many, never through a meter.
+    trace row's cg_iters is its change over the step.
+
+    A charge is for the evaluation a step stands on, not for the work done
+    to get it.  A trial along a ray (subsample_value_along,
+    full_value_along) is charged as a direct evaluation at its point.  An
+    evaluation reused rather than recomputed is charged as the one it
+    stands for: the control gradient of a test that its values decided,
+    which is never computed, and the full gradient of an unsuccessful
+    row's iterate, which the next row reads again.  The oracle metrics go
+    through weighted_value_grad_many, never through a meter.
     """
 
     scalar_products: int = 0
@@ -196,10 +205,13 @@ def draw_sample(obj: FiniteSumObjective, size: int, rng: np.random.Generator) ->
 
     Indices may repeat; the estimators below average over the multiset.
 
-    The draw consumes exactly one block of the generator stream, so a
-    fixed seed reproduces the full sequence of samples across a run.  It
-    returns the indices rng.choice(N, size, p=weights) would return and
-    leaves rng in the same state, without rebuilding the CDF per call.
+    The draw consumes exactly one block of the generator stream, one
+    uniform per index, so a fixed seed reproduces the full sequence of
+    samples across a run, and a draw of a + b indices equals a draw of a
+    followed by a draw of b: a step draws its sample and its control
+    sample in one block.  It returns the indices rng.choice(N, size,
+    p=weights) would return and leaves rng in the same state, without
+    rebuilding the CDF per call.
     """
     if size < 1:
         raise ValueError(f"sample size must be >= 1, got {size}")
@@ -327,6 +339,19 @@ def subsample_value_grad(
     return ValueGrad(g, _mean(vals), s.size, "subsampled objective value")
 
 
+def subsample_grad(
+    obj: FiniteSumObjective, s: Sample, x: np.ndarray, meter: BudgetMeter
+) -> np.ndarray:
+    """Unweighted average of the sampled component gradients at x; charges s.size gradients.
+
+    For a caller that has taken the values at x already, with
+    subsample_value: the kernel's one pass computes them again, uncharged.
+    """
+    _, g = obj.kernel.value_grad_mean(s.rows, x)
+    meter.charge_grads(s.size)
+    return _check_finite_vector(g, "subsampled gradient")
+
+
 def full_value(obj: FiniteSumObjective, x: np.ndarray, meter: BudgetMeter) -> float:
     """The true weighted objective sum_i w_i f_i(x); charges all N components."""
     v = obj.kernel.weighted_value(x)
@@ -335,12 +360,19 @@ def full_value(obj: FiniteSumObjective, x: np.ndarray, meter: BudgetMeter) -> fl
 
 
 def full_value_along(
-    obj: FiniteSumObjective, x: np.ndarray, p: np.ndarray, meter: BudgetMeter
+    obj: FiniteSumObjective,
+    x: np.ndarray,
+    p: np.ndarray,
+    f0: float,
+    slope: float,
+    meter: BudgetMeter,
 ) -> Callable[[float], float]:
     """t -> full_value(obj, x + t*p, meter), from one weighted_value_along call.
 
-    Each trial charges all N values and is checked, as full_value is."""
-    along = obj.kernel.weighted_value_along(x, p)
+    f0 and slope are the value and g.p at x of full_value_grad(obj, x, ...),
+    which the kernel may reuse.  Each trial charges all N values and is
+    checked, as full_value is."""
+    along = obj.kernel.weighted_value_along(x, p, f0, slope)
     n = obj.n_components
 
     def value(t: float) -> float:

@@ -199,7 +199,7 @@ class LogisticKernel:
     def weighted_value(self, x):
         return float(self._sums(np.asarray(x)[None, :])[0][0])
 
-    def weighted_value_along(self, x, p):
+    def weighted_value_along(self, x, p, f0, slope):
         return lambda t: self.weighted_value(x + t * p)
 
     def weighted_value_grad(self, x):
@@ -545,12 +545,11 @@ class NoisyQuadraticKernel:
         base_value, _ = self._base(x)
         return base_value + self._ridge * float(x.dot(x))
 
-    def weighted_value_along(self, x, p):
-        # f(x + t p) = a0 + t a1 + t^2 a2, with a0 = f(x) and a1 = grad f(x).p taken
-        # from weighted_value_grad, so they equal the search's f0 and slope bit for
-        # bit: a trial step too small to move a0 then reads f0 exactly.
-        a0, g = self.weighted_value_grad(x)
-        a1 = float(g.dot(p))
+    def weighted_value_along(self, x, p, f0, slope):
+        # f(x + t p) = a0 + t a1 + t^2 a2, with a0 = f(x) and a1 = grad f(x).p the
+        # caller's f0 and slope, bit for bit: a trial step too small to move a0
+        # then reads f0 exactly.
+        a0, a1 = f0, slope
         a2 = 0.5 * float(p.dot(self.spec.base_Q.dot(p))) + self._ridge * float(p.dot(p))
         if not (math.isfinite(a0) and math.isfinite(a1) and math.isfinite(a2)):
             # As in mean_along: a coefficient past the float range would read inf at every t.

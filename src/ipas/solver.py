@@ -23,6 +23,16 @@ reads the sampled mean along the ray (subsample_value_along); the
 full-sample search evaluates each trial at its point, because its eta_k^4
 slack falls below the rounding of f, where the ray's polynomial and the
 value at the point may differ.
+
+A step evaluates each point once.  A mini-batch step draws its sample and
+its control sample in one block of the generator stream, and the control
+test computes the control gradient only when its values leave it open.
+A full-sample step at the iterate that the last full-sample evaluation
+was made at, as every row of an unsuccessful streak is, reads that
+evaluation again; the iterate is never mutated in place, so identity
+tells it.  Every projection still runs, and every reused or skipped
+evaluation is charged as the one it stands for (see BudgetMeter), so no
+trace changes.
 """
 
 from __future__ import annotations
@@ -47,9 +57,11 @@ from .objective import (
     BudgetMeter,
     FiniteSumObjective,
     Sample,
+    ValueGrad,
     draw_sample,
     full_value,
     full_value_grad,
+    subsample_grad,
     subsample_value,
     subsample_value_along,
     subsample_value_grad,
@@ -108,7 +120,9 @@ class SolverState:
     mutated in place; a rejected step keeps the very same object, as does a
     re-projection of an iterate already within its tolerance.  The run
     driver relies on both: it holds iterates until their deferred oracle
-    columns are evaluated and tells them apart by identity.
+    columns are evaluated and tells them apart by identity.  So does
+    full_eval, the iterate of the last full-sample evaluation and that
+    evaluation, which ipas_step reads again while x is that very array.
     """
 
     x: np.ndarray
@@ -118,6 +132,7 @@ class SolverState:
     meter: BudgetMeter
     e_x: float
     projections_checked: int = 0
+    full_eval: tuple[np.ndarray, ValueGrad] | None = None
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -302,38 +317,40 @@ def additional_sampling_test(
     state: SolverState,
     cs: ConstraintSet,
     obj: FiniteSumObjective,
+    d_set: Sample,
     x_trial: np.ndarray,
     eta_k: float,
     slack: float,
     cfg: SolverConfig,
 ) -> bool:
-    """Accept or reject a trial point from state.x using an independent control sample.
+    """Accept or reject a trial point from state.x using the control sample d_set.
 
-    Draws D_size indices with state.rng and accepts when the control
-    objective at the trial point improves on x by at least
-    c*||s||^2 - slack, where s is the control gradient's direction at x,
-    projected inexactly to tolerance eta_k.  Since c*||s||^2 >= 0, a trial
-    value above f_x + slack fails the test whatever s is; the values
-    decide such a step alone, and s is never projected.  The shortcut is
+    d_set is drawn independently of the step's sample (ipas_step draws both
+    in one block).  The test accepts when the control objective at the
+    trial point improves on x by at least c*||s||^2 - slack, where s is the
+    control gradient's direction at x, projected inexactly to tolerance
+    eta_k.  Since c*||s||^2 >= 0, a trial value above f_x + slack fails the
+    test whatever s is; the values decide such a step alone, and the
+    control gradient is neither computed nor projected.  The shortcut is
     exact in floating point: q = fl(c*||s||^2) >= 0 gives
     fl(f_x - q) <= f_x, and rounding is monotone, so the full test's
     threshold is never above fl(f_x + slack).
 
     The control values and gradient are charged to state.meter whether or
-    not the step is accepted; a projection that runs goes through _project,
-    which checks, charges and counts it.  Because the values come first, a
-    non-finite control value at x raises NonFiniteValue before the control
-    direction is projected.
+    not the step is accepted, the gradient as if read; a projection that
+    runs goes through _project, which checks, charges and counts it.  A
+    non-finite control value at x raises NonFiniteValue before anything
+    else is evaluated.  A non-finite control gradient raises it only in a
+    test that the values leave open, the only one that reads it.
     """
     x = state.x
     meter = state.meter
-    d_set = Sample.of(obj, draw_sample(obj, cfg.D_size, state.rng))
-    control = subsample_value_grad(obj, d_set, x, meter)
-    f_x = control.value(meter)
+    f_x = subsample_value(obj, d_set, x, meter)
     f_trial = _guarded(subsample_value, obj, d_set, x_trial, meter)
     if f_trial > f_x + slack:
+        meter.charge_grads(d_set.size)
         return False
-    s = _project(state, cs, x - control.grad, eta_k).point - x
+    s = _project(state, cs, x - subsample_grad(obj, d_set, x, meter), eta_k).point - x
     return f_trial <= f_x - cfg.c * float(s.dot(s)) + slack
 
 
@@ -416,9 +433,12 @@ def ipas_step(
     dN, capped at the component count.  The step's tolerances come from
     _tolerances().  Every projection, the control test's included, goes
     through _project, and a re-projection of an iterate within eta_k keeps
-    the very same array.  The row's cg_iters is the meter's count of solves
-    over the step; its oracle columns (norm_d_true, f_true) are NaN, and
-    _drive fills them in batches.
+    the very same array.  A mini-batch step draws its Nk sample indices and
+    its D_size control indices in one draw_sample call, the sample first.
+    A full-sample step at state.full_eval's iterate reads that evaluation
+    and charges its N gradients again.  The row's cg_iters is the meter's
+    count of solves over the step; its oracle columns (norm_d_true, f_true)
+    are NaN, and _drive fills them in batches.
     """
     x = state.x
     e_x = state.e_x
@@ -429,9 +449,16 @@ def ipas_step(
     is_full = state.Nk >= N
 
     if is_full:
-        est = full_value_grad(obj, x, meter)
+        held = state.full_eval
+        if held is not None and held[0] is x:
+            est = held[1]
+            meter.charge_grads(N)
+        else:
+            est = full_value_grad(obj, x, meter)
+            state.full_eval = (x, est)
     else:
-        sample = Sample.of(obj, draw_sample(obj, state.Nk, state.rng))
+        idx = draw_sample(obj, state.Nk + cfg.D_size, state.rng)
+        sample = Sample.of(obj, idx[: state.Nk])
         est = subsample_value_grad(obj, sample, x, meter)
     grad_est = est.grad
 
@@ -463,7 +490,10 @@ def ipas_step(
         t, x_next = line_search_minibatch(
             value_along, x, p, est.value(meter), slope, mini_slack, cfg.beta, cfg.c1, cfg.t_min
         )
-        accepted = additional_sampling_test(state, cs, obj, x_next, eta_k, control_slack, cfg)
+        d_set = Sample.of(obj, idx[state.Nk :])
+        accepted = additional_sampling_test(
+            state, cs, obj, d_set, x_next, eta_k, control_slack, cfg
+        )
         if not accepted:
             x_next = x  # rejected: the iterate is kept bitwise unchanged
             Nk_next = min(N, state.Nk + cfg.dN)

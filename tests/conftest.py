@@ -77,7 +77,7 @@ class CallableKernel:
     def weighted_value(self, x):
         return float(sum(w * self._fn(i, x)[0] for i, w in enumerate(self.weights)))
 
-    def weighted_value_along(self, x, p):
+    def weighted_value_along(self, x, p, f0, slope):
         return lambda t: self.weighted_value(x + t * p)
 
     def weighted_value_grad(self, x):

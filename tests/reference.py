@@ -8,9 +8,9 @@ one-point forms, and parse_libsvm_dicts the LIBSVM reader's earlier form,
 which held one dict per row.  exact_project is the package's earlier form,
 written with the @ operator and scipy.linalg.cho_solve; the package's
 direct LAPACK call must reproduce it bit for bit.  additional_sampling_test is the control-sample
-test that projects the control direction every time; the package's, which
-skips the projection when the values alone reject the step, must decide
-every step as it does.
+test that computes and projects the control direction every time; the
+package's, which skips both when the values alone reject the step, must
+decide every step as it does.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ from ipas import (
     NoisyQuadraticSpec,
     NonFiniteValue,
     ParseError,
-    Sample,
-    draw_sample,
     subsample_value,
     subsample_value_grad,
 )
@@ -125,16 +123,15 @@ def exact_project(cs: ConstraintSet, y: np.ndarray) -> np.ndarray:
     return y - cs.A.T @ lam
 
 
-def additional_sampling_test(state, cs, obj, x_trial, eta_k, slack, cfg) -> bool:
+def additional_sampling_test(state, cs, obj, d_set, x_trial, eta_k, slack, cfg) -> bool:
     """The control-sample test that always projects the control direction (reference form).
 
-    Same draw, evaluations, charges and test as the package's, but the
-    control direction is projected, through the solver's checked and
-    charged _project, before the values are read, whatever they turn out
-    to be.
+    Same control sample, charges and test as the package's, but the
+    control gradient is computed with the values at x, in one pass, and
+    its direction projected, through the solver's checked and charged
+    _project, before the values are read, whatever they turn out to be.
     """
     x, meter = state.x, state.meter
-    d_set = Sample.of(obj, draw_sample(obj, cfg.D_size, state.rng))
     control = subsample_value_grad(obj, d_set, x, meter)
     s = _project(state, cs, x - control.grad, eta_k).point - x
     f_x = control.value(meter)

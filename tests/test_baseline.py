@@ -177,7 +177,7 @@ _THREADS_SCRIPT = textwrap.dedent(
 class PointwiseQuadraticKernel(NoisyQuadraticKernel):
     """The noisy quadratic with each full-data trial evaluated at its point x + t p."""
 
-    def weighted_value_along(self, x, p):
+    def weighted_value_along(self, x, p, f0, slope):
         return lambda t: self.weighted_value(x + t * p)
 
 

@@ -13,6 +13,7 @@ from ipas import (
     full_value,
     full_value_along,
     full_value_grad,
+    subsample_grad,
     subsample_value,
     subsample_value_along,
     subsample_value_grad,
@@ -37,6 +38,12 @@ def make_objective(n: int, weights=None) -> FiniteSumObjective:
     if weights is None:
         weights = uniform_weights(n)
     return FiniteSumObjective(DIM, CallableKernel(scaled_quadratic, weights))
+
+
+def full_ray(obj: FiniteSumObjective, x: np.ndarray, p: np.ndarray, meter: BudgetMeter):
+    """full_value_along from x along p, given the value and slope there as a step computes them."""
+    at_x = full_value_grad(obj, x, BudgetMeter())
+    return full_value_along(obj, x, p, at_x.raw_value, float(at_x.grad.dot(p)), meter)
 
 
 class TestWeights:
@@ -156,6 +163,27 @@ class TestDrawSample:
         got = draw_sample(obj, size, np.random.default_rng(seed))
         want = np.random.default_rng(seed).choice(n, size, p=obj.weights / obj.weights.sum())
         np.testing.assert_array_equal(got, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 3000),
+        uniform=st.booleans(),
+        a=st.one_of(st.integers(1, _GUESS_MIN_DRAW), st.integers(_GUESS_MIN_DRAW, 3000)),
+        b=st.one_of(st.integers(1, _GUESS_MIN_DRAW), st.integers(_GUESS_MIN_DRAW, 3000)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_draw_of_a_plus_b_keys_is_a_draw_of_a_then_of_b(self, n, uniform, a, b, seed):
+        # A mini-batch step draws its sample and its control sample at once.
+        # Each part, and the whole, may fall on either side of the guessed
+        # search's cutoff; the generator must end in the same state.
+        w = np.ones(n) if uniform else np.random.default_rng(seed).lognormal(0.0, 2.0, n)
+        obj = make_objective(n, weights=w / w.sum())
+        one, two = np.random.default_rng(seed), np.random.default_rng(seed)
+        joint = draw_sample(obj, a + b, one)
+        split = np.concatenate([draw_sample(obj, a, two), draw_sample(obj, b, two)])
+        assert joint.dtype == split.dtype == np.int64
+        np.testing.assert_array_equal(joint, split)
+        assert one.bit_generator.state == two.bit_generator.state
 
     @pytest.mark.parametrize("kind", ["uniform", "skewed"])
     def test_keys_on_cdf_steps_get_the_search_answer(self, kind):
@@ -318,7 +346,7 @@ class TestSubsampleEvaluations:
         with pytest.raises(NonFiniteValue):
             subsample_value_along(obj, s, np.zeros(DIM), np.ones(DIM), meter)(0.5)
         with pytest.raises(NonFiniteValue):
-            full_value_along(obj, np.zeros(DIM), np.ones(DIM), meter)(0.5)
+            full_ray(obj, np.zeros(DIM), np.ones(DIM), meter)(0.5)
         # A one-pass evaluation checks the value only when it is taken.
         for fused in (
             subsample_value_grad(obj, s, np.zeros(DIM), meter),
@@ -335,6 +363,8 @@ class TestSubsampleEvaluations:
         s = Sample.of(obj, np.array([1]))
         with pytest.raises(NonFiniteValue):
             subsample_value_grad(obj, s, np.zeros(DIM), BudgetMeter())
+        with pytest.raises(NonFiniteValue, match="subsampled gradient"):
+            subsample_grad(obj, s, np.zeros(DIM), BudgetMeter())
         with pytest.raises(NonFiniteValue):
             full_value_grad(obj, np.zeros(DIM), BudgetMeter())
 
@@ -391,6 +421,11 @@ class TestBudgetMeter:
         fused.value(meter)
         assert meter.component_value_evals == 10
         assert meter.scalar_products == 15
+        # The gradient alone, the same bits as the one-pass evaluation's.
+        g = subsample_grad(obj, s, np.zeros(DIM), meter)
+        assert g.tobytes() == fused.grad.tobytes()
+        assert (meter.component_grad_evals, meter.component_value_evals) == (10, 10)
+        assert meter.scalar_products == 20
 
     def test_ray_charges_sample_size_per_trial(self):
         # Each trial along the ray is priced as a direct evaluation at its
@@ -410,7 +445,7 @@ class TestBudgetMeter:
         obj = make_objective(7)
         x, p = np.array([0.5, -1.0, 2.0]), np.array([1.0, 0.25, -0.5])
         meter, direct = BudgetMeter(), BudgetMeter()
-        value = full_value_along(obj, x, p, meter)
+        value = full_ray(obj, x, p, meter)
         assert meter == BudgetMeter()
         for trial, t in enumerate((1.0, 0.1, 0.01), start=1):
             assert value(t) == full_value(obj, x + t * p, direct)

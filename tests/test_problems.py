@@ -938,9 +938,15 @@ class TestMeanAlong:
 
 
 class TestWeightedValueAlong:
-    """weighted_value_along(x, p)(t) against weighted_value at the array x + t p."""
+    """weighted_value_along(x, p, f0, slope)(t) against weighted_value at the array x + t p."""
 
     STEPS = [10.0**-j for j in range(6)]
+
+    @staticmethod
+    def along(kernel, x, p):
+        """kernel.weighted_value_along from x along p, given f0 and g.p from weighted_value_grad(x)."""
+        f0, g = kernel.weighted_value_grad(x)
+        return kernel.weighted_value_along(x, p, f0, float(g.dot(p)))
 
     @staticmethod
     def coefficients(along) -> tuple[float, float, float]:
@@ -959,7 +965,7 @@ class TestWeightedValueAlong:
         rng = np.random.default_rng(35)
         for _ in range(20):
             x, p = rng.standard_normal(20), rng.standard_normal(20)
-            along = kernel.weighted_value_along(x, p)
+            along = self.along(kernel, x, p)
             value, g = kernel.weighted_value_grad(x)
             a0, a1, _ = self.coefficients(along)
             assert along(0.0).hex() == a0.hex() == kernel.weighted_value(x).hex() == value.hex()
@@ -974,7 +980,7 @@ class TestWeightedValueAlong:
             x, p = rng.standard_normal(20), rng.standard_normal(20)
             a1 = x @ Q @ p + q @ p + 2.0 * r * (x @ p)
             a2 = 0.5 * (p @ Q @ p) + r * (p @ p)
-            along = kernel.weighted_value_along(x, p)
+            along = self.along(kernel, x, p)
             for t in self.STEPS:
                 direct = kernel.weighted_value(x + t * p)
                 largest = max(abs(kernel.weighted_value(x)), abs(t * a1), abs(t * t * a2))
@@ -987,7 +993,7 @@ class TestWeightedValueAlong:
         spec = NoisyQuadraticSpec(base_Q=np.eye(2), base_q=np.zeros(2), sigma=0.0, eps=np.zeros(1))
         kernel = NoisyQuadraticKernel(spec, uniform_weights(1))
         x, p = np.zeros(2), np.array([2e154, 0.0])
-        along = kernel.weighted_value_along(x, p)
+        along = self.along(kernel, x, p)
         for t in (0.1, 1e-5):
             direct = kernel.weighted_value(x + t * p)
             assert math.isfinite(direct)
@@ -1000,11 +1006,12 @@ class TestWeightedValueAlong:
             kernel = logistic_objective(make_synthetic_logistic(50, 4, seed=37)).kernel
         else:
             kernel = CallableKernel(
-                lambda i, x: ((i + 1) * float(x @ x) - i * x[0], None), uniform_weights(50)
+                lambda i, x: ((i + 1) * float(x @ x) - i * x[0], 2 * (i + 1) * x - i * np.eye(4)[0]),
+                uniform_weights(50),
             )
         rng = np.random.default_rng(38)
         x, p = rng.standard_normal(4), rng.standard_normal(4)
-        along = kernel.weighted_value_along(x, p)
+        along = self.along(kernel, x, p)
         for t in [0.0, *self.STEPS]:
             assert along(t).hex() == kernel.weighted_value(x + t * p).hex()
 

@@ -23,6 +23,7 @@ from ipas import (
     additional_sampling_test,
     build_constraint_set,
     descent_check,
+    draw_sample,
     eta,
     exact_project,
     feasibility_gap,
@@ -145,8 +146,9 @@ class TestTolerances:
         return log
 
     def test_each_step_applies_the_tolerances_of_its_iteration(self, monkeypatch):
-        # Both searches take their slack at position 5, as does the control
-        # test, which takes eta_k, its projection's tolerance, at position 4.
+        # Both searches take their slack at position 5.  The control test
+        # takes eta_k, its projection's tolerance, at position 5 and its
+        # slack at 6.
         # The full-sample search gets eta_k^4, the mini-batch search and the
         # baseline eta_k^2.
         import ipas.baseline
@@ -169,7 +171,7 @@ class TestTolerances:
         assert expected_full and expected_mini
         assert [args[5] for args in full] == expected_full
         assert [args[5] for args in mini] == expected_mini
-        assert [args[4:6] for args in control] == expected_control
+        assert [args[5:7] for args in control] == expected_control
         records = run_baseline(cs, obj, BaselineConfig(k_max=10, s_exp=0.75)).records[:-1]
         assert [args[5] for args in baseline] == [_tolerances(r.k, 0.75).search for r in records]
 
@@ -557,14 +559,17 @@ class TestAdditionalSamplingTest:
     def control(self, x_trial, obj=None, seed=0, **kw):
         """The test's decision on x_trial from self.x at eta_k = 0.5, and the state it ran on.
 
-        The slack is C_accept * eta_k^2, as _tolerances gives it.
+        The control sample is D_size indices drawn with the state's
+        generator; the slack is C_accept * eta_k^2, as _tolerances gives it.
         """
         state = SolverState(
             x=self.x, k=0, Nk=1, rng=np.random.default_rng(seed), meter=BudgetMeter(), e_x=0.0
         )
         cfg = self.config(**kw)
+        obj = obj or self.obj
+        d_set = Sample.of(obj, draw_sample(obj, cfg.D_size, state.rng))
         accepted = additional_sampling_test(
-            state, self.cs, obj or self.obj, np.asarray(x_trial, dtype=float), 0.5,
+            state, self.cs, obj, d_set, np.asarray(x_trial, dtype=float), 0.5,
             cfg.C_accept * 0.25, cfg,
         )
         return accepted, state
@@ -669,6 +674,108 @@ class TestAdditionalSamplingTest:
         obj = FiniteSumObjective(2, CallableKernel(nan_value, uniform_weights(4)))
         with pytest.raises(NonFiniteValue, match="subsampled objective value"):
             self.control(np.zeros(2), obj=obj)
+
+
+    def test_values_that_decide_never_compute_the_control_gradient(self, monkeypatch):
+        # f(x) = 1 and C eta^2 = 0.125: the values reject a trial above 1.125
+        # alone.  The gradient is charged all the same; an open test reads
+        # it, once, on the control rows.
+        calls = []
+        real = self.obj.kernel.value_grad_mean
+        monkeypatch.setattr(
+            self.obj.kernel, "value_grad_mean", lambda rows, x: calls.append(rows) or real(rows, x)
+        )
+        a = math.sqrt(1.125 + 1e-6)
+        accepted, state = self.control(np.array([a, -a]), D_size=3)
+        assert (accepted, calls) == (False, [])
+        assert state.meter.component_grad_evals == 3
+        accepted, state = self.control(np.zeros(2), D_size=3)
+        assert accepted is True and len(calls) == 1 and len(calls[0]) == 3
+        assert state.meter.component_grad_evals == 3
+
+    def test_an_open_test_with_a_non_finite_control_gradient_raises(self):
+        # Only a test that the values leave open reads the control gradient.
+        def nan_grad(i, x):
+            return 0.5 * float(x @ x), np.full(2, math.nan)
+
+        obj = FiniteSumObjective(2, CallableKernel(nan_grad, uniform_weights(4)))
+        with pytest.raises(NonFiniteValue, match="subsampled gradient"):
+            self.control(np.zeros(2), obj=obj)
+        accepted, state = self.control(np.array([10.0, -10.0]), obj=obj)
+        assert accepted is False and state.meter.component_grad_evals == 2
+
+
+class TestEachPointOnce:
+    """A step evaluates each point once, and charges what it stands on as before."""
+
+    @staticmethod
+    def per_step(monkeypatch, module, step_name, counters) -> list[tuple]:
+        """Log (record, change of each counter) per step of module.step_name."""
+        log = []
+
+        def step(state, cs, obj, cfg, real=getattr(module, step_name)):
+            before = [count() for count in counters]
+            record = real(state, cs, obj, cfg)
+            log.append((record, *(count() - b for count, b in zip(counters, before))))
+            return record
+
+        monkeypatch.setattr(module, step_name, step)
+        return log
+
+    @staticmethod
+    def count_calls(monkeypatch, owner, name) -> list:
+        calls = []
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args: calls.append(args) or real(*args))
+        return calls
+
+    def test_a_mini_batch_row_draws_its_sample_and_control_sample_at_once(self, monkeypatch):
+        draws = self.count_calls(monkeypatch, ipas.solver, "draw_sample")
+        log = self.per_step(monkeypatch, ipas.solver, "ipas_step", [lambda: len(draws)])
+        cs = generate_constraints(6, 2, seed=1)
+        obj = noisy_quadratic_objective(make_noisy_quadratic(6, 20, sigma=0.5, seed=0))
+        cfg = SolverConfig(k_max=60, N0=2, dN=3, D_size=3, seed=0)
+        run(cs, obj, cfg)
+        mini = [(record, n) for record, n in log if record.Nk < obj.n_components]
+        assert mini and len(mini) < len(log)
+        assert all(n == 1 for _, n in mini)
+        assert [args[1] for args in draws] == [record.Nk + cfg.D_size for record, _ in mini]
+
+    def test_a_streak_row_reads_the_evaluation_at_its_unmoved_iterate(self, monkeypatch):
+        # The first eight rows are unsuccessful at x0, whose re-projection
+        # keeps it (see reprojecting_problem); the ninth projects it exactly,
+        # and the rows after it start from moved iterates.
+        cs, obj, x0 = reprojecting_problem()
+        cfg = SolverConfig(N0=6, dN=1, k_max=12, seed=0, s_exp=0.8, c=0.9, oracle_metrics=False)
+        kernel = self.count_calls(monkeypatch, obj.kernel, "weighted_value_grad")
+        projections = self.count_calls(monkeypatch, ipas.solver, "inexact_project")
+        log = self.per_step(
+            monkeypatch, ipas.solver, "ipas_step", [lambda: len(kernel), lambda: len(projections)]
+        )
+        res = run(cs, obj, cfg, x0=x0)
+        rows = res.records[:-1]
+        assert [r.unsuccessful for r in rows] == [True] * 9 + [False] * 3
+        assert [(calls, projected) for _, calls, projected in log[:9]] == [(1, 2)] + [(0, 2)] * 8
+        assert all(calls == 1 for _, calls, _ in log[9:])
+        # Every row is charged its N gradients, a reused evaluation as well.
+        for prev, r in zip(rows, rows[1:9]):
+            spent = r.scalar_products - prev.scalar_products
+            assert spent == obj.n_components * obj.grad_cost + r.cg_iters * (cs.m + 4)
+        assert res.meter.component_grad_evals == 12 * obj.n_components
+
+    def test_a_baseline_step_on_the_quadratic_evaluates_its_iterate_once(self, monkeypatch):
+        # The ray takes the step's value and slope; no trial evaluates at a point.
+        import ipas.baseline
+
+        cs = generate_constraints(6, 2, seed=1)
+        obj = noisy_quadratic_objective(make_noisy_quadratic(6, 20, sigma=0.5, seed=0))
+        full = self.count_calls(monkeypatch, obj.kernel, "weighted_value_grad")
+        pointwise = self.count_calls(monkeypatch, obj.kernel, "weighted_value")
+        log = self.per_step(
+            monkeypatch, ipas.baseline, "baseline_step", [lambda: len(full), lambda: len(pointwise)]
+        )
+        run_baseline(cs, obj, BaselineConfig(k_max=10))
+        assert [(calls, points) for _, calls, points in log] == [(1, 0)] * 10
 
 
 class TestRunBehaviour:
