@@ -58,7 +58,6 @@ from .objective import (
     full_value,
     full_value_along,
     full_value_grad,
-    subsample_grad,
     subsample_value,
     subsample_value_along,
     subsample_value_grad,

@@ -339,19 +339,6 @@ def subsample_value_grad(
     return ValueGrad(g, _mean(vals), s.size, "subsampled objective value")
 
 
-def subsample_grad(
-    obj: FiniteSumObjective, s: Sample, x: np.ndarray, meter: BudgetMeter
-) -> np.ndarray:
-    """Unweighted average of the sampled component gradients at x; charges s.size gradients.
-
-    For a caller that has taken the values at x already, with
-    subsample_value: the kernel's one pass computes them again, uncharged.
-    """
-    _, g = obj.kernel.value_grad_mean(s.rows, x)
-    meter.charge_grads(s.size)
-    return _check_finite_vector(g, "subsampled gradient")
-
-
 def full_value(obj: FiniteSumObjective, x: np.ndarray, meter: BudgetMeter) -> float:
     """The true weighted objective sum_i w_i f_i(x); charges all N components."""
     v = obj.kernel.weighted_value(x)

@@ -61,7 +61,6 @@ from .objective import (
     draw_sample,
     full_value,
     full_value_grad,
-    subsample_grad,
     subsample_value,
     subsample_value_along,
     subsample_value_grad,
@@ -350,7 +349,8 @@ def additional_sampling_test(
     if f_trial > f_x + slack:
         meter.charge_grads(d_set.size)
         return False
-    s = _project(state, cs, x - subsample_grad(obj, d_set, x, meter), eta_k).point - x
+    control = subsample_value_grad(obj, d_set, x, meter)  # f_x was charged above: read .grad only
+    s = _project(state, cs, x - control.grad, eta_k).point - x
     return f_trial <= f_x - cfg.c * float(s.dot(s)) + slack
 
 

@@ -13,7 +13,6 @@ from ipas import (
     full_value,
     full_value_along,
     full_value_grad,
-    subsample_grad,
     subsample_value,
     subsample_value_along,
     subsample_value_grad,
@@ -363,8 +362,6 @@ class TestSubsampleEvaluations:
         s = Sample.of(obj, np.array([1]))
         with pytest.raises(NonFiniteValue):
             subsample_value_grad(obj, s, np.zeros(DIM), BudgetMeter())
-        with pytest.raises(NonFiniteValue, match="subsampled gradient"):
-            subsample_grad(obj, s, np.zeros(DIM), BudgetMeter())
         with pytest.raises(NonFiniteValue):
             full_value_grad(obj, np.zeros(DIM), BudgetMeter())
 
@@ -421,11 +418,6 @@ class TestBudgetMeter:
         fused.value(meter)
         assert meter.component_value_evals == 10
         assert meter.scalar_products == 15
-        # The gradient alone, the same bits as the one-pass evaluation's.
-        g = subsample_grad(obj, s, np.zeros(DIM), meter)
-        assert g.tobytes() == fused.grad.tobytes()
-        assert (meter.component_grad_evals, meter.component_value_evals) == (10, 10)
-        assert meter.scalar_products == 20
 
     def test_ray_charges_sample_size_per_trial(self):
         # Each trial along the ray is priced as a direct evaluation at its

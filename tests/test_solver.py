@@ -675,7 +675,6 @@ class TestAdditionalSamplingTest:
         with pytest.raises(NonFiniteValue, match="subsampled objective value"):
             self.control(np.zeros(2), obj=obj)
 
-
     def test_values_that_decide_never_compute_the_control_gradient(self, monkeypatch):
         # f(x) = 1 and C eta^2 = 0.125: the values reject a trial above 1.125
         # alone.  The gradient is charged all the same; an open test reads
