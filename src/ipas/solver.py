@@ -31,8 +31,8 @@ A full-sample step at the iterate that the last full-sample evaluation
 was made at, as every row of an unsuccessful streak is, reads that
 evaluation again; the iterate is never mutated in place, so identity
 tells it.  Every projection still runs, and every reused or skipped
-evaluation is charged as the one it stands for (see BudgetMeter), so no
-trace changes.
+evaluation is charged as the one it stands for (see BudgetMeter), so a
+trace reads as if every evaluation were made afresh.
 """
 
 from __future__ import annotations
