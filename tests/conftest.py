@@ -8,6 +8,7 @@ from hypothesis import settings
 
 from ipas import build_constraint_set
 from ipas.objective import _mean
+from ipas.problems import NoisyQuadraticKernel
 
 # Every @given test draws the same examples on every machine and run: the
 # draws come from a fixed seed, no example database replays earlier
@@ -92,6 +93,16 @@ class CallableKernel:
     def weighted_value_grad_many(self, X):
         pairs = [self.weighted_value_grad(x) for x in X.T]
         return np.array([v for v, _ in pairs]), np.column_stack([g for _, g in pairs])
+
+
+class PointwiseQuadraticKernel(NoisyQuadraticKernel):
+    """The noisy quadratic with each trial along a ray evaluated at its point x + t p."""
+
+    def mean_along(self, rows, x, p):
+        return lambda t: _mean(self.values(rows, x + t * p))
+
+    def weighted_value_along(self, x, p, f0, slope):
+        return lambda t: self.weighted_value(x + t * p)
 
 
 def count_passes(kernel, monkeypatch) -> SimpleNamespace:

@@ -28,6 +28,8 @@ from ipas import (
 )
 from ipas.problems import NoisyQuadraticKernel, _usable_cpu_count
 
+from conftest import PointwiseQuadraticKernel
+
 
 def problem(sigma=0.8, seed=200):
     cs = generate_constraints(10, 4, seed=100)
@@ -172,13 +174,6 @@ _THREADS_SCRIPT = textwrap.dedent(
     write_trace(res.records, sys.argv[1])
     """
 )
-
-
-class PointwiseQuadraticKernel(NoisyQuadraticKernel):
-    """The noisy quadratic with each full-data trial evaluated at its point x + t p."""
-
-    def weighted_value_along(self, x, p, f0, slope):
-        return lambda t: self.weighted_value(x + t * p)
 
 
 @pytest.mark.parametrize("i", [0, 1, 2])

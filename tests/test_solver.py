@@ -49,9 +49,10 @@ from ipas import (
 )
 from ipas.constraints import ProjectionResult
 from ipas.objective import BudgetMeter, Sample, subsample_value_along
+from ipas.problems import NoisyQuadraticKernel
 from ipas.solver import IterationRecord, _ORACLE_BATCH, _oracle_batch, _tolerances, ipas_step
 
-from conftest import CallableKernel
+from conftest import CallableKernel, PointwiseQuadraticKernel
 
 
 def orthonormal_system(m: int, n: int, seed: int, shift: float = 0.0):
@@ -1100,6 +1101,29 @@ def test_steep_schedule_on_a_check07_instance_finishes():
     result = run(cs, noisy_quadratic_objective(spec), cfg, x0=min_norm_feasible(cs))
     assert result.status in (STATUS_MAX_ITERATIONS, STATUS_STATIONARY)
 
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.1, 1.0])
+@pytest.mark.parametrize("i", [0, 1, 2])
+def test_sample_trials_along_the_ray_keep_the_trace_bytes_of_trials_at_the_point(
+    tmp_path, i, sigma
+):
+    # Check 07's instances and config at k_max 1000: the mini-batch search's
+    # polynomial rounds otherwise than the sampled mean at each point, but no
+    # search decides otherwise.
+    cs = generate_constraints(20, 10, seed=500 + i)
+    spec = make_noisy_quadratic(20, 1000, sigma=sigma, seed=1000 + i)
+    cfg = SolverConfig(
+        beta=0.1, c=1e-4, c1=1e-2, C_accept=1e-2, s_exp=1.0,
+        dN=1, D_size=1, N0=10, t_min=1e-5, k_max=1000, seed=i,
+    )
+    written = []
+    for kernel in (NoisyQuadraticKernel, PointwiseQuadraticKernel):
+        obj = FiniteSumObjective(spec.dim, kernel(spec, uniform_weights(spec.n_components)))
+        path = tmp_path / f"{kernel.__name__}.csv"
+        write_trace(run(cs, obj, cfg, x0=min_norm_feasible(cs)).records, path)
+        written.append(path.read_bytes())
+    assert written[0] == written[1]
 
 class TestOracleMemo:
     """The unmetered oracle runs deferred and batched, once per distinct iterate."""
