@@ -51,6 +51,12 @@ class ComponentKernel(Protocol):
     agree with it to rounding, not bit for bit.  LogisticKernel's
     one-point methods are its case of one point, so there the two agree
     bit for bit.
+
+    The two ray methods share one contract: from x along p, given the
+    caller's value f0 and slope g.p at x (from value_grad_mean or
+    weighted_value_grad), they return t -> the value at x + t p: bit for
+    bit where the kernel evaluates there, within a few ulps of the largest
+    term where it is a polynomial from f0 and slope (the noisy quadratic).
     """
 
     weights: np.ndarray
@@ -66,10 +72,10 @@ class ComponentKernel(Protocol):
         """Component values f_i(x) for each component gathered in rows."""
         ...
 
-    def mean_along(self, rows: object, x: np.ndarray, p: np.ndarray) -> Callable[[float], float]:
-        """t -> the mean of values(rows, x + t p): bit for bit where the kernel evaluates
-        there, within a few ulps of the largest term where it is a polynomial in t (the
-        noisy quadratic)."""
+    def mean_along(
+        self, rows: object, x: np.ndarray, p: np.ndarray, f0: float, slope: float
+    ) -> Callable[[float], float]:
+        """t -> the mean of values(rows, x + t p), given f0 and slope at x (see above)."""
 
     def value_grad_mean(self, rows: object, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Component values over rows, as values() returns them, and the
@@ -83,10 +89,7 @@ class ComponentKernel(Protocol):
     def weighted_value_along(
         self, x: np.ndarray, p: np.ndarray, f0: float, slope: float
     ) -> Callable[[float], float]:
-        """t -> weighted_value(x + t p), as mean_along is to values: bit for bit where the
-        kernel evaluates there.  f0 and slope are the caller's weighted_value_grad(x) value
-        and its g.p, which a kernel may take as given: the noisy quadratic's polynomial
-        reads f0 at t = 0 and has slope as its slope, so only its curvature is computed."""
+        """t -> weighted_value(x + t p), given f0 and slope at x (see above)."""
 
     def weighted_value_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         """sum_i w_i f_i(x), as weighted_value() returns it, and sum_i w_i grad f_i(x)."""
@@ -118,8 +121,8 @@ class BudgetMeter:
     trace row's cg_iters is its change over the step.
 
     A charge is for the evaluation a step stands on, not for the work done
-    to get it.  A trial along a ray (subsample_value_along,
-    full_value_along) is charged as a direct evaluation at its point.  An
+    to get it.  A trial along a ray, which starts from the step's own value
+    and slope, is charged as a direct evaluation at its point.  An
     evaluation reused rather than recomputed is charged as the one it
     stands for: the control gradient of a test that its values decided,
     which is never computed, and the full gradient of an unsuccessful
@@ -312,18 +315,17 @@ def subsample_value(
 
 
 def subsample_value_along(
-    obj: FiniteSumObjective, s: Sample, x: np.ndarray, p: np.ndarray, meter: BudgetMeter
+    obj: FiniteSumObjective,
+    s: Sample,
+    x: np.ndarray,
+    p: np.ndarray,
+    f0: float,
+    slope: float,
+    meter: BudgetMeter,
 ) -> Callable[[float], float]:
-    """t -> subsample_value(obj, s, x + t*p, meter), from one mean_along call.
-
-    Each trial charges s.size values and is checked, as subsample_value is."""
-    along = obj.kernel.mean_along(s.rows, x, p)
-
-    def value(t: float) -> float:
-        meter.charge_values(s.size)
-        return _check_finite_scalar(along(t), "subsampled objective value")
-
-    return value
+    """t -> subsample_value(obj, s, x + t*p, meter), given the step's value f0 and g.p at x."""
+    along = obj.kernel.mean_along(s.rows, x, p, f0, slope)
+    return _charged(along, s.size, "subsampled objective value", meter)
 
 
 def subsample_value_grad(
@@ -354,17 +356,19 @@ def full_value_along(
     slope: float,
     meter: BudgetMeter,
 ) -> Callable[[float], float]:
-    """t -> full_value(obj, x + t*p, meter), from one weighted_value_along call.
-
-    f0 and slope are the value and g.p at x of full_value_grad(obj, x, ...),
-    which the kernel may reuse.  Each trial charges all N values and is
-    checked, as full_value is."""
+    """t -> full_value(obj, x + t*p, meter), given the step's value f0 and g.p at x."""
     along = obj.kernel.weighted_value_along(x, p, f0, slope)
-    n = obj.n_components
+    return _charged(along, obj.n_components, "objective value", meter)
+
+
+def _charged(
+    along: Callable[[float], float], count: int, what: str, meter: BudgetMeter
+) -> Callable[[float], float]:
+    """A kernel's ray, each trial charged count values and checked as at its point."""
 
     def value(t: float) -> float:
-        meter.charge_values(n)
-        return _check_finite_scalar(along(t), "objective value")
+        meter.charge_values(count)
+        return _check_finite_scalar(along(t), what)
 
     return value
 

@@ -182,7 +182,7 @@ class LogisticKernel:
         margins = neg_y * (Z @ x)
         return np.logaddexp(0.0, margins)
 
-    def mean_along(self, rows, x, p):
+    def mean_along(self, rows, x, p, f0, slope):
         return lambda t: _mean(self.values(rows, x + t * p))
 
     def value_grad_mean(self, rows, x):
@@ -522,18 +522,9 @@ class NoisyQuadraticKernel:
         base_value, _ = self._base(x)
         return base_value + (self._N * float(x.dot(x))) * eps_sq
 
-    def mean_along(self, eps_sq, x, p):
-        # The mean z'(Q/2 + r I)z + q'z, r = N mean(eps^2), at z = x + t p is a0 + t a1 + t^2 a2:
-        # W [x; p]' for W = [x; p](Q/2 + r I) + [q; 0] is [[a0, b], [c, a2]] with a1 = b + c.
-        V = np.array((x, p))
-        W = (0.5 * V).dot(self.spec.base_Q) + (self._N * _mean(eps_sq)) * V
-        W[0] += self.spec.base_q
-        (a0, b), (c, a2) = W.dot(V.T).tolist()
-        a1 = b + c
-        if not (math.isfinite(a0) and math.isfinite(a1) and math.isfinite(a2)):
-            # A coefficient past the float range would read inf at every t.
-            return lambda t: _mean(self.values(eps_sq, x + t * p))
-        return lambda t: a0 + t * (a1 + t * a2)
+    def mean_along(self, eps_sq, x, p, f0, slope):
+        at_point = lambda z: _mean(self.values(eps_sq, z))
+        return self._ray(x, p, f0, slope, self._N * _mean(eps_sq), at_point)
 
     def value_grad_mean(self, eps_sq, x):
         base_value, Qx = self._base(x)
@@ -546,14 +537,14 @@ class NoisyQuadraticKernel:
         return base_value + self._ridge * float(x.dot(x))
 
     def weighted_value_along(self, x, p, f0, slope):
-        # f(x + t p) = a0 + t a1 + t^2 a2, with a0 = f(x) and a1 = grad f(x).p the
-        # caller's f0 and slope, bit for bit: a trial step too small to move a0
-        # then reads f0 exactly.
-        a0, a1 = f0, slope
-        a2 = 0.5 * float(p.dot(self.spec.base_Q.dot(p))) + self._ridge * float(p.dot(p))
+        return self._ray(x, p, f0, slope, self._ridge, self.weighted_value)
+
+    def _ray(self, x, p, a0, a1, ridge, at_point):
+        # f(x + t p) = a0 + t (a1 + t a2), with the caller's value a0 and g.p a1 at x, bit for bit.
+        # A coefficient past the float range would read inf at every t: trials then go to at_point.
+        a2 = 0.5 * float(p.dot(self.spec.base_Q.dot(p))) + ridge * float(p.dot(p))
         if not (math.isfinite(a0) and math.isfinite(a1) and math.isfinite(a2)):
-            # As in mean_along: a coefficient past the float range would read inf at every t.
-            return lambda t: self.weighted_value(x + t * p)
+            return lambda t: at_point(x + t * p)
         return lambda t: a0 + t * (a1 + t * a2)
 
     def weighted_value_grad(self, x):

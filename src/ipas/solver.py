@@ -19,7 +19,8 @@ test passes eta_k on only as the tolerance of its projection.
 
 Both searches read each trial as value_along(t), the objective at x + t p,
 and form x + t p once, for the step they return.  The mini-batch search
-reads the sampled mean along the ray (subsample_value_along); the
+reads the sampled mean along the ray (subsample_value_along), from the
+step's own value and slope g.p, as the baseline's full-data ray does; the
 full-sample search evaluates each trial at its point, because its eta_k^4
 slack falls below the rounding of f, where the ray's polynomial and the
 value at the point may differ.
@@ -486,9 +487,10 @@ def ipas_step(
             e_next = reproj.residual_norm  # within eta_k, as _project checked
             unsuccessful = True
     else:
-        value_along = subsample_value_along(obj, sample, x, p, meter)
+        f0 = est.value(meter)
         t, x_next = line_search_minibatch(
-            value_along, x, p, est.value(meter), slope, mini_slack, cfg.beta, cfg.c1, cfg.t_min
+            subsample_value_along(obj, sample, x, p, f0, slope, meter),
+            x, p, f0, slope, mini_slack, cfg.beta, cfg.c1, cfg.t_min,
         )
         d_set = Sample.of(obj, idx[state.Nk :])
         accepted = additional_sampling_test(
@@ -704,6 +706,8 @@ def write_trace(records: Iterable[IterationRecord], path) -> None:
 
 
 def read_trace(path) -> list[IterationRecord]:
-    """Parse a trace CSV written by write_trace."""
+    """Parse a trace CSV written by write_trace; one without rows raises ParseError."""
     rows = _read_csv(path, _TRACE_PARSERS, "trace")
+    if not rows:
+        raise ParseError(f"{path}: the trace has a header but no rows")
     return [IterationRecord(**dict(zip(_TRACE_FIELDS, row))) for row in rows]

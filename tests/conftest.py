@@ -64,7 +64,7 @@ class CallableKernel:
     def values(self, rows, x):
         return np.array([self._fn(int(i), x)[0] for i in rows], dtype=float)
 
-    def mean_along(self, rows, x, p):
+    def mean_along(self, rows, x, p, f0, slope):
         return lambda t: _mean(self.values(rows, x + t * p))
 
     def value_grad_mean(self, rows, x):
@@ -98,7 +98,7 @@ class CallableKernel:
 class PointwiseQuadraticKernel(NoisyQuadraticKernel):
     """The noisy quadratic with each trial along a ray evaluated at its point x + t p."""
 
-    def mean_along(self, rows, x, p):
+    def mean_along(self, rows, x, p, f0, slope):
         return lambda t: _mean(self.values(rows, x + t * p))
 
     def weighted_value_along(self, x, p, f0, slope):

@@ -593,26 +593,30 @@ class TestSummarize:
         assert "summarize failed" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "damage, message",
+        "what, damage, message",
         [
-            (lambda r: [r[0], r[1].rsplit(",", 2)[0], *r[2:]], "expected 9 cells, got 7"),
-            (lambda r: [r[0].replace("seed", "sead"), *r[1:]], "unexpected manifest header"),
-            (lambda r: [r[0], r[1].replace(",0,", ",zero,", 1), *r[2:]], "'zero'"),
+            ("manifest", lambda r: [r[0], r[1].rsplit(",", 2)[0], *r[2:]],
+             "expected 9 cells, got 7"),
+            ("manifest", lambda r: [r[0].replace("seed", "sead"), *r[1:]],
+             "unexpected manifest header"),
+            ("manifest", lambda r: [r[0], r[1].replace(",0,", ",zero,", 1), *r[2:]], "'zero'"),
+            ("trace", lambda r: r[:1], "the trace has a header but no rows"),
         ],
-        ids=["short-row", "header", "bad-cell"],
+        ids=["short-row", "header", "bad-cell", "header-only-trace"],
     )
-    def test_damaged_manifest_exits_one(self, config_path, tmp_path, capsys, damage, message):
-        # Cells used to be zipped onto whatever header was found, so a short
-        # row crashed with a KeyError traceback.
+    def test_damaged_file_exits_one(self, config_path, tmp_path, capsys, what, damage, message):
+        # Manifest cells used to be zipped onto whatever header was found, so
+        # a short row crashed with a KeyError traceback; a trace of its header
+        # alone crashed with an IndexError traceback.
         out_dir = tmp_path / "out"
         main(["run", str(config_path), "--out", str(out_dir), "--workers", "1"])
-        manifest = out_dir / "runs.csv"
-        rows = manifest.read_text().splitlines()
-        manifest.write_text("\n".join(damage(rows)) + "\n")
+        path = out_dir / "runs.csv" if what == "manifest" else sorted(out_dir.glob("trace_*.csv"))[0]
+        rows = path.read_text().splitlines()
+        path.write_text("\n".join(damage(rows)) + "\n")
         capsys.readouterr()
         assert main(["summarize", str(out_dir)]) == EXIT_RUN_FAILURE
         err = capsys.readouterr().err
-        assert err.startswith(f"summarize failed: {manifest}: ")
+        assert err.startswith(f"summarize failed: {path}: ")
         assert message in err and "Traceback" not in err
 
     @utf8_only

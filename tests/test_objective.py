@@ -39,6 +39,14 @@ def make_objective(n: int, weights=None) -> FiniteSumObjective:
     return FiniteSumObjective(DIM, CallableKernel(scaled_quadratic, weights))
 
 
+def sample_ray(
+    obj: FiniteSumObjective, s: Sample, x: np.ndarray, p: np.ndarray, meter: BudgetMeter
+):
+    """subsample_value_along from x along p, as full_ray is full_value_along."""
+    at_x = subsample_value_grad(obj, s, x, BudgetMeter())
+    return subsample_value_along(obj, s, x, p, at_x.raw_value, float(at_x.grad.dot(p)), meter)
+
+
 def full_ray(obj: FiniteSumObjective, x: np.ndarray, p: np.ndarray, meter: BudgetMeter):
     """full_value_along from x along p, given the value and slope there as a step computes them."""
     at_x = full_value_grad(obj, x, BudgetMeter())
@@ -343,7 +351,7 @@ class TestSubsampleEvaluations:
         with pytest.raises(NonFiniteValue):
             subsample_value(obj, s, np.zeros(DIM), meter)
         with pytest.raises(NonFiniteValue):
-            subsample_value_along(obj, s, np.zeros(DIM), np.ones(DIM), meter)(0.5)
+            sample_ray(obj, s, np.zeros(DIM), np.ones(DIM), meter)(0.5)
         with pytest.raises(NonFiniteValue):
             full_ray(obj, np.zeros(DIM), np.ones(DIM), meter)(0.5)
         # A one-pass evaluation checks the value only when it is taken.
@@ -426,7 +434,7 @@ class TestBudgetMeter:
         s = Sample.of(obj, np.array([0, 1, 1, 3, 9]))
         x, p = np.array([0.5, -1.0, 2.0]), np.array([1.0, 0.25, -0.5])
         meter, direct = BudgetMeter(), BudgetMeter()
-        value = subsample_value_along(obj, s, x, p, meter)
+        value = sample_ray(obj, s, x, p, meter)
         assert meter == BudgetMeter()
         for trial, t in enumerate((1.0, 0.1, 0.01), start=1):
             assert value(t) == subsample_value(obj, s, x + t * p, direct)

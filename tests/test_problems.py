@@ -869,84 +869,35 @@ def test_weights_of_the_wrong_length_are_rejected_when_the_objective_is_built(ex
             build(data, weights=uniform_weights(50 + extra))
 
 
-class TestMeanAlong:
-    """mean_along(rows, x, p)(t) against the mean of values() at the array x + t p.
+@pytest.mark.parametrize("ray", ["sample", "full"])
+class TestRays:
+    """The two ray methods under their one contract, against the value at the array x + t p.
 
-    Trials at t = 1, 0.1, ..., 1e-5, on one row, on duplicate indices and
-    on every component.
+    mean_along(rows, x, p, f0, slope) and weighted_value_along(x, p, f0,
+    slope) each take f0 and g.p at x as a step computes them, from
+    value_grad_mean or weighted_value_grad.  Trials at t = 1, 0.1, ...,
+    1e-5; the sample ray on one row, on duplicate indices and on every
+    component.
     """
 
     STEPS = [10.0**-j for j in range(6)]
 
     @staticmethod
-    def samples(n: int) -> list[np.ndarray]:
-        return [np.array([n - 1]), np.array([0, 2, 2, 0, 1, 2]), np.arange(n)]
-
-    @pytest.mark.parametrize("kind", ["logistic", "callable"])
-    def test_kernels_that_evaluate_at_the_point_match_bit_for_bit(self, kind):
-        if kind == "logistic":
-            kernel = logistic_objective(make_synthetic_logistic(50, 4, seed=30)).kernel
-        else:
-            kernel = CallableKernel(
-                lambda i, x: ((i + 1) * float(x @ x) - i * x[0], None), uniform_weights(50)
-            )
-        rng = np.random.default_rng(31)
-        x, p = rng.standard_normal(4), rng.standard_normal(4)
-        for idx in self.samples(50):
+    def rays(kernel, ray, x, p) -> list[tuple]:
+        """(along, at, idx) per case: the ray from x along p, the value it reads at a
+        point, and the sampled indices (None for the full data)."""
+        if ray == "full":
+            f0, g = kernel.weighted_value_grad(x)
+            along = kernel.weighted_value_along(x, p, f0, float(g.dot(p)))
+            return [(along, kernel.weighted_value, None)]
+        n = kernel.weights.size
+        cases = []
+        for idx in (np.array([n - 1]), np.array([0, 2, 2, 0, 1, 2]), np.arange(n)):
             rows = kernel.gather(idx)
-            along = kernel.mean_along(rows, x, p)
-            for t in self.STEPS:
-                assert along(t).hex() == _mean(kernel.values(rows, x + t * p)).hex()
-
-    def test_noisy_quadratic_matches_to_a_few_ulps_of_its_largest_term(self):
-        # The polynomial a0 + t a1 + t^2 a2 rounds otherwise than the values
-        # at the array x + t p; the two agree to the rounding of their terms.
-        spec = make_noisy_quadratic(20, 1000, sigma=1.0, seed=32)
-        kernel = noisy_quadratic_objective(spec).kernel
-        Q, q = spec.base_Q, spec.base_q
-        rng = np.random.default_rng(33)
-        for idx in self.samples(1000):
-            rows = kernel.gather(idx)
-            r = 1000 * float(np.mean(spec.eps[idx] ** 2))
-            for _ in range(5):
-                x, p = rng.standard_normal(20), rng.standard_normal(20)
-                a0 = 0.5 * (x @ Q @ x) + q @ x + r * (x @ x)
-                a1 = x @ Q @ p + q @ p + 2.0 * r * (x @ p)
-                a2 = 0.5 * (p @ Q @ p) + r * (p @ p)
-                along = kernel.mean_along(rows, x, p)
-                for t in self.STEPS:
-                    direct = _mean(kernel.values(rows, x + t * p))
-                    largest = max(abs(a0), abs(t * a1), abs(t * t * a2))
-                    assert abs(along(t) - direct) <= 8 * np.spacing(largest), (idx.size, t)
-
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-    def test_noisy_quadratic_past_the_float_range_evaluates_at_the_point(self):
-        # p'Qp = 4e308 overflows, and a polynomial with an infinite
-        # coefficient would read inf at every t, where the values at the
-        # smaller steps are finite.
-        spec = NoisyQuadraticSpec(base_Q=np.eye(2), base_q=np.zeros(2), sigma=0.0, eps=np.zeros(1))
-        kernel = NoisyQuadraticKernel(spec, uniform_weights(1))
-        rows = kernel.gather(np.array([0]))
-        x, p = np.zeros(2), np.array([2e154, 0.0])
-        along = kernel.mean_along(rows, x, p)
-        for t in (0.1, 1e-5):
-            direct = _mean(kernel.values(rows, x + t * p))
-            assert math.isfinite(direct)
-            assert along(t).hex() == direct.hex()
-        assert not math.isfinite(along(1.0))
-
-
-class TestWeightedValueAlong:
-    """weighted_value_along(x, p, f0, slope)(t) against weighted_value at the array x + t p."""
-
-    STEPS = [10.0**-j for j in range(6)]
-
-    @staticmethod
-    def along(kernel, x, p):
-        """kernel.weighted_value_along from x along p, given f0 and g.p from weighted_value_grad(x)."""
-        f0, g = kernel.weighted_value_grad(x)
-        return kernel.weighted_value_along(x, p, f0, float(g.dot(p)))
+            vals, g = kernel.value_grad_mean(rows, x)
+            along = kernel.mean_along(rows, x, p, _mean(vals), float(g.dot(p)))
+            cases.append((along, lambda z, rows=rows: _mean(kernel.values(rows, z)), idx))
+        return cases
 
     @staticmethod
     def coefficients(along) -> tuple[float, float, float]:
@@ -954,66 +905,77 @@ class TestWeightedValueAlong:
         cells = dict(zip(along.__code__.co_freevars, (c.cell_contents for c in along.__closure__)))
         return cells["a0"], cells["a1"], cells["a2"]
 
-    def quadratic(self):
-        spec = make_noisy_quadratic(20, 1000, sigma=1.0, seed=34)
+    @staticmethod
+    def quadratic(seed):
+        spec = make_noisy_quadratic(20, 1000, sigma=1.0, seed=seed)
         return spec, noisy_quadratic_objective(spec).kernel
 
-    def test_noisy_quadratic_starts_at_the_value_and_the_slope_bit_for_bit(self):
-        # a0 and a1 are the baseline's f0 and slope: a trial too small to
-        # move a0 reads f0 exactly, as a trial at the point would.
-        _, kernel = self.quadratic()
-        rng = np.random.default_rng(35)
-        for _ in range(20):
-            x, p = rng.standard_normal(20), rng.standard_normal(20)
-            along = self.along(kernel, x, p)
-            value, g = kernel.weighted_value_grad(x)
-            a0, a1, _ = self.coefficients(along)
-            assert along(0.0).hex() == a0.hex() == kernel.weighted_value(x).hex() == value.hex()
-            assert a1.hex() == float(g.dot(p)).hex()
-            assert along(1e-300).hex() == a0.hex()
-
-    def test_noisy_quadratic_matches_to_a_few_ulps_of_its_largest_term(self):
-        spec, kernel = self.quadratic()
-        Q, q, r = spec.base_Q, spec.base_q, 1000 * float(np.mean(spec.eps**2))
-        rng = np.random.default_rng(36)
-        for _ in range(20):
-            x, p = rng.standard_normal(20), rng.standard_normal(20)
-            a1 = x @ Q @ p + q @ p + 2.0 * r * (x @ p)
-            a2 = 0.5 * (p @ Q @ p) + r * (p @ p)
-            along = self.along(kernel, x, p)
-            for t in self.STEPS:
-                direct = kernel.weighted_value(x + t * p)
-                largest = max(abs(kernel.weighted_value(x)), abs(t * a1), abs(t * t * a2))
-                assert abs(along(t) - direct) <= 8 * np.spacing(largest), t
-
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-    def test_noisy_quadratic_past_the_float_range_evaluates_at_the_point(self):
-        # p'Qp = 4e308 overflows; the values at the smaller steps are finite.
-        spec = NoisyQuadraticSpec(base_Q=np.eye(2), base_q=np.zeros(2), sigma=0.0, eps=np.zeros(1))
-        kernel = NoisyQuadraticKernel(spec, uniform_weights(1))
-        x, p = np.zeros(2), np.array([2e154, 0.0])
-        along = self.along(kernel, x, p)
-        for t in (0.1, 1e-5):
-            direct = kernel.weighted_value(x + t * p)
-            assert math.isfinite(direct)
-            assert along(t).hex() == direct.hex()
-        assert not math.isfinite(along(1.0))
-
     @pytest.mark.parametrize("kind", ["logistic", "callable"])
-    def test_kernels_that_evaluate_at_the_point_match_bit_for_bit(self, kind):
+    def test_kernels_that_evaluate_at_the_point_match_bit_for_bit(self, ray, kind):
         if kind == "logistic":
-            kernel = logistic_objective(make_synthetic_logistic(50, 4, seed=37)).kernel
+            kernel = logistic_objective(make_synthetic_logistic(50, 4, seed=30)).kernel
         else:
             kernel = CallableKernel(
                 lambda i, x: ((i + 1) * float(x @ x) - i * x[0], 2 * (i + 1) * x - i * np.eye(4)[0]),
                 uniform_weights(50),
             )
-        rng = np.random.default_rng(38)
+        rng = np.random.default_rng(31)
         x, p = rng.standard_normal(4), rng.standard_normal(4)
-        along = self.along(kernel, x, p)
-        for t in [0.0, *self.STEPS]:
-            assert along(t).hex() == kernel.weighted_value(x + t * p).hex()
+        for along, at, _ in self.rays(kernel, ray, x, p):
+            for t in [0.0, *self.STEPS]:
+                assert along(t).hex() == at(x + t * p).hex()
+
+    def test_noisy_quadratic_starts_at_the_value_and_the_slope_bit_for_bit(self, ray):
+        # a0 and a1 are the step's f0 and slope: a trial too small to move a0
+        # reads f0 exactly, as a trial at the point would.
+        _, kernel = self.quadratic(34)
+        rng = np.random.default_rng(35)
+        for _ in range(20):
+            x, p = rng.standard_normal(20), rng.standard_normal(20)
+            for along, at, idx in self.rays(kernel, ray, x, p):
+                if idx is None:
+                    value, g = kernel.weighted_value_grad(x)
+                else:
+                    vals, g = kernel.value_grad_mean(kernel.gather(idx), x)
+                    value = _mean(vals)
+                a0, a1, _ = self.coefficients(along)
+                assert along(0.0).hex() == a0.hex() == at(x).hex() == value.hex()
+                assert a1.hex() == float(g.dot(p)).hex()
+                assert along(1e-300).hex() == a0.hex()
+
+    def test_noisy_quadratic_matches_to_a_few_ulps_of_its_largest_term(self, ray):
+        # The polynomial a0 + t a1 + t^2 a2 rounds otherwise than the values
+        # at the array x + t p; the two agree to the rounding of their terms.
+        spec, kernel = self.quadratic(32)
+        Q, q = spec.base_Q, spec.base_q
+        rng = np.random.default_rng(33)
+        for _ in range(20):
+            x, p = rng.standard_normal(20), rng.standard_normal(20)
+            for along, at, idx in self.rays(kernel, ray, x, p):
+                eps = spec.eps if idx is None else spec.eps[idx]
+                r = 1000 * float(np.mean(eps**2))
+                a1 = x @ Q @ p + q @ p + 2.0 * r * (x @ p)
+                a2 = 0.5 * (p @ Q @ p) + r * (p @ p)
+                for t in self.STEPS:
+                    direct = at(x + t * p)
+                    largest = max(abs(at(x)), abs(t * a1), abs(t * t * a2))
+                    assert abs(along(t) - direct) <= 8 * np.spacing(largest), (ray, idx, t)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_noisy_quadratic_past_the_float_range_evaluates_at_the_point(self, ray):
+        # p'Qp = 4e308 overflows, and a polynomial with an infinite
+        # coefficient would read inf at every t, where the values at the
+        # smaller steps are finite.
+        spec = NoisyQuadraticSpec(base_Q=np.eye(2), base_q=np.zeros(2), sigma=0.0, eps=np.zeros(3))
+        kernel = NoisyQuadraticKernel(spec, uniform_weights(3))
+        x, p = np.zeros(2), np.array([2e154, 0.0])
+        for along, at, _ in self.rays(kernel, ray, x, p):
+            for t in (0.1, 1e-5):
+                direct = at(x + t * p)
+                assert math.isfinite(direct)
+                assert along(t).hex() == direct.hex()
+            assert not math.isfinite(along(1.0))
 
 
 def record_full_data_points(kernel, monkeypatch) -> list[bytes]:

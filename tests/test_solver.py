@@ -355,18 +355,21 @@ class TestLineSearchMinibatch:
 
     def test_an_overflowing_trial_along_the_ray_counts_as_a_failed_one(self):
         # f(z) = ||z||^2 / 2 from x = p = (1e154, 0): f(x + t p) = a0 (1 + t)^2
-        # with a0 = 5e307 overflows at t = 1 and reads 6.05e307 at t = 0.1.
+        # with a0 = 5e307 overflows at t = 1 and reads 6.05e307 at t = 0.1.  The
+        # ray is given f0 = a0 and the slope x.p = 2 a0: the sampled value at x
+        # reads NaN, because N x.x overflows before it meets eps^2 = 0.
         spec = NoisyQuadraticSpec(base_Q=np.eye(2), base_q=np.zeros(2), sigma=0.0, eps=np.zeros(3))
         obj = noisy_quadratic_objective(spec)
         sample = Sample.of(obj, np.array([0, 2]))
         x = p = np.array([1e154, 0.0])
+        ray = x, p, 5e307, 1e308
         meter = BudgetMeter()
-        value_along = subsample_value_along(obj, sample, x, p, meter)
+        value_along = subsample_value_along(obj, sample, *ray, meter)
         with pytest.raises(NonFiniteValue):
             value_along(1.0)
         assert value_along(0.1) == pytest.approx(5e307 * 1.21, rel=1e-12)
         meter = BudgetMeter()
-        value_along = subsample_value_along(obj, sample, x, p, meter)
+        value_along = subsample_value_along(obj, sample, *ray, meter)
         t, point = line_search_minibatch(value_along, x, p, 5e307, -1.0, 5e307, 0.1, 1e-4, 1e-5)
         assert (t, point.tolist()) == (0.1, (x + 0.1 * p).tolist())
         assert meter.component_value_evals == 2 * sample.size
